@@ -32,7 +32,7 @@ def main() -> None:
     print("transition polynomials (nontrivial weight spaces):")
     seen = set()
     for r in qg.verify_mainth(degree):
-        deg = cd.root_coords(qg.beta_of(r["avec"]))
+        deg = cd.root_coords(cat.beta_of(r["avec"]))
         if deg in seen:
             continue
         seen.add(deg)
@@ -43,7 +43,7 @@ def main() -> None:
         print(f"  weight {deg}:")
         for a in space:
             coeffs = expand_in_dominant_basis(
-                qg.b_tilde(a), basis, lambda k: all(e >= 0 for e in k), qg._xkey_leq
+                qg.b_tilde(a), basis, cat.is_dominant, cat.leq
             )
             row = {k: v.render("v") for k, v in coeffs.items() if not v.is_zero()}
             print(f"    B~{a} = " + " + ".join(f"({c}) E~{k}" for k, c in sorted(row.items())))

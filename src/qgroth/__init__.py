@@ -1,6 +1,6 @@
 """Exact symbolic computation in t-deformed Grothendieck rings of quantum loop
 algebras (simply-laced), the quantum-group side with dual PBW and dual
-canonical bases, the torus isomorphism between them, and brute-force derived
+canonical bases in the rank-r torus both sides share, and brute-force derived
 Hall algebras over small finite fields."""
 
 from .cartan import CartanDatum, Weight, cartan_datum
@@ -19,7 +19,7 @@ from .presentation import Presentation
 from .qcartan import QuantumCartan, quantum_cartan
 from .qgroup import QGroupSide, n_gamma
 from .quiver import AdaptedWord, PhiMap, QuiverContext, QuiverDatum, ringel_form
-from .torus import Monomial, TorusElement, XTorus, YTorus, divide_left, divide_right
+from .torus import Monomial, TorusElement, XTorus, YTorus, divide_right
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "XTorus",
     "YTorus",
     "cartan_datum",
-    "divide_left",
     "divide_right",
     "fm_classical",
     "fundamental_tchar",

@@ -26,6 +26,10 @@ class RankMismatch(ValueError):
     pass
 
 
+class ResourceCap(RuntimeError):
+    """Raised when an enumeration would exceed its configured cap."""
+
+
 SUPPORTED = {("A", n) for n in range(1, 9)} | {("D", n) for n in range(4, 9)} | {
     ("E", n) for n in (6, 7, 8)
 }
@@ -288,7 +292,8 @@ def _coxeter_number(kind: str, n: int) -> int:
             break
         if h > 1000:
             raise RuntimeError("Coxeter element order did not close")
-    assert h * n == 2 * len(_positive_roots(kind, n))
+    if h * n != 2 * len(_positive_roots(kind, n)):
+        raise RuntimeError("Coxeter number disagrees with the positive-root count")
     return h
 
 
@@ -304,7 +309,8 @@ def _longest_word(kind: str, n: int) -> tuple[int, ...]:
         i = next(j for j in cd.vertices if lam.coords[j - 1] > 0)
         word.append(i)
         lam = cd.reflect(i, lam)
-    assert len(word) == len(_positive_roots(kind, n))
+    if len(word) != len(_positive_roots(kind, n)):
+        raise RuntimeError("longest word has the wrong length")
     return tuple(word)
 
 

@@ -15,10 +15,13 @@ Simple classes are carved out of standard ones by a Kazhdan-Lusztig style
 bar-inversion: the unique bar-invariant element that is unitriangular with
 strictly negative t-powers over the standard basis.
 
-Truncated characters (supported on the rank-r subtorus attached to an
-orientation) are computed independently through the quantum T-system, by a
-downward recursion seeded with the single-monomial Kirillov-Reshetikhin
-classes whose spectral support reaches the height function.
+Truncated characters live in the rank-r torus attached to an orientation,
+keyed by exponent vectors over the positions of the index set.  That torus is
+the subtorus of the Y-variables at those positions: the two pairings agree
+entry by entry, which is checked once per orientation.  Truncated classes are
+computed independently through the quantum T-system, by a downward recursion
+seeded with the single-monomial Kirillov-Reshetikhin classes whose spectral
+support reaches the height function.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .cartan import CartanDatum, Weight
+from .cartan import CartanDatum, ResourceCap, Weight
 from .laurent import HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
-from .torus import Monomial, TorusElement, YTorus, divide_right
+from .torus import Monomial, TorusElement, XTorus, YTorus, divide_right
 
 
 class NonMultiplicityFree(RuntimeError):
@@ -158,6 +161,7 @@ def _j_gauge(
 
 def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[Monomial, int]:
     """Classical q-character of the fundamental module at (i0, p0)."""
+    cd._check_vertex(i0)
     base = _fm_base(cd.kind, cd.n, i0)
     return {m.shift_p(p0): c for m, c in base.items()}
 
@@ -330,7 +334,7 @@ def dominant_below(yt: YTorus, m: Monomial, cap: int = 500000) -> list[Monomial]
     for _, _, b in axes:
         total *= b + 1
         if total > cap:
-            raise CharacterError("dominant-monomial enumeration exceeded its cap")
+            raise ResourceCap("dominant-monomial enumeration exceeded its cap")
     out = []
     for combo in itertools.product(*[range(b + 1) for _, _, b in axes]):
         cand = m
@@ -441,9 +445,12 @@ def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Optional[Frac
 
 
 class CategoryQ:
-    """Character computations attached to one orientation: the rank-r
-    subtorus, truncation, Kirillov-Reshetikhin classes by the deformed
-    T-system, and truncated standard/simple classes."""
+    """Character computations attached to one orientation: the rank-r torus
+    on the positions of the index set, truncation into it, Kirillov-Reshetikhin
+    classes by the deformed T-system, and truncated standard/simple classes.
+
+    Elements of the rank-r torus are keyed by exponent vectors a, where a_k is
+    the exponent of the variable at positions[k]."""
 
     def __init__(self, qctx: QuiverContext):
         self.qctx = qctx
@@ -451,53 +458,78 @@ class CategoryQ:
         self.cartan = qctx.cartan
         self.qc = quantum_cartan(self.cartan)
         self.yt = YTorus(self.qc)
+        self.xt = XTorus(qctx.word.betas, self.cartan)
         self.h = self.cartan.coxeter_number()
         self.positions = qctx.positions
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
+        self._check_torus_isomorphism()
 
-    # -- the subtorus -------------------------------------------------------
+    def _check_torus_isomorphism(self) -> None:
+        """The isomorphism Phi: the Y-pairing restricted to the positions equals
+        the scalar-product pairing of the rank-r torus, entry by entry."""
+        for k, (i, p) in enumerate(self.positions):
+            for l, (j, s) in enumerate(self.positions):
+                n = self.qc.n_pair(i, p, j, s) if p != s else 0
+                x = self.xt.pair2(self.xt.unit_vector(k + 1), self.xt.unit_vector(l + 1))
+                if n != x:
+                    raise CharacterError(
+                        f"pairings disagree at positions {k + 1},{l + 1}: N = {n}, X = {x}"
+                    )
+
+    # -- the boundary between Y-monomials and exponent vectors ----------------
 
     def in_category(self, m: Monomial) -> bool:
         return all(ip in self.index_of_position for ip in m.support())
 
     def truncate(self, x: TorusElement) -> TorusElement:
-        return TorusElement(
-            self.yt, {k: c for k, c in x.terms.items() if self.in_category(k)}
+        """Restriction of a Y-keyed element to the positions, as an element of
+        the rank-r torus."""
+        return self.xt.element(
+            {self.avec_of(k): c for k, c in x.terms.items() if self.in_category(k)}
         )
 
-    def beta_degree(self, m: Monomial) -> Weight:
-        w = self.cartan.zero_weight()
+    def avec_of(self, m: Monomial) -> tuple[int, ...]:
+        a = [0] * self.xt.r
         for (i, p), e in m.items:
             k = self.index_of_position.get((i, p))
             if k is None:
                 raise ValueError(f"variable ({i},{p}) is outside the subtorus")
-            w = w + self.qctx.word.betas[k - 1].scale(e)
-        return w
-
-    def avec_of(self, m: Monomial) -> tuple[int, ...]:
-        a = [0] * self.qctx.word.r
-        for (i, p), e in m.items:
-            a[self.index_of_position[(i, p)] - 1] = e
+            a[k - 1] = e
         return tuple(a)
 
     def monomial_of_avec(self, a) -> Monomial:
         return Monomial({self.positions[k]: e for k, e in enumerate(a) if e != 0})
 
+    def beta_of(self, a) -> Weight:
+        w = self.cartan.zero_weight()
+        for k, c in enumerate(a):
+            if c:
+                w = w + self.qctx.word.betas[k].scale(c)
+        return w
+
+    @staticmethod
+    def is_dominant(a) -> bool:
+        return all(e >= 0 for e in a)
+
+    def leq(self, a1, a2) -> bool:
+        """The Nakajima order on exponent vectors."""
+        return self.yt.nakajima_leq(self.monomial_of_avec(a1), self.monomial_of_avec(a2))
+
     # -- Kirillov-Reshetikhin classes by the T-system ------------------------
 
-    def tower(self, i: int, p: int) -> Monomial:
+    def tower(self, i: int, p: int) -> tuple[int, ...]:
         xi = self.quiver.xi[i - 1]
-        return Monomial({(i, q): 1 for q in range(p, xi + 1, 2)})
+        return self.avec_of(Monomial({(i, q): 1 for q in range(p, xi + 1, 2)}))
 
     def kr(self, i: int, s: int, p: int) -> TorusElement:
         """Truncated t-character of the Kirillov-Reshetikhin class with s
         factors starting at spectral parameter p."""
-        xi = self.quiver.xi[i - 1]
         if s == 0:
-            return self.yt.one()
+            return self.xt.one()
         if (i, p) not in self.index_of_position:
             raise ValueError(f"({i},{p}) is outside the subtorus index set")
+        xi = self.quiver.xi[i - 1]
         if not 1 <= s <= (xi - p) // 2 + 1:
             raise ValueError(f"level {s} at ({i},{p}) leaves the category")
         key = (i, s, p)
@@ -505,7 +537,7 @@ class CategoryQ:
             return self._kr[key]
         top = p + 2 * s - 2
         if top == xi:
-            val = self.yt.monomial(self.tower(i, p))
+            val = self.xt.monomial(self.tower(i, p))
         else:
             a, g = tsystem_exponents(self.qc, i, s)
             x2, y2 = int(2 * a), int(2 * g)
@@ -575,31 +607,34 @@ class CategoryQ:
 
     # -- truncated standard and simple classes -------------------------------
 
-    def truncated_standard(self, m: Monomial) -> TorusElement:
-        if not (m.is_dominant() and self.in_category(m)):
-            raise ValueError("expected a dominant monomial of the subtorus")
-        if m.is_unit():
-            return self.yt.one()
+    def _dominant_avec(self, a) -> tuple[int, ...]:
+        a = tuple(a)
+        if len(a) != self.xt.r or not self.is_dominant(a):
+            raise ValueError(f"expected a dominant exponent vector of length {self.xt.r}")
+        return a
+
+    def truncated_standard(self, a) -> TorusElement:
+        a = self._dominant_avec(a)
         prod = None
-        for (i, p) in sorted(m.support(), key=lambda ip: (-ip[1], ip[0])):
-            f = self.truncated_fundamental(i, p)
-            for _ in range(m.exp(i, p)):
+        for k in sorted(
+            (k for k in range(self.xt.r) if a[k]),
+            key=lambda k: (-self.positions[k][1], self.positions[k][0]),
+        ):
+            f = self.truncated_fundamental(*self.positions[k])
+            for _ in range(a[k]):
                 prod = f if prod is None else prod * f
-        e = _unit_coeff_exp2(prod.coeff(m))
+        if prod is None:
+            return self.xt.one()
+        e = _unit_coeff_exp2(prod.coeff(a))
         return prod.tshift(-e)
 
-    def candidates_below(self, m: Monomial) -> list[Monomial]:
-        deg = self.cartan.root_coords(self.beta_degree(m))
-        cands = []
-        for row in self.dominant_pairs(deg):
-            m2 = row["monomial"]
-            if self.yt.nakajima_leq(m2, m):
-                cands.append(m2)
-        return cands
+    def candidates_below(self, a) -> list[tuple[int, ...]]:
+        deg = self.cartan.root_coords(self.beta_of(a))
+        return [
+            row["avec"] for row in self.dominant_pairs(deg) if self.leq(row["avec"], a)
+        ]
 
-    def truncated_simple(self, m: Monomial) -> TorusElement:
-        cands = self.candidates_below(m)
-        basis = {m2: self.truncated_standard(m2) for m2 in cands}
-        return bar_invariant_correction(
-            m, basis, lambda k: k.is_dominant(), self.yt.nakajima_leq
-        )
+    def truncated_simple(self, a) -> TorusElement:
+        a = self._dominant_avec(a)
+        basis = {c: self.truncated_standard(c) for c in self.candidates_below(a)}
+        return bar_invariant_correction(a, basis, self.is_dominant, self.leq)

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 resource cap.
+Exit codes: 0 success, 1 usage error, 2 verification failure, 3 resource cap
+or a refused t-lift.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import json
 import re
 import sys
 
-from .cartan import CartanDatum, cartan_datum
+from .cartan import CartanDatum, ResourceCap, cartan_datum
 from .characters import (
     CategoryQ,
     NonMultiplicityFree,
@@ -22,7 +23,6 @@ from .characters import (
 from .hall import (
     DerivedHall,
     IsoClass,
-    ResourceCap,
     check_h_relations,
     constant_identity_holds,
     hall_number,
@@ -33,7 +33,7 @@ from .presentation import Presentation
 from .qcartan import quantum_cartan
 from .qgroup import QGroupSide
 from .quiver import QuiverContext, QuiverDatum
-from .torus import Monomial, YTorus
+from .torus import Monomial, TorusElement, YTorus
 
 
 class VerificationFailure(RuntimeError):
@@ -156,6 +156,11 @@ def _element_lines(x, var="t"):
     return [x.render(var)]
 
 
+def _y_keyed(cat: CategoryQ, x: TorusElement) -> TorusElement:
+    """A rank-r torus element written on Y-monomials, for output."""
+    return TorusElement(cat.yt, {cat.monomial_of_avec(a): c for a, c in x.terms.items()})
+
+
 def cmd_qchar(args) -> int:
     cd = cartan_datum(args.type)
     yt = YTorus(quantum_cartan(cd))
@@ -184,11 +189,11 @@ def cmd_qchar(args) -> int:
         quiver = _parse_quiver(args, cd)
         cat = CategoryQ(QuiverContext(quiver))
         if args.what == "kr":
-            x = cat.kr(args.i, args.s, args.p)
+            x = _y_keyed(cat, cat.kr(args.i, args.s, args.p))
             _emit(args, _element_lines(x), {"kind": "kr", "terms": x.to_json()})
         else:
-            m = _parse_monomial(args.monomial)
-            x = cat.truncated_simple(m)
+            a = cat.avec_of(_parse_monomial(args.monomial))
+            x = _y_keyed(cat, cat.truncated_simple(a))
             _emit(args, _element_lines(x), {"kind": "truncated-simple", "terms": x.to_json()})
         return 0
     m = _parse_monomial(args.monomial)
@@ -252,7 +257,7 @@ def cmd_canonical(args) -> int:
         good = r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"]
         ok = ok and good
         lines.append(
-            f"a={','.join(map(str, r['avec']))} m={r['monomial'].render() or '1'} "
+            f"a={','.join(map(str, r['avec']))} m={cat.monomial_of_avec(r['avec']).render()} "
             f"simple->dual-canonical: {'ok' if r['simple_matches_dual_canonical'] else 'FAIL'} "
             f"standard->dual-PBW: {'ok' if r['standard_matches_dual_pbw'] else 'FAIL'}"
         )
@@ -527,6 +532,9 @@ def main(argv=None) -> int:
         return code
     except ResourceCap as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except NonMultiplicityFree as exc:
+        print(f"not computable: {exc}", file=sys.stderr)
         return 3
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

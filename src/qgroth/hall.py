@@ -19,14 +19,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .cartan import CartanDatum
+from .cartan import CartanDatum, ResourceCap
 from .characters import CategoryQ, expand_in_dominant_basis
 from .laurent import HalfLaurent
 from .quiver import QuiverDatum, ringel_form
-
-
-class ResourceCap(RuntimeError):
-    """Raised when a brute-force enumeration would exceed the configured caps."""
 
 
 MAX_RANK = 3
@@ -1001,12 +997,9 @@ def iota_scalar_report(cat: CategoryQ, q: int, max_len: int = 3) -> dict:
             deg = [0] * cd.n
             for i in word:
                 deg[i - 1] += 1
-            rows = cat.dominant_pairs(tuple(deg))
-            basis = {r["monomial"]: cat.truncated_standard(r["monomial"]) for r in rows}
-            coeffs_t = expand_in_dominant_basis(
-                prod_t, basis, lambda k: k.is_dominant(), cat.yt.nakajima_leq
-            )
-            avec_of_mon = {r["monomial"]: tuple(r["avec"]) for r in rows}
+            avecs = [r["avec"] for r in cat.dominant_pairs(tuple(deg))]
+            basis = {a: cat.truncated_standard(a) for a in avecs}
+            coeffs_t = expand_in_dominant_basis(prod_t, basis, cat.is_dominant, cat.leq)
             # Hall side
             prod_h = dh.one()
             for i in word:
@@ -1021,8 +1014,7 @@ def iota_scalar_report(cat: CategoryQ, q: int, max_len: int = 3) -> dict:
             rescale = one
             for _ in word:
                 rescale = rescale * resc
-            for r in rows:
-                avec = tuple(r["avec"])
+            for avec in avecs:
                 iso = IsoClass(
                     {
                         tuple(cd.root_coords(cat.qctx.word.betas[k])): a
@@ -1030,7 +1022,7 @@ def iota_scalar_report(cat: CategoryQ, q: int, max_len: int = 3) -> dict:
                         if a
                     }
                 )
-                ct = coeffs_t.get(r["monomial"], HalfLaurent.zero())
+                ct = coeffs_t.get(avec, HalfLaurent.zero())
                 ch = coeffs_h.get(iso, UScalar.of(q, 0))
                 tval = eval_t(ct) * rescale
                 if ch.is_zero() != tval.is_zero():

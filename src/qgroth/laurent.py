@@ -49,10 +49,6 @@ class HalfLaurent:
     def is_one(self) -> bool:
         return self.c == {0: 1}
 
-    def is_unit_monomial(self) -> bool:
-        """Single term with coefficient +-1, i.e. a unit of the ring."""
-        return len(self.c) == 1 and abs(next(iter(self.c.values()))) == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HalfLaurent):
             return NotImplemented
@@ -118,9 +114,6 @@ class HalfLaurent:
 
     def is_nonnegative(self) -> bool:
         return all(v > 0 for v in self.c.values())
-
-    def integer_powers_only(self) -> bool:
-        return all(e % 2 == 0 for e in self.c)
 
     def max_exp2(self) -> int:
         return max(self.c)

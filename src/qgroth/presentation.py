@@ -14,7 +14,7 @@ from __future__ import annotations
 from .characters import fundamental_tchar
 from .laurent import HalfLaurent
 from .qcartan import quantum_cartan
-from .quiver import QuiverContext, QuiverDatum
+from .quiver import QuiverContext
 from .torus import TorusElement, YTorus
 
 
@@ -94,6 +94,8 @@ class Presentation:
 
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
         """All three relation families with levels in [m_lo, m_hi]."""
+        if m_lo > m_hi:
+            raise ValueError(f"empty level range {m_lo}..{m_hi}")
         failures = []
         for m in range(m_lo, m_hi + 1):
             failures += self.check_r1(m)
@@ -103,10 +105,6 @@ class Presentation:
             for p in range(m + 2, m_hi + 1):
                 failures += self.check_r3(m, p)
         return failures
-
-
-def presentation_for(type_name_quiver: QuiverDatum) -> Presentation:
-    return Presentation(QuiverContext(type_name_quiver))
 
 
 def sl2_relations_hold(pres: Presentation, m_hi: int = 3) -> bool:

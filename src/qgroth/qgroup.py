@@ -1,6 +1,6 @@
 """The quantized coordinate-ring side: quantum minors inside the rank-r torus,
-dual PBW and dual canonical bases, and the torus isomorphism to the character
-side.
+dual PBW and dual canonical bases, and their comparison with the truncated
+classes of the character side, which live in the same torus.
 
 Minors D(b,d) are never abstract: they exist only through their expansions on
 the basis X^a of the rank-r torus.  The flag minors D(0,k) are ordered
@@ -16,7 +16,7 @@ from __future__ import annotations
 from .cartan import Weight
 from .characters import CategoryQ, bar_invariant_correction
 from .laurent import HalfLaurent
-from .torus import TorusElement, XTorus, divide_right
+from .torus import TorusElement, divide_right
 
 
 def n_gamma(cartan, gamma: Weight) -> tuple[int, int]:
@@ -31,7 +31,7 @@ class QGroupSide:
         self.cartan = cat.cartan
         self.word = cat.qctx.word
         self.r = self.word.r
-        self.xt = XTorus(self.word.betas, self.cartan)
+        self.xt = cat.xt
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[tuple[int, ...], TorusElement] = {}
         # doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
@@ -43,15 +43,6 @@ class QGroupSide:
             lam_km = self.word.lam(km, letter=i)
             nb, _ = n_gamma(self.cartan, beta)
             self._c2.append(nb + 2 * self.cartan.sprod(self.cartan.varpi(i) - lam_km, beta))
-
-    # -- the torus isomorphism ------------------------------------------------
-
-    def phi_forward(self, x: TorusElement) -> TorusElement:
-        """Basis-monomial relabelling from the character torus to X^a."""
-        return x.map_keys(self.cat.avec_of, new_ctx=self.xt)
-
-    def phi_inverse(self, x: TorusElement) -> TorusElement:
-        return x.map_keys(self.cat.monomial_of_avec, new_ctx=self.cat.yt)
 
     # -- minors ---------------------------------------------------------------
 
@@ -118,21 +109,9 @@ class QGroupSide:
                 out = out * f
         return out.tshift(-sum(x * (x - 1) for x in a))
 
-    def beta_of(self, a) -> Weight:
-        w = self.cartan.zero_weight()
-        for k, c in enumerate(a):
-            if c:
-                w = w + self.word.betas[k].scale(c)
-        return w
-
     def e_tilde(self, a) -> TorusElement:
-        nb, _ = n_gamma(self.cartan, self.beta_of(a))
+        nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
         return self.e_star_vec(a).tshift(nb)
-
-    def _xkey_leq(self, a1: tuple, a2: tuple) -> bool:
-        return self.cat.yt.nakajima_leq(
-            self.cat.monomial_of_avec(a1), self.cat.monomial_of_avec(a2)
-        )
 
     def b_tilde(self, a) -> TorusElement:
         """Rescaled dual canonical vector: sigma-invariant, unitriangular with
@@ -141,20 +120,15 @@ class QGroupSide:
         a = tuple(a)
         if a in self._btilde:
             return self._btilde[a]
-        deg = self.cartan.root_coords(self.beta_of(a))
-        space = [tuple(r["avec"]) for r in self.cat.dominant_pairs(deg)]
+        deg = self.cartan.root_coords(self.cat.beta_of(a))
+        space = [r["avec"] for r in self.cat.dominant_pairs(deg)]
         basis = {c: self.e_tilde(c) for c in space}
-        val = bar_invariant_correction(
-            a,
-            basis,
-            lambda k: all(x >= 0 for x in k),
-            self._xkey_leq,
-        )
+        val = bar_invariant_correction(a, basis, self.cat.is_dominant, self.cat.leq)
         self._btilde[a] = val
         return val
 
     def b_star(self, a) -> TorusElement:
-        nb, _ = n_gamma(self.cartan, self.beta_of(tuple(a)))
+        nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
         return self.b_tilde(a).tshift(-nb)
 
     def sigma(self, x: TorusElement) -> TorusElement:
@@ -165,22 +139,19 @@ class QGroupSide:
 
     def verify_mainth(self, degree_bound: int) -> list[dict]:
         """For every dominant exponent vector of weight-degree at most the
-        bound: the image of the truncated simple class must equal the rescaled
-        dual canonical vector, and the standard class the rescaled dual PBW."""
-        report = []
-        for a in self.cat.dominant_avecs_up_to(degree_bound):
-            m = self.cat.monomial_of_avec(a)
-            simple_img = self.phi_forward(self.cat.truncated_simple(m))
-            standard_img = self.phi_forward(self.cat.truncated_standard(m))
-            report.append(
-                {
-                    "avec": a,
-                    "monomial": m,
-                    "simple_matches_dual_canonical": simple_img == self.b_tilde(a),
-                    "standard_matches_dual_pbw": standard_img == self.e_tilde(a),
-                }
-            )
-        return report
+        bound: the truncated simple class must equal the rescaled dual
+        canonical vector, and the truncated standard class the rescaled dual
+        PBW vector."""
+        if degree_bound < 0:
+            raise ValueError(f"negative degree bound {degree_bound}")
+        return [
+            {
+                "avec": a,
+                "simple_matches_dual_canonical": self.cat.truncated_simple(a) == self.b_tilde(a),
+                "standard_matches_dual_pbw": self.cat.truncated_standard(a) == self.e_tilde(a),
+            }
+            for a in self.cat.dominant_avecs_up_to(degree_bound)
+        ]
 
     def serre_check(self) -> list[tuple]:
         """Quantum Serre relations among the truncated fundamental classes

@@ -13,7 +13,6 @@ tau crosses from positive to negative roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cartan import CartanDatum, RankMismatch, Weight, cartan_datum
@@ -266,7 +265,8 @@ class AdaptedWord:
                 m += 1
                 w = quiver.tau(w)
             budget[i] = m
-        assert sum(budget.values()) == r
+        if sum(budget.values()) != r:
+            raise RuntimeError("column ladders do not cover the positive roots")
         word: list[int] = []
         q = quiver
         for _ in range(r):
@@ -302,14 +302,6 @@ class AdaptedWord:
                 return s
         return 0
 
-    def kminus_iter(self, k: int, steps: int) -> int:
-        """k^(-steps): iterate kminus, with 0 absorbing."""
-        for _ in range(steps):
-            if k == 0:
-                return 0
-            k = self.kminus(k)
-        return k
-
     def lam(self, k: int, letter: Optional[int] = None) -> Weight:
         """lambda_k, with the convention lambda_0 = varpi of the given letter."""
         if k == 0:
@@ -339,20 +331,11 @@ class QuiverContext:
         # build-time sanity: the Euler form satisfies <alpha_i, gamma_j> = delta_ij
         for i in self.cartan.vertices:
             for j in self.cartan.vertices:
-                assert ringel_form(quiver, self.cartan.alpha(i), quiver.gamma(j)) == (
-                    1 if i == j else 0
-                )
+                if ringel_form(quiver, self.cartan.alpha(i), quiver.gamma(j)) != int(i == j):
+                    raise RuntimeError(f"Euler form <alpha_{i}, gamma_{j}> is not delta")
 
     def ihat_Q(self) -> list[tuple[int, int]]:
         return list(self.positions)
-
-    def in_ihat_Q(self, i: int, p: int) -> bool:
-        return (i, p) in self.index_of_position
-
-    def ladder_min(self, i: int) -> int:
-        """Lowest p with (i, p) in Ihat_Q."""
-        ps = [p for (j, p) in self.positions if j == i]
-        return min(ps)
 
 
 def ringel_form(quiver: QuiverDatum, d, e) -> int:
@@ -370,12 +353,3 @@ def ringel_form(quiver: QuiverDatum, d, e) -> int:
     for i, j in quiver.arrows:
         val -= dv[i - 1] * ev[j - 1]
     return val
-
-
-@lru_cache(maxsize=None)
-def _default_context(kind: str, n: int) -> QuiverContext:
-    return QuiverContext(QuiverDatum.bipartite(CartanDatum(kind, n)))
-
-
-def default_context(cartan: CartanDatum) -> QuiverContext:
-    return _default_context(cartan.kind, cartan.n)

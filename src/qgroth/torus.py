@@ -13,13 +13,13 @@ exponent, where pair is an antisymmetric integer pairing on exponents.  The
 bar involution (t^(1/2) -> t^(-1/2) fixing basis monomials) is coefficientwise
 conjugation in this basis, on either side.
 
-Exact division (solving q * p = s or p * q = s) is by leading-term elimination
+Exact division (solving q * p = s) is by leading-term elimination
 with respect to a multiplication-compatible total order on exponents.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .cartan import Weight
 from .laurent import HalfLaurent
@@ -309,16 +309,6 @@ class TorusElement:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def map_keys(self, fn: Callable, new_ctx=None) -> "TorusElement":
-        out: dict = {}
-        for k, c in self.terms.items():
-            nk = fn(k)
-            if nk in out:
-                out[nk] = out[nk] + c
-            else:
-                out[nk] = c
-        return TorusElement(new_ctx if new_ctx is not None else self.ctx, out)
-
     def dominant_terms(self) -> dict:
         return {k: c for k, c in self.terms.items() if k.is_dominant()}
 
@@ -454,32 +444,3 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
         quot[qk] = quot.get(qk, HalfLaurent.zero()) + c
         rem = rem - TorusElement(ctx, {qk: c}) * p
     return TorusElement(ctx, quot)
-
-
-def divide_left(p: TorusElement, s: TorusElement) -> TorusElement:
-    """The unique q with p * q = s; raises when the division is not exact."""
-    ctx = s.ctx
-    if p.is_zero():
-        raise ZeroDivisionError("division by zero torus element")
-    lead_p = p.leading_key()
-    lead_pc = p.terms[lead_p]
-    lead_p_inv = ctx.key_inv(lead_p)
-    rem = TorusElement(ctx, dict(s.terms))
-    quot: dict = {}
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 10000:
-            raise ArithmeticError("torus division did not terminate")
-        lk = rem.leading_key()
-        qk = ctx.key_mul(lead_p_inv, lk)
-        c = rem.terms[lk].shift(-ctx.pair2(lead_p, qk)).exact_div(lead_pc)
-        if c is None:
-            raise ArithmeticError("torus division is not exact (coefficient step)")
-        quot[qk] = quot.get(qk, HalfLaurent.zero()) + c
-        rem = rem - p * TorusElement(ctx, {qk: c})
-    return TorusElement(ctx, quot)
-
-
-def monomial_inverse_element(ctx, key) -> TorusElement:
-    return TorusElement(ctx, {ctx.key_inv(key): HalfLaurent.one()})

@@ -58,6 +58,12 @@ def ytorus():
     return get
 
 
+def on_positions(cat: CategoryQ, y):
+    """A Y-keyed element whose monomials all sit on the positions of the
+    orientation, rewritten in the rank-r torus (raises on any other monomial)."""
+    return cat.xt.element({cat.avec_of(m): c for m, c in y.terms.items()})
+
+
 def all_orientations(name: str):
     """Every orientation of the diagram, as QuiverDatum values."""
     import itertools

@@ -22,6 +22,8 @@ from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
+from conftest import on_positions
+
 
 def Y(i, p, e=1):
     return Monomial.var(i, p, e)
@@ -113,14 +115,17 @@ def test_tsystem_exponents_examples():
 def test_kr_seeds_and_worked_values(categories):
     cat = categories("A3")
     yt = cat.yt
-    assert cat.kr(2, 2, 1) == yt.monomial(mon(Y(2, 1), Y(2, 3)))
-    assert cat.kr(1, 1, 2) == yt.monomial(Y(1, 2))
-    assert cat.kr(2, 1, 1) == yt.monomial(Y(2, 1)) + yt.monomial(
-        mon(Y(1, 2), Y(2, 3, -1), Y(3, 2))
+    assert cat.kr(2, 2, 1) == on_positions(cat, yt.monomial(mon(Y(2, 1), Y(2, 3))))
+    assert cat.kr(1, 1, 2) == on_positions(cat, yt.monomial(Y(1, 2)))
+    assert cat.kr(2, 1, 1) == on_positions(
+        cat, yt.monomial(Y(2, 1)) + yt.monomial(mon(Y(1, 2), Y(2, 3, -1), Y(3, 2)))
     )
-    assert cat.kr(3, 1, 0) == yt.monomial(Y(3, 0)) + yt.monomial(
-        mon(Y(3, 2, -1), Y(2, 1))
-    ) + yt.monomial(mon(Y(2, 3, -1), Y(1, 2)))
+    assert cat.kr(3, 1, 0) == on_positions(
+        cat,
+        yt.monomial(Y(3, 0))
+        + yt.monomial(mon(Y(3, 2, -1), Y(2, 1)))
+        + yt.monomial(mon(Y(2, 3, -1), Y(1, 2))),
+    )
     with pytest.raises(ValueError):
         cat.kr(1, 3, 2)
 
@@ -155,7 +160,9 @@ def test_dual_route_fundamentals(categories):
                 fm = cat.truncate(fundamental_tchar(cat.yt, i, p))
                 assert fm == kr, (name, i, p)
             except NonMultiplicityFree as exc:
-                trunc = {m: c for m, c in exc.classical.items() if cat.in_category(m)}
+                trunc = {
+                    cat.avec_of(m): c for m, c in exc.classical.items() if cat.in_category(m)
+                }
                 assert set(trunc) == set(kr.terms)
                 for m, c in kr.terms.items():
                     assert c.is_symmetric() and c.is_nonnegative()
@@ -231,9 +238,11 @@ def test_truncate_examples(categories, ytorus):
     full = fundamental_tchar(ytorus("A3"), 1, 0)
     tr = cat.truncate(full)
     assert tr.num_terms() == 3 and full.num_terms() == 4
-    dropped = [m for m in full.terms if m not in tr.terms]
+    kept = {cat.monomial_of_avec(a) for a in tr.terms}
+    dropped = [m for m in full.terms if m not in kept]
     assert dropped == [Y(3, 4, -1)]
-    assert cat.truncate(tr) == tr
+    outside = ytorus("A3").monomial(Y(3, 4, -1), full.coeff(Y(3, 4, -1)))
+    assert tr == on_positions(cat, full - outside)
 
 
 def test_truncated_simple_matches_full(categories, ytorus):
@@ -242,7 +251,7 @@ def test_truncated_simple_matches_full(categories, ytorus):
     cat = categories("A3")
     yt = ytorus("A3")
     for m in [mon(Y(2, 1)), mon(Y(1, 0), Y(3, 0)), mon(Y(1, 0), Y(1, 2)), mon(Y(2, 1), Y(2, 3))]:
-        assert cat.truncated_simple(m) == cat.truncate(simple_tchar(yt, m)), m
+        assert cat.truncated_simple(cat.avec_of(m)) == cat.truncate(simple_tchar(yt, m)), m
 
 
 def test_dominant_survival(categories, ytorus):

@@ -159,3 +159,50 @@ def test_config_and_cache(tmp_path, capsys):
     rows = data["tables"]["A2"]
     rows[0][3] += 1
     assert load_tables_json({"version": 1, "tables": {"A2": rows}}) == 0
+
+
+def test_out_of_range_vertex_exits_without_hanging():
+    # a vertex outside the diagram once sent the parity search into an endless
+    # loop; run it in a child process so that a regression fails, not hangs
+    import os
+    import subprocess
+    import sys
+
+    import qgroth
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qgroth.__file__)))
+    argv = ["qchar", "fundamental", "--type", "A3", "--i", "9", "--p", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgroth.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "usage error: vertex 9 out of range for A3\n"
+
+
+def test_refused_t_lift_exits_3(capsys):
+    for what in ("standard", "simple"):
+        assert main(["qchar", what, "--type", "D4", "-m", "Y[3,0]"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "not computable: fundamental at (3,0) is not multiplicity-free; t-lift refused"
+        ]
+
+
+def test_enumeration_cap_exits_3(capsys):
+    code = main(["qchar", "simple", "--type", "A4", "-m", "Y[4,0]Y[1,1]Y[3,1]Y[4,6]"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "resource cap exceeded: dominant-monomial enumeration exceeded its cap"
+    ]
+
+
+def test_empty_checks_are_usage_errors(capsys):
+    # a range or bound that selects nothing must not report "ok"
+    assert main(["verify", "presentation", "--type", "A3", "--m-range", "3..0"]) == 1
+    assert main(["canonical", "--type", "A3", "--degree-bound", "-1"]) == 1
+    assert main(["verify", "mainth", "--type", "A3", "--degree-bound", "-1"]) == 1
+    assert capsys.readouterr().out == ""

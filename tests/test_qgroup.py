@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from qgroth.cartan import cartan_datum
-from qgroth.characters import CategoryQ, standard_tchar
+from qgroth.characters import CategoryQ, CharacterError, fundamental_tchar, standard_tchar
 from qgroth.laurent import HalfLaurent
 from qgroth.qgroup import QGroupSide, n_gamma
+from qgroth.qcartan import QuantumCartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
@@ -41,10 +42,9 @@ def test_minor_base_cases(a3):
 
 def test_flag_minor_images(a3):
     cat, qg = a3
-    yt = cat.yt
 
     def img(m):
-        return qg.phi_forward(yt.monomial(m))
+        return cat.xt.monomial(cat.avec_of(m))
 
     assert img(Y(2, 3)) == qg.flag(1)
     assert img(Y(1, 2)) == qg.flag(2).tshift(-1)
@@ -56,9 +56,9 @@ def test_flag_minor_images(a3):
 
 def test_derived_minor_images(a3):
     cat, qg = a3
-    assert qg.phi_inverse(qg.minor(1, 4).tshift(-2)) == cat.kr(2, 1, 1)
-    assert qg.phi_inverse(qg.minor(2, 5)) == cat.kr(1, 1, 0)
-    assert qg.phi_inverse(qg.minor(3, 6)) == cat.kr(3, 1, 0)
+    assert qg.minor(1, 4).tshift(-2) == cat.kr(2, 1, 1)
+    assert qg.minor(2, 5) == cat.kr(1, 1, 0)
+    assert qg.minor(3, 6) == cat.kr(3, 1, 0)
 
 
 def test_flag_commutation_matches_weight_formula(a3):
@@ -144,7 +144,7 @@ def test_dual_canonical_rank2_weight_space(contexts):
     corrections = 0
     for a in space:
         b = qg.b_star(a)
-        n, _ = n_gamma(cd, qg.beta_of(a))
+        n, _ = n_gamma(cd, cat.beta_of(a))
         # sigma(B*) = v^N B*
         assert qg.sigma(b) == b.tshift(2 * n)
         coeffs = _expand_in_pbw(qg, qg.b_tilde(a), space)
@@ -162,9 +162,7 @@ def _expand_in_pbw(qg, x, candidates):
     from qgroth.characters import expand_in_dominant_basis
 
     basis = {c: qg.e_tilde(c) for c in candidates}
-    return expand_in_dominant_basis(
-        x, basis, lambda k: all(e >= 0 for e in k), qg._xkey_leq
-    )
+    return expand_in_dominant_basis(x, basis, qg.cat.is_dominant, qg.cat.leq)
 
 
 def test_unitriangularity_both_transitions(a3, ytorus):
@@ -195,9 +193,10 @@ def test_unitriangularity_both_transitions(a3, ytorus):
 
 
 def test_phi_intertwines_bar_and_sigma(a3):
+    # truncation carries the bar involution of the big torus to sigma
     cat, qg = a3
-    x = cat.kr(2, 1, 1) + cat.kr(1, 1, 0).tshift(3)
-    assert qg.phi_forward(x.bar()) == qg.sigma(qg.phi_forward(x))
+    x = fundamental_tchar(cat.yt, 2, 1) + fundamental_tchar(cat.yt, 1, 0).tshift(3)
+    assert cat.truncate(x.bar()) == qg.sigma(cat.truncate(x))
 
 
 def test_verify_mainth_degree3_several_orientations(contexts):
@@ -215,9 +214,8 @@ def test_fundamental_to_rescaled_pbw(a3):
     cat, qg = a3
     for k in range(1, 7):
         i, p = cat.positions[k - 1]
-        img = qg.phi_forward(cat.kr(i, 1, p))
         n, _ = n_gamma(cat.cartan, qg.word.betas[k - 1])
-        assert img == qg.e_star(k).tshift(n)
+        assert cat.kr(i, 1, p) == qg.e_star(k).tshift(n)
 
 
 def test_serre_check(categories):
@@ -231,20 +229,34 @@ def test_rank2_chevalley_images(contexts):
     # the two fundamental classes map to the two extreme minors D(0,1), D(1,3)
     cat = CategoryQ(contexts("A2", (2, 1)))
     qg = QGroupSide(cat)
-    assert qg.phi_forward(cat.kr(1, 1, 2)) == qg.minor(0, 1)
-    assert qg.phi_forward(cat.kr(1, 1, 0)) == qg.minor(1, 3)
+    assert cat.kr(1, 1, 2) == qg.minor(0, 1)
+    assert cat.kr(1, 1, 0) == qg.minor(1, 3)
 
 
 def test_phi_is_algebra_homomorphism(contexts):
-    # the relabelling respects products: the torus commutation exponents agree
+    # truncation respects products of the generators: the torus commutation
+    # exponents agree
     for name, xi in [("A3", (2, 3, 2)), ("A4", (0, 1, 0, 1)), ("D4", (0, 0, 1, 2))]:
         cat = CategoryQ(contexts(name, xi))
-        qg = QGroupSide(cat)
+        yt, xt = cat.yt, cat.xt
         for k, (i, p) in enumerate(cat.positions, start=1):
             for l, (j, s) in enumerate(cat.positions, start=1):
-                assert cat.yt.qc.n_pair(i, p, j, s) == qg.xt.pair2(
-                    qg.xt.unit_vector(k), qg.xt.unit_vector(l)
+                assert cat.yt.qc.n_pair(i, p, j, s) == xt.pair2(
+                    xt.unit_vector(k), xt.unit_vector(l)
                 ), (name, (i, p), (j, s))
-        x = cat.kr(cat.positions[0][0], 1, cat.positions[0][1])
-        y = cat.kr(cat.positions[-1][0], 1, cat.positions[-1][1])
-        assert qg.phi_forward(x * y) == qg.phi_forward(x) * qg.phi_forward(y)
+                y_prod = yt.monomial(Y(i, p)) * yt.monomial(Y(j, s))
+                x_prod = xt.monomial(xt.unit_vector(k)) * xt.monomial(xt.unit_vector(l))
+                assert cat.truncate(y_prod) == x_prod, (name, k, l)
+
+
+def test_phi_check_rejects_a_corrupted_pairing(contexts, monkeypatch):
+    ctx = contexts("A3", (2, 3, 2))
+    (i, p), (j, s) = ctx.positions[0], ctx.positions[-1]
+    n_pair = QuantumCartan.n_pair
+
+    def corrupted(self, a, b, c, d):
+        return n_pair(self, a, b, c, d) + ((a, b, c, d) == (i, p, j, s))
+
+    monkeypatch.setattr(QuantumCartan, "n_pair", corrupted)
+    with pytest.raises(CharacterError, match="pairings disagree"):
+        CategoryQ(ctx)
