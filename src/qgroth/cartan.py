@@ -16,9 +16,12 @@ integer obtained from the simple-root coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 
@@ -135,20 +138,30 @@ class CartanDatum:
 
     def alpha_coords(self, w: Weight) -> tuple[Fraction, ...]:
         """Coordinates of w on the simple roots (exact rationals)."""
+        d, num = self._alpha_numerators(w)
+        return tuple(Fraction(x, d) for x in num)
+
+    def _alpha_numerators(self, w: Weight) -> tuple[int, tuple[int, ...]]:
+        """(d, d * alpha_coords(w)), both integral."""
         if len(w.coords) != self.n:
             raise RankMismatch("weight has wrong rank")
-        inv = _cartan_inverse(self.kind, self.n)
-        return tuple(sum(inv[i][j] * w.coords[j] for j in range(self.n)) for i in range(self.n))
+        d, adj = _cartan_inverse(self.kind, self.n)
+        return d, tuple(sum(a * x for a, x in zip(row, w.coords)) for row in adj)
 
     def root_coords(self, w: Weight) -> tuple[int, ...]:
         """Integer simple-root coordinates; raises if w is not in the root lattice."""
-        ac = self.alpha_coords(w)
-        if any(x.denominator != 1 for x in ac):
-            raise ValueError(f"{w} is not in the root lattice")
-        return tuple(int(x) for x in ac)
+        d, num = self._alpha_numerators(w)
+        out = []
+        for x in num:
+            c, r = divmod(x, d)
+            if r:
+                raise ValueError(f"{w} is not in the root lattice")
+            out.append(c)
+        return tuple(out)
 
     def in_root_lattice(self, w: Weight) -> bool:
-        return all(x.denominator == 1 for x in self.alpha_coords(w))
+        d, num = self._alpha_numerators(w)
+        return all(x % d == 0 for x in num)
 
     def from_root_coords(self, coords: Sequence[int]) -> Weight:
         if len(coords) != self.n:
@@ -158,13 +171,13 @@ class CartanDatum:
 
     def sprod(self, lam: Weight, mu: Weight) -> int:
         """Scalar product; at least one argument must lie in the root lattice."""
-        if len(lam.coords) != self.n or len(mu.coords) != self.n:
+        if len(mu.coords) != self.n:
             raise RankMismatch("weight has wrong rank")
-        a = self.alpha_coords(lam)
-        val = sum(a[i] * mu.coords[i] for i in range(self.n))
-        if val.denominator != 1:
+        d, num = self._alpha_numerators(lam)
+        val, r = divmod(sum(a * x for a, x in zip(num, mu.coords)), d)
+        if r:
             raise ValueError("scalar product is not integral (neither argument in root lattice)")
-        return int(val)
+        return val
 
     def deg(self, w: Weight) -> int:
         """Sum of the simple-root coordinates (the principal grading)."""
@@ -238,23 +251,48 @@ def _cartan_matrix(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+# The rational numbers as a field for `rref`: exact, through Fraction.
+QQ = SimpleNamespace(sub=operator.sub, mul=operator.mul, inv=lambda a: 1 / Fraction(a))
+
+
+def rref(rows, F) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over the field F (an object with sub, mul and
+    inv): the nonzero reduced rows, and the pivot column of each."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        s = F.inv(m[rank][col])
+        m[rank] = [F.mul(s, x) for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def solve(a, b, F) -> list[list]:
+    """The matrix x with a x = b over F, for a square and invertible (a and b
+    given by rows); raises ZeroDivisionError when a is singular."""
+    n = len(a)
+    red, pivots = rref([list(ra) + list(rb) for ra, rb in zip(a, b)], F)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in red]
+
+
 @lru_cache(maxsize=None)
-def _cartan_inverse(kind: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    c = [[Fraction(v) for v in row] for row in _cartan_matrix(kind, n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if c[r][col] != 0)
-        c[col], c[piv] = c[piv], c[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = c[col][col]
-        c[col] = [x / f for x in c[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(n):
-            if r != col and c[r][col] != 0:
-                f = c[r][col]
-                c[r] = [x - f * y for x, y in zip(c[r], c[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+def _cartan_inverse(kind: str, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d * C^-1) with d the least common denominator of the entries of C^-1."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = solve(_cartan_matrix(kind, n), eye, QQ)
+    d = lcm(*(Fraction(x).denominator for row in inv for x in row))
+    return d, tuple(tuple(int(x * d) for x in row) for row in inv)
 
 
 @lru_cache(maxsize=None)
@@ -268,8 +306,7 @@ def _positive_roots(kind: str, n: int) -> tuple[Weight, ...]:
             w = Weight(rc)
             for i in cd.vertices:
                 img = cd.reflect(i, w)
-                ac = cd.alpha_coords(img)
-                if all(x >= 0 for x in ac) and img.coords not in roots:
+                if all(x >= 0 for x in cd.root_coords(img)) and img.coords not in roots:
                     new.add(img.coords)
         roots |= new
         frontier = new

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .cartan import CartanDatum, ResourceCap, Weight
+from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight
 from .laurent import HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
@@ -562,6 +562,8 @@ class CategoryQ:
         paired with their dominant monomials and exchange-monomial columns."""
         cd = self.cartan
         d = tuple(d)
+        if len(d) != cd.n:
+            raise RankMismatch(f"dimension vector has {len(d)} entries, {cd.kind}{cd.n} has rank {cd.n}")
         betas = [cd.root_coords(b) for b in self.qctx.word.betas]
         rows: list[dict] = []
         topmon = Monomial(

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 resource cap
-or a refused t-lift.
+Exit codes: 0 success, 1 usage error, 2 verification failure or a failed
+internal check, 3 resource cap or a refused t-lift.
 """
 
 from __future__ import annotations
@@ -161,7 +161,20 @@ def _y_keyed(cat: CategoryQ, x: TorusElement) -> TorusElement:
     return TorusElement(cat.yt, {cat.monomial_of_avec(a): c for a, c in x.terms.items()})
 
 
+# The flags each qchar subcommand needs; argparse cannot require them per choice.
+_QCHAR_FLAGS = {
+    "fundamental": (("i", "--i"), ("p", "--p")),
+    "kr": (("i", "--i"), ("p", "--p")),
+    "standard": (("monomial", "-m/--monomial"),),
+    "simple": (("monomial", "-m/--monomial"),),
+    "truncate": (("monomial", "-m/--monomial"),),
+}
+
+
 def cmd_qchar(args) -> int:
+    missing = [flag for dest, flag in _QCHAR_FLAGS[args.what] if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"qchar {args.what} requires {' and '.join(missing)}")
     cd = cartan_datum(args.type)
     yt = YTorus(quantum_cartan(cd))
     if args.what == "fundamental":
@@ -542,6 +555,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .cartan import CartanDatum, ResourceCap
+from .cartan import QQ, CartanDatum, ResourceCap, rref, solve
 from .characters import CategoryQ, expand_in_dominant_basis
 from .laurent import HalfLaurent
 from .quiver import QuiverDatum, ringel_form
@@ -47,7 +47,6 @@ class GF:
             self.add = lambda a, b: (a + b) % q
             self.sub = lambda a, b: (a - b) % q
             self.mul = lambda a, b: (a * b) % q
-            self.neg = lambda a: (-a) % q
             self.inv = lambda a: pow(a, q - 2, q)
         elif q == 4:
             # F_2[x]/(x^2+x+1): 0, 1, x=2, x+1=3
@@ -67,7 +66,6 @@ class GF:
             self.add = lambda a, b: add[a][b]
             self.sub = lambda a, b: add[a][b]
             self.mul = lambda a, b: mul[a][b]
-            self.neg = lambda a: a
             self.inv = lambda a: inv[a]
         else:
             raise ValueError(f"unsupported field size {q}")
@@ -94,49 +92,18 @@ def _dot(F: GF, u, v):
 
 
 def mat_rank(F: GF, rows) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        s = F.inv(m[rank][col])
-        m[rank] = [F.mul(s, x) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    return len(rref(rows, F)[1])
 
 
 def nullspace_basis(F: GF, rows, nvars: int):
     """Basis of the right nullspace of the matrix given by rows."""
-    m = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(nvars):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        s = F.inv(m[rank][col])
-        m[rank] = [F.mul(s, x) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(nvars) if c not in pivots]
+    red, pivots = rref(rows, F)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(nvars) if c not in pivots):
         v = [0] * nvars
         v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(m[r][fc])
+        for row, pc in zip(red, pivots):
+            v[pc] = F.sub(0, row[fc])
         basis.append(tuple(v))
     return basis
 
@@ -328,44 +295,37 @@ def _hom_elements(F: GF, basis, shapes, cap: int = MAX_HOM_ENUM):
 
 @lru_cache(maxsize=None)
 def _iso_tables(quiver: QuiverDatum, q: int):
-    """All positive-root interval models and the Gram matrix of hom dimensions."""
+    """All positive-root interval models, and the inverse of the Gram matrix
+    of hom dimensions between them.
+
+    mod(FQ) is directed, so that Gram matrix is unitriangular in
+    Auslander-Reiten order and its inverse is an integer matrix; a rational
+    entry means the models are wrong."""
     _check_quiver(quiver)
     F = GF(q)
     cd = quiver.cartan
     roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
     models = {r: interval_rep(quiver, F, *root_interval(cd, r)) for r in roots}
-    gram = {
-        (r1, r2): hom_dim(models[r1], models[r2]) for r1 in roots for r2 in roots
-    }
-    return roots, models, gram
+    gram = [[hom_dim(models[r1], models[r2]) for r2 in roots] for r1 in roots]
+    eye = [[int(i == j) for j in range(len(roots))] for i in range(len(roots))]
+    inv = solve(gram, eye, QQ)
+    if any(Fraction(x).denominator != 1 for row in inv for x in row):
+        raise RuntimeError("Gram matrix of hom dimensions is not unimodular")
+    return roots, models, tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def iso_class(rep: Rep, q: int) -> IsoClass:
-    """Krull-Schmidt decomposition through the hom-dimension fingerprint."""
-    roots, models, gram = _iso_tables(rep.quiver, q)
-    fing = {r: hom_dim(models[r], rep) for r in roots}
-    # solve gram * m = fingerprint over the rationals, root order fixed
-    n = len(roots)
-    a = [[Fraction(gram[(roots[i], roots[j])]) for j in range(n)] for i in range(n)]
-    b = [Fraction(fing[roots[i]]) for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        b[col] /= f
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] -= f * b[col]
+    """Krull-Schmidt decomposition through the hom-dimension fingerprint: the
+    multiplicities are the inverse Gram matrix times the fingerprint."""
+    roots, models, gram_inv = _iso_tables(rep.quiver, q)
+    fing = [hom_dim(models[r], rep) for r in roots]
     mults = {}
-    for i, r in enumerate(roots):
-        if b[i].denominator != 1 or b[i] < 0:
+    for r, row in zip(roots, gram_inv):
+        c = sum(a * f for a, f in zip(row, fing))
+        if c < 0:
             raise RuntimeError("fingerprint did not resolve to a Krull-Schmidt multiset")
-        if b[i]:
-            mults[r] = int(b[i])
+        if c:
+            mults[r] = c
     out = IsoClass(mults)
     if out.dims(rep.quiver.cartan.n) != rep.dims:
         raise RuntimeError("Krull-Schmidt decomposition has wrong dimension vector")
@@ -385,32 +345,14 @@ def _all_subspaces(F: GF, d: int, k: int):
     seen = set()
     vectors = [v for v in itertools.product(F.elements(), repeat=d) if any(v)]
     for combo in itertools.combinations(vectors, k):
-        rows = combo
-        if mat_rank(F, rows) != k:
+        red, pivots = rref(combo, F)
+        if len(pivots) != k:
             continue
-        canon = _rref_key(F, rows)
+        canon = tuple(map(tuple, red))
         if canon in seen:
             continue
         seen.add(canon)
         yield tuple(tuple(combo[j][i] for j in range(k)) for i in range(d))
-
-
-def _rref_key(F: GF, rows):
-    m = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(m[0])):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        s = F.inv(m[rank][col])
-        m[rank] = [F.mul(s, x) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return tuple(tuple(r) for r in m[:rank])
 
 
 def _in_colspan(F: GF, basis_cols, vec) -> bool:
@@ -419,34 +361,6 @@ def _in_colspan(F: GF, basis_cols, vec) -> bool:
     k = len(basis_cols[0]) if d else 0
     rows = [tuple(basis_cols[i][j] for i in range(d)) for j in range(k)]
     return mat_rank(F, list(rows) + [tuple(vec)]) == mat_rank(F, rows) if rows else not any(vec)
-
-
-def _solve_coords(F: GF, basis_cols, vec):
-    """Coordinates of vec in the column basis (assumed consistent)."""
-    d = len(basis_cols)
-    k = len(basis_cols[0]) if d else 0
-    if k == 0:
-        return ()
-    aug = [[basis_cols[i][j] for j in range(k)] + [vec[i]] for i in range(d)]
-    rank = 0
-    pivots = []
-    for col in range(k):
-        piv = next((r for r in range(rank, d) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        s = F.inv(aug[rank][col])
-        aug[rank] = [F.mul(s, x) for x in aug[rank]]
-        for r in range(d):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    out = [0] * k
-    for r, pc in enumerate(pivots):
-        out[pc] = aug[r][k]
-    return tuple(out)
 
 
 def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
@@ -507,18 +421,12 @@ def _sub_quotient(RW: Rep, bases):
     for (i, j) in RW.quiver.arrows:
         di, dj = RW.dims[i - 1], RW.dims[j - 1]
         ki, kj = sub_dims[i - 1], sub_dims[j - 1]
-        conj = []
-        for col in range(di):
-            vec = tuple(
-                _dot(F, RW.mats[(i, j)][r], tuple(P[i - 1][col][s] for s in range(di)))
-                for r in range(dj)
-            )
-            basis_cols = tuple(tuple(P[j - 1][c][r] for c in range(dj)) for r in range(dj))
-            conj.append(_solve_coords(F, basis_cols, vec))
-        # conj[col][row] = entry of P_j^-1 M P_i
-        sub_mats[(i, j)] = tuple(tuple(conj[c][r] for c in range(ki)) for r in range(kj))
+        mp = [[_dot(F, RW.mats[(i, j)][r], P[i - 1][col]) for col in range(di)] for r in range(dj)]
+        pj = [[P[j - 1][c][r] for c in range(dj)] for r in range(dj)]
+        conj = solve(pj, mp, F)  # P_j^-1 M P_i
+        sub_mats[(i, j)] = tuple(tuple(conj[r][c] for c in range(ki)) for r in range(kj))
         quo_mats[(i, j)] = tuple(
-            tuple(conj[c][r] for c in range(ki, di)) for r in range(kj, dj)
+            tuple(conj[r][c] for c in range(ki, di)) for r in range(kj, dj)
         )
     sub = Rep(RW.quiver, F, sub_dims, sub_mats)
     quo = Rep(RW.quiver, F, tuple(RW.dims[v] - sub_dims[v] for v in range(n)), quo_mats)
@@ -666,28 +574,16 @@ class UScalar:
         return hash((self.q, self.c))
 
     def inverse(self) -> "UScalar":
-        # solve self * z = 1 as a 4x4 rational system in the power basis
-        cols = []
-        for k in range(4):
-            basis = UScalar(self.q, [1 if j == k else 0 for j in range(4)])
-            cols.append((self * basis).c)
-        a = [[cols[j][i] for j in range(4)] for i in range(4)]
-        b = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-        for col in range(4):
-            piv = next((r for r in range(col, 4) if a[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("element is not invertible")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            f = a[col][col]
-            a[col] = [x / f for x in a[col]]
-            b[col] /= f
-            for r in range(4):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] -= f * b[col]
-        return UScalar(self.q, b)
+        # With abar(x) = a(-x), a * abar = b0 + b2 x^2 is even and
+        # (b0 + b2 x^2)(b0 - b2 x^2) = b0^2 - q b2^2 = N, the norm of a; so
+        # a^-1 = abar (b0 - b2 x^2) / N, and a is a unit exactly when N != 0.
+        c0, c1, c2, c3 = self.c
+        abar = UScalar(self.q, [c0, -c1, c2, -c3])
+        b0, _, b2, _ = (self * abar).c
+        norm = b0 * b0 - self.q * b2 * b2
+        if norm == 0:
+            raise ZeroDivisionError("element is not invertible")
+        return abar * UScalar(self.q, [b0 / norm, 0, -b2 / norm, 0])
 
     def u_pow(self, k: int) -> "UScalar":
         out = UScalar.of(self.q, 1)
@@ -901,9 +797,10 @@ def check_h_relations(dh: DerivedHall, m_offsets=range(4)) -> list[tuple]:
     """The defining relations on simple generators: same-level quantum Serre,
     adjacent-level deformed boson with constant u^-1/(u^2-1), distant-level
     commutation with alternating exponent."""
+    if not m_offsets:
+        raise ValueError("empty level range: no relation to check")
     failures = []
     cd = dh.cartan
-    q = dh.q
     upu = dh.upow(1) + dh.upow(-1)
     const = dh.upow(-1) * (dh.upow(2) - dh.scalar(1)).inverse()
     for m in m_offsets:
@@ -970,6 +867,8 @@ def iota_scalar_report(cat: CategoryQ, q: int, max_len: int = 3) -> dict:
     they are the simple generators z_{S_i}^[0].  Returns the scalar table and
     a consistency flag.
     """
+    if max_len < 1:
+        raise ValueError(f"maximum word length {max_len} selects no product to compare")
     quiver = cat.quiver
     cd = cat.cartan
     dh = DerivedHall(quiver, q)

@@ -1,7 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+from fractions import Fraction
 
-from qgroth.cartan import CartanDatum, RankMismatch, Weight, cartan_datum
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qgroth.cartan import QQ, CartanDatum, RankMismatch, Weight, cartan_datum, rref, solve
+from qgroth.hall import GF, mat_rank, nullspace_basis
 
 TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"]
 
@@ -142,3 +145,110 @@ def test_large_types_instantiate():
         cd = cartan_datum(name)
         assert cd.num_positive_roots() == r
         assert cd.coxeter_number() * cd.n == 2 * r
+
+
+def test_integer_inverse_matches_the_rational_one():
+    # alpha_coords, root_coords, sprod and in_root_lattice share one integer
+    # inverse; the fundamental weights leave the root lattice except in E8
+    for name in TYPES + ["D6", "E7", "E8"]:
+        cd = cartan_datum(name)
+        c = cd.cartan_matrix()
+        for j in cd.vertices:
+            w = cd.varpi(j)
+            a = cd.alpha_coords(w)
+            assert all(isinstance(x, Fraction) for x in a)
+            assert tuple(sum(a[i] * c[i][k] for i in range(cd.n)) for k in range(cd.n)) == w.coords
+            integral = all(x.denominator == 1 for x in a)
+            assert cd.in_root_lattice(w) == integral
+            if integral:
+                assert cd.root_coords(w) == tuple(int(x) for x in a)
+            else:
+                with pytest.raises(ValueError):
+                    cd.root_coords(w)
+            for k in cd.vertices:
+                # (w, varpi_k) is the k-th simple-root coordinate of w
+                if a[k - 1].denominator == 1:
+                    assert cd.sprod(w, cd.varpi(k)) == a[k - 1]
+                else:
+                    with pytest.raises(ValueError):
+                        cd.sprod(w, cd.varpi(k))
+    assert not cartan_datum("A1").in_root_lattice(cartan_datum("A1").varpi(1))
+    assert all(cartan_datum("E8").in_root_lattice(cartan_datum("E8").varpi(j)) for j in range(1, 9))
+
+
+# --- the one elimination routine, over every field the library uses ---------
+
+FIELDS = {"GF(2)": GF(2), "GF(3)": GF(3), "GF(4)": GF(4), "QQ": QQ}
+
+
+def _elements(name):
+    if name == "QQ":
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.integers(min_value=0, max_value=FIELDS[name].q - 1)
+
+
+def _residual(F, rows, cols, rhs=None):
+    """rhs - rows * cols entrywise, using only the field's sub and mul."""
+    out = []
+    for i, row in enumerate(rows):
+        line = []
+        for j in range(len(cols[0]) if cols else 0):
+            acc = rhs[i][j] if rhs else 0
+            for k, a in enumerate(row):
+                acc = F.sub(acc, F.mul(a, cols[k][j]))
+            line.append(acc)
+        out.append(line)
+    return out
+
+
+@st.composite
+def _matrices(draw):
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    nrows = draw(st.integers(min_value=0, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(_elements(name), min_size=ncols, max_size=ncols)
+    return name, draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_rref_rank_nullity_and_nullspace(case):
+    name, rows, ncols = case
+    F = FIELDS[name]
+    red, pivots = rref(rows, F)
+    assert len(red) == len(pivots) == mat_rank(F, rows) <= min(len(rows), ncols)
+    assert pivots == sorted(set(pivots))
+    for r, pc in enumerate(pivots):
+        # reduced: each pivot column is a unit column
+        assert [row[pc] for row in red] == [int(k == r) for k in range(len(red))]
+    basis = nullspace_basis(F, rows, ncols)
+    assert len(pivots) + len(basis) == ncols
+    if basis and rows:
+        cols = [[v[c] for v in basis] for c in range(ncols)]
+        assert all(x == 0 for line in _residual(F, rows, cols) for x in line)
+    # the basis is independent: its rank is its size
+    assert mat_rank(F, basis) == len(basis)
+
+
+@st.composite
+def _systems(draw):
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=3))
+    el = _elements(name)
+    a = draw(st.lists(st.lists(el, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(el, min_size=k, max_size=k), min_size=n, max_size=n))
+    return name, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_solve_reconstructs_the_right_hand_side(case):
+    name, a, b = case
+    F = FIELDS[name]
+    if mat_rank(F, a) < len(a):
+        with pytest.raises(ZeroDivisionError):
+            solve(a, b, F)
+        return
+    x = solve(a, b, F)
+    assert all(v == 0 for line in _residual(F, a, x, b) for v in line)

@@ -205,4 +205,44 @@ def test_empty_checks_are_usage_errors(capsys):
     assert main(["verify", "presentation", "--type", "A3", "--m-range", "3..0"]) == 1
     assert main(["canonical", "--type", "A3", "--degree-bound", "-1"]) == 1
     assert main(["verify", "mainth", "--type", "A3", "--degree-bound", "-1"]) == 1
+    assert main(["hall", "iota", "--type", "A2", "--q", "2", "--max-len", "0", "--mmax", "0"]) == 1
+    assert main(["hall", "relations", "--type", "A2", "--q", "2", "--mmax", "-1"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_dimension_vector_of_wrong_rank_is_a_usage_error(capsys):
+    for d in ("1,1", "1,1,1,1"):
+        assert main(["dominant-pairs", "--type", "A3", "--d", d]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"usage error: dimension vector has {len(d.split(','))} entries")
+
+
+def test_qchar_names_the_missing_flag(capsys):
+    cases = [
+        (["fundamental", "--i", "1"], "qchar fundamental requires --p"),
+        (["fundamental"], "qchar fundamental requires --i and --p"),
+        (["kr", "--xi", "2,3,2", "--p", "1"], "qchar kr requires --i"),
+        (["simple"], "qchar simple requires -m/--monomial"),
+        (["truncate", "--xi", "2,3,2"], "qchar truncate requires -m/--monomial"),
+    ]
+    for argv, message in cases:
+        assert main(["qchar", argv[0], "--type", "A3", *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+
+
+def test_failed_internal_check_exits_2(capsys, monkeypatch):
+    import qgroth.hall as hall
+
+    def broken(rep, q):
+        raise RuntimeError("fingerprint did not resolve to a Krull-Schmidt multiset")
+
+    monkeypatch.setattr(hall, "iso_class", broken)
+    argv = ["hall", "number", "--type", "A2", "--xi", "1,0", "--q", "2", "--x", "2", "--y", "1", "--w", "1-2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: fingerprint did not resolve to a Krull-Schmidt multiset\n"

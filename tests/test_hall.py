@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ
@@ -15,7 +18,9 @@ from qgroth.hall import (
     check_h_relations,
     constant_identity_holds,
     hall_number,
+    _iso_tables,
     hom_basis,
+    hom_dim,
     interval_rep,
     iota_check,
     iso_class,
@@ -127,6 +132,46 @@ def test_uscalar_field():
         x = UScalar(q, [1, 2, 0, 1])
         assert x * x.inverse() == UScalar.of(q, 1)
     assert constant_identity_holds(2) and constant_identity_holds(3)
+    # x^4 - 4 = (x^2 - 2)(x^2 + 2): u - 2 is a zero divisor, u^(1/2) a unit
+    with pytest.raises(ZeroDivisionError):
+        (UScalar.u(4) - UScalar.of(4, 2)).inverse()
+    h4 = UScalar.half_u(4)
+    assert h4 * h4.inverse() == UScalar.of(4, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=4, max_size=4),
+)
+def test_uscalar_inverse_of_nonzero_elements(q, coeffs):
+    # x^4 - q is irreducible over Q for q in {2, 3}: every nonzero element is a unit
+    x = UScalar(q, coeffs)
+    assume(not x.is_zero())
+    inv = x.inverse()
+    assert x * inv == UScalar.of(q, 1) == inv * x
+
+
+def _orientations(cd):
+    for flips in itertools.product((False, True), repeat=len(cd.edges)):
+        yield QuiverDatum.from_arrows(
+            cd, [(b, a) if f else (a, b) for (a, b), f in zip(cd.edges, flips)]
+        )
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_gram_inverse_is_integral_on_every_orientation(name, q):
+    # building the tables runs the unimodularity check; the inverse must also
+    # undo the Gram matrix of hom dimensions
+    for quiver in _orientations(cartan_datum(name)):
+        roots, models, inv = _iso_tables(quiver, q)
+        gram = [[hom_dim(models[r1], models[r2]) for r2 in roots] for r1 in roots]
+        n = len(roots)
+        assert all(isinstance(x, int) for row in inv for x in row)
+        assert [[sum(inv[i][k] * gram[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+            [int(i == j) for j in range(n)] for i in range(n)
+        ]
 
 
 def test_dh_same_level_and_distant():
