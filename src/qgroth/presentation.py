@@ -27,6 +27,7 @@ class Presentation:
         self._base = {
             i: qctx.phi.phi_inverse(self.cartan.alpha(i), 0) for i in self.cartan.vertices
         }
+        self._gens: dict[tuple[int, int], TorusElement] = {}
 
     def generator_position(self, i: int, m: int) -> tuple[int, int]:
         """(nu^m(k_i), p_i + m h) for the level-m generator at vertex i."""
@@ -39,22 +40,29 @@ class Presentation:
     def x_gen(self, i: int, m: int) -> TorusElement:
         return fundamental_tchar(self.yt, *self.generator_position(i, m))
 
+    def _gen(self, i: int, m: int) -> TorusElement:
+        """x_gen(i, m), built once per presentation."""
+        if (i, m) not in self._gens:
+            self._gens[(i, m)] = self.x_gen(i, m)
+        return self._gens[(i, m)]
+
     # -- relation checks ------------------------------------------------------
 
     def check_r1(self, m: int) -> list[tuple]:
         """Level-m quantum Serre relations."""
         failures = []
         tpt = HalfLaurent.t_power(2) + HalfLaurent.t_power(-2)
-        gens = {i: self.x_gen(i, m) for i in self.cartan.vertices}
-        for i in self.cartan.vertices:
-            for j in self.cartan.vertices:
+        vs = self.cartan.vertices
+        x = {i: self._gen(i, m) for i in vs}
+        xx = {(i, j): x[i] * x[j] for i in vs for j in vs}  # each pairwise product once
+        for i in vs:
+            for j in vs:
                 if i == j:
                     continue
-                xi, xj = gens[i], gens[j]
                 if self.cartan.adjacent(i, j):
-                    res = xi * xi * xj - (xi * xj * xi).scal(tpt) + xj * xi * xi
+                    res = xx[i, i] * x[j] - (xx[i, j] * x[i]).scal(tpt) + xx[j, i] * x[i]
                 else:
-                    res = xi * xj - xj * xi
+                    res = xx[i, j] - xx[j, i]
                 if not res.is_zero():
                     failures.append(("R1", m, i, j, res))
         return failures
@@ -64,9 +72,8 @@ class Presentation:
         failures = []
         for i in self.cartan.vertices:
             for j in self.cartan.vertices:
-                xi = self.x_gen(i, m)
-                xj = self.x_gen(j, m + 1)
                 aij = self.cartan.sprod(self.cartan.alpha(i), self.cartan.alpha(j))
+                xi, xj = self._gen(i, m), self._gen(j, m + 1)
                 res = xi * xj - (xj * xi).tshift(-2 * aij)
                 if i == j:
                     res = res - self.yt.one().scal(
@@ -84,9 +91,8 @@ class Presentation:
         sign = (-1) ** (p - m)
         for i in self.cartan.vertices:
             for j in self.cartan.vertices:
-                xi = self.x_gen(i, m)
-                xj = self.x_gen(j, p)
                 aij = self.cartan.sprod(self.cartan.alpha(i), self.cartan.alpha(j))
+                xi, xj = self._gen(i, m), self._gen(j, p)
                 res = xi * xj - (xj * xi).tshift(2 * sign * aij)
                 if not res.is_zero():
                     failures.append(("R3", m, p, i, j, res))

@@ -12,6 +12,10 @@ coefficients, computable two independent ways:
 
 Coefficients are periodic in m with period twice the Coxeter number, which the
 table validates once and then exploits for caching.
+
+The commutation exponent N(i,p;j,s) depends only on (i, j, d = p - s): it is
+antisymmetric in d, 0 at d = 0 and 2h-periodic for d >= 1 (as c_ij(2h) = 0,
+checked), so it is one row of 2h integers per (i, j).
 """
 
 from __future__ import annotations
@@ -23,14 +27,22 @@ from .quiver import QuiverDatum
 
 
 class QuantumCartan:
-    def __init__(self, cartan: CartanDatum):
+    def __init__(self, cartan: CartanDatum, table: dict | None = None):
+        """Build the inverse table, or adopt `table` ((i, j, m) -> c_ij(m) for
+        m = 1..2h) once it passes the inverse identity."""
         self.cartan = cartan
         self.h = cartan.coxeter_number()
-        self._table: dict[tuple[int, int, int], int] = {}
         self._apow: list[tuple[tuple[int, ...], ...]] = [
             tuple(tuple(1 if i == j else 0 for j in range(cartan.n)) for i in range(cartan.n))
         ]
-        self._build_table()
+        if table is None:
+            self._table: dict[tuple[int, int, int], int] = {}
+            self._build_table()
+        else:
+            self._table = table
+            if not self.verify_inverse(2 * self.h)[0]:
+                raise ValueError("inverse table fails the identity C(z) C(z)^-1 = 1")
+        self._n = self._pairing_rows()
 
     def _adj_power(self, k: int) -> tuple[tuple[int, ...], ...]:
         adj = self.cartan.adjacency_matrix()
@@ -75,7 +87,15 @@ class QuantumCartan:
             for j in range(1, n + 1):
                 for m in range(1, 2 * h + 1):
                     if self.series_coeff(i, j, m + 2 * h) != self._table[(i, j, m)]:
-                        raise AssertionError("periodicity of the inverse table failed")
+                        raise RuntimeError("periodicity of the inverse table failed")
+
+    def _pairing_rows(self) -> dict[int, dict[int, list[int]]]:
+        """rows[i][j][d - 1] = N(i,p;j,p-d) for d = 1..2h, by the four-coefficient formula."""
+        h2, c, vs = 2 * self.h, self.ctilde, self.cartan.vertices
+        if any(self._table[(i, j, h2)] for i in vs for j in vs):
+            raise RuntimeError("c_ij(2h) != 0: the pairing is not 2h-periodic")
+        return {i: {j: [c(i, j, d - 1) - c(i, j, d + 1) - c(i, j, -d - 1) + c(i, j, 1 - d)
+                        for d in range(1, h2 + 1)] for j in vs} for i in vs}
 
     def ctilde(self, i: int, j: int, m: int) -> int:
         """Inverse coefficient with the conventions c(m) = 0 for m <= 0 and
@@ -115,12 +135,12 @@ class QuantumCartan:
 
     def n_pair(self, i: int, p: int, j: int, s: int) -> int:
         """The antisymmetric commutation exponent between variables at (i,p), (j,s)."""
-        return (
-            self.ctilde(i, j, p - s - 1)
-            - self.ctilde(i, j, p - s + 1)
-            - self.ctilde(i, j, s - p - 1)
-            + self.ctilde(i, j, s - p + 1)
-        )
+        d = p - s
+        if d > 0:
+            return self._n[i][j][(d - 1) % (2 * self.h)]
+        if d < 0:
+            return -self._n[i][j][(-d - 1) % (2 * self.h)]
+        return 0
 
 
 _registry: dict[str, QuantumCartan] = {}
@@ -160,21 +180,14 @@ def load_tables_json(data: dict) -> int:
             cd = CartanDatum(name[0], int(name[1:]))
         except (ValueError, IndexError):
             continue
-        qc = QuantumCartan.__new__(QuantumCartan)
-        qc.cartan = cd
-        qc.h = cd.coxeter_number()
-        qc._apow = [
-            tuple(tuple(1 if i == j else 0 for j in range(cd.n)) for i in range(cd.n))
-        ]
-        qc._table = {(int(i), int(j), int(m)): int(v) for i, j, m, v in rows}
-        want = {
-            (i, j, m)
-            for i in cd.vertices
-            for j in cd.vertices
-            for m in range(1, 2 * qc.h + 1)
-        }
-        if set(qc._table) != want or not qc.verify_inverse(2 * qc.h)[0]:
+        table = {(int(i), int(j), int(m)): int(v) for i, j, m, v in rows}
+        h = cd.coxeter_number()
+        want = {(i, j, m) for i in cd.vertices for j in cd.vertices for m in range(1, 2 * h + 1)}
+        if set(table) != want:
             continue
-        _registry[name] = qc
+        try:
+            _registry[name] = QuantumCartan(cd, table)
+        except ValueError:
+            continue
         accepted += 1
     return accepted

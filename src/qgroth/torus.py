@@ -13,12 +13,17 @@ exponent, where pair is an antisymmetric integer pairing on exponents.  The
 bar involution (t^(1/2) -> t^(-1/2) fixing basis monomials) is coefficientwise
 conjugation in this basis, on either side.
 
-Exact division (solving q * p = s) is by leading-term elimination
-with respect to a multiplication-compatible total order on exponents.
+A product does integer work per pair of terms (the big-torus pairing reads
+the table of N) and accumulates one map (key, doubled t-exponent) -> integer.
+Exact division (solving q * p = s) is by leading-term elimination with respect
+to a multiplication-compatible total order on exponents; the remainder is
+updated in place, and a heap on inverted keys (a > b iff a^-1 < b^-1) yields
+the next leading key on either torus.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional
 
 from .cartan import Weight
@@ -65,10 +70,29 @@ class Monomial:
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        out = self.exps()
-        for k, e in other.items:
-            out[k] = out.get(k, 0) + e
-        return Monomial(out)
+        """One merge of the two sorted item lists."""
+        a, b = self.items, other.items
+        if not b or not a:
+            return self if not b else other
+        out = []
+        x = y = 0
+        while x < len(a) and y < len(b):
+            (ka, ea), (kb, eb) = a[x], b[y]
+            if ka == kb:
+                if ea + eb:
+                    out.append((ka, ea + eb))
+                x += 1
+                y += 1
+            elif (ka[1], ka[0]) < (kb[1], kb[0]):
+                out.append(a[x])
+                x += 1
+            else:
+                out.append(b[y])
+                y += 1
+        m = object.__new__(Monomial)
+        object.__setattr__(m, "items", tuple(out) + a[x:] + b[y:])
+        object.__setattr__(m, "_hash", hash(m.items))
+        return m
 
     def inverse(self) -> "Monomial":
         return Monomial({k: -e for k, e in self.items})
@@ -94,9 +118,13 @@ class Monomial:
     def shift_p(self, delta: int) -> "Monomial":
         return Monomial({(i, p + delta): e for (i, p), e in self.items})
 
-    def sort_key(self):
-        """Lex key over the variable axis ordered by (p, i); addition-compatible."""
-        return _MonKey(self)
+    def sort_key(self) -> tuple:
+        """Lex key over the variable axis ordered by (p, i); addition-compatible.
+        Item ((i,p), e) with sign s is the token (s, -s p, -s i, e) and (0,)
+        ends the tuple, so at the first differing item the larger exponent at
+        the earlier variable wins."""
+        sg = [1 if e > 0 else -1 for _, e in self.items]
+        return tuple((s, -s * p, -s * i, e) for s, ((i, p), e) in zip(sg, self.items)) + ((0,),)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.items == other.items
@@ -123,39 +151,6 @@ class Monomial:
         return Monomial({(int(i), int(p)): int(e) for i, p, e in data})
 
 
-class _MonKey:
-    """Comparison wrapper implementing sparse lex order on monomials."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: Monomial):
-        self.m = m
-
-    def _cmp(self, other: "_MonKey") -> int:
-        a = {(p, i): e for (i, p), e in self.m.items}
-        b = {(p, i): e for (i, p), e in other.m.items}
-        for k in sorted(set(a) | set(b)):
-            d = a.get(k, 0) - b.get(k, 0)
-            if d:
-                return 1 if d > 0 else -1
-        return 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
-
-
 class YTorus:
     """Pairing context for the big torus: exponent of t in Y-monomial swaps."""
 
@@ -164,11 +159,15 @@ class YTorus:
         self.cartan = qc.cartan
 
     def pair2(self, m1: Monomial, m2: Monomial) -> int:
+        rows, h2 = self.qc._n, 2 * self.qc.h
         total = 0
         for (i, p), u in m1.items:
+            row = rows[i]
             for (j, s), v in m2.items:
-                if p != s:
-                    total += u * v * self.qc.n_pair(i, p, j, s)
+                if p > s:
+                    total += u * v * row[j][(p - s - 1) % h2]
+                elif p < s:
+                    total -= u * v * row[j][(s - p - 1) % h2]
         return total
 
     key_one = staticmethod(Monomial.unit)
@@ -260,12 +259,7 @@ class TorusElement:
     def __add__(self, other: "TorusElement") -> "TorusElement":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            w = out.get(k)
-            w = c if w is None else w + c
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
+            out[k] = out[k] + c if k in out else c
         return TorusElement(self.ctx, out)
 
     def __neg__(self) -> "TorusElement":
@@ -282,18 +276,20 @@ class TorusElement:
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         ctx = self.ctx
-        out: dict = {}
+        key_mul, pair2 = ctx.key_mul, ctx.pair2
+        acc: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = ctx.key_mul(k1, k2)
-                c = (c1 * c2).shift(ctx.pair2(k1, k2))
-                w = out.get(k)
-                w = c if w is None else w + c
-                if w.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = w
-        return TorusElement(ctx, out)
+                k = key_mul(k1, k2)
+                s = pair2(k1, k2)
+                w = acc.get(k)
+                if w is None:
+                    w = acc[k] = {}
+                for e1, v1 in c1.c.items():
+                    for e2, v2 in c2.c.items():
+                        e = e1 + e2 + s
+                        w[e] = w.get(e, 0) + v1 * v2
+        return TorusElement(ctx, {k: HalfLaurent(w) for k, w in acc.items()})
 
     def bar(self) -> "TorusElement":
         """Coefficientwise t^(1/2) -> t^(-1/2); the ring anti-automorphism fixing
@@ -427,20 +423,33 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
     if p.is_zero():
         raise ZeroDivisionError("division by zero torus element")
     lead_p = p.leading_key()
-    lead_pc = p.terms[lead_p]
     lead_p_inv = ctx.key_inv(lead_p)
-    rem = TorusElement(ctx, dict(s.terms))
+    rem = {k: dict(c.c) for k, c in s.terms.items()}
+    # the largest remaining key is on top; keys that cancelled are skipped
+    heap = [(ctx.key_sort(ctx.key_inv(k)), k) for k in rem]
+    heapq.heapify(heap)
     quot: dict = {}
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 10000:
+    while heap:
+        lk = heapq.heappop(heap)[1]
+        if lk not in rem:
+            continue
+        if len(quot) >= 10000:
             raise ArithmeticError("torus division did not terminate")
-        lk = rem.leading_key()
         qk = ctx.key_mul(lk, lead_p_inv)
-        c = rem.terms[lk].shift(-ctx.pair2(qk, lead_p)).exact_div(lead_pc)
+        c = HalfLaurent(rem[lk]).shift(-ctx.pair2(qk, lead_p)).exact_div(p.terms[lead_p])
         if c is None:
             raise ArithmeticError("torus division is not exact (coefficient step)")
-        quot[qk] = quot.get(qk, HalfLaurent.zero()) + c
-        rem = rem - TorusElement(ctx, {qk: c}) * p
+        quot[qk] = c
+        # subtract c X^qk p at its keys; its leading term cancels rem[lk]
+        for k, w in (TorusElement(ctx, {qk: c}) * p).terms.items():
+            if k not in rem:
+                rem[k] = {}
+                heapq.heappush(heap, (ctx.key_sort(ctx.key_inv(k)), k))
+            r = rem[k]
+            for e, v in w.c.items():
+                r[e] = r.get(e, 0) - v
+                if not r[e]:
+                    del r[e]
+            if not r:
+                del rem[k]
     return TorusElement(ctx, quot)

@@ -64,6 +64,12 @@ def on_positions(cat: CategoryQ, y):
     return cat.xt.element({cat.avec_of(m): c for m, c in y.terms.items()})
 
 
+def four_coefficient_n(qc, i: int, p: int, j: int, s: int) -> int:
+    """N(i,p;j,s) straight from the inverse quantum Cartan coefficients."""
+    c = qc.ctilde
+    return c(i, j, p - s - 1) - c(i, j, p - s + 1) - c(i, j, s - p - 1) + c(i, j, s - p + 1)
+
+
 def all_orientations(name: str):
     """Every orientation of the diagram, as QuiverDatum values."""
     import itertools

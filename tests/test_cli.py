@@ -161,6 +161,24 @@ def test_config_and_cache(tmp_path, capsys):
     assert load_tables_json({"version": 1, "tables": {"A2": rows}}) == 0
 
 
+def test_warm_cache_gives_the_same_answer(tmp_path, capsys, monkeypatch):
+    import qgroth.qcartan as qcartan
+
+    argv = ["verify", "presentation", "--type", "A3", "--m-range=0..2"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    monkeypatch.setattr(qcartan, "_registry", {})
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(qcartan, "_registry", {})
+    assert run(capsys, *argv, *cache) == (0, plain)  # cold: writes the cache
+    loaded = []
+    load = qcartan.load_tables_json
+    monkeypatch.setattr(qcartan, "load_tables_json", lambda data: loaded.append(load(data)) or loaded[-1])
+    monkeypatch.setattr(qcartan, "_registry", {})
+    assert run(capsys, *argv, *cache) == (0, plain)  # warm: the table comes from the file
+    assert loaded == [1]
+
+
 def test_out_of_range_vertex_exits_without_hanging():
     # a vertex outside the diagram once sent the parity search into an endless
     # loop; run it in a child process so that a regression fails, not hangs

@@ -107,3 +107,30 @@ def test_normal_ordering_completeness():
             x, basis, lambda k: k.is_dominant(), yt.nakajima_leq
         )
         assert coeffs  # expansion exists and terminated exactly
+
+
+def test_corrupted_inputs_fail_every_relation_family(monkeypatch):
+    import copy
+
+    import qgroth.presentation as presentation
+    from qgroth.torus import Monomial
+
+    # one generator with a foreign term
+    real = presentation.fundamental_tchar
+    bad = pres_for("A2", (0, 1)).generator_position(1, 0)
+
+    def corrupted(yt, i, p):
+        x = real(yt, i, p)
+        return x + yt.monomial(Monomial.var(i, p + 2)) if (i, p) == bad else x
+
+    monkeypatch.setattr(presentation, "fundamental_tchar", corrupted)
+    fails = pres_for("A2", (0, 1)).verify_relations(0, 2)
+    assert {f[0] for f in fails} == {"R1", "R2", "R3"}
+    monkeypatch.undo()
+    # one entry of the pairing table
+    p = pres_for("A3", (0, 1, 0))
+    rows = copy.deepcopy(p.yt.qc._n)
+    rows[1][1][1] += 1
+    monkeypatch.setattr(p.yt.qc, "_n", rows)
+    fails = p.verify_relations(0, 2)
+    assert {f[0] for f in fails} == {"R1", "R2", "R3"}

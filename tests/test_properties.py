@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 from qgroth.cartan import cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
-from qgroth.torus import Monomial, YTorus, divide_right
+from qgroth.quiver import QuiverContext, QuiverDatum
+from qgroth.torus import Monomial, XTorus, YTorus, divide_right
+
+from conftest import four_coefficient_n
 
 
 def ytorus(name):
@@ -13,6 +16,8 @@ def ytorus(name):
 
 
 YT = {name: ytorus(name) for name in ("A2", "A3", "D4")}
+_A3 = QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
+XT = XTorus(_A3.word.betas, _A3.cartan)
 
 
 def vertices(name):
@@ -40,6 +45,43 @@ def elements(name, size=2):
             {m: c for m, c in pairs if not c.is_zero()}
         )
     )
+
+
+xkeys = st.lists(st.integers(min_value=-2, max_value=2), min_size=XT.r, max_size=XT.r).map(tuple)
+
+
+def x_elements(size=3):
+    return st.lists(st.tuples(xkeys, coeffs), max_size=size).map(
+        lambda pairs: XT.element({a: c for a, c in pairs if not c.is_zero()})
+    )
+
+
+def y_pairing(qc, m1, m2):
+    return sum(
+        u * v * four_coefficient_n(qc, i, p, j, s) for (i, p), u in m1.items for (j, s), v in m2.items
+    )
+
+
+def termwise_product(x, y, pairing):
+    """The product by definition: one HalfLaurent product per pair of terms."""
+    ctx = x.ctx
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            k = ctx.key_mul(k1, k2)
+            c = (c1 * c2).shift(pairing(k1, k2))
+            out[k] = out[k] + c if k in out else c
+    return ctx.element(out)
+
+
+def dense_cmp(m1, m2):
+    """Lex comparison of the dense exponent vectors over variables ordered by (p, i)."""
+    e1, e2 = m1.exps(), m2.exps()
+    for k in sorted(set(e1) | set(e2), key=lambda ip: (ip[1], ip[0])):
+        d = e1.get(k, 0) - e2.get(k, 0)
+        if d:
+            return 1 if d > 0 else -1
+    return 0
 
 
 @given(st.sampled_from(["A2", "A3", "D4"]), st.data())
@@ -109,3 +151,42 @@ def test_a_lattice_solver_roundtrip(name, data):
 def test_monomial_json_roundtrip(name, data):
     m = data.draw(monomials(name))
     assert Monomial.from_json(m.to_json()) == m
+
+
+@given(st.sampled_from(["A2", "A3", "D4"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_y_product_matches_the_termwise_product(name, data):
+    yt = YT[name]
+    x = data.draw(elements(name, size=3))
+    y = data.draw(elements(name, size=3))
+    assert x * y == termwise_product(x, y, lambda a, b: y_pairing(yt.qc, a, b))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_x_product_matches_the_termwise_product(data):
+    x = data.draw(x_elements())
+    y = data.draw(x_elements())
+    assert x * y == termwise_product(x, y, XT.pair2)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_x_exact_division_roundtrip(data):
+    x = data.draw(x_elements())
+    y = data.draw(x_elements())
+    if not x.is_zero():
+        assert divide_right(y * x, x) == y
+
+
+@given(st.sampled_from(["A2", "A3", "D4"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sort_key_is_dense_lex_and_additive(name, data):
+    m1 = data.draw(monomials(name, size=4))
+    m2 = data.draw(monomials(name, size=4))
+    m3 = data.draw(monomials(name, size=4))
+    k1, k2 = m1.sort_key(), m2.sort_key()
+    assert (k1 > k2) - (k1 < k2) == dense_cmp(m1, m2)
+    assert (k1 == k2) == (m1 == m2)
+    k13, k23 = (m1 * m3).sort_key(), (m2 * m3).sort_key()
+    assert (k13 > k23) - (k13 < k23) == dense_cmp(m1, m2)

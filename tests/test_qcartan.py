@@ -4,7 +4,7 @@ from qgroth.cartan import cartan_datum
 from qgroth.qcartan import QuantumCartan, quantum_cartan
 from qgroth.quiver import QuiverDatum
 
-from conftest import all_orientations
+from conftest import all_orientations, four_coefficient_n
 
 A4_SERIES = {
     (1, 1): {1: 1, 9: -1, 11: 1, 19: -1},
@@ -101,3 +101,44 @@ def test_n_pair_examples():
     assert qc.n_pair(1, 5, 1, 5) == 0
     for (i, p, j, s) in [(1, 0, 2, 1), (1, 0, 1, 2), (2, 3, 3, 0), (1, -2, 3, 4)]:
         assert qc.n_pair(i, p, j, s) == -qc.n_pair(j, s, i, p)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7"])
+def test_pairing_table_matches_the_four_coefficient_formula(name):
+    cd = cartan_datum(name)
+    qc = quantum_cartan(cd)
+    h = cd.coxeter_number()
+    for i in cd.vertices:
+        for j in cd.vertices:
+            for d in range(-6 * h, 6 * h + 1):
+                assert qc.n_pair(i, d, j, 0) == four_coefficient_n(qc, i, d, j, 0), (i, j, d)
+
+
+def test_adopted_table_gives_the_same_pairing():
+    cd = cartan_datum("D4")
+    built = quantum_cartan(cd)
+    adopted = QuantumCartan(cd, dict(built._table))
+    assert adopted._n == built._n
+    bad = dict(built._table)
+    bad[(1, 1, 1)] += 1
+    with pytest.raises(ValueError):
+        QuantumCartan(cd, bad)
+
+
+def test_periodicity_failure_is_an_internal_error(monkeypatch, capsys):
+    import qgroth.qcartan as qcartan
+    from qgroth.cli import main
+
+    series = QuantumCartan.series_coeff
+
+    def drifting(self, i, j, m):
+        return series(self, i, j, m) + (m > 2 * self.h)
+
+    monkeypatch.setattr(qcartan, "_registry", {})
+    monkeypatch.setattr(QuantumCartan, "series_coeff", drifting)
+    with pytest.raises(RuntimeError):
+        QuantumCartan(cartan_datum("A2"))
+    assert main(["qcartan", "--type", "A2", "--mmax", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: periodicity of the inverse table failed\n"

@@ -130,6 +130,25 @@ def test_division(ytorus):
         divide_right(a, b)
 
 
+def test_x_torus_division(contexts):
+    ctx = contexts("A3")
+    xt = XTorus(ctx.word.betas, ctx.cartan)
+    e = [xt.unit_vector(k) for k in range(1, 7)]
+    a = xt.monomial(e[0], HalfLaurent({1: 1, -1: 2})) + xt.monomial(xt.key_mul(e[1], e[4]))
+    b = xt.monomial(e[2]) + xt.monomial(xt.key_inv(e[3]), HalfLaurent.t_power(2)) + xt.one()
+    assert divide_right(a * b, b) == a
+    assert divide_right(b * a, a) == b
+    assert divide_right(xt.zero(), b) == xt.zero()
+    # a leading coefficient that does not divide
+    with pytest.raises(ArithmeticError, match="coefficient step"):
+        divide_right(xt.monomial(e[0]), xt.monomial(e[0], HalfLaurent.term(2)) + xt.monomial(e[1]))
+    # a non-unit divisor of a monomial: the elimination never ends
+    with pytest.raises(ArithmeticError, match="did not terminate"):
+        divide_right(xt.monomial(e[5]), xt.monomial(e[0]) + xt.monomial(e[1]))
+    with pytest.raises(ZeroDivisionError):
+        divide_right(a, xt.zero())
+
+
 def test_element_json_roundtrip(ytorus):
     yt = ytorus("A2")
     x = yt.monomial(Y(1, 0), HalfLaurent.t_power(3)) + yt.monomial(
