@@ -85,6 +85,10 @@ def _parse_iso(text: str, cartan: CartanDatum) -> IsoClass:
             a, b = (int(x) for x in tok.split("-"))
         else:
             a = b = int(tok)
+        if not 1 <= a <= b <= cartan.n:
+            raise ValueError(f"interval {a}-{b} is not inside 1..{cartan.n}")
+        if mult < 1:
+            raise ValueError(f"multiplicity {mult} of interval {a}-{b} is below 1")
         root = tuple(1 if a <= v <= b else 0 for v in range(1, cartan.n + 1))
         mults[root] = mults.get(root, 0) + mult
     return IsoClass(mults)
@@ -161,7 +165,8 @@ def _y_keyed(cat: CategoryQ, x: TorusElement) -> TorusElement:
     return TorusElement(cat.yt, {cat.monomial_of_avec(a): c for a, c in x.terms.items()})
 
 
-# The flags each qchar subcommand needs; argparse cannot require them per choice.
+# The flags each qchar and hall subcommand needs; argparse cannot require
+# them per choice.
 _QCHAR_FLAGS = {
     "fundamental": (("i", "--i"), ("p", "--p")),
     "kr": (("i", "--i"), ("p", "--p")),
@@ -169,12 +174,20 @@ _QCHAR_FLAGS = {
     "simple": (("monomial", "-m/--monomial"),),
     "truncate": (("monomial", "-m/--monomial"),),
 }
+_HALL_FLAGS = {
+    "gamma": (("x", "--x"), ("y", "--y"), ("t", "--t"), ("w", "--w")),
+    "number": (("x", "--x"), ("y", "--y"), ("w", "--w")),
+}
+
+
+def _require_flags(command: str, args, needed) -> None:
+    missing = [flag for dest, flag in needed if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"{command} {args.what} requires {' and '.join(missing)}")
 
 
 def cmd_qchar(args) -> int:
-    missing = [flag for dest, flag in _QCHAR_FLAGS[args.what] if getattr(args, dest) is None]
-    if missing:
-        raise ValueError(f"qchar {args.what} requires {' and '.join(missing)}")
+    _require_flags("qchar", args, _QCHAR_FLAGS[args.what])
     cd = cartan_datum(args.type)
     yt = YTorus(quantum_cartan(cd))
     if args.what == "fundamental":
@@ -287,6 +300,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_hall(args) -> int:
+    _require_flags("hall", args, _HALL_FLAGS.get(args.what, ()))
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     if args.what == "gamma":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .cartan import QQ, CartanDatum, ResourceCap, rref, solve
 from .characters import CategoryQ, expand_in_dominant_basis
@@ -367,12 +368,12 @@ def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: i
     """Number of subrepresentations of W isomorphic to X with quotient
     isomorphic to Y."""
     _check_quiver(quiver)
+    F = GF(q)
     n = quiver.cartan.n
     if tuple(a + b for a, b in zip(X.dims(n), Y.dims(n))) != W.dims(n):
         return 0
     if W.total_dim() > MAX_SUBMODULE_DIM:
         raise ResourceCap(f"total dimension above cap {MAX_SUBMODULE_DIM}")
-    F = GF(q)
     RW = model_rep(quiver, F, W)
     dx = X.dims(n)
     count = 0
@@ -461,11 +462,11 @@ def _gamma_raw(
 ) -> Fraction:
     """|{exact 0 -> W -> Y -> X -> T -> 0}| / (|Aut X| |Aut Y|)."""
     _check_quiver(quiver)
+    F = GF(q)
     n = quiver.cartan.n
     dW, dY, dX, dT = (Z.dims(n) for Z in (W, Y, X, T))
     if any(dW[v] - dY[v] + dX[v] - dT[v] != 0 for v in range(n)):
         return Fraction(0)
-    F = GF(q)
     RW, RY, RX, RT = (model_rep(quiver, F, Z) for Z in (W, Y, X, T))
     hf = hom_basis(RW, RY)
     hg = hom_basis(RY, RX)
@@ -515,93 +516,137 @@ class UScalar:
 
     Irreducible for q in {2, 3}, which is all the derived Hall computations
     need; u and u^(1/2) = x are units, so Laurent expressions in them are
-    exact."""
+    exact.  Stored as four integer numerators `n` over one positive
+    denominator `d` in lowest terms, so the form is canonical: equal values
+    have equal (n, d), and zero is (0, 0, 0, 0)/1."""
 
-    __slots__ = ("q", "c")
+    __slots__ = ("q", "n", "d")
 
     def __init__(self, q: int, coeffs=None):
+        fr = [Fraction(v) for v in coeffs or ()]
+        if len(fr) > 4:
+            raise ValueError(f"{len(fr)} coefficients for a degree-3 element")
+        fr += [Fraction(0)] * (4 - len(fr))
+        d = lcm(*(f.denominator for f in fr))
+        # the lcm of reduced denominators leaves the numerators coprime to it
         self.q = q
-        c = [Fraction(0)] * 4
-        if coeffs is not None:
-            for k, v in enumerate(coeffs):
-                c[k] = Fraction(v)
-        self.c = tuple(c)
+        self.n = tuple(f.numerator * (d // f.denominator) for f in fr)
+        self.d = d
 
     @staticmethod
     def of(q: int, value) -> "UScalar":
-        return UScalar(q, [Fraction(value), 0, 0, 0])
+        if type(value) is int:
+            return _reduced(q, value, 0, 0, 0, 1)
+        return UScalar(q, [value])
 
     @staticmethod
     def u(q: int) -> "UScalar":
-        return UScalar(q, [0, 0, 1, 0])
+        return _reduced(q, 0, 0, 1, 0, 1)
 
     @staticmethod
     def half_u(q: int) -> "UScalar":
-        return UScalar(q, [0, 1, 0, 0])
+        return _reduced(q, 0, 1, 0, 0, 1)
 
     def __add__(self, other: "UScalar") -> "UScalar":
-        return UScalar(self.q, [a + b for a, b in zip(self.c, other.c)])
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return _reduced(self.q, a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _reduced(
+            self.q,
+            a0 * db + b0 * da,
+            a1 * db + b1 * da,
+            a2 * db + b2 * da,
+            a3 * db + b3 * da,
+            da * db,
+        )
 
     def __neg__(self) -> "UScalar":
-        return UScalar(self.q, [-a for a in self.c])
+        a0, a1, a2, a3 = self.n
+        return _reduced(self.q, -a0, -a1, -a2, -a3, self.d)
 
     def __sub__(self, other: "UScalar") -> "UScalar":
         return self + (-other)
 
     def __mul__(self, other: "UScalar") -> "UScalar":
-        out = [Fraction(0)] * 7
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    if b:
-                        out[i + j] += a * b
-        for k in range(6, 3, -1):
-            if out[k]:
-                out[k - 4] += self.q * out[k]
-                out[k] = Fraction(0)
-        return UScalar(self.q, out[:4])
+        # (sum a_i x^i)(sum b_j x^j) with x^4 = q
+        q = self.q
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        return _reduced(
+            q,
+            a0 * b0 + q * (a1 * b3 + a2 * b2 + a3 * b1),
+            a0 * b1 + a1 * b0 + q * (a2 * b3 + a3 * b2),
+            a0 * b2 + a1 * b1 + a2 * b0 + q * a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            self.d * other.d,
+        )
 
-    def scale_int(self, n: int) -> "UScalar":
-        return UScalar(self.q, [a * n for a in self.c])
+    def scale_int(self, k: int) -> "UScalar":
+        a0, a1, a2, a3 = self.n
+        return _reduced(self.q, a0 * k, a1 * k, a2 * k, a3 * k, self.d)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.c)
+        return not any(self.n)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UScalar) and self.q == other.q and self.c == other.c
+        return isinstance(other, UScalar) and (self.q, self.n, self.d) == (other.q, other.n, other.d)
 
     def __hash__(self):
-        return hash((self.q, self.c))
+        return hash((self.q, self.n, self.d))
 
     def inverse(self) -> "UScalar":
         # With abar(x) = a(-x), a * abar = b0 + b2 x^2 is even and
         # (b0 + b2 x^2)(b0 - b2 x^2) = b0^2 - q b2^2 = N, the norm of a; so
         # a^-1 = abar (b0 - b2 x^2) / N, and a is a unit exactly when N != 0.
-        c0, c1, c2, c3 = self.c
-        abar = UScalar(self.q, [c0, -c1, c2, -c3])
-        b0, _, b2, _ = (self * abar).c
-        norm = b0 * b0 - self.q * b2 * b2
+        # On numerators a = A/d: b = B/d^2, N = M/d^4, a^-1 = d Abar (B0 - B2 x^2) / M.
+        q, d = self.q, self.d
+        a0, a1, a2, a3 = self.n
+        b0 = a0 * a0 + q * (a2 * a2 - 2 * a1 * a3)
+        b2 = 2 * a0 * a2 - a1 * a1 - q * a3 * a3
+        norm = b0 * b0 - q * b2 * b2
         if norm == 0:
             raise ZeroDivisionError("element is not invertible")
-        return abar * UScalar(self.q, [b0 / norm, 0, -b2 / norm, 0])
-
-    def u_pow(self, k: int) -> "UScalar":
-        out = UScalar.of(self.q, 1)
-        base = UScalar.u(self.q) if k >= 0 else UScalar.u(self.q).inverse()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return _reduced(
+            q,
+            d * (a0 * b0 - q * a2 * b2),
+            d * (q * a3 * b2 - a1 * b0),
+            d * (a2 * b0 - a0 * b2),
+            d * (a1 * b2 - a3 * b0),
+            norm,
+        )
 
     def __repr__(self):
         bits = []
-        for k, a in enumerate(self.c):
+        for k, a in enumerate(self.n):
             if a:
-                bits.append(f"{a}*u^({k}/2)" if k else f"{a}")
+                f = Fraction(a, self.d)
+                bits.append(f"{f}*u^({k}/2)" if k else f"{f}")
         return " + ".join(bits) if bits else "0"
 
 
+def _reduced(q: int, n0: int, n1: int, n2: int, n3: int, d: int) -> UScalar:
+    """The UScalar (n0 + n1 x + n2 x^2 + n3 x^3) / d, brought to lowest terms
+    with d > 0."""
+    if d != 1:
+        g = gcd(n0, n1, n2, n3, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    out = object.__new__(UScalar)
+    out.q = q
+    out.n = (n0, n1, n2, n3)
+    out.d = d
+    return out
+
+
 def u_power(q: int, k: int) -> UScalar:
-    return UScalar.of(q, 1).u_pow(k)
+    """u^k = q^floor(k/2) u^(k mod 2), with u = x^2."""
+    e, r = divmod(k, 2)
+    c, d = (q**e, 1) if e >= 0 else (1, q**-e)
+    return _reduced(q, 0 if r else c, 0, c if r else 0, 0, d)
 
 
 # --------------------------------------------------------------------------
@@ -612,15 +657,23 @@ def u_power(q: int, k: int) -> UScalar:
 class DerivedHall:
     """The derived Hall algebra of the bounded derived category of the quiver
     over GF(q), twisted by the Euler form.  Basis: normal-ordered words
-    ((m1, iso1), (m2, iso2), ...) with strictly decreasing levels."""
+    ((m1, iso1), (m2, iso2), ...) with strictly decreasing levels.
+
+    One instance serves one request: it memoises Hall numbers, gamma terms,
+    isoclasses per dimension vector and the normal form of every word it
+    rewrites."""
 
     def __init__(self, quiver: QuiverDatum, q: int):
         _check_quiver(quiver)
+        GF(q)  # the field must exist: q prime or 4, within the cap
         self.quiver = quiver
         self.q = q
         self.cartan = quiver.cartan
+        self._one = UScalar.of(q, 1)
         self._g: dict = {}
         self._gamma_terms: dict = {}
+        self._isos: dict = {}
+        self._nf: dict = {}
 
     # -- scalars ------------------------------------------------------------
 
@@ -645,7 +698,10 @@ class DerivedHall:
             self._g[key] = hall_number(x, y, w, self.quiver, self.q)
         return self._g[key]
 
-    def _isoclasses_of_dim(self, dims) -> list[IsoClass]:
+    def _isoclasses_of_dim(self, dims) -> tuple[IsoClass, ...]:
+        dims = tuple(dims)
+        if dims in self._isos:
+            return self._isos[dims]
         cd = self.cartan
         roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
         out = []
@@ -665,8 +721,9 @@ class DerivedHall:
                     acc + ([(roots[k], c)] if c else []),
                 )
 
-        rec(0, tuple(dims), [])
-        return out
+        rec(0, dims, [])
+        self._isos[dims] = tuple(out)
+        return self._isos[dims]
 
     def gamma_terms(self, x: IsoClass, y: IsoClass) -> list[tuple[IsoClass, IsoClass, Fraction]]:
         """Nonzero (T, W, gamma_{X,Y}^{T,W}) for the adjacent-level rewriting."""
@@ -700,12 +757,12 @@ class DerivedHall:
         return {}
 
     def one(self) -> dict:
-        return {(): UScalar.of(self.q, 1)}
+        return {(): self._one}
 
     def generator(self, iso: IsoClass, m: int) -> dict:
         if iso.is_zero():
             return self.one()
-        return {((m, iso),): UScalar.of(self.q, 1)}
+        return {((m, iso),): self._one}
 
     def z_simple(self, i: int, m: int) -> dict:
         root = tuple(1 if v == i else 0 for v in range(1, self.cartan.n + 1))
@@ -714,15 +771,16 @@ class DerivedHall:
     def add(self, a: dict, b: dict) -> dict:
         out = dict(a)
         for w, c in b.items():
-            s = out.get(w, UScalar.of(self.q, 0)) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(out, w, c)
         return out
 
     def scal(self, a: dict, c: UScalar) -> dict:
-        return {w: v * c for w, v in a.items() if not (v * c).is_zero()}
+        out = {}
+        for w, v in a.items():
+            vc = v * c
+            if not vc.is_zero():
+                out[w] = vc
+        return out
 
     def neg(self, a: dict) -> dict:
         return {w: -v for w, v in a.items()}
@@ -731,23 +789,26 @@ class DerivedHall:
         out: dict = {}
         for w1, c1 in a.items():
             for w2, c2 in b.items():
+                c12 = c1 * c2
                 for w3, c3 in self._normalize(w1 + w2):
-                    key = w3
-                    s = out.get(key, UScalar.of(self.q, 0)) + c1 * c2 * c3
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    _accumulate(out, w3, c12 * c3)
         return out
 
-    def _normalize(self, word: tuple) -> list[tuple[tuple, UScalar]]:
-        """Rewrite a word of (level, iso) letters into normal order."""
+    def _normalize(self, word: tuple) -> tuple[tuple[tuple, UScalar], ...]:
+        """Rewrite a word of (level, iso) letters into normal order; memoised
+        per word."""
+        nf = self._nf.get(word)
+        if nf is None:
+            nf = self._nf[word] = self._rewrite(word)
+        return nf
+
+    def _rewrite(self, word: tuple) -> tuple[tuple[tuple, UScalar], ...]:
         for idx in range(len(word) - 1):
             (m1, x), (m2, y) = word[idx], word[idx + 1]
             if m1 > m2:
                 continue
             head, tail = word[:idx], word[idx + 2 :]
-            out: list[tuple[tuple, UScalar]] = []
+            out: dict = {}
             if m1 == m2:
                 # same level: Hall product
                 n = self.cartan.n
@@ -756,36 +817,38 @@ class DerivedHall:
                 for w in self._isoclasses_of_dim(dims):
                     g = self.g_number(x, y, w)
                     if g:
+                        coeff = pref.scale_int(g)
                         for w3, c3 in self._normalize(head + ((m1, w),) + tail):
-                            out.append((w3, pref.scale_int(g) * c3))
+                            _accumulate(out, w3, coeff * c3)
             elif m2 == m1 + 1:
-                pref = self.upow(-self.euler(y, x))
                 for t, w, g in self.gamma_terms(x, y):
-                    coeff = pref * self.upow(-self.euler(w, t)) * UScalar.of(self.q, g)
+                    coeff = self.upow(-self.euler(y, x) - self.euler(w, t)) * UScalar.of(self.q, g)
                     mid = ()
                     if not t.is_zero():
                         mid += ((m2, t),)
                     if not w.is_zero():
                         mid += ((m1, w),)
                     for w3, c3 in self._normalize(head + mid + tail):
-                        out.append((w3, coeff * c3))
+                        _accumulate(out, w3, coeff * c3)
             else:
                 pref = self.upow((-1) ** (m2 - m1) * self.sym(x, y))
                 for w3, c3 in self._normalize(head + ((m2, y), (m1, x)) + tail):
-                    out.append((w3, pref * c3))
-            # merge duplicates
-            merged: dict = {}
-            for w3, c3 in out:
-                s = merged.get(w3, UScalar.of(self.q, 0)) + c3
-                if s.is_zero():
-                    merged.pop(w3, None)
-                else:
-                    merged[w3] = s
-            return list(merged.items())
-        return [(word, UScalar.of(self.q, 1))]
+                    _accumulate(out, w3, pref * c3)
+            return tuple(out.items())
+        return ((word, self._one),)
 
     def equal(self, a: dict, b: dict) -> bool:
         return self.add(a, self.neg(b)) == {}
+
+
+def _accumulate(out: dict, key, c: UScalar) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    prev = out.get(key)
+    s = c if prev is None else prev + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 # --------------------------------------------------------------------------
@@ -852,33 +915,33 @@ def constant_identity_holds(q: int) -> bool:
     """(1 - u^-2) / (u (u - u^-1)^2) = u^-1 / (u^2 - 1), exactly."""
     one = UScalar.of(q, 1)
     u = UScalar.u(q)
-    lhs = (one - u.u_pow(-2)) * (u * (u - u.u_pow(-1)) * (u - u.u_pow(-1))).inverse()
-    rhs = u.u_pow(-1) * (u * u - one).inverse()
+    u_inv = u_power(q, -1)
+    lhs = (one - u_power(q, -2)) * (u * (u - u_inv) * (u - u_inv)).inverse()
+    rhs = u_inv * (u * u - one).inverse()
     return lhs == rhs
 
 
-def iota_scalar_report(cat: CategoryQ, q: int, max_len: int = 3) -> dict:
+def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dict:
     """Specialization consistency: products of level-zero generators expand
     the same way in both algebras, standard class by standard class, up to one
     scalar per class that is independent of the product used to reach it.
 
     On the character side the generators are the fundamental classes at the
     simple-root positions rescaled by 1/(u^(1/2)(u - u^-1)); on the Hall side
-    they are the simple generators z_{S_i}^[0].  Returns the scalar table and
-    a consistency flag.
+    they are the simple generators z_{S_i}^[0] of `dh`, built on the quiver
+    of `cat`.  Returns the scalar table and a consistency flag.
     """
     if max_len < 1:
         raise ValueError(f"maximum word length {max_len} selects no product to compare")
-    quiver = cat.quiver
+    q = dh.q
     cd = cat.cartan
-    dh = DerivedHall(quiver, q)
     gens_t = {}
     for i in cd.vertices:
         pos = cat.qctx.phi.phi_inverse(cd.alpha(i), 0)
         gens_t[i] = cat.truncated_fundamental(*pos)
     one = UScalar.of(q, 1)
     u = UScalar.u(q)
-    resc = (UScalar.half_u(q) * (u - u.u_pow(-1))).inverse()
+    resc = (UScalar.half_u(q) * (u - u_power(q, -1))).inverse()
     half_u = UScalar.half_u(q)
 
     def eval_t(c: HalfLaurent) -> UScalar:
@@ -945,7 +1008,7 @@ def iota_check(cat: CategoryQ, q: int, max_len: int = 3, m_offsets=range(4)) -> 
     defining relations, and the standard-basis scalar consistency."""
     dh = DerivedHall(cat.quiver, q)
     rel_failures = check_h_relations(dh, m_offsets)
-    report = iota_scalar_report(cat, q, max_len)
+    report = iota_scalar_report(cat, dh, max_len)
     report["constant_identity"] = constant_identity_holds(q)
     report["relation_failures"] = rel_failures
     report["ok"] = (

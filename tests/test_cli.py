@@ -264,3 +264,53 @@ def test_failed_internal_check_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal check failed: fingerprint did not resolve to a Krull-Schmidt multiset\n"
+
+
+def test_hall_names_the_missing_flag(capsys):
+    # a missing isoclass flag used to end in an AttributeError traceback
+    cases = [
+        ([], "gamma", "hall gamma requires --x and --y and --t and --w"),
+        (["--x", "1", "--y", "2", "--w", "1"], "gamma", "hall gamma requires --t"),
+        (["--x", "1"], "number", "hall number requires --y and --w"),
+        (["--x", "1", "--y", "2"], "number", "hall number requires --w"),
+    ]
+    for flags, what, message in cases:
+        assert main(["hall", what, "--type", "A2", "--q", "2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+
+
+def test_iso_parser_rejects_intervals_outside_the_quiver_and_empty_multiplicities(capsys):
+    cd = cartan_datum("A2")
+    for text in ("9", "0-1", "2-1", "1-3", "1,0", "1*0", "1-2*-1"):
+        with pytest.raises(ValueError):
+            _parse_iso(text, cd)
+    for w in ("9", "1*0,2"):
+        argv = ["hall", "number", "--type", "A2", "--q", "2", "--x", "1", "--y", "2", "--w", w]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
+    assert main(["hall", "number", "--type", "A2", "--q", "2", "--x", "1*0", "--y", "2", "--w", "2"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("q,code,message", [
+    ("1", 1, "usage error: unsupported field size 1\n"),
+    ("0", 1, "usage error: unsupported field size 0\n"),
+    ("5", 3, "resource cap exceeded: field size 5 above cap 4\n"),
+])
+def test_hall_field_size_is_checked_on_every_subcommand(capsys, q, code, message):
+    argvs = [
+        ["iota"],
+        ["relations"],
+        ["number", "--x", "1", "--y", "2", "--w", "1,2"],
+        # dimension vectors that do not add up are checked after the field
+        ["number", "--x", "1", "--y", "1", "--w", "1-2"],
+        ["gamma", "--x", "1", "--y", "2", "--t", "2", "--w", "1"],
+    ]
+    for argv in argvs:
+        assert main(["hall", argv[0], "--type", "A2", "--q", q, *argv[1:]]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +27,7 @@ from qgroth.hall import (
     iso_class,
     model_rep,
     toen_gamma,
+    u_power,
 )
 from qgroth.quiver import QuiverContext, QuiverDatum
 
@@ -137,6 +139,8 @@ def test_uscalar_field():
         (UScalar.u(4) - UScalar.of(4, 2)).inverse()
     h4 = UScalar.half_u(4)
     assert h4 * h4.inverse() == UScalar.of(4, 1)
+    with pytest.raises(ValueError):
+        UScalar(2, [1, 0, 0, 0, 1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,6 +154,111 @@ def test_uscalar_inverse_of_nonzero_elements(q, coeffs):
     assume(not x.is_zero())
     inv = x.inverse()
     assert x * inv == UScalar.of(q, 1) == inv * x
+
+
+def _coeffs(x):
+    return [Fraction(a, x.d) for a in x.n]
+
+
+def _reference_mul(q, a, b):
+    # schoolbook product of coefficient lists, then x^k = q x^(k-4) for k >= 4
+    out = [Fraction(0)] * 7
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    for k in range(6, 3, -1):
+        out[k - 4] += q * out[k]
+    return out[:4]
+
+
+_COEFFS = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=4, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), _COEFFS, _COEFFS, st.integers(-7, 7))
+def test_uscalar_kernel_matches_the_reference_arithmetic(q, a, b, k):
+    x, y = UScalar(q, a), UScalar(q, b)
+    assert _coeffs(x) == a and _coeffs(y) == b
+    assert _coeffs(x + y) == [s + t for s, t in zip(a, b)]
+    assert _coeffs(x - y) == [s - t for s, t in zip(a, b)]
+    assert _coeffs(-x) == [-s for s in a]
+    assert _coeffs(x * y) == _reference_mul(q, a, b)
+    assert _coeffs(x.scale_int(k)) == [s * k for s in a]
+    if not x.is_zero():
+        assert _reference_mul(q, a, _coeffs(x.inverse())) == [1, 0, 0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), _COEFFS, _COEFFS)
+def test_uscalar_form_is_canonical(q, a, b):
+    x, y = UScalar(q, a), UScalar(q, b)
+    half = UScalar.of(q, Fraction(1, 2))
+    for z in (x + y - y, y + x - y, (x * y - y * x) + x, UScalar(q, [2 * c for c in a]) * half):
+        assert z == x
+        assert (z.n, z.d, hash(z)) == (x.n, x.d, hash(x))
+    # lowest terms with a positive denominator; zero is (0, 0, 0, 0)/1
+    assert x.d > 0 and gcd(*x.n, x.d) == 1
+    zero = x - x
+    assert zero.is_zero() and (zero.n, zero.d) == ((0, 0, 0, 0), 1)
+    assert zero == UScalar(q) == UScalar.of(q, 0)
+    assert UScalar(q, [Fraction(2, 4), Fraction(6, 3)]) == UScalar(q, [Fraction(1, 2), 2, 0, 0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_u_power_is_repeated_multiplication(q):
+    u = UScalar.u(q)
+    u_inv = u.inverse()
+    up = down = UScalar.of(q, 1)
+    for k in range(9):
+        assert u_power(q, k) == up
+        assert u_power(q, -k) == down
+        up, down = up * u, down * u_inv
+
+
+def test_uscalar_repr_is_pinned():
+    cases = [
+        (UScalar(2, [1, 0, 0, 0]), "1"),
+        (UScalar(2, [0, 0, 0, 0]), "0"),
+        (UScalar(3, [Fraction(1, 2), 0, Fraction(-3, 4), 0]), "1/2 + -3/4*u^(2/2)"),
+        (UScalar(2, [0, 1, 0, Fraction(1, 3)]), "1*u^(1/2) + 1/3*u^(3/2)"),
+        (
+            UScalar(3, [-2, Fraction(5, 6), Fraction(-1, 6), 7]),
+            "-2 + 5/6*u^(1/2) + -1/6*u^(2/2) + 7*u^(3/2)",
+        ),
+        (UScalar(2, [0, 0, -1, 0]), "-1*u^(2/2)"),
+        (u_power(3, -3), "1/9*u^(2/2)"),
+        (UScalar(2, [1, 2, 0, 1]).inverse(), "7/23 + -2/23*u^(1/2) + -6/23*u^(2/2) + 5/23*u^(3/2)"),
+    ]
+    for x, text in cases:
+        assert repr(x) == text
+
+
+@pytest.mark.parametrize("name,xi,max_len,mmax", [("A2", (2, 1), 3, 2), ("A3", (2, 3, 2), 2, 1)])
+def test_iota_check_counts_each_hall_number_once(name, xi, max_len, mmax, categories, monkeypatch):
+    import qgroth.hall as hall
+
+    calls = []
+    count = hall.hall_number
+
+    def counted(x, y, w, quiver, q):
+        calls.append((x, y, w))
+        return count(x, y, w, quiver, q)
+
+    monkeypatch.setattr(hall, "hall_number", counted)
+    rep = iota_check(categories(name, xi), 2, max_len=max_len, m_offsets=range(mmax + 1))
+    assert rep["ok"]
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_normal_forms_are_tuples():
+    dh = DerivedHall(a2_quiver(), 2)
+    word = ((0, S1), (0, S2), (1, S1))
+    nf = dh._normalize(word)
+    assert isinstance(nf, tuple) and all(isinstance(t, tuple) for t in nf)
+    assert dh._normalize(word) is nf
+    assert dh._normalize(((0, S1),)) == ((((0, S1),), UScalar.of(2, 1)),)
 
 
 def _orientations(cd):
