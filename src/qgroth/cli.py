@@ -126,6 +126,8 @@ def _series_text(coeffs: list[int]) -> str:
 
 
 def cmd_qcartan(args) -> int:
+    if args.mmax < 1:
+        raise ValueError(f"--mmax must be >= 1, got {args.mmax}")
     cd = cartan_datum(args.type)
     qc = quantum_cartan(cd)
     lines = []
@@ -389,6 +391,16 @@ def _verify_all(args) -> int:
     ) and qc4.series(2, 1, 19) == qc4.series(1, 2, 19)
     checks.append(("quantum Cartan inverse series (rank 4)", ok))
 
+    for name in ("A4", "D4"):
+        qc = quantum_cartan(cartan_datum(name))
+        ok = all(
+            qc.ctilde(i, j, m) == qc.series_coeff(i, j, m)
+            for i in qc.cartan.vertices
+            for j in qc.cartan.vertices
+            for m in range(1, 2 * qc.h + 1)
+        )
+        checks.append((f"series route agrees with the table ({name})", ok))
+
     for name in ("A2", "A3", "D4"):
         cd = cartan_datum(name)
         qc = quantum_cartan(cd)
@@ -430,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", required=True, help="diagram type, e.g. A4, D5, E6")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--config", help="JSON file of default flag values (flags win)")
-        p.add_argument("--cache-dir", dest="cache_dir", help="memo-table cache directory")
         if quiver:
             p.add_argument("--xi", help="height function, comma-separated")
             p.add_argument("--arrows", help="orientation, e.g. 2-1,2-3 for arrows 2->1, 2->3")
@@ -510,33 +521,6 @@ def _apply_config(argv: list[str]) -> list[str]:
     return argv
 
 
-def _cache_path(cache_dir: str):
-    import os
-
-    return os.path.join(cache_dir, "inverse-tables.v1.json")
-
-
-def _load_cache(cache_dir: str) -> None:
-    import os
-
-    from . import qcartan as qcartan_mod
-
-    path = _cache_path(cache_dir)
-    if os.path.exists(path):
-        with open(path) as fh:
-            qcartan_mod.load_tables_json(json.load(fh))
-
-
-def _save_cache(cache_dir: str) -> None:
-    import os
-
-    from . import qcartan as qcartan_mod
-
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(_cache_path(cache_dir), "w") as fh:
-        json.dump(qcartan_mod.tables_to_json(), fh, sort_keys=True)
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     if argv is None:
@@ -549,14 +533,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    cache_dir = getattr(args, "cache_dir", None)
     try:
-        if cache_dir:
-            _load_cache(cache_dir)
-        code = args.fn(args)
-        if cache_dir:
-            _save_cache(cache_dir)
-        return code
+        return args.fn(args)
     except ResourceCap as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3

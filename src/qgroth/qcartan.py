@@ -2,7 +2,12 @@
 
 C(z) replaces the diagonal 2 of the Cartan matrix by z + z^-1.  The inverse
 has entries that are power series sum_{m>=1} c_ij(m) z^m with integer
-coefficients, computable two independent ways:
+coefficients.  The table is built from the identity C(z) C(z)^-1 = 1, read
+coefficient by coefficient as a recurrence in m:
+
+    c_ij(0) = 0,  c_ij(1) = delta_ij,  c_ij(m+1) = -c_ij(m-1) + sum_{k~i} c_kj(m).
+
+Two independent routes cross-check it:
 
   * series route: C(z)^-1 = sum_{k>=0} (z+z^-1)^(-k-1) A^k, expanding
     (z+z^-1)^(-k-1) = z^(k+1) (1+z^2)^(-k-1) with the binomial series, so only
@@ -10,8 +15,9 @@ coefficients, computable two independent ways:
   * translation route: parity vanishing plus the coefficient of alpha_j in a
     Coxeter-power of gamma_i, read off any orientation of the diagram.
 
-Coefficients are periodic in m with period twice the Coxeter number, which the
-table validates once and then exploits for caching.
+Coefficients are periodic in m with period twice the Coxeter number; the
+recurrence runs over two periods and the build checks that the second
+repeats the first.
 
 The commutation exponent N(i,p;j,s) depends only on (i, j, d = p - s): it is
 antisymmetric in d, 0 at d = 0 and 2h-periodic for d >= 1 (as c_ij(2h) = 0,
@@ -27,21 +33,13 @@ from .quiver import QuiverDatum
 
 
 class QuantumCartan:
-    def __init__(self, cartan: CartanDatum, table: dict | None = None):
-        """Build the inverse table, or adopt `table` ((i, j, m) -> c_ij(m) for
-        m = 1..2h) once it passes the inverse identity."""
+    def __init__(self, cartan: CartanDatum):
         self.cartan = cartan
         self.h = cartan.coxeter_number()
         self._apow: list[tuple[tuple[int, ...], ...]] = [
             tuple(tuple(1 if i == j else 0 for j in range(cartan.n)) for i in range(cartan.n))
         ]
-        if table is None:
-            self._table: dict[tuple[int, int, int], int] = {}
-            self._build_table()
-        else:
-            self._table = table
-            if not self.verify_inverse(2 * self.h)[0]:
-                raise ValueError("inverse table fails the identity C(z) C(z)^-1 = 1")
+        self._table = self._build_table()
         self._n = self._pairing_rows()
 
     def _adj_power(self, k: int) -> tuple[tuple[int, ...], ...]:
@@ -72,38 +70,40 @@ class QuantumCartan:
         return total
 
     def series(self, i: int, j: int, m_max: int) -> list[int]:
-        return [self.series_coeff(i, j, m) for m in range(1, m_max + 1)]
+        """c_ij(1), ..., c_ij(m_max), read from the periodic table."""
+        return [self.ctilde(i, j, m) for m in range(1, m_max + 1)]
 
-    def _build_table(self) -> None:
-        n, h = self.cartan.n, self.h
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                for m in range(1, 2 * h + 1):
-                    v = self.series_coeff(i, j, m)
-                    self._table[(i, j, m)] = v
-                    self._table[(j, i, m)] = v
-        # Validate the period-2h property on a second window before trusting it.
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for m in range(1, 2 * h + 1):
-                    if self.series_coeff(i, j, m + 2 * h) != self._table[(i, j, m)]:
-                        raise RuntimeError("periodicity of the inverse table failed")
+    def _build_table(self) -> list[list[list[int]]]:
+        """table[m][i - 1][j - 1] = c_ij(m) for m = 0..2h, by the recurrence of
+        C(z) C(z)^-1 = 1 run over two periods."""
+        n, h2 = self.cartan.n, 2 * self.h
+        nbrs = [[k - 1 for k in self.cartan.neighbors(i)] for i in self.cartan.vertices]
+        table = [[[0] * n for _ in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]]
+        for m in range(1, 2 * h2):
+            prev, cur = table[m - 1], table[m]
+            table.append([[sum(cur[k][j] for k in nbrs[i]) - prev[i][j] for j in range(n)]
+                          for i in range(n)])
+        if table[h2 + 1 :] != table[1 : h2 + 1]:
+            raise RuntimeError("periodicity of the inverse table failed")
+        return table[: h2 + 1]
 
     def _pairing_rows(self) -> dict[int, dict[int, list[int]]]:
-        """rows[i][j][d - 1] = N(i,p;j,p-d) for d = 1..2h, by the four-coefficient formula."""
+        """rows[i][j][d - 1] = N(i,p;j,p-d) for d = 1..2h, by the four-coefficient
+        formula, whose terms c(-d-1) and c(1-d) vanish for d >= 1."""
         h2, c, vs = 2 * self.h, self.ctilde, self.cartan.vertices
-        if any(self._table[(i, j, h2)] for i in vs for j in vs):
+        if any(any(row) for row in self._table[h2]):
             raise RuntimeError("c_ij(2h) != 0: the pairing is not 2h-periodic")
-        return {i: {j: [c(i, j, d - 1) - c(i, j, d + 1) - c(i, j, -d - 1) + c(i, j, 1 - d)
-                        for d in range(1, h2 + 1)] for j in vs} for i in vs}
+        return {i: {j: [c(i, j, d - 1) - c(i, j, d + 1) for d in range(1, h2 + 1)] for j in vs}
+                for i in vs}
 
     def ctilde(self, i: int, j: int, m: int) -> int:
         """Inverse coefficient with the conventions c(m) = 0 for m <= 0 and
         period 2h for m >= 1."""
+        self.cartan._check_vertex(i)
+        self.cartan._check_vertex(j)
         if m <= 0:
             return 0
-        m = (m - 1) % (2 * self.h) + 1
-        return self._table[(i, j, m)]
+        return self._table[(m - 1) % (2 * self.h) + 1][i - 1][j - 1]
 
     def ar_value(self, i: int, j: int, m: int, quiver: QuiverDatum) -> int:
         """Inverse coefficient via the translation formula on an orientation."""
@@ -151,43 +151,3 @@ def quantum_cartan(cartan: CartanDatum) -> QuantumCartan:
     if key not in _registry:
         _registry[key] = QuantumCartan(cartan)
     return _registry[key]
-
-
-CACHE_VERSION = 1
-
-
-def tables_to_json() -> dict:
-    """Serialize every instantiated inverse table (the CLI memo-cache format)."""
-    return {
-        "version": CACHE_VERSION,
-        "tables": {
-            key: [[i, j, m, v] for (i, j, m), v in sorted(qc._table.items())]
-            for key, qc in _registry.items()
-        },
-    }
-
-
-def load_tables_json(data: dict) -> int:
-    """Pre-populate inverse tables from a cache file.  Each loaded table is
-    re-validated (shape and the inverse identity over one period) before being
-    trusted; rejected tables are simply recomputed later.  Returns the number
-    accepted."""
-    if data.get("version") != CACHE_VERSION:
-        return 0
-    accepted = 0
-    for name, rows in data.get("tables", {}).items():
-        try:
-            cd = CartanDatum(name[0], int(name[1:]))
-        except (ValueError, IndexError):
-            continue
-        table = {(int(i), int(j), int(m)): int(v) for i, j, m, v in rows}
-        h = cd.coxeter_number()
-        want = {(i, j, m) for i in cd.vertices for j in cd.vertices for m in range(1, 2 * h + 1)}
-        if set(table) != want:
-            continue
-        try:
-            _registry[name] = QuantumCartan(cd, table)
-        except ValueError:
-            continue
-        accepted += 1
-    return accepted

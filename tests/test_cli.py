@@ -112,6 +112,7 @@ def test_verify_commands(capsys):
     code, out = run(capsys, "verify", "all", "--type", "A2", "--desk")
     assert code == 0
     assert "FAIL" not in out
+    assert "PASS  series route agrees with the table (D4)" in out
 
 
 def test_exit_codes(capsys):
@@ -140,6 +141,7 @@ def test_text_output_deterministic(capsys):
 
 
 def test_config_and_cache(tmp_path, capsys):
+    # --config merges defaults; --cache-dir is not a flag: tables are built, never read from disk
     conf = tmp_path / "conf.json"
     conf.write_text('{"type": "A3", "i": 1, "k": 1}')
     code, out = run(capsys, "tsystem", "--config", str(conf))
@@ -148,35 +150,10 @@ def test_config_and_cache(tmp_path, capsys):
     code, out = run(capsys, "tsystem", "--config", str(conf), "--k", "2")
     assert code == 0 and "alpha(1,2)" in out
     cache = tmp_path / "cache"
-    code, _ = run(capsys, "qcartan", "--type", "A2", "--mmax", "6", "--cache-dir", str(cache))
-    assert code == 0 and (cache / "inverse-tables.v1.json").exists()
-    # corrupted cache entries are rejected, not trusted
-    import json as _json
-
-    data = _json.loads((cache / "inverse-tables.v1.json").read_text())
-    from qgroth.qcartan import load_tables_json
-
-    rows = data["tables"]["A2"]
-    rows[0][3] += 1
-    assert load_tables_json({"version": 1, "tables": {"A2": rows}}) == 0
-
-
-def test_warm_cache_gives_the_same_answer(tmp_path, capsys, monkeypatch):
-    import qgroth.qcartan as qcartan
-
-    argv = ["verify", "presentation", "--type", "A3", "--m-range=0..2"]
-    cache = ["--cache-dir", str(tmp_path / "cache")]
-    monkeypatch.setattr(qcartan, "_registry", {})
-    code, plain = run(capsys, *argv)
-    assert code == 0
-    monkeypatch.setattr(qcartan, "_registry", {})
-    assert run(capsys, *argv, *cache) == (0, plain)  # cold: writes the cache
-    loaded = []
-    load = qcartan.load_tables_json
-    monkeypatch.setattr(qcartan, "load_tables_json", lambda data: loaded.append(load(data)) or loaded[-1])
-    monkeypatch.setattr(qcartan, "_registry", {})
-    assert run(capsys, *argv, *cache) == (0, plain)  # warm: the table comes from the file
-    assert loaded == [1]
+    assert main(["qcartan", "--type", "A2", "--mmax", "6", "--cache-dir", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --cache-dir" in captured.err
+    assert not cache.exists()
 
 
 def test_out_of_range_vertex_exits_without_hanging():
@@ -196,6 +173,43 @@ def test_out_of_range_vertex_exits_without_hanging():
     )
     assert proc.returncode == 1
     assert proc.stderr == "usage error: vertex 9 out of range for A3\n"
+
+
+def test_qcartan_long_series_finish():
+    # every coefficient once cost a fresh binomial sum: A2 to 10^5 did not
+    # finish in a minute, so run it in a child process that fails, not hangs
+    import os
+    import subprocess
+    import sys
+
+    import qgroth
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qgroth.__file__)))
+    argv = ["qcartan", "--type", "A2", "--mmax", "100000", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgroth.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    series = json.loads(proc.stdout)["series"]
+    assert series["1,1"] == ([1, 0, 0, 0, -1, 0] * 16667)[:100000]
+    assert main(["qcartan", "--type", "E8", "--mmax", "200", "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("mmax", ["0", "-3"])
+def test_qcartan_rejects_mmax_below_1(capsys, mmax):
+    assert main(["qcartan", "--type", "A2", "--mmax", mmax]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: --mmax must be >= 1, got {mmax}\n"
+
+
+@pytest.mark.parametrize("i", ["5", "0", "-1"])
+def test_tsystem_names_the_out_of_range_vertex(capsys, i):
+    assert main(["tsystem", "--type", "A2", "--i", i, "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: vertex {i} out of range for A2\n"
 
 
 def test_refused_t_lift_exits_3(capsys):

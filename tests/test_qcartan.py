@@ -1,6 +1,6 @@
 import pytest
 
-from qgroth.cartan import cartan_datum
+from qgroth.cartan import CartanDatum, cartan_datum
 from qgroth.qcartan import QuantumCartan, quantum_cartan
 from qgroth.quiver import QuiverDatum
 
@@ -16,6 +16,8 @@ A4_SERIES = {
     (2, 3): {2: 1, 4: 1, 6: -1, 8: -1, 12: 1, 14: 1, 16: -1, 18: -1},
     (2, 4): {3: 1, 7: -1, 13: 1, 17: -1},
 }
+
+ADE_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
 
 
 def test_a4_series_worked_example():
@@ -90,7 +92,7 @@ def test_verify_inverse():
     qc = QuantumCartan(cartan_datum("D4"))
     assert qc.verify_inverse(4 * qc.h)[0]
     # negative control: corrupt one table entry and expect a witness
-    qc._table[(1, 1, 1)] += 1
+    qc._table[1][0][0] += 1
     ok, witness = qc.verify_inverse(8)
     assert not ok and witness is not None
 
@@ -114,28 +116,46 @@ def test_pairing_table_matches_the_four_coefficient_formula(name):
                 assert qc.n_pair(i, d, j, 0) == four_coefficient_n(qc, i, d, j, 0), (i, j, d)
 
 
-def test_adopted_table_gives_the_same_pairing():
-    cd = cartan_datum("D4")
-    built = quantum_cartan(cd)
-    adopted = QuantumCartan(cd, dict(built._table))
-    assert adopted._n == built._n
-    bad = dict(built._table)
-    bad[(1, 1, 1)] += 1
-    with pytest.raises(ValueError):
-        QuantumCartan(cd, bad)
+@pytest.mark.parametrize("name", ADE_TYPES)
+def test_recurrence_table_matches_the_series_and_translation_routes(name):
+    cd = cartan_datum(name)
+    qc = quantum_cartan(cd)
+    q = QuiverDatum.bipartite(cd)
+    for i in cd.vertices:
+        for j in cd.vertices:
+            for m in range(1, 2 * qc.h + 1):
+                assert qc.ctilde(i, j, m) == qc.series_coeff(i, j, m) == qc.ar_value(i, j, m, q), (i, j, m)
+
+
+def test_building_a_table_never_uses_the_series_route(monkeypatch):
+    def refuse(self, i, j, m):
+        raise AssertionError("series_coeff called while building the table")
+
+    monkeypatch.setattr(QuantumCartan, "series_coeff", refuse)
+    for name in ADE_TYPES:
+        qc = QuantumCartan(cartan_datum(name))
+        assert qc.series(1, 1, 4 * qc.h) == [qc.ctilde(1, 1, m) for m in range(1, 4 * qc.h + 1)]
+
+
+@pytest.mark.parametrize("i", [0, -1, 5])
+def test_out_of_range_vertex_is_named(i):
+    qc = quantum_cartan(cartan_datum("A2"))
+    for call in (lambda: qc.ctilde(i, 1, 1), lambda: qc.ctilde(1, i, 1), lambda: qc.series(i, i, 3)):
+        with pytest.raises(ValueError, match=f"^vertex {i} out of range for A2$"):
+            call()
 
 
 def test_periodicity_failure_is_an_internal_error(monkeypatch, capsys):
     import qgroth.qcartan as qcartan
     from qgroth.cli import main
 
-    series = QuantumCartan.series_coeff
+    coxeter_number = CartanDatum.coxeter_number
 
-    def drifting(self, i, j, m):
-        return series(self, i, j, m) + (m > 2 * self.h)
+    def off_by_one(self):
+        return coxeter_number(self) + 1
 
     monkeypatch.setattr(qcartan, "_registry", {})
-    monkeypatch.setattr(QuantumCartan, "series_coeff", drifting)
+    monkeypatch.setattr(CartanDatum, "coxeter_number", off_by_one)
     with pytest.raises(RuntimeError):
         QuantumCartan(cartan_datum("A2"))
     assert main(["qcartan", "--type", "A2", "--mmax", "4"]) == 2
