@@ -17,6 +17,7 @@ integer obtained from the simple-root coordinates.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -238,8 +239,10 @@ class CartanDatum:
 
 def cartan_datum(name: str) -> CartanDatum:
     """Parse a type name like 'A4', 'D5', 'E6'."""
-    kind, n = name[0].upper(), int(name[1:])
-    return CartanDatum(kind, n)
+    m = re.fullmatch(r"([A-Za-z])(\d+)", name)
+    if m is None:
+        raise ValueError(f"unsupported type {name}")
+    return CartanDatum(m.group(1).upper(), int(m.group(2)))
 
 
 @lru_cache(maxsize=None)

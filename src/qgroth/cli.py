@@ -36,10 +36,6 @@ from .quiver import QuiverContext, QuiverDatum
 from .torus import Monomial, TorusElement, YTorus
 
 
-class VerificationFailure(RuntimeError):
-    pass
-
-
 def _parse_quiver(args, cartan: CartanDatum) -> QuiverDatum:
     if getattr(args, "xi", None):
         xi = tuple(int(x) for x in args.xi.split(","))
@@ -51,6 +47,15 @@ def _parse_quiver(args, cartan: CartanDatum) -> QuiverDatum:
             arrows.append((int(a), int(b)))
         return QuiverDatum.from_arrows(cartan, arrows)
     return QuiverDatum.bipartite(cartan)
+
+
+def _parse_range(text: str, flag: str) -> tuple[int, int]:
+    """An integer range written lo..hi."""
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"{flag} must be lo..hi with integer ends, got {text!r}") from None
 
 
 def _parse_monomial(text: str) -> Monomial:
@@ -145,7 +150,7 @@ def cmd_phi(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     ctx = QuiverContext(quiver)
-    lo, hi = (int(x) for x in args.window.split(".."))
+    lo, hi = _parse_range(args.window, "--window")
     lines = []
     rows = []
     for i in cd.vertices:
@@ -190,6 +195,8 @@ def _require_flags(command: str, args, needed) -> None:
 
 def cmd_qchar(args) -> int:
     _require_flags("qchar", args, _QCHAR_FLAGS[args.what])
+    if args.what not in ("kr", "truncate") and (args.xi is not None or args.arrows is not None):
+        raise ValueError(f"qchar {args.what} takes no orientation (--xi/--arrows)")
     cd = cartan_datum(args.type)
     yt = YTorus(quantum_cartan(cd))
     if args.what == "fundamental":
@@ -355,7 +362,7 @@ def cmd_verify(args) -> int:
     if args.what == "presentation":
         cd = cartan_datum(args.type)
         quiver = _parse_quiver(args, cd)
-        lo, hi = (int(x) for x in args.m_range.split(".."))
+        lo, hi = _parse_range(args.m_range, "--m-range")
         pres = Presentation(QuiverContext(quiver))
         fails = pres.verify_relations(lo, hi)
         _emit(
@@ -498,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--m-range", default="0..3", dest="m_range")
     p.add_argument("--degree-bound", type=int, default=3, dest="degree_bound")
-    p.add_argument("--desk", action="store_true", help="desk-scale battery")
     p.set_defaults(fn=cmd_verify)
 
     return ap
@@ -541,9 +547,6 @@ def main(argv=None) -> int:
     except NonMultiplicityFree as exc:
         print(f"not computable: {exc}", file=sys.stderr)
         return 3
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

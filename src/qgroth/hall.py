@@ -1,11 +1,15 @@
 """Brute-force Hall algebra computations over small finite fields, and the
 derived Hall algebra of the bounded derived category of a small type-A quiver.
 
-Everything here is counted, not derived: Hall numbers enumerate stable
-subspace families, Toen's gamma enumerates four-term exact sequences of
-homomorphism triples, and automorphism groups are enumerated from bases of
-homomorphism spaces.  Scalars live in the exact field Q[x]/(x^4 - q), with
-u = sqrt(q) represented by x^2 so that half-integral powers of u remain exact.
+Everything here is counted, not derived: Hall numbers enumerate one
+subspace per vertex, each once as a reduced row echelon basis (one Schubert
+cell per pivot set), and read stability and the sub- and quotient
+representations off one change of coordinates per arrow; hom dimensions are
+the unknowns less the rank of the hom equations; Toen's gamma enumerates
+four-term exact sequences of homomorphism triples, and automorphism groups
+are enumerated from bases of homomorphism spaces.  Scalars live in the exact
+field Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that
+half-integral powers of u remain exact.
 
 The derived Hall algebra is spanned by normal-ordered words in generators
 z_X^[m] with strictly decreasing level m; products are rewritten to normal
@@ -124,9 +128,6 @@ class Rep:
         self.dims = tuple(dims)
         self.mats = dict(mats)  # arrow (i,j) -> matrix
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
 
 def _check_quiver(quiver: QuiverDatum) -> None:
     if quiver.cartan.kind != "A" or quiver.cartan.n > MAX_RANK:
@@ -159,7 +160,6 @@ def direct_sum(quiver: QuiverDatum, F: GF, reps) -> Rep:
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(n))
     mats = {}
     for (i, j) in quiver.arrows:
-        rows = []
         roff = 0
         coff = 0
         big = [[0] * dims[i - 1] for _ in range(dims[j - 1])]
@@ -228,19 +228,20 @@ def model_rep(quiver: QuiverDatum, F: GF, iso: IsoClass) -> Rep:
     return direct_sum(quiver, F, parts)
 
 
-def hom_basis(M: Rep, N: Rep):
-    """Basis of Hom(M, N): tuples of per-vertex matrices."""
+def _hom_equations(M: Rep, N: Rep):
+    """The linear equations phi_j M_a = N_a phi_i, one per arrow a = (i, j) and
+    entry, on the entries of a homomorphism (phi_v): N.dims[v] x M.dims[v]
+    blocks vertex by vertex.  Returns the nonzero equation rows, the offset
+    of each vertex block and the number of unknowns."""
     F = M.F
-    n = M.quiver.cartan.n
-    # unknowns: entries of phi_v (N.dims[v] x M.dims[v]), vertex by vertex
     offsets = []
     total = 0
-    for v in range(n):
+    for v in range(M.quiver.cartan.n):
         offsets.append(total)
         total += N.dims[v] * M.dims[v]
     rows = []
     for (i, j) in M.quiver.arrows:
-        # phi_j M_a - N_a phi_i = 0, one equation per (row of N_j, col of M_i)
+        # one equation per (row of N_j, col of M_i)
         for r in range(N.dims[j - 1]):
             for c in range(M.dims[i - 1]):
                 row = [0] * total
@@ -252,12 +253,16 @@ def hom_basis(M: Rep, N: Rep):
                     row[idx] = F.sub(row[idx], N.mats[(i, j)][r][k])
                 if any(row):
                     rows.append(tuple(row))
-    basis_vecs = nullspace_basis(F, rows, total) if total else []
+    return rows, offsets, total
+
+
+def hom_basis(M: Rep, N: Rep):
+    """Basis of Hom(M, N): tuples of per-vertex matrices."""
+    rows, offsets, total = _hom_equations(M, N)
     out = []
-    for vec in basis_vecs:
+    for vec in nullspace_basis(M.F, rows, total):
         mats = []
-        for v in range(n):
-            o = offsets[v]
+        for v, o in enumerate(offsets):
             mats.append(
                 tuple(
                     tuple(vec[o + r * M.dims[v] + c] for c in range(M.dims[v]))
@@ -269,12 +274,14 @@ def hom_basis(M: Rep, N: Rep):
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
-    return len(hom_basis(M, N))
+    """dim Hom(M, N): the unknowns less the rank of their equations."""
+    rows, _, total = _hom_equations(M, N)
+    return total - mat_rank(M.F, rows)
 
 
-def _hom_elements(F: GF, basis, shapes, cap: int = MAX_HOM_ENUM):
+def _hom_elements(F: GF, basis, shapes):
     """All elements of a hom space given a basis; shapes = per-vertex (rows, cols)."""
-    if F.q ** len(basis) > cap:
+    if F.q ** len(basis) > MAX_HOM_ENUM:
         raise ResourceCap("homomorphism space too large to enumerate")
     if not basis:
         yield tuple(_zero(r, c) for r, c in shapes)
@@ -338,35 +345,63 @@ def iso_class(rep: Rep, q: int) -> IsoClass:
 # --------------------------------------------------------------------------
 
 
-def _all_subspaces(F: GF, d: int, k: int):
-    """All k-dimensional subspaces of F^d, as d x k basis-column matrices."""
-    if k == 0:
-        yield tuple(tuple() for _ in range(d))
-        return
-    seen = set()
-    vectors = [v for v in itertools.product(F.elements(), repeat=d) if any(v)]
-    for combo in itertools.combinations(vectors, k):
-        red, pivots = rref(combo, F)
-        if len(pivots) != k:
-            continue
-        canon = tuple(map(tuple, red))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        yield tuple(tuple(combo[j][i] for j in range(k)) for i in range(d))
+def _subspaces(F: GF, d: int, k: int):
+    """Every k-dimensional subspace of F^d exactly once, as its k x d reduced
+    row echelon basis: one Schubert cell per pivot set, whose free entries
+    (right of a row's pivot, off the other pivot columns) run over F."""
+    for pivots in itertools.combinations(range(d), k):
+        free = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, d) if c not in pivots]
+        for values in itertools.product(F.elements(), repeat=len(free)):
+            rows = [[int(c == p) for c in range(d)] for p in pivots]
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            yield tuple(map(tuple, rows))
 
 
-def _in_colspan(F: GF, basis_cols, vec) -> bool:
-    """Is vec in the column span of basis_cols (d x k)?"""
-    d = len(basis_cols)
-    k = len(basis_cols[0]) if d else 0
-    rows = [tuple(basis_cols[i][j] for i in range(d)) for j in range(k)]
-    return mat_rank(F, list(rows) + [tuple(vec)]) == mat_rank(F, rows) if rows else not any(vec)
+def _cell(basis, d: int):
+    """A subspace of F^d by its echelon rows, their pivots and the columns off
+    the pivots."""
+    pivots = [row.index(1) for row in basis]
+    return basis, pivots, [c for c in range(d) if c not in pivots]
+
+
+def _coordinates(F: GF, cell, vec):
+    """Coordinates of vec in the basis adapted to a subspace: its echelon rows,
+    then the unit vectors off their pivots.  The row coefficients are the
+    entries at the pivots; the rest are read off the remainder."""
+    basis, pivots, rest = cell
+    sub = [vec[p] for p in pivots]
+    quo = [vec[c] for c in rest]
+    for x, row in zip(sub, basis):
+        if x:
+            quo = [F.sub(y, F.mul(x, row[c])) for y, c in zip(quo, rest)]
+    return sub, quo
+
+
+def _arrow_blocks(F: GF, M, cell_i, cell_j):
+    """The two diagonal blocks (sub, quotient) of P_j^-1 M P_i in the bases
+    adapted to the subspaces at i and j, or None when its quotient-rows x
+    sub-columns block is nonzero: M does not map the one into the other."""
+    basis_i, _, rest_i = cell_i
+    _, pivots_j, rest_j = cell_j
+    sub_cols = []
+    for b in basis_i:
+        sub, quo = _coordinates(F, cell_j, [_dot(F, row, b) for row in M])
+        if any(quo):
+            return None
+        sub_cols.append(sub)
+    quo_cols = [_coordinates(F, cell_j, [row[c] for row in M])[1] for c in rest_i]
+    return (
+        tuple(tuple(col[r] for col in sub_cols) for r in range(len(pivots_j))),
+        tuple(tuple(col[r] for col in quo_cols) for r in range(len(rest_j))),
+    )
 
 
 def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
     """Number of subrepresentations of W isomorphic to X with quotient
-    isomorphic to Y."""
+    isomorphic to Y: one subspace per vertex from `_subspaces`, kept when
+    every arrow maps it into its target's, then classified through the
+    diagonal blocks of `_arrow_blocks`."""
     _check_quiver(quiver)
     F = GF(q)
     n = quiver.cartan.n
@@ -375,63 +410,21 @@ def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: i
     if W.total_dim() > MAX_SUBMODULE_DIM:
         raise ResourceCap(f"total dimension above cap {MAX_SUBMODULE_DIM}")
     RW = model_rep(quiver, F, W)
-    dx = X.dims(n)
+    dx, dy = X.dims(n), Y.dims(n)
     count = 0
-    for bases in itertools.product(
-        *[_all_subspaces(F, RW.dims[v], dx[v]) for v in range(n)]
-    ):
-        stable = True
+    per_vertex = [[_cell(b, d) for b in _subspaces(F, d, k)] for d, k in zip(RW.dims, dx)]
+    for cells in itertools.product(*per_vertex):
+        blocks = {}
         for (i, j) in quiver.arrows:
-            bi, bj = bases[i - 1], bases[j - 1]
-            for col in range(dx[i - 1]):
-                vec = tuple(
-                    _dot(F, RW.mats[(i, j)][r], tuple(bi[s][col] for s in range(RW.dims[i - 1])))
-                    for r in range(RW.dims[j - 1])
-                )
-                if not _in_colspan(F, bj, vec):
-                    stable = False
-                    break
-            if not stable:
+            blocks[(i, j)] = _arrow_blocks(F, RW.mats[(i, j)], cells[i - 1], cells[j - 1])
+            if blocks[(i, j)] is None:
                 break
-        if not stable:
-            continue
-        sub, quo = _sub_quotient(RW, bases)
-        if iso_class(sub, q) == X and iso_class(quo, q) == Y:
-            count += 1
+        else:
+            sub = Rep(quiver, F, dx, {a: b[0] for a, b in blocks.items()})
+            quo = Rep(quiver, F, dy, {a: b[1] for a, b in blocks.items()})
+            if iso_class(sub, q) == X and iso_class(quo, q) == Y:
+                count += 1
     return count
-
-
-def _sub_quotient(RW: Rep, bases):
-    """Sub- and quotient representations cut out by stable subspace bases."""
-    F = RW.F
-    n = RW.quiver.cartan.n
-    # extend each basis to a full basis; P_v columns: sub basis then complement
-    P = []
-    for v in range(n):
-        d = RW.dims[v]
-        cols = [tuple(bases[v][i][j] for i in range(d)) for j in range(len(bases[v][0]) if d else 0)]
-        for cand in itertools.product(F.elements(), repeat=d):
-            if len(cols) == d:
-                break
-            if mat_rank(F, cols + [cand]) > len(cols):
-                cols.append(cand)
-        P.append(cols)
-    sub_dims = tuple(len(bases[v][0]) if RW.dims[v] else 0 for v in range(n))
-    sub_mats = {}
-    quo_mats = {}
-    for (i, j) in RW.quiver.arrows:
-        di, dj = RW.dims[i - 1], RW.dims[j - 1]
-        ki, kj = sub_dims[i - 1], sub_dims[j - 1]
-        mp = [[_dot(F, RW.mats[(i, j)][r], P[i - 1][col]) for col in range(di)] for r in range(dj)]
-        pj = [[P[j - 1][c][r] for c in range(dj)] for r in range(dj)]
-        conj = solve(pj, mp, F)  # P_j^-1 M P_i
-        sub_mats[(i, j)] = tuple(tuple(conj[r][c] for c in range(ki)) for r in range(kj))
-        quo_mats[(i, j)] = tuple(
-            tuple(conj[r][c] for c in range(ki, di)) for r in range(kj, dj)
-        )
-    sub = Rep(RW.quiver, F, sub_dims, sub_mats)
-    quo = Rep(RW.quiver, F, tuple(RW.dims[v] - sub_dims[v] for v in range(n)), quo_mats)
-    return sub, quo
 
 
 def aut_count(M: Rep, q: int) -> int:

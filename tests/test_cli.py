@@ -109,16 +109,35 @@ def test_hall_commands(capsys):
 def test_verify_commands(capsys):
     code, out = run(capsys, "verify", "presentation", "--type", "A2", "--m-range", "0..2")
     assert code == 0 and "failures: 0" in out
-    code, out = run(capsys, "verify", "all", "--type", "A2", "--desk")
+    code, out = run(capsys, "verify", "all", "--type", "A2")
     assert code == 0
     assert "FAIL" not in out
     assert "PASS  series route agrees with the table (D4)" in out
+    # verify all is always the desk battery; --desk is not a flag
+    assert main(["verify", "all", "--type", "A2", "--desk"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --desk" in captured.err
 
 
 def test_exit_codes(capsys):
     # usage error
     assert main(["qcartan"]) == 1
     assert main(["qchar", "standard", "--type", "A2", "-m", "Z[1]"]) == 1
+    # a malformed range or type name is named in the message
+    for argv, message in [
+        (["phi", "--type", "A2", "--window", "3"], "--window must be lo..hi with integer ends, got '3'"),
+        (
+            ["verify", "presentation", "--type", "A2", "--m-range", "0..x"],
+            "--m-range must be lo..hi with integer ends, got '0..x'",
+        ),
+        (["qcartan", "--type", "A"], "unsupported type A"),
+        (["qcartan", "--type", ""], "unsupported type "),
+    ]:
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
     # resource cap
     code = main(
         ["hall", "number", "--type", "A2", "--q", "2", "--x", "1*3", "--y", "2*3", "--w", "1*3,2*3"]
@@ -264,6 +283,20 @@ def test_qchar_names_the_missing_flag(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("what,flags", [
+    ("fundamental", ["--i", "1", "--p", "0"]),
+    ("standard", ["-m", "Y[1,0]"]),
+    ("simple", ["-m", "Y[1,0]"]),
+])
+@pytest.mark.parametrize("orientation", [["--xi", "0,1"], ["--arrows", "1-2"]])
+def test_qchar_rejects_an_orientation_it_does_not_read(capsys, what, flags, orientation):
+    # these subcommands compute full characters, which have no orientation
+    assert main(["qchar", what, "--type", "A2", *flags, *orientation]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: qchar {what} takes no orientation (--xi/--arrows)\n"
 
 
 def test_failed_internal_check_exits_2(capsys, monkeypatch):

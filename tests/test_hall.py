@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import functools
 import itertools
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qgroth.cartan import cartan_datum
+from qgroth.cartan import cartan_datum, rref
 from qgroth.characters import CategoryQ
 from qgroth.hall import (
     GF,
@@ -19,7 +20,10 @@ from qgroth.hall import (
     check_h_relations,
     constant_identity_holds,
     hall_number,
+    _cell,
+    _coordinates,
     _iso_tables,
+    _subspaces,
     hom_basis,
     hom_dim,
     interval_rep,
@@ -62,44 +66,96 @@ def test_hall_numbers():
         assert hall_number(S2, S1, X12, q, p) == 1
         assert hall_number(S1, S2, X12, q, p) == 0
         assert hall_number(S1, S2, IsoClass({(1, 0): 1, (0, 1): 1}), q, p) == 1
+        # the subrepresentations X12 of X12 + X12 are the q + 1 lines of F_q^2,
+        # most of them spanned by a vector off the coordinate axes
+        assert hall_number(X12, X12, IsoClass({(1, 1): 2}), q, p) == p + 1
+
+
+def _triples(quiver, q, max_total):
+    # every (X, Y, W) with dim X + dim Y = dim W and total dimension <= max_total
+    dh = DerivedHall(quiver, q)
+    n = quiver.cartan.n
+    for dw in itertools.product(range(max_total + 1), repeat=n):
+        if sum(dw) > max_total:
+            continue
+        for W in dh._isoclasses_of_dim(dw):
+            for dx in itertools.product(*[range(d + 1) for d in dw]):
+                for X in dh._isoclasses_of_dim(dx):
+                    for Y in dh._isoclasses_of_dim(tuple(a - b for a, b in zip(dw, dx))):
+                        yield X, Y, W
 
 
 def test_riedtmann_count_consistency():
-    # the number of exact pairs X >-> W ->> Y equals g^W_{X,Y} |Aut X| |Aut Y|
-    import itertools
+    # the number of exact pairs X >-> W ->> Y equals g^W_{X,Y} |Aut X| |Aut Y|,
+    # on every (X, Y, W) of total dimension <= 3 over A1-A3 in every orientation
+    from qgroth.hall import _hom_elements, mat_mul, mat_rank
 
-    from qgroth.hall import _hom_elements, mat_mul, mat_rank, _zero
+    for name, p in itertools.product(("A1", "A2", "A3"), (2, 3)):
+        F = GF(p)
+        for q in _orientations(cartan_datum(name)):
+            n = q.cartan.n
+            model = functools.cache(lambda Z: model_rep(q, F, Z))
+            aut = functools.cache(lambda Z: aut_count(model(Z), p))
 
-    q = a2_quiver()
-    p = 2
-    F = GF(p)
-    for X, Y, W in [
-        (S2, S1, X12),
-        (S1, S2, IsoClass({(1, 0): 1, (0, 1): 1})),
-        (S1, S1, IsoClass({(1, 0): 2})),
-    ]:
-        RX, RY, RW = (model_rep(q, F, Z) for Z in (X, Y, W))
-        n = q.cartan.n
-        dX, dY, dW = RX.dims, RY.dims, RW.dims
-        count = 0
-        sf = [(dW[v], dX[v]) for v in range(n)]
-        sg = [(dY[v], dW[v]) for v in range(n)]
-        for f in _hom_elements(F, hom_basis(RX, RW), sf):
-            if any(mat_rank(F, f[v]) != dX[v] for v in range(n)):
-                continue
-            for g in _hom_elements(F, hom_basis(RW, RY), sg):
-                ok = True
-                for v in range(n):
-                    if dX[v] and dY[v] and any(any(r) for r in mat_mul(F, g[v], f[v])):
-                        ok = False
-                        break
-                    if mat_rank(F, g[v]) != dY[v]:
-                        ok = False
-                        break
-                if ok:
-                    count += 1
-        expected = hall_number(X, Y, W, q, p) * aut_count(RX, p) * aut_count(RY, p)
-        assert count == expected, (X, Y, W)
+            @functools.cache
+            def full_rank(A, B):
+                # Hom(A, B) of rank min(dim A_v, dim B_v) at every vertex: the
+                # monomorphisms X -> W, or the epimorphisms W -> Y
+                shapes = [(b, a) for a, b in zip(model(A).dims, model(B).dims)]
+                return [
+                    h for h in _hom_elements(F, hom_basis(model(A), model(B)), shapes)
+                    if all(mat_rank(F, h[v]) == min(shapes[v]) for v in range(n))
+                ]
+
+            for X, Y, W in _triples(q, p, 3):
+                # dimensions add up, so a mono f and an epi g with g f = 0 are exact
+                count = sum(
+                    all(not any(map(any, mat_mul(F, g[v], f[v]))) for v in range(n))
+                    for f in full_rank(X, W)
+                    for g in full_rank(W, Y)
+                )
+                expected = hall_number(X, Y, W, q, p) * aut(X) * aut(Y)
+                assert count == expected, (p, q.arrows, X, Y, W)
+
+
+def _gaussian_binomial(d, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_subspaces_are_the_schubert_cells(q):
+    # each k-dimensional subspace of F^d comes out once, in reduced echelon
+    # form, and `_coordinates` inverts its adapted basis: the echelon rows,
+    # then the unit vectors off the pivots
+    F = GF(q)
+    for d in range(5):
+        for k in range(d + 1):
+            bases = list(_subspaces(F, d, k))
+            assert len(bases) == _gaussian_binomial(d, k, q)
+            spans = set()
+            for basis in bases:
+                red, pivots = rref(basis, F)
+                assert tuple(map(tuple, red)) == basis and len(pivots) == k
+                cell = _cell(basis, d)
+                span = set()
+                for cs in itertools.product(range(q), repeat=k):
+                    v = [
+                        functools.reduce(F.add, (F.mul(c, row[i]) for c, row in zip(cs, basis)), 0)
+                        for i in range(d)
+                    ]
+                    span.add(tuple(v))
+                    assert _coordinates(F, cell, v) == (list(cs), [0] * (d - k))
+                    for t, c in enumerate(cell[2]):
+                        w = list(v)
+                        w[c] = F.add(w[c], 1)
+                        assert _coordinates(F, cell, w) == (list(cs), [int(s == t) for s in range(d - k)])
+                assert len(span) == q**k
+                spans.add(frozenset(span))
+            assert len(spans) == len(bases)
 
 
 def test_gamma_examples():
