@@ -102,13 +102,7 @@ class CartanDatum:
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         self._check_vertex(i)
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
+        return _neighbors(self.kind, self.n)[i - 1]
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbors(i)
@@ -252,6 +246,13 @@ def _cartan_matrix(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
         tuple(2 if i == j else (-1 if (i + 1, j + 1) in adj else 0) for j in range(n))
         for i in range(n)
     )
+
+
+@lru_cache(maxsize=None)
+def _neighbors(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbours of each vertex, indexed from 0."""
+    rows = _cartan_matrix(kind, n)
+    return tuple(tuple(j + 1 for j, c in enumerate(row) if c == -1) for row in rows)
 
 
 # The rational numbers as a field for `rref`: exact, through Fraction.

@@ -463,6 +463,7 @@ class CategoryQ:
         self.positions = qctx.positions
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
+        self._pairs: dict[tuple[int, ...], list[dict]] = {}
         self._check_torus_isomorphism()
 
     def _check_torus_isomorphism(self) -> None:
@@ -559,11 +560,14 @@ class CategoryQ:
 
     def dominant_pairs(self, d) -> list[dict]:
         """All decompositions of the dimension vector d into positive roots,
-        paired with their dominant monomials and exchange-monomial columns."""
+        paired with their dominant monomials and exchange-monomial columns.
+        Memoised per d: callers read the rows and do not change them."""
         cd = self.cartan
         d = tuple(d)
         if len(d) != cd.n:
             raise RankMismatch(f"dimension vector has {len(d)} entries, {cd.kind}{cd.n} has rank {cd.n}")
+        if d in self._pairs:
+            return self._pairs[d]
         betas = [cd.root_coords(b) for b in self.qctx.word.betas]
         rows: list[dict] = []
         topmon = Monomial(
@@ -591,6 +595,7 @@ class CategoryQ:
                 raise CharacterError("decomposition monomial is not below the top monomial")
             row["a_column"] = dict(v)
         rows.sort(key=lambda r: tuple(-x for x in r["avec"]))
+        self._pairs[d] = rows
         return rows
 
     def dominant_avecs_up_to(self, degree: int) -> list[tuple[int, ...]]:
@@ -636,7 +641,10 @@ class CategoryQ:
             row["avec"] for row in self.dominant_pairs(deg) if self.leq(row["avec"], a)
         ]
 
-    def truncated_simple(self, a) -> TorusElement:
+    def truncated_simple(self, a, standard: Callable = None) -> TorusElement:
+        """Bar-inversion over the truncated standard classes below a, read from
+        `standard` (a vector -> class map of a's weight space) when given."""
         a = self._dominant_avec(a)
-        basis = {c: self.truncated_standard(c) for c in self.candidates_below(a)}
+        standard = standard or self.truncated_standard
+        basis = {c: standard(c) for c in self.candidates_below(a)}
         return bar_invariant_correction(a, basis, self.is_dominant, self.leq)

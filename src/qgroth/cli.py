@@ -511,18 +511,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Merge an optional JSON config file into the argument list.  Explicit
-    flags win: config entries are appended only when the flag is absent."""
-    if "--config" not in argv:
+    """Merge an optional JSON config file (--config FILE or --config=FILE) into
+    the argument list.  Explicit flags win, given as --flag value or as
+    --flag=value: config entries are appended only when the flag is absent."""
+    idx = next((k for k, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
-    argv = argv[:idx] + argv[idx + 2 :]
+    _, eq, path = argv[idx].partition("=")
+    if not eq:
+        if idx + 1 == len(argv):
+            raise ValueError("--config requires a FILE")
+        path = argv[idx + 1]
+    argv = argv[:idx] + argv[idx + (1 if eq else 2) :]
     with open(path) as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError("--config FILE must hold a JSON object")
+    given = {tok.partition("=")[0] for tok in argv if tok.startswith("--")}
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:
+        if flag not in given:
             argv += [flag, str(value)]
     return argv
 
@@ -536,7 +544,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    except (OSError, json.JSONDecodeError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:

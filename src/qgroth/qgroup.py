@@ -34,6 +34,8 @@ class QGroupSide:
         self.xt = cat.xt
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[tuple[int, ...], TorusElement] = {}
+        self._etilde: dict[tuple[int, ...], TorusElement] = {}
+        self._pbw: dict[tuple[int, ...], TorusElement] = {}
         # doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
         self._c2 = []
         for k in range(1, self.r + 1):
@@ -100,18 +102,27 @@ class QGroupSide:
     def e_star(self, k: int) -> TorusElement:
         return self.minor(self.word.kminus(k), k)
 
+    def _pbw_product(self, a: tuple) -> TorusElement:
+        """E*(1)^a1 ... E*(r)^ar, unshifted: the memoised product with one
+        factor fewer, times E*(k) for the last k with a_k > 0."""
+        ks = [k for k, x in enumerate(a) if x > 0]
+        if not ks:
+            return self.xt.one()
+        if a not in self._pbw:
+            k = ks[-1]
+            self._pbw[a] = self._pbw_product(a[:k] + (a[k] - 1,) + a[k + 1 :]) * self.e_star(k + 1)
+        return self._pbw[a]
+
     def e_star_vec(self, a) -> TorusElement:
         a = tuple(a)
-        out = self.xt.one()
-        for k in range(1, self.r + 1):
-            f = self.e_star(k)
-            for _ in range(a[k - 1]):
-                out = out * f
-        return out.tshift(-sum(x * (x - 1) for x in a))
+        return self._pbw_product(a).tshift(-sum(x * (x - 1) for x in a))
 
     def e_tilde(self, a) -> TorusElement:
-        nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
-        return self.e_star_vec(a).tshift(nb)
+        a = tuple(a)
+        if a not in self._etilde:
+            nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
+            self._etilde[a] = self.e_star_vec(a).tshift(nb)
+        return self._etilde[a]
 
     def b_tilde(self, a) -> TorusElement:
         """Rescaled dual canonical vector: sigma-invariant, unitriangular with
@@ -141,17 +152,26 @@ class QGroupSide:
         """For every dominant exponent vector of weight-degree at most the
         bound: the truncated simple class must equal the rescaled dual
         canonical vector, and the truncated standard class the rescaled dual
-        PBW vector."""
+        PBW vector.  Weight space by weight space, each truncated standard
+        class is built once; the character route and the quantum-group route
+        stay separate computations."""
         if degree_bound < 0:
             raise ValueError(f"negative degree bound {degree_bound}")
-        return [
-            {
-                "avec": a,
-                "simple_matches_dual_canonical": self.cat.truncated_simple(a) == self.b_tilde(a),
-                "standard_matches_dual_pbw": self.cat.truncated_standard(a) == self.e_tilde(a),
-            }
-            for a in self.cat.dominant_avecs_up_to(degree_bound)
-        ]
+        avecs = self.cat.dominant_avecs_up_to(degree_bound)
+        spaces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for a in avecs:
+            spaces.setdefault(self.cartan.root_coords(self.cat.beta_of(a)), []).append(a)
+        rows = {}
+        for space in spaces.values():
+            std = {a: self.cat.truncated_standard(a) for a in space}
+            for a in space:
+                simple = self.cat.truncated_simple(a, std.__getitem__)
+                rows[a] = {
+                    "avec": a,
+                    "simple_matches_dual_canonical": simple == self.b_tilde(a),
+                    "standard_matches_dual_pbw": std[a] == self.e_tilde(a),
+                }
+        return [rows[a] for a in avecs]
 
     def serre_check(self) -> list[tuple]:
         """Quantum Serre relations among the truncated fundamental classes

@@ -54,7 +54,8 @@ class QuiverDatum:
     def from_arrows(cartan: CartanDatum, arrows: Sequence[tuple[int, int]]) -> "QuiverDatum":
         """Derive xi by fixing xi = 0 at the smallest-index sink and propagating."""
         arrows = tuple(tuple(a) for a in arrows)
-        targets = {j for _, j in arrows}
+        for v in sorted({v for arrow in arrows for v in arrow}):
+            cartan._check_vertex(v)
         sources_of_arrows = {i for i, _ in arrows}
         sinks = sorted(v for v in cartan.vertices if v not in sources_of_arrows)
         if not sinks:

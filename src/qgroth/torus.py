@@ -13,8 +13,10 @@ exponent, where pair is an antisymmetric integer pairing on exponents.  The
 bar involution (t^(1/2) -> t^(-1/2) fixing basis monomials) is coefficientwise
 conjugation in this basis, on either side.
 
-A product does integer work per pair of terms (the big-torus pairing reads
-the table of N) and accumulates one map (key, doubled t-exponent) -> integer.
+A product does integer work per pair of terms and accumulates one map
+(key, doubled t-exponent) -> integer.  The pairing is a form of the left key,
+built once per left term, evaluated on the right key: on the rank-r torus one
+r-term dot product with a^T M, on the big torus a read of the table of N.
 Exact division (solving q * p = s) is by leading-term elimination with respect
 to a multiplication-compatible total order on exponents; the remainder is
 updated in place, and a heap on inverted keys (a > b iff a^-1 < b^-1) yields
@@ -24,6 +26,7 @@ the next leading key on either torus.
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Iterable, Optional
 
 from .cartan import Weight
@@ -170,6 +173,9 @@ class YTorus:
                     total -= u * v * row[j][(s - p - 1) % h2]
         return total
 
+    form = staticmethod(lambda m: m)
+    form_pair = property(lambda self: self.pair2)
+
     key_one = staticmethod(Monomial.unit)
     key_mul = staticmethod(lambda a, b: a * b)
     key_inv = staticmethod(lambda a: a.inverse())
@@ -276,12 +282,13 @@ class TorusElement:
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         ctx = self.ctx
-        key_mul, pair2 = ctx.key_mul, ctx.pair2
+        key_mul, form, form_pair = ctx.key_mul, ctx.form, ctx.form_pair
         acc: dict = {}
         for k1, c1 in self.terms.items():
+            f1 = form(k1)
             for k2, c2 in other.terms.items():
                 k = key_mul(k1, k2)
-                s = pair2(k1, k2)
+                s = form_pair(f1, k2)
                 w = acc.get(k)
                 if w is None:
                     w = acc[k] = {}
@@ -360,6 +367,8 @@ class XTorus:
 
     Exponent keys are integer r-tuples a, with
     X^a X^b = t^(pair/2) X^(a+b),  pair = sum_{k<l} (beta_k, beta_l)(a_l b_k - a_k b_l).
+    That is pair = a^T M b with M antisymmetric, M_kl = -(beta_k, beta_l) for k < l;
+    products evaluate a^T M (`form`), and `pair2` is the reference sum.
     """
 
     def __init__(self, betas: tuple[Weight, ...], cartan):
@@ -368,6 +377,7 @@ class XTorus:
         self.s = [
             [cartan.sprod(betas[k], betas[l]) for l in range(self.r)] for k in range(self.r)
         ]
+        self._mcols = [[((k > l) - (k < l)) * row[l] for k, row in enumerate(self.s)] for l in range(self.r)]
 
     def pair2(self, a: tuple, b: tuple) -> int:
         total = 0
@@ -381,6 +391,12 @@ class XTorus:
                 if a[l] or b[l]:
                     total += srow[l] * (a[l] * bk - ak * b[l])
         return total
+
+    def form(self, a: tuple) -> list[int]:
+        """The row vector a^T M: pair2(a, b) is its dot product with b."""
+        return [sum(map(operator.mul, a, col)) for col in self._mcols]
+
+    form_pair = staticmethod(lambda w, b: sum(map(operator.mul, w, b)))
 
     def key_one(self) -> tuple:
         return (0,) * self.r

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgroth.cartan import QQ, CartanDatum, RankMismatch, Weight, cartan_datum, rref, solve
+from qgroth.cartan import QQ, SUPPORTED, CartanDatum, RankMismatch, Weight, cartan_datum, rref, solve
 from qgroth.hall import GF, mat_rank, nullspace_basis
 
 TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"]
@@ -99,6 +99,19 @@ def test_nu_involution():
 def test_d4_trivalent_node_is_3():
     cd = cartan_datum("D4")
     assert cd.neighbors(3) == (1, 2, 4)
+
+
+@pytest.mark.parametrize("kind,n", sorted(SUPPORTED))
+def test_neighbors_read_the_edges(kind, n):
+    # the per-type neighbour table agrees with the edge list on every supported type
+    cd = CartanDatum(kind, n)
+    for i in cd.vertices:
+        expected = sorted([b for a, b in cd.edges if a == i] + [a for a, b in cd.edges if b == i])
+        assert cd.neighbors(i) == tuple(expected)
+        assert all(cd.adjacent(i, j) == (j in expected) for j in cd.vertices)
+    for i in (0, n + 1):
+        with pytest.raises(RankMismatch, match=f"vertex {i} out of range for {kind}{n}"):
+            cd.neighbors(i)
 
 
 def test_root_coords_roundtrip():

@@ -175,6 +175,58 @@ def test_config_and_cache(tmp_path, capsys):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "3", "null"])
+def test_config_must_hold_an_object(tmp_path, capsys, content):
+    # a JSON list once ended in an AttributeError traceback
+    conf = tmp_path / "conf.json"
+    conf.write_text(content)
+    assert main(["tsystem", "--config", str(conf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --config FILE must hold a JSON object\n"
+
+
+def test_config_without_a_file_names_the_flag(capsys):
+    # once "usage error: list index out of range"
+    assert main(["tsystem", "--type", "A2", "--config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --config requires a FILE\n"
+
+
+def test_config_in_the_equals_form_is_read(tmp_path, capsys):
+    # --config=FILE was once silently ignored
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"type": "A3", "i": 1, "k": 1}')
+    code, out = run(capsys, "tsystem", f"--config={conf}")
+    assert code == 0 and out == "alpha(1,1) = -1/2\ngamma(1,1) = 1/2\n"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("type_flag", [["--type", "A3"], ["--type=A3"]])
+@pytest.mark.parametrize("config_flag", ["--config", "--config="])
+def test_explicit_flags_win_over_the_config_in_both_forms(tmp_path, capsys, type_flag, config_flag):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"type": "A2", "mmax": 2}')
+    config = [f"--config={conf}"] if config_flag.endswith("=") else ["--config", str(conf)]
+    code, out = run(capsys, "qcartan", *type_flag, *config)
+    assert code == 0
+    assert out.splitlines() == [
+        f"C~[{i},{j}](z) = {'z^1' if i == j else 'z^2' if abs(i - j) == 1 else '0'}"
+        for i in (1, 2, 3)
+        for j in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("arrows,vertex", [("0-1", 0), ("1-9", 9), ("1-2,2-3", 3)])
+def test_arrows_outside_the_diagram_name_the_vertex(capsys, arrows, vertex):
+    # "0-1" once ended in "usage error: 2", a KeyError from the height function
+    assert main(["canonical", "--type", "A2", f"--arrows={arrows}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: vertex {vertex} out of range for A2\n"
+
+
 def test_out_of_range_vertex_exits_without_hanging():
     # a vertex outside the diagram once sent the parity search into an endless
     # loop; run it in a child process so that a regression fails, not hangs

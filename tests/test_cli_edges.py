@@ -1,0 +1,109 @@
+"""Seeded argv near the edges of `canonical`, `dominant-pairs` and `--config`.
+
+Every drawn argv ends with exit 0, 1, 2 or 3, no exception escapes `main`, and
+on exit 0 stdout is one JSON document.  E-type `canonical` is left out: its
+running time is not bounded yet.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+from datetime import timedelta
+
+from hypothesis import given, seed, settings, strategies as st
+
+from qgroth.cli import main
+
+TYPES = ["A1", "A2", "A3", "A4", "D4"]
+MALFORMED_TYPES = ["", "A", "A0", "A9", "B3", "D3", "E5", "Z1", "4A", "A3x", "A-1", "a2"]
+MALFORMED_ARROWS = [
+    "", "1", "1-", "-1", "1-2-3", "x-y", "1-9", "0-1", "1-1", "2-1,1-2", "2-1,2-1", "1-2,",
+    "1->2", " 1-2", "1-3,2-3,3-4", "1-2,2-3,3-4,4-5",
+]
+ORIENTATIONS = {
+    "A2": ["1-2", "2-1"],
+    "A3": ["1-2,2-3", "2-1,2-3", "1-2,3-2", "2-1,3-2"],
+    "A4": ["1-2,2-3,3-4", "2-1,3-2,3-4", "1-2,3-2,4-3"],
+    "D4": ["1-3,2-3,3-4", "3-1,3-2,4-3", "1-3,3-2,3-4"],
+}
+WELL_FORMED_ARROWS = [a for values in ORIENTATIONS.values() for a in values]
+
+# well-formed values are drawn more often, so that a fair share of argv get to run
+types = st.sampled_from(TYPES * 4 + MALFORMED_TYPES)
+degree_bounds = st.none() | st.integers(min_value=-1, max_value=2)
+dimension_vectors = st.lists(st.integers(min_value=-1, max_value=2), max_size=5).map(
+    lambda d: ",".join(map(str, d))
+) | st.sampled_from(["", ",", "1,,1", "x", "1.5", "1;1"])
+config_objects = st.fixed_dictionaries(
+    {},
+    optional={
+        "type": types,
+        "degree_bound": st.integers(min_value=-1, max_value=2),
+        "arrows": st.sampled_from(WELL_FORMED_ARROWS + MALFORMED_ARROWS),
+        "d": dimension_vectors,
+        "format": st.sampled_from(["text", "json"]),
+    },
+)
+# an object, a list, a scalar or nothing at all
+config_texts = (
+    config_objects.map(json.dumps)
+    | config_objects.map(json.dumps)
+    | st.lists(st.integers(), max_size=3).map(json.dumps)
+    | st.sampled_from(["3", '"A2"', "null", "true", ""])
+)
+
+
+def _flag(name, value, equals):
+    return [f"{name}={value}"] if equals else [name, value]
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(["canonical", "dominant-pairs"]))
+    argv = [cmd]
+    name = draw(types)
+    if draw(st.integers(min_value=0, max_value=5)):
+        argv += _flag("--type", name, draw(st.booleans()))
+    if draw(st.booleans()):
+        value = draw(st.sampled_from(ORIENTATIONS.get(name, []) * 4 + MALFORMED_ARROWS))
+        # the equals form lets a value that starts with "-" through
+        argv += _flag("--arrows", value, True)
+    if cmd == "canonical":
+        bound = draw(degree_bounds)
+        if bound is not None:
+            argv += _flag("--degree-bound", str(bound), draw(st.booleans()))
+    elif draw(st.integers(min_value=0, max_value=5)):
+        rank = int(name[1:]) if name in TYPES else 3
+        entries = st.integers(min_value=-1, max_value=2)
+        d = st.lists(entries, min_size=rank, max_size=rank).map(lambda d: ",".join(map(str, d)))
+        argv += _flag("--d", draw(d | d | dimension_vectors), True)
+    argv += ["--format", "json"]
+    config = draw(config_texts) if draw(st.booleans()) else None
+    where = draw(st.sampled_from(["space", "equals"] * 3 + ["last"]))
+    return argv, config, where
+
+
+@seed(20261018)
+@given(argvs())
+@settings(max_examples=300, deadline=timedelta(seconds=20))
+def test_canonical_dominant_pairs_and_config_edges_end_in_a_documented_exit(case):
+    argv, config, where = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = pathlib.Path(tmp) / "conf.json"
+            path.write_text(config)
+            if where == "last":
+                argv = argv + ["--config"]
+            else:
+                argv = argv + _flag("--config", str(path), where == "equals")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, config)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue(), (argv, config)

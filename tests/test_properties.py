@@ -1,8 +1,10 @@
 """Property-based checks of the algebraic invariants."""
 
-from hypothesis import given, settings, strategies as st
+from functools import lru_cache
 
-from qgroth.cartan import cartan_datum
+from hypothesis import given, seed, settings, strategies as st
+
+from qgroth.cartan import SUPPORTED, cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
@@ -190,3 +192,25 @@ def test_sort_key_is_dense_lex_and_additive(name, data):
     assert (k1 == k2) == (m1 == m2)
     k13, k23 = (m1 * m3).sort_key(), (m2 * m3).sort_key()
     assert (k13 > k23) - (k13 < k23) == dense_cmp(m1, m2)
+
+
+@lru_cache(maxsize=None)
+def bipartite_xtorus(name):
+    cd = cartan_datum(name)
+    ctx = QuiverContext(QuiverDatum.bipartite(cd))
+    return XTorus(ctx.word.betas, cd)
+
+
+@seed(20261018)
+@given(st.sampled_from(sorted(f"{kind}{n}" for kind, n in SUPPORTED)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_x_linear_form_matches_pair2(name, data):
+    # products pair each left key through its row vector a^T M; pair2 is the reference
+    xt = bipartite_xtorus(name)
+    key = st.lists(
+        st.integers(min_value=-3, max_value=3), min_size=xt.r, max_size=xt.r
+    ).map(tuple)
+    a, b = data.draw(key), data.draw(key)
+    assert xt.form_pair(xt.form(a), b) == xt.pair2(a, b)
+    unit = xt.unit_vector(data.draw(st.integers(min_value=1, max_value=xt.r)))
+    assert xt.form_pair(xt.form(unit), b) == xt.pair2(unit, b)

@@ -209,6 +209,63 @@ def test_verify_mainth_degree3_several_orientations(contexts):
             assert r["standard_matches_dual_pbw"], (name, xi, r["avec"])
 
 
+def _pbw_by_definition(qg, a):
+    """v^(N(beta)/2) E*(1)^a1 ... E*(r)^ar, shifted by -sum a_k(a_k - 1), one factor at a time."""
+    out = qg.xt.one()
+    for k, x in enumerate(a, start=1):
+        for _ in range(x):
+            out = out * qg.e_star(k)
+    nb, _ = n_gamma(qg.cartan, qg.cat.beta_of(a))
+    return out.tshift(nb - sum(x * (x - 1) for x in a))
+
+
+@pytest.mark.parametrize("quiver,degree", [
+    *((q, 4) for q in all_orientations("A3")),
+    (next(all_orientations("D4")), 3),
+])
+def test_verify_mainth_rows_match_one_vector_at_a_time(quiver, degree):
+    # the weight-space grouping and the request-wide memos change no row: each
+    # vector again on fresh objects, and the bases themselves compared
+    ctx = QuiverContext(quiver)
+    qg = QGroupSide(CategoryQ(ctx))
+    rows = qg.verify_mainth(degree)
+    assert [r["avec"] for r in rows] == qg.cat.dominant_avecs_up_to(degree)
+    for row in rows:
+        a = row["avec"]
+        cat = CategoryQ(ctx)
+        fresh = QGroupSide(cat)
+        simple, btilde = cat.truncated_simple(a), fresh.b_tilde(a)
+        standard, etilde = cat.truncated_standard(a), fresh.e_tilde(a)
+        assert row == {
+            "avec": a,
+            "simple_matches_dual_canonical": simple == btilde,
+            "standard_matches_dual_pbw": standard == etilde,
+        }
+        assert qg.b_tilde(a) == btilde and qg.e_tilde(a) == etilde == _pbw_by_definition(fresh, a)
+
+
+@pytest.mark.parametrize("name,arrows,degree", [("A3", "1-2,3-2", 4), ("D4", "1-3,2-3,3-4", 3)])
+def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, name, arrows, degree):
+    from qgroth.cli import main
+
+    calls = {"e_star_vec": [], "truncated_standard": []}
+    for owner, attr in ((QGroupSide, "e_star_vec"), (CategoryQ, "truncated_standard")):
+        def counted(self, a, _fn=getattr(owner, attr), _log=calls[attr]):
+            _log.append(tuple(a))
+            return _fn(self, a)
+
+        monkeypatch.setattr(owner, attr, counted)
+    argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree)]
+    assert main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    cd = cartan_datum(name)
+    arrow_list = [tuple(int(v) for v in tok.split("-")) for tok in arrows.split(",")]
+    cat = CategoryQ(QuiverContext(QuiverDatum.from_arrows(cd, arrow_list)))
+    avecs = cat.dominant_avecs_up_to(degree)
+    for log in calls.values():
+        assert sorted(log) == sorted(avecs)
+
+
 def test_fundamental_to_rescaled_pbw(a3):
     # the image of a truncated fundamental is v^(N(beta_d)/2) E*(beta_d)
     cat, qg = a3
