@@ -566,6 +566,8 @@ class CategoryQ:
         d = tuple(d)
         if len(d) != cd.n:
             raise RankMismatch(f"dimension vector has {len(d)} entries, {cd.kind}{cd.n} has rank {cd.n}")
+        if any(x < 0 for x in d):
+            raise ValueError(f"dimension vector {','.join(map(str, d))} has a negative entry")
         if d in self._pairs:
             return self._pairs[d]
         betas = [cd.root_coords(b) for b in self.qctx.word.betas]

@@ -510,10 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
     """Merge an optional JSON config file (--config FILE or --config=FILE) into
-    the argument list.  Explicit flags win, given as --flag value or as
-    --flag=value: config entries are appended only when the flag is absent."""
+    the argument list.  Each key must name a valued option of the subcommand;
+    its entry goes in front of the explicit flags, so any spelling of a flag
+    given on the command line (-m, --monomial=..., an abbreviation) wins."""
     idx = next((k for k, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     if idx is None:
         return argv
@@ -527,12 +528,21 @@ def _apply_config(argv: list[str]) -> list[str]:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("--config FILE must hold a JSON object")
-    given = {tok.partition("=")[0] for tok in argv if tok.startswith("--")}
+    # the top-level parser has no valued options: the first word is the subcommand
+    at = next((k for k, tok in enumerate(argv) if not tok.startswith("-")), None)
+    subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if at is None or argv[at] not in subs:
+        return argv  # argparse names the missing or unknown subcommand
+    cmd = argv[at]
+    # a config file cannot name another one
+    valued = {s for a in subs[cmd]._actions if a.nargs != 0 for s in a.option_strings} - {"--config"}
+    entries = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in given:
-            argv += [flag, str(value)]
-    return argv
+        if flag not in valued:
+            raise ValueError(f"config key {key!r} is not an option of {cmd}")
+        entries.append(f"{flag}={value}")
+    return argv[: at + 1] + entries + argv[at + 1 :]
 
 
 def main(argv=None) -> int:
@@ -540,7 +550,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _apply_config(list(argv))
+        argv = _apply_config(list(argv), ap)
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1

@@ -175,22 +175,22 @@ class QGroupSide:
 
     def serre_check(self) -> list[tuple]:
         """Quantum Serre relations among the truncated fundamental classes
-        sitting at the simple-root positions."""
+        sitting at the simple-root positions, as the nested q-commutator
+        [x_i, [x_i, x_j]_t]_{t^-1} for adjacent i, j and [x_i, x_j] otherwise."""
         failures = []
         gens = {}
         for i in self.cartan.vertices:
             pos = self.cat.qctx.phi.phi_inverse(self.cartan.alpha(i), 0)
             gens[i] = self.cat.truncated_fundamental(*pos)
-        tpt = HalfLaurent.t_power(2) + HalfLaurent.t_power(-2)
         for i in self.cartan.vertices:
             for j in self.cartan.vertices:
                 if i == j:
                     continue
                 xi, xj = gens[i], gens[j]
                 if self.cartan.adjacent(i, j):
-                    lhs = xi * xi * xj - (xi * xj * xi).scal(tpt) + xj * xi * xi
+                    lhs = xi.qcommutator(xi.qcommutator(xj, 2), -2)
                 else:
-                    lhs = xi * xj - xj * xi
+                    lhs = xi.qcommutator(xj, 0)
                 if not lhs.is_zero():
                     failures.append((i, j, lhs))
         return failures

@@ -17,6 +17,9 @@ A product does integer work per pair of terms and accumulates one map
 (key, doubled t-exponent) -> integer.  The pairing is a form of the left key,
 built once per left term, evaluated on the right key: on the rank-r torus one
 r-term dot product with a^T M, on the big torus a read of the table of N.
+The q-commutator x y - t^(e/2) y x shares that pass: a pair of terms lands on
+the same key in both products, with pairings s and -s, so it costs one key
+product and one pairing and writes two entries.
 Exact division (solving q * p = s) is by leading-term elimination with respect
 to a multiplication-compatible total order on exponents; the remainder is
 updated in place, and a heap on inverted keys (a > b iff a^-1 < b^-1) yields
@@ -281,6 +284,16 @@ class TorusElement:
         return TorusElement(self.ctx, {k: v.shift(exp2) for k, v in self.terms.items()})
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
+        return self._convolve(other, None)
+
+    def qcommutator(self, other: "TorusElement", exp2: int) -> "TorusElement":
+        """The q-commutator self*other - t^(exp2/2) other*self."""
+        return self._convolve(other, exp2)
+
+    def _convolve(self, other: "TorusElement", exp2: int | None) -> "TorusElement":
+        """self*other, minus t^(exp2/2) other*self unless exp2 is None, in one
+        pass over pairs of terms: both products of a pair land on k1 k2, with
+        pairings s and -s, so the second entry sits exp2 - 2s above the first."""
         ctx = self.ctx
         key_mul, form, form_pair = ctx.key_mul, ctx.form, ctx.form_pair
         acc: dict = {}
@@ -289,13 +302,17 @@ class TorusElement:
             for k2, c2 in other.terms.items():
                 k = key_mul(k1, k2)
                 s = form_pair(f1, k2)
+                twin = None if exp2 is None else exp2 - 2 * s
                 w = acc.get(k)
                 if w is None:
                     w = acc[k] = {}
                 for e1, v1 in c1.c.items():
                     for e2, v2 in c2.c.items():
-                        e = e1 + e2 + s
-                        w[e] = w.get(e, 0) + v1 * v2
+                        e, v = e1 + e2 + s, v1 * v2
+                        w[e] = w.get(e, 0) + v
+                        if twin is not None:
+                            e += twin
+                            w[e] = w.get(e, 0) - v
         return TorusElement(ctx, {k: HalfLaurent(w) for k, w in acc.items()})
 
     def bar(self) -> "TorusElement":

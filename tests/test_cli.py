@@ -218,6 +218,39 @@ def test_explicit_flags_win_over_the_config_in_both_forms(tmp_path, capsys, type
     ]
 
 
+@pytest.mark.parametrize("monomial_flag", [["-m", "Y[1,0]"], ["-mY[1,0]"], ["--monomial=Y[1,0]"], ["--mono", "Y[1,0]"]])
+def test_the_short_alias_wins_over_the_config(tmp_path, capsys, monomial_flag):
+    # -m once lost to a config "monomial": the class of Y[1,0]Y[1,2] was printed
+    conf = tmp_path / "mono.json"
+    conf.write_text('{"monomial": "Y[1,0]Y[1,2]"}')
+    code = main(["qchar", "simple", "--type", "A1", *monomial_flag, "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "Y[1,0] + Y[1,2]^-1\n", "")
+
+
+@pytest.mark.parametrize(
+    "cmd,key", [("canonical", "d"), ("canonical", "degree"), ("dominant-pairs", "degree_bound"), ("tsystem", "config")]
+)
+def test_a_config_key_that_is_not_an_option_is_named(tmp_path, capsys, cmd, key):
+    # {"d": "1,1"} on canonical was once expanded by argparse into --degree-bound,
+    # and a "config" key was silently ignored
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"type": "A2", key: "1,1"}))
+    assert main([cmd, "--config", str(conf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: config key {key!r} is not an option of {cmd}\n"
+
+
+@pytest.mark.parametrize("d", ["-1,1", "0,-2"])
+def test_negative_dimension_vectors_are_a_usage_error(capsys, d):
+    # "-1,1" once exited 0 with {"rows": []}
+    assert main(["dominant-pairs", "--type", "A2", f"--d={d}", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: dimension vector {d} has a negative entry\n"
+
+
 @pytest.mark.parametrize("arrows,vertex", [("0-1", 0), ("1-9", 9), ("1-2,2-3", 3)])
 def test_arrows_outside_the_diagram_name_the_vertex(capsys, arrows, vertex):
     # "0-1" once ended in "usage error: 2", a KeyError from the height function

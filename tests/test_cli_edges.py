@@ -1,4 +1,5 @@
-"""Seeded argv near the edges of `canonical`, `dominant-pairs` and `--config`.
+"""Seeded argv near the edges of `canonical`, `dominant-pairs`, `--config` and
+`verify presentation`.
 
 Every drawn argv ends with exit 0, 1, 2 or 3, no exception escapes `main`, and
 on exit 0 stdout is one JSON document.  E-type `canonical` is left out: its
@@ -7,6 +8,7 @@ running time is not bounded yet.
 
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import tempfile
@@ -85,6 +87,63 @@ def argvs(draw):
     return argv, config, where
 
 
+EDGES = {
+    "A1": [],
+    "A2": [(1, 2)],
+    "A3": [(1, 2), (2, 3)],
+    "A4": [(1, 2), (2, 3), (3, 4)],
+    "D4": [(1, 3), (2, 3), (3, 4)],
+}
+MALFORMED_RANGES = [
+    "", "..", "0..", "..2", "0...2", "a..b", "1.5..2", "0-2", "0..2..3", "0..x", "0:2", "--1..0",
+]
+
+
+def all_orientations(name):
+    """Every orientation of the diagram, as --arrows values."""
+    return [
+        ",".join(f"{a}-{b}" if keep else f"{b}-{a}" for (a, b), keep in zip(EDGES[name], flips))
+        for flips in itertools.product([True, False], repeat=len(EDGES[name]))
+    ]
+
+
+@st.composite
+def presentation_argvs(draw):
+    argv = ["verify", "presentation"]
+    name = draw(st.sampled_from(list(EDGES) * 6 + MALFORMED_TYPES))
+    argv += _flag("--type", name, draw(st.booleans()))
+    if name in EDGES and EDGES[name] and draw(st.integers(min_value=0, max_value=3)):
+        argv += _flag("--arrows", draw(st.sampled_from(all_orientations(name))), True)
+    elif draw(st.integers(min_value=0, max_value=5)) == 0:
+        argv += _flag("--arrows", draw(st.sampled_from(MALFORMED_ARROWS)), True)
+    lo = draw(st.integers(min_value=-20, max_value=20))
+    width = draw(st.integers(min_value=0, max_value=2))
+    kind = draw(st.sampled_from(["range"] * 6 + ["reversed", "malformed", "default"]))
+    if kind == "range":
+        argv += _flag("--m-range", f"{lo}..{lo + width}", True)
+    elif kind == "reversed":
+        argv += _flag("--m-range", f"{lo + width + 1}..{lo}", True)
+    elif kind == "malformed":
+        argv += _flag("--m-range", draw(st.sampled_from(MALFORMED_RANGES)), True)
+    return argv + ["--format", "json"]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented_exit(code, out, err, context):
+    assert code in (0, 1, 2, 3), context
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert err, context
+
+
 @seed(20261018)
 @given(argvs())
 @settings(max_examples=300, deadline=timedelta(seconds=20))
@@ -98,12 +157,18 @@ def test_canonical_dominant_pairs_and_config_edges_end_in_a_documented_exit(case
                 argv = argv + ["--config"]
             else:
                 argv = argv + _flag("--config", str(path), where == "equals")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, config)
-    assert "Traceback" not in err.getvalue()
+        code, out, err = _run(argv)
+    _assert_documented_exit(code, out, err, (argv, config))
+
+
+@seed(20261018)
+@given(presentation_argvs())
+@settings(max_examples=150, deadline=timedelta(seconds=20))
+def test_verify_presentation_edges_end_in_a_documented_exit(argv):
+    # A1-A4 pass in every orientation; D4 passes where no generator sits at
+    # the trivalent node and refuses its t-lift (exit 3) where one does;
+    # reversed and malformed level ranges are usage errors
+    code, out, err = _run(argv)
+    _assert_documented_exit(code, out, err, argv)
     if code == 0:
-        json.loads(out.getvalue())
-    else:
-        assert err.getvalue(), (argv, config)
+        assert json.loads(out) == {"failures": [], "ok": True}

@@ -17,7 +17,7 @@ def ytorus(name):
     return YTorus(quantum_cartan(cartan_datum(name)))
 
 
-YT = {name: ytorus(name) for name in ("A2", "A3", "D4")}
+YT = {name: ytorus(name) for name in ("A1", "A2", "A3", "A4", "D4")}
 _A3 = QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
 XT = XTorus(_A3.word.betas, _A3.cartan)
 
@@ -49,12 +49,10 @@ def elements(name, size=2):
     )
 
 
-xkeys = st.lists(st.integers(min_value=-2, max_value=2), min_size=XT.r, max_size=XT.r).map(tuple)
-
-
-def x_elements(size=3):
-    return st.lists(st.tuples(xkeys, coeffs), max_size=size).map(
-        lambda pairs: XT.element({a: c for a, c in pairs if not c.is_zero()})
+def x_elements(size=3, xt=XT):
+    keys = st.lists(st.integers(min_value=-2, max_value=2), min_size=xt.r, max_size=xt.r).map(tuple)
+    return st.lists(st.tuples(keys, coeffs), max_size=size).map(
+        lambda pairs: xt.element({a: c for a, c in pairs if not c.is_zero()})
     )
 
 
@@ -214,3 +212,35 @@ def test_x_linear_form_matches_pair2(name, data):
     assert xt.form_pair(xt.form(a), b) == xt.pair2(a, b)
     unit = xt.unit_vector(data.draw(st.integers(min_value=1, max_value=xt.r)))
     assert xt.form_pair(xt.form(unit), b) == xt.pair2(unit, b)
+
+
+def torus_elements(name, size=3):
+    """Y-elements on A1-A4, D4; X-elements on one orientation of A3, D4, E6."""
+    if name.startswith("X"):
+        return x_elements(size, bipartite_xtorus(name[1:]))
+    return elements(name, size)
+
+
+TORI = ["A1", "A2", "A3", "A4", "D4", "XA3", "XD4", "XE6"]
+T_PLUS_T_INV = HalfLaurent.t_power(2) + HalfLaurent.t_power(-2)
+
+
+@seed(20261018)
+@given(st.sampled_from(TORI), st.integers(min_value=-6, max_value=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_qcommutator_is_the_difference_of_the_two_products(name, exp2, data):
+    # one pass over pairs of terms against two products and a shift
+    a = data.draw(torus_elements(name))
+    b = data.draw(torus_elements(name))
+    assert a.qcommutator(b, exp2) == a * b - (b * a).tshift(exp2)
+
+
+@seed(20261018)
+@given(st.sampled_from(TORI), st.data())
+@settings(max_examples=100, deadline=None)
+def test_nested_qcommutator_is_the_serre_element(name, data):
+    # [a, [a, b]_t]_{t^-1} = a^2 b - (t + t^-1) a b a + b a^2
+    a = data.draw(torus_elements(name, size=2))
+    b = data.draw(torus_elements(name, size=2))
+    serre = a * a * b - (a * b * a).scal(T_PLUS_T_INV) + b * a * a
+    assert a.qcommutator(a.qcommutator(b, 2), -2) == serre
