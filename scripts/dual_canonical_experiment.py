@@ -32,19 +32,17 @@ def main() -> None:
     print("transition polynomials (nontrivial weight spaces):")
     seen = set()
     for r in qg.verify_mainth(degree):
-        deg = cd.root_coords(cat.beta_of(r["avec"]))
+        deg = cat.root_of(r["avec"])
         if deg in seen:
             continue
         seen.add(deg)
-        space = [tuple(row["avec"]) for row in cat.dominant_pairs(deg)]
-        if len(space) < 2:
+        depth = cat.depths(deg)
+        if len(depth) < 2:
             continue
-        basis = {c: qg.e_tilde(c) for c in space}
+        basis = {c: qg.e_tilde(c) for c in depth}
         print(f"  weight {deg}:")
-        for a in space:
-            coeffs = expand_in_dominant_basis(
-                qg.b_tilde(a), basis, cat.is_dominant, cat.leq
-            )
+        for a in depth:
+            coeffs = expand_in_dominant_basis(qg.b_tilde(a), basis, cat.is_dominant, depth)
             row = {k: v.render("v") for k, v in coeffs.items() if not v.is_zero()}
             print(f"    B~{a} = " + " + ".join(f"({c}) E~{k}" for k, c in sorted(row.items())))
 

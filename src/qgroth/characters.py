@@ -11,9 +11,9 @@ the spectral window [p, p+h].
 Multiplicity-free classical characters lift verbatim to bar-invariant
 t-characters (all coefficients 1).  Standard classes are ordered products of
 fundamental ones, normalized so the labelling monomial has coefficient 1.
-Simple classes are carved out of standard ones by a Kazhdan-Lusztig style
-bar-inversion: the unique bar-invariant element that is unitriangular with
-strictly negative t-powers over the standard basis.
+Simple classes are the unique bar-invariant elements unitriangular with
+strictly negative t-powers over the standard basis, solved by Lusztig's lemma
+once per weight space in an order that extends the Nakajima order.
 
 Truncated characters live in the rank-r torus attached to an orientation,
 keyed by exponent vectors over the positions of the index set.  That torus is
@@ -314,6 +314,8 @@ def dominant_below(yt: YTorus, m: Monomial, cap: int = 500000) -> list[Monomial]
     cd = yt.cartan
     if not m.is_dominant():
         raise ValueError("expected a dominant monomial")
+    for i, _ in m.support():
+        cd._check_vertex(i)
     if m.is_unit():
         return [m]
     lo, hi = m.min_p(), m.max_p()
@@ -356,62 +358,61 @@ def expand_in_dominant_basis(
     x: TorusElement,
     basis: dict,
     is_dominant_key: Callable,
-    leq: Callable,
+    depth: dict,
 ) -> dict:
     """Expansion of x over a family of elements each having a distinguished
-    dominant key with coefficient 1 and all other dominant keys strictly below
-    it.  Peels maximal present dominant keys."""
+    dominant key with unit coefficient and all other dominant keys deeper, by
+    `depth` (basis key -> integer growing strictly down the order).  Peeling
+    the present dominant key of least depth adds only deeper keys."""
     coeffs: dict = {}
     rem = x
-    guard = 0
     while rem:
-        guard += 1
-        if guard > 5000:
-            raise CharacterError("basis expansion did not terminate")
         doms = [k for k in rem.terms if is_dominant_key(k)]
         if not doms:
             raise CharacterError("element is not in the span of the given basis")
-        kstar = next(k for k in doms if not any(k != o and leq(k, o) for o in doms))
-        if kstar not in basis:
-            raise CharacterError(f"dominant key {kstar} missing from the basis")
+        for k in doms:
+            if k not in basis:
+                raise CharacterError(f"dominant key {k} missing from the basis")
+        kstar = min(doms, key=depth.__getitem__)
+        if kstar in coeffs:
+            raise CharacterError("basis is not triangular in depth")
         c = rem.terms[kstar].exact_div(basis[kstar].coeff(kstar))
         if c is None:
             raise CharacterError("expansion coefficient is not Laurent")
-        coeffs[kstar] = coeffs.get(kstar, HalfLaurent.zero()) + c
+        coeffs[kstar] = c
         rem = rem - basis[kstar].scal(c)
     return coeffs
 
 
-def bar_invariant_correction(
-    top,
-    basis: dict,
-    is_dominant_key: Callable,
-    leq: Callable,
-    conj: Callable = None,
-) -> TorusElement:
-    """The unique conj-invariant element equal to basis[top] plus strictly
-    negative t-power multiples of lower basis elements."""
-    x = basis[top]
-    conj = conj or (lambda e: e.bar())
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 2000:
-            raise CharacterError("bar-inversion did not terminate")
-        delta = conj(x) - x
-        if delta.is_zero():
-            return x
-        coeffs = expand_in_dominant_basis(delta, basis, is_dominant_key, leq)
-        coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        if top in coeffs:
+def bar_invariant_correction(basis: dict, is_dominant_key: Callable, depth: dict) -> dict:
+    """The bar-invariant L_a = sum_b P_ab M_b, P_aa = 1 and P_ab in
+    t^(-1/2) Z[t^(-1/2)] otherwise, for every key a of one weight space (basis
+    and depth as in `expand_in_dominant_basis`), by Lusztig's lemma: with
+    bar(M_c) - M_c = sum_{b<c} d_cb M_b, expanded once per c, the rows solve
+    P_ab - bar(P_ab) = sum_{b<c<=a} bar(P_ac) d_cb down the depth order."""
+    order = sorted(basis, key=depth.__getitem__)
+    defect = {}
+    for c in order:
+        delta = {k: w.conj() - w for k, w in basis[c].terms.items() if not w.is_symmetric()}
+        d = expand_in_dominant_basis(TorusElement(basis[c].ctx, delta), basis, is_dominant_key, depth)
+        if any(depth[b] <= depth[c] for b in d):
             raise CharacterError("bar defect is not strictly triangular")
-        kstar = next(
-            k for k in coeffs if not any(k != o and leq(k, o) for o in coeffs)
-        )
-        d = coeffs[kstar]
-        if not d.is_antisymmetric():
-            raise CharacterError("bar defect coefficient is not antisymmetric")
-        x = x + basis[kstar].scal(d.negative_part())
+        defect[c] = d
+    out = {}
+    for n, a in enumerate(order):
+        x = basis[a]
+        acc = dict(defect[a])  # sum_c bar(P_ac) d_cb over the rows c solved so far
+        for b in order[n + 1 :]:
+            s = acc.pop(b, HalfLaurent.zero())
+            if not s.is_antisymmetric():
+                raise CharacterError("bar defect coefficient is not antisymmetric")
+            p = s.negative_part()
+            if p:
+                x = x + basis[b].scal(p)
+                for b2, d in defect[b].items():
+                    acc[b2] = acc.get(b2, HalfLaurent.zero()) + p.conj() * d
+        out[a] = x
+    return out
 
 
 def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
@@ -419,9 +420,8 @@ def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     the standard classes with off-diagonal coefficients in t^-1 Z[t^-1]."""
     cands = dominant_below(yt, m)
     basis = {m2: standard_tchar(yt, m2) for m2 in cands}
-    return bar_invariant_correction(
-        m, basis, lambda k: k.is_dominant(), yt.nakajima_leq
-    )
+    depth = {m2: sum(yt.a_solve(m * m2.inverse()).values()) for m2 in cands}
+    return bar_invariant_correction(basis, Monomial.is_dominant, depth)[m]
 
 
 def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Optional[Fraction]:
@@ -459,12 +459,13 @@ class CategoryQ:
         self.qc = quantum_cartan(self.cartan)
         self.yt = YTorus(self.qc)
         self.xt = XTorus(qctx.word.betas, self.cartan)
-        self.h = self.cartan.coxeter_number()
         self.positions = qctx.positions
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
         self._pairs: dict[tuple[int, ...], list[dict]] = {}
         self._check_torus_isomorphism()
+        self.roots = [tuple(self.cartan.root_coords(b)) for b in qctx.word.betas]
+        self._columns = [self._position_column(k) for k in range(self.xt.r)]
 
     def _check_torus_isomorphism(self) -> None:
         """The isomorphism Phi: the Y-pairing restricted to the positions equals
@@ -513,9 +514,9 @@ class CategoryQ:
     def is_dominant(a) -> bool:
         return all(e >= 0 for e in a)
 
-    def leq(self, a1, a2) -> bool:
-        """The Nakajima order on exponent vectors."""
-        return self.yt.nakajima_leq(self.monomial_of_avec(a1), self.monomial_of_avec(a2))
+    def root_of(self, a) -> tuple[int, ...]:
+        """Root coordinates of sum_k a_k beta_k: the weight space of a."""
+        return tuple(sum(c * x for c, x in zip(a, col)) for col in zip(*self.roots))
 
     # -- Kirillov-Reshetikhin classes by the T-system ------------------------
 
@@ -558,10 +559,21 @@ class CategoryQ:
 
     # -- dominant monomials and decompositions -------------------------------
 
+    def _position_column(self, k: int) -> dict[tuple[int, int], int]:
+        """top(beta_k) Y_pos_k^-1 as a product of A_{i,s}, exponents >= 0, where
+        top(d) = prod_i Y_{phi^-1(alpha_i, 0)}^d_i.  The top is multiplicative
+        in d, so a row's A-column is sum_k a_k col_k."""
+        phi, cd, d = self.qctx.phi, self.cartan, self.roots[k]
+        top = Monomial({phi.phi_inverse(cd.alpha(i), 0): d[i - 1] for i in cd.vertices if d[i - 1]})
+        v = self.yt.a_solve(top * Monomial.var(*self.positions[k], -1))
+        if v is None or any(c < 0 for c in v.values()):
+            raise CharacterError(f"position {k + 1} is not below the top monomial of its root")
+        return v
+
     def dominant_pairs(self, d) -> list[dict]:
         """All decompositions of the dimension vector d into positive roots,
-        paired with their dominant monomials and exchange-monomial columns.
-        Memoised per d: callers read the rows and do not change them."""
+        paired with their dominant monomials, exchange-monomial columns and
+        depths.  Memoised per d: callers read the rows and do not change them."""
         cd = self.cartan
         d = tuple(d)
         if len(d) != cd.n:
@@ -570,35 +582,38 @@ class CategoryQ:
             raise ValueError(f"dimension vector {','.join(map(str, d))} has a negative entry")
         if d in self._pairs:
             return self._pairs[d]
-        betas = [cd.root_coords(b) for b in self.qctx.word.betas]
         rows: list[dict] = []
-        topmon = Monomial(
-            {self.qctx.phi.phi_inverse(cd.alpha(i), 0): d[i - 1] for i in cd.vertices if d[i - 1]}
-        )
 
         def rec(k: int, rem: tuple, acc: list):
             if all(x == 0 for x in rem):
-                a = tuple(acc + [0] * (len(betas) - len(acc)))
+                a = tuple(acc + [0] * (len(self.roots) - len(acc)))
                 rows.append({"avec": a})
                 return
-            if k == len(betas):
+            if k == len(self.roots):
                 return
-            b = betas[k]
+            b = self.roots[k]
             mx = min((rem[t] // b[t]) for t in range(len(rem)) if b[t] > 0)
             for c in range(mx, -1, -1):
                 rec(k + 1, tuple(rem[t] - c * b[t] for t in range(len(rem))), acc + [c])
 
         rec(0, d, [])
         for row in rows:
-            m = self.monomial_of_avec(row["avec"])
-            row["monomial"] = m
-            v = self.yt.a_solve(topmon * m.inverse())
-            if v is None or any(c < 0 for c in v.values()):
-                raise CharacterError("decomposition monomial is not below the top monomial")
-            row["a_column"] = dict(v)
+            row["monomial"] = self.monomial_of_avec(row["avec"])
+            col: dict[tuple[int, int], int] = {}
+            for c, vk in zip(row["avec"], self._columns):
+                if c:
+                    for key, e in vk.items():
+                        col[key] = col.get(key, 0) + c * e
+            row["a_column"] = col
+            row["depth"] = sum(col.values())
         rows.sort(key=lambda r: tuple(-x for x in r["avec"]))
         self._pairs[d] = rows
         return rows
+
+    def depths(self, d) -> dict[tuple[int, ...], int]:
+        """The dominant keys of the weight space d, each with its depth: the
+        sum of its A-column, which grows strictly down the Nakajima order."""
+        return {row["avec"]: row["depth"] for row in self.dominant_pairs(d)}
 
     def dominant_avecs_up_to(self, degree: int) -> list[tuple[int, ...]]:
         degs = [self.cartan.deg(b) for b in self.qctx.word.betas]
@@ -637,16 +652,13 @@ class CategoryQ:
         e = _unit_coeff_exp2(prod.coeff(a))
         return prod.tshift(-e)
 
-    def candidates_below(self, a) -> list[tuple[int, ...]]:
-        deg = self.cartan.root_coords(self.beta_of(a))
-        return [
-            row["avec"] for row in self.dominant_pairs(deg) if self.leq(row["avec"], a)
-        ]
-
-    def truncated_simple(self, a, standard: Callable = None) -> TorusElement:
-        """Bar-inversion over the truncated standard classes below a, read from
-        `standard` (a vector -> class map of a's weight space) when given."""
+    def truncated_simple(self, a) -> TorusElement:
+        """Bar-inversion over the truncated standard classes below a: the rows
+        of its weight space whose A-column dominates a's entry by entry."""
         a = self._dominant_avec(a)
-        standard = standard or self.truncated_standard
-        basis = {c: standard(c) for c in self.candidates_below(a)}
-        return bar_invariant_correction(a, basis, self.is_dominant, self.leq)
+        rows = self.dominant_pairs(self.root_of(a))
+        col = next(r["a_column"] for r in rows if r["avec"] == a)
+        below = [r for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
+        depth = {r["avec"]: r["depth"] for r in below}
+        basis = {c: self.truncated_standard(c) for c in depth}
+        return bar_invariant_correction(basis, self.is_dominant, depth)[a]

@@ -20,6 +20,7 @@ distant-level commutation rule.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -280,25 +281,28 @@ def hom_dim(M: Rep, N: Rep) -> int:
 
 
 def _hom_elements(F: GF, basis, shapes):
-    """All elements of a hom space given a basis; shapes = per-vertex (rows, cols)."""
+    """All elements of a hom space given a basis; shapes = per-vertex (rows, cols).
+    The multiples c b are flat integer tuples, and the partial sums of the
+    coefficient tuples are kept as itertools.product advances.  Entries add as
+    integers (GF(4) encodings by XOR), reduced mod q as the matrices are cut."""
     if F.q ** len(basis) > MAX_HOM_ENUM:
         raise ResourceCap("homomorphism space too large to enumerate")
-    if not basis:
-        yield tuple(_zero(r, c) for r, c in shapes)
-        return
-    nverts = len(shapes)
-    for combo in itertools.product(F.elements(), repeat=len(basis)):
-        mats = []
-        for v in range(nverts):
-            rows, cols = shapes[v]
-            m = [[0] * cols for _ in range(rows)]
-            for coef, bvec in zip(combo, basis):
-                if coef:
-                    for r in range(rows):
-                        for c in range(cols):
-                            m[r][c] = F.add(m[r][c], F.mul(coef, bvec[v][r][c]))
-            mats.append(tuple(tuple(r) for r in m))
-        yield tuple(mats)
+    q, n = F.q, len(basis)
+    add = operator.xor if q == 4 else operator.add
+    flats = [[x for mat in b for row in mat for x in row] for b in basis]
+    mults = [[tuple(F.mul(c, x) for x in f) for c in F.elements()] for f in flats]
+    cuts, o = [], 0
+    for rows, cols in shapes:
+        cuts.append([(o + r * cols, o + (r + 1) * cols) for r in range(rows)])
+        o += rows * cols
+    sums = [(0,) * o] * (n + 1)
+    prev = (-1,) * n
+    for combo in itertools.product(range(q), repeat=n):
+        # the partial sums from the first changed factor on are stale
+        for j in range(next((j for j in range(n) if combo[j] != prev[j]), n), n):
+            sums[j + 1] = tuple(map(add, sums[j], mults[j][combo[j]]))
+        prev = combo
+        yield tuple(tuple(tuple(x % q for x in sums[n][a:b]) for a, b in rows) for rows in cuts)
 
 
 @lru_cache(maxsize=None)
@@ -952,9 +956,9 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
             deg = [0] * cd.n
             for i in word:
                 deg[i - 1] += 1
-            avecs = [r["avec"] for r in cat.dominant_pairs(tuple(deg))]
-            basis = {a: cat.truncated_standard(a) for a in avecs}
-            coeffs_t = expand_in_dominant_basis(prod_t, basis, cat.is_dominant, cat.leq)
+            depth = cat.depths(deg)
+            basis = {a: cat.truncated_standard(a) for a in depth}
+            coeffs_t = expand_in_dominant_basis(prod_t, basis, cat.is_dominant, depth)
             # Hall side
             prod_h = dh.one()
             for i in word:
@@ -969,7 +973,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
             rescale = one
             for _ in word:
                 rescale = rescale * resc
-            for avec in avecs:
+            for avec in depth:
                 iso = IsoClass(
                     {
                         tuple(cd.root_coords(cat.qctx.word.betas[k])): a

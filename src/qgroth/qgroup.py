@@ -8,7 +8,8 @@ products of the rescaled generators; every other minor is produced from the
 determinantal identity by exact right division, recursing on b + d.  The dual
 canonical vectors are carved out of the dual PBW vectors by a twisted
 bar-inversion: working with the rescaled family v^(N/2) E*, the twist
-disappears and the involution is plain coefficient conjugation.
+disappears and the involution is plain coefficient conjugation, so one solve
+by Lusztig's lemma, as on the character side, fills a whole weight space.
 """
 
 from __future__ import annotations
@@ -127,16 +128,13 @@ class QGroupSide:
     def b_tilde(self, a) -> TorusElement:
         """Rescaled dual canonical vector: sigma-invariant, unitriangular with
         strictly negative v-powers over the rescaled dual PBW family of the
-        same weight."""
+        same weight.  One solve fills the whole weight space of a."""
         a = tuple(a)
-        if a in self._btilde:
-            return self._btilde[a]
-        deg = self.cartan.root_coords(self.cat.beta_of(a))
-        space = [r["avec"] for r in self.cat.dominant_pairs(deg)]
-        basis = {c: self.e_tilde(c) for c in space}
-        val = bar_invariant_correction(a, basis, self.cat.is_dominant, self.cat.leq)
-        self._btilde[a] = val
-        return val
+        if a not in self._btilde:
+            depth = self.cat.depths(self.cat.root_of(a))
+            basis = {c: self.e_tilde(c) for c in depth}
+            self._btilde.update(bar_invariant_correction(basis, self.cat.is_dominant, depth))
+        return self._btilde[a]
 
     def b_star(self, a) -> TorusElement:
         nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
@@ -153,19 +151,18 @@ class QGroupSide:
         bound: the truncated simple class must equal the rescaled dual
         canonical vector, and the truncated standard class the rescaled dual
         PBW vector.  Weight space by weight space, each truncated standard
-        class is built once; the character route and the quantum-group route
-        stay separate computations."""
+        class is built once and one solve gives every simple class; the
+        character route and the quantum-group route stay separate
+        computations."""
         if degree_bound < 0:
             raise ValueError(f"negative degree bound {degree_bound}")
         avecs = self.cat.dominant_avecs_up_to(degree_bound)
-        spaces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for a in avecs:
-            spaces.setdefault(self.cartan.root_coords(self.cat.beta_of(a)), []).append(a)
         rows = {}
-        for space in spaces.values():
-            std = {a: self.cat.truncated_standard(a) for a in space}
-            for a in space:
-                simple = self.cat.truncated_simple(a, std.__getitem__)
+        for deg in dict.fromkeys(self.cat.root_of(a) for a in avecs):
+            depth = self.cat.depths(deg)
+            std = {a: self.cat.truncated_standard(a) for a in depth}
+            simples = bar_invariant_correction(std, self.cat.is_dominant, depth)
+            for a, simple in simples.items():
                 rows[a] = {
                     "avec": a,
                     "simple_matches_dual_canonical": simple == self.b_tilde(a),

@@ -32,7 +32,7 @@ import heapq
 import operator
 from typing import Iterable, Optional
 
-from .cartan import Weight
+from .cartan import ResourceCap, Weight
 from .laurent import HalfLaurent
 from .qcartan import QuantumCartan
 
@@ -183,6 +183,14 @@ class YTorus:
     key_mul = staticmethod(lambda a, b: a * b)
     key_inv = staticmethod(lambda a: a.inverse())
     key_sort = staticmethod(lambda a: a.sort_key())
+    @staticmethod
+    def key_range(keys) -> dict:
+        """Per variable, the least and the greatest exponent over the keys."""
+        exps = [m.exps() for m in keys]
+        return {
+            v: (min(e.get(v, 0) for e in exps), max(e.get(v, 0) for e in exps))
+            for v in set().union(*exps)
+        }
 
     def element(self, terms: dict[Monomial, HalfLaurent]) -> "TorusElement":
         return TorusElement(self, terms)
@@ -420,15 +428,20 @@ class XTorus:
 
     @staticmethod
     def key_mul(a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     @staticmethod
     def key_inv(a: tuple) -> tuple:
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     @staticmethod
     def key_sort(a: tuple) -> tuple:
         return a
+
+    @staticmethod
+    def key_range(keys) -> dict:
+        """Per coordinate, the least and the greatest exponent over the keys."""
+        return {v: (min(c), max(c)) for v, c in enumerate(zip(*keys))}
 
     def element(self, terms: dict[tuple, HalfLaurent]) -> TorusElement:
         return TorusElement(self, terms)
@@ -450,11 +463,22 @@ class XTorus:
         return HalfLaurent.t_power(self.pair2(a, b)), self.key_mul(tuple(a), tuple(b))
 
 
+MAX_QUOTIENT_TERMS = 10000
+
+
 def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
-    """The unique q with q * p = s; raises when the division is not exact."""
+    """The unique q with q * p = s; raises ArithmeticError when the division
+    is not exact.  The torus is a domain, so the extreme exponents of a product
+    along each variable add: every key of q lies in the box [min s - min p,
+    max s - max p], and the distinct quotient keys end inside it."""
     ctx = s.ctx
     if p.is_zero():
         raise ZeroDivisionError("division by zero torus element")
+    rs, rp = ctx.key_range(s.terms), ctx.key_range(p.terms)
+    box = {}
+    for v in rs.keys() | rp.keys():
+        (slo, shi), (plo, phi) = rs.get(v, (0, 0)), rp.get(v, (0, 0))
+        box[v] = (slo - plo, shi - phi)
     lead_p = p.leading_key()
     lead_p_inv = ctx.key_inv(lead_p)
     rem = {k: dict(c.c) for k, c in s.terms.items()}
@@ -466,12 +490,15 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
         lk = heapq.heappop(heap)[1]
         if lk not in rem:
             continue
-        if len(quot) >= 10000:
-            raise ArithmeticError("torus division did not terminate")
+        if len(quot) >= MAX_QUOTIENT_TERMS:
+            raise ResourceCap(f"torus division passed {MAX_QUOTIENT_TERMS} quotient terms")
         qk = ctx.key_mul(lk, lead_p_inv)
         c = HalfLaurent(rem[lk]).shift(-ctx.pair2(qk, lead_p)).exact_div(p.terms[lead_p])
         if c is None:
             raise ArithmeticError("torus division is not exact (coefficient step)")
+        e = ctx.key_range([qk])
+        if any(not lo <= e.get(v, (0, 0))[0] <= hi for v, (lo, hi) in box.items()):
+            raise ArithmeticError("torus division is not exact (quotient key outside its box)")
         quot[qk] = c
         # subtract c X^qk p at its keys; its leading term cancels rem[lk]
         for k, w in (TorusElement(ctx, {qk: c}) * p).terms.items():

@@ -64,6 +64,12 @@ def on_positions(cat: CategoryQ, y):
     return cat.xt.element({cat.avec_of(m): c for m, c in y.terms.items()})
 
 
+def order_depth(keys, leq):
+    """A linear extension of the order leq on keys, as a depth map: the number
+    of other keys above each key, which grows strictly down the order."""
+    return {k: sum(leq(k, o) for o in keys if o != k) for k in keys}
+
+
 def four_coefficient_n(qc, i: int, p: int, j: int, s: int) -> int:
     """N(i,p;j,s) straight from the inverse quantum Cartan coefficients."""
     c = qc.ctilde

@@ -34,7 +34,7 @@ from qgroth.qgroup import QGroupSide
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, YTorus
 
-from conftest import all_orientations, on_positions
+from conftest import all_orientations, on_positions, order_depth
 
 
 def Y(i, p, e=1):
@@ -318,7 +318,7 @@ def test_criterion_11_property_suite():
     cands = dominant_below(yt, m)
     basis = {c: standard_tchar(yt, c) for c in cands}
     coeffs = expand_in_dominant_basis(
-        simple_tchar(yt, m), basis, lambda k: k.is_dominant(), yt.nakajima_leq
+        simple_tchar(yt, m), basis, lambda k: k.is_dominant(), order_depth(cands, yt.nakajima_leq)
     )
     assert coeffs[m] == HalfLaurent.one()
     assert all(c.in_tinv_ztinv() for k, c in coeffs.items() if k != m)
@@ -326,12 +326,10 @@ def test_criterion_11_property_suite():
     cat3 = CategoryQ(QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2))))
     qg = QGroupSide(cat3)
     deg = (1, 1, 1)
-    space = [tuple(r["avec"]) for r in cat3.dominant_pairs(deg)]
-    ebasis = {c: qg.e_tilde(c) for c in space}
-    for a in space:
-        coeffs = expand_in_dominant_basis(
-            qg.b_tilde(a), ebasis, cat3.is_dominant, cat3.leq
-        )
+    depth = cat3.depths(deg)
+    ebasis = {c: qg.e_tilde(c) for c in depth}
+    for a in depth:
+        coeffs = expand_in_dominant_basis(qg.b_tilde(a), ebasis, cat3.is_dominant, depth)
         assert coeffs[a] == HalfLaurent.one()
         assert all(c.in_tinv_ztinv() for k, c in coeffs.items() if k != a)
 

@@ -1,5 +1,5 @@
-"""Seeded argv near the edges of `canonical`, `dominant-pairs`, `--config` and
-`verify presentation`.
+"""Seeded argv near the edges of `canonical`, `dominant-pairs`, `--config`,
+`verify presentation` and `qchar simple|truncate`.
 
 Every drawn argv ends with exit 0, 1, 2 or 3, no exception escapes `main`, and
 on exit 0 stdout is one JSON document.  E-type `canonical` is left out: its
@@ -16,7 +16,9 @@ from datetime import timedelta
 
 from hypothesis import given, seed, settings, strategies as st
 
+from qgroth.cartan import cartan_datum
 from qgroth.cli import main
+from qgroth.quiver import QuiverContext, QuiverDatum
 
 TYPES = ["A1", "A2", "A3", "A4", "D4"]
 MALFORMED_TYPES = ["", "A", "A0", "A9", "B3", "D3", "E5", "Z1", "4A", "A3x", "A-1", "a2"]
@@ -172,3 +174,58 @@ def test_verify_presentation_edges_end_in_a_documented_exit(argv):
     _assert_documented_exit(code, out, err, argv)
     if code == 0:
         assert json.loads(out) == {"failures": [], "ok": True}
+
+
+MALFORMED_MONOMIALS = [
+    "1", "Y", "Y[1]", "Y[1,]", "Y[,0]", "Y[a,b]", "X[1,0]", "Y[1,0]^", "Y[1,0]^x", "Y[1,0]Y",
+    "Y[1,0]*Y[2,1]", "Y(1,0)", "Y[1,0,0]", "Y[1.5,0]", "y[1,0]",
+]
+
+
+def _positions(name, arrows):
+    """The positions of the index set of the orientation (the default one
+    when arrows is None): the variables a truncated class may carry."""
+    cd = cartan_datum(name)
+    if arrows is None:
+        return QuiverContext(QuiverDatum.bipartite(cd)).positions
+    pairs = [tuple(int(v) for v in tok.split("-")) for tok in arrows.split(",")]
+    return QuiverContext(QuiverDatum.from_arrows(cd, pairs)).positions
+
+
+def _monomial_text(factors):
+    return "".join(f"Y[{i},{p}]" + (f"^{e}" if e != 1 else "") for i, p, e in factors)
+
+
+@st.composite
+def qchar_argvs(draw):
+    what = draw(st.sampled_from(["simple", "truncate"]))
+    name = draw(st.sampled_from(TYPES * 4 + MALFORMED_TYPES))
+    argv = ["qchar", what]
+    argv += _flag("--type", name, draw(st.booleans()))
+    arrows = None
+    if what == "truncate" and name in EDGES and EDGES[name] and draw(st.booleans()):
+        arrows = draw(st.sampled_from(all_orientations(name)))
+        argv += _flag("--arrows", arrows, True)
+    rank = int(name[1:]) if name in TYPES else 3
+    # in-category variables, any variable near the window (vertices 0 and
+    # rank + 1 are out of range), and non-dominant or zero exponents
+    anywhere = st.tuples(st.integers(min_value=-1, max_value=rank + 1), st.integers(min_value=-4, max_value=8))
+    inside = st.sampled_from(_positions(name, arrows)) if name in TYPES else anywhere
+    factor = st.tuples(inside | anywhere, st.sampled_from([1, 1, 1, 2, -1, 0])).map(
+        lambda f: (f[0][0], f[0][1], f[1])
+    )
+    monomial = st.lists(factor, max_size=3).map(_monomial_text) | st.sampled_from(MALFORMED_MONOMIALS)
+    if draw(st.integers(min_value=0, max_value=7)):
+        text = draw(monomial)
+        argv += ["-m", text] if draw(st.booleans()) else [f"--monomial={text}"]
+    return argv + ["--format", "json"]
+
+
+@seed(20261018)
+@given(qchar_argvs())
+@settings(max_examples=150, deadline=timedelta(seconds=20))
+def test_qchar_simple_and_truncate_edges_end_in_a_documented_exit(argv):
+    # vertices out of range, variables off the index set, negative exponents
+    # and malformed monomials are usage errors; a heavy enumeration is capped
+    code, out, err = _run(argv)
+    _assert_documented_exit(code, out, err, argv)

@@ -85,6 +85,50 @@ def _triples(quiver, q, max_total):
                         yield X, Y, W
 
 
+def _naive_hom_elements(F, basis, shapes):
+    # every sum_k c_k b_k, entry by entry through the field operations
+    for combo in itertools.product(F.elements(), repeat=len(basis)):
+        mats = []
+        for v, (rows, cols) in enumerate(shapes):
+            m = [[0] * cols for _ in range(rows)]
+            for coef, bvec in zip(combo, basis):
+                for r in range(rows):
+                    for c in range(cols):
+                        m[r][c] = F.add(m[r][c], F.mul(coef, bvec[v][r][c]))
+            mats.append(tuple(tuple(row) for row in m))
+        yield tuple(mats)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3"])
+def test_hom_elements_match_the_naive_enumeration(name):
+    # every hom space between classes of total dimension <= 2, in every
+    # orientation, over GF(2), GF(3) and GF(4) (whose sums are XORs)
+    from qgroth.hall import _hom_elements
+
+    for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3, 4)):
+        F, dh, n = GF(p), DerivedHall(q, p), q.cartan.n
+        dims = [d for d in itertools.product(range(3), repeat=n) if sum(d) <= 2]
+        classes = [iso for d in dims for iso in dh._isoclasses_of_dim(d)]
+        for A, B in itertools.product(classes, repeat=2):
+            M, N = model_rep(q, F, A), model_rep(q, F, B)
+            basis, shapes = hom_basis(M, N), [(b, a) for a, b in zip(M.dims, N.dims)]
+            got = list(_hom_elements(F, basis, shapes))
+            assert got == list(_naive_hom_elements(F, basis, shapes)), (A, B)
+            assert len(set(got)) == p ** len(basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_hom_elements_add_overlapping_entries_in_the_field(p):
+    # two basis vectors sharing an entry: 1 + 1 is 0 in GF(2) and GF(4), 2 in GF(3)
+    from qgroth.hall import _hom_elements
+
+    F, shapes = GF(p), [(1, 2), (0, 1)]
+    basis = [(((1, 1),), ()), (((1, 0),), ())]
+    got = list(_hom_elements(F, basis, shapes))
+    assert got == list(_naive_hom_elements(F, basis, shapes))
+    assert (((F.add(1, 1), 1),), ()) in got and len(set(got)) == p * p
+
+
 def test_riedtmann_count_consistency():
     # the number of exact pairs X >-> W ->> Y equals g^W_{X,Y} |Aut X| |Aut Y|,
     # on every (X, Y, W) of total dimension <= 3 over A1-A3 in every orientation

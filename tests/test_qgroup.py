@@ -10,7 +10,7 @@ from qgroth.qcartan import QuantumCartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
-from conftest import all_orientations
+from conftest import all_orientations, order_depth
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,8 @@ def _expand_in_pbw(qg, x, candidates):
     from qgroth.characters import expand_in_dominant_basis
 
     basis = {c: qg.e_tilde(c) for c in candidates}
-    return expand_in_dominant_basis(x, basis, qg.cat.is_dominant, qg.cat.leq)
+    depth = qg.cat.depths(qg.cat.root_of(next(iter(candidates))))
+    return expand_in_dominant_basis(x, basis, qg.cat.is_dominant, depth)
 
 
 def test_unitriangularity_both_transitions(a3, ytorus):
@@ -179,7 +180,7 @@ def test_unitriangularity_both_transitions(a3, ytorus):
     cands = dominant_below(yt, m)
     basis = {c: standard_tchar(yt, c) for c in cands}
     coeffs = expand_in_dominant_basis(
-        simple, basis, lambda k: k.is_dominant(), yt.nakajima_leq
+        simple, basis, lambda k: k.is_dominant(), order_depth(cands, yt.nakajima_leq)
     )
     assert coeffs[m] == HalfLaurent.one()
     assert all(c.in_tinv_ztinv() for k, c in coeffs.items() if k != m)

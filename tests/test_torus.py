@@ -1,10 +1,12 @@
 import pytest
 
-from qgroth.cartan import cartan_datum
+import qgroth.torus as torus
+from qgroth.cartan import ResourceCap, cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import (
+    MAX_QUOTIENT_TERMS,
     Monomial,
     TorusElement,
     XTorus,
@@ -121,13 +123,33 @@ def test_x_torus_products(contexts):
     assert x.bar().bar() == x
 
 
-def test_division(ytorus):
+def test_division(ytorus, monkeypatch):
     yt = ytorus("A2")
     a = yt.monomial(Y(1, 0)) + yt.monomial(Y(2, 1) * Y(1, 2, -1)) + yt.monomial(Y(2, 3, -1))
     b = yt.monomial(Y(2, 1)) + yt.monomial(Y(1, 2) * Y(2, 3, -1), HalfLaurent.t_power(2))
     assert divide_right(a * b, b) == a
-    with pytest.raises(ArithmeticError):
+    # the first quotient key Y[1,0] Y[2,1]^-1 is outside the exponent box of
+    # a / b (Y[2,1] has exponent 0 in a and at least 0 in b); the elimination
+    # alone would go on through Y[1,0] Y[2,1]^-k Y[1,2]^(k-1) Y[2,3]^(1-k).
+    # With a budget of one quotient term it still ends as not exact.
+    monkeypatch.setattr(torus, "MAX_QUOTIENT_TERMS", 1)
+    with pytest.raises(ArithmeticError, match="not exact"):
         divide_right(a, b)
+
+
+def test_exact_division_past_the_term_budget_is_a_resource_cap(contexts):
+    # (1 - X^N) / (1 - X) = 1 + X + ... + X^(N-1) has N quotient terms
+    ctx = contexts("A1")
+    xt = XTorus(ctx.word.betas, ctx.cartan)
+    minus = HalfLaurent.term(-1)
+    p = xt.one() + xt.monomial((1,), minus)
+    for n, fits in ((MAX_QUOTIENT_TERMS, True), (MAX_QUOTIENT_TERMS + 1, False)):
+        s = xt.one() + xt.monomial((n,), minus)
+        if fits:
+            assert divide_right(s, p) == xt.element({(k,): HalfLaurent.one() for k in range(n)})
+        else:
+            with pytest.raises(ResourceCap, match=f"{MAX_QUOTIENT_TERMS} quotient terms"):
+                divide_right(s, p)
 
 
 def test_x_torus_division(contexts):
@@ -142,8 +164,8 @@ def test_x_torus_division(contexts):
     # a leading coefficient that does not divide
     with pytest.raises(ArithmeticError, match="coefficient step"):
         divide_right(xt.monomial(e[0]), xt.monomial(e[0], HalfLaurent.term(2)) + xt.monomial(e[1]))
-    # a non-unit divisor of a monomial: the elimination never ends
-    with pytest.raises(ArithmeticError, match="did not terminate"):
+    # a non-unit divisor of a monomial: the first quotient key leaves the box
+    with pytest.raises(ArithmeticError, match="not exact"):
         divide_right(xt.monomial(e[5]), xt.monomial(e[0]) + xt.monomial(e[1]))
     with pytest.raises(ZeroDivisionError):
         divide_right(a, xt.zero())
