@@ -154,16 +154,6 @@ class CartanDatum:
             out.append(c)
         return tuple(out)
 
-    def in_root_lattice(self, w: Weight) -> bool:
-        d, num = self._alpha_numerators(w)
-        return all(x % d == 0 for x in num)
-
-    def from_root_coords(self, coords: Sequence[int]) -> Weight:
-        if len(coords) != self.n:
-            raise RankMismatch("coordinate vector has wrong rank")
-        c = self.cartan_matrix()
-        return Weight(tuple(sum(coords[i] * c[i][j] for i in range(self.n)) for j in range(self.n)))
-
     def sprod(self, lam: Weight, mu: Weight) -> int:
         """Scalar product; at least one argument must lie in the root lattice."""
         if len(mu.coords) != self.n:
@@ -288,6 +278,23 @@ def solve(a, b, F) -> list[list]:
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in red]
+
+
+def kostant_partitions(roots, d) -> list[tuple[int, ...]]:
+    """Every c >= 0 with sum_k c_k roots[k] = d, roots given by simple-root
+    coordinates: at each k the larger c_k comes first."""
+    out = []
+
+    def rec(k: int, rem: tuple, acc: tuple):
+        if not any(rem):
+            out.append(acc + (0,) * (len(roots) - k))
+        elif k < len(roots):
+            b = roots[k]
+            for c in range(min(r // x for r, x in zip(rem, b) if x), -1, -1):
+                rec(k + 1, tuple(r - c * x for r, x in zip(rem, b)), acc + (c,))
+
+    rec(0, tuple(d), ())
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight
+from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight, kostant_partitions
 from .laurent import HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
@@ -287,26 +287,16 @@ def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     """t-character of the standard module at the dominant monomial m: ordered
     product, top level leftmost, of the fundamental t-characters, rescaled so
     m carries coefficient exactly 1."""
-    return _standard_with_alpha(yt, m)[0]
-
-
-def standard_alpha(yt: YTorus, m: Monomial) -> Fraction:
-    """The normalizing half-integer exponent in the standard class at m."""
-    return _standard_with_alpha(yt, m)[1]
-
-
-def _standard_with_alpha(yt: YTorus, m: Monomial) -> tuple[TorusElement, Fraction]:
     if not m.is_dominant():
         raise ValueError("standard modules are labelled by dominant monomials")
     if m.is_unit():
-        return yt.one(), Fraction(0)
+        return yt.one()
     prod = None
     for (i, p) in sorted(m.support(), key=lambda ip: (-ip[1], ip[0])):
         f = fundamental_tchar(yt, i, p)
         for _ in range(m.exp(i, p)):
             prod = f if prod is None else prod * f
-    e = _unit_coeff_exp2(prod.coeff(m))
-    return prod.tshift(-e), Fraction(-e, 2)
+    return prod.tshift(-_unit_coeff_exp2(prod.coeff(m)))
 
 
 def dominant_below(yt: YTorus, m: Monomial, cap: int = 500000) -> list[Monomial]:
@@ -557,6 +547,12 @@ class CategoryQ:
     def truncated_fundamental(self, i: int, p: int) -> TorusElement:
         return self.kr(i, 1, p)
 
+    def simple_generators(self) -> dict[int, TorusElement]:
+        """The truncated fundamental classes at phi^-1(alpha_i, 0): the
+        generators of U_q(n) in the torus, one per vertex."""
+        phi, cd = self.qctx.phi, self.cartan
+        return {i: self.truncated_fundamental(*phi.phi_inverse(cd.alpha(i), 0)) for i in cd.vertices}
+
     # -- dominant monomials and decompositions -------------------------------
 
     def _position_column(self, k: int) -> dict[tuple[int, int], int]:
@@ -582,21 +578,7 @@ class CategoryQ:
             raise ValueError(f"dimension vector {','.join(map(str, d))} has a negative entry")
         if d in self._pairs:
             return self._pairs[d]
-        rows: list[dict] = []
-
-        def rec(k: int, rem: tuple, acc: list):
-            if all(x == 0 for x in rem):
-                a = tuple(acc + [0] * (len(self.roots) - len(acc)))
-                rows.append({"avec": a})
-                return
-            if k == len(self.roots):
-                return
-            b = self.roots[k]
-            mx = min((rem[t] // b[t]) for t in range(len(rem)) if b[t] > 0)
-            for c in range(mx, -1, -1):
-                rec(k + 1, tuple(rem[t] - c * b[t] for t in range(len(rem))), acc + [c])
-
-        rec(0, d, [])
+        rows = [{"avec": a} for a in kostant_partitions(self.roots, d)]
         for row in rows:
             row["monomial"] = self.monomial_of_avec(row["avec"])
             col: dict[tuple[int, int], int] = {}

@@ -193,6 +193,36 @@ def _require_flags(command: str, args, needed) -> None:
         raise ValueError(f"{command} {args.what} requires {' and '.join(missing)}")
 
 
+# The valued flags each verify and hall subcommand reads besides --type and
+# --q.  The parser leaves them None, so that a flag the subcommand never reads
+# is refused, not ignored; the ones it reads get their defaults here.
+_READS = {
+    ("verify", "presentation"): ("xi", "arrows", "m_range"),
+    ("verify", "mainth"): ("xi", "arrows", "degree_bound"),
+    ("verify", "all"): (),
+    ("hall", "gamma"): ("xi", "arrows", "x", "y", "t", "w"),
+    ("hall", "number"): ("xi", "arrows", "x", "y", "w"),
+    ("hall", "relations"): ("xi", "arrows", "mmax"),
+    ("hall", "iota"): ("xi", "arrows", "mmax", "max_len"),
+}
+_DEFAULTS = {"m_range": "0..3", "degree_bound": 3, "mmax": 3, "max_len": 3}
+_ALWAYS_READ = ("cmd", "what", "fn", "type", "format", "q")
+
+
+def _read_flags(command: str, args) -> None:
+    reads = _READS[(command, args.what)]
+    unread = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if value is not None and dest not in reads + _ALWAYS_READ
+    ]
+    if unread:
+        raise ValueError(f"{command} {args.what} does not read {' or '.join(unread)}")
+    for dest in reads:
+        if getattr(args, dest) is None:
+            setattr(args, dest, _DEFAULTS.get(dest))
+
+
 def cmd_qchar(args) -> int:
     _require_flags("qchar", args, _QCHAR_FLAGS[args.what])
     if args.what not in ("kr", "truncate") and (args.xi is not None or args.arrows is not None):
@@ -309,6 +339,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_hall(args) -> int:
+    _read_flags("hall", args)
     _require_flags("hall", args, _HALL_FLAGS.get(args.what, ()))
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
@@ -338,27 +369,26 @@ def cmd_hall(args) -> int:
             {"constant_identity": const, "failures": [list(map(str, f)) for f in fails]},
         )
         return 0 if ok else 2
-    if args.what == "iota":
-        cat = CategoryQ(QuiverContext(quiver))
-        rep = iota_check(cat, args.q, max_len=args.max_len, m_offsets=range(args.mmax + 1))
-        lines = [
-            f"constant identity: {'ok' if rep['constant_identity'] else 'FAIL'}",
-            f"relation failures: {len(rep['relation_failures'])}",
-            f"scalar table consistent: {rep['consistent']}",
-        ] + [f"  a={','.join(map(str, a))}: {s}" for a, s in sorted(rep["scalars"].items())]
-        _emit(
-            args,
-            lines,
-            {
-                "ok": rep["ok"],
-                "scalars": {",".join(map(str, a)): repr(s) for a, s in rep["scalars"].items()},
-            },
-        )
-        return 0 if rep["ok"] else 2
-    raise ValueError(f"unknown hall subcommand {args.what}")
+    cat = CategoryQ(QuiverContext(quiver))
+    rep = iota_check(cat, args.q, max_len=args.max_len, m_offsets=range(args.mmax + 1))
+    lines = [
+        f"constant identity: {'ok' if rep['constant_identity'] else 'FAIL'}",
+        f"relation failures: {len(rep['relation_failures'])}",
+        f"scalar table consistent: {rep['consistent']}",
+    ] + [f"  a={','.join(map(str, a))}: {s}" for a, s in sorted(rep["scalars"].items())]
+    _emit(
+        args,
+        lines,
+        {
+            "ok": rep["ok"],
+            "scalars": {",".join(map(str, a)): repr(s) for a, s in rep["scalars"].items()},
+        },
+    )
+    return 0 if rep["ok"] else 2
 
 
 def cmd_verify(args) -> int:
+    _read_flags("verify", args)
     if args.what == "presentation":
         cd = cartan_datum(args.type)
         quiver = _parse_quiver(args, cd)
@@ -368,14 +398,12 @@ def cmd_verify(args) -> int:
         _emit(
             args,
             [f"presentation relation failures: {len(fails)}"],
-            {"ok": not fails, "failures": [str(f[:4]) for f in fails]},
+            {"ok": not fails, "failures": [str(f) for f in fails]},
         )
         return 0 if not fails else 2
     if args.what == "mainth":
         return cmd_canonical(args)
-    if args.what == "all":
-        return _verify_all(args)
-    raise ValueError(f"unknown verify subcommand {args.what}")
+    return _verify_all(args)
 
 
 def _verify_all(args) -> int:
@@ -496,15 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y")
     p.add_argument("--t")
     p.add_argument("--w")
-    p.add_argument("--mmax", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=3, dest="max_len")
+    p.add_argument("--mmax", type=int, help="levels 0..mmax, default 3")
+    p.add_argument("--max-len", type=int, dest="max_len", help="longest word, default 3")
     p.set_defaults(fn=cmd_hall)
 
     p = sub.add_parser("verify", help="verification batteries")
     p.add_argument("what", choices=("presentation", "mainth", "all"))
     common(p)
-    p.add_argument("--m-range", default="0..3", dest="m_range")
-    p.add_argument("--degree-bound", type=int, default=3, dest="degree_bound")
+    p.add_argument("--m-range", dest="m_range", help="levels lo..hi, default 0..3")
+    p.add_argument("--degree-bound", type=int, dest="degree_bound", help="default 3")
     p.set_defaults(fn=cmd_verify)
 
     return ap

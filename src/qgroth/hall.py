@@ -14,7 +14,10 @@ half-integral powers of u remain exact.
 The derived Hall algebra is spanned by normal-ordered words in generators
 z_X^[m] with strictly decreasing level m; products are rewritten to normal
 form by the same-level Hall rule, the adjacent-level gamma rule, and the
-distant-level commutation rule.
+distant-level commutation rule.  Its defining relations on the simple
+generators are not written out here: `check_h_relations` runs the relation
+table of `presentation.relation_failures`, the one that K_t and U_q(n) use,
+through `DerivedHall.qcommutator` at t = u.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cartan import QQ, CartanDatum, ResourceCap, rref, solve
+from .cartan import QQ, CartanDatum, ResourceCap, kostant_partitions, rref, solve
 from .characters import CategoryQ, expand_in_dominant_basis
 from .laurent import HalfLaurent
+from .presentation import relation_failures
 from .quiver import QuiverDatum, ringel_form
 
 
@@ -451,39 +455,32 @@ def toen_gamma(
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
     gamma_{S_i,S_j}^{S_j,S_i} = 1 with (q-1)^2 sequences.
     """
-    return _gamma_raw(T, Y, X, W, quiver, q)
-
-
-def _gamma_raw(
-    W: IsoClass, Y: IsoClass, X: IsoClass, T: IsoClass, quiver: QuiverDatum, q: int
-) -> Fraction:
-    """|{exact 0 -> W -> Y -> X -> T -> 0}| / (|Aut X| |Aut Y|)."""
     _check_quiver(quiver)
     F = GF(q)
     n = quiver.cartan.n
-    dW, dY, dX, dT = (Z.dims(n) for Z in (W, Y, X, T))
-    if any(dW[v] - dY[v] + dX[v] - dT[v] != 0 for v in range(n)):
+    dT, dY, dX, dW = (Z.dims(n) for Z in (T, Y, X, W))
+    if any(dT[v] - dY[v] + dX[v] - dW[v] != 0 for v in range(n)):
         return Fraction(0)
-    RW, RY, RX, RT = (model_rep(quiver, F, Z) for Z in (W, Y, X, T))
-    hf = hom_basis(RW, RY)
+    RT, RY, RX, RW = (model_rep(quiver, F, Z) for Z in (T, Y, X, W))
+    hf = hom_basis(RT, RY)
     hg = hom_basis(RY, RX)
-    hh = hom_basis(RX, RT)
+    hh = hom_basis(RX, RW)
     if F.q ** (len(hf) + len(hg) + len(hh)) > MAX_HOM_ENUM:
         raise ResourceCap("exact-sequence enumeration too large")
-    sf = [(dY[v], dW[v]) for v in range(n)]
+    sf = [(dY[v], dT[v]) for v in range(n)]
     sg = [(dX[v], dY[v]) for v in range(n)]
-    sh = [(dT[v], dX[v]) for v in range(n)]
+    sh = [(dW[v], dX[v]) for v in range(n)]
     count = 0
     for f in _hom_elements(F, hf, sf):
-        if any(mat_rank(F, f[v]) != dW[v] for v in range(n)):
+        if any(mat_rank(F, f[v]) != dT[v] for v in range(n)):
             continue
         for g in _hom_elements(F, hg, sg):
             gok = True
             for v in range(n):
-                if dW[v] and dX[v] and any(any(row) for row in mat_mul(F, g[v], f[v])):
+                if dT[v] and dX[v] and any(any(row) for row in mat_mul(F, g[v], f[v])):
                     gok = False
                     break
-                if mat_rank(F, g[v]) != dY[v] - dW[v]:
+                if mat_rank(F, g[v]) != dY[v] - dT[v]:
                     gok = False
                     break
             if not gok:
@@ -491,11 +488,11 @@ def _gamma_raw(
             for h in _hom_elements(F, hh, sh):
                 ok = True
                 for v in range(n):
-                    if dY[v] and dT[v] and any(any(row) for row in mat_mul(F, h[v], g[v])):
+                    if dY[v] and dW[v] and any(any(row) for row in mat_mul(F, h[v], g[v])):
                         ok = False
                         break
                     rh = mat_rank(F, h[v])
-                    if rh != dT[v] or (dY[v] - dW[v]) + rh != dX[v]:
+                    if rh != dW[v] or (dY[v] - dT[v]) + rh != dX[v]:
                         ok = False
                         break
                 if ok:
@@ -701,25 +698,9 @@ class DerivedHall:
             return self._isos[dims]
         cd = self.cartan
         roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
-        out = []
-
-        def rec(k: int, rem, acc):
-            if all(x == 0 for x in rem):
-                out.append(IsoClass(dict(acc)))
-                return
-            if k == len(roots):
-                return
-            b = roots[k]
-            mx = min((rem[t] // b[t]) for t in range(len(rem)) if b[t])
-            for c in range(mx, -1, -1):
-                rec(
-                    k + 1,
-                    tuple(rem[t] - c * b[t] for t in range(len(rem))),
-                    acc + ([(roots[k], c)] if c else []),
-                )
-
-        rec(0, dims, [])
-        self._isos[dims] = tuple(out)
+        self._isos[dims] = tuple(
+            IsoClass({b: c for b, c in zip(roots, a) if c}) for a in kostant_partitions(roots, dims)
+        )
         return self._isos[dims]
 
     def gamma_terms(self, x: IsoClass, y: IsoClass) -> list[tuple[IsoClass, IsoClass, Fraction]]:
@@ -834,8 +815,10 @@ class DerivedHall:
             return tuple(out.items())
         return ((word, self._one),)
 
-    def equal(self, a: dict, b: dict) -> bool:
-        return self.add(a, self.neg(b)) == {}
+    def qcommutator(self, a: dict, b: dict, exp2: int) -> dict:
+        """a b - u^(exp2/2) b a."""
+        c = self.upow(exp2 // 2) * (UScalar.half_u(self.q) if exp2 % 2 else self._one)
+        return self.add(self.mul(a, b), self.scal(self.mul(b, a), -c))
 
 
 def _accumulate(out: dict, key, c: UScalar) -> None:
@@ -854,58 +837,12 @@ def _accumulate(out: dict, key, c: UScalar) -> None:
 
 
 def check_h_relations(dh: DerivedHall, m_offsets=range(4)) -> list[tuple]:
-    """The defining relations on simple generators: same-level quantum Serre,
-    adjacent-level deformed boson with constant u^-1/(u^2-1), distant-level
-    commutation with alternating exponent."""
-    if not m_offsets:
-        raise ValueError("empty level range: no relation to check")
-    failures = []
-    cd = dh.cartan
-    upu = dh.upow(1) + dh.upow(-1)
+    """The relation table of `presentation.relation_failures` on the simple
+    generators z_{S_i}^[m], m in m_offsets, at t = u with boson constant
+    u^-1/(u^2-1)."""
     const = dh.upow(-1) * (dh.upow(2) - dh.scalar(1)).inverse()
-    for m in m_offsets:
-        for i in cd.vertices:
-            for j in cd.vertices:
-                zi = dh.z_simple(i, m)
-                zj = dh.z_simple(j, m)
-                if i != j:
-                    if cd.adjacent(i, j):
-                        lhs = dh.add(
-                            dh.mul(dh.mul(zi, zi), zj),
-                            dh.neg(dh.scal(dh.mul(dh.mul(zi, zj), zi), upu)),
-                        )
-                        lhs = dh.add(lhs, dh.mul(zj, dh.mul(zi, zi)))
-                    else:
-                        lhs = dh.add(dh.mul(zi, zj), dh.neg(dh.mul(zj, zi)))
-                    if lhs:
-                        failures.append(("H1", m, i, j))
-        for i in cd.vertices:
-            for j in cd.vertices:
-                zi = dh.z_simple(i, m)
-                zj1 = dh.z_simple(j, m + 1)
-                aij = cd.sprod(cd.alpha(i), cd.alpha(j))
-                lhs = dh.add(
-                    dh.mul(zi, zj1), dh.neg(dh.scal(dh.mul(zj1, zi), dh.upow(-aij)))
-                )
-                if i == j:
-                    lhs = dh.add(lhs, dh.neg(dh.scal(dh.one(), const)))
-                if lhs:
-                    failures.append(("H2", m, i, j))
-        for p in m_offsets:
-            if p <= m + 1:
-                continue
-            for i in cd.vertices:
-                for j in cd.vertices:
-                    zi = dh.z_simple(i, m)
-                    zjp = dh.z_simple(j, p)
-                    aij = cd.sprod(cd.alpha(i), cd.alpha(j))
-                    lhs = dh.add(
-                        dh.mul(zi, zjp),
-                        dh.neg(dh.scal(dh.mul(zjp, zi), dh.upow((-1) ** (p - m) * aij))),
-                    )
-                    if lhs:
-                        failures.append(("H3", m, p, i, j))
-    return failures
+    boson = dh.scal(dh.one(), const)
+    return relation_failures(dh.cartan, m_offsets, dh.z_simple, dh.qcommutator, boson)
 
 
 def constant_identity_holds(q: int) -> bool:
@@ -932,10 +869,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
         raise ValueError(f"maximum word length {max_len} selects no product to compare")
     q = dh.q
     cd = cat.cartan
-    gens_t = {}
-    for i in cd.vertices:
-        pos = cat.qctx.phi.phi_inverse(cd.alpha(i), 0)
-        gens_t[i] = cat.truncated_fundamental(*pos)
+    gens_t = cat.simple_generators()
     one = UScalar.of(q, 1)
     u = UScalar.u(q)
     resc = (UScalar.half_u(q) * (u - u_power(q, -1))).inverse()

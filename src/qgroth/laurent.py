@@ -108,10 +108,6 @@ class HalfLaurent:
         """Terms with strictly negative exponent."""
         return HalfLaurent({e: v for e, v in self.c.items() if e < 0})
 
-    def in_tinv_ztinv(self) -> bool:
-        """True iff all exponents are <= -2, i.e. the value lies in t^-1 Z[t^-1]."""
-        return all(e <= -2 for e in self.c)
-
     def is_nonnegative(self) -> bool:
         return all(v > 0 for v in self.c.values())
 

@@ -2,13 +2,17 @@
 
 The ring is generated by copies of the positive quantum enveloping algebra
 sitting at each integer level m; the level-m generators are the fundamental
-classes at the vertices phi^-1(alpha_i, m).  Within a level they satisfy the
-quantum Serre relations; adjacent levels satisfy deformed boson relations with
-an inhomogeneous delta term; distant levels t-commute with alternating sign in
-the exponent.  All three families are verified exactly in the big torus, on
-the full fundamental t-characters, as q-commutators computed in one pass
-(`TorusElement.qcommutator`); the Serre element is the nested
-[x_i, [x_i, x_j]_t]_{t^-1}, whose inner commutator cancels most of the support.
+classes at the vertices phi^-1(alpha_i, m).  The defining relations are
+written once, in `relation_failures`: quantum Serre within a level, deformed
+boson relations with an inhomogeneous delta term across adjacent levels, and
+t-commutation with alternating sign across distant levels.  The Serre element
+is the nested [x_i, [x_i, x_j]_t]_{t^-1}, whose inner commutator cancels most
+of the support.  One table serves three algebras, each through its own
+q-commutator: K_t here, exactly in the big torus on the full fundamental
+t-characters (`TorusElement.qcommutator`, one pass); U_q(n) at one level, on
+the truncated fundamentals (`QGroupSide.serre_check`); and the derived Hall
+algebra at t = sqrt(q) (`hall.check_h_relations`).  Each caller checks exactly
+the relations among the generators inside its level window.
 """
 
 from __future__ import annotations
@@ -48,67 +52,43 @@ class Presentation:
             self._gens[(i, m)] = self.x_gen(i, m)
         return self._gens[(i, m)]
 
-    # -- relation checks ------------------------------------------------------
-
-    def check_r1(self, m: int) -> list[tuple]:
-        """Level-m quantum Serre relations: for adjacent i, j the element
-        x_i^2 x_j - (t + t^-1) x_i x_j x_i + x_j x_i^2, computed as the nested
-        q-commutator [x_i, [x_i, x_j]_t]_{t^-1}; otherwise [x_i, x_j]."""
-        failures = []
-        vs = self.cartan.vertices
-        x = {i: self._gen(i, m) for i in vs}
-        for i in vs:
-            for j in vs:
-                if i == j:
-                    continue
-                if self.cartan.adjacent(i, j):
-                    res = x[i].qcommutator(x[i].qcommutator(x[j], 2), -2)
-                else:
-                    res = x[i].qcommutator(x[j], 0)
-                if not res.is_zero():
-                    failures.append(("R1", m, i, j, res))
-        return failures
-
-    def check_r2(self, m: int) -> list[tuple]:
-        """Adjacent-level deformed boson relations."""
-        failures = []
-        for i in self.cartan.vertices:
-            for j in self.cartan.vertices:
-                aij = self.cartan.sprod(self.cartan.alpha(i), self.cartan.alpha(j))
-                res = self._gen(i, m).qcommutator(self._gen(j, m + 1), -2 * aij)
-                if i == j:
-                    res = res - self.yt.one().scal(
-                        HalfLaurent.one() - HalfLaurent.t_power(-4)
-                    )
-                if not res.is_zero():
-                    failures.append(("R2", m, i, j, res))
-        return failures
-
-    def check_r3(self, m: int, p: int) -> list[tuple]:
-        """Distant-level t-commutation, exponent sign alternating with p - m."""
-        if p <= m + 1:
-            raise ValueError("distant-level relation needs p > m + 1")
-        failures = []
-        sign = (-1) ** (p - m)
-        for i in self.cartan.vertices:
-            for j in self.cartan.vertices:
-                aij = self.cartan.sprod(self.cartan.alpha(i), self.cartan.alpha(j))
-                res = self._gen(i, m).qcommutator(self._gen(j, p), 2 * sign * aij)
-                if not res.is_zero():
-                    failures.append(("R3", m, p, i, j, res))
-        return failures
-
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
-        """All three relation families with levels in [m_lo, m_hi]."""
-        if m_lo > m_hi:
-            raise ValueError(f"empty level range {m_lo}..{m_hi}")
-        failures = []
-        for m in range(m_lo, m_hi + 1):
-            failures += self.check_r1(m)
-        for m in range(m_lo, m_hi):
-            failures += self.check_r2(m)
-        for m in range(m_lo, m_hi + 1):
-            for p in range(m + 2, m_hi + 1):
-                failures += self.check_r3(m, p)
-        return failures
+        """The relation table among the generators of levels m_lo..m_hi, in
+        the big torus, with boson constant 1 - t^-2."""
+        boson = self.yt.one().scal(HalfLaurent.one() - HalfLaurent.t_power(-4))
+        return relation_failures(
+            self.cartan, range(m_lo, m_hi + 1), self._gen, TorusElement.qcommutator, boson
+        )
 
+
+def relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
+    """(family, m, p, i, j) for every defining relation that fails among the
+    generators gen(i, m), m in levels, where qcomm(x, y, e) = x y - t^(e/2) y x
+    in the caller's algebra:
+
+    R1, m = p: [x_i, [x_i, x_j]_t]_{t^-1} = 0 for adjacent i, j and
+    [x_i, x_j] = 0 for other i != j (quantum Serre);
+    R2, p = m + 1: [x_{i,m}, x_{j,p}]_{t^-a_ij} = delta_ij boson (deformed boson);
+    R3, p > m + 1: [x_{i,m}, x_{j,p}]_{t^((-1)^(p-m) a_ij)} = 0 (t-commutation)."""
+    if not levels:
+        raise ValueError("empty level range: no relation to check")
+    a = cartan.cartan_matrix()
+    failures = []
+    for m in levels:
+        for p in (p for p in levels if p >= m):
+            for i in cartan.vertices:
+                for j in cartan.vertices:
+                    xi, xj = gen(i, m), gen(j, p)
+                    if p > m:
+                        res = qcomm(xi, xj, 2 * (-1) ** (p - m) * a[i - 1][j - 1])
+                        bad = res != boson if p == m + 1 and i == j else bool(res)
+                    elif i == j:
+                        continue
+                    elif cartan.adjacent(i, j):
+                        bad = bool(qcomm(xi, qcomm(xi, xj, 2), -2))
+                    else:
+                        bad = bool(qcomm(xi, xj, 0))
+                    if bad:
+                        family = "R1" if p == m else "R2" if p == m + 1 else "R3"
+                        failures.append((family, m, p, i, j))
+    return failures

@@ -17,6 +17,7 @@ from __future__ import annotations
 from .cartan import Weight
 from .characters import CategoryQ, bar_invariant_correction
 from .laurent import HalfLaurent
+from .presentation import relation_failures
 from .torus import TorusElement, divide_right
 
 
@@ -136,14 +137,6 @@ class QGroupSide:
             self._btilde.update(bar_invariant_correction(basis, self.cat.is_dominant, depth))
         return self._btilde[a]
 
-    def b_star(self, a) -> TorusElement:
-        nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
-        return self.b_tilde(a).tshift(-nb)
-
-    def sigma(self, x: TorusElement) -> TorusElement:
-        """The anti-automorphism fixing every X^a: coefficientwise conjugation."""
-        return x.bar()
-
     # -- verification reports ---------------------------------------------------
 
     def verify_mainth(self, degree_bound: int) -> list[dict]:
@@ -171,23 +164,9 @@ class QGroupSide:
         return [rows[a] for a in avecs]
 
     def serre_check(self) -> list[tuple]:
-        """Quantum Serre relations among the truncated fundamental classes
-        sitting at the simple-root positions, as the nested q-commutator
-        [x_i, [x_i, x_j]_t]_{t^-1} for adjacent i, j and [x_i, x_j] otherwise."""
-        failures = []
-        gens = {}
-        for i in self.cartan.vertices:
-            pos = self.cat.qctx.phi.phi_inverse(self.cartan.alpha(i), 0)
-            gens[i] = self.cat.truncated_fundamental(*pos)
-        for i in self.cartan.vertices:
-            for j in self.cartan.vertices:
-                if i == j:
-                    continue
-                xi, xj = gens[i], gens[j]
-                if self.cartan.adjacent(i, j):
-                    lhs = xi.qcommutator(xi.qcommutator(xj, 2), -2)
-                else:
-                    lhs = xi.qcommutator(xj, 0)
-                if not lhs.is_zero():
-                    failures.append((i, j, lhs))
-        return failures
+        """The level-zero rows R1 (quantum Serre) of the relation table, among
+        the truncated fundamental classes at the simple-root positions."""
+        gens = self.cat.simple_generators()
+        return relation_failures(
+            self.cartan, [0], lambda i, m: gens[i], TorusElement.qcommutator, None
+        )

@@ -335,10 +335,6 @@ class QuiverContext:
                 if ringel_form(quiver, self.cartan.alpha(i), quiver.gamma(j)) != int(i == j):
                     raise RuntimeError(f"Euler form <alpha_{i}, gamma_{j}> is not delta")
 
-    def ihat_Q(self) -> list[tuple[int, int]]:
-        return list(self.positions)
-
-
 def ringel_form(quiver: QuiverDatum, d, e) -> int:
     """Euler form <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j.
 

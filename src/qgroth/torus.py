@@ -204,13 +204,6 @@ class YTorus:
     def zero(self) -> "TorusElement":
         return TorusElement(self, {})
 
-    def a_monomial(self, i: int, p: int) -> Monomial:
-        """The exchange monomial at (i,p): Y_{i,p+1} Y_{i,p-1} prod_{j~i} Y_{j,p}^-1."""
-        exps = {(i, p + 1): 1, (i, p - 1): 1}
-        for j in self.cartan.neighbors(i):
-            exps[(j, p)] = exps.get((j, p), 0) - 1
-        return Monomial(exps)
-
     def a_solve(self, ratio: Monomial) -> Optional[dict[tuple[int, int], int]]:
         """Write ratio as a product prod A_{i,s}^{v_{i,s}} with integer exponents.
 
@@ -334,12 +327,6 @@ class TorusElement:
     def support(self):
         return list(self.terms.keys())
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def dominant_terms(self) -> dict:
-        return {k: c for k, c in self.terms.items() if k.is_dominant()}
-
     def __repr__(self) -> str:
         return f"TorusElement({self.render()})"
 
@@ -369,12 +356,6 @@ class TorusElement:
             ]
             for k in keys
         ]
-
-
-def y_element_from_json(ctx: YTorus, data: list) -> TorusElement:
-    return TorusElement(
-        ctx, {Monomial.from_json(k): HalfLaurent.from_json(c) for k, c in data}
-    )
 
 
 def render_xkey(a: tuple) -> str:
@@ -457,11 +438,6 @@ class XTorus:
 
     def unit_vector(self, k: int) -> tuple:
         return tuple(1 if j == k - 1 else 0 for j in range(self.r))
-
-    def x_product(self, a: tuple, b: tuple) -> tuple[HalfLaurent, tuple]:
-        """Scalar and exponent of X^a X^b."""
-        return HalfLaurent.t_power(self.pair2(a, b)), self.key_mul(tuple(a), tuple(b))
-
 
 MAX_QUOTIENT_TERMS = 10000
 

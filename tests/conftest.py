@@ -4,7 +4,7 @@ from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
-from qgroth.torus import YTorus
+from qgroth.torus import Monomial, YTorus
 
 # The worked orientations used throughout: heights as in the source examples.
 PAPER_XI = {
@@ -62,6 +62,19 @@ def on_positions(cat: CategoryQ, y):
     """A Y-keyed element whose monomials all sit on the positions of the
     orientation, rewritten in the rank-r torus (raises on any other monomial)."""
     return cat.xt.element({cat.avec_of(m): c for m, c in y.terms.items()})
+
+
+def a_monomial(cartan, i: int, p: int) -> Monomial:
+    """The exchange monomial A_{i,p} = Y_{i,p+1} Y_{i,p-1} prod_{j~i} Y_{j,p}^-1."""
+    exps = {(i, p + 1): 1, (i, p - 1): 1}
+    for j in cartan.neighbors(i):
+        exps[(j, p)] = exps.get((j, p), 0) - 1
+    return Monomial(exps)
+
+
+def in_tinv_ztinv(c) -> bool:
+    """True iff the Laurent coefficient c lies in t^-1 Z[t^-1]."""
+    return all(e <= -2 for e in c.c)
 
 
 def order_depth(keys, leq):

@@ -117,7 +117,10 @@ def test_neighbors_read_the_edges(kind, n):
 def test_root_coords_roundtrip():
     cd = cartan_datum("D5")
     for w in cd.positive_roots():
-        assert cd.from_root_coords(cd.root_coords(w)) == w
+        back = cd.zero_weight()
+        for i, c in zip(cd.vertices, cd.root_coords(w)):
+            back = back + cd.alpha(i).scale(c)
+        assert back == w
 
 
 def test_json_roundtrip():
@@ -161,7 +164,7 @@ def test_large_types_instantiate():
 
 
 def test_integer_inverse_matches_the_rational_one():
-    # alpha_coords, root_coords, sprod and in_root_lattice share one integer
+    # alpha_coords, root_coords and sprod share one integer
     # inverse; the fundamental weights leave the root lattice except in E8
     for name in TYPES + ["D6", "E7", "E8"]:
         cd = cartan_datum(name)
@@ -171,9 +174,7 @@ def test_integer_inverse_matches_the_rational_one():
             a = cd.alpha_coords(w)
             assert all(isinstance(x, Fraction) for x in a)
             assert tuple(sum(a[i] * c[i][k] for i in range(cd.n)) for k in range(cd.n)) == w.coords
-            integral = all(x.denominator == 1 for x in a)
-            assert cd.in_root_lattice(w) == integral
-            if integral:
+            if all(x.denominator == 1 for x in a):
                 assert cd.root_coords(w) == tuple(int(x) for x in a)
             else:
                 with pytest.raises(ValueError):
@@ -185,8 +186,10 @@ def test_integer_inverse_matches_the_rational_one():
                 else:
                     with pytest.raises(ValueError):
                         cd.sprod(w, cd.varpi(k))
-    assert not cartan_datum("A1").in_root_lattice(cartan_datum("A1").varpi(1))
-    assert all(cartan_datum("E8").in_root_lattice(cartan_datum("E8").varpi(j)) for j in range(1, 9))
+    with pytest.raises(ValueError):
+        cartan_datum("A1").root_coords(cartan_datum("A1").varpi(1))
+    e8 = cartan_datum("E8")
+    assert all(len(e8.root_coords(e8.varpi(j))) == 8 for j in e8.vertices)
 
 
 # --- the one elimination routine, over every field the library uses ---------

@@ -384,6 +384,55 @@ def test_qchar_rejects_an_orientation_it_does_not_read(capsys, what, flags, orie
     assert captured.err == f"usage error: qchar {what} takes no orientation (--xi/--arrows)\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (
+        "verify all --type E8 --xi 0,1,0,1,0,1,0,1 --degree-bound 9 --m-range 5..9",
+        "verify all does not read --xi or --m-range or --degree-bound",
+    ),
+    ("verify all --type A2 --arrows 1-2", "verify all does not read --arrows"),
+    (
+        "verify presentation --type A2 --degree-bound 2",
+        "verify presentation does not read --degree-bound",
+    ),
+    ("verify mainth --type A2 --m-range 0..1", "verify mainth does not read --m-range"),
+    (
+        "hall relations --type A2 --q 2 --max-len 2 --x 1 --w 2",
+        "hall relations does not read --x or --w or --max-len",
+    ),
+    ("hall iota --type A2 --q 2 --t 1", "hall iota does not read --t"),
+    ("hall number --type A2 --q 2 --x 1 --y 2 --w 1-2 --mmax 1", "hall number does not read --mmax"),
+    (
+        "hall gamma --type A2 --q 2 --x 1 --y 2 --t 2 --w 1 --max-len 1",
+        "hall gamma does not read --max-len",
+    ),
+])
+def test_verify_and_hall_reject_flags_they_do_not_read(capsys, argv, message):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_hall_relations_window_is_the_level_range(capsys, monkeypatch):
+    # --mmax M checks the relations among levels 0..M and none above: at
+    # --mmax 0 that is the quantum Serre rows alone
+    import qgroth.hall as hall
+
+    seen = []
+    real = hall.relation_failures
+
+    def spy(cd, levels, *rest):
+        seen.append(list(levels))
+        return real(cd, levels, *rest)
+
+    monkeypatch.setattr(hall, "relation_failures", spy)
+    for mmax in ("0", "2"):
+        assert main(["hall", "relations", "--type", "A2", "--q", "2", "--mmax", mmax]) == 0
+    assert main(["hall", "iota", "--type", "A2", "--q", "2", "--max-len", "1", "--mmax", "1"]) == 0
+    assert main(["hall", "relations", "--type", "A2", "--q", "2"]) == 0
+    assert seen == [[0], [0, 1, 2], [0, 1], [0, 1, 2, 3]]
+
+
 def test_failed_internal_check_exits_2(capsys, monkeypatch):
     import qgroth.hall as hall
 

@@ -1,5 +1,6 @@
 """Seeded argv near the edges of `canonical`, `dominant-pairs`, `--config`,
-`verify presentation` and `qchar simple|truncate`.
+`verify presentation|all|mainth`, `hall relations|iota|number|gamma`,
+`qcartan`, `tsystem`, `phi` and `qchar simple|truncate|kr|fundamental|standard`.
 
 Every drawn argv ends with exit 0, 1, 2 or 3, no exception escapes `main`, and
 on exit 0 stdout is one JSON document.  E-type `canonical` is left out: its
@@ -229,3 +230,149 @@ def test_qchar_simple_and_truncate_edges_end_in_a_documented_exit(argv):
     # and malformed monomials are usage errors; a heavy enumeration is capped
     code, out, err = _run(argv)
     _assert_documented_exit(code, out, err, argv)
+
+
+
+# -- hall, verify all|mainth, qcartan, tsystem, phi, qchar kr|fundamental|standard
+
+ISOCLASSES = [
+    "0", "1", "2", "3", "1-2", "2-3", "1-3", "1*2", "1,2", "2,3", "1-2,3", "1-3,2-3", "1-2*2",
+]
+MALFORMED_ISOCLASSES = [
+    "", "x", "1-", "-1", "2-1", "1-4", "0-1", "1*0", "1*-1", "1*x", "1-2-3", "1,,2", "1*2*3", "4",
+    "1.5", "1 2",
+]
+# the valued flags each hall subcommand reads besides --type and --q; the
+# others are drawn now and then, and must be refused
+HALL_READS = {
+    "relations": {"--arrows", "--mmax"},
+    "iota": {"--arrows", "--mmax", "--max-len"},
+    "number": {"--arrows", "--x", "--y", "--w"},
+    "gamma": {"--arrows", "--x", "--y", "--t", "--w"},
+}
+HALL_VALUES = {
+    "--mmax": st.integers(min_value=-1, max_value=3).map(str),
+    "--max-len": st.integers(min_value=0, max_value=3).map(str),
+    **{
+        flag: st.sampled_from(ISOCLASSES * 12 + MALFORMED_ISOCLASSES)
+        for flag in ("--x", "--y", "--t", "--w")
+    },
+}
+VERIFY_READS = {"all": set(), "mainth": {"--arrows", "--degree-bound"}}
+
+
+def _maybe(draw, read):
+    """Whether to pass a flag: mostly when the subcommand reads it, rarely
+    when it does not."""
+    return draw(st.sampled_from([read] * 15 + [not read]))
+
+
+def _type(draw, names):
+    """A diagram type: one of names, or now and then a malformed one."""
+    return draw(st.sampled_from(MALFORMED_TYPES if _maybe(draw, False) else names))
+
+
+def _arrows(draw, name):
+    return draw(st.sampled_from(all_orientations(name) if name in EDGES else MALFORMED_ARROWS))
+
+
+@st.composite
+def hall_argvs(draw):
+    what = draw(st.sampled_from(list(HALL_READS)))
+    # A4 and D4 are past the Hall cap (exit 3)
+    name = _type(draw, ["A1", "A2", "A3"] * 4 + ["A4", "D4"])
+    argv = ["hall", what] + _flag("--type", name, draw(st.booleans()))
+    if draw(st.sampled_from([False, False, True])):
+        argv += _flag("--arrows", _arrows(draw, name), True)
+    if _maybe(draw, True):
+        argv += _flag("--q", str(draw(st.sampled_from([2, 3, 4] * 3 + [1, 5]))), True)
+    for flag, values in HALL_VALUES.items():
+        if _maybe(draw, flag in HALL_READS[what]):
+            argv += _flag(flag, draw(values), True)
+    return argv + ["--format", "json"]
+
+
+def _unread_flags_are_named(argv, code, err, unread):
+    if unread:
+        assert code == 1 and all(flag in err for flag in unread), (argv, err)
+
+
+@seed(20261018)
+@given(hall_argvs())
+@settings(max_examples=400, deadline=timedelta(seconds=20))
+def test_hall_edges_end_in_a_documented_exit(argv):
+    # fields outside 2..4, types past A3, malformed isoclasses, --mmax -1,
+    # --max-len 0 and unread flags end in 1 or 3; every run that gets through
+    # passes its checks
+    code, out, err = _run(argv)
+    _assert_documented_exit(code, out, err, argv)
+    assert code != 2, (argv, err)
+    flags = {tok.partition("=")[0] for tok in argv if tok.startswith("--")}
+    if "--q" in flags:
+        unread = flags - HALL_READS[argv[1]] - {"--type", "--q", "--format"}
+        _unread_flags_are_named(argv, code, err, unread)
+
+
+@st.composite
+def other_argvs(draw):
+    cmd = draw(st.sampled_from([
+        "verify all", "verify mainth", "qcartan", "tsystem", "phi",
+        "qchar kr", "qchar fundamental", "qchar standard",
+    ]))
+    argv = cmd.split()
+    narrow = cmd.startswith(("qchar", "verify"))
+    name = _type(draw, TYPES if narrow else TYPES + ["D5", "E6", "E7", "E8"])
+    argv += _flag("--type", name, draw(st.booleans()))
+    rank = int(name[1:]) if name in TYPES else 3
+    small = st.integers(min_value=-1, max_value=3).map(str)
+    orientable = cmd in ("verify mainth", "phi", "qchar kr")
+    if cmd not in ("qcartan", "tsystem") and _maybe(draw, orientable) and draw(st.booleans()):
+        argv += _flag("--arrows", _arrows(draw, name), True)
+    if cmd.startswith("verify"):
+        if _maybe(draw, cmd == "verify mainth"):
+            bound = draw(st.integers(min_value=-1, max_value=2))
+            argv += _flag("--degree-bound", str(bound), True)
+        if _maybe(draw, False):
+            levels = st.sampled_from(["0..1", "2..1"] + MALFORMED_RANGES)
+            argv += _flag("--m-range", draw(levels), True)
+    elif cmd == "qcartan":
+        if _maybe(draw, True):
+            argv += _flag("--mmax", draw(small), True)
+    elif cmd == "phi":
+        if draw(st.booleans()):
+            window = st.sampled_from(["-6..6", "0..0", "3..-3", "-20..20"] + MALFORMED_RANGES)
+            argv += _flag("--window", draw(window), True)
+    elif cmd == "qchar standard":
+        if _maybe(draw, True):
+            vertex = st.integers(min_value=0, max_value=rank + 1)
+            level = st.integers(min_value=-2, max_value=4)
+            factor = st.tuples(vertex, level, st.sampled_from([1, 1, 2, -1]))
+            monomial = st.lists(factor, max_size=2).map(_monomial_text)
+            text = draw(monomial | st.sampled_from(MALFORMED_MONOMIALS))
+            argv += [f"--monomial={text}"]
+    else:
+        vertex = st.integers(min_value=-1, max_value=rank + 1).map(str)
+        flags = [("--i", vertex), ("--k" if cmd == "tsystem" else "--p", small)]
+        if cmd == "qchar kr":
+            flags.append(("--s", small))
+        for flag, values in flags:
+            if _maybe(draw, True):
+                argv += _flag(flag, draw(values), True)
+    return argv + ["--format", "json"]
+
+
+@seed(20261018)
+@given(other_argvs())
+@settings(max_examples=400, deadline=timedelta(seconds=20))
+def test_remaining_subcommand_edges_end_in_a_documented_exit(argv):
+    # verify all reads no --arrows, --degree-bound or --m-range, verify mainth
+    # no --m-range; out-of-range vertices and levels, an --mmax below 1 and
+    # reversed or malformed ranges are usage errors; D4 fundamentals that are
+    # not multiplicity-free fall back to their classical character (exit 0)
+    code, out, err = _run(argv)
+    _assert_documented_exit(code, out, err, argv)
+    assert code != 2, (argv, err)
+    if argv[0] == "verify":
+        flags = {tok.partition("=")[0] for tok in argv if tok.startswith("--")}
+        unread = flags - VERIFY_READS[argv[1]] - {"--type", "--format"}
+        _unread_flags_are_named(argv, code, err, unread)

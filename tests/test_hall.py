@@ -208,12 +208,10 @@ def test_gamma_examples():
         assert toen_gamma(S1, S2, S2, S1, q, p) == 1
         assert toen_gamma(S1, S1, S1, S1, q, p) == 1
         assert toen_gamma(S1, S1, ZERO, ZERO, q, p) == Fraction(1, p - 1)
-        # the raw sequence count behind the i != j case is (q-1)^2
-        from qgroth.hall import _gamma_raw
-
+        # the sequence count behind the i != j case is (q-1)^2
         F = GF(p)
         auts = aut_count(model_rep(q, F, S1), p) * aut_count(model_rep(q, F, S2), p)
-        assert _gamma_raw(S2, S2, S1, S1, q, p) * auts == (p - 1) ** 2
+        assert toen_gamma(S1, S2, S2, S1, q, p) * auts == (p - 1) ** 2
 
 
 def test_resource_caps():
@@ -401,7 +399,7 @@ def test_dh_same_level_and_distant():
     aij = -1
     lhs = dh.mul(za, zb)
     rhs = dh.scal(dh.mul(zb, za), dh.upow((-1) ** 3 * aij))
-    assert dh.equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_dh_boson_specialization():
@@ -411,7 +409,7 @@ def test_dh_boson_specialization():
         zi0, zi1 = dh.z_simple(1, 0), dh.z_simple(1, 1)
         lhs = dh.add(dh.mul(zi0, zi1), dh.neg(dh.scal(dh.mul(zi1, zi0), dh.upow(-2))))
         const = dh.upow(-1) * (dh.upow(2) - dh.scalar(1)).inverse()
-        assert dh.equal(lhs, dh.scal(dh.one(), const))
+        assert lhs == dh.scal(dh.one(), const)
 
 
 def test_dh_associativity_spot_checks():
@@ -420,7 +418,7 @@ def test_dh_associativity_spot_checks():
     for a in gens[:3]:
         for b in gens:
             for c in gens[1:]:
-                assert dh.equal(dh.mul(dh.mul(a, b), c), dh.mul(a, dh.mul(b, c)))
+                assert dh.mul(dh.mul(a, b), c) == dh.mul(a, dh.mul(b, c))
 
 
 @pytest.mark.parametrize("name,q", [("A2", 2), ("A2", 3), ("A3", 2), ("A3", 3)])
@@ -428,6 +426,59 @@ def test_h_relations(name, q):
     quiv = QuiverDatum.bipartite(cartan_datum(name))
     dh = DerivedHall(quiv, q)
     assert check_h_relations(dh, range(4)) == []
+
+
+def test_corrupted_hall_inputs_fail_every_relation_family(monkeypatch):
+    import qgroth.hall as hall
+
+    # a generator with the unit added: every family that meets it fails
+    dh = DerivedHall(a2_quiver(), 2)
+    real = dh.z_simple
+    monkeypatch.setattr(
+        dh, "z_simple", lambda i, m: dh.add(real(i, m), dh.one()) if (i, m) == (1, 0) else real(i, m)
+    )
+    assert {f[0] for f in check_h_relations(dh, range(3))} == {"R1", "R2", "R3"}
+    # the boson constant doubled: exactly the rows R2 with i = j fail, and a
+    # one-level window (hall relations --mmax 0) checks no R2 row at all
+    real_table = hall.relation_failures
+    monkeypatch.setattr(
+        hall,
+        "relation_failures",
+        lambda cd, levels, gen, qcomm, boson: real_table(
+            cd, levels, gen, qcomm, dh.scal(boson, dh.scalar(2))
+        ),
+    )
+    for name, q in [("A2", 2), ("A3", 3)]:
+        dh = DerivedHall(QuiverDatum.bipartite(cartan_datum(name)), q)
+        fails = check_h_relations(dh, range(3))
+        assert fails == [("R2", m, m + 1, i, i) for m in (0, 1) for i in dh.cartan.vertices]
+        assert check_h_relations(dh, range(1)) == []
+
+
+@pytest.mark.parametrize("name,q", [("A2", 2), ("A2", 3), ("A3", 2), ("A3", 3)])
+def test_nested_serre_element_equals_the_three_term_expansion(name, q):
+    # [x, [x, y]_u]_{u^-1} = x^2 y - (u + u^-1) x y x + y x^2, on the simple
+    # generators (where both vanish) and on mixed-level sums (where they do not)
+    dh = DerivedHall(QuiverDatum.bipartite(cartan_datum(name)), q)
+    mul, upu = dh.mul, dh.upow(1) + dh.upow(-1)
+
+    def three_terms(x, y):
+        out = dh.add(mul(mul(x, x), y), dh.neg(dh.scal(mul(mul(x, y), x), upu)))
+        return dh.add(out, mul(y, mul(x, x)))
+
+    cd = dh.cartan
+    nonzero = 0
+    for i, j in cd.edges + tuple((j, i) for i, j in cd.edges):
+        zi, zj = dh.z_simple(i, 0), dh.z_simple(j, 0)
+        for x, y in [(zi, zj), (dh.add(zi, dh.z_simple(j, 1)), dh.add(zj, dh.z_simple(i, 2)))]:
+            nested = dh.qcommutator(x, dh.qcommutator(x, y, 2), -2)
+            assert nested == three_terms(x, y)
+            nonzero += bool(nested)
+    assert nonzero == 2 * len(cd.edges)
+    # an odd exponent is a half-integral power of u
+    x, y = dh.z_simple(1, 0), dh.z_simple(1, 2)
+    half = UScalar.half_u(q)
+    assert dh.qcommutator(x, y, 3) == dh.add(mul(x, y), dh.neg(dh.scal(mul(y, x), dh.upow(1) * half)))
 
 
 @pytest.mark.parametrize("name,xi,q", [("A2", (2, 1), 2), ("A2", (2, 1), 3), ("A3", (2, 3, 2), 2), ("A3", (2, 3, 2), 3)])

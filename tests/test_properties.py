@@ -10,7 +10,7 @@ from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, XTorus, YTorus, divide_right
 
-from conftest import four_coefficient_n
+from conftest import a_monomial, four_coefficient_n
 
 
 def ytorus(name):
@@ -137,12 +137,12 @@ def test_a_lattice_solver_roundtrip(name, data):
     )
     prod = Monomial.unit()
     for (i, s), c in picks.items():
-        prod = prod * yt.a_monomial(i, s).power(c)
+        prod = prod * a_monomial(cd, i, s).power(c)
     v = yt.a_solve(prod)
     assert v is not None
     rebuilt = Monomial.unit()
     for (i, s), c in v.items():
-        rebuilt = rebuilt * yt.a_monomial(i, s).power(c)
+        rebuilt = rebuilt * a_monomial(cd, i, s).power(c)
     assert rebuilt == prod
 
 

@@ -159,7 +159,7 @@ def test_mesh_relation():
 
 def test_ihat_Q_examples():
     ctx = QuiverContext(d4_fig_quiver())
-    assert sorted(ctx.ihat_Q()) == sorted(
+    assert sorted(ctx.positions) == sorted(
         [
             (1, 0), (1, -2), (1, -4),
             (2, 0), (2, -2), (2, -4),
@@ -168,8 +168,8 @@ def test_ihat_Q_examples():
         ]
     )
     ctx3 = QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
-    assert sorted(ctx3.ihat_Q()) == [(1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)]
-    assert len(ctx3.ihat_Q()) == 6
+    assert sorted(ctx3.positions) == [(1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)]
+    assert len(ctx3.positions) == 6
 
 
 def test_position_order_reverses_word_order():
