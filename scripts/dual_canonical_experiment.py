@@ -39,12 +39,13 @@ def main() -> None:
         depth = cat.depths(deg)
         if len(depth) < 2:
             continue
-        basis = {c: qg.e_tilde(c) for c in depth}
+        avec = cat.xt.exponents
+        basis = {c: qg.e_tilde(avec(c)) for c in depth}
         print(f"  weight {deg}:")
         for a in depth:
-            coeffs = expand_in_dominant_basis(qg.b_tilde(a), basis, cat.is_dominant, depth)
-            row = {k: v.render("v") for k, v in coeffs.items() if not v.is_zero()}
-            print(f"    B~{a} = " + " + ".join(f"({c}) E~{k}" for k, c in sorted(row.items())))
+            coeffs = expand_in_dominant_basis(qg.b_tilde(avec(a)), basis, cat.xt.is_dominant, depth)
+            row = {avec(k): v.render("v") for k, v in coeffs.items() if not v.is_zero()}
+            print(f"    B~{avec(a)} = " + " + ".join(f"({c}) E~{k}" for k, c in sorted(row.items())))
 
 
 if __name__ == "__main__":

@@ -253,7 +253,18 @@ def fundamental_tchar(yt: YTorus, i: int, p: int) -> TorusElement:
             f"fundamental at ({i},{p}) is not multiplicity-free; t-lift refused", chi
         )
     one = HalfLaurent.one()
-    return TorusElement(yt, {m: one for m in chi})
+    return yt.element({m: one for m in chi})
+
+
+def fundamental_window(qc: QuantumCartan, points) -> YTorus:
+    """The window torus on every variable of the fundamental characters at
+    the given points (i, p)."""
+    cd = qc.cartan
+    for i, _ in points:
+        cd._check_vertex(i)
+    return YTorus(
+        qc, {(j, q + p) for i, p in points for m in _fm_base(cd.kind, cd.n, i) for (j, q), _ in m.items}
+    )
 
 
 # --------------------------------------------------------------------------
@@ -296,18 +307,21 @@ def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
         f = fundamental_tchar(yt, i, p)
         for _ in range(m.exp(i, p)):
             prod = f if prod is None else prod * f
-    return prod.tshift(-_unit_coeff_exp2(prod.coeff(m)))
+    return prod.tshift(-_unit_coeff_exp2(prod.coeff(yt.key(m))))
 
 
-def dominant_below(yt: YTorus, m: Monomial, cap: int = 500000) -> list[Monomial]:
-    """All dominant monomials m' <= m in the exchange order (including m)."""
-    cd = yt.cartan
+DOMINANT_BELOW_CAP = 500000
+
+
+def _dominant_axes(cd: CartanDatum, m: Monomial) -> tuple[list, list[int]]:
+    """The exchange positions (i, s, bound) that `dominant_below` enumerates
+    at the dominant monomial m, and the per-vertex budget."""
     if not m.is_dominant():
         raise ValueError("expected a dominant monomial")
     for i, _ in m.support():
         cd._check_vertex(i)
     if m.is_unit():
-        return [m]
+        return [], []
     lo, hi = m.min_p(), m.max_p()
     # parity of the variable line at each vertex, read off m's support
     i1, p1 = m.support()[0]
@@ -325,23 +339,31 @@ def dominant_below(yt: YTorus, m: Monomial, cap: int = 500000) -> list[Monomial]
     total = 1
     for _, _, b in axes:
         total *= b + 1
-        if total > cap:
+        if total > DOMINANT_BELOW_CAP:
             raise ResourceCap("dominant-monomial enumeration exceeded its cap")
-    out = []
+    return axes, span
+
+
+def dominant_below(yt: YTorus, m: Monomial) -> list[Monomial]:
+    """All dominant monomials m' <= m in the exchange order (including m)."""
+    cd = yt.cartan
+    axes, span = _dominant_axes(cd, m)
+    steps = [_a_inverse(cd, i, s).items for i, s, _ in axes]
+    out = set()
     for combo in itertools.product(*[range(b + 1) for _, _, b in axes]):
-        cand = m
         budget = list(span)
-        feasible = True
-        for (i, s, _), c in zip(axes, combo):
+        exps = m.exps()
+        for (i, _, _), step, c in zip(axes, steps, combo):
             if c:
                 budget[i - 1] -= c
                 if budget[i - 1] < 0:
-                    feasible = False
                     break
-                cand = cand * _a_inverse(cd, i, s).power(c)
-        if feasible and cand.is_dominant():
-            out.append(cand)
-    return sorted(set(out), key=lambda x: x.sort_key())
+                for v, e in step:
+                    exps[v] = exps.get(v, 0) + c * e
+        else:
+            if all(e >= 0 for e in exps.values()):
+                out.add(Monomial(exps))
+    return sorted(out, key=Monomial.sort_key)
 
 
 def expand_in_dominant_basis(
@@ -383,8 +405,9 @@ def bar_invariant_correction(basis: dict, is_dominant_key: Callable, depth: dict
     order = sorted(basis, key=depth.__getitem__)
     defect = {}
     for c in order:
-        delta = {k: w.conj() - w for k, w in basis[c].terms.items() if not w.is_symmetric()}
-        d = expand_in_dominant_basis(TorusElement(basis[c].ctx, delta), basis, is_dominant_key, depth)
+        x = basis[c]
+        delta = {k: w.conj() - w for k, w in x.terms.items() if not w.is_symmetric()}
+        d = expand_in_dominant_basis(TorusElement(x.ctx, delta, x.forms, x.l1), basis, is_dominant_key, depth)
         if any(depth[b] <= depth[c] for b in d):
             raise CharacterError("bar defect is not strictly triangular")
         defect[c] = d
@@ -409,16 +432,25 @@ def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     """t-character of the simple module at m: bar-invariant, unitriangular over
     the standard classes with off-diagonal coefficients in t^-1 Z[t^-1]."""
     cands = dominant_below(yt, m)
-    basis = {m2: standard_tchar(yt, m2) for m2 in cands}
-    depth = {m2: sum(yt.a_solve(m * m2.inverse()).values()) for m2 in cands}
-    return bar_invariant_correction(basis, Monomial.is_dominant, depth)[m]
+    basis = {yt.key(m2): standard_tchar(yt, m2) for m2 in cands}
+    depth = {yt.key(m2): sum(yt.a_solve(m * m2.inverse()).values()) for m2 in cands}
+    return bar_invariant_correction(basis, yt.is_dominant, depth)[yt.key(m)]
+
+
+def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
+    """The window torus of `simple_tchar` at m: the fundamental characters at
+    the points of m and of the exchange monomials `dominant_below` applies."""
+    cd = qc.cartan
+    axes, _ = _dominant_axes(cd, m)
+    points = set(m.support()) | {v for i, s, _ in axes for v, _ in _a_inverse(cd, i, s).items}
+    return fundamental_window(qc, points)
 
 
 def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Optional[Fraction]:
     """If the product of simple classes is t^k times a simple class, return k."""
     prod = simple_tchar(yt, m1) * simple_tchar(yt, m2)
     target = simple_tchar(yt, m1 * m2)
-    c = prod.coeff(m1 * m2)
+    c = prod.coeff(yt.key(m1 * m2))
     if len(c.c) != 1:
         return None
     e, v = next(iter(c.c.items()))
@@ -447,9 +479,9 @@ class CategoryQ:
         self.quiver = qctx.quiver
         self.cartan = qctx.cartan
         self.qc = quantum_cartan(self.cartan)
-        self.yt = YTorus(self.qc)
-        self.xt = XTorus(qctx.word.betas, self.cartan)
         self.positions = qctx.positions
+        self.yt = YTorus(self.qc, self.positions)
+        self.xt = XTorus(qctx.word.betas, self.cartan)
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
         self._pairs: dict[tuple[int, ...], list[dict]] = {}
@@ -475,11 +507,10 @@ class CategoryQ:
         return all(ip in self.index_of_position for ip in m.support())
 
     def truncate(self, x: TorusElement) -> TorusElement:
-        """Restriction of a Y-keyed element to the positions, as an element of
-        the rank-r torus."""
-        return self.xt.element(
-            {self.avec_of(k): c for k, c in x.terms.items() if self.in_category(k)}
-        )
+        """Restriction of an element of a window torus to the positions, as an
+        element of the rank-r torus."""
+        ms = {x.ctx.monomial_of(k): c for k, c in x.terms.items()}
+        return self.xt.element({self.avec_of(m): c for m, c in ms.items() if self.in_category(m)})
 
     def avec_of(self, m: Monomial) -> tuple[int, ...]:
         a = [0] * self.xt.r
@@ -499,10 +530,6 @@ class CategoryQ:
             if c:
                 w = w + self.qctx.word.betas[k].scale(c)
         return w
-
-    @staticmethod
-    def is_dominant(a) -> bool:
-        return all(e >= 0 for e in a)
 
     def root_of(self, a) -> tuple[int, ...]:
         """Root coordinates of sum_k a_k beta_k: the weight space of a."""
@@ -592,10 +619,14 @@ class CategoryQ:
         self._pairs[d] = rows
         return rows
 
-    def depths(self, d) -> dict[tuple[int, ...], int]:
+    def depths(self, d) -> dict[int, int]:
         """The dominant keys of the weight space d, each with its depth: the
         sum of its A-column, which grows strictly down the Nakajima order."""
-        return {row["avec"]: row["depth"] for row in self.dominant_pairs(d)}
+        return {self.xt.key(row["avec"]): row["depth"] for row in self.dominant_pairs(d)}
+
+    def standards(self, keys) -> dict[int, TorusElement]:
+        """The truncated standard class at each dominant key."""
+        return {k: self.truncated_standard(self.xt.exponents(k)) for k in keys}
 
     def dominant_avecs_up_to(self, degree: int) -> list[tuple[int, ...]]:
         degs = [self.cartan.deg(b) for b in self.qctx.word.betas]
@@ -615,7 +646,7 @@ class CategoryQ:
 
     def _dominant_avec(self, a) -> tuple[int, ...]:
         a = tuple(a)
-        if len(a) != self.xt.r or not self.is_dominant(a):
+        if len(a) != self.xt.r or any(e < 0 for e in a):
             raise ValueError(f"expected a dominant exponent vector of length {self.xt.r}")
         return a
 
@@ -631,7 +662,7 @@ class CategoryQ:
                 prod = f if prod is None else prod * f
         if prod is None:
             return self.xt.one()
-        e = _unit_coeff_exp2(prod.coeff(a))
+        e = _unit_coeff_exp2(prod.coeff(self.xt.key(a)))
         return prod.tshift(-e)
 
     def truncated_simple(self, a) -> TorusElement:
@@ -641,6 +672,6 @@ class CategoryQ:
         rows = self.dominant_pairs(self.root_of(a))
         col = next(r["a_column"] for r in rows if r["avec"] == a)
         below = [r for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
-        depth = {r["avec"]: r["depth"] for r in below}
-        basis = {c: self.truncated_standard(c) for c in depth}
-        return bar_invariant_correction(basis, self.is_dominant, depth)[a]
+        depth = {self.xt.key(r["avec"]): r["depth"] for r in below}
+        simples = bar_invariant_correction(self.standards(depth), self.xt.is_dominant, depth)
+        return simples[self.xt.key(a)]

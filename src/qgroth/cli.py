@@ -16,7 +16,9 @@ from .characters import (
     CategoryQ,
     NonMultiplicityFree,
     fundamental_tchar,
+    fundamental_window,
     simple_tchar,
+    simple_window,
     standard_tchar,
     tsystem_exponents,
 )
@@ -33,7 +35,7 @@ from .presentation import Presentation
 from .qcartan import quantum_cartan
 from .qgroup import QGroupSide
 from .quiver import QuiverContext, QuiverDatum
-from .torus import Monomial, TorusElement, YTorus
+from .torus import Monomial
 
 
 def _parse_quiver(args, cartan: CartanDatum) -> QuiverDatum:
@@ -163,40 +165,17 @@ def cmd_phi(args) -> int:
     return 0
 
 
-def _element_lines(x, var="t"):
-    return [x.render(var)]
-
-
-def _y_keyed(cat: CategoryQ, x: TorusElement) -> TorusElement:
-    """A rank-r torus element written on Y-monomials, for output."""
-    return TorusElement(cat.yt, {cat.monomial_of_avec(a): c for a, c in x.terms.items()})
-
-
-# The flags each qchar and hall subcommand needs; argparse cannot require
-# them per choice.
-_QCHAR_FLAGS = {
-    "fundamental": (("i", "--i"), ("p", "--p")),
-    "kr": (("i", "--i"), ("p", "--p")),
-    "standard": (("monomial", "-m/--monomial"),),
-    "simple": (("monomial", "-m/--monomial"),),
-    "truncate": (("monomial", "-m/--monomial"),),
-}
-_HALL_FLAGS = {
-    "gamma": (("x", "--x"), ("y", "--y"), ("t", "--t"), ("w", "--w")),
-    "number": (("x", "--x"), ("y", "--y"), ("w", "--w")),
-}
-
-
-def _require_flags(command: str, args, needed) -> None:
-    missing = [flag for dest, flag in needed if getattr(args, dest) is None]
-    if missing:
-        raise ValueError(f"{command} {args.what} requires {' and '.join(missing)}")
-
-
-# The valued flags each verify and hall subcommand reads besides --type and
-# --q.  The parser leaves them None, so that a flag the subcommand never reads
-# is refused, not ignored; the ones it reads get their defaults here.
+# The valued flags each qchar, verify and hall subcommand reads besides
+# --type and --q.  The parser leaves them None, so that a flag the subcommand
+# never reads is refused, not ignored; the ones it reads get their defaults
+# here, and one with no default and no orientation is required (argparse
+# cannot require a flag per choice).
 _READS = {
+    ("qchar", "fundamental"): ("i", "p"),
+    ("qchar", "kr"): ("xi", "arrows", "i", "p", "s"),
+    ("qchar", "standard"): ("monomial",),
+    ("qchar", "simple"): ("monomial",),
+    ("qchar", "truncate"): ("xi", "arrows", "monomial"),
     ("verify", "presentation"): ("xi", "arrows", "m_range"),
     ("verify", "mainth"): ("xi", "arrows", "degree_bound"),
     ("verify", "all"): (),
@@ -205,7 +184,7 @@ _READS = {
     ("hall", "relations"): ("xi", "arrows", "mmax"),
     ("hall", "iota"): ("xi", "arrows", "mmax", "max_len"),
 }
-_DEFAULTS = {"m_range": "0..3", "degree_bound": 3, "mmax": 3, "max_len": 3}
+_DEFAULTS = {"m_range": "0..3", "degree_bound": 3, "mmax": 3, "max_len": 3, "s": 1}
 _ALWAYS_READ = ("cmd", "what", "fn", "type", "format", "q")
 
 
@@ -218,52 +197,51 @@ def _read_flags(command: str, args) -> None:
     ]
     if unread:
         raise ValueError(f"{command} {args.what} does not read {' or '.join(unread)}")
+    missing = [
+        "-m/--monomial" if dest == "monomial" else "--" + dest
+        for dest in reads
+        if getattr(args, dest) is None and dest not in ("xi", "arrows", *_DEFAULTS)
+    ]
+    if missing:
+        raise ValueError(f"{command} {args.what} requires {' and '.join(missing)}")
     for dest in reads:
         if getattr(args, dest) is None:
             setattr(args, dest, _DEFAULTS.get(dest))
 
 
 def cmd_qchar(args) -> int:
-    _require_flags("qchar", args, _QCHAR_FLAGS[args.what])
-    if args.what not in ("kr", "truncate") and (args.xi is not None or args.arrows is not None):
-        raise ValueError(f"qchar {args.what} takes no orientation (--xi/--arrows)")
+    _read_flags("qchar", args)
     cd = cartan_datum(args.type)
-    yt = YTorus(quantum_cartan(cd))
+    qc = quantum_cartan(cd)
+    kind = args.what
     if args.what == "fundamental":
         try:
-            x = fundamental_tchar(yt, args.i, args.p)
+            x = fundamental_tchar(fundamental_window(qc, [(args.i, args.p)]), args.i, args.p)
         except NonMultiplicityFree as exc:
+            classical = sorted(exc.classical.items(), key=lambda t: t[0].sort_key())
             lines = [
                 "t-lift refused: classical character has monomial multiplicities > 1",
                 "classical character:",
-            ] + [
-                f"  {c} {m.render()}" for m, c in sorted(exc.classical.items(), key=lambda t: t[0].sort_key())
-            ]
-            _emit(
-                args,
-                lines,
-                {
-                    "kind": "classical-only",
-                    "terms": [[m.to_json(), c] for m, c in sorted(exc.classical.items(), key=lambda t: t[0].sort_key())],
-                },
-            )
+            ] + [f"  {c} {m.render()}" for m, c in classical]
+            terms = [[m.to_json(), c] for m, c in classical]
+            _emit(args, lines, {"kind": "classical-only", "terms": terms})
             return 0
-        _emit(args, _element_lines(x), {"kind": "fundamental", "terms": x.to_json()})
-        return 0
-    if args.what in ("kr", "truncate"):
-        quiver = _parse_quiver(args, cd)
-        cat = CategoryQ(QuiverContext(quiver))
+    elif args.what in ("kr", "truncate"):
+        cat = CategoryQ(QuiverContext(_parse_quiver(args, cd)))
         if args.what == "kr":
-            x = _y_keyed(cat, cat.kr(args.i, args.s, args.p))
-            _emit(args, _element_lines(x), {"kind": "kr", "terms": x.to_json()})
+            x = cat.kr(args.i, args.s, args.p)
         else:
-            a = cat.avec_of(_parse_monomial(args.monomial))
-            x = _y_keyed(cat, cat.truncated_simple(a))
-            _emit(args, _element_lines(x), {"kind": "truncated-simple", "terms": x.to_json()})
-        return 0
-    m = _parse_monomial(args.monomial)
-    x = standard_tchar(yt, m) if args.what == "standard" else simple_tchar(yt, m)
-    _emit(args, _element_lines(x), {"kind": args.what, "terms": x.to_json()})
+            kind = "truncated-simple"
+            x = cat.truncated_simple(cat.avec_of(_parse_monomial(args.monomial)))
+        # written on the Y-monomials at the positions, for output
+        x = cat.yt.element({cat.monomial_of_avec(cat.xt.exponents(k)): c for k, c in x.terms.items()})
+    elif args.what == "standard":
+        m = _parse_monomial(args.monomial)
+        x = standard_tchar(fundamental_window(qc, m.support()), m)
+    else:
+        m = _parse_monomial(args.monomial)
+        x = simple_tchar(simple_window(qc, m), m)
+    _emit(args, [x.render()], {"kind": kind, "terms": x.to_json()})
     return 0
 
 
@@ -340,7 +318,6 @@ def cmd_canonical(args) -> int:
 
 def cmd_hall(args) -> int:
     _read_flags("hall", args)
-    _require_flags("hall", args, _HALL_FLAGS.get(args.what, ()))
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     if args.what == "gamma":
@@ -496,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--i", type=int)
     p.add_argument("--p", type=int)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--s", type=int, help="default 1")
     p.add_argument("-m", "--monomial", help='dominant monomial, e.g. "Y[1,0]Y[2,1]^2"')
     p.set_defaults(fn=cmd_qchar)
 

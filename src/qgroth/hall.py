@@ -891,8 +891,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
             for i in word:
                 deg[i - 1] += 1
             depth = cat.depths(deg)
-            basis = {a: cat.truncated_standard(a) for a in depth}
-            coeffs_t = expand_in_dominant_basis(prod_t, basis, cat.is_dominant, depth)
+            coeffs_t = expand_in_dominant_basis(prod_t, cat.standards(depth), cat.xt.is_dominant, depth)
             # Hall side
             prod_h = dh.one()
             for i in word:
@@ -907,7 +906,8 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
             rescale = one
             for _ in word:
                 rescale = rescale * resc
-            for avec in depth:
+            for key in depth:
+                avec = cat.xt.exponents(key)
                 iso = IsoClass(
                     {
                         tuple(cd.root_coords(cat.qctx.word.betas[k])): a
@@ -915,7 +915,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
                         if a
                     }
                 )
-                ct = coeffs_t.get(avec, HalfLaurent.zero())
+                ct = coeffs_t.get(key, HalfLaurent.zero())
                 ch = coeffs_h.get(iso, UScalar.of(q, 0))
                 tval = eval_t(ct) * rescale
                 if ch.is_zero() != tval.is_zero():

@@ -8,8 +8,9 @@ boson relations with an inhomogeneous delta term across adjacent levels, and
 t-commutation with alternating sign across distant levels.  The Serre element
 is the nested [x_i, [x_i, x_j]_t]_{t^-1}, whose inner commutator cancels most
 of the support.  One table serves three algebras, each through its own
-q-commutator: K_t here, exactly in the big torus on the full fundamental
-t-characters (`TorusElement.qcommutator`, one pass); U_q(n) at one level, on
+q-commutator: K_t here, exactly in the window torus on the variables of the
+full fundamental t-characters of the checked levels
+(`TorusElement.qcommutator`, one pass); U_q(n) at one level, on
 the truncated fundamentals (`QGroupSide.serre_check`); and the derived Hall
 algebra at t = sqrt(q) (`hall.check_h_relations`).  Each caller checks exactly
 the relations among the generators inside its level window.
@@ -17,7 +18,7 @@ the relations among the generators inside its level window.
 
 from __future__ import annotations
 
-from .characters import fundamental_tchar
+from .characters import fundamental_tchar, fundamental_window
 from .laurent import HalfLaurent
 from .qcartan import quantum_cartan
 from .quiver import QuiverContext
@@ -29,11 +30,10 @@ class Presentation:
         self.qctx = qctx
         self.cartan = qctx.cartan
         self.h = self.cartan.coxeter_number()
-        self.yt = YTorus(quantum_cartan(self.cartan))
+        self.qc = quantum_cartan(self.cartan)
         self._base = {
             i: qctx.phi.phi_inverse(self.cartan.alpha(i), 0) for i in self.cartan.vertices
         }
-        self._gens: dict[tuple[int, int], TorusElement] = {}
 
     def generator_position(self, i: int, m: int) -> tuple[int, int]:
         """(nu^m(k_i), p_i + m h) for the level-m generator at vertex i."""
@@ -43,21 +43,24 @@ class Presentation:
             j = self.cartan.nu(j)
         return j, p + m * self.h
 
-    def x_gen(self, i: int, m: int) -> TorusElement:
-        return fundamental_tchar(self.yt, *self.generator_position(i, m))
+    def window(self, levels) -> YTorus:
+        """The window torus of the generators at the given levels."""
+        return fundamental_window(
+            self.qc, [self.generator_position(i, m) for m in levels for i in self.cartan.vertices]
+        )
 
-    def _gen(self, i: int, m: int) -> TorusElement:
-        """x_gen(i, m), built once per presentation."""
-        if (i, m) not in self._gens:
-            self._gens[(i, m)] = self.x_gen(i, m)
-        return self._gens[(i, m)]
+    def x_gen(self, yt: YTorus, i: int, m: int) -> TorusElement:
+        return fundamental_tchar(yt, *self.generator_position(i, m))
 
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
         """The relation table among the generators of levels m_lo..m_hi, in
-        the big torus, with boson constant 1 - t^-2."""
-        boson = self.yt.one().scal(HalfLaurent.one() - HalfLaurent.t_power(-4))
+        their window torus, with boson constant 1 - t^-2."""
+        levels = range(m_lo, m_hi + 1)
+        yt = self.window(levels)
+        gens = {(i, m): self.x_gen(yt, i, m) for m in levels for i in self.cartan.vertices}
+        boson = yt.one().scal(HalfLaurent.one() - HalfLaurent.t_power(-4))
         return relation_failures(
-            self.cartan, range(m_lo, m_hi + 1), self._gen, TorusElement.qcommutator, boson
+            self.cartan, levels, lambda i, m: gens[(i, m)], TorusElement.qcommutator, boson
         )
 
 

@@ -35,7 +35,7 @@ class QGroupSide:
         self.r = self.word.r
         self.xt = cat.xt
         self._minors: dict[tuple[int, int], TorusElement] = {}
-        self._btilde: dict[tuple[int, ...], TorusElement] = {}
+        self._btilde: dict[int, TorusElement] = {}
         self._etilde: dict[tuple[int, ...], TorusElement] = {}
         self._pbw: dict[tuple[int, ...], TorusElement] = {}
         # doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
@@ -130,12 +130,12 @@ class QGroupSide:
         """Rescaled dual canonical vector: sigma-invariant, unitriangular with
         strictly negative v-powers over the rescaled dual PBW family of the
         same weight.  One solve fills the whole weight space of a."""
-        a = tuple(a)
-        if a not in self._btilde:
+        key = self.xt.key(a)
+        if key not in self._btilde:
             depth = self.cat.depths(self.cat.root_of(a))
-            basis = {c: self.e_tilde(c) for c in depth}
-            self._btilde.update(bar_invariant_correction(basis, self.cat.is_dominant, depth))
-        return self._btilde[a]
+            basis = {c: self.e_tilde(self.xt.exponents(c)) for c in depth}
+            self._btilde.update(bar_invariant_correction(basis, self.xt.is_dominant, depth))
+        return self._btilde[key]
 
     # -- verification reports ---------------------------------------------------
 
@@ -153,13 +153,14 @@ class QGroupSide:
         rows = {}
         for deg in dict.fromkeys(self.cat.root_of(a) for a in avecs):
             depth = self.cat.depths(deg)
-            std = {a: self.cat.truncated_standard(a) for a in depth}
-            simples = bar_invariant_correction(std, self.cat.is_dominant, depth)
-            for a, simple in simples.items():
+            std = self.cat.standards(depth)
+            simples = bar_invariant_correction(std, self.xt.is_dominant, depth)
+            for k, simple in simples.items():
+                a = self.xt.exponents(k)
                 rows[a] = {
                     "avec": a,
                     "simple_matches_dual_canonical": simple == self.b_tilde(a),
-                    "standard_matches_dual_pbw": std[a] == self.e_tilde(a),
+                    "standard_matches_dual_pbw": std[k] == self.e_tilde(a),
                 }
         return [rows[a] for a in avecs]
 

@@ -1,35 +1,40 @@
-"""Quantum tori over Z[t^(1/2), t^(-1/2)].
+"""Quantum tori over Z[t^(1/2), t^(-1/2)], on packed integer keys.
 
-Two instances of the same structure are used:
+One class, `QuantumTorus`, serves both tori; only the Gram matrix M differs:
+`YTorus`, the window on the variables Y_{i,p} a request touches, ordered by
+(p, i), with M = N from the inverse quantum Cartan matrix; and `XTorus`, the
+rank-r torus on the rescaled flag-minor generators X_1 .. X_r, with
+M_kl = -(beta_k, beta_l) for k < l.  In the basis of *symmetrized* monomials,
+X^a X^b = t^(pair/2) X^(a+b) with pair = a^T M b, and the bar involution
+(t^(1/2) -> t^(-1/2) fixing basis monomials) is coefficientwise conjugation.
 
-  * the big torus on variables Y_{i,p} indexed by the repetition quiver, with
-    commutation exponents given by the inverse quantum Cartan matrix;
-  * the rank-r torus on rescaled flag-minor generators X_1 .. X_r, with
-    commutation exponents given by scalar products of the roots beta_k.
+Keys.  An exponent vector a is one int in signed base-2^W digits, the first
+variable on top: key(a) = sum_k a_k 2^(W (n-1-k)), every |a_k| < H = 2^(W-1).
+Int order is lex order (on the window, `Monomial.sort_key` order); a product
+adds keys and an inverse negates; a is dominant iff (key + B) & B == B, B
+holding H in every digit; and a^T M b is the digit at place n-1 of
+form(a) * key(b), where form(a) = sum_k (a^T M)_k 2^(W k).  Forms are
+additive, so every term carries the form of its key and products and
+quotients add and subtract them.  Digits are read only where a key enters
+(packing an exponent vector or a Monomial) or leaves (render, JSON, the box
+of a division, `exponents`).
 
-Both are presented through their basis of *symmetrized* monomials: the product
-of two basis monomials is t^(pair/2) times the basis monomial of the summed
-exponent, where pair is an antisymmetric integer pairing on exponents.  The
-bar involution (t^(1/2) -> t^(-1/2) fixing basis monomials) is coefficientwise
-conjugation in this basis, on either side.
+Range.  Every element carries l1, a bound on the L1 norm of its keys.  In a
+product of elements with bounds l and l', key digits stay below l + l' and
+the digits of form(a) * key(b) below m l l', m = max |M_kl|: the product
+raises ResourceCap before it builds a key unless both are below H.  W is the
+least width, at least 16, with H > 2^15 m, so factors of l1 up to 181 always
+multiply.  Packing checks each exponent; a division checks its bounds once.
 
-A product does integer work per pair of terms and accumulates one map
-(key, doubled t-exponent) -> integer.  The pairing is a form of the left key,
-built once per left term, evaluated on the right key: on the rank-r torus one
-r-term dot product with a^T M, on the big torus a read of the table of N.
-The q-commutator x y - t^(e/2) y x shares that pass: a pair of terms lands on
-the same key in both products, with pairings s and -s, so it costs one key
-product and one pairing and writes two entries.
-Exact division (solving q * p = s) is by leading-term elimination with respect
-to a multiplication-compatible total order on exponents; the remainder is
-updated in place, and a heap on inverted keys (a > b iff a^-1 < b^-1) yields
-the next leading key on either torus.
+A product accumulates one map (key, doubled t-exponent) -> integer over pairs
+of terms.  The q-commutator x y - t^(e/2) y x shares that pass: both products
+of a pair land on the same key, with pairings s and -s.  Exact division is by
+leading-term elimination in the lex order, with a heap on negated keys.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 from typing import Iterable, Optional
 
 from .cartan import ResourceCap, Weight
@@ -76,29 +81,10 @@ class Monomial:
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        """One merge of the two sorted item lists."""
-        a, b = self.items, other.items
-        if not b or not a:
-            return self if not b else other
-        out = []
-        x = y = 0
-        while x < len(a) and y < len(b):
-            (ka, ea), (kb, eb) = a[x], b[y]
-            if ka == kb:
-                if ea + eb:
-                    out.append((ka, ea + eb))
-                x += 1
-                y += 1
-            elif (ka[1], ka[0]) < (kb[1], kb[0]):
-                out.append(a[x])
-                x += 1
-            else:
-                out.append(b[y])
-                y += 1
-        m = object.__new__(Monomial)
-        object.__setattr__(m, "items", tuple(out) + a[x:] + b[y:])
-        object.__setattr__(m, "_hash", hash(m.items))
-        return m
+        exps = self.exps()
+        for k, e in other.items:
+            exps[k] = exps.get(k, 0) + e
+        return Monomial(exps)
 
     def inverse(self) -> "Monomial":
         return Monomial({k: -e for k, e in self.items})
@@ -157,12 +143,256 @@ class Monomial:
         return Monomial({(int(i), int(p)): int(e) for i, p, e in data})
 
 
-class YTorus:
-    """Pairing context for the big torus: exponent of t in Y-monomial swaps."""
+class QuantumTorus:
+    """The quantum torus on the variables `names`, in order, with the
+    antisymmetric Gram matrix M, on packed keys.  Subclasses say how a
+    monomial enters (`_sparse`: its (variable index, exponent) pairs) and how
+    a key is written to JSON."""
 
-    def __init__(self, qc: QuantumCartan):
+    def __init__(self, names: list[str], gram: list[list[int]]):
+        self.names = names
+        n = self.n = len(gram)
+        self.mmax = max((abs(x) for row in gram for x in row), default=0)
+        w = self.W = max(16, (self.mmax << 15).bit_length() + 1)
+        self.half, self.mask = 1 << (w - 1), (1 << w) - 1
+        self._place = [w * (n - 1 - k) for k in range(n)]
+        self._bias = sum(self.half << s for s in self._place)
+        # row j of M, packed in reverse order: the form of the unit vector e_j
+        self._rows = [sum(x << (w * k) for k, x in enumerate(row)) for row in gram]
+        self._shift = w * max(n - 1, 0)
+        # rounds the digits below place n-1 away and lifts the digit at n-1 by H
+        self._pbias = (self.half << self._shift) + ((1 << self._shift) >> 1)
+
+    def entry(self, x) -> tuple[int, int, int]:
+        """(key, form, L1 norm) of the monomial x."""
+        key = form = l1 = 0
+        place, rows, half = self._place, self._rows, self.half
+        for k, e in self._sparse(x):
+            if not -half < e < half:
+                raise ResourceCap(f"exponent {e} does not fit a {self.W}-bit key digit")
+            key += e << place[k]
+            form += e * rows[k]
+            l1 += abs(e)
+        return key, form, l1
+
+    def key(self, x) -> int:
+        return self.entry(x)[0]
+
+    def exponents(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a key."""
+        u, mask, half = key + self._bias, self.mask, self.half
+        return tuple(((u >> s) & mask) - half for s in self._place)
+
+    def form(self, key: int) -> int:
+        """The form of a key, recomputed from its digits."""
+        return sum(e * row for e, row in zip(self.exponents(key), self._rows) if e)
+
+    def pair(self, form: int, key: int) -> int:
+        """a^T M b from form(a) and key(b)."""
+        return (((form * key + self._pbias) >> self._shift) & self.mask) - self.half
+
+    def is_dominant(self, key: int) -> bool:
+        return (key + self._bias) & self._bias == self._bias
+
+    def render_key(self, key: int) -> str:
+        bits = zip(self.names, self.exponents(key))
+        return " ".join(v + (f"^{e}" if e != 1 else "") for v, e in bits if e) or "1"
+
+    def element(self, terms: dict) -> "TorusElement":
+        """sum_x c X^x over a map x -> c of monomials x."""
+        keys, forms, l1 = {}, {}, 0
+        for x, c in terms.items():
+            k, forms_k, l1_k = self.entry(x)
+            keys[k], forms[k], l1 = c, forms_k, max(l1, l1_k)
+        return TorusElement(self, keys, forms, l1)
+
+    def monomial(self, x, coeff: HalfLaurent | None = None) -> "TorusElement":
+        return self.element({x: coeff if coeff is not None else HalfLaurent.one()})
+
+    def one(self) -> "TorusElement":
+        return TorusElement(self, {0: HalfLaurent.one()}, {0: 0}, 0)
+
+    def zero(self) -> "TorusElement":
+        return TorusElement(self, {}, {}, 0)
+
+
+class TorusElement:
+    """Finite linear combination of basis monomials with Laurent coefficients:
+    terms maps packed keys to coefficients, forms each key of terms to its
+    form, and l1 bounds the L1 norm of every key."""
+
+    __slots__ = ("ctx", "terms", "forms", "l1")
+
+    def __init__(self, ctx: QuantumTorus, terms: dict, forms: dict, l1: int):
+        self.ctx = ctx
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        self.forms = {k: forms[k] for k in self.terms}
+        self.l1 = l1
+
+    def _with(self, terms: dict) -> "TorusElement":
+        """An element on keys of this one."""
+        return TorusElement(self.ctx, terms, self.forms, self.l1)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TorusElement) and self.terms == other.terms
+
+    def coeff(self, key: int) -> HalfLaurent:
+        return self.terms.get(key, HalfLaurent.zero())
+
+    def __add__(self, other: "TorusElement") -> "TorusElement":
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return TorusElement(self.ctx, out, self.forms | other.forms, max(self.l1, other.l1))
+
+    def __neg__(self) -> "TorusElement":
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "TorusElement") -> "TorusElement":
+        return self + (-other)
+
+    def scal(self, c: HalfLaurent) -> "TorusElement":
+        return self._with({k: v * c for k, v in self.terms.items()})
+
+    def tshift(self, exp2: int) -> "TorusElement":
+        return self._with({k: v.shift(exp2) for k, v in self.terms.items()})
+
+    def __mul__(self, other: "TorusElement") -> "TorusElement":
+        return self._convolve(other, None)
+
+    def qcommutator(self, other: "TorusElement", exp2: int) -> "TorusElement":
+        """The q-commutator self*other - t^(exp2/2) other*self."""
+        return self._convolve(other, exp2)
+
+    def _convolve(self, other: "TorusElement", exp2: int | None) -> "TorusElement":
+        """self*other, minus t^(exp2/2) other*self unless exp2 is None, in one
+        pass over pairs of terms: both products of a pair land on k1 + k2, with
+        pairings s and -s, so the second entry sits exp2 - 2s above the first."""
+        ctx = self.ctx
+        l1 = self.l1 + other.l1
+        if l1 >= ctx.half or ctx.mmax * self.l1 * other.l1 >= ctx.half:
+            raise ResourceCap(f"torus product leaves the {ctx.W}-bit key digits")
+        shift, pbias, mask, half = ctx._shift, ctx._pbias, ctx.mask, ctx.half
+        forms2 = other.forms
+        acc: dict = {}
+        forms: dict = {}
+        for k1, c1 in self.terms.items():
+            f1 = self.forms[k1]
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                s = (((f1 * k2 + pbias) >> shift) & mask) - half
+                twin = None if exp2 is None else exp2 - 2 * s
+                w = acc.get(k)
+                if w is None:
+                    w = acc[k] = {}
+                    forms[k] = f1 + forms2[k2]
+                for e1, v1 in c1.c.items():
+                    for e2, v2 in c2.c.items():
+                        e, v = e1 + e2 + s, v1 * v2
+                        w[e] = w.get(e, 0) + v
+                        if twin is not None:
+                            e += twin
+                            w[e] = w.get(e, 0) - v
+        return TorusElement(ctx, {k: HalfLaurent(w) for k, w in acc.items()}, forms, l1)
+
+    def bar(self) -> "TorusElement":
+        """Coefficientwise t^(1/2) -> t^(-1/2); the ring anti-automorphism fixing
+        basis monomials."""
+        return self._with({k: c.conj() for k, c in self.terms.items()})
+
+    def leading_key(self) -> int:
+        return max(self.terms)
+
+    def __repr__(self) -> str:
+        return f"TorusElement({self.render()})"
+
+    def render(self, var: str = "t") -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for k in sorted(self.terms, reverse=True):
+            c = self.terms[k]
+            kr = self.ctx.render_key(k)
+            if c.is_one():
+                bits.append(kr)
+            else:
+                cs = c.render(var)
+                if len(c.c) > 1:
+                    cs = f"({cs})"
+                bits.append(f"{cs} {kr}" if kr != "1" else cs)
+        return " + ".join(bits)
+
+    def to_json(self) -> list:
+        return [[self.ctx.key_json(k), self.terms[k].to_json()] for k in sorted(self.terms)]
+
+
+class XTorus(QuantumTorus):
+    """The rank-r torus on the rescaled generators X_k, entered by exponent
+    vectors a in Z^r:
+    X^a X^b = t^(pair/2) X^(a+b),  pair = sum_{k<l} (beta_k, beta_l)(a_l b_k - a_k b_l).
+    That is pair = a^T M b with M antisymmetric, M_kl = -(beta_k, beta_l) for
+    k < l; `pair2` is the reference sum on exponent vectors.
+    """
+
+    def __init__(self, betas: tuple[Weight, ...], cartan):
+        self.r = len(betas)
+        self.s = [[cartan.sprod(b, c) for c in betas] for b in betas]
+        super().__init__(
+            [f"X{k}" for k in range(1, self.r + 1)],
+            [[((k > l) - (k < l)) * row[l] for l in range(self.r)] for k, row in enumerate(self.s)],
+        )
+
+    def pair2(self, a: tuple, b: tuple) -> int:
+        total = 0
+        r = self.r
+        for k in range(r):
+            ak, bk = a[k], b[k]
+            if ak == 0 and bk == 0:
+                continue
+            srow = self.s[k]
+            for l in range(k + 1, r):
+                if a[l] or b[l]:
+                    total += srow[l] * (a[l] * bk - ak * b[l])
+        return total
+
+    def _sparse(self, a):
+        if len(a) != self.r:
+            raise ValueError(f"expected an exponent vector of length {self.r}, got {len(a)}")
+        return ((k, e) for k, e in enumerate(a) if e)
+
+    def unit_vector(self, k: int) -> tuple:
+        return tuple(1 if j == k - 1 else 0 for j in range(self.r))
+
+    def key_json(self, key: int) -> list[int]:
+        return list(self.exponents(key))
+
+
+class YTorus(QuantumTorus):
+    """The window torus on the variables Y_{i,p} of `window`, ordered by
+    (p, i), entered by Monomials; M is N(i,p;j,s), read from the rows of the
+    inverse quantum Cartan matrix.  `pair2` is the reference pairing of two
+    Monomials; `a_solve` and `nakajima_leq` work on Monomials and do not
+    depend on the window."""
+
+    def __init__(self, qc: QuantumCartan, window: Iterable[tuple[int, int]] = ()):
         self.qc = qc
         self.cartan = qc.cartan
+        self.window = sorted(set(window), key=lambda v: (v[1], v[0]))
+        self.index = {v: k for k, v in enumerate(self.window)}
+        rows, h2 = qc._n, 2 * qc.h
+        super().__init__([f"Y[{i},{p}]" for i, p in self.window], [
+            [
+                rows[i][j][(p - s - 1) % h2] if p > s else -rows[i][j][(s - p - 1) % h2] if p < s else 0
+                for j, s in self.window
+            ]
+            for i, p in self.window
+        ])
 
     def pair2(self, m1: Monomial, m2: Monomial) -> int:
         rows, h2 = self.qc._n, 2 * self.qc.h
@@ -176,33 +406,17 @@ class YTorus:
                     total -= u * v * row[j][(s - p - 1) % h2]
         return total
 
-    form = staticmethod(lambda m: m)
-    form_pair = property(lambda self: self.pair2)
+    def _sparse(self, m: Monomial):
+        try:
+            return [(self.index[v], e) for v, e in m.items]
+        except KeyError as exc:
+            raise ValueError(f"variable Y{list(exc.args[0])} is outside the torus window") from None
 
-    key_one = staticmethod(Monomial.unit)
-    key_mul = staticmethod(lambda a, b: a * b)
-    key_inv = staticmethod(lambda a: a.inverse())
-    key_sort = staticmethod(lambda a: a.sort_key())
-    @staticmethod
-    def key_range(keys) -> dict:
-        """Per variable, the least and the greatest exponent over the keys."""
-        exps = [m.exps() for m in keys]
-        return {
-            v: (min(e.get(v, 0) for e in exps), max(e.get(v, 0) for e in exps))
-            for v in set().union(*exps)
-        }
+    def monomial_of(self, key: int) -> Monomial:
+        return Monomial(dict(zip(self.window, self.exponents(key))))
 
-    def element(self, terms: dict[Monomial, HalfLaurent]) -> "TorusElement":
-        return TorusElement(self, terms)
-
-    def monomial(self, m: Monomial, coeff: HalfLaurent | None = None) -> "TorusElement":
-        return TorusElement(self, {m: coeff if coeff is not None else HalfLaurent.one()})
-
-    def one(self) -> "TorusElement":
-        return self.monomial(Monomial.unit())
-
-    def zero(self) -> "TorusElement":
-        return TorusElement(self, {})
+    def key_json(self, key: int) -> list[list[int]]:
+        return self.monomial_of(key).to_json()
 
     def a_solve(self, ratio: Monomial) -> Optional[dict[tuple[int, int], int]]:
         """Write ratio as a product prod A_{i,s}^{v_{i,s}} with integer exponents.
@@ -241,204 +455,6 @@ class YTorus:
         v = self.a_solve(m2 * m1.inverse())
         return v is not None and all(c >= 0 for c in v.values())
 
-
-class TorusElement:
-    """Finite linear combination of basis monomials with Laurent coefficients."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms: dict):
-        self.ctx = ctx
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusElement) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("TorusElement is not hashable")
-
-    def coeff(self, key) -> HalfLaurent:
-        return self.terms.get(key, HalfLaurent.zero())
-
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return TorusElement(self.ctx, out)
-
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def scal(self, c: HalfLaurent) -> "TorusElement":
-        return TorusElement(self.ctx, {k: v * c for k, v in self.terms.items()})
-
-    def tshift(self, exp2: int) -> "TorusElement":
-        return TorusElement(self.ctx, {k: v.shift(exp2) for k, v in self.terms.items()})
-
-    def __mul__(self, other: "TorusElement") -> "TorusElement":
-        return self._convolve(other, None)
-
-    def qcommutator(self, other: "TorusElement", exp2: int) -> "TorusElement":
-        """The q-commutator self*other - t^(exp2/2) other*self."""
-        return self._convolve(other, exp2)
-
-    def _convolve(self, other: "TorusElement", exp2: int | None) -> "TorusElement":
-        """self*other, minus t^(exp2/2) other*self unless exp2 is None, in one
-        pass over pairs of terms: both products of a pair land on k1 k2, with
-        pairings s and -s, so the second entry sits exp2 - 2s above the first."""
-        ctx = self.ctx
-        key_mul, form, form_pair = ctx.key_mul, ctx.form, ctx.form_pair
-        acc: dict = {}
-        for k1, c1 in self.terms.items():
-            f1 = form(k1)
-            for k2, c2 in other.terms.items():
-                k = key_mul(k1, k2)
-                s = form_pair(f1, k2)
-                twin = None if exp2 is None else exp2 - 2 * s
-                w = acc.get(k)
-                if w is None:
-                    w = acc[k] = {}
-                for e1, v1 in c1.c.items():
-                    for e2, v2 in c2.c.items():
-                        e, v = e1 + e2 + s, v1 * v2
-                        w[e] = w.get(e, 0) + v
-                        if twin is not None:
-                            e += twin
-                            w[e] = w.get(e, 0) - v
-        return TorusElement(ctx, {k: HalfLaurent(w) for k, w in acc.items()})
-
-    def bar(self) -> "TorusElement":
-        """Coefficientwise t^(1/2) -> t^(-1/2); the ring anti-automorphism fixing
-        basis monomials."""
-        return TorusElement(self.ctx, {k: c.conj() for k, c in self.terms.items()})
-
-    def leading_key(self):
-        return max(self.terms, key=self.ctx.key_sort)
-
-    def support(self):
-        return list(self.terms.keys())
-
-    def __repr__(self) -> str:
-        return f"TorusElement({self.render()})"
-
-    def render(self, var: str = "t") -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=self.ctx.key_sort, reverse=True)
-        bits = []
-        for k in keys:
-            c = self.terms[k]
-            kr = k.render() if hasattr(k, "render") else render_xkey(k)
-            if c.is_one():
-                bits.append(kr if kr != "1" else "1")
-            else:
-                cs = c.render(var)
-                if len(c.c) > 1:
-                    cs = f"({cs})"
-                bits.append(f"{cs} {kr}" if kr != "1" else cs)
-        return " + ".join(bits)
-
-    def to_json(self) -> list:
-        keys = sorted(self.terms, key=self.ctx.key_sort)
-        return [
-            [
-                k.to_json() if hasattr(k, "to_json") else list(k),
-                self.terms[k].to_json(),
-            ]
-            for k in keys
-        ]
-
-
-def render_xkey(a: tuple) -> str:
-    if all(e == 0 for e in a):
-        return "1"
-    bits = []
-    for k, e in enumerate(a, start=1):
-        if e:
-            bits.append(f"X{k}" + (f"^{e}" if e != 1 else ""))
-    return " ".join(bits)
-
-
-class XTorus:
-    """Pairing context for the rank-r torus on the rescaled generators X_k.
-
-    Exponent keys are integer r-tuples a, with
-    X^a X^b = t^(pair/2) X^(a+b),  pair = sum_{k<l} (beta_k, beta_l)(a_l b_k - a_k b_l).
-    That is pair = a^T M b with M antisymmetric, M_kl = -(beta_k, beta_l) for k < l;
-    products evaluate a^T M (`form`), and `pair2` is the reference sum.
-    """
-
-    def __init__(self, betas: tuple[Weight, ...], cartan):
-        self.r = len(betas)
-        self.betas = betas
-        self.s = [
-            [cartan.sprod(betas[k], betas[l]) for l in range(self.r)] for k in range(self.r)
-        ]
-        self._mcols = [[((k > l) - (k < l)) * row[l] for k, row in enumerate(self.s)] for l in range(self.r)]
-
-    def pair2(self, a: tuple, b: tuple) -> int:
-        total = 0
-        r = self.r
-        for k in range(r):
-            ak, bk = a[k], b[k]
-            if ak == 0 and bk == 0:
-                continue
-            srow = self.s[k]
-            for l in range(k + 1, r):
-                if a[l] or b[l]:
-                    total += srow[l] * (a[l] * bk - ak * b[l])
-        return total
-
-    def form(self, a: tuple) -> list[int]:
-        """The row vector a^T M: pair2(a, b) is its dot product with b."""
-        return [sum(map(operator.mul, a, col)) for col in self._mcols]
-
-    form_pair = staticmethod(lambda w, b: sum(map(operator.mul, w, b)))
-
-    def key_one(self) -> tuple:
-        return (0,) * self.r
-
-    @staticmethod
-    def key_mul(a: tuple, b: tuple) -> tuple:
-        return tuple(map(operator.add, a, b))
-
-    @staticmethod
-    def key_inv(a: tuple) -> tuple:
-        return tuple(map(operator.neg, a))
-
-    @staticmethod
-    def key_sort(a: tuple) -> tuple:
-        return a
-
-    @staticmethod
-    def key_range(keys) -> dict:
-        """Per coordinate, the least and the greatest exponent over the keys."""
-        return {v: (min(c), max(c)) for v, c in enumerate(zip(*keys))}
-
-    def element(self, terms: dict[tuple, HalfLaurent]) -> TorusElement:
-        return TorusElement(self, terms)
-
-    def monomial(self, a: tuple, coeff: HalfLaurent | None = None) -> TorusElement:
-        return TorusElement(self, {tuple(a): coeff if coeff is not None else HalfLaurent.one()})
-
-    def one(self) -> TorusElement:
-        return self.monomial(self.key_one())
-
-    def zero(self) -> TorusElement:
-        return TorusElement(self, {})
-
-    def unit_vector(self, k: int) -> tuple:
-        return tuple(1 if j == k - 1 else 0 for j in range(self.r))
-
 MAX_QUOTIENT_TERMS = 10000
 
 
@@ -446,41 +462,52 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
     """The unique q with q * p = s; raises ArithmeticError when the division
     is not exact.  The torus is a domain, so the extreme exponents of a product
     along each variable add: every key of q lies in the box [min s - min p,
-    max s - max p], and the distinct quotient keys end inside it."""
+    max s - max p], and the distinct quotient keys end inside it.  A quotient
+    key qk = lk - lead(p) enters the box iff qk - lo and hi - qk are dominant;
+    its form is form(lk) - form(lead(p))."""
     ctx = s.ctx
     if p.is_zero():
         raise ZeroDivisionError("division by zero torus element")
-    rs, rp = ctx.key_range(s.terms), ctx.key_range(p.terms)
-    box = {}
-    for v in rs.keys() | rp.keys():
-        (slo, shi), (plo, phi) = rs.get(v, (0, 0)), rp.get(v, (0, 0))
-        box[v] = (slo - plo, shi - phi)
+    if s.is_zero():
+        return ctx.zero()
+    cs, cp = (list(zip(*map(ctx.exponents, x.terms))) for x in (s, p))
+    lo = [min(a) - min(b) for a, b in zip(cs, cp)]
+    hi = [max(a) - max(b) for a, b in zip(cs, cp)]
+    bq = sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))  # L1 bound inside the box
+    # remainder keys come from s or from X^qk p, qk in the box
+    rl1 = max(s.l1, bq + p.l1) + p.l1
+    if rl1 + bq >= ctx.half or ctx.mmax * rl1 * p.l1 >= ctx.half:
+        raise ResourceCap(f"torus division leaves the {ctx.W}-bit key digits")
+    lo_key, hi_key = (sum(e << s for e, s in zip(v, ctx._place)) for v in (lo, hi))
     lead_p = p.leading_key()
-    lead_p_inv = ctx.key_inv(lead_p)
+    f_lead, c_lead = p.forms[lead_p], p.terms[lead_p]
     rem = {k: dict(c.c) for k, c in s.terms.items()}
+    rforms = dict(s.forms)
     # the largest remaining key is on top; keys that cancelled are skipped
-    heap = [(ctx.key_sort(ctx.key_inv(k)), k) for k in rem]
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     quot: dict = {}
+    qforms: dict = {}
     while heap:
-        lk = heapq.heappop(heap)[1]
+        lk = -heapq.heappop(heap)
         if lk not in rem:
             continue
         if len(quot) >= MAX_QUOTIENT_TERMS:
             raise ResourceCap(f"torus division passed {MAX_QUOTIENT_TERMS} quotient terms")
-        qk = ctx.key_mul(lk, lead_p_inv)
-        c = HalfLaurent(rem[lk]).shift(-ctx.pair2(qk, lead_p)).exact_div(p.terms[lead_p])
+        qk, fq = lk - lead_p, rforms[lk] - f_lead
+        c = HalfLaurent(rem[lk]).shift(-ctx.pair(fq, lead_p)).exact_div(c_lead)
         if c is None:
             raise ArithmeticError("torus division is not exact (coefficient step)")
-        e = ctx.key_range([qk])
-        if any(not lo <= e.get(v, (0, 0))[0] <= hi for v, (lo, hi) in box.items()):
+        if not (ctx.is_dominant(qk - lo_key) and ctx.is_dominant(hi_key - qk)):
             raise ArithmeticError("torus division is not exact (quotient key outside its box)")
-        quot[qk] = c
+        quot[qk], qforms[qk] = c, fq
         # subtract c X^qk p at its keys; its leading term cancels rem[lk]
-        for k, w in (TorusElement(ctx, {qk: c}) * p).terms.items():
+        step = TorusElement(ctx, {qk: c}, {qk: fq}, bq) * p
+        for k, w in step.terms.items():
             if k not in rem:
                 rem[k] = {}
-                heapq.heappush(heap, (ctx.key_sort(ctx.key_inv(k)), k))
+                rforms[k] = step.forms[k]
+                heapq.heappush(heap, -k)
             r = rem[k]
             for e, v in w.c.items():
                 r[e] = r.get(e, 0) - v
@@ -488,4 +515,4 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
                     del r[e]
             if not r:
                 del rem[k]
-    return TorusElement(ctx, quot)
+    return TorusElement(ctx, quot, qforms, bq)

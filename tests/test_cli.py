@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import pytest
 
@@ -381,7 +382,27 @@ def test_qchar_rejects_an_orientation_it_does_not_read(capsys, what, flags, orie
     assert main(["qchar", what, "--type", "A2", *flags, *orientation]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"usage error: qchar {what} takes no orientation (--xi/--arrows)\n"
+    assert captured.err == f"usage error: qchar {what} does not read {orientation[0]}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (
+        'qchar fundamental --type A2 --i 1 --p 0 -m "Y[9,9]" --s 5',
+        "qchar fundamental does not read --s or --monomial",
+    ),
+    (
+        'qchar simple --type A2 -m "Y[1,0]" --i 7 --p 3 --s 9',
+        "qchar simple does not read --i or --p or --s",
+    ),
+    ('qchar standard --type A2 -m "Y[1,0]" --s 2', "qchar standard does not read --s"),
+    ("qchar kr --type A2 --xi 2,1 --i 1 --p 0 -m Y[1,0]", "qchar kr does not read --monomial"),
+    ('qchar truncate --type A2 --xi 2,1 -m "Y[1,0]" --p 0', "qchar truncate does not read --p"),
+])
+def test_qchar_rejects_flags_it_does_not_read(capsys, argv, message):
+    assert main(shlex.split(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -197,6 +197,24 @@ def _monomial_text(factors):
     return "".join(f"Y[{i},{p}]" + (f"^{e}" if e != 1 else "") for i, p, e in factors)
 
 
+# the valued flags each qchar subcommand reads besides --type; the others
+# are drawn now and then, and must be refused
+QCHAR_READS = {
+    "simple": {"--monomial"},
+    "truncate": {"--arrows", "--monomial"},
+    "kr": {"--arrows", "--i", "--p", "--s"},
+    "fundamental": {"--i", "--p"},
+    "standard": {"--monomial"},
+}
+
+
+def _qchar_unread_flags_are_named(argv, code, err):
+    flags = {tok.partition("=")[0] for tok in argv if tok.startswith("--")}
+    if "--type" in flags:
+        unread = flags - QCHAR_READS[argv[1]] - {"--type", "--format"}
+        _unread_flags_are_named(argv, code, err, unread)
+
+
 @st.composite
 def qchar_argvs(draw):
     what = draw(st.sampled_from(["simple", "truncate"]))
@@ -204,7 +222,7 @@ def qchar_argvs(draw):
     argv = ["qchar", what]
     argv += _flag("--type", name, draw(st.booleans()))
     arrows = None
-    if what == "truncate" and name in EDGES and EDGES[name] and draw(st.booleans()):
+    if name in EDGES and EDGES[name] and draw(st.booleans()) and _maybe(draw, what == "truncate"):
         arrows = draw(st.sampled_from(all_orientations(name)))
         argv += _flag("--arrows", arrows, True)
     rank = int(name[1:]) if name in TYPES else 3
@@ -219,6 +237,9 @@ def qchar_argvs(draw):
     if draw(st.integers(min_value=0, max_value=7)):
         text = draw(monomial)
         argv += ["-m", text] if draw(st.booleans()) else [f"--monomial={text}"]
+    for flag in ("--i", "--p", "--s"):
+        if _maybe(draw, False):
+            argv += _flag(flag, str(draw(st.integers(min_value=-1, max_value=3))), True)
     return argv + ["--format", "json"]
 
 
@@ -226,10 +247,12 @@ def qchar_argvs(draw):
 @given(qchar_argvs())
 @settings(max_examples=150, deadline=timedelta(seconds=20))
 def test_qchar_simple_and_truncate_edges_end_in_a_documented_exit(argv):
-    # vertices out of range, variables off the index set, negative exponents
-    # and malformed monomials are usage errors; a heavy enumeration is capped
+    # vertices out of range, variables off the index set, negative exponents,
+    # malformed monomials and unread flags are usage errors; a heavy
+    # enumeration is capped
     code, out, err = _run(argv)
     _assert_documented_exit(code, out, err, argv)
+    _qchar_unread_flags_are_named(argv, code, err)
 
 
 
@@ -342,21 +365,21 @@ def other_argvs(draw):
         if draw(st.booleans()):
             window = st.sampled_from(["-6..6", "0..0", "3..-3", "-20..20"] + MALFORMED_RANGES)
             argv += _flag("--window", draw(window), True)
-    elif cmd == "qchar standard":
-        if _maybe(draw, True):
+    else:
+        reads = QCHAR_READS.get(cmd.partition(" ")[2], {"--i", "--k"})
+        if cmd.startswith("qchar") and _maybe(draw, "--monomial" in reads):
             vertex = st.integers(min_value=0, max_value=rank + 1)
             level = st.integers(min_value=-2, max_value=4)
             factor = st.tuples(vertex, level, st.sampled_from([1, 1, 2, -1]))
             monomial = st.lists(factor, max_size=2).map(_monomial_text)
             text = draw(monomial | st.sampled_from(MALFORMED_MONOMIALS))
             argv += [f"--monomial={text}"]
-    else:
         vertex = st.integers(min_value=-1, max_value=rank + 1).map(str)
         flags = [("--i", vertex), ("--k" if cmd == "tsystem" else "--p", small)]
-        if cmd == "qchar kr":
+        if cmd.startswith("qchar"):
             flags.append(("--s", small))
         for flag, values in flags:
-            if _maybe(draw, True):
+            if _maybe(draw, flag in reads):
                 argv += _flag(flag, draw(values), True)
     return argv + ["--format", "json"]
 
@@ -376,3 +399,5 @@ def test_remaining_subcommand_edges_end_in_a_documented_exit(argv):
         flags = {tok.partition("=")[0] for tok in argv if tok.startswith("--")}
         unread = flags - VERIFY_READS[argv[1]] - {"--type", "--format"}
         _unread_flags_are_named(argv, code, err, unread)
+    if argv[0] == "qchar":
+        _qchar_unread_flags_are_named(argv, code, err)
