@@ -1,12 +1,12 @@
 """q-characters of quantum loop algebra modules and their t-deformations.
 
-The classical q-character of a fundamental module is computed by iterated
-sl2-direction expansions: a candidate character is complete when, for every
-vertex j, its restriction to each class of monomials differing by exchange
-monomials A_{j,s} decomposes as a nonnegative combination of sl2 simple
-characters of the class tops.  Fundamental modules have a unique dominant
-monomial, which makes the minimal completion unique; all monomials stay in
-the spectral window [p, p+h].
+The classical q-character of a fundamental module is computed by the
+Frenkel-Mukhin algorithm, reading monomials in order of increasing depth (the
+number of exchange monomials A_{j,s}^-1 applied to the top): at each vertex j
+the part of a monomial's multiplicity not yet coloured j is j-dominant and
+expands into its sl2 simple character, and a monomial's multiplicity is the
+largest of its colourings.  All monomials stay in the spectral window
+[p, p+h]; a character past MAX_FM_MONOMIALS monomials is a resource cap.
 
 Multiplicity-free classical characters lift verbatim to bar-invariant
 t-characters (all coefficients 1).  Standard classes are ordered products of
@@ -17,8 +17,8 @@ once per weight space in an order that extends the Nakajima order.
 
 Truncated characters live in the rank-r torus attached to an orientation,
 keyed by exponent vectors over the positions of the index set.  That torus is
-the subtorus of the Y-variables at those positions: the two pairings agree
-entry by entry, which is checked once per orientation.  Truncated classes are
+the subtorus of the Y-variables at those positions: the two Gram matrices are
+equal, which is checked once per orientation.  Truncated classes are
 computed independently through the quantum T-system, by a downward recursion
 seeded with the single-monomial Kirillov-Reshetikhin classes whose spectral
 support reaches the height function.
@@ -57,43 +57,23 @@ class CharacterError(RuntimeError):
 
 
 def string_decomposition(positions: dict[int, int]) -> list[tuple[int, int]]:
-    """Split a multiset of spectral parameters into the unique family of
-    q-strings no two of which can be merged into a longer string.
+    """Split a multiset of spectral parameters into q-strings in general
+    position, the unique family no two of which merge into a longer string:
+    from the least parameter left, peel the longest string it starts.
 
     A string is (start, length), covering start, start+2, ..., start+2(len-1).
-    Merging replaces two mergeable strings by their union interval and (when
-    they overlap) their intersection interval.
     """
+    left = {s: c for s, c in positions.items() if c > 0}
     strings: list[tuple[int, int]] = []
-    for s in sorted(positions):
-        strings.extend([(s, 1)] * positions[s])
-    while True:
-        merged = False
-        for x in range(len(strings)):
-            for y in range(len(strings)):
-                if x == y:
-                    continue
-                a1, k1 = strings[x]
-                a2, k2 = strings[y]
-                b1, b2 = a1 + 2 * (k1 - 1), a2 + 2 * (k2 - 1)
-                lo, hi = min(a1, a2), max(b1, b2)
-                covered = set(range(a1, b1 + 1, 2)) | set(range(a2, b2 + 1, 2))
-                if len(covered) != (hi - lo) // 2 + 1:
-                    continue  # gap: not mergeable
-                length = (hi - lo) // 2 + 1
-                if length <= max(k1, k2):
-                    continue  # one contains the other (or equal): keep split
-                ilo, ihi = max(a1, a2), min(b1, b2)
-                repl = [(lo, length)]
-                if ilo <= ihi:
-                    repl.append((ilo, (ihi - ilo) // 2 + 1))
-                strings = [strings[t] for t in range(len(strings)) if t not in (x, y)] + repl
-                merged = True
-                break
-            if merged:
-                break
-        if not merged:
-            return sorted(strings)
+    while left:
+        a = s = min(left)
+        while s in left:
+            left[s] -= 1
+            if not left[s]:
+                del left[s]
+            s += 2
+        strings.append((a, (s - a) // 2))
+    return sorted(strings)
 
 
 def sl2_simple_patterns(positions: dict[int, int]) -> dict[tuple[int, ...], int]:
@@ -115,48 +95,11 @@ def sl2_simple_patterns(positions: dict[int, int]) -> dict[tuple[int, ...], int]
 
 
 # --------------------------------------------------------------------------
-# Frenkel-Mukhin style completion for fundamental characters
+# the Frenkel-Mukhin algorithm for fundamental characters
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _tree_parity(kind: str, n: int, base: int) -> tuple[int, ...]:
-    """Graph distance parity from `base` for every vertex (the diagram is a tree)."""
-    cd = CartanDatum(kind, n)
-    dist = {base: 0}
-    while len(dist) < n:
-        for a, b in cd.edges:
-            if a in dist and b not in dist:
-                dist[b] = dist[a] + 1
-            if b in dist and a not in dist:
-                dist[a] = dist[b] + 1
-    return tuple(dist[v] % 2 for v in cd.vertices)
-
-
-def _j_gauge(
-    cd: CartanDatum, j: int, m: Monomial, var_par: int, hi: int
-) -> tuple[Monomial, int]:
-    """Canonical representative of m modulo the lattice of A_{j,s}, plus the
-    relative depth of m inside its class (larger = further from the top).
-
-    The Y_{j,u} exponents are killed from the top of the window down; u runs
-    over the variable-parity line, the gauge exponents sit in between.
-    """
-    exps = m.exps()
-    top = hi + ((var_par - hi) % 2)
-    v: dict[int, int] = {}
-    for u in range(top, top - 2 * (hi + 3), -2):
-        e = exps.get((j, u), 0)
-        need = -(e + v.get(u + 1, 0))
-        if need:
-            v[u - 1] = need
-    out = exps
-    for s, c in v.items():
-        out[(j, s + 1)] = out.get((j, s + 1), 0) + c
-        out[(j, s - 1)] = out.get((j, s - 1), 0) + c
-        for k in cd.neighbors(j):
-            out[(k, s)] = out.get((k, s), 0) - c
-    return Monomial(out), sum(v.values())
+MAX_FM_MONOMIALS = 50000
 
 
 def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[Monomial, int]:
@@ -168,63 +111,53 @@ def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[Monomial, int]:
 
 @lru_cache(maxsize=None)
 def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, int]:
+    """The Frenkel-Mukhin algorithm at (i0, 0), reading monomials by depth.
+
+    A monomial m's colouring s_j(m) counts the j-strings it lies on; its
+    multiplicity is the largest colouring (1 at the top).  Every string that
+    reaches m starts higher up, so its colourings are final when m is read;
+    the part of its multiplicity not yet coloured j must then be j-dominant
+    and expands into its sl2 simple character."""
     cd = CartanDatum(kind, n)
     h = cd.coxeter_number()
-    parity = _tree_parity(kind, n, i0)
-    chi: dict[Monomial, int] = {Monomial.var(i0, 0): 1}
-    for _ in range(20000):
-        changed = False
-        deferred = False
-        for j in cd.vertices:
-            var_par = parity[j - 1]
-            classes: dict[Monomial, dict[Monomial, tuple[int, int]]] = {}
-            for m, mult in chi.items():
-                rep, depth = _j_gauge(cd, j, m, var_par, h + 2)
-                classes.setdefault(rep, {})[m] = (mult, depth)
-            for members in classes.values():
-                resid = {m: mult for m, (mult, _) in members.items()}
-                depth_of = {m: d for m, (_, d) in members.items()}
-                guard = 0
-                ok = True
-                while True:
-                    guard += 1
-                    if guard > 5000:
-                        raise CharacterError("character completion did not stabilize")
-                    pos = [(depth_of[m], m) for m, c in resid.items() if c > 0]
-                    if not pos:
-                        break
-                    _, mu = min(pos, key=lambda t: (t[0], t[1].sort_key()))
-                    jpart = {u: e for (jj, u), e in mu.items if jj == j}
-                    if any(e < 0 for e in jpart.values()):
-                        ok = False  # top of this class not discovered yet
-                        break
-                    c = resid[mu]
-                    for pat, k in sl2_simple_patterns(jpart).items():
-                        if any(not (0 < s < h) for s in pat):
-                            raise CharacterError(
-                                f"exchange position escaped the spectral window at {mu}"
-                            )
-                        m2 = mu
-                        for s in pat:
-                            m2 = m2 * _a_inverse(cd, j, s)
-                        resid[m2] = resid.get(m2, 0) - c * k
-                        if m2 not in depth_of:
-                            _, d2 = _j_gauge(cd, j, m2, var_par, h + 2)
-                            depth_of[m2] = d2
-                if not ok:
-                    deferred = True
+    ainv = {(j, s): _a_inverse(cd, j, s).items for j in cd.vertices for s in range(1, h)}
+    top = Monomial.var(i0, 0)
+    chi: dict[Monomial, int] = {}
+    colours = {top: [0] * n}
+    levels = [[top]]  # levels[d]: the monomials found at depth d
+    for depth, level in enumerate(levels):
+        for m in level:
+            col = colours.pop(m)
+            mult = chi[m] = max(col) if depth else 1
+            for j in cd.vertices:
+                c = mult - col[j - 1]
+                if not c:
                     continue
-                for m2, d in resid.items():
-                    if d < 0:
-                        chi[m2] = chi.get(m2, 0) + (-d)
-                        changed = True
-                    elif d > 0:
-                        raise CharacterError("inconsistent sl2 decomposition")
-        if not changed:
-            if deferred:
-                raise CharacterError("character completion deadlocked")
-            return chi
-    raise CharacterError("character completion did not converge")
+                jpart = {u: e for (jj, u), e in m.items if jj == j}
+                if any(e < 0 for e in jpart.values()):
+                    raise CharacterError(f"{m.render()} is not {j}-dominant, yet {c} of it is not coloured {j}")
+                for pat, k in sl2_simple_patterns(jpart).items():
+                    if not pat:
+                        continue  # m itself, the top of its strings
+                    if any(not (0 < s < h) for s in pat):
+                        raise CharacterError(f"exchange position escaped the spectral window at {m}")
+                    exps = m.exps()
+                    for s in pat:
+                        for v, e in ainv[j, s]:
+                            exps[v] = exps.get(v, 0) + e
+                    m2 = Monomial(exps)
+                    if m2 not in colours:
+                        if len(chi) + len(colours) >= MAX_FM_MONOMIALS:
+                            raise ResourceCap(
+                                f"fundamental character of {kind}{n} at node {i0} "
+                                f"passed {MAX_FM_MONOMIALS} monomials"
+                            )
+                        colours[m2] = [0] * n
+                        while len(levels) <= depth + len(pat):
+                            levels.append([])
+                        levels[depth + len(pat)].append(m2)
+                    colours[m2][j - 1] += c * k
+    return chi
 
 
 def _a_inverse(cd: CartanDatum, j: int, s: int) -> Monomial:
@@ -311,6 +244,20 @@ def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
 
 
 DOMINANT_BELOW_CAP = 500000
+
+
+@lru_cache(maxsize=None)
+def _tree_parity(kind: str, n: int, base: int) -> tuple[int, ...]:
+    """Graph distance parity from `base` for every vertex (the diagram is a tree)."""
+    cd = CartanDatum(kind, n)
+    dist = {base: 0}
+    while len(dist) < n:
+        for a, b in cd.edges:
+            if a in dist and b not in dist:
+                dist[b] = dist[a] + 1
+            if b in dist and a not in dist:
+                dist[a] = dist[b] + 1
+    return tuple(dist[v] % 2 for v in cd.vertices)
 
 
 def _dominant_axes(cd: CartanDatum, m: Monomial) -> tuple[list, list[int]]:
@@ -490,16 +437,15 @@ class CategoryQ:
         self._columns = [self._position_column(k) for k in range(self.xt.r)]
 
     def _check_torus_isomorphism(self) -> None:
-        """The isomorphism Phi: the Y-pairing restricted to the positions equals
-        the scalar-product pairing of the rank-r torus, entry by entry."""
-        for k, (i, p) in enumerate(self.positions):
-            for l, (j, s) in enumerate(self.positions):
-                n = self.qc.n_pair(i, p, j, s) if p != s else 0
-                x = self.xt.pair2(self.xt.unit_vector(k + 1), self.xt.unit_vector(l + 1))
-                if n != x:
-                    raise CharacterError(
-                        f"pairings disagree at positions {k + 1},{l + 1}: N = {n}, X = {x}"
-                    )
+        """The isomorphism Phi: the Gram matrix of the Y-variables at the
+        positions, in k-order, equals the Gram matrix of the rank-r torus."""
+        idx = [self.yt.index[v] for v in self.positions]
+        n, x = [[self.yt.gram[a][b] for b in idx] for a in idx], self.xt.gram
+        if n != x:
+            k, l = next((k, l) for k, row in enumerate(n) for l, e in enumerate(row) if e != x[k][l])
+            raise CharacterError(
+                f"pairings disagree at positions {k + 1},{l + 1}: N = {n[k][l]}, X = {x[k][l]}"
+            )
 
     # -- the boundary between Y-monomials and exponent vectors ----------------
 

@@ -150,7 +150,7 @@ class QuantumTorus:
     a key is written to JSON."""
 
     def __init__(self, names: list[str], gram: list[list[int]]):
-        self.names = names
+        self.names, self.gram = names, gram
         n = self.n = len(gram)
         self.mmax = max((abs(x) for row in gram for x in row), default=0)
         w = self.W = max(16, (self.mmax << 15).bit_length() + 1)

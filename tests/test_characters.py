@@ -1,7 +1,12 @@
+import hashlib
+import json
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from qgroth import characters
 from qgroth.cartan import cartan_datum
 from qgroth.characters import (
     CategoryQ,
@@ -16,6 +21,7 @@ from qgroth.characters import (
     tensor_simple_check,
     tsystem_exponents,
 )
+from qgroth.cli import main
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
@@ -44,6 +50,8 @@ def test_string_decomposition():
     assert string_decomposition({0: 1, 4: 1}) == [(0, 1), (4, 1)]
     assert string_decomposition({0: 1, 2: 2}) == [(0, 2), (2, 1)]
     assert string_decomposition({0: 1, 2: 1, 4: 1}) == [(0, 3)]
+    # a string steps by 2: {0, 3} is two strings, not one that covers 2
+    assert string_decomposition({0: 1, 3: 1}) == [(0, 1), (3, 1)]
 
 
 def test_sl2_pattern_dimensions():
@@ -84,6 +92,53 @@ def test_d4_dimensions_and_multiplicity():
         assert sum(chi.values()) == dim
     chi = fm_classical(cd, 3, 0)
     assert chi[mon(Y(3, 2), Y(3, 4, -1))] == 2
+
+
+def closed_form_dimension(name, i):
+    """dim of the fundamental module at node i, in this labelling."""
+    kind, n = name[0], int(name[1:])
+    if kind == "A":
+        return math.comb(n + 1, i)
+    if kind == "D":
+        if i <= 2:
+            return 2 ** (n - 1)
+        k = n + 1 - i
+        return sum(math.comb(2 * n, l) for l in range(k % 2, k + 1, 2))
+    return {"E6": [27, 79, 378, 3732, 378, 27]}[name][i - 1]
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6"])
+def test_fundamental_dimensions_match_closed_forms(name):
+    cd = cartan_datum(name)
+    dims = [sum(fm_classical(cd, i, 0).values()) for i in cd.vertices]
+    assert dims == [closed_form_dimension(name, i) for i in cd.vertices]
+
+
+# node: (dimension, sha256 of the sorted JSON terms)
+E7_FUNDAMENTALS = {
+    1: (134, "fe4abfd10dc9aa5eeba325ac823e59556b2fa5e160375202a5e8a4e1aae79042"),
+    2: (968, "1ce1f25ad262c54effbaab2f04d8c71b2cd137ecbdada549f2ac6efffe3150f8"),
+    3: (10451, "77423606b12888fe182d7884f1fa1f2a20d647adc9fc0a6dc1d3ff516c122429"),
+    6: (1673, "825d2e21976e2b2be1b4f6048f7feb4f84ea68ddf0bbc2b46822305c09393ea6"),
+    7: (56, "c22fe922591f711701edcabaa7f48c9b3530b7a13fd6ca203ed92a4fc319225f"),
+}
+
+
+def test_e7_fundamentals_are_pinned():
+    cd = cartan_datum("E7")
+    for i, pinned in E7_FUNDAMENTALS.items():
+        chi = fm_classical(cd, i, 0)
+        rows = sorted((m.to_json(), c) for m, c in chi.items())
+        assert (sum(chi.values()), hashlib.sha256(json.dumps(rows).encode()).hexdigest()) == pinned, i
+
+
+def test_fundamental_monomial_cap_names_the_node(monkeypatch, capsys):
+    monkeypatch.setattr(characters, "MAX_FM_MONOMIALS", 10)
+    # a fresh memo for the duration of the test, so that no cached character
+    # slips past the cap and none computed under it outlives the test
+    monkeypatch.setattr(characters, "_fm_base", lru_cache(maxsize=None)(characters._fm_base.__wrapped__))
+    assert main(["qchar", "fundamental", "--type", "D4", "--i", "3", "--p", "0"]) == 3
+    assert "fundamental character of D4 at node 3 passed 10 monomials" in capsys.readouterr().err
 
 
 def test_d4_central_lift_refused(ytorus):

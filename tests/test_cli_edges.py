@@ -343,10 +343,13 @@ def other_argvs(draw):
         "qchar kr", "qchar fundamental", "qchar standard",
     ]))
     argv = cmd.split()
-    narrow = cmd.startswith(("qchar", "verify"))
-    name = _type(draw, TYPES if narrow else TYPES + ["D5", "E6", "E7", "E8"])
+    if cmd == "qchar fundamental":  # bounded on D and E by the monomial cap
+        names = TYPES + ["D5", "D6", "E6"]
+    else:
+        names = TYPES if cmd.startswith(("qchar", "verify")) else TYPES + ["D5", "E6", "E7", "E8"]
+    name = _type(draw, names)
     argv += _flag("--type", name, draw(st.booleans()))
-    rank = int(name[1:]) if name in TYPES else 3
+    rank = int(name[1:]) if name in TYPES or (cmd == "qchar fundamental" and name in names) else 3
     small = st.integers(min_value=-1, max_value=3).map(str)
     orientable = cmd in ("verify mainth", "phi", "qchar kr")
     if cmd not in ("qcartan", "tsystem") and _maybe(draw, orientable) and draw(st.booleans()):
@@ -390,8 +393,8 @@ def other_argvs(draw):
 def test_remaining_subcommand_edges_end_in_a_documented_exit(argv):
     # verify all reads no --arrows, --degree-bound or --m-range, verify mainth
     # no --m-range; out-of-range vertices and levels, an --mmax below 1 and
-    # reversed or malformed ranges are usage errors; D4 fundamentals that are
-    # not multiplicity-free fall back to their classical character (exit 0)
+    # reversed or malformed ranges are usage errors; D and E fundamentals that
+    # are not multiplicity-free fall back to their classical character (exit 0)
     code, out, err = _run(argv)
     _assert_documented_exit(code, out, err, argv)
     assert code != 2, (argv, err)

@@ -6,7 +6,7 @@ from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ, CharacterError, fundamental_tchar, standard_tchar
 from qgroth.laurent import HalfLaurent
 from qgroth.qgroup import QGroupSide, n_gamma
-from qgroth.qcartan import QuantumCartan
+from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
@@ -314,13 +314,14 @@ def test_phi_is_algebra_homomorphism(contexts):
 
 
 def test_phi_check_rejects_a_corrupted_pairing(contexts, monkeypatch):
+    # one entry of the N rows that feed the Y Gram matrix, at the first and
+    # last positions, is off by one
     ctx = contexts("A3", (2, 3, 2))
     (i, p), (j, s) = ctx.positions[0], ctx.positions[-1]
-    n_pair = QuantumCartan.n_pair
-
-    def corrupted(self, a, b, c, d):
-        return n_pair(self, a, b, c, d) + ((a, b, c, d) == (i, p, j, s))
-
-    monkeypatch.setattr(QuantumCartan, "n_pair", corrupted)
-    with pytest.raises(CharacterError, match="pairings disagree"):
+    assert p != s
+    rows = quantum_cartan(ctx.cartan)._n[i]
+    bad = list(rows[j])
+    bad[abs(p - s) - 1] += 1
+    monkeypatch.setitem(rows, j, bad)
+    with pytest.raises(CharacterError, match="pairings disagree at positions 1,6: N = 2, X = 1"):
         CategoryQ(ctx)
