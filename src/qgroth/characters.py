@@ -324,9 +324,9 @@ def expand_in_dominant_basis(
     `depth` (basis key -> integer growing strictly down the order).  Peeling
     the present dominant key of least depth adds only deeper keys."""
     coeffs: dict = {}
-    rem = x
+    rem = dict(x.terms)
     while rem:
-        doms = [k for k in rem.terms if is_dominant_key(k)]
+        doms = [k for k in rem if is_dominant_key(k)]
         if not doms:
             raise CharacterError("element is not in the span of the given basis")
         for k in doms:
@@ -335,11 +335,18 @@ def expand_in_dominant_basis(
         kstar = min(doms, key=depth.__getitem__)
         if kstar in coeffs:
             raise CharacterError("basis is not triangular in depth")
-        c = rem.terms[kstar].exact_div(basis[kstar].coeff(kstar))
+        c = rem[kstar].exact_div(basis[kstar].coeff(kstar))
         if c is None:
             raise CharacterError("expansion coefficient is not Laurent")
         coeffs[kstar] = c
-        rem = rem - basis[kstar].scal(c)
+        # peel c * basis[kstar] off the remainder in place
+        neg = -c
+        for k, v in basis[kstar].terms.items():
+            s = rem[k] + v * neg if k in rem else v * neg
+            if s.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = s
     return coeffs
 
 

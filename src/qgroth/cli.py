@@ -325,7 +325,7 @@ def cmd_hall(args) -> int:
         y = _parse_iso(args.y, cd)
         t = _parse_iso(args.t, cd)
         w = _parse_iso(args.w, cd)
-        g = toen_gamma(x, y, t, w, quiver, args.q)
+        g = toen_gamma(DerivedHall(quiver, args.q), x, y, t, w)
         _emit(args, [f"gamma = {g}"], {"gamma": [g.numerator, g.denominator]})
         return 0
     if args.what == "number":

@@ -1,14 +1,15 @@
-"""Brute-force Hall algebra computations over small finite fields, and the
-derived Hall algebra of the bounded derived category of a small type-A quiver.
+"""Hall algebra computations over small finite fields, and the derived Hall
+algebra of the bounded derived category of a small type-A quiver.
 
-Everything here is counted, not derived: Hall numbers enumerate one
-subspace per vertex, each once as a reduced row echelon basis (one Schubert
-cell per pivot set), and read stability and the sub- and quotient
-representations off one change of coordinates per arrow; hom dimensions are
-the unknowns less the rank of the hom equations; Toen's gamma enumerates
-four-term exact sequences of homomorphism triples, and automorphism groups
-are enumerated from bases of homomorphism spaces.  Scalars live in the exact
-field Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that
+Hall numbers are counted: they enumerate one subspace per vertex, each once
+as a reduced row echelon basis (one Schubert cell per pivot set), and read
+stability and the sub- and quotient representations off one change of
+coordinates per arrow; hom dimensions are the unknowns less the rank of the
+hom equations.  The rest is by formula from those two counts.  Toen's gamma
+splits each four-term exact sequence at its middle image into two short
+exact sequences, each counted by Riedtmann's formula; |Aut M| is read off
+dim End M, since the indecomposables of mod(FQ) are bricks.  Scalars live in
+the exact field Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that
 half-integral powers of u remain exact.
 
 The derived Hall algebra is spanned by normal-ordered words in generators
@@ -23,10 +24,9 @@ through `DerivedHall.qcommutator` at t = u.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cartan import QQ, CartanDatum, ResourceCap, kostant_partitions, rref, solve
 from .characters import CategoryQ, expand_in_dominant_basis
@@ -37,8 +37,7 @@ from .quiver import QuiverDatum, ringel_form
 
 MAX_RANK = 3
 MAX_FIELD = 4
-MAX_SUBMODULE_DIM = 4
-MAX_HOM_ENUM = 4_000_000
+MAX_SUBSPACES = 1000
 
 
 # --------------------------------------------------------------------------
@@ -84,16 +83,6 @@ class GF:
         return range(self.q)
 
 
-def mat_mul(F: GF, A, B):
-    return tuple(
-        tuple(
-            _dot(F, A[i], tuple(B[k][j] for k in range(len(B))))
-            for j in range(len(B[0]) if B else 0)
-        )
-        for i in range(len(A))
-    )
-
-
 def _dot(F: GF, u, v):
     s = 0
     for a, b in zip(u, v):
@@ -103,19 +92,6 @@ def _dot(F: GF, u, v):
 
 def mat_rank(F: GF, rows) -> int:
     return len(rref(rows, F)[1])
-
-
-def nullspace_basis(F: GF, rows, nvars: int):
-    """Basis of the right nullspace of the matrix given by rows."""
-    red, pivots = rref(rows, F)
-    basis = []
-    for fc in (c for c in range(nvars) if c not in pivots):
-        v = [0] * nvars
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = F.sub(0, row[fc])
-        basis.append(tuple(v))
-    return basis
 
 
 # --------------------------------------------------------------------------
@@ -261,52 +237,10 @@ def _hom_equations(M: Rep, N: Rep):
     return rows, offsets, total
 
 
-def hom_basis(M: Rep, N: Rep):
-    """Basis of Hom(M, N): tuples of per-vertex matrices."""
-    rows, offsets, total = _hom_equations(M, N)
-    out = []
-    for vec in nullspace_basis(M.F, rows, total):
-        mats = []
-        for v, o in enumerate(offsets):
-            mats.append(
-                tuple(
-                    tuple(vec[o + r * M.dims[v] + c] for c in range(M.dims[v]))
-                    for r in range(N.dims[v])
-                )
-            )
-        out.append(tuple(mats))
-    return out
-
-
 def hom_dim(M: Rep, N: Rep) -> int:
     """dim Hom(M, N): the unknowns less the rank of their equations."""
     rows, _, total = _hom_equations(M, N)
     return total - mat_rank(M.F, rows)
-
-
-def _hom_elements(F: GF, basis, shapes):
-    """All elements of a hom space given a basis; shapes = per-vertex (rows, cols).
-    The multiples c b are flat integer tuples, and the partial sums of the
-    coefficient tuples are kept as itertools.product advances.  Entries add as
-    integers (GF(4) encodings by XOR), reduced mod q as the matrices are cut."""
-    if F.q ** len(basis) > MAX_HOM_ENUM:
-        raise ResourceCap("homomorphism space too large to enumerate")
-    q, n = F.q, len(basis)
-    add = operator.xor if q == 4 else operator.add
-    flats = [[x for mat in b for row in mat for x in row] for b in basis]
-    mults = [[tuple(F.mul(c, x) for x in f) for c in F.elements()] for f in flats]
-    cuts, o = [], 0
-    for rows, cols in shapes:
-        cuts.append([(o + r * cols, o + (r + 1) * cols) for r in range(rows)])
-        o += rows * cols
-    sums = [(0,) * o] * (n + 1)
-    prev = (-1,) * n
-    for combo in itertools.product(range(q), repeat=n):
-        # the partial sums from the first changed factor on are stale
-        for j in range(next((j for j in range(n) if combo[j] != prev[j]), n), n):
-            sums[j + 1] = tuple(map(add, sums[j], mults[j][combo[j]]))
-        prev = combo
-        yield tuple(tuple(tuple(x % q for x in sums[n][a:b]) for a, b in rows) for rows in cuts)
 
 
 @lru_cache(maxsize=None)
@@ -405,6 +339,16 @@ def _arrow_blocks(F: GF, M, cell_i, cell_j):
     )
 
 
+def _subspace_count(d: int, k: int, q: int) -> int:
+    """The Gaussian binomial [d choose k]_q: the number of k-dimensional
+    subspaces of F_q^d, which `_subspaces` walks."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
     """Number of subrepresentations of W isomorphic to X with quotient
     isomorphic to Y: one subspace per vertex from `_subspaces`, kept when
@@ -413,14 +357,15 @@ def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: i
     _check_quiver(quiver)
     F = GF(q)
     n = quiver.cartan.n
-    if tuple(a + b for a, b in zip(X.dims(n), Y.dims(n))) != W.dims(n):
+    dx, dy, dw = X.dims(n), Y.dims(n), W.dims(n)
+    if tuple(a + b for a, b in zip(dx, dy)) != dw:
         return 0
-    if W.total_dim() > MAX_SUBMODULE_DIM:
-        raise ResourceCap(f"total dimension above cap {MAX_SUBMODULE_DIM}")
+    size = prod(_subspace_count(d, k, q) for d, k in zip(dw, dx))
+    if size > MAX_SUBSPACES:
+        raise ResourceCap(f"{size} subspace tuples to enumerate, above cap {MAX_SUBSPACES}")
     RW = model_rep(quiver, F, W)
-    dx, dy = X.dims(n), Y.dims(n)
     count = 0
-    per_vertex = [[_cell(b, d) for b in _subspaces(F, d, k)] for d, k in zip(RW.dims, dx)]
+    per_vertex = [[_cell(b, d) for b in _subspaces(F, d, k)] for d, k in zip(dw, dx)]
     for cells in itertools.product(*per_vertex):
         blocks = {}
         for (i, j) in quiver.arrows:
@@ -435,69 +380,50 @@ def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: i
     return count
 
 
-def aut_count(M: Rep, q: int) -> int:
-    F = M.F
-    shapes = [(d, d) for d in M.dims]
-    count = 0
-    for mats in _hom_elements(F, hom_basis(M, M), shapes):
-        if all(mat_rank(F, mats[v]) == M.dims[v] for v in range(len(M.dims))):
-            count += 1
-    return count
+def aut_count(M: IsoClass, quiver: QuiverDatum, q: int) -> int:
+    """|Aut M| = q^(dim End M - sum m^2) prod_m |GL_m(F_q)|, m running over
+    the multiplicities of M's indecomposables.  Those are bricks (End = F_q),
+    so End M / rad End M is the product of the M_m(F_q), and an endomorphism
+    is a unit exactly when its image there is."""
+    R = model_rep(quiver, GF(q), M)
+    mults = [m for _, m in M.mults]
+    out = q ** (hom_dim(R, R) - sum(m * m for m in mults))
+    for m in mults:
+        for i in range(m):
+            out *= q**m - q**i
+    return out
 
 
-def toen_gamma(
-    X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int
-) -> Fraction:
-    """gamma_{X,Y}^{T,W}: the count of exact sequences 0 -> T -> Y -> X -> W -> 0
-    divided by |Aut X| |Aut Y|.
+def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoClass) -> Fraction:
+    """gamma_{X,Y}^{T,W}: the number of exact sequences
+    0 -> T -> Y -> X -> W -> 0 divided by |Aut X| |Aut Y|.
+
+    Such a sequence is two short exact sequences glued at the image K of
+    Y -> X, and each is counted as in Riedtmann's formula.  K is one of
+    g^X_{K,W} subrepresentations of X, killed by |Aut W| epimorphisms onto
+    W; the kernel of Y -> X is one of g^Y_{T,K} subrepresentations of Y,
+    whose quotient maps onto K in |Aut K| ways, and T maps onto it in
+    |Aut T| ways.  The Hall numbers come from `dh`.
 
     The slot assignment (T first, W last) is the one under which the rank-one
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
     gamma_{S_i,S_j}^{S_j,S_i} = 1 with (q-1)^2 sequences.
     """
-    _check_quiver(quiver)
-    F = GF(q)
-    n = quiver.cartan.n
+    n = dh.cartan.n
     dT, dY, dX, dW = (Z.dims(n) for Z in (T, Y, X, W))
-    if any(dT[v] - dY[v] + dX[v] - dW[v] != 0 for v in range(n)):
+    dK = tuple(y - t for y, t in zip(dY, dT))
+    if dK != tuple(x - w for x, w in zip(dX, dW)) or min(dK, default=0) < 0:
         return Fraction(0)
-    RT, RY, RX, RW = (model_rep(quiver, F, Z) for Z in (T, Y, X, W))
-    hf = hom_basis(RT, RY)
-    hg = hom_basis(RY, RX)
-    hh = hom_basis(RX, RW)
-    if F.q ** (len(hf) + len(hg) + len(hh)) > MAX_HOM_ENUM:
-        raise ResourceCap("exact-sequence enumeration too large")
-    sf = [(dY[v], dT[v]) for v in range(n)]
-    sg = [(dX[v], dY[v]) for v in range(n)]
-    sh = [(dW[v], dX[v]) for v in range(n)]
+
+    def aut(Z):
+        return aut_count(Z, dh.quiver, dh.q)
+
     count = 0
-    for f in _hom_elements(F, hf, sf):
-        if any(mat_rank(F, f[v]) != dT[v] for v in range(n)):
-            continue
-        for g in _hom_elements(F, hg, sg):
-            gok = True
-            for v in range(n):
-                if dT[v] and dX[v] and any(any(row) for row in mat_mul(F, g[v], f[v])):
-                    gok = False
-                    break
-                if mat_rank(F, g[v]) != dY[v] - dT[v]:
-                    gok = False
-                    break
-            if not gok:
-                continue
-            for h in _hom_elements(F, hh, sh):
-                ok = True
-                for v in range(n):
-                    if dY[v] and dW[v] and any(any(row) for row in mat_mul(F, h[v], g[v])):
-                        ok = False
-                        break
-                    rh = mat_rank(F, h[v])
-                    if rh != dW[v] or (dY[v] - dT[v]) + rh != dX[v]:
-                        ok = False
-                        break
-                if ok:
-                    count += 1
-    return Fraction(count, aut_count(RX, q) * aut_count(RY, q))
+    for K in dh._isoclasses_of_dim(dK):
+        g = dh.g_number(T, K, Y)
+        if g:
+            count += aut(K) * g * dh.g_number(K, W, X)
+    return Fraction(count * aut(T) * aut(W), aut(X) * aut(Y)) if count else Fraction(0)
 
 
 # --------------------------------------------------------------------------
@@ -717,7 +643,7 @@ class DerivedHall:
             if any(d < 0 for d in dw):
                 continue
             for w in self._isoclasses_of_dim(dw):
-                g = toen_gamma(x, y, t, w, self.quiver, self.q)
+                g = toen_gamma(self, x, y, t, w)
                 if g:
                     out.append((t, w, g))
         self._gamma_terms[key] = out

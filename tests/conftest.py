@@ -1,9 +1,12 @@
-from operator import add
+import functools
+import itertools
+from operator import add, xor
 
 import pytest
 
-from qgroth.cartan import cartan_datum
+from qgroth.cartan import cartan_datum, rref
 from qgroth.characters import CategoryQ, expand_in_dominant_basis
+from qgroth.hall import GF, _hom_equations, mat_rank, model_rep
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, YTorus
@@ -124,8 +127,6 @@ def four_coefficient_n(qc, i: int, p: int, j: int, s: int) -> int:
 
 def all_orientations(name: str):
     """Every orientation of the diagram, as QuiverDatum values."""
-    import itertools
-
     cd = cartan_datum(name)
     edges = cd.edges
     for flips in itertools.product((False, True), repeat=len(edges)):
@@ -145,3 +146,106 @@ def expand_by_monomials(yt: YTorus, x, basis: dict) -> dict:
         {yt.key(m): d for m, d in depth.items()},
     )
     return {yt.monomial_of(k): c for k, c in coeffs.items()}
+
+
+# --------------------------------------------------------------------------
+# brute force over homomorphisms: the reference for the Hall side's formulas
+# --------------------------------------------------------------------------
+
+
+def nullspace_basis(F, rows, nvars: int):
+    """Basis of the right nullspace of the matrix given by rows: one vector
+    per free column of its reduced row echelon form."""
+    red, pivots = rref(rows, F)
+    basis = []
+    for fc in (c for c in range(nvars) if c not in pivots):
+        v = [0] * nvars
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = F.sub(0, row[fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def hom_basis(M, N):
+    """Basis of Hom(M, N): tuples of per-vertex matrices, solving the hom
+    equations of the library."""
+    rows, offsets, total = _hom_equations(M, N)
+    out = []
+    for vec in nullspace_basis(M.F, rows, total):
+        out.append(tuple(
+            tuple(tuple(vec[o + r * M.dims[v] + c] for c in range(M.dims[v])) for r in range(N.dims[v]))
+            for v, o in enumerate(offsets)
+        ))
+    return out
+
+
+def hom_elements(F, basis, shapes):
+    """All elements of a hom space given a basis; shapes = per-vertex (rows, cols).
+    The multiples c b are flat integer tuples, and the partial sums of the
+    coefficient tuples are kept as itertools.product advances.  Entries add as
+    integers (GF(4) encodings by XOR), reduced mod q as the matrices are cut."""
+    q, n = F.q, len(basis)
+    plus = xor if q == 4 else add
+    flats = [[x for mat in b for row in mat for x in row] for b in basis]
+    mults = [[tuple(F.mul(c, x) for x in f) for c in F.elements()] for f in flats]
+    cuts, o = [], 0
+    for rows, cols in shapes:
+        cuts.append([(o + r * cols, o + (r + 1) * cols) for r in range(rows)])
+        o += rows * cols
+    sums = [(0,) * o] * (n + 1)
+    prev = (-1,) * n
+    for combo in itertools.product(range(q), repeat=n):
+        # the partial sums from the first changed factor on are stale
+        for j in range(next((j for j in range(n) if combo[j] != prev[j]), n), n):
+            sums[j + 1] = tuple(map(plus, sums[j], mults[j][combo[j]]))
+        prev = combo
+        yield tuple(tuple(tuple(x % q for x in sums[n][a:b]) for a, b in rows) for rows in cuts)
+
+
+def mat_mul(F, A, B):
+    cols = list(zip(*B))
+    return tuple(tuple(functools.reduce(F.add, map(F.mul, row, col), 0) for col in cols) for row in A)
+
+
+def homs(M, N):
+    """Every element of Hom(M, N)."""
+    shapes = [(b, a) for a, b in zip(M.dims, N.dims)]
+    return hom_elements(M.F, hom_basis(M, N), shapes)
+
+
+def aut_by_enumeration(M) -> int:
+    """|Aut M|: the endomorphisms invertible at every vertex."""
+    return sum(
+        all(mat_rank(M.F, f[v]) == d for v, d in enumerate(M.dims)) for f in homs(M, M)
+    )
+
+
+def exact_sequence_count(quiver, q: int, X, Y, T, W) -> int:
+    """The number of exact sequences 0 -> T -> Y -> X -> W -> 0 of the model
+    representations, by enumerating every triple of homomorphisms.  The
+    triples are counted per middle map g, as (f with g f = 0) times
+    (h with h g = 0)."""
+    F = GF(q)
+    RT, RY, RX, RW = (model_rep(quiver, F, Z) for Z in (T, Y, X, W))
+    dT, dY, dW = RT.dims, RY.dims, RW.dims
+    vertices = range(quiver.cartan.n)
+
+    def ranks(maps, want):
+        return [m for m in maps if all(mat_rank(F, m[v]) == want[v] for v in vertices)]
+
+    def zero_product(a, b):
+        return all(not any(map(any, mat_mul(F, a[v], b[v]))) for v in vertices)
+
+    # on a balanced quadruple (dim T - dim Y + dim X - dim W = 0), rank f =
+    # dim T, rank g = dim Y - dim T and rank h = dim W = dim X - rank g make
+    # the sequence exact once g f = 0 and h g = 0
+    monos = ranks(homs(RT, RY), dT)
+    middles = ranks(homs(RY, RX), [y - t for y, t in zip(dY, dT)])
+    epis = ranks(homs(RX, RW), dW)
+    count = 0
+    for g in middles:
+        before = sum(zero_product(g, f) for f in monos)
+        if before:
+            count += before * sum(zero_product(h, g) for h in epis)
+    return count

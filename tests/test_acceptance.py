@@ -280,12 +280,13 @@ def test_criterion_10_hall_side():
         s = lambda i: IsoClass({tuple(1 if v == i else 0 for v in range(1, cd.n + 1)): 1})
         zero = IsoClass({})
         for q in (2, 3):
+            dh = DerivedHall(quiv, q)
             for i in cd.vertices:
-                assert toen_gamma(s(i), s(i), zero, zero, quiv, q) == Fraction(1, q - 1)
+                assert toen_gamma(dh, s(i), s(i), zero, zero) == Fraction(1, q - 1)
                 for j in cd.vertices:
                     if i != j:
-                        assert toen_gamma(s(i), s(j), s(j), s(i), quiv, q) == 1
-            assert check_h_relations(DerivedHall(quiv, q), range(4)) == []
+                        assert toen_gamma(dh, s(i), s(j), s(j), s(i)) == 1
+            assert check_h_relations(dh, range(4)) == []
             assert constant_identity_holds(q)
     for name, xi in [("A2", (2, 1)), ("A3", (2, 3, 2))]:
         cat = CategoryQ(QuiverContext(QuiverDatum.from_xi(cartan_datum(name), xi)))

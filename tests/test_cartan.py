@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgroth.cartan import QQ, SUPPORTED, CartanDatum, RankMismatch, Weight, cartan_datum, rref, solve
-from qgroth.hall import GF, mat_rank, nullspace_basis
+from qgroth.hall import GF, mat_rank
+
+from conftest import nullspace_basis
 
 TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"]
 

@@ -139,10 +139,8 @@ def test_exit_codes(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
-    # resource cap
-    code = main(
-        ["hall", "number", "--type", "A2", "--q", "2", "--x", "1*3", "--y", "2*3", "--w", "1*3,2*3"]
-    )
+    # resource cap: [6 choose 3]_4 subspaces to walk
+    code = main(["hall", "number", "--type", "A2", "--q", "4", "--x", "1*3", "--y", "1*3", "--w", "1*6"])
     assert code == 3
 
 

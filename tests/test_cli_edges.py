@@ -260,6 +260,7 @@ def test_qchar_simple_and_truncate_edges_end_in_a_documented_exit(argv):
 
 ISOCLASSES = [
     "0", "1", "2", "3", "1-2", "2-3", "1-3", "1*2", "1,2", "2,3", "1-2,3", "1-3,2-3", "1-2*2",
+    "1*6", "1-2*3", "1*3",
 ]
 MALFORMED_ISOCLASSES = [
     "", "x", "1-", "-1", "2-1", "1-4", "0-1", "1*0", "1*-1", "1*x", "1-2-3", "1,,2", "1*2*3", "4",

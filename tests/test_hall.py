@@ -23,8 +23,8 @@ from qgroth.hall import (
     _cell,
     _coordinates,
     _iso_tables,
+    _subspace_count,
     _subspaces,
-    hom_basis,
     hom_dim,
     interval_rep,
     iota_check,
@@ -34,6 +34,8 @@ from qgroth.hall import (
     u_power,
 )
 from qgroth.quiver import QuiverContext, QuiverDatum
+
+from conftest import aut_by_enumeration, exact_sequence_count, hom_basis, hom_elements, homs, mat_mul
 
 
 def a2_quiver():
@@ -103,8 +105,6 @@ def _naive_hom_elements(F, basis, shapes):
 def test_hom_elements_match_the_naive_enumeration(name):
     # every hom space between classes of total dimension <= 2, in every
     # orientation, over GF(2), GF(3) and GF(4) (whose sums are XORs)
-    from qgroth.hall import _hom_elements
-
     for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3, 4)):
         F, dh, n = GF(p), DerivedHall(q, p), q.cartan.n
         dims = [d for d in itertools.product(range(3), repeat=n) if sum(d) <= 2]
@@ -112,7 +112,7 @@ def test_hom_elements_match_the_naive_enumeration(name):
         for A, B in itertools.product(classes, repeat=2):
             M, N = model_rep(q, F, A), model_rep(q, F, B)
             basis, shapes = hom_basis(M, N), [(b, a) for a, b in zip(M.dims, N.dims)]
-            got = list(_hom_elements(F, basis, shapes))
+            got = list(hom_elements(F, basis, shapes))
             assert got == list(_naive_hom_elements(F, basis, shapes)), (A, B)
             assert len(set(got)) == p ** len(basis)
 
@@ -120,26 +120,26 @@ def test_hom_elements_match_the_naive_enumeration(name):
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_hom_elements_add_overlapping_entries_in_the_field(p):
     # two basis vectors sharing an entry: 1 + 1 is 0 in GF(2) and GF(4), 2 in GF(3)
-    from qgroth.hall import _hom_elements
-
     F, shapes = GF(p), [(1, 2), (0, 1)]
     basis = [(((1, 1),), ()), (((1, 0),), ())]
-    got = list(_hom_elements(F, basis, shapes))
+    got = list(hom_elements(F, basis, shapes))
     assert got == list(_naive_hom_elements(F, basis, shapes))
     assert (((F.add(1, 1), 1),), ()) in got and len(set(got)) == p * p
 
 
 def test_riedtmann_count_consistency():
     # the number of exact pairs X >-> W ->> Y equals g^W_{X,Y} |Aut X| |Aut Y|,
-    # on every (X, Y, W) of total dimension <= 3 over A1-A3 in every orientation
-    from qgroth.hall import _hom_elements, mat_mul, mat_rank
+    # on every (X, Y, W) of total dimension <= 3 over A1-A3 in every
+    # orientation; the pairs are enumerated, and so is Aut W at Y = 0, which
+    # checks the automorphism counts read off dim End
+    from qgroth.hall import mat_rank
 
     for name, p in itertools.product(("A1", "A2", "A3"), (2, 3)):
         F = GF(p)
         for q in _orientations(cartan_datum(name)):
             n = q.cartan.n
             model = functools.cache(lambda Z: model_rep(q, F, Z))
-            aut = functools.cache(lambda Z: aut_count(model(Z), p))
+            aut = functools.cache(lambda Z: aut_count(Z, q, p))
 
             @functools.cache
             def full_rank(A, B):
@@ -147,11 +147,14 @@ def test_riedtmann_count_consistency():
                 # monomorphisms X -> W, or the epimorphisms W -> Y
                 shapes = [(b, a) for a, b in zip(model(A).dims, model(B).dims)]
                 return [
-                    h for h in _hom_elements(F, hom_basis(model(A), model(B)), shapes)
+                    h for h in homs(model(A), model(B))
                     if all(mat_rank(F, h[v]) == min(shapes[v]) for v in range(n))
                 ]
 
             for X, Y, W in _triples(q, p, 3):
+                if Y.is_zero():
+                    # the monomorphisms W -> W are its automorphisms
+                    assert len(full_rank(W, W)) == aut(W), (p, q.arrows, W)
                 # dimensions add up, so a mono f and an epi g with g f = 0 are exact
                 count = sum(
                     all(not any(map(any, mat_mul(F, g[v], f[v]))) for v in range(n))
@@ -160,6 +163,30 @@ def test_riedtmann_count_consistency():
                 )
                 expected = hall_number(X, Y, W, q, p) * aut(X) * aut(Y)
                 assert count == expected, (p, q.arrows, X, Y, W)
+
+
+def _classes(quiver, q, max_total):
+    # every isoclass of total dimension <= max_total
+    dh = DerivedHall(quiver, q)
+    dims = itertools.product(range(max_total + 1), repeat=quiver.cartan.n)
+    return [iso for d in dims if sum(d) <= max_total for iso in dh._isoclasses_of_dim(d)]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3"])
+def test_gamma_is_the_exact_sequence_count(name):
+    # gamma by Riedtmann's formula against the four-term exact sequences
+    # enumerated as homomorphism triples, over automorphism groups enumerated
+    # too, on every balanced (X, Y, T, W) of classes of total dimension <= 2,
+    # in every orientation
+    for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
+        dh, F, n = DerivedHall(q, p), GF(p), q.cartan.n
+        aut = functools.cache(lambda Z: aut_by_enumeration(model_rep(q, F, Z)))
+        classes = _classes(q, p, 2)
+        for X, Y, T, W in itertools.product(classes, repeat=4):
+            if any(t - y + x - w for t, y, x, w in zip(*(Z.dims(n) for Z in (T, Y, X, W)))):
+                continue
+            count = exact_sequence_count(q, p, X, Y, T, W)
+            assert toen_gamma(dh, X, Y, T, W) == Fraction(count, aut(X) * aut(Y)), (q.arrows, p, X, Y, T, W)
 
 
 def _gaussian_binomial(d, k, q):
@@ -179,7 +206,7 @@ def test_subspaces_are_the_schubert_cells(q):
     for d in range(5):
         for k in range(d + 1):
             bases = list(_subspaces(F, d, k))
-            assert len(bases) == _gaussian_binomial(d, k, q)
+            assert len(bases) == _gaussian_binomial(d, k, q) == _subspace_count(d, k, q)
             spans = set()
             for basis in bases:
                 red, pivots = rref(basis, F)
@@ -205,20 +232,27 @@ def test_subspaces_are_the_schubert_cells(q):
 def test_gamma_examples():
     q = a2_quiver()
     for p in (2, 3):
-        assert toen_gamma(S1, S2, S2, S1, q, p) == 1
-        assert toen_gamma(S1, S1, S1, S1, q, p) == 1
-        assert toen_gamma(S1, S1, ZERO, ZERO, q, p) == Fraction(1, p - 1)
+        dh = DerivedHall(q, p)
+        assert toen_gamma(dh, S1, S2, S2, S1) == 1
+        assert toen_gamma(dh, S1, S1, S1, S1) == 1
+        assert toen_gamma(dh, S1, S1, ZERO, ZERO) == Fraction(1, p - 1)
         # the sequence count behind the i != j case is (q-1)^2
-        F = GF(p)
-        auts = aut_count(model_rep(q, F, S1), p) * aut_count(model_rep(q, F, S2), p)
-        assert toen_gamma(S1, S2, S2, S1, q, p) * auts == (p - 1) ** 2
+        auts = aut_count(S1, q, p) * aut_count(S2, q, p)
+        assert toen_gamma(dh, S1, S2, S2, S1) * auts == (p - 1) ** 2
+    # 4^12 homomorphism triples, too many to enumerate: the only image is 0,
+    # so gamma = |Aut T| |Aut W| / (|Aut X| |Aut Y|) = 1
+    S = IsoClass({(1,): 2})
+    assert toen_gamma(DerivedHall(QuiverDatum.bipartite(cartan_datum("A1")), 4), S, S, S, S) == 1
 
 
 def test_resource_caps():
     q = a2_quiver()
-    big = IsoClass({(1, 0): 3, (0, 1): 3})
-    with pytest.raises(ResourceCap):
-        hall_number(IsoClass({(1, 0): 3}), IsoClass({(0, 1): 3}), big, q, 2)
+    # [6 choose 3]_4 = 376 805 subspaces of F_4^6 to walk
+    S1_3, S1_6 = IsoClass({(1, 0): 3}), IsoClass({(1, 0): 6})
+    with pytest.raises(ResourceCap, match="376805 subspace tuples"):
+        hall_number(S1_3, S1_3, S1_6, q, 4)
+    # total dimension 6, but one subspace tuple: S1^3 + 0 inside S1^3 + S2^3
+    assert hall_number(S1_3, IsoClass({(0, 1): 3}), IsoClass({(1, 0): 3, (0, 1): 3}), q, 2) == 1
     with pytest.raises(ResourceCap):
         GF(5)
 
@@ -513,4 +547,4 @@ def test_gf4_arithmetic():
 def test_hall_number_gf4():
     q = a2_quiver()
     assert hall_number(S2, S1, X12, q, 4) == 1
-    assert toen_gamma(S1, S1, ZERO, ZERO, q, 4) == Fraction(1, 3)
+    assert toen_gamma(DerivedHall(q, 4), S1, S1, ZERO, ZERO) == Fraction(1, 3)
