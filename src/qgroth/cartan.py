@@ -282,19 +282,27 @@ def solve(a, b, F) -> list[list]:
 
 def kostant_partitions(roots, d) -> list[tuple[int, ...]]:
     """Every c >= 0 with sum_k c_k roots[k] = d, roots given by simple-root
-    coordinates: at each k the larger c_k comes first."""
+    coordinates, in decreasing lexicographic order of c.
+
+    Only the roots that are not simple are enumerated: the simple roots
+    among `roots` take up what is left, which must lie on their coordinates.
+    When every simple root is there, no branch is a dead end."""
+    simple = {k: list(b).index(1) for k, b in enumerate(roots) if sum(b) == 1}
     out = []
 
     def rec(k: int, rem: tuple, acc: tuple):
-        if not any(rem):
-            out.append(acc + (0,) * (len(roots) - k))
-        elif k < len(roots):
+        if k == len(roots):
+            if all(r == 0 or (r > 0 and v in simple.values()) for v, r in enumerate(rem)):
+                out.append(tuple(rem[simple[j]] if j in simple else c for j, c in enumerate(acc)))
+        elif k in simple:
+            rec(k + 1, rem, acc + (0,))
+        else:
             b = roots[k]
-            for c in range(min(r // x for r, x in zip(rem, b) if x), -1, -1):
+            for c in range(min(r // x for r, x in zip(rem, b) if x) + 1):
                 rec(k + 1, tuple(r - c * x for r, x in zip(rem, b)), acc + (c,))
 
     rec(0, tuple(d), ())
-    return out
+    return sorted(out, reverse=True)
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,11 @@ coordinates per arrow; hom dimensions are the unknowns less the rank of the
 hom equations.  The rest is by formula from those two counts.  Toen's gamma
 splits each four-term exact sequence at its middle image into two short
 exact sequences, each counted by Riedtmann's formula; |Aut M| is read off
-dim End M, since the indecomposables of mod(FQ) are bricks.  Scalars live in
-the exact field Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that
-half-integral powers of u remain exact.
+dim End M, since the indecomposables of mod(FQ) are bricks.  One cap,
+`MAX_HALL_WORK`, bounds a Hall number and a gamma: the subspace tuples to
+walk times the cube of the total dimension, checked before walking.
+Scalars live in the exact field Q[x]/(x^4 - q), with u = sqrt(q)
+represented by x^2 so that half-integral powers of u remain exact.
 
 The derived Hall algebra is spanned by normal-ordered words in generators
 z_X^[m] with strictly decreasing level m; products are rewritten to normal
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .cartan import QQ, CartanDatum, ResourceCap, kostant_partitions, rref, solve
+from .cartan import QQ, ResourceCap, kostant_partitions, rref, solve
 from .characters import CategoryQ, expand_in_dominant_basis
 from .laurent import HalfLaurent
 from .presentation import relation_failures
@@ -37,7 +39,7 @@ from .quiver import QuiverDatum, ringel_form
 
 MAX_RANK = 3
 MAX_FIELD = 4
-MAX_SUBSPACES = 1000
+MAX_HALL_WORK = 10_000_000
 
 
 # --------------------------------------------------------------------------
@@ -115,45 +117,6 @@ def _check_quiver(quiver: QuiverDatum) -> None:
         raise ResourceCap(f"Hall computations capped at type A rank {MAX_RANK}")
 
 
-def root_interval(cartan: CartanDatum, root_coords) -> tuple[int, int]:
-    ones = [i + 1 for i, c in enumerate(root_coords) if c == 1]
-    if not ones or any(c not in (0, 1) for c in root_coords):
-        raise ValueError("not a type-A positive root")
-    return ones[0], ones[-1]
-
-
-def interval_rep(quiver: QuiverDatum, F: GF, a: int, b: int) -> Rep:
-    n = quiver.cartan.n
-    dims = tuple(1 if a <= v <= b else 0 for v in range(1, n + 1))
-    mats = {}
-    for (i, j) in quiver.arrows:
-        di, dj = dims[i - 1], dims[j - 1]
-        mats[(i, j)] = ((1,),) if di and dj else _zero(dj, di)
-    return Rep(quiver, F, dims, mats)
-
-
-def _zero(rows: int, cols: int):
-    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-
-
-def direct_sum(quiver: QuiverDatum, F: GF, reps) -> Rep:
-    n = quiver.cartan.n
-    dims = tuple(sum(r.dims[v] for r in reps) for v in range(n))
-    mats = {}
-    for (i, j) in quiver.arrows:
-        roff = 0
-        coff = 0
-        big = [[0] * dims[i - 1] for _ in range(dims[j - 1])]
-        for r in reps:
-            for rr in range(r.dims[j - 1]):
-                for cc in range(r.dims[i - 1]):
-                    big[roff + rr][coff + cc] = r.mats[(i, j)][rr][cc]
-            roff += r.dims[j - 1]
-            coff += r.dims[i - 1]
-        mats[(i, j)] = tuple(tuple(row) for row in big)
-    return Rep(quiver, F, dims, mats)
-
-
 class IsoClass:
     """Multiset of positive roots (Krull-Schmidt data of a representation)."""
 
@@ -199,14 +162,15 @@ class IsoClass:
 
 
 def model_rep(quiver: QuiverDatum, F: GF, iso: IsoClass) -> Rep:
+    """The direct sum of the interval modules of iso's roots (type-A roots are
+    0/1 intervals), copies in order: at each arrow the 0/1 matrix that maps
+    every copy present at the source to itself at the target."""
     _check_quiver(quiver)
-    parts = []
-    for r, c in iso.mults:
-        a, b = root_interval(quiver.cartan, r)
-        parts.extend([interval_rep(quiver, F, a, b)] * c)
-    if not parts:
-        return Rep(quiver, F, (0,) * quiver.cartan.n, {a: _zero(0, 0) for a in quiver.arrows})
-    return direct_sum(quiver, F, parts)
+    n = quiver.cartan.n
+    parts = [r for r, c in iso.mults for _ in range(c)]
+    at = [[p for p, r in enumerate(parts) if r[v]] for v in range(n)]
+    mats = {(i, j): tuple(tuple(int(p == s) for s in at[i - 1]) for p in at[j - 1]) for (i, j) in quiver.arrows}
+    return Rep(quiver, F, iso.dims(n), mats)
 
 
 def _hom_equations(M: Rep, N: Rep):
@@ -245,8 +209,8 @@ def hom_dim(M: Rep, N: Rep) -> int:
 
 @lru_cache(maxsize=None)
 def _iso_tables(quiver: QuiverDatum, q: int):
-    """All positive-root interval models, and the inverse of the Gram matrix
-    of hom dimensions between them.
+    """All positive-root interval models, the hom dimensions between them
+    (keyed by pairs of roots), and the inverse of their Gram matrix.
 
     mod(FQ) is directed, so that Gram matrix is unitriangular in
     Auslander-Reiten order and its inverse is an integer matrix; a rational
@@ -255,19 +219,19 @@ def _iso_tables(quiver: QuiverDatum, q: int):
     F = GF(q)
     cd = quiver.cartan
     roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
-    models = {r: interval_rep(quiver, F, *root_interval(cd, r)) for r in roots}
-    gram = [[hom_dim(models[r1], models[r2]) for r2 in roots] for r1 in roots]
+    models = {r: model_rep(quiver, F, IsoClass({r: 1})) for r in roots}
+    hom = {(r1, r2): hom_dim(models[r1], models[r2]) for r1 in roots for r2 in roots}
     eye = [[int(i == j) for j in range(len(roots))] for i in range(len(roots))]
-    inv = solve(gram, eye, QQ)
+    inv = solve([[hom[r1, r2] for r2 in roots] for r1 in roots], eye, QQ)
     if any(Fraction(x).denominator != 1 for row in inv for x in row):
         raise RuntimeError("Gram matrix of hom dimensions is not unimodular")
-    return roots, models, tuple(tuple(int(x) for x in row) for row in inv)
+    return roots, models, hom, tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def iso_class(rep: Rep, q: int) -> IsoClass:
     """Krull-Schmidt decomposition through the hom-dimension fingerprint: the
     multiplicities are the inverse Gram matrix times the fingerprint."""
-    roots, models, gram_inv = _iso_tables(rep.quiver, q)
+    roots, models, _, gram_inv = _iso_tables(rep.quiver, q)
     fing = [hom_dim(models[r], rep) for r in roots]
     mults = {}
     for r, row in zip(roots, gram_inv):
@@ -349,46 +313,69 @@ def _subspace_count(d: int, k: int, q: int) -> int:
     return num // den
 
 
+def _hall_work(d_sub, d_all, q: int) -> int:
+    """The work of the Hall number walk of d_sub-dimensional subspaces in a
+    d_all-dimensional representation: its subspace tuples, the product of
+    the [d_v choose k_v]_q, times D^3 for the blocks and hom equations of
+    each, D the total dimension.  The tuples are not counted when D^3
+    alone is past the cap."""
+    work = max(1, sum(d_all)) ** 3
+    if work <= MAX_HALL_WORK:
+        work *= prod(_subspace_count(d, k, q) for d, k in zip(d_all, d_sub))
+    return work
+
+
+def _check_work(work: int, what: str) -> None:
+    if work > MAX_HALL_WORK:
+        raise ResourceCap(f"{what}: work {work} (subspace tuples x dimension^3) above cap {MAX_HALL_WORK}")
+
+
 def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
     """Number of subrepresentations of W isomorphic to X with quotient
     isomorphic to Y: one subspace per vertex from `_subspaces`, kept when
     every arrow maps it into its target's, then classified through the
-    diagonal blocks of `_arrow_blocks`."""
+    diagonal blocks of `_arrow_blocks`, each set of blocks once."""
     _check_quiver(quiver)
     F = GF(q)
     n = quiver.cartan.n
     dx, dy, dw = X.dims(n), Y.dims(n), W.dims(n)
     if tuple(a + b for a, b in zip(dx, dy)) != dw:
         return 0
-    size = prod(_subspace_count(d, k, q) for d, k in zip(dw, dx))
-    if size > MAX_SUBSPACES:
-        raise ResourceCap(f"{size} subspace tuples to enumerate, above cap {MAX_SUBSPACES}")
+    _check_work(_hall_work(dx, dw, q), "Hall number")
     RW = model_rep(quiver, F, W)
+    classes = {}
+
+    def iso(dims, mats):
+        if (dims, mats) not in classes:
+            classes[dims, mats] = iso_class(Rep(quiver, F, dims, zip(quiver.arrows, mats)), q)
+        return classes[dims, mats]
+
     count = 0
     per_vertex = [[_cell(b, d) for b in _subspaces(F, d, k)] for d, k in zip(dw, dx)]
     for cells in itertools.product(*per_vertex):
-        blocks = {}
+        blocks = []
         for (i, j) in quiver.arrows:
-            blocks[(i, j)] = _arrow_blocks(F, RW.mats[(i, j)], cells[i - 1], cells[j - 1])
-            if blocks[(i, j)] is None:
+            blocks.append(_arrow_blocks(F, RW.mats[(i, j)], cells[i - 1], cells[j - 1]))
+            if blocks[-1] is None:
                 break
         else:
-            sub = Rep(quiver, F, dx, {a: b[0] for a, b in blocks.items()})
-            quo = Rep(quiver, F, dy, {a: b[1] for a, b in blocks.items()})
-            if iso_class(sub, q) == X and iso_class(quo, q) == Y:
+            sub, quo = zip(*blocks) if blocks else ((), ())
+            if iso(dx, sub) == X and iso(dy, quo) == Y:
                 count += 1
     return count
 
 
 def aut_count(M: IsoClass, quiver: QuiverDatum, q: int) -> int:
     """|Aut M| = q^(dim End M - sum m^2) prod_m |GL_m(F_q)|, m running over
-    the multiplicities of M's indecomposables.  Those are bricks (End = F_q),
-    so End M / rad End M is the product of the M_m(F_q), and an endomorphism
-    is a unit exactly when its image there is."""
-    R = model_rep(quiver, GF(q), M)
-    mults = [m for _, m in M.mults]
-    out = q ** (hom_dim(R, R) - sum(m * m for m in mults))
-    for m in mults:
+    the multiplicities of M's indecomposables, with dim End M =
+    sum m_r m_s dim Hom(r, s) read off the hom table of `_iso_tables`.  The
+    indecomposables are bricks (End = F_q), so End M / rad End M is the
+    product of the M_m(F_q), and an endomorphism is a unit exactly when its
+    image there is."""
+    hom = _iso_tables(quiver, q)[2]
+    end = sum(m * k * hom[r, s] for r, m in M.mults for s, k in M.mults)
+    out = q ** (end - sum(m * m for _, m in M.mults))
+    for _, m in M.mults:
         for i in range(m):
             out *= q**m - q**i
     return out
@@ -403,25 +390,34 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     g^X_{K,W} subrepresentations of X, killed by |Aut W| epimorphisms onto
     W; the kernel of Y -> X is one of g^Y_{T,K} subrepresentations of Y,
     whose quotient maps onto K in |Aut K| ways, and T maps onto it in
-    |Aut T| ways.  The Hall numbers come from `dh`.
+    |Aut T| ways.  The Hall numbers come from `dh`.  Their work, one
+    g^Y_{T,K} for every K and one g^X_{K,W} for every K with g^Y_{T,K} != 0,
+    is summed against the one cap, so a gamma ends in bounded time.
 
     The slot assignment (T first, W last) is the one under which the rank-one
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
     gamma_{S_i,S_j}^{S_j,S_i} = 1 with (q-1)^2 sequences.
     """
-    n = dh.cartan.n
+    n, q = dh.cartan.n, dh.q
     dT, dY, dX, dW = (Z.dims(n) for Z in (T, Y, X, W))
     dK = tuple(y - t for y, t in zip(dY, dT))
     if dK != tuple(x - w for x, w in zip(dX, dW)) or min(dK, default=0) < 0:
         return Fraction(0)
+    per_k, per_image = _hall_work(dT, dY, q), _hall_work(dK, dX, q)
+    _check_work(per_k, "gamma")
+    ks = dh._isoclasses_of_dim(dK)
+    work = len(ks) * per_k
+    _check_work(work, "gamma")
 
     def aut(Z):
-        return aut_count(Z, dh.quiver, dh.q)
+        return aut_count(Z, dh.quiver, q)
 
     count = 0
-    for K in dh._isoclasses_of_dim(dK):
+    for K in ks:
         g = dh.g_number(T, K, Y)
         if g:
+            work += per_image
+            _check_work(work, "gamma")
             count += aut(K) * g * dh.g_number(K, W, X)
     return Fraction(count * aut(T) * aut(W), aut(X) * aut(Y)) if count else Fraction(0)
 

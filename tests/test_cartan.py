@@ -3,7 +3,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgroth.cartan import QQ, SUPPORTED, CartanDatum, RankMismatch, Weight, cartan_datum, rref, solve
+import itertools
+
+from qgroth.cartan import (
+    QQ,
+    SUPPORTED,
+    CartanDatum,
+    RankMismatch,
+    Weight,
+    cartan_datum,
+    kostant_partitions,
+    rref,
+    solve,
+)
 from qgroth.hall import GF, mat_rank
 
 from conftest import nullspace_basis
@@ -270,3 +282,35 @@ def test_solve_reconstructs_the_right_hand_side(case):
         return
     x = solve(a, b, F)
     assert all(v == 0 for line in _residual(F, a, x, b) for v in line)
+
+
+def _partitions_root_by_root(roots, d):
+    """The partitions by trying every root in turn, the simple ones too, with
+    the larger coefficient first: dead ends included."""
+    out = []
+
+    def rec(k, rem, acc):
+        if not any(rem):
+            out.append(acc + (0,) * (len(roots) - k))
+        elif k < len(roots):
+            for c in range(min(r // x for r, x in zip(rem, roots[k]) if x), -1, -1):
+                rec(k + 1, tuple(r - c * x for r, x in zip(rem, roots[k])), acc + (c,))
+
+    rec(0, tuple(d), ())
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5"])
+def test_kostant_partitions_are_every_partition_in_decreasing_order(name):
+    cd = cartan_datum(name)
+    roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
+    for d in itertools.product(range(3), repeat=cd.n):
+        found = kostant_partitions(roots, d)
+        assert found == _partitions_root_by_root(roots, d)
+        assert found == sorted(set(found), reverse=True)
+        assert all(sum(ck * b[v] for ck, b in zip(c, roots)) == d[v] for c in found for v in range(cd.n))
+    # without a simple root the remainder on its coordinate is left over
+    assert kostant_partitions([(1, 1), (0, 1)], (1, 2)) == [(1, 1)]
+    assert kostant_partitions([(1, 1), (0, 1)], (1, 0)) == []
+    assert kostant_partitions(roots, (-1,) + (0,) * (cd.n - 1)) == []
+

@@ -142,6 +142,9 @@ def test_exit_codes(capsys):
     # resource cap: [6 choose 3]_4 subspaces to walk
     code = main(["hall", "number", "--type", "A2", "--q", "4", "--x", "1*3", "--y", "1*3", "--w", "1*6"])
     assert code == 3
+    # one subspace tuple, but total dimension 4000
+    code = main(["hall", "number", "--type", "A2", "--q", "2", "--x", "0", "--y", "1-2*2000", "--w", "1-2*2000"])
+    assert code == 3
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):

@@ -26,7 +26,6 @@ from qgroth.hall import (
     _subspace_count,
     _subspaces,
     hom_dim,
-    interval_rep,
     iota_check,
     iso_class,
     model_rep,
@@ -247,14 +246,40 @@ def test_gamma_examples():
 
 def test_resource_caps():
     q = a2_quiver()
-    # [6 choose 3]_4 = 376 805 subspaces of F_4^6 to walk
+    # [6 choose 3]_4 = 376 805 subspaces of F_4^6 to walk, times 6^3
     S1_3, S1_6 = IsoClass({(1, 0): 3}), IsoClass({(1, 0): 6})
-    with pytest.raises(ResourceCap, match="376805 subspace tuples"):
+    with pytest.raises(ResourceCap, match=r"Hall number: work 81389880 \(subspace tuples x dimension\^3\) above cap"):
         hall_number(S1_3, S1_3, S1_6, q, 4)
     # total dimension 6, but one subspace tuple: S1^3 + 0 inside S1^3 + S2^3
     assert hall_number(S1_3, IsoClass({(0, 1): 3}), IsoClass({(1, 0): 3, (0, 1): 3}), q, 2) == 1
+    # one subspace tuple of total dimension 4000: the dimension alone is past the cap
+    P_2000 = IsoClass({(1, 1): 2000})
+    with pytest.raises(ResourceCap, match="work 64000000000 "):
+        hall_number(ZERO, P_2000, P_2000, q, 2)
     with pytest.raises(ResourceCap):
         GF(5)
+
+
+def test_gamma_work_is_capped():
+    a3 = QuiverDatum.bipartite(cartan_datum("A3"))
+    P, P_2, P_3, P_4 = (IsoClass({(1, 1, 1): m}) for m in (1, 2, 3, 4))
+    # one Hall number of [3 choose 1]_q^3 subspace tuples, total dimension 9;
+    # the values are those of the four-term exact-sequence count (up to 4^9
+    # homomorphism triples, too slow to rerun here)
+    for p, value in ((2, Fraction(1, 4)), (3, Fraction(1, 18)), (4, Fraction(1, 48))):
+        assert toen_gamma(DerivedHall(a3, p), P_3, P, ZERO, P_2) == value
+    # 10 images of dimension (2, 2, 2) at 6^3 each, then the image P_2 of
+    # P_4: [4 choose 2]_2^3 = 42 875 subspace tuples at 12^3
+    with pytest.raises(ResourceCap, match=f"gamma: work {10 * 6**3 + 42875 * 12**3} "):
+        toen_gamma(DerivedHall(a3, 2), P_4, P_2, ZERO, P_2)
+    # 12 341 images of dimension (40, 40, 40), each a Hall number of total
+    # dimension 120: refused before any is counted, and the images are
+    # enumerated without dead ends
+    P_40 = IsoClass({(1, 1, 1): 40})
+    dh = DerivedHall(a3, 2)
+    with pytest.raises(ResourceCap, match=f"gamma: work {12341 * 120**3} "):
+        toen_gamma(dh, P_40, P_40, ZERO, ZERO)
+    assert not dh._g
 
 
 def test_uscalar_field():
@@ -406,8 +431,9 @@ def test_gram_inverse_is_integral_on_every_orientation(name, q):
     # building the tables runs the unimodularity check; the inverse must also
     # undo the Gram matrix of hom dimensions
     for quiver in _orientations(cartan_datum(name)):
-        roots, models, inv = _iso_tables(quiver, q)
+        roots, models, hom, inv = _iso_tables(quiver, q)
         gram = [[hom_dim(models[r1], models[r2]) for r2 in roots] for r1 in roots]
+        assert [[hom[r1, r2] for r2 in roots] for r1 in roots] == gram
         n = len(roots)
         assert all(isinstance(x, int) for row in inv for x in row)
         assert [[sum(inv[i][k] * gram[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
