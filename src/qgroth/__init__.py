@@ -6,7 +6,6 @@ Hall algebras over small finite fields."""
 from .cartan import CartanDatum, Weight, cartan_datum
 from .characters import (
     CategoryQ,
-    NonMultiplicityFree,
     fm_classical,
     fundamental_tchar,
     simple_tchar,
@@ -29,7 +28,6 @@ __all__ = [
     "CategoryQ",
     "HalfLaurent",
     "Monomial",
-    "NonMultiplicityFree",
     "PhiMap",
     "Presentation",
     "QGroupSide",

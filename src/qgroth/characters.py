@@ -1,27 +1,27 @@
 """q-characters of quantum loop algebra modules and their t-deformations.
 
-The classical q-character of a fundamental module is computed by the
+The t-character of a fundamental module is computed by the t-deformed
 Frenkel-Mukhin algorithm, reading monomials in order of increasing depth (the
-number of exchange monomials A_{j,s}^-1 applied to the top): at each vertex j
-the part of a monomial's multiplicity not yet coloured j is j-dominant and
-expands into its sl2 simple character, and a monomial's multiplicity is the
-largest of its colourings.  All monomials stay in the spectral window
-[p, p+h]; a character past MAX_FM_MONOMIALS monomials is a resource cap.
+number of exchange monomials A_{j,s}^-1 applied to the top), with coefficients
+in N[t^(+-1/2)]: at each vertex j the part of a monomial's coefficient not yet
+coloured j is j-dominant and expands into its sl2 simple t-character.  All
+monomials stay in the spectral window [p, p+h]; a character past
+MAX_FM_MONOMIALS monomials is a resource cap.  Its value at t = 1 is the
+classical q-character.
 
-Multiplicity-free classical characters lift verbatim to bar-invariant
-t-characters (all coefficients 1).  Standard classes are ordered products of
-fundamental ones, normalized so the labelling monomial has coefficient 1.
-Simple classes are the unique bar-invariant elements unitriangular with
-strictly negative t-powers over the standard basis, solved by Lusztig's lemma
-once per weight space in an order that extends the Nakajima order.
+Standard classes are ordered products of fundamental ones, normalized so the
+labelling monomial has coefficient 1.  Simple classes are the unique
+bar-invariant elements unitriangular with strictly negative t-powers over the
+standard basis, solved by Lusztig's lemma once per weight space in an order
+that extends the Nakajima order.
 
 Truncated characters live in the rank-r torus attached to an orientation,
 keyed by exponent vectors over the positions of the index set.  That torus is
 the subtorus of the Y-variables at those positions: the two Gram matrices are
-equal, which is checked once per orientation.  Truncated classes are
-computed independently through the quantum T-system, by a downward recursion
-seeded with the single-monomial Kirillov-Reshetikhin classes whose spectral
-support reaches the height function.
+equal, which is checked once per orientation.  Truncated fundamental classes
+are truncated t-characters; the quantum T-system, a downward recursion seeded
+with the single-monomial Kirillov-Reshetikhin classes whose spectral support
+reaches the height function, is an independent route to them.
 """
 
 from __future__ import annotations
@@ -32,19 +32,10 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight, kostant_partitions
-from .laurent import HalfLaurent
+from .laurent import ONE, ZERO, HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
 from .torus import Monomial, TorusElement, XTorus, YTorus, divide_right
-
-
-class NonMultiplicityFree(RuntimeError):
-    """Raised when a classical character with monomial multiplicities > 1 is
-    asked for its t-lift; carries the classical character."""
-
-    def __init__(self, msg: str, classical: dict[Monomial, int]):
-        super().__init__(msg)
-        self.classical = classical
 
 
 class CharacterError(RuntimeError):
@@ -76,22 +67,35 @@ def string_decomposition(positions: dict[int, int]) -> list[tuple[int, int]]:
     return sorted(strings)
 
 
-def sl2_simple_patterns(positions: dict[int, int]) -> dict[tuple[int, ...], int]:
-    """Monomials of the sl2 simple character with the given dominant part,
-    encoded as exchange-inverse patterns: a sorted tuple of positions s where
-    A_s^-1 is applied, with multiplicity, mapped to its coefficient."""
-    patterns: dict[tuple[int, ...], int] = {(): 1}
-    for a, k in string_decomposition(positions):
-        ladder = []
-        for j in range(k + 1):
-            ladder.append(tuple(sorted(a + 2 * (k - c) - 1 for c in range(j))))
-        new: dict[tuple[int, ...], int] = {}
-        for pat, c in patterns.items():
-            for step in ladder:
+@lru_cache(maxsize=None)
+def sl2_simple_patterns(dominant: tuple[tuple[int, int], ...]) -> dict[tuple[int, ...], HalfLaurent]:
+    """Monomials of the sl2 simple t-character with the dominant part given as
+    sorted (position, exponent) pairs, encoded as exchange-inverse patterns: a
+    sorted tuple of positions s where A_s^-1 is applied, with multiplicity,
+    mapped to its coefficient.  It is the ordered product of the thin string
+    characters (every coefficient 1), normalized at its top: a tuple of ladder
+    steps with string monomials m_a carries t^(1/2 sum_{a<b} pair(m_a, m_b)).
+    The A_{j,s} pair with the j-part of a monomial only, alike in every type,
+    so the pairing is read in the A1 window torus."""
+    pair = YTorus(quantum_cartan(CartanDatum("A", 1))).pair2
+    # pattern -> (the product of its string monomials, coefficient)
+    patterns = {(): (Monomial.unit(), ONE)}
+    for a, k in string_decomposition(dict(dominant)):
+        # after j steps down the string: Y_a ... Y_{a+2(k-j-1)} Y_{a+2(k-j+1)}^-1 ... Y_{a+2k}^-1
+        ladder = [
+            (tuple(a + 2 * (k - c) - 1 for c in range(j)),
+             Monomial({(1, a + 2 * c + 2 * (c >= k - j)): 1 - 2 * (c >= k - j) for c in range(k)}))
+            for j in range(k + 1)
+        ]
+        new: dict[tuple[int, ...], tuple[Monomial, HalfLaurent]] = {}
+        for pat, (m, c) in patterns.items():
+            for step, ms in ladder:
                 key = tuple(sorted(pat + step))
-                new[key] = new.get(key, 0) + c
+                w = c.shift(pair(m, ms))
+                new[key] = (m * ms, new[key][1] + w if key in new else w)
         patterns = new
-    return patterns
+    norm = -patterns[()][1].max_exp2()
+    return {pat: c.shift(norm) for pat, (_, c) in patterns.items()}
 
 
 # --------------------------------------------------------------------------
@@ -103,40 +107,48 @@ MAX_FM_MONOMIALS = 50000
 
 
 def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[Monomial, int]:
-    """Classical q-character of the fundamental module at (i0, p0)."""
-    cd._check_vertex(i0)
-    base = _fm_base(cd.kind, cd.n, i0)
-    return {m.shift_p(p0): c for m, c in base.items()}
+    """Classical q-character of the fundamental module at (i0, p0): its t-character at t = 1."""
+    return {m.shift_p(p0): c.value_at_one() for m, c in _fm_base(cd.kind, cd.n, i0).items()}
 
 
 @lru_cache(maxsize=None)
-def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, int]:
-    """The Frenkel-Mukhin algorithm at (i0, 0), reading monomials by depth.
+def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
+    """The t-deformed Frenkel-Mukhin algorithm at (i0, 0), reading monomials
+    by depth.
 
-    A monomial m's colouring s_j(m) counts the j-strings it lies on; its
-    multiplicity is the largest colouring (1 at the top).  Every string that
+    A monomial m's colouring s_j(m) sums the coefficients of the j-strings it
+    lies on; its coefficient, 1 at the top, is s_j(m) at every j where m is not
+    j-dominant, and must be bar-invariant and positive.  Every string that
     reaches m starts higher up, so its colourings are final when m is read;
-    the part of its multiplicity not yet coloured j must then be j-dominant
-    and expands into its sl2 simple character."""
+    the part of its coefficient not yet coloured j expands into the sl2 simple
+    t-character at j."""
     cd = CartanDatum(kind, n)
+    cd._check_vertex(i0)
     h = cd.coxeter_number()
     ainv = {(j, s): _a_inverse(cd, j, s).items for j in cd.vertices for s in range(1, h)}
     top = Monomial.var(i0, 0)
-    chi: dict[Monomial, int] = {}
-    colours = {top: [0] * n}
+    chi: dict[Monomial, HalfLaurent] = {}
+    colours = {top: [ZERO] * n}
     levels = [[top]]  # levels[d]: the monomials found at depth d
     for depth, level in enumerate(levels):
         for m in level:
             col = colours.pop(m)
-            mult = chi[m] = max(col) if depth else 1
-            for j in cd.vertices:
-                c = mult - col[j - 1]
+            jparts: dict[int, list[tuple[int, int]]] = {j: [] for j in cd.vertices}
+            for (j, u), e in m.items:
+                jparts[j].append((u, e))
+            reads = {col[j - 1] for j, part in jparts.items() if any(e < 0 for _, e in part)}
+            if depth and len(reads) != 1:
+                raise CharacterError(f"{m.render()} has {len(reads)} colourings where it is not dominant")
+            coeff = chi[m] = reads.pop() if depth else ONE
+            if not (coeff.is_symmetric() and coeff.is_nonnegative()):
+                raise CharacterError(
+                    f"coefficient {coeff.render()} of {m.render()} is not bar-invariant and positive"
+                )
+            for j, part in jparts.items():
+                c = coeff - col[j - 1]
                 if not c:
                     continue
-                jpart = {u: e for (jj, u), e in m.items if jj == j}
-                if any(e < 0 for e in jpart.values()):
-                    raise CharacterError(f"{m.render()} is not {j}-dominant, yet {c} of it is not coloured {j}")
-                for pat, k in sl2_simple_patterns(jpart).items():
+                for pat, k in sl2_simple_patterns(tuple(part)).items():
                     if not pat:
                         continue  # m itself, the top of its strings
                     if any(not (0 < s < h) for s in pat):
@@ -152,7 +164,7 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, int]:
                                 f"fundamental character of {kind}{n} at node {i0} "
                                 f"passed {MAX_FM_MONOMIALS} monomials"
                             )
-                        colours[m2] = [0] * n
+                        colours[m2] = [ZERO] * n
                         while len(levels) <= depth + len(pat):
                             levels.append([])
                         levels[depth + len(pat)].append(m2)
@@ -168,33 +180,22 @@ def _a_inverse(cd: CartanDatum, j: int, s: int) -> Monomial:
 
 
 def fundamental_tchar(yt: YTorus, i: int, p: int) -> TorusElement:
-    """The t-character of the fundamental module at (i, p): the bar-invariant
-    lift of the classical character, defined when that one is multiplicity-free."""
+    """The t-character of the fundamental module at (i, p)."""
     cd = yt.cartan
-    chi = fm_classical(cd, i, p)
-    top = Monomial.var(i, p)
+    chi = {m.shift_p(p): c for m, c in _fm_base(cd.kind, cd.n, i).items()}
     doms = [m for m in chi if m.is_dominant()]
-    if doms != [top] and set(doms) != {top}:
+    if doms != [Monomial.var(i, p)]:
         raise CharacterError(f"fundamental at ({i},{p}) has unexpected dominant set {doms}")
-    h = cd.coxeter_number()
     anti = [m for m in chi if all(e <= 0 for _, e in m.items)]
-    expected_anti = Monomial.var(cd.nu(i), p + h, -1)
-    if anti != [expected_anti]:
+    if anti != [Monomial.var(cd.nu(i), p + cd.coxeter_number(), -1)]:
         raise CharacterError(f"fundamental at ({i},{p}) has unexpected antidominant set {anti}")
-    if any(c != 1 for c in chi.values()):
-        raise NonMultiplicityFree(
-            f"fundamental at ({i},{p}) is not multiplicity-free; t-lift refused", chi
-        )
-    one = HalfLaurent.one()
-    return yt.element({m: one for m in chi})
+    return yt.element(chi)
 
 
 def fundamental_window(qc: QuantumCartan, points) -> YTorus:
     """The window torus on every variable of the fundamental characters at
     the given points (i, p)."""
     cd = qc.cartan
-    for i, _ in points:
-        cd._check_vertex(i)
     return YTorus(
         qc, {(j, q + p) for i, p in points for m in _fm_base(cd.kind, cd.n, i) for (j, q), _ in m.items}
     )
@@ -422,8 +423,8 @@ def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Optional[Frac
 
 class CategoryQ:
     """Character computations attached to one orientation: the rank-r torus
-    on the positions of the index set, truncation into it, Kirillov-Reshetikhin
-    classes by the deformed T-system, and truncated standard/simple classes.
+    on the positions of the index set, truncation into it, truncated classes,
+    and Kirillov-Reshetikhin classes by the deformed T-system.
 
     Elements of the rank-r torus are keyed by exponent vectors a, where a_k is
     the exponent of the variable at positions[k]."""
@@ -438,6 +439,7 @@ class CategoryQ:
         self.xt = XTorus(qctx.word.betas, self.cartan)
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
+        self._fundamentals: dict[tuple[int, int], TorusElement] = {}
         self._pairs: dict[tuple[int, ...], list[dict]] = {}
         self._check_torus_isomorphism()
         self.roots = [tuple(self.cartan.root_coords(b)) for b in qctx.word.betas]
@@ -462,8 +464,11 @@ class CategoryQ:
     def truncate(self, x: TorusElement) -> TorusElement:
         """Restriction of an element of a window torus to the positions, as an
         element of the rank-r torus."""
-        ms = {x.ctx.monomial_of(k): c for k, c in x.terms.items()}
-        return self.xt.element({self.avec_of(m): c for m, c in ms.items() if self.in_category(m)})
+        return self._restrict((x.ctx.monomial_of(k), c) for k, c in x.terms.items())
+
+    def _restrict(self, terms) -> TorusElement:
+        """The terms (Monomial, coefficient) in the category, in the rank-r torus."""
+        return self.xt.element({self.avec_of(m): c for m, c in terms if self.in_category(m)})
 
     def avec_of(self, m: Monomial) -> tuple[int, ...]:
         a = [0] * self.xt.r
@@ -490,10 +495,6 @@ class CategoryQ:
 
     # -- Kirillov-Reshetikhin classes by the T-system ------------------------
 
-    def tower(self, i: int, p: int) -> tuple[int, ...]:
-        xi = self.quiver.xi[i - 1]
-        return self.avec_of(Monomial({(i, q): 1 for q in range(p, xi + 1, 2)}))
-
     def kr(self, i: int, s: int, p: int) -> TorusElement:
         """Truncated t-character of the Kirillov-Reshetikhin class with s
         factors starting at spectral parameter p."""
@@ -509,7 +510,7 @@ class CategoryQ:
             return self._kr[key]
         top = p + 2 * s - 2
         if top == xi:
-            val = self.xt.monomial(self.tower(i, p))
+            val = self.xt.monomial(self.avec_of(Monomial({(i, q): 1 for q in range(p, xi + 1, 2)})))
         else:
             a, g = tsystem_exponents(self.qc, i, s)
             x2, y2 = int(2 * a), int(2 * g)
@@ -525,7 +526,13 @@ class CategoryQ:
         return val
 
     def truncated_fundamental(self, i: int, p: int) -> TorusElement:
-        return self.kr(i, 1, p)
+        """The truncation of the fundamental t-character at the position (i, p); memoised."""
+        if (i, p) not in self._fundamentals:
+            if (i, p) not in self.index_of_position:
+                raise ValueError(f"({i},{p}) is outside the subtorus index set")
+            chi = _fm_base(self.cartan.kind, self.cartan.n, i)
+            self._fundamentals[i, p] = self._restrict((m.shift_p(p), c) for m, c in chi.items())
+        return self._fundamentals[i, p]
 
     def simple_generators(self) -> dict[int, TorusElement]:
         """The truncated fundamental classes at phi^-1(alpha_i, 0): the

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure or a failed
-internal check, 3 resource cap or a refused t-lift.
+internal check, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 from .cartan import CartanDatum, ResourceCap, cartan_datum
 from .characters import (
     CategoryQ,
-    NonMultiplicityFree,
     fundamental_tchar,
     fundamental_window,
     simple_tchar,
@@ -215,17 +214,7 @@ def cmd_qchar(args) -> int:
     qc = quantum_cartan(cd)
     kind = args.what
     if args.what == "fundamental":
-        try:
-            x = fundamental_tchar(fundamental_window(qc, [(args.i, args.p)]), args.i, args.p)
-        except NonMultiplicityFree as exc:
-            classical = sorted(exc.classical.items(), key=lambda t: t[0].sort_key())
-            lines = [
-                "t-lift refused: classical character has monomial multiplicities > 1",
-                "classical character:",
-            ] + [f"  {c} {m.render()}" for m, c in classical]
-            terms = [[m.to_json(), c] for m, c in classical]
-            _emit(args, lines, {"kind": "classical-only", "terms": terms})
-            return 0
+        x = fundamental_tchar(fundamental_window(qc, [(args.i, args.p)]), args.i, args.p)
     elif args.what in ("kr", "truncate"):
         cat = CategoryQ(QuiverContext(_parse_quiver(args, cd)))
         if args.what == "kr":
@@ -434,6 +423,10 @@ def _verify_all(args) -> int:
     checks.append(("rank-3 simples match the dual canonical basis (degree 2)", ok))
     checks.append(("rank-3 quantum Serre relations", not qg.serre_check()))
 
+    for name, c in (("A3", cat), ("D4", CategoryQ(QuiverContext(QuiverDatum.bipartite(cartan_datum("D4")))))):
+        ok = all(c.truncated_fundamental(i, p) == c.kr(i, 1, p) for i, p in c.positions)
+        checks.append((f"truncated fundamentals equal the T-system classes ({name})", ok))
+
     pres = Presentation(QuiverContext(QuiverDatum.from_xi(cartan_datum("A2"), (0, 1))))
     checks.append(("rank-2 presentation relations", not pres.verify_relations(0, 2)))
 
@@ -566,9 +559,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ResourceCap as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except NonMultiplicityFree as exc:
-        print(f"not computable: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

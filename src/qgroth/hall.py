@@ -145,9 +145,6 @@ class IsoClass:
                 out[v] += c * r[v]
         return tuple(out)
 
-    def total_dim(self) -> int:
-        return sum(c * sum(r) for r, c in self.mults)
-
     def __repr__(self):
         if not self.mults:
             return "IsoClass(0)"

@@ -27,8 +27,9 @@ least width, at least 16, with H > 2^15 m, so factors of l1 up to 181 always
 multiply.  Packing checks each exponent; a division checks its bounds once.
 
 A product accumulates one map (key, doubled t-exponent) -> integer over pairs
-of terms.  The q-commutator x y - t^(e/2) y x shares that pass: both products
-of a pair land on the same key, with pairings s and -s.  Exact division is by
+of terms, and raises ResourceCap before the pass when there are more than
+MAX_PRODUCT_PAIRS pairs.  The q-commutator x y - t^(e/2) y x shares that pass:
+both products of a pair land on the same key, with pairings s and -s.  Exact division is by
 leading-term elimination in the lex order, with a heap on negated keys.
 """
 
@@ -275,6 +276,9 @@ class TorusElement:
         pass over pairs of terms: both products of a pair land on k1 + k2, with
         pairings s and -s, so the second entry sits exp2 - 2s above the first."""
         ctx = self.ctx
+        if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
+            sizes = f"{len(self.terms)} by {len(other.terms)}"
+            raise ResourceCap(f"torus product of {sizes} terms passes {MAX_PRODUCT_PAIRS} pairs")
         l1 = self.l1 + other.l1
         if l1 >= ctx.half or ctx.mmax * self.l1 * other.l1 >= ctx.half:
             raise ResourceCap(f"torus product leaves the {ctx.W}-bit key digits")
@@ -456,6 +460,7 @@ class YTorus(QuantumTorus):
         return v is not None and all(c >= 0 for c in v.values())
 
 MAX_QUOTIENT_TERMS = 10000
+MAX_PRODUCT_PAIRS = 10**6
 
 
 def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:

@@ -11,7 +11,6 @@ import pytest
 from qgroth.cartan import cartan_datum
 from qgroth.characters import (
     CategoryQ,
-    NonMultiplicityFree,
     dominant_below,
     fm_classical,
     fundamental_tchar,
@@ -36,7 +35,6 @@ from qgroth.torus import Monomial
 
 from conftest import (
     all_orientations,
-    boundary_terms,
     expand_by_monomials,
     in_tinv_ztinv,
     on_positions,
@@ -343,23 +341,13 @@ def test_criterion_11_property_suite():
         assert all(in_tinv_ztinv(c) for k, c in coeffs.items() if k != a)
 
     # dual-route equality for every fundamental on the index set
-    refused = 0
     for name in ("A1", "A2", "A3", "A4", "D4"):
         cd = cartan_datum(name)
         xi = {"A1": (0,), "A2": (2, 1), "A3": (2, 3, 2), "A4": (0, 1, 0, 1), "D4": (0, 0, 1, 2)}[name]
         cat = CategoryQ(QuiverContext(QuiverDatum.from_xi(cd, xi)))
+        yt = wide_torus(name)
         for (i, p) in cat.positions:
             kr = cat.kr(i, 1, p)
-            try:
-                assert cat.truncate(fundamental_tchar(wide_torus(name), i, p)) == kr, (name, i, p)
-            except NonMultiplicityFree as exc:
-                refused += 1
-                trunc = {
-                    cat.avec_of(mm): c for mm, c in exc.classical.items() if cat.in_category(mm)
-                }
-                assert set(trunc) == set(boundary_terms(kr))
-                for mm, c in boundary_terms(kr).items():
-                    assert c.is_symmetric() and c.is_nonnegative()
-                    assert c.value_at_one() == trunc[mm]
-    assert refused <= 3  # only the rank-4 fork trivalent column may refuse
+            assert cat.truncated_fundamental(i, p) == kr, (name, i, p)
+            assert cat.truncate(fundamental_tchar(yt, i, p)) == kr, (name, i, p)
     report(11, "property suite (pairing, bar, positivity, triangularity, dual routes)", t0)

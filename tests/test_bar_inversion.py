@@ -2,7 +2,7 @@
 checked against the Nakajima order (`YTorus.nakajima_leq`) as the reference.
 
 Every orientation of A1-A5 and D4 at weight-degree <= 3; every orientation
-of D5, whose T-system classes are much larger, at degree <= 2; and in each,
+of D5, whose weight spaces are much larger, at degree <= 2; and in each,
 twice every root of height 2.
 """
 

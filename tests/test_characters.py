@@ -10,7 +10,7 @@ from qgroth import characters
 from qgroth.cartan import cartan_datum
 from qgroth.characters import (
     CategoryQ,
-    NonMultiplicityFree,
+    CharacterError,
     dominant_below,
     fm_classical,
     fundamental_tchar,
@@ -27,7 +27,7 @@ from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
-from conftest import boundary_terms, on_positions, wide_torus
+from conftest import a_monomial, all_orientations, boundary_terms, on_positions
 
 
 def Y(i, p, e=1):
@@ -55,9 +55,21 @@ def test_string_decomposition():
 
 
 def test_sl2_pattern_dimensions():
-    assert sum(sl2_simple_patterns({0: 1, 2: 1}).values()) == 3
-    assert sum(sl2_simple_patterns({0: 2}).values()) == 4
-    assert sum(sl2_simple_patterns({0: 1, 2: 2}).values()) == 6
+    def dim(positions):
+        return sum(c.value_at_one() for c in sl2_simple_patterns(positions).values())
+
+    assert dim(((0, 1), (2, 1))) == 3
+    assert dim(((0, 2),)) == 4
+    assert dim(((0, 1), (2, 2))) == 6
+
+
+def test_sl2_patterns_are_bar_invariant_with_a_central_t_plus_t_inverse():
+    # Y_0^2: the two strings {0} and {0} meet at Y_0 Y_2^-1 from both sides
+    two = sl2_simple_patterns(((0, 2),))
+    assert two[()] == HalfLaurent.one() and two[(1, 1)] == HalfLaurent.one()
+    assert two[(1,)] == HalfLaurent({2: 1, -2: 1})
+    for positions in (((0, 1), (2, 1)), ((0, 2),), ((0, 1), (2, 2)), ((0, 3),), ((0, 1), (4, 2))):
+        assert all(c.is_symmetric() and c.is_nonnegative() for c in sl2_simple_patterns(positions).values())
 
 
 # -- fundamentals ------------------------------------------------------------
@@ -134,16 +146,71 @@ def test_e7_fundamentals_are_pinned():
 
 def test_fundamental_monomial_cap_names_the_node(monkeypatch, capsys):
     monkeypatch.setattr(characters, "MAX_FM_MONOMIALS", 10)
-    # a fresh memo for the duration of the test, so that no cached character
-    # slips past the cap and none computed under it outlives the test
-    monkeypatch.setattr(characters, "_fm_base", lru_cache(maxsize=None)(characters._fm_base.__wrapped__))
+    fresh_fm_memo(monkeypatch)
     assert main(["qchar", "fundamental", "--type", "D4", "--i", "3", "--p", "0"]) == 3
     assert "fundamental character of D4 at node 3 passed 10 monomials" in capsys.readouterr().err
 
 
-def test_d4_central_lift_refused(ytorus):
-    with pytest.raises(NonMultiplicityFree):
-        fundamental_tchar(ytorus("D4"), 3, 0)
+def test_d4_trivalent_fundamental_carries_t_plus_t_inverse(ytorus):
+    yt = ytorus("D4")
+    f = fundamental_tchar(yt, 3, 0)
+    assert f.coeff(yt.key(mon(Y(3, 2), Y(3, 4, -1)))) == HalfLaurent({2: 1, -2: 1})
+    assert all(c.is_one() for k, c in f.terms.items() if yt.monomial_of(k) != mon(Y(3, 2), Y(3, 4, -1)))
+
+
+def fresh_fm_memo(monkeypatch):
+    """A fresh memo for the duration of a test, so that no cached character
+    slips past a patched check and none computed under it outlives the test."""
+    monkeypatch.setattr(characters, "_fm_base", lru_cache(maxsize=None)(characters._fm_base.__wrapped__))
+
+
+def test_a_coefficient_that_is_not_bar_invariant_is_refused(monkeypatch):
+    fresh_fm_memo(monkeypatch)
+    patterns = characters.sl2_simple_patterns
+    # every step below the top of an sl2 string gains a factor t^(1/2)
+    monkeypatch.setattr(
+        characters,
+        "sl2_simple_patterns",
+        lambda positions: {pat: c.shift(1) if pat else c for pat, c in patterns(positions).items()},
+    )
+    with pytest.raises(CharacterError, match="is not bar-invariant and positive"):
+        fm_classical(cartan_datum("A2"), 1, 0)
+
+
+def sl2_class(yt, m, j):
+    """E_{j,t}(m) for a j-dominant monomial m, evaluated in the window torus
+    yt itself: the product of the j-free part of m with the thin string
+    characters of its j-part, normalized so that m has coefficient 1."""
+    prod = yt.monomial(Monomial({v: e for v, e in m.items if v[0] != j}))
+    for a, k in string_decomposition({p: e for (i, p), e in m.items if i == j}):
+        steps = [Monomial({(j, a + 2 * c): 1 for c in range(k)})]
+        for c in range(k):
+            steps.append(steps[-1] * a_monomial(yt.cartan, j, a + 2 * (k - c) - 1).inverse())
+        prod = prod * yt.element({x: HalfLaurent.one() for x in steps})
+    return prod.tshift(-prod.coeff(yt.key(m)).max_exp2())
+
+
+@pytest.mark.parametrize("name, nodes", [("A3", (1, 2, 3)), ("D4", (1, 2, 3, 4)), ("D5", (3, 4)), ("E6", (1, 2))])
+def test_fundamentals_lie_in_every_sl2_subring(name, nodes):
+    # at each vertex j the t-character is a positive sum of E_{j,t}(m) over
+    # j-dominant m, each computed in the full window torus: peel the term of
+    # least depth off the remainder until nothing is left
+    cd = cartan_datum(name)
+    for i in nodes:
+        yt = characters.fundamental_window(quantum_cartan(cd), [(i, 0)])
+        chi = fundamental_tchar(yt, i, 0)
+
+        def depth(k):
+            return sum(yt.a_solve(Y(i, 0) * yt.monomial_of(k).inverse()).values())
+
+        for j in cd.vertices:
+            rem = chi
+            while rem:
+                k = min(rem.terms, key=depth)
+                m, c = yt.monomial_of(k), rem.terms[k]
+                assert all(e > 0 for (v, _), e in m.items if v == j), (name, i, j, m)
+                assert c.is_symmetric() and c.is_nonnegative(), (name, i, j, m)
+                rem = rem - sl2_class(yt, m, j).scal(c)
 
 
 # -- T-system exponents ------------------------------------------------------
@@ -203,24 +270,16 @@ def test_tw_identity_holds_truncated(categories):
                 assert lhs == rhs, (name, i, s, p)
 
 
-def test_dual_route_fundamentals(categories):
-    # truncation of the completed character equals the T-system value, exactly
-    # in the deformed ring whenever the lift exists, at t=1 otherwise
-    for name in ("A1", "A2", "A3", "A4", "D4"):
-        cat = categories(name)
-        for (i, p) in cat.positions:
-            kr = cat.kr(i, 1, p)
-            try:
-                fm = cat.truncate(fundamental_tchar(wide_torus(name), i, p))
-                assert fm == kr, (name, i, p)
-            except NonMultiplicityFree as exc:
-                trunc = {
-                    cat.avec_of(m): c for m, c in exc.classical.items() if cat.in_category(m)
-                }
-                assert set(trunc) == set(boundary_terms(kr))
-                for m, c in boundary_terms(kr).items():
-                    assert c.is_symmetric() and c.is_nonnegative()
-                    assert c.value_at_one() == trunc[m]
+def test_dual_route_fundamentals(ytorus):
+    # the truncation of the fundamental t-character equals the T-system
+    # class, exactly, at every position of every orientation
+    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5"):
+        yt = ytorus(name)
+        for quiver in all_orientations(name):
+            cat = CategoryQ(QuiverContext(quiver))
+            for (i, p) in cat.positions:
+                assert cat.truncated_fundamental(i, p) == cat.kr(i, 1, p), (name, quiver.xi, i, p)
+                assert cat.truncated_fundamental(i, p) == cat.truncate(fundamental_tchar(yt, i, p))
 
 
 # -- standard and simple classes ----------------------------------------------

@@ -3,6 +3,7 @@ import shlex
 
 import pytest
 
+from qgroth import torus
 from qgroth.cli import _parse_iso, _parse_monomial, main
 from qgroth.cartan import cartan_datum
 from qgroth.hall import IsoClass
@@ -65,9 +66,9 @@ def test_qchar_commands(capsys):
     assert code == 0
     obj = json.loads(out)
     assert len(obj["terms"]) == 3
-    # refused lift falls back to the classical character with a diagnostic
+    # the trivalent node of D4: a classical multiplicity 2 is t + t^-1
     code, out = run(capsys, "qchar", "fundamental", "--type", "D4", "--i", "3", "--p", "0")
-    assert code == 0 and "t-lift refused" in out
+    assert code == 0 and " + (t + t^-1) Y[3,2] Y[3,4]^-1 + " in out
 
 
 def test_tsystem_command(capsys):
@@ -114,6 +115,8 @@ def test_verify_commands(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS  series route agrees with the table (D4)" in out
+    assert "PASS  truncated fundamentals equal the T-system classes (A3)" in out
+    assert "PASS  truncated fundamentals equal the T-system classes (D4)" in out
     # verify all is always the desk battery; --desk is not a flag
     assert main(["verify", "all", "--type", "A2", "--desk"]) == 1
     captured = capsys.readouterr()
@@ -318,14 +321,47 @@ def test_tsystem_names_the_out_of_range_vertex(capsys, i):
     assert captured.err == f"usage error: vertex {i} out of range for A2\n"
 
 
-def test_refused_t_lift_exits_3(capsys):
+def test_d4_trivalent_standard_and_simple_exit_0(capsys):
+    outs = []
     for what in ("standard", "simple"):
-        assert main(["qchar", what, "--type", "D4", "-m", "Y[3,0]"]) == 3
+        assert main(["qchar", what, "--type", "D4", "-m", "Y[3,0]"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "not computable: fundamental at (3,0) is not multiplicity-free; t-lift refused"
-        ]
+        assert captured.err == ""
+        outs.append(captured.out)
+    # the fundamental is simple, so both classes are its t-character
+    assert outs[0] == outs[1] and "(t + t^-1) Y[3,2] Y[3,4]^-1" in outs[0]
+
+
+def test_torus_product_cap_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(torus, "MAX_PRODUCT_PAIRS", 35)
+    assert main(["qchar", "simple", "--type", "A3", "-m", "Y[2,0]Y[2,2]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "resource cap exceeded: torus product of 6 by 6 terms passes 35 pairs"
+    ]
+
+
+def test_e6_presentation_ends_at_the_product_cap():
+    # without the cap the products of this request grow until the process
+    # runs out of memory; run it in a child process that fails, not hangs
+    import os
+    import re
+    import subprocess
+    import sys
+
+    import qgroth
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qgroth.__file__)))
+    argv = ["verify", "presentation", "--type", "E6", "--m-range", "0..0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgroth.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert re.fullmatch(
+        r"resource cap exceeded: torus product of \d+ by \d+ terms passes 1000000 pairs\n", proc.stderr
+    ), proc.stderr
 
 
 def test_enumeration_cap_exits_3(capsys):

@@ -168,11 +168,11 @@ def test_canonical_dominant_pairs_and_config_edges_end_in_a_documented_exit(case
 @given(presentation_argvs())
 @settings(max_examples=150, deadline=timedelta(seconds=20))
 def test_verify_presentation_edges_end_in_a_documented_exit(argv):
-    # A1-A4 pass in every orientation; D4 passes where no generator sits at
-    # the trivalent node and refuses its t-lift (exit 3) where one does;
-    # reversed and malformed level ranges are usage errors
+    # A1-A4 and D4 pass in every orientation, at every level range; reversed
+    # and malformed level ranges, types and orientations are usage errors
     code, out, err = _run(argv)
     _assert_documented_exit(code, out, err, argv)
+    assert code in (0, 1), (argv, err)
     if code == 0:
         assert json.loads(out) == {"failures": [], "ok": True}
 
@@ -394,8 +394,8 @@ def other_argvs(draw):
 def test_remaining_subcommand_edges_end_in_a_documented_exit(argv):
     # verify all reads no --arrows, --degree-bound or --m-range, verify mainth
     # no --m-range; out-of-range vertices and levels, an --mmax below 1 and
-    # reversed or malformed ranges are usage errors; D and E fundamentals that
-    # are not multiplicity-free fall back to their classical character (exit 0)
+    # reversed or malformed ranges are usage errors; D and E fundamentals are
+    # t-characters (exit 0) below the monomial cap
     code, out, err = _run(argv)
     _assert_documented_exit(code, out, err, argv)
     assert code != 2, (argv, err)
