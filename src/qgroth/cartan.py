@@ -177,7 +177,8 @@ class CartanDatum:
         c = w.coords[i - 1]
         if c == 0:
             return w
-        return w - self.alpha(i).scale(c)
+        row = _cartan_matrix(self.kind, self.n)[i - 1]  # alpha_i
+        return Weight(tuple(x - c * a for x, a in zip(w.coords, row)))
 
     def apply_word(self, word: Sequence[int], w: Weight) -> Weight:
         """Apply s_{word[0]} s_{word[1]} ... as a composition (rightmost acts first)."""
@@ -192,7 +193,7 @@ class CartanDatum:
         return len(self.positive_roots())
 
     def is_positive_root(self, w: Weight) -> bool:
-        return w in set(self.positive_roots())
+        return w in _positive_root_set(self.kind, self.n)
 
     def coxeter_number(self) -> int:
         return _coxeter_number(self.kind, self.n)
@@ -332,6 +333,11 @@ def _positive_roots(kind: str, n: int) -> tuple[Weight, ...]:
     out = [Weight(rc) for rc in roots]
     out.sort(key=lambda w: (sum(cd.root_coords(w)), cd.root_coords(w)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _positive_root_set(kind: str, n: int) -> frozenset[Weight]:
+    return frozenset(_positive_roots(kind, n))
 
 
 @lru_cache(maxsize=None)

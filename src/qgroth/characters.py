@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight, kostant_partitions
-from .laurent import ONE, ZERO, HalfLaurent
+from .laurent import ONE, HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
 from .torus import Monomial, TorusElement, XTorus, YTorus, divide_right
@@ -128,7 +128,8 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
     ainv = {(j, s): _a_inverse(cd, j, s).items for j in cd.vertices for s in range(1, h)}
     top = Monomial.var(i0, 0)
     chi: dict[Monomial, HalfLaurent] = {}
-    colours = {top: [ZERO] * n}
+    # colours[m][j]: the colouring s_j(m) so far, a map doubled exponent -> integer
+    colours: dict[Monomial, dict[int, dict[int, int]]] = {top: {}}
     levels = [[top]]  # levels[d]: the monomials found at depth d
     for depth, level in enumerate(levels):
         for m in level:
@@ -136,7 +137,7 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
             jparts: dict[int, list[tuple[int, int]]] = {j: [] for j in cd.vertices}
             for (j, u), e in m.items:
                 jparts[j].append((u, e))
-            reads = {col[j - 1] for j, part in jparts.items() if any(e < 0 for _, e in part)}
+            reads = {HalfLaurent(col.get(j)) for j, part in jparts.items() if any(e < 0 for _, e in part)}
             if depth and len(reads) != 1:
                 raise CharacterError(f"{m.render()} has {len(reads)} colourings where it is not dominant")
             coeff = chi[m] = reads.pop() if depth else ONE
@@ -145,7 +146,12 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
                     f"coefficient {coeff.render()} of {m.render()} is not bar-invariant and positive"
                 )
             for j, part in jparts.items():
-                c = coeff - col[j - 1]
+                if not part:
+                    continue  # its sl2 character is m alone
+                c = dict(coeff.c)
+                for e, v in col.get(j, {}).items():
+                    c[e] = c.get(e, 0) - v
+                c = [(e, v) for e, v in c.items() if v]
                 if not c:
                     continue
                 for pat, k in sl2_simple_patterns(tuple(part)).items():
@@ -164,11 +170,14 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
                                 f"fundamental character of {kind}{n} at node {i0} "
                                 f"passed {MAX_FM_MONOMIALS} monomials"
                             )
-                        colours[m2] = [ZERO] * n
+                        colours[m2] = {}
                         while len(levels) <= depth + len(pat):
                             levels.append([])
                         levels[depth + len(pat)].append(m2)
-                    colours[m2][j - 1] += c * k
+                    w = colours[m2].setdefault(j, {})
+                    for e1, v1 in c:
+                        for e2, v2 in k.c.items():
+                            w[e1 + e2] = w.get(e1 + e2, 0) + v1 * v2
     return chi
 
 

@@ -508,6 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# One parser per process: parse_args fills a fresh namespace on every call.
+PARSER = build_parser()
+
+
 def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
     """Merge an optional JSON config file (--config FILE or --config=FILE) into
     the argument list.  Each key must name a valued option of the subcommand;
@@ -544,12 +548,11 @@ def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _apply_config(list(argv), ap)
-        args = ap.parse_args(argv)
+        argv = _apply_config(list(argv), PARSER)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     except (OSError, ValueError) as exc:

@@ -207,5 +207,4 @@ class HalfLaurent:
         return iter(self.c.items())
 
 
-ZERO = HalfLaurent.zero()
 ONE = HalfLaurent.one()

@@ -13,6 +13,7 @@ tau crosses from positive to negative roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cartan import CartanDatum, RankMismatch, Weight, cartan_datum
@@ -125,6 +126,7 @@ class QuiverDatum:
 
     # --- Coxeter transformation --------------------------------------------
 
+    @cached_property
     def tau_word(self) -> tuple[int, ...]:
         """The adapted Coxeter word: a topological order of the orientation,
         smallest index first among simultaneously available vertices."""
@@ -141,10 +143,10 @@ class QuiverDatum:
         return tuple(picked)
 
     def tau(self, w: Weight) -> Weight:
-        return self.cartan.apply_word(self.tau_word(), w)
+        return self.cartan.apply_word(self.tau_word, w)
 
     def tau_inv(self, w: Weight) -> Weight:
-        return self.cartan.apply_word(tuple(reversed(self.tau_word())), w)
+        return self.cartan.apply_word(self.tau_word[::-1], w)
 
     def tau_power(self, w: Weight, ell: int) -> Weight:
         h = self.cartan.coxeter_number()
@@ -227,18 +229,16 @@ class PhiMap:
         if not self.cartan.is_positive_root(beta):
             raise ValueError(f"{beta} is not a positive root")
         key = (beta.coords, m)
-        h2 = 2 * self.cartan.coxeter_number()
-        guard = 0
+        # Each h steps in a column move the copy index by one, so a bounded
+        # number of one-step extensions of every column suffices.
+        steps = 2 * self.cartan.coxeter_number() * (abs(m) + 3)
         while key not in self._inv:
-            # Each full h-window of steps in a column moves the copy index by
-            # one, so a bounded number of extensions suffices.
-            for i in self.quiver.cartan.vertices:
-                for _ in range(h2):
-                    self._extend_down(i)
-                    self._extend_up(i)
-            guard += 1
-            if guard > abs(m) + 2:
+            if steps == 0:
                 raise RuntimeError(f"phi_inverse failed to locate ({beta}, {m})")
+            steps -= 1
+            for i in self.quiver.cartan.vertices:
+                self._extend_down(i)
+                self._extend_up(i)
         return self._inv[key]
 
 
@@ -330,9 +330,10 @@ class QuiverContext:
         ]
         self.index_of_position = {ip: k + 1 for k, ip in enumerate(self.positions)}
         # build-time sanity: the Euler form satisfies <alpha_i, gamma_j> = delta_ij
+        gammas = [quiver.gamma(j) for j in self.cartan.vertices]
         for i in self.cartan.vertices:
-            for j in self.cartan.vertices:
-                if ringel_form(quiver, self.cartan.alpha(i), quiver.gamma(j)) != int(i == j):
+            for j, g in zip(self.cartan.vertices, gammas):
+                if ringel_form(quiver, self.cartan.alpha(i), g) != int(i == j):
                     raise RuntimeError(f"Euler form <alpha_{i}, gamma_{j}> is not delta")
 
 def ringel_form(quiver: QuiverDatum, d, e) -> int:

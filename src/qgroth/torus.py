@@ -29,7 +29,10 @@ multiply.  Packing checks each exponent; a division checks its bounds once.
 A product accumulates one map (key, doubled t-exponent) -> integer over pairs
 of terms, and raises ResourceCap before the pass when there are more than
 MAX_PRODUCT_PAIRS pairs.  The q-commutator x y - t^(e/2) y x shares that pass:
-both products of a pair land on the same key, with pairings s and -s.  Exact division is by
+both products of a pair land on the same key, with pairings s and -s, so a
+pair with s = e/2 adds v and -v at one exponent and is skipped as soon as its
+pairing is known (every pair of a t-commutation relation, most of a boson
+relation); MAX_PRODUCT_PAIRS still counts every pair.  Exact division is by
 leading-term elimination in the lex order, with a heap on negated keys.
 """
 
@@ -274,7 +277,8 @@ class TorusElement:
     def _convolve(self, other: "TorusElement", exp2: int | None) -> "TorusElement":
         """self*other, minus t^(exp2/2) other*self unless exp2 is None, in one
         pass over pairs of terms: both products of a pair land on k1 + k2, with
-        pairings s and -s, so the second entry sits exp2 - 2s above the first."""
+        pairings s and -s, so the second entry sits exp2 - 2s above the first
+        and cancels it when exp2 = 2s."""
         ctx = self.ctx
         if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
             sizes = f"{len(self.terms)} by {len(other.terms)}"
@@ -283,21 +287,23 @@ class TorusElement:
         if l1 >= ctx.half or ctx.mmax * self.l1 * other.l1 >= ctx.half:
             raise ResourceCap(f"torus product leaves the {ctx.W}-bit key digits")
         shift, pbias, mask, half = ctx._shift, ctx._pbias, ctx.mask, ctx.half
-        forms2 = other.forms
+        terms2 = [(k2, other.forms[k2], tuple(c2.c.items())) for k2, c2 in other.terms.items()]
         acc: dict = {}
         forms: dict = {}
         for k1, c1 in self.terms.items():
-            f1 = self.forms[k1]
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
+            f1, cs1 = self.forms[k1], tuple(c1.c.items())
+            for k2, f2, cs2 in terms2:
                 s = (((f1 * k2 + pbias) >> shift) & mask) - half
                 twin = None if exp2 is None else exp2 - 2 * s
+                if twin == 0:
+                    continue  # the two products cancel
+                k = k1 + k2
                 w = acc.get(k)
                 if w is None:
                     w = acc[k] = {}
-                    forms[k] = f1 + forms2[k2]
-                for e1, v1 in c1.c.items():
-                    for e2, v2 in c2.c.items():
+                    forms[k] = f1 + f2
+                for e1, v1 in cs1:
+                    for e2, v2 in cs2:
                         e, v = e1 + e2 + s, v1 * v2
                         w[e] = w.get(e, 0) + v
                         if twin is not None:

@@ -164,6 +164,23 @@ def test_text_output_deterministic(capsys):
     assert out1 == out2
 
 
+def test_consecutive_requests_share_no_flag_values(capsys):
+    # the parser is built once per process: no flag value, default filled in
+    # by a subcommand or output format may carry over to the next request
+    import qgroth.cli as cli
+
+    kr = ["qchar", "kr", "--type", "A3", "--xi", "2,3,2", "--i", "2", "--s", "2", "--p", "1", "--format", "json"]
+    fundamental = ["qchar", "fundamental", "--type", "A1", "--i", "1", "--p", "0"]
+    presentation = ["verify", "presentation", "--type", "A2", "--m-range", "0..1", "--format", "json"]
+    fresh = vars(cli.PARSER.parse_args(fundamental))
+    outs = [run(capsys, *argv) for argv in (kr, fundamental, presentation, fundamental, kr, presentation)]
+    assert outs[1] == outs[3] == (0, "Y[1,0] + Y[1,2]^-1\n")
+    assert outs[0] == outs[4] and outs[0][0] == 0 and json.loads(outs[0][1])["kind"] == "kr"
+    assert outs[2] == outs[5] == (0, '{"failures": [], "ok": true}\n')
+    assert vars(cli.PARSER.parse_args(fundamental)) == fresh
+    assert vars(cli.PARSER.parse_args(["verify", "presentation", "--type", "A2"]))["m_range"] is None
+
+
 def test_config_and_cache(tmp_path, capsys):
     # --config merges defaults; --cache-dir is not a flag: tables are built, never read from disk
     conf = tmp_path / "conf.json"

@@ -146,3 +146,36 @@ def test_corrupted_inputs_fail_every_relation_family(monkeypatch):
     monkeypatch.setattr(p.qc, "_n", rows)
     fails = p.verify_relations(0, 2)
     assert {f[0] for f in fails} == {"R1", "R2", "R3"}
+
+
+def cancelling_pairs(x, y, exp2) -> tuple[int, int]:
+    """(pairs of terms whose two products in x y - t^(exp2/2) y x cancel,
+    all pairs): a pair cancels when its pairing is exp2/2."""
+    pairings = [x.ctx.pair(x.forms[k1], k2) for k1 in x.terms for k2 in y.terms]
+    return sum(2 * s == exp2 for s in pairings), len(pairings)
+
+
+def test_qcommutator_equals_the_two_products_where_pairs_cancel():
+    # R3 (levels m, m+2): every pair cancels; R2 (m, m+1): some pairs do,
+    # and on i = j one that does not has pairing 0; R1 [x_i, x_j] at exp2 = 0
+    for name, m in (("A3", -1), ("D4", 2)):
+        cd = cartan_datum(name)
+        pres = Presentation(QuiverContext(QuiverDatum.bipartite(cd)))
+        yt = pres.window(range(m, m + 3))
+        a = cd.cartan_matrix()
+        cases = []
+        for i in cd.vertices:
+            for j in cd.vertices:
+                x = pres.x_gen(yt, i, m)
+                cases.append(("R3", x, pres.x_gen(yt, j, m + 2), 2 * a[i - 1][j - 1]))
+                cases.append(("R2", x, pres.x_gen(yt, j, m + 1), -2 * a[i - 1][j - 1]))
+                if i != j and not cd.adjacent(i, j):
+                    cases.append(("R1", x, pres.x_gen(yt, j, m), 0))
+        for family, x, y, e in cases:
+            assert x.qcommutator(y, e) == x * y - (y * x).tshift(e), (name, family, e)
+            cancel, total = cancelling_pairs(x, y, e)
+            assert 0 < cancel <= total
+            if family == "R3":
+                assert cancel == total and not x.qcommutator(y, e)
+        r2_same = [cancelling_pairs(x, y, e) for family, x, y, e in cases if family == "R2" and e == -4]
+        assert r2_same and all(cancel < total for cancel, total in r2_same)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from qgroth.cartan import cartan_datum
@@ -186,3 +189,23 @@ def test_position_order_reverses_word_order():
 def test_quiver_json_roundtrip():
     q = d4_fig_quiver()
     assert QuiverDatum.from_json(q.to_json()) == q
+
+
+# The positions of every orientation of A1-A5, D4, D5 and of bipartite E6,
+# as computed when every column of phi was extended 2h steps per round.
+PHI_QUIVERS = ("A1", "A2", "A3", "A4", "A5", "D4", "D5")
+PINNED_POSITIONS = "d0cb1e2914fcbc47a7a392f81f04785f961f254870b581028140fc54d4cdb8d8"
+
+
+def test_phi_table_inverts_and_positions_are_pinned():
+    quivers = [q for name in PHI_QUIVERS for q in all_orientations(name)]
+    quivers.append(QuiverDatum.bipartite(cartan_datum("E6")))
+    rows = []
+    for q in quivers:
+        ctx = QuiverContext(q)
+        for beta in q.cartan.positive_roots():
+            for m in range(-2, 3):
+                assert ctx.phi.phi(*ctx.phi.phi_inverse(beta, m)) == (beta, m)
+        rows.append([q.to_json()["type"], [list(a) for a in q.arrows], [list(ip) for ip in ctx.positions]])
+    assert len(rows) == 56
+    assert hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest() == PINNED_POSITIONS
