@@ -13,7 +13,10 @@ Standard classes are ordered products of fundamental ones, normalized so the
 labelling monomial has coefficient 1.  Simple classes are the unique
 bar-invariant elements unitriangular with strictly negative t-powers over the
 standard basis, solved by Lusztig's lemma once per weight space in an order
-that extends the Nakajima order.
+that extends the Nakajima order.  The standard classes a simple class
+involves are those at the dominant monomials of the standard classes
+themselves, collected from its labelling monomial until no new one appears;
+their coefficients are positive, so none cancels out of a product.
 
 Truncated characters live in the rank-r torus attached to an orientation,
 keyed by exponent vectors over the positions of the index set.  That torus is
@@ -26,16 +29,15 @@ reaches the height function, is an independent route to them.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight, kostant_partitions
 from .laurent import ONE, HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
-from .torus import Monomial, TorusElement, XTorus, YTorus, divide_right
+from .torus import MAX_PRODUCT_PAIRS, Monomial, QuantumTorus, TorusElement, XTorus, YTorus, divide_right
 
 
 class CharacterError(RuntimeError):
@@ -237,90 +239,50 @@ def _unit_coeff_exp2(c: HalfLaurent) -> int:
     return e
 
 
+def _ordered_standard(torus: QuantumTorus, fundamental: Callable, factors: dict, label) -> TorusElement:
+    """The ordered product of the fundamental classes at the points of
+    `factors` ((i, p) -> exponent), highest level leftmost and ties by vertex,
+    rescaled so the label carries coefficient exactly 1."""
+    prod = None
+    for i, p in sorted(factors, key=lambda ip: (-ip[1], ip[0])):
+        f = fundamental(i, p)
+        for _ in range(factors[i, p]):
+            prod = f if prod is None else prod * f
+    if prod is None:
+        return torus.one()
+    return prod.tshift(-_unit_coeff_exp2(prod.coeff(torus.key(label))))
+
+
 def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     """t-character of the standard module at the dominant monomial m: ordered
     product, top level leftmost, of the fundamental t-characters, rescaled so
     m carries coefficient exactly 1."""
     if not m.is_dominant():
         raise ValueError("standard modules are labelled by dominant monomials")
-    if m.is_unit():
-        return yt.one()
-    prod = None
-    for (i, p) in sorted(m.support(), key=lambda ip: (-ip[1], ip[0])):
-        f = fundamental_tchar(yt, i, p)
-        for _ in range(m.exp(i, p)):
-            prod = f if prod is None else prod * f
-    return prod.tshift(-_unit_coeff_exp2(prod.coeff(yt.key(m))))
+    return _ordered_standard(yt, partial(fundamental_tchar, yt), m.exps(), m)
 
 
-DOMINANT_BELOW_CAP = 500000
-
-
-@lru_cache(maxsize=None)
-def _tree_parity(kind: str, n: int, base: int) -> tuple[int, ...]:
-    """Graph distance parity from `base` for every vertex (the diagram is a tree)."""
-    cd = CartanDatum(kind, n)
-    dist = {base: 0}
-    while len(dist) < n:
-        for a, b in cd.edges:
-            if a in dist and b not in dist:
-                dist[b] = dist[a] + 1
-            if b in dist and a not in dist:
-                dist[a] = dist[b] + 1
-    return tuple(dist[v] % 2 for v in cd.vertices)
-
-
-def _dominant_axes(cd: CartanDatum, m: Monomial) -> tuple[list, list[int]]:
-    """The exchange positions (i, s, bound) that `dominant_below` enumerates
-    at the dominant monomial m, and the per-vertex budget."""
-    if not m.is_dominant():
-        raise ValueError("expected a dominant monomial")
-    for i, _ in m.support():
-        cd._check_vertex(i)
-    if m.is_unit():
-        return [], []
-    lo, hi = m.min_p(), m.max_p()
-    # parity of the variable line at each vertex, read off m's support
-    i1, p1 = m.support()[0]
-    par = _tree_parity(cd.kind, cd.n, i1)
-    parity = [(p1 + par[v - 1]) % 2 for v in cd.vertices]
-    wt = cd.zero_weight()
-    for (i, p), e in m.items:
-        wt = wt + cd.varpi(i).scale(e)
-    span = cd.root_coords(wt - cd.w0(wt))
-    axes: list[tuple[int, int, int]] = []  # (i, s, bound)
-    for i in cd.vertices:
-        for s in range(lo + 1, hi):
-            if (s - parity[i - 1]) % 2 == 1 and span[i - 1] > 0:
-                axes.append((i, s, span[i - 1]))
-    total = 1
-    for _, _, b in axes:
-        total *= b + 1
-        if total > DOMINANT_BELOW_CAP:
-            raise ResourceCap("dominant-monomial enumeration exceeded its cap")
-    return axes, span
-
-
-def dominant_below(yt: YTorus, m: Monomial) -> list[Monomial]:
-    """All dominant monomials m' <= m in the exchange order (including m)."""
-    cd = yt.cartan
-    axes, span = _dominant_axes(cd, m)
-    steps = [_a_inverse(cd, i, s).items for i, s, _ in axes]
-    out = set()
-    for combo in itertools.product(*[range(b + 1) for _, _, b in axes]):
-        budget = list(span)
-        exps = m.exps()
-        for (i, _, _), step, c in zip(axes, steps, combo):
-            if c:
-                budget[i - 1] -= c
-                if budget[i - 1] < 0:
-                    break
-                for v, e in step:
-                    exps[v] = exps.get(v, 0) + c * e
-        else:
-            if all(e >= 0 for e in exps.values()):
-                out.add(Monomial(exps))
-    return sorted(out, key=Monomial.sort_key)
+def dominant_below(yt: YTorus, m: Monomial) -> dict[Monomial, TorusElement]:
+    """The standard class at every dominant monomial the simple class at m can
+    involve, in `Monomial.sort_key` order: the closure of {m} under taking the
+    dominant monomials of the standard classes found.  Their coefficients lie
+    in N[t^(+-1/2)], so no dominant monomial cancels out of a product; each
+    lies below m in the Nakajima order, on m's points or strictly between its
+    least and greatest level."""
+    lo, hi = (m.min_p(), m.max_p()) if m.items else (0, 0)
+    std = {m: standard_tchar(yt, m)}
+    todo = [m]
+    while todo:
+        for m2 in map(yt.monomial_of, filter(yt.is_dominant, std[todo.pop()].terms)):
+            if m2 in std:
+                continue
+            # A_{i,s}^-1 lowers the levels s +- 1, so only levels strictly
+            # inside m's range can gain a variable
+            if any(not (lo < p < hi or m.exp(i, p)) for i, p in m2.support()):
+                raise CharacterError(f"dominant {m2.render()} lies outside the range of {m.render()}")
+            std[m2] = standard_tchar(yt, m2)
+            todo.append(m2)
+    return dict(sorted(std.items(), key=lambda mx: mx[0].sort_key()))
 
 
 def expand_in_dominant_basis(
@@ -395,19 +357,32 @@ def bar_invariant_correction(basis: dict, is_dominant_key: Callable, depth: dict
 def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     """t-character of the simple module at m: bar-invariant, unitriangular over
     the standard classes with off-diagonal coefficients in t^-1 Z[t^-1]."""
-    cands = dominant_below(yt, m)
-    basis = {yt.key(m2): standard_tchar(yt, m2) for m2 in cands}
-    depth = {yt.key(m2): sum(yt.a_solve(m * m2.inverse()).values()) for m2 in cands}
+    basis, depth = {}, {}
+    for m2, x in dominant_below(yt, m).items():
+        k = yt.key(m2)
+        basis[k], depth[k] = x, sum(yt.a_solve(m * m2.inverse()).values())
     return bar_invariant_correction(basis, yt.is_dominant, depth)[yt.key(m)]
 
 
 def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
     """The window torus of `simple_tchar` at m: the fundamental characters at
-    the points of m and of the exchange monomials `dominant_below` applies."""
+    the points of m and at every point of m's parity lines strictly between
+    min_p m and max_p m, the points a dominant monomial below m can carry.
+    The variables of the fundamental character at a point cover every vertex,
+    on that point's lines."""
     cd = qc.cartan
-    axes, _ = _dominant_axes(cd, m)
-    points = set(m.support()) | {v for i, s, _ in axes for v, _ in _a_inverse(cd, i, s).items}
-    return fundamental_window(qc, points)
+    lines = {
+        (j, (q + par) % 2)
+        for i, par in {(i, p % 2) for i, p in m.support()}
+        for m2 in _fm_base(cd.kind, cd.n, i)
+        for (j, q), _ in m2.items
+    }
+    lo, hi = (m.min_p(), m.max_p()) if m.items else (0, 0)
+    n = len(lines) * ((hi - lo) // 2 + 1)
+    if n * n > MAX_PRODUCT_PAIRS:
+        raise ResourceCap(f"the window of {m.render()} on {n} points passes {MAX_PRODUCT_PAIRS} pairs")
+    inner = [(j, q) for j, par in lines for q in range(lo + 1, hi) if q % 2 == par]
+    return fundamental_window(qc, [*m.support(), *inner])
 
 
 def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Optional[Fraction]:
@@ -621,18 +596,8 @@ class CategoryQ:
 
     def truncated_standard(self, a) -> TorusElement:
         a = self._dominant_avec(a)
-        prod = None
-        for k in sorted(
-            (k for k in range(self.xt.r) if a[k]),
-            key=lambda k: (-self.positions[k][1], self.positions[k][0]),
-        ):
-            f = self.truncated_fundamental(*self.positions[k])
-            for _ in range(a[k]):
-                prod = f if prod is None else prod * f
-        if prod is None:
-            return self.xt.one()
-        e = _unit_coeff_exp2(prod.coeff(self.xt.key(a)))
-        return prod.tshift(-e)
+        factors = {self.positions[k]: e for k, e in enumerate(a) if e}
+        return _ordered_standard(self.xt, self.truncated_fundamental, factors, a)
 
     def truncated_simple(self, a) -> TorusElement:
         """Bar-inversion over the truncated standard classes below a: the rows

@@ -107,11 +107,13 @@ def _root_name(cartan: CartanDatum, w) -> str:
     )
 
 
-def _emit(args, text_lines, json_obj) -> None:
+def _emit(args, text, obj) -> None:
+    """Print the chosen format, built only then: `text` returns the lines,
+    `obj` the JSON object."""
     if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
+        print(json.dumps(obj(), sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -136,14 +138,16 @@ def cmd_qcartan(args) -> int:
         raise ValueError(f"--mmax must be >= 1, got {args.mmax}")
     cd = cartan_datum(args.type)
     qc = quantum_cartan(cd)
-    lines = []
-    obj = {"type": args.type, "mmax": args.mmax, "series": {}}
-    for i in cd.vertices:
-        for j in cd.vertices:
-            coeffs = qc.series(i, j, args.mmax)
-            lines.append(f"C~[{i},{j}](z) = {_series_text(coeffs)}")
-            obj["series"][f"{i},{j}"] = coeffs
-    _emit(args, lines, obj)
+    series = {(i, j): qc.series(i, j, args.mmax) for i in cd.vertices for j in cd.vertices}
+    _emit(
+        args,
+        lambda: [f"C~[{i},{j}](z) = {_series_text(c)}" for (i, j), c in series.items()],
+        lambda: {
+            "type": args.type,
+            "mmax": args.mmax,
+            "series": {f"{i},{j}": c for (i, j), c in series.items()},
+        },
+    )
     return 0
 
 
@@ -152,15 +156,18 @@ def cmd_phi(args) -> int:
     quiver = _parse_quiver(args, cd)
     ctx = QuiverContext(quiver)
     lo, hi = _parse_range(args.window, "--window")
-    lines = []
-    rows = []
-    for i in cd.vertices:
-        for p in range(lo, hi + 1):
-            if quiver.in_ihat(i, p):
-                beta, m = ctx.phi.phi(i, p)
-                lines.append(f"phi({i},{p}) = ({_root_name(cd, beta)}, {m})")
-                rows.append({"i": i, "p": p, "root": list(cd.root_coords(beta)), "m": m})
-    _emit(args, lines, {"type": args.type, "quiver": quiver.to_json(), "phi": rows})
+    table = [
+        (i, p, *ctx.phi.phi(i, p)) for i in cd.vertices for p in range(lo, hi + 1) if quiver.in_ihat(i, p)
+    ]
+    _emit(
+        args,
+        lambda: [f"phi({i},{p}) = ({_root_name(cd, beta)}, {m})" for i, p, beta, m in table],
+        lambda: {
+            "type": args.type,
+            "quiver": quiver.to_json(),
+            "phi": [{"i": i, "p": p, "root": list(cd.root_coords(beta)), "m": m} for i, p, beta, m in table],
+        },
+    )
     return 0
 
 
@@ -230,7 +237,7 @@ def cmd_qchar(args) -> int:
     else:
         m = _parse_monomial(args.monomial)
         x = simple_tchar(simple_window(qc, m), m)
-    _emit(args, [x.render()], {"kind": kind, "terms": x.to_json()})
+    _emit(args, lambda: [x.render()], lambda: {"kind": kind, "terms": x.to_json()})
     return 0
 
 
@@ -239,8 +246,8 @@ def cmd_tsystem(args) -> int:
     a, g = tsystem_exponents(quantum_cartan(cd), args.i, args.k)
     _emit(
         args,
-        [f"alpha({args.i},{args.k}) = {a}", f"gamma({args.i},{args.k}) = {g}"],
-        {"alpha": [a.numerator, a.denominator], "gamma": [g.numerator, g.denominator]},
+        lambda: [f"alpha({args.i},{args.k}) = {a}", f"gamma({args.i},{args.k}) = {g}"],
+        lambda: {"alpha": [a.numerator, a.denominator], "gamma": [g.numerator, g.denominator]},
     )
     return 0
 
@@ -251,28 +258,32 @@ def cmd_dominant_pairs(args) -> int:
     cat = CategoryQ(QuiverContext(quiver))
     d = tuple(int(x) for x in args.d.split(","))
     rows = cat.dominant_pairs(d)
-    lines = []
-    out = []
-    for row in rows:
-        avec = row["avec"]
+
+    def line(row) -> str:
         parts = []
-        for k, c in enumerate(avec):
+        for k, c in enumerate(row["avec"]):
             if c:
-                name = "(" + _root_name(cd, cat.qctx.word.betas[k]) + ")"
-                parts.extend([name] * c)
+                parts.extend(["(" + _root_name(cd, cat.qctx.word.betas[k]) + ")"] * c)
         acol = "".join(
             f"A[{i},{s}]" + (f"^{c}" if c > 1 else "")
             for (i, s), c in sorted(row["a_column"].items(), key=lambda t: (t[0][1], t[0][0]))
         )
-        lines.append(f"{'+'.join(parts) or '()'}  <->  {row['monomial'].render() or '1'}  <->  {acol or '1'}")
-        out.append(
-            {
-                "avec": list(avec),
-                "monomial": row["monomial"].to_json(),
-                "a_column": [[i, s, c] for (i, s), c in sorted(row["a_column"].items())],
-            }
-        )
-    _emit(args, lines, {"rows": out})
+        return f"{'+'.join(parts) or '()'}  <->  {row['monomial'].render() or '1'}  <->  {acol or '1'}"
+
+    _emit(
+        args,
+        lambda: [line(row) for row in rows],
+        lambda: {
+            "rows": [
+                {
+                    "avec": list(row["avec"]),
+                    "monomial": row["monomial"].to_json(),
+                    "a_column": [[i, s, c] for (i, s), c in sorted(row["a_column"].items())],
+                }
+                for row in rows
+            ]
+        },
+    )
     return 0
 
 
@@ -282,26 +293,28 @@ def cmd_canonical(args) -> int:
     cat = CategoryQ(QuiverContext(quiver))
     qg = QGroupSide(cat)
     report = qg.verify_mainth(args.degree_bound)
-    lines = []
-    rows = []
-    ok = True
-    for r in report:
-        good = r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"]
-        ok = ok and good
-        lines.append(
+    ok = all(r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"] for r in report)
+    _emit(
+        args,
+        lambda: [
             f"a={','.join(map(str, r['avec']))} m={cat.monomial_of_avec(r['avec']).render()} "
             f"simple->dual-canonical: {'ok' if r['simple_matches_dual_canonical'] else 'FAIL'} "
             f"standard->dual-PBW: {'ok' if r['standard_matches_dual_pbw'] else 'FAIL'}"
-        )
-        rows.append(
-            {
-                "avec": list(r["avec"]),
-                "dual_canonical": qg.b_tilde(r["avec"]).to_json(),
-                "simple_ok": r["simple_matches_dual_canonical"],
-                "standard_ok": r["standard_matches_dual_pbw"],
-            }
-        )
-    _emit(args, lines, {"rows": rows, "ok": ok})
+            for r in report
+        ],
+        lambda: {
+            "rows": [
+                {
+                    "avec": list(r["avec"]),
+                    "dual_canonical": qg.b_tilde(r["avec"]).to_json(),
+                    "simple_ok": r["simple_matches_dual_canonical"],
+                    "standard_ok": r["standard_matches_dual_pbw"],
+                }
+                for r in report
+            ],
+            "ok": ok,
+        },
+    )
     return 0 if ok else 2
 
 
@@ -315,14 +328,14 @@ def cmd_hall(args) -> int:
         t = _parse_iso(args.t, cd)
         w = _parse_iso(args.w, cd)
         g = toen_gamma(DerivedHall(quiver, args.q), x, y, t, w)
-        _emit(args, [f"gamma = {g}"], {"gamma": [g.numerator, g.denominator]})
+        _emit(args, lambda: [f"gamma = {g}"], lambda: {"gamma": [g.numerator, g.denominator]})
         return 0
     if args.what == "number":
         x = _parse_iso(args.x, cd)
         y = _parse_iso(args.y, cd)
         w = _parse_iso(args.w, cd)
         g = hall_number(x, y, w, quiver, args.q)
-        _emit(args, [f"g^W_(X,Y) = {g}"], {"hall_number": g})
+        _emit(args, lambda: [f"g^W_(X,Y) = {g}"], lambda: {"hall_number": g})
         return 0
     if args.what == "relations":
         dh = DerivedHall(quiver, args.q)
@@ -331,21 +344,20 @@ def cmd_hall(args) -> int:
         ok = const and not fails
         _emit(
             args,
-            [f"constant identity: {'ok' if const else 'FAIL'}", f"relation failures: {len(fails)}"],
-            {"constant_identity": const, "failures": [list(map(str, f)) for f in fails]},
+            lambda: [f"constant identity: {'ok' if const else 'FAIL'}", f"relation failures: {len(fails)}"],
+            lambda: {"constant_identity": const, "failures": [list(map(str, f)) for f in fails]},
         )
         return 0 if ok else 2
     cat = CategoryQ(QuiverContext(quiver))
     rep = iota_check(cat, args.q, max_len=args.max_len, m_offsets=range(args.mmax + 1))
-    lines = [
-        f"constant identity: {'ok' if rep['constant_identity'] else 'FAIL'}",
-        f"relation failures: {len(rep['relation_failures'])}",
-        f"scalar table consistent: {rep['consistent']}",
-    ] + [f"  a={','.join(map(str, a))}: {s}" for a, s in sorted(rep["scalars"].items())]
     _emit(
         args,
-        lines,
-        {
+        lambda: [
+            f"constant identity: {'ok' if rep['constant_identity'] else 'FAIL'}",
+            f"relation failures: {len(rep['relation_failures'])}",
+            f"scalar table consistent: {rep['consistent']}",
+        ] + [f"  a={','.join(map(str, a))}: {s}" for a, s in sorted(rep["scalars"].items())],
+        lambda: {
             "ok": rep["ok"],
             "scalars": {",".join(map(str, a)): repr(s) for a, s in rep["scalars"].items()},
         },
@@ -363,8 +375,8 @@ def cmd_verify(args) -> int:
         fails = pres.verify_relations(lo, hi)
         _emit(
             args,
-            [f"presentation relation failures: {len(fails)}"],
-            {"ok": not fails, "failures": [str(f) for f in fails]},
+            lambda: [f"presentation relation failures: {len(fails)}"],
+            lambda: {"ok": not fails, "failures": [str(f) for f in fails]},
         )
         return 0 if not fails else 2
     if args.what == "mainth":
@@ -434,8 +446,11 @@ def _verify_all(args) -> int:
     rep = iota_check(cat2, 2, max_len=2, m_offsets=range(2))
     checks.append(("rank-2 Hall specialization (q=2)", rep["ok"]))
 
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks]
-    _emit(args, lines, {"checks": [{"name": n, "ok": o} for n, o in checks]})
+    _emit(
+        args,
+        lambda: [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks],
+        lambda: {"checks": [{"name": n, "ok": o} for n, o in checks]},
+    )
     return 0 if all(ok for _, ok in checks) else 2
 
 

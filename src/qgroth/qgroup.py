@@ -123,7 +123,7 @@ class QGroupSide:
         a = tuple(a)
         if a not in self._etilde:
             nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
-            self._etilde[a] = self.e_star_vec(a).tshift(nb)
+            self._etilde[a] = self._pbw_product(a).tshift(nb - sum(x * (x - 1) for x in a))
         return self._etilde[a]
 
     def b_tilde(self, a) -> TorusElement:

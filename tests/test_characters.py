@@ -359,13 +359,32 @@ def test_truncate_examples(categories, ytorus):
     assert tr == on_positions(cat, full - outside)
 
 
+TRUNCATION_CASES = {
+    "A3": [mon(Y(2, 1)), mon(Y(1, 0), Y(3, 0)), mon(Y(1, 0), Y(1, 2)), mon(Y(2, 1), Y(2, 3))],
+    "A4": [
+        mon(Y(2, -3), Y(2, 1)),
+        mon(Y(1, -2), Y(1, 0)),
+        mon(Y(4, -3), Y(3, -2), Y(2, 1)),
+        mon(Y(2, -3), Y(4, -3), Y(1, 0), Y(3, 0)),
+        mon(Y(1, -2), Y(3, -2), Y(2, -1), Y(4, 1)),
+    ],
+    "D4": [
+        mon(Y(3, -3), Y(3, 1)),
+        mon(Y(1, -4), Y(2, -2), Y(4, 0)),
+        mon(Y(1, -4), Y(1, 0)),
+        mon(Y(4, -2), Y(3, -1), Y(1, 0), Y(2, 0)),
+    ],
+}
+
+
 def test_truncated_simple_matches_full(categories, ytorus):
     # on the subtorus the two pipelines agree (the truncation of the full
-    # simple class equals the class computed inside the category)
-    cat = categories("A3")
-    yt = ytorus("A3")
-    for m in [mon(Y(2, 1)), mon(Y(1, 0), Y(3, 0)), mon(Y(1, 0), Y(1, 2)), mon(Y(2, 1), Y(2, 3))]:
-        assert cat.truncated_simple(cat.avec_of(m)) == cat.truncate(simple_tchar(yt, m)), m
+    # simple class equals the class computed inside the category, whose
+    # candidates come from the root decompositions)
+    for name, monomials in TRUNCATION_CASES.items():
+        cat, yt = categories(name), ytorus(name)
+        for m in monomials:
+            assert cat.truncated_simple(cat.avec_of(m)) == cat.truncate(simple_tchar(yt, m)), (name, m)
 
 
 def test_dominant_survival(categories, ytorus):

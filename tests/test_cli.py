@@ -7,6 +7,7 @@ from qgroth import torus
 from qgroth.cli import _parse_iso, _parse_monomial, main
 from qgroth.cartan import cartan_datum
 from qgroth.hall import IsoClass
+from qgroth.laurent import HalfLaurent
 from qgroth.torus import Monomial
 
 
@@ -381,14 +382,28 @@ def test_e6_presentation_ends_at_the_product_cap():
     ), proc.stderr
 
 
-def test_enumeration_cap_exits_3(capsys):
-    code = main(["qchar", "simple", "--type", "A4", "-m", "Y[4,0]Y[1,1]Y[3,1]Y[4,6]"])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "resource cap exceeded: dominant-monomial enumeration exceeded its cap"
-    ]
+def test_a4_simple_class_of_four_factors(capsys):
+    text = "Y[4,0]Y[1,1]Y[3,1]Y[4,6]"
+    assert main(["qchar", "simple", "--type", "A4", "-m", text, "--format", "json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    coeffs = {Monomial.from_json(m): HalfLaurent.from_json(c) for m, c in terms}
+    assert len(coeffs) == len(terms) == 835
+    # bar-invariant and positive, with the labelling monomial at coefficient 1
+    assert all(c.is_symmetric() and c.is_nonnegative() for c in coeffs.values())
+    assert coeffs[_parse_monomial(text)] == HalfLaurent.one()
+
+
+def test_only_the_chosen_format_is_built(capsys, monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("built output that is not printed")
+
+    monkeypatch.setattr(torus.TorusElement, "to_json", refuse)
+    assert main(["qchar", "fundamental", "--type", "A3", "--i", "1", "--p", "0"]) == 0
+    assert main(["canonical", "--type", "A2", "--degree-bound", "1"]) == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(torus.TorusElement, "render", refuse)
+    assert main(["qchar", "fundamental", "--type", "A3", "--i", "1", "--p", "0", "--format", "json"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_empty_checks_are_usage_errors(capsys):

@@ -255,13 +255,19 @@ def test_verify_mainth_rows_match_one_vector_at_a_time(quiver, degree):
 def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, name, arrows, degree):
     from qgroth.cli import main
 
-    calls = {"e_star_vec": [], "truncated_standard": []}
-    for owner, attr in ((QGroupSide, "e_star_vec"), (CategoryQ, "truncated_standard")):
-        def counted(self, a, _fn=getattr(owner, attr), _log=calls[attr]):
-            _log.append(tuple(a))
-            return _fn(self, a)
+    calls = {"e_tilde": [], "truncated_standard": []}
 
-        monkeypatch.setattr(owner, attr, counted)
+    def built(self, a, _fn=QGroupSide.e_tilde):
+        if tuple(a) not in self._etilde:  # a memo miss builds the vector
+            calls["e_tilde"].append(tuple(a))
+        return _fn(self, a)
+
+    def counted(self, a, _fn=CategoryQ.truncated_standard):
+        calls["truncated_standard"].append(tuple(a))
+        return _fn(self, a)
+
+    monkeypatch.setattr(QGroupSide, "e_tilde", built)
+    monkeypatch.setattr(CategoryQ, "truncated_standard", counted)
     argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree)]
     assert main(argv) == 0
     assert "FAIL" not in capsys.readouterr().out
