@@ -43,7 +43,7 @@ def main() -> None:
         basis = {c: qg.e_tilde(avec(c)) for c in depth}
         print(f"  weight {deg}:")
         for a in depth:
-            coeffs = expand_in_dominant_basis(qg.b_tilde(avec(a)), basis, cat.xt.is_dominant, depth)
+            coeffs = expand_in_dominant_basis(qg.b_tilde(avec(a)), basis, depth)
             row = {avec(k): v.render("v") for k, v in coeffs.items() if not v.is_zero()}
             print(f"    B~{avec(a)} = " + " + ".join(f"({c}) E~{k}" for k, c in sorted(row.items())))
 

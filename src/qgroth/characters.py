@@ -285,20 +285,16 @@ def dominant_below(yt: YTorus, m: Monomial) -> dict[Monomial, TorusElement]:
     return dict(sorted(std.items(), key=lambda mx: mx[0].sort_key()))
 
 
-def expand_in_dominant_basis(
-    x: TorusElement,
-    basis: dict,
-    is_dominant_key: Callable,
-    depth: dict,
-) -> dict:
+def expand_in_dominant_basis(x: TorusElement, basis: dict, depth: dict) -> dict:
     """Expansion of x over a family of elements each having a distinguished
     dominant key with unit coefficient and all other dominant keys deeper, by
     `depth` (basis key -> integer growing strictly down the order).  Peeling
     the present dominant key of least depth adds only deeper keys."""
+    is_dominant = x.ctx.is_dominant
     coeffs: dict = {}
     rem = dict(x.terms)
     while rem:
-        doms = [k for k in rem if is_dominant_key(k)]
+        doms = [k for k in rem if is_dominant(k)]
         if not doms:
             raise CharacterError("element is not in the span of the given basis")
         for k in doms:
@@ -322,7 +318,7 @@ def expand_in_dominant_basis(
     return coeffs
 
 
-def bar_invariant_correction(basis: dict, is_dominant_key: Callable, depth: dict) -> dict:
+def bar_invariant_correction(basis: dict, depth: dict) -> dict:
     """The bar-invariant L_a = sum_b P_ab M_b, P_aa = 1 and P_ab in
     t^(-1/2) Z[t^(-1/2)] otherwise, for every key a of one weight space (basis
     and depth as in `expand_in_dominant_basis`), by Lusztig's lemma: with
@@ -333,7 +329,7 @@ def bar_invariant_correction(basis: dict, is_dominant_key: Callable, depth: dict
     for c in order:
         x = basis[c]
         delta = {k: w.conj() - w for k, w in x.terms.items() if not w.is_symmetric()}
-        d = expand_in_dominant_basis(TorusElement(x.ctx, delta, x.forms, x.l1), basis, is_dominant_key, depth)
+        d = expand_in_dominant_basis(TorusElement(x.ctx, delta, x.forms, x.l1), basis, depth)
         if any(depth[b] <= depth[c] for b in d):
             raise CharacterError("bar defect is not strictly triangular")
         defect[c] = d
@@ -361,7 +357,7 @@ def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     for m2, x in dominant_below(yt, m).items():
         k = yt.key(m2)
         basis[k], depth[k] = x, sum(yt.a_solve(m * m2.inverse()).values())
-    return bar_invariant_correction(basis, yt.is_dominant, depth)[yt.key(m)]
+    return bar_invariant_correction(basis, depth)[yt.key(m)]
 
 
 def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
@@ -424,10 +420,10 @@ class CategoryQ:
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
         self._fundamentals: dict[tuple[int, int], TorusElement] = {}
-        self._pairs: dict[tuple[int, ...], list[dict]] = {}
         self._check_torus_isomorphism()
         self.roots = [tuple(self.cartan.root_coords(b)) for b in qctx.word.betas]
         self._columns = [self._position_column(k) for k in range(self.xt.r)]
+        self._column_depths = [sum(col.values()) for col in self._columns]
 
     def _check_torus_isomorphism(self) -> None:
         """The isomorphism Phi: the Gram matrix of the Y-variables at the
@@ -540,33 +536,32 @@ class CategoryQ:
     def dominant_pairs(self, d) -> list[dict]:
         """All decompositions of the dimension vector d into positive roots,
         paired with their dominant monomials, exchange-monomial columns and
-        depths.  Memoised per d: callers read the rows and do not change them."""
+        depths, in decreasing lexicographic order of the exponent vectors."""
         cd = self.cartan
         d = tuple(d)
         if len(d) != cd.n:
             raise RankMismatch(f"dimension vector has {len(d)} entries, {cd.kind}{cd.n} has rank {cd.n}")
         if any(x < 0 for x in d):
             raise ValueError(f"dimension vector {','.join(map(str, d))} has a negative entry")
-        if d in self._pairs:
-            return self._pairs[d]
-        rows = [{"avec": a} for a in kostant_partitions(self.roots, d)]
-        for row in rows:
-            row["monomial"] = self.monomial_of_avec(row["avec"])
+        rows = []
+        for a in kostant_partitions(self.roots, d):
             col: dict[tuple[int, int], int] = {}
-            for c, vk in zip(row["avec"], self._columns):
+            for c, vk in zip(a, self._columns):
                 if c:
                     for key, e in vk.items():
                         col[key] = col.get(key, 0) + c * e
-            row["a_column"] = col
-            row["depth"] = sum(col.values())
-        rows.sort(key=lambda r: tuple(-x for x in r["avec"]))
-        self._pairs[d] = rows
+            rows.append({"avec": a, "monomial": self.monomial_of_avec(a), "a_column": col,
+                         "depth": sum(col.values())})
         return rows
 
+    def depth(self, a) -> int:
+        """The sum of a's A-column: linear in a, and growing strictly down the
+        Nakajima order inside a weight space."""
+        return sum(c * n for c, n in zip(a, self._column_depths))
+
     def depths(self, d) -> dict[int, int]:
-        """The dominant keys of the weight space d, each with its depth: the
-        sum of its A-column, which grows strictly down the Nakajima order."""
-        return {self.xt.key(row["avec"]): row["depth"] for row in self.dominant_pairs(d)}
+        """The dominant keys of the weight space d, each with its depth."""
+        return {self.xt.key(a): self.depth(a) for a in kostant_partitions(self.roots, d)}
 
     def standards(self, keys) -> dict[int, TorusElement]:
         """The truncated standard class at each dominant key."""
@@ -607,5 +602,5 @@ class CategoryQ:
         col = next(r["a_column"] for r in rows if r["avec"] == a)
         below = [r for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
         depth = {self.xt.key(r["avec"]): r["depth"] for r in below}
-        simples = bar_invariant_correction(self.standards(depth), self.xt.is_dominant, depth)
+        simples = bar_invariant_correction(self.standards(depth), depth)
         return simples[self.xt.key(a)]

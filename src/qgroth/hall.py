@@ -427,11 +427,15 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
 class UScalar:
     """Element of Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2.
 
-    Irreducible for q in {2, 3}, which is all the derived Hall computations
-    need; u and u^(1/2) = x are units, so Laurent expressions in them are
-    exact.  Stored as four integer numerators `n` over one positive
-    denominator `d` in lowest terms, so the form is canonical: equal values
-    have equal (n, d), and zero is (0, 0, 0, 0)/1."""
+    u and u^(1/2) = x are units, so Laurent expressions in them are exact.
+    The ring is a field for q in {2, 3}.  At q = 4, which `DerivedHall` also
+    accepts, x^4 - 4 = (x^2 - 2)(x^2 + 2): u^2 = 4 but u != 2, and 2 + u is a
+    zero divisor.  Every equality in the ring still holds at u = 2, so a
+    check at q = 4 is at least as strict as one at u = 2; the inverse of a
+    zero divisor raises ZeroDivisionError, which ends a request in exit 2.
+    Stored as four integer numerators `n` over one positive denominator `d`
+    in lowest terms, so the form is canonical: equal values have equal
+    (n, d), and zero is (0, 0, 0, 0)/1."""
 
     __slots__ = ("q", "n", "d")
 
@@ -798,6 +802,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
         return c.substitute(half_u, one)
 
     scalars: dict = {}
+    spaces: dict = {}  # weight -> (its depths, its truncated standard classes)
     consistent = True
     witnesses = []
     for length in range(1, max_len + 1):
@@ -806,11 +811,12 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
             prod_t = None
             for i in word:
                 prod_t = gens_t[i] if prod_t is None else prod_t * gens_t[i]
-            deg = [0] * cd.n
-            for i in word:
-                deg[i - 1] += 1
-            depth = cat.depths(deg)
-            coeffs_t = expand_in_dominant_basis(prod_t, cat.standards(depth), cat.xt.is_dominant, depth)
+            deg = tuple(word.count(i) for i in cd.vertices)
+            if deg not in spaces:
+                depth = cat.depths(deg)
+                spaces[deg] = depth, cat.standards(depth)
+            depth, std = spaces[deg]
+            coeffs_t = expand_in_dominant_basis(prod_t, std, depth)
             # Hall side
             prod_h = dh.one()
             for i in word:
@@ -827,13 +833,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
                 rescale = rescale * resc
             for key in depth:
                 avec = cat.xt.exponents(key)
-                iso = IsoClass(
-                    {
-                        tuple(cd.root_coords(cat.qctx.word.betas[k])): a
-                        for k, a in enumerate(avec)
-                        if a
-                    }
-                )
+                iso = IsoClass({cat.roots[k]: a for k, a in enumerate(avec) if a})
                 ct = coeffs_t.get(key, HalfLaurent.zero())
                 ch = coeffs_h.get(iso, UScalar.of(q, 0))
                 tval = eval_t(ct) * rescale

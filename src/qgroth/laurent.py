@@ -176,24 +176,18 @@ class HalfLaurent:
     def render(self, var: str = "t") -> str:
         if not self.c:
             return "0"
-        bits = []
+        out = ""
         for e in sorted(self.c, reverse=True):
             v = self.c[e]
-            if e == 0:
-                body = str(abs(v))
+            if e % 2:
+                p = f"{var}^({e}/2)"
+            elif e == 2:
+                p = var
             else:
-                p = f"{var}^{e // 2}" if e % 2 == 0 else f"{var}^{e}/2".replace(f"{e}/2", f"({e}/2)")
-                if e % 2 != 0:
-                    p = f"{var}^({e}/2)"
-                elif e == 2:
-                    p = var
-                body = p if abs(v) == 1 else f"{abs(v)}*{p}"
-            sign = "-" if v < 0 else "+"
-            bits.append((sign, body))
-        head_sign, head = bits[0]
-        out = ("-" if head_sign == "-" else "") + head
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
+                p = f"{var}^{e // 2}"
+            body = str(abs(v)) if e == 0 else p if abs(v) == 1 else f"{abs(v)}*{p}"
+            sign = "-" if v < 0 else ""
+            out += f" {sign or '+'} {body}" if out else sign + body
         return out
 
     def to_json(self) -> list[list[int]]:

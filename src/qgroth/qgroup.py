@@ -5,11 +5,13 @@ classes of the character side, which live in the same torus.
 Minors D(b,d) are never abstract: they exist only through their expansions on
 the basis X^a of the rank-r torus.  The flag minors D(0,k) are ordered
 products of the rescaled generators; every other minor is produced from the
-determinantal identity by exact right division, recursing on b + d.  The dual
-canonical vectors are carved out of the dual PBW vectors by a twisted
-bar-inversion: working with the rescaled family v^(N/2) E*, the twist
-disappears and the involution is plain coefficient conjugation, so one solve
-by Lusztig's lemma, as on the character side, fills a whole weight space.
+determinantal identity by exact right division, recursing on b + d.  Each
+rescaled dual PBW vector is the one with one factor fewer times a shifted
+minor E*(k).  The dual canonical vectors are carved out of the dual PBW
+vectors by a twisted bar-inversion: working with the rescaled family
+v^(N/2) E*, the twist disappears and the involution is plain coefficient
+conjugation, so one solve by Lusztig's lemma, as on the character side,
+fills a whole weight space.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class QGroupSide:
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[int, TorusElement] = {}
         self._etilde: dict[tuple[int, ...], TorusElement] = {}
-        self._pbw: dict[tuple[int, ...], TorusElement] = {}
         # doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
         self._c2 = []
         for k in range(1, self.r + 1):
@@ -104,27 +105,30 @@ class QGroupSide:
     def e_star(self, k: int) -> TorusElement:
         return self.minor(self.word.kminus(k), k)
 
-    def _pbw_product(self, a: tuple) -> TorusElement:
-        """E*(1)^a1 ... E*(r)^ar, unshifted: the memoised product with one
-        factor fewer, times E*(k) for the last k with a_k > 0."""
-        ks = [k for k, x in enumerate(a) if x > 0]
-        if not ks:
-            return self.xt.one()
-        if a not in self._pbw:
-            k = ks[-1]
-            self._pbw[a] = self._pbw_product(a[:k] + (a[k] - 1,) + a[k + 1 :]) * self.e_star(k + 1)
-        return self._pbw[a]
-
-    def e_star_vec(self, a) -> TorusElement:
-        a = tuple(a)
-        return self._pbw_product(a).tshift(-sum(x * (x - 1) for x in a))
-
     def e_tilde(self, a) -> TorusElement:
+        """The rescaled dual PBW vector v^(s(a)/2) E*(1)^a1 ... E*(r)^ar with
+        s(a) = N(beta(a)) - sum a_k(a_k - 1), memoised: for the last k with
+        a_k > 0, E~(a) = E~(a - e_k) E*(k) shifted by s(a) - s(a - e_k)."""
         a = tuple(a)
         if a not in self._etilde:
-            nb, _ = n_gamma(self.cartan, self.cat.beta_of(a))
-            self._etilde[a] = self._pbw_product(a).tshift(nb - sum(x * (x - 1) for x in a))
+            ks = [k for k, x in enumerate(a) if x > 0]
+            if not ks:
+                self._etilde[a] = self.xt.one()
+            else:
+                k = ks[-1]
+                b = a[:k] + (a[k] - 1,) + a[k + 1 :]
+                shift = self._rescaling(a) - self._rescaling(b)
+                self._etilde[a] = self.e_tilde(b) * self.e_star(k + 1).tshift(shift)
         return self._etilde[a]
+
+    def _rescaling(self, a) -> int:
+        """s(a), the doubled exponent of the rescaling of E~(a)."""
+        return n_gamma(self.cartan, self.cat.beta_of(a))[0] - sum(x * (x - 1) for x in a)
+
+    def _dual_canonical(self, depth: dict) -> None:
+        """One solve over the weight space with the given {key: depth}, into the memo."""
+        basis = {c: self.e_tilde(self.xt.exponents(c)) for c in depth}
+        self._btilde.update(bar_invariant_correction(basis, depth))
 
     def b_tilde(self, a) -> TorusElement:
         """Rescaled dual canonical vector: sigma-invariant, unitriangular with
@@ -132,9 +136,7 @@ class QGroupSide:
         same weight.  One solve fills the whole weight space of a."""
         key = self.xt.key(a)
         if key not in self._btilde:
-            depth = self.cat.depths(self.cat.root_of(a))
-            basis = {c: self.e_tilde(self.xt.exponents(c)) for c in depth}
-            self._btilde.update(bar_invariant_correction(basis, self.xt.is_dominant, depth))
+            self._dual_canonical(self.cat.depths(self.cat.root_of(a)))
         return self._btilde[key]
 
     # -- verification reports ---------------------------------------------------
@@ -143,18 +145,21 @@ class QGroupSide:
         """For every dominant exponent vector of weight-degree at most the
         bound: the truncated simple class must equal the rescaled dual
         canonical vector, and the truncated standard class the rescaled dual
-        PBW vector.  Weight space by weight space, each truncated standard
-        class is built once and one solve gives every simple class; the
-        character route and the quantum-group route stay separate
-        computations."""
+        PBW vector.  The one enumeration of exponent vectors, grouped by
+        weight, gives each weight space's depths to a solve on either side;
+        each truncated standard class is built once.  The character route
+        and the quantum-group route stay separate computations."""
         if degree_bound < 0:
             raise ValueError(f"negative degree bound {degree_bound}")
         avecs = self.cat.dominant_avecs_up_to(degree_bound)
+        spaces: dict[tuple[int, ...], dict[int, int]] = {}
+        for a in avecs:
+            spaces.setdefault(self.cat.root_of(a), {})[self.xt.key(a)] = self.cat.depth(a)
         rows = {}
-        for deg in dict.fromkeys(self.cat.root_of(a) for a in avecs):
-            depth = self.cat.depths(deg)
+        for depth in spaces.values():
             std = self.cat.standards(depth)
-            simples = bar_invariant_correction(std, self.xt.is_dominant, depth)
+            simples = bar_invariant_correction(std, depth)
+            self._dual_canonical(depth)
             for k, simple in simples.items():
                 a = self.xt.exponents(k)
                 rows[a] = {

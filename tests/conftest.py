@@ -142,7 +142,6 @@ def expand_by_monomials(yt: YTorus, x, basis: dict) -> dict:
     coeffs = expand_in_dominant_basis(
         x,
         {yt.key(m): b for m, b in basis.items()},
-        yt.is_dominant,
         {yt.key(m): d for m, d in depth.items()},
     )
     return {yt.monomial_of(k): c for k, c in coeffs.items()}

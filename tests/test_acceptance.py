@@ -334,9 +334,7 @@ def test_criterion_11_property_suite():
     depth = cat3.depths(deg)
     ebasis = {c: qg.e_tilde(cat3.xt.exponents(c)) for c in depth}
     for a in depth:
-        coeffs = expand_in_dominant_basis(
-            qg.b_tilde(cat3.xt.exponents(a)), ebasis, cat3.xt.is_dominant, depth
-        )
+        coeffs = expand_in_dominant_basis(qg.b_tilde(cat3.xt.exponents(a)), ebasis, depth)
         assert coeffs[a] == HalfLaurent.one()
         assert all(in_tinv_ztinv(c) for k, c in coeffs.items() if k != a)
 

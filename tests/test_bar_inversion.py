@@ -69,6 +69,18 @@ def test_linear_a_columns_equal_the_per_row_solve(name, n, degree):
 
 
 @pytest.mark.parametrize("name,n,degree", CASES, ids=IDS)
+def test_linear_depth_equals_the_row_depths(name, n, degree):
+    # the depths a solve reads come from the linear form, not from the rows
+    cat, spaces = _spaces(name, n, degree)
+    for d in spaces:
+        rows = cat.dominant_pairs(d)
+        assert cat.depths(d) == {cat.xt.key(r["avec"]): r["depth"] for r in rows}
+        assert list(cat.depths(d)) == [cat.xt.key(r["avec"]) for r in rows]
+        for r in rows:
+            assert cat.depth(r["avec"]) == r["depth"], r["avec"]
+
+
+@pytest.mark.parametrize("name,n,degree", CASES, ids=IDS)
 def test_depth_is_a_linear_extension_of_the_nakajima_order(name, n, degree):
     # inside a weight space, a <= b iff the A-column of a dominates that of b
     # entry by entry, and a < b forces a strictly greater depth
@@ -94,12 +106,12 @@ def test_solved_classes_are_bar_invariant_and_unitriangular(name, n, degree):
     for d in spaces:
         depth = cat.depths(d)
         std = cat.standards(depth)
-        simples = bar_invariant_correction(std, cat.xt.is_dominant, depth)
+        simples = bar_invariant_correction(std, depth)
         assert simples.keys() == depth.keys()
         reference = order_depth(list(depth), functools.partial(_key_below, cat))
         for a, simple in simples.items():
             assert simple.bar() == simple, a
-            coeffs = expand_in_dominant_basis(simple, std, cat.xt.is_dominant, reference)
+            coeffs = expand_in_dominant_basis(simple, std, reference)
             assert coeffs.pop(a) == HalfLaurent.one()
             for b, c in coeffs.items():
                 corrected += 1
@@ -122,7 +134,7 @@ def test_simple_tchar_is_bar_invariant_and_unitriangular_on_a3(factors):
     cands = dominant_below(yt, m)
     basis = {yt.key(c): standard_tchar(yt, c) for c in cands}
     depth = order_depth(cands, yt.nakajima_leq)
-    coeffs = expand_in_dominant_basis(simple, basis, yt.is_dominant, {yt.key(c): d for c, d in depth.items()})
+    coeffs = expand_in_dominant_basis(simple, basis, {yt.key(c): d for c, d in depth.items()})
     assert coeffs.pop(yt.key(m)) == HalfLaurent.one()
     for b, c in coeffs.items():
         assert yt.nakajima_leq(yt.monomial_of(b), m) and in_tinv_ztinv(c), (b, c)
@@ -137,10 +149,10 @@ def test_a_defect_not_strictly_below_its_key_is_refused():
     std = cat.standards(depth)
     top, low = sorted(depth, key=depth.__getitem__)
     assert depth[low] > depth[top]
-    assert bar_invariant_correction(std, cat.xt.is_dominant, depth)[top] != std[top]
+    assert bar_invariant_correction(std, depth)[top] != std[top]
     for wrong in ({top: 0, low: 0}, {top: 1, low: 0}):
         with pytest.raises(CharacterError, match="bar defect is not strictly triangular"):
-            bar_invariant_correction(std, cat.xt.is_dominant, wrong)
+            bar_invariant_correction(std, wrong)
 
 
 def test_a_position_column_with_a_negative_exponent_is_refused(monkeypatch):

@@ -313,6 +313,45 @@ def test_uscalar_inverse_of_nonzero_elements(q, coeffs):
     assert x * inv == UScalar.of(q, 1) == inv * x
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=4, max_size=4),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=4, max_size=4),
+)
+def test_q4_ring_is_not_a_field_but_maps_onto_u_equal_2(a, b):
+    # x^4 - 4 = (x^2 - 2)(x^2 + 2): u^2 = 4 but u != 2, and 2 + u is a zero divisor
+    u, two = UScalar.u(4), UScalar.of(4, 2)
+    assert u * u == two * two and u != two
+    assert ((two + u) * (two - u)).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        (two + u).inverse()
+
+    # x -> sqrt 2 is a ring map onto Q(sqrt 2) sending u to 2: an equality in
+    # the ring holds at u = 2, so a q = 4 check is at least as strict
+    def at_u_2(z):
+        n0, n1, n2, n3 = (Fraction(c, z.d) for c in z.n)
+        return n0 + 2 * n2, n1 + 2 * n3  # p + r sqrt 2 as (p, r)
+
+    x, y = UScalar(4, a), UScalar(4, b)
+    (p1, r1), (p2, r2) = at_u_2(x), at_u_2(y)
+    assert at_u_2(x * y) == (p1 * p2 + 2 * r1 * r2, p1 * r2 + r1 * p2)
+    assert at_u_2(x + y) == (p1 + p2, r1 + r2)
+    assert at_u_2(u) == (2, 0)
+
+
+def test_inverse_of_a_zero_divisor_ends_hall_iota_in_exit_2(monkeypatch, capsys):
+    # with u^-1 replaced by 2, the generator rescaling 1/(u^(1/2)(u - u^-1))
+    # inverts the zero divisor u^(1/2)(u - 2) at q = 4
+    import qgroth.hall as hall
+    from qgroth.cli import main
+
+    power = hall.u_power
+    monkeypatch.setattr(hall, "u_power", lambda q, k: UScalar.of(q, 2) if k == -1 else power(q, k))
+    argv = ["hall", "iota", "--type", "A2", "--xi", "2,1", "--q", "4", "--max-len", "1", "--mmax", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "internal check failed: element is not invertible\n"
+
+
 def _coeffs(x):
     return [Fraction(a, x.d) for a in x.n]
 
@@ -407,6 +446,31 @@ def test_iota_check_counts_each_hall_number_once(name, xi, max_len, mmax, catego
     rep = iota_check(categories(name, xi), 2, max_len=max_len, m_offsets=range(mmax + 1))
     assert rep["ok"]
     assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("name,xi,max_len", [("A2", (2, 1), 3), ("A3", (2, 3, 2), 3)])
+def test_iota_request_builds_each_truncated_standard_once(name, xi, max_len, monkeypatch, capsys):
+    # every word of one weight shares that weight's standard classes
+    from qgroth.cartan import kostant_partitions
+    from qgroth.cli import main
+
+    calls = []
+    build = CategoryQ.truncated_standard
+
+    def counted(self, a):
+        calls.append(tuple(a))
+        return build(self, a)
+
+    monkeypatch.setattr(CategoryQ, "truncated_standard", counted)
+    argv = ["hall", "iota", "--type", name, "--xi", ",".join(map(str, xi)), "--q", "2",
+            "--max-len", str(max_len), "--mmax", "0"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cat = CategoryQ(QuiverContext(QuiverDatum.from_xi(cartan_datum(name), xi)))
+    n = cat.cartan.n
+    weights = [d for d in itertools.product(range(max_len + 1), repeat=n) if 1 <= sum(d) <= max_len]
+    keys = [a for d in weights for a in kostant_partitions(cat.roots, d)]
+    assert sorted(calls) == sorted(keys)
 
 
 def test_normal_forms_are_tuples():

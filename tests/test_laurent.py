@@ -56,6 +56,11 @@ def test_render():
     assert hl({0: 1}).render() == "1"
     assert hl({2: 1, -2: 1}).render() == "t + t^-1"
     assert hl({1: -1}).render() == "-t^(1/2)"
+    assert hl({1: 1}).render() == "t^(1/2)"
+    assert hl({-3: 1}).render() == "t^(-3/2)"
+    assert hl({1: -2}).render() == "-2*t^(1/2)"
+    assert hl({2: 1}).render() == "t"
+    assert hl({-2: 1}).render() == "t^-1"
 
 
 def test_json_roundtrip():

@@ -110,12 +110,23 @@ def _inv(qg, b):
     return qg.xt.monomial(inv, HalfLaurent.t_power(-e)).tshift(-qg.xt.pair2(a, inv))
 
 
+def _pbw_by_definition(qg, a):
+    """v^(N(beta)/2) E*(1)^a1 ... E*(r)^ar, shifted by -sum a_k(a_k - 1), one factor at a time."""
+    out = qg.xt.one()
+    for k, x in enumerate(a, start=1):
+        for _ in range(x):
+            out = out * qg.e_star(k)
+    nb, _ = n_gamma(qg.cartan, qg.cat.beta_of(a))
+    return out.tshift(nb - sum(x * (x - 1) for x in a))
+
+
 def test_dual_pbw(a3):
     _, qg = a3
-    assert qg.e_star_vec((0,) * 6) == qg.xt.one()
+    assert qg.e_tilde((0,) * 6) == _pbw_by_definition(qg, (0,) * 6) == qg.xt.one()
     for k in range(1, 7):
         ek = tuple(1 if j == k - 1 else 0 for j in range(6))
-        assert qg.e_star_vec(ek) == qg.e_star(k)
+        nb, _ = n_gamma(qg.cartan, qg.cat.beta_of(ek))
+        assert qg.e_tilde(ek) == _pbw_by_definition(qg, ek) == qg.e_star(k).tshift(nb)
 
 
 def test_dual_pbw_rank2_product(contexts):
@@ -123,7 +134,8 @@ def test_dual_pbw_rank2_product(contexts):
     qg = QGroupSide(cat)
     # word (1,2,1): a = (1,0,1): product of the two extreme generators
     prod = qg.e_star(1) * qg.e_star(3)
-    assert qg.e_star_vec((1, 0, 1)) == prod
+    nb, _ = n_gamma(cat.cartan, cat.beta_of((1, 0, 1)))
+    assert qg.e_tilde((1, 0, 1)) == _pbw_by_definition(qg, (1, 0, 1)) == prod.tshift(nb)
 
 
 def b_star(qg, a):
@@ -169,7 +181,7 @@ def _expand_in_pbw(qg, x, candidates):
     xt = qg.xt
     basis = {xt.key(c): qg.e_tilde(c) for c in candidates}
     depth = qg.cat.depths(qg.cat.root_of(next(iter(candidates))))
-    coeffs = expand_in_dominant_basis(x, basis, xt.is_dominant, depth)
+    coeffs = expand_in_dominant_basis(x, basis, depth)
     return {xt.exponents(k): c for k, c in coeffs.items()}
 
 
@@ -214,16 +226,6 @@ def test_verify_mainth_degree3_several_orientations(contexts):
         for r in qg.verify_mainth(3):
             assert r["simple_matches_dual_canonical"], (name, xi, r["avec"])
             assert r["standard_matches_dual_pbw"], (name, xi, r["avec"])
-
-
-def _pbw_by_definition(qg, a):
-    """v^(N(beta)/2) E*(1)^a1 ... E*(r)^ar, shifted by -sum a_k(a_k - 1), one factor at a time."""
-    out = qg.xt.one()
-    for k, x in enumerate(a, start=1):
-        for _ in range(x):
-            out = out * qg.e_star(k)
-    nb, _ = n_gamma(qg.cartan, qg.cat.beta_of(a))
-    return out.tshift(nb - sum(x * (x - 1) for x in a))
 
 
 @pytest.mark.parametrize("quiver,degree", [
@@ -277,6 +279,33 @@ def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, na
     avecs = cat.dominant_avecs_up_to(degree)
     for log in calls.values():
         assert sorted(log) == sorted(avecs)
+
+
+@pytest.mark.parametrize("name,arrows,degree", [("A3", "1-2,3-2", 4), ("D4", "1-3,2-3,3-4", 3)])
+def test_canonical_request_enumerates_each_weight_space_once(capsys, monkeypatch, name, arrows, degree):
+    # the one enumeration up to the degree bound gives every weight space its
+    # depths: no decomposition into roots is enumerated a second time
+    from qgroth import characters
+    from qgroth.cli import main
+
+    argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree), "--format", "json"]
+    pairs = ["dominant-pairs", "--type", name, "--arrows", arrows, "--d", ",".join(["1"] * int(name[1]))]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    assert main(pairs) == 0
+    expected_pairs = capsys.readouterr()
+
+    def refused(roots, d):
+        raise RuntimeError("kostant_partitions called")
+
+    monkeypatch.setattr(characters, "kostant_partitions", refused)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert main(pairs) == 2
+    assert "kostant_partitions called" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(pairs) == 0
+    assert capsys.readouterr() == expected_pairs
 
 
 def test_fundamental_to_rescaled_pbw(a3):
