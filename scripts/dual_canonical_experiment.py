@@ -21,8 +21,9 @@ def main() -> None:
     quiver = QuiverDatum.from_xi(cd, xi) if xi else QuiverDatum.bipartite(cd)
     cat = CategoryQ(QuiverContext(quiver))
     qg = QGroupSide(cat)
+    report = qg.verify_mainth(degree)
     matched = 0
-    for r in qg.verify_mainth(degree):
+    for r in report:
         ok = r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"]
         matched += ok
         if not ok:
@@ -31,7 +32,7 @@ def main() -> None:
     print()
     print("transition polynomials (nontrivial weight spaces):")
     seen = set()
-    for r in qg.verify_mainth(degree):
+    for r in report:
         deg = cat.root_of(r["avec"])
         if deg in seen:
             continue

@@ -1,14 +1,16 @@
 """Hall algebra computations over small finite fields, and the derived Hall
 algebra of the bounded derived category of a small type-A quiver.
 
-Hall numbers are counted: they enumerate one subspace per vertex, each once
-as a reduced row echelon basis (one Schubert cell per pivot set), and read
-stability and the sub- and quotient representations off one change of
-coordinates per arrow; hom dimensions are the unknowns less the rank of the
-hom equations.  The rest is by formula from those two counts.  Toen's gamma
-splits each four-term exact sequence at its middle image into two short
-exact sequences, each counted by Riedtmann's formula; |Aut M| is read off
-dim End M, since the indecomposables of mod(FQ) are bricks.  One cap,
+Hall numbers are counted: one walk per (W, dim X) enumerates one subspace
+per vertex, each once as a reduced row echelon basis (one Schubert cell per
+pivot set), reads stability and the sub- and quotient representations off
+one change of coordinates per arrow, and tallies every g^W_{X,Y} of that
+dimension at once; one classification memo per request serves every walk.
+Hom dimensions are the unknowns less the rank of the hom equations.  The
+rest is by formula from those two counts.  Toen's gamma splits each
+four-term exact sequence at its middle image into two short exact
+sequences, each counted by Riedtmann's formula; |Aut M| is read off dim
+End M, since the indecomposables of mod(FQ) are bricks.  One cap,
 `MAX_HALL_WORK`, bounds a Hall number and a gamma: the subspace tuples to
 walk times the cube of the total dimension, checked before walking.
 Scalars live in the exact field Q[x]/(x^4 - q), with u = sqrt(q)
@@ -327,27 +329,24 @@ def _check_work(work: int, what: str) -> None:
         raise ResourceCap(f"{what}: work {work} (subspace tuples x dimension^3) above cap {MAX_HALL_WORK}")
 
 
-def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
-    """Number of subrepresentations of W isomorphic to X with quotient
-    isomorphic to Y: one subspace per vertex from `_subspaces`, kept when
-    every arrow maps it into its target's, then classified through the
-    diagonal blocks of `_arrow_blocks`, each set of blocks once."""
-    _check_quiver(quiver)
+def hall_numbers(W: IsoClass, dx, quiver: QuiverDatum, q: int, classes: dict) -> dict:
+    """{(X, Y): g^W_{X,Y}} over every X of dimension dx, zeros left out: one
+    walk of the dx-dimensional subspace tuples from `_subspaces`, each kept
+    when every arrow maps it into its target's, its sub and quotient
+    classified through the diagonal blocks of `_arrow_blocks`.  `classes`
+    memoises the classification by (dims, blocks) for the caller."""
     F = GF(q)
-    n = quiver.cartan.n
-    dx, dy, dw = X.dims(n), Y.dims(n), W.dims(n)
-    if tuple(a + b for a, b in zip(dx, dy)) != dw:
-        return 0
+    dx, dw = tuple(dx), W.dims(quiver.cartan.n)
+    dy = tuple(w - x for w, x in zip(dw, dx))
     _check_work(_hall_work(dx, dw, q), "Hall number")
     RW = model_rep(quiver, F, W)
-    classes = {}
 
     def iso(dims, mats):
         if (dims, mats) not in classes:
             classes[dims, mats] = iso_class(Rep(quiver, F, dims, zip(quiver.arrows, mats)), q)
         return classes[dims, mats]
 
-    count = 0
+    tally: dict = {}
     per_vertex = [[_cell(b, d) for b in _subspaces(F, d, k)] for d, k in zip(dw, dx)]
     for cells in itertools.product(*per_vertex):
         blocks = []
@@ -357,9 +356,16 @@ def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: i
                 break
         else:
             sub, quo = zip(*blocks) if blocks else ((), ())
-            if iso(dx, sub) == X and iso(dy, quo) == Y:
-                count += 1
-    return count
+            key = iso(dx, sub), iso(dy, quo)
+            tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
+    """Number of subrepresentations of W isomorphic to X with quotient
+    isomorphic to Y, read off the walk of `hall_numbers` by a one-request
+    `DerivedHall`, which checks the quiver and the field first."""
+    return DerivedHall(quiver, q).g_number(X, Y, W)
 
 
 def aut_count(M: IsoClass, quiver: QuiverDatum, q: int) -> int:
@@ -389,7 +395,9 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     whose quotient maps onto K in |Aut K| ways, and T maps onto it in
     |Aut T| ways.  The Hall numbers come from `dh`.  Their work, one
     g^Y_{T,K} for every K and one g^X_{K,W} for every K with g^Y_{T,K} != 0,
-    is summed against the one cap, so a gamma ends in bounded time.
+    is summed against the one cap, read from `dh`'s memo or not, so a gamma
+    ends in bounded time and its cap does not depend on what the request
+    counted before.
 
     The slot assignment (T first, W last) is the one under which the rank-one
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
@@ -576,9 +584,10 @@ class DerivedHall:
     over GF(q), twisted by the Euler form.  Basis: normal-ordered words
     ((m1, iso1), (m2, iso2), ...) with strictly decreasing levels.
 
-    One instance serves one request: it memoises Hall numbers, gamma terms,
-    isoclasses per dimension vector and the normal form of every word it
-    rewrites."""
+    One instance serves one request: it memoises the Hall numbers of one
+    `hall_numbers` walk per (W, dim X), one classification of sub and
+    quotient blocks shared by those walks, gamma terms, isoclasses per
+    dimension vector and the normal form of every word it rewrites."""
 
     def __init__(self, quiver: QuiverDatum, q: int):
         _check_quiver(quiver)
@@ -588,6 +597,7 @@ class DerivedHall:
         self.cartan = quiver.cartan
         self._one = UScalar.of(q, 1)
         self._g: dict = {}
+        self._classes: dict = {}
         self._gamma_terms: dict = {}
         self._isos: dict = {}
         self._nf: dict = {}
@@ -610,17 +620,20 @@ class DerivedHall:
         return self.euler(x, y) + self.euler(y, x)
 
     def g_number(self, x: IsoClass, y: IsoClass, w: IsoClass) -> int:
-        key = (x, y, w)
+        n = self.cartan.n
+        dx = x.dims(n)
+        if tuple(a + b for a, b in zip(dx, y.dims(n))) != w.dims(n):
+            return 0
+        key = (w, dx)
         if key not in self._g:
-            self._g[key] = hall_number(x, y, w, self.quiver, self.q)
-        return self._g[key]
+            self._g[key] = hall_numbers(w, dx, self.quiver, self.q, self._classes)
+        return self._g[key].get((x, y), 0)
 
     def _isoclasses_of_dim(self, dims) -> tuple[IsoClass, ...]:
         dims = tuple(dims)
         if dims in self._isos:
             return self._isos[dims]
-        cd = self.cartan
-        roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
+        roots = _iso_tables(self.quiver, self.q)[0]
         self._isos[dims] = tuple(
             IsoClass({b: c for b, c in zip(roots, a) if c}) for a in kostant_partitions(roots, dims)
         )

@@ -426,7 +426,8 @@ class YTorus(QuantumTorus):
         return Monomial(dict(zip(self.window, self.exponents(key))))
 
     def key_json(self, key: int) -> list[list[int]]:
-        return self.monomial_of(key).to_json()
+        # the window is in (p, i) order, the order of Monomial.to_json
+        return [[i, p, e] for (i, p), e in zip(self.window, self.exponents(key)) if e]
 
     def a_solve(self, ratio: Monomial) -> Optional[dict[tuple[int, int], int]]:
         """Write ratio as a product prod A_{i,s}^{v_{i,s}} with integer exponents.

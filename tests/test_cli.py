@@ -585,3 +585,15 @@ def test_hall_field_size_is_checked_on_every_subcommand(capsys, q, code, message
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message
+
+
+def test_gamma_prices_every_hall_number_it_reads(capsys):
+    # the gamma work sum counts each Hall number it reads, memoised or not,
+    # so this gamma stops at the cap with the sum it had before any memo
+    argv = ["hall", "gamma", "--type", "A3", "--q", "2", "--x", "1-3*4", "--y", "1-3*2", "--t", "0", "--w", "1-3*2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap exceeded: gamma: work 74090160 (subspace tuples x dimension^3) above cap 10000000\n"
+    )

@@ -20,6 +20,7 @@ from qgroth.hall import (
     check_h_relations,
     constant_identity_holds,
     hall_number,
+    hall_numbers,
     _cell,
     _coordinates,
     _iso_tables,
@@ -260,6 +261,37 @@ def test_resource_caps():
         GF(5)
 
 
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_hall_numbers_tally_the_monomorphisms(name):
+    # one walk of the dx-dimensional subspace tuples of W finds every
+    # subrepresentation of that dimension once: its tally sums to
+    # sum_X #{monomorphisms X -> W} / |Aut X|, both enumerated, on every W of
+    # total dimension <= 3 in every orientation, with no zero entry and every
+    # key of dimensions (dx, dim W - dx)
+    from qgroth.hall import mat_rank
+
+    for quiver, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
+        F, n = GF(p), quiver.cartan.n
+        model = functools.cache(lambda Z: model_rep(quiver, F, Z))
+        aut = functools.cache(lambda Z: aut_by_enumeration(model(Z)))
+        dh = DerivedHall(quiver, p)
+        for W in _classes(quiver, p, 3):
+            dw = W.dims(n)
+            for dx in itertools.product(*[range(d + 1) for d in dw]):
+                tally = hall_numbers(W, dx, quiver, p, {})
+                monos = 0
+                for X in dh._isoclasses_of_dim(dx):
+                    injective = sum(
+                        all(mat_rank(F, h[v]) == dx[v] for v in range(n)) for h in homs(model(X), model(W))
+                    )
+                    assert injective % aut(X) == 0, (quiver.arrows, p, X, W)
+                    monos += injective // aut(X)
+                assert sum(tally.values()) == monos, (quiver.arrows, p, W, dx)
+                assert all(tally.values()), (quiver.arrows, p, W, dx)
+                dy = tuple(w - x for w, x in zip(dw, dx))
+                assert all((X.dims(n), Y.dims(n)) == (dx, dy) for X, Y in tally), (quiver.arrows, p, W, dx)
+
+
 def test_gamma_work_is_capped():
     a3 = QuiverDatum.bipartite(cartan_datum("A3"))
     P, P_2, P_3, P_4 = (IsoClass({(1, 1, 1): m}) for m in (1, 2, 3, 4))
@@ -433,16 +465,18 @@ def test_uscalar_repr_is_pinned():
 
 @pytest.mark.parametrize("name,xi,max_len,mmax", [("A2", (2, 1), 3, 2), ("A3", (2, 3, 2), 2, 1)])
 def test_iota_check_counts_each_hall_number_once(name, xi, max_len, mmax, categories, monkeypatch):
+    # every Hall number g^W_{X,Y} of a request comes from one walk per
+    # (W, dim X), and no (W, dim X) is walked twice
     import qgroth.hall as hall
 
     calls = []
-    count = hall.hall_number
+    walk = hall.hall_numbers
 
-    def counted(x, y, w, quiver, q):
-        calls.append((x, y, w))
-        return count(x, y, w, quiver, q)
+    def counted(w, dx, quiver, q, classes):
+        calls.append((w, tuple(dx)))
+        return walk(w, dx, quiver, q, classes)
 
-    monkeypatch.setattr(hall, "hall_number", counted)
+    monkeypatch.setattr(hall, "hall_numbers", counted)
     rep = iota_check(categories(name, xi), 2, max_len=max_len, m_offsets=range(mmax + 1))
     assert rep["ok"]
     assert calls and len(calls) == len(set(calls))

@@ -15,7 +15,7 @@ from qgroth.torus import (
     divide_right,
 )
 
-from conftest import a_monomial
+from conftest import a_monomial, wide_torus
 
 
 def Y(i, p, e=1):
@@ -187,3 +187,21 @@ def test_render():
     yt = YTorus(quantum_cartan(cartan_datum("A2")), [(1, 0), (1, 2), (2, 1)])
     x = yt.monomial(Y(1, 0)) + yt.monomial(Y(1, 2, -1) * Y(2, 1))
     assert x.render() == "Y[1,0] + Y[2,1] Y[1,2]^-1"
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4"])
+def test_key_json_is_the_monomial_json(name, contexts):
+    # key_json reads the window in its (p, i) order, the order of
+    # Monomial.to_json; checked on the category window and a wide window, on
+    # random exponent vectors with negative entries and zeros
+    import random
+
+    from qgroth.characters import CategoryQ
+
+    rng = random.Random(name)
+    for yt in (CategoryQ(contexts(name)).yt, wide_torus(name)):
+        keys = [yt.key(Monomial.var(i, p)) for i, p in yt.window] + [yt.key(Monomial())]
+        for _ in range(200):
+            keys.append(yt.key(Monomial({v: rng.choice((-3, -1, 0, 0, 0, 1, 2)) for v in yt.window})))
+        for k in keys:
+            assert yt.key_json(k) == yt.monomial_of(k).to_json()
