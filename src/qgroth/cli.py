@@ -117,6 +117,16 @@ def _emit(args, text, obj) -> None:
             print(line)
 
 
+# The most integers `qcartan` or `phi` may print: n^2 series of --mmax
+# coefficients, or rows (i, p, root, m) at each level from 0 through the window.
+MAX_TABLE = 400_000
+
+
+def _check_table(entries: int, what: str) -> None:
+    if entries > MAX_TABLE:
+        raise ResourceCap(f"{what}: table of {entries} integers above cap {MAX_TABLE}")
+
+
 def _series_text(coeffs: list[int]) -> str:
     bits = []
     for m, c in enumerate(coeffs, start=1):
@@ -137,6 +147,7 @@ def cmd_qcartan(args) -> int:
     if args.mmax < 1:
         raise ValueError(f"--mmax must be >= 1, got {args.mmax}")
     cd = cartan_datum(args.type)
+    _check_table(cd.n * cd.n * args.mmax, "qcartan")
     qc = quantum_cartan(cd)
     series = {(i, j): qc.series(i, j, args.mmax) for i in cd.vertices for j in cd.vertices}
     _emit(
@@ -154,8 +165,9 @@ def cmd_qcartan(args) -> int:
 def cmd_phi(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
-    ctx = QuiverContext(quiver)
     lo, hi = _parse_range(args.window, "--window")
+    _check_table((cd.n + 3) * cd.n * (max(hi, 0) - min(lo, 0) + 2) // 2, "phi")
+    ctx = QuiverContext(quiver)
     table = [
         (i, p, *ctx.phi.phi(i, p)) for i in cd.vertices for p in range(lo, hi + 1) if quiver.in_ihat(i, p)
     ]

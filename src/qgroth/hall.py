@@ -1,20 +1,21 @@
 """Hall algebra computations over small finite fields, and the derived Hall
 algebra of the bounded derived category of a small type-A quiver.
 
-Hall numbers are counted: one walk per (W, dim X) enumerates one subspace
-per vertex, each once as a reduced row echelon basis (one Schubert cell per
-pivot set), reads stability and the sub- and quotient representations off
-one change of coordinates per arrow, and tallies every g^W_{X,Y} of that
-dimension at once; one classification memo per request serves every walk.
-Hom dimensions are the unknowns less the rank of the hom equations.  The
-rest is by formula from those two counts.  Toen's gamma splits each
-four-term exact sequence at its middle image into two short exact
-sequences, each counted by Riedtmann's formula; |Aut M| is read off dim
-End M, since the indecomposables of mod(FQ) are bricks.  One cap,
-`MAX_HALL_WORK`, bounds a Hall number and a gamma: the subspace tuples to
-walk times the cube of the total dimension, checked before walking.
-Scalars live in the exact field Q[x]/(x^4 - q), with u = sqrt(q)
-represented by x^2 so that half-integral powers of u remain exact.
+Both kinds of structure constant come from Riedtmann's formula.  The Hall
+numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) is
+read off the hom table of the indecomposables and dim Ext^1(Y, X) off the
+Euler form; a split pair is one quotient of automorphism counts, and
+otherwise Ext^1(Y, X) is the sum of the Ext^1 between their summands, whose
+bases are computed once per quiver and field, and each nonsplit extension,
+one per line, is built as a middle term and classified by its fingerprint.
+Toen's gamma splits each four-term exact sequence at its middle image into
+two short exact sequences, each counted by those Hall numbers; |Aut M| is
+read off dim End M, since the indecomposables of mod(FQ) are bricks.  One
+cap, `MAX_HALL_WORK`, bounds a Hall number and a gamma: the q^(dim Ext^1)
+extensions to classify times the cube of the total dimension, checked
+before any representation is built.  Scalars live in the exact field
+Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that half-integral
+powers of u remain exact.
 
 The derived Hall algebra is spanned by normal-ordered words in generators
 z_X^[m] with strictly decreasing level m; products are rewritten to normal
@@ -28,9 +29,10 @@ through `DerivedHall.qcommutator` at t = u.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .cartan import QQ, ResourceCap, kostant_partitions, rref, solve
 from .characters import CategoryQ, expand_in_dominant_basis
@@ -87,24 +89,17 @@ class GF:
         return range(self.q)
 
 
-def _dot(F: GF, u, v):
-    s = 0
-    for a, b in zip(u, v):
-        s = F.add(s, F.mul(a, b))
-    return s
-
-
 def mat_rank(F: GF, rows) -> int:
     return len(rref(rows, F)[1])
 
 
 # --------------------------------------------------------------------------
-# type-A quiver representations
+# quiver representations and their isoclasses
 # --------------------------------------------------------------------------
 
 
 class Rep:
-    """Representation of a type-A quiver over GF(q): one matrix per arrow,
+    """Representation of a quiver over GF(q): one matrix per arrow,
     column-vector convention (shape target x source)."""
 
     def __init__(self, quiver: QuiverDatum, F: GF, dims, mats):
@@ -175,8 +170,10 @@ def model_rep(quiver: QuiverDatum, F: GF, iso: IsoClass) -> Rep:
 def _hom_equations(M: Rep, N: Rep):
     """The linear equations phi_j M_a = N_a phi_i, one per arrow a = (i, j) and
     entry, on the entries of a homomorphism (phi_v): N.dims[v] x M.dims[v]
-    blocks vertex by vertex.  Returns the nonzero equation rows, the offset
-    of each vertex block and the number of unknowns."""
+    blocks vertex by vertex.  Returns the equation rows, one per coordinate
+    of sum_a Hom(M_i, N_j) (row r of N_j, column c of M_i, arrow by arrow),
+    zero rows included; the offset of each vertex block; and the number of
+    unknowns."""
     F = M.F
     offsets = []
     total = 0
@@ -195,8 +192,7 @@ def _hom_equations(M: Rep, N: Rep):
                 for k in range(N.dims[i - 1]):
                     idx = offsets[i - 1] + k * M.dims[i - 1] + c
                     row[idx] = F.sub(row[idx], N.mats[(i, j)][r][k])
-                if any(row):
-                    rows.append(tuple(row))
+                rows.append(tuple(row))
     return rows, offsets, total
 
 
@@ -209,7 +205,11 @@ def hom_dim(M: Rep, N: Rep) -> int:
 @lru_cache(maxsize=None)
 def _iso_tables(quiver: QuiverDatum, q: int):
     """All positive-root interval models, the hom dimensions between them
-    (keyed by pairs of roots), and the inverse of their Gram matrix.
+    (keyed by pairs of roots), the inverse of their Gram matrix, the vertex v
+    of each root r with dim Hom(r, M) = dim M_v (r is projective), and a
+    basis of each Ext^1(s, r): the coordinates (a, row, column) of
+    sum_a Hom(s_i, r_j) whose equations of Hom(s, r) are off the pivots of
+    the rref of their columns, which span a complement to the image.
 
     mod(FQ) is directed, so that Gram matrix is unitriangular in
     Auslander-Reiten order and its inverse is an integer matrix; a rational
@@ -219,19 +219,26 @@ def _iso_tables(quiver: QuiverDatum, q: int):
     cd = quiver.cartan
     roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
     models = {r: model_rep(quiver, F, IsoClass({r: 1})) for r in roots}
-    hom = {(r1, r2): hom_dim(models[r1], models[r2]) for r1 in roots for r2 in roots}
+    hom, ext = {}, {}
+    for s, r in itertools.product(roots, roots):
+        rows, _, total = _hom_equations(models[s], models[r])
+        pivots = rref(list(zip(*rows)), F)[1]
+        hom[s, r] = total - len(pivots)
+        coords = [(a, x, y) for a in quiver.arrows for x in range(r[a[1] - 1]) for y in range(s[a[0] - 1])]
+        ext[s, r] = [c for k, c in enumerate(coords) if k not in pivots]
     eye = [[int(i == j) for j in range(len(roots))] for i in range(len(roots))]
     inv = solve([[hom[r1, r2] for r2 in roots] for r1 in roots], eye, QQ)
     if any(Fraction(x).denominator != 1 for row in inv for x in row):
         raise RuntimeError("Gram matrix of hom dimensions is not unimodular")
-    return roots, models, hom, tuple(tuple(int(x) for x in row) for row in inv)
+    proj = {r: v for r in roots for v in range(cd.n) if all(hom[r, s] == s[v] for s in roots)}
+    return roots, models, hom, tuple(tuple(int(x) for x in row) for row in inv), proj, ext
 
 
 def iso_class(rep: Rep, q: int) -> IsoClass:
-    """Krull-Schmidt decomposition through the hom-dimension fingerprint: the
-    multiplicities are the inverse Gram matrix times the fingerprint."""
-    roots, models, _, gram_inv = _iso_tables(rep.quiver, q)
-    fing = [hom_dim(models[r], rep) for r in roots]
+    """Krull-Schmidt multiplicities: the inverse Gram matrix times the
+    hom-dimension fingerprint, whose entry at the projective P_v is dim rep_v."""
+    roots, models, _, gram_inv, proj, _ = _iso_tables(rep.quiver, q)
+    fing = [rep.dims[proj[r]] if r in proj else hom_dim(models[r], rep) for r in roots]
     mults = {}
     for r, row in zip(roots, gram_inv):
         c = sum(a * f for a, f in zip(row, fing))
@@ -246,137 +253,101 @@ def iso_class(rep: Rep, q: int) -> IsoClass:
 
 
 # --------------------------------------------------------------------------
-# subspace enumeration and Hall numbers
+# Hall numbers by Riedtmann's formula
 # --------------------------------------------------------------------------
 
 
-def _subspaces(F: GF, d: int, k: int):
-    """Every k-dimensional subspace of F^d exactly once, as its k x d reduced
-    row echelon basis: one Schubert cell per pivot set, whose free entries
-    (right of a row's pivot, off the other pivot columns) run over F."""
-    for pivots in itertools.combinations(range(d), k):
-        free = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, d) if c not in pivots]
-        for values in itertools.product(F.elements(), repeat=len(free)):
-            rows = [[int(c == p) for c in range(d)] for p in pivots]
-            for (r, c), x in zip(free, values):
-                rows[r][c] = x
-            yield tuple(map(tuple, rows))
+def _hom_ext(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> tuple[int, int]:
+    """dim Hom(Y, X) = sum m_r k_s dim Hom(r, s), read off the hom table of
+    `_iso_tables`, and dim Ext^1(Y, X) = dim Hom(Y, X) - <dim Y, dim X>."""
+    hom = _iso_tables(quiver, q)[2]
+    h = sum(m * k * hom[r, s] for r, m in Y.mults for s, k in X.mults)
+    n = quiver.cartan.n
+    return h, h - ringel_form(quiver, Y.dims(n), X.dims(n))
 
 
-def _cell(basis, d: int):
-    """A subspace of F^d by its echelon rows, their pivots and the columns off
-    the pivots."""
-    pivots = [row.index(1) for row in basis]
-    return basis, pivots, [c for c in range(d) if c not in pivots]
-
-
-def _coordinates(F: GF, cell, vec):
-    """Coordinates of vec in the basis adapted to a subspace: its echelon rows,
-    then the unit vectors off their pivots.  The row coefficients are the
-    entries at the pivots; the rest are read off the remainder."""
-    basis, pivots, rest = cell
-    sub = [vec[p] for p in pivots]
-    quo = [vec[c] for c in rest]
-    for x, row in zip(sub, basis):
-        if x:
-            quo = [F.sub(y, F.mul(x, row[c])) for y, c in zip(quo, rest)]
-    return sub, quo
-
-
-def _arrow_blocks(F: GF, M, cell_i, cell_j):
-    """The two diagonal blocks (sub, quotient) of P_j^-1 M P_i in the bases
-    adapted to the subspaces at i and j, or None when its quotient-rows x
-    sub-columns block is nonzero: M does not map the one into the other."""
-    basis_i, _, rest_i = cell_i
-    _, pivots_j, rest_j = cell_j
-    sub_cols = []
-    for b in basis_i:
-        sub, quo = _coordinates(F, cell_j, [_dot(F, row, b) for row in M])
-        if any(quo):
-            return None
-        sub_cols.append(sub)
-    quo_cols = [_coordinates(F, cell_j, [row[c] for row in M])[1] for c in rest_i]
-    return (
-        tuple(tuple(col[r] for col in sub_cols) for r in range(len(pivots_j))),
-        tuple(tuple(col[r] for col in quo_cols) for r in range(len(rest_j))),
-    )
-
-
-def _subspace_count(d: int, k: int, q: int) -> int:
-    """The Gaussian binomial [d choose k]_q: the number of k-dimensional
-    subspaces of F_q^d, which `_subspaces` walks."""
-    num = den = 1
-    for i in range(k):
-        num *= q ** (d - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
-def _hall_work(d_sub, d_all, q: int) -> int:
-    """The work of the Hall number walk of d_sub-dimensional subspaces in a
-    d_all-dimensional representation: its subspace tuples, the product of
-    the [d_v choose k_v]_q, times D^3 for the blocks and hom equations of
-    each, D the total dimension.  The tuples are not counted when D^3
-    alone is past the cap."""
-    work = max(1, sum(d_all)) ** 3
+def _work(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> int:
+    """The work of the Hall numbers g^W_{X,Y}: the q^(dim Ext^1(Y, X))
+    extensions to classify, times D^3 for the equations of each, D the total
+    dimension of X + Y.  Nothing else grows faster: Ext^1 is read off the
+    bases between indecomposables, with no elimination on the pair's whole
+    hom map.  The extensions are not counted when D^3 alone is past the cap."""
+    work = max(1, sum(m * sum(r) for r, m in X.mults + Y.mults)) ** 3
     if work <= MAX_HALL_WORK:
-        work *= prod(_subspace_count(d, k, q) for d, k in zip(d_all, d_sub))
+        work *= q ** _hom_ext(X, Y, quiver, q)[1]
     return work
 
 
 def _check_work(work: int, what: str) -> None:
     if work > MAX_HALL_WORK:
-        raise ResourceCap(f"{what}: work {work} (subspace tuples x dimension^3) above cap {MAX_HALL_WORK}")
+        raise ResourceCap(f"{what}: work {work} (extensions x dimension^3) above cap {MAX_HALL_WORK}")
 
 
-def hall_numbers(W: IsoClass, dx, quiver: QuiverDatum, q: int, classes: dict) -> dict:
-    """{(X, Y): g^W_{X,Y}} over every X of dimension dx, zeros left out: one
-    walk of the dx-dimensional subspace tuples from `_subspaces`, each kept
-    when every arrow maps it into its target's, its sub and quotient
-    classified through the diagonal blocks of `_arrow_blocks`.  `classes`
-    memoises the classification by (dims, blocks) for the caller."""
-    F = GF(q)
-    dx, dw = tuple(dx), W.dims(quiver.cartan.n)
-    dy = tuple(w - x for w, x in zip(dw, dx))
-    _check_work(_hall_work(dx, dw, q), "Hall number")
-    RW = model_rep(quiver, F, W)
+def hall_numbers(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> dict:
+    """{W: g^W_{X,Y}}, zeros left out, by Riedtmann's formula
 
-    def iso(dims, mats):
-        if (dims, mats) not in classes:
-            classes[dims, mats] = iso_class(Rep(quiver, F, dims, zip(quiver.arrows, mats)), q)
-        return classes[dims, mats]
+        g^W_{X,Y} = |Ext^1(Y, X)_W| |Aut W| / (|Aut X| |Aut Y| q^(dim Hom(Y, X))),
 
-    tally: dict = {}
-    per_vertex = [[_cell(b, d) for b in _subspaces(F, d, k)] for d, k in zip(dw, dx)]
-    for cells in itertools.product(*per_vertex):
-        blocks = []
-        for (i, j) in quiver.arrows:
-            blocks.append(_arrow_blocks(F, RW.mats[(i, j)], cells[i - 1], cells[j - 1]))
-            if blocks[-1] is None:
-                break
-        else:
-            sub, quo = zip(*blocks) if blocks else ((), ())
-            key = iso(dx, sub), iso(dy, quo)
-            tally[key] = tally.get(key, 0) + 1
-    return tally
+    Ext^1(Y, X)_W the extensions 0 -> X -> W -> Y -> 0 with middle term W.
+    Ext^1(Y, X) is the cokernel of delta(phi)_a = phi_j Y_a - X_a phi_i from
+    the vertex maps to the arrow maps sum_a Hom(Y_i, X_j).  On the models,
+    direct sums of copies of indecomposables, delta is block diagonal in the
+    pairs of copies, so a complement to its image is the sum of the Ext^1
+    bases of `_iso_tables`, each shifted to its pair's block of eta_a.  A
+    nonzero eta there is the middle term [[X_a, eta_a], [0, Y_a]],
+    classified by `iso_class` once per line; eta = 0 is the split X + Y."""
+    _check_work(_work(X, Y, quiver, q), "Hall number")
+    hom, ext = _hom_ext(X, Y, quiver, q)
+    counts = Counter({IsoClass(Counter(dict(X.mults)) + Counter(dict(Y.mults))): 1})
+    if ext:
+        F = GF(q)
+        RX, RY = model_rep(quiver, F, X), model_rep(quiver, F, Y)
+        basis = _iso_tables(quiver, q)[5]
+        xs, ys = ([r for r, m in Z.mults for _ in range(m)] for Z in (X, Y))
+        free = [
+            (a, sum(t[a[1] - 1] for t in xs[:p]) + x, sum(t[a[0] - 1] for t in ys[:u]) + y)
+            for p, rx in enumerate(xs)
+            for u, ry in enumerate(ys)
+            for a, x, y in basis[ry, rx]
+        ]
+        if len(free) != ext:
+            raise RuntimeError(f"Ext^1 has dimension {len(free)} by rank but {ext} by the hom table")
+        dims = tuple(x + y for x, y in zip(RX.dims, RY.dims))
+        for values in itertools.product(F.elements(), repeat=ext):
+            # eta and c eta have isomorphic middle terms: one per line, q - 1 times
+            if next((v for v in values if v), 0) != 1:
+                continue
+            eta, mats = dict(zip(free, values)), {}
+            for a in quiver.arrows:
+                yi = RY.dims[a[0] - 1]
+                top = [row + tuple(eta.get((a, r, c), 0) for c in range(yi)) for r, row in enumerate(RX.mats[a])]
+                mats[a] = top + [(0,) * RX.dims[a[0] - 1] + row for row in RY.mats[a]]
+            counts[iso_class(Rep(quiver, F, dims, mats), q)] += q - 1
+    den = aut_count(X, quiver, q) * aut_count(Y, quiver, q) * q**hom
+    out = {}
+    for W, c in counts.items():
+        g, r = divmod(c * aut_count(W, quiver, q), den)
+        if r:
+            raise RuntimeError(f"Riedtmann's quotient {g * den + r}/{den} is not integral")
+        out[W] = g
+    return out
 
 
 def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
     """Number of subrepresentations of W isomorphic to X with quotient
-    isomorphic to Y, read off the walk of `hall_numbers` by a one-request
+    isomorphic to Y, read off the tally of `hall_numbers` by a one-request
     `DerivedHall`, which checks the quiver and the field first."""
     return DerivedHall(quiver, q).g_number(X, Y, W)
 
 
 def aut_count(M: IsoClass, quiver: QuiverDatum, q: int) -> int:
     """|Aut M| = q^(dim End M - sum m^2) prod_m |GL_m(F_q)|, m running over
-    the multiplicities of M's indecomposables, with dim End M =
-    sum m_r m_s dim Hom(r, s) read off the hom table of `_iso_tables`.  The
+    the multiplicities of M's indecomposables, with dim End M = dim Hom(M, M)
+    read off the hom table of `_iso_tables` by `_hom_ext`.  The
     indecomposables are bricks (End = F_q), so End M / rad End M is the
     product of the M_m(F_q), and an endomorphism is a unit exactly when its
     image there is."""
-    hom = _iso_tables(quiver, q)[2]
-    end = sum(m * k * hom[r, s] for r, m in M.mults for s, k in M.mults)
+    end = _hom_ext(M, M, quiver, q)[0]
     out = q ** (end - sum(m * m for _, m in M.mults))
     for _, m in M.mults:
         for i in range(m):
@@ -393,11 +364,11 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     g^X_{K,W} subrepresentations of X, killed by |Aut W| epimorphisms onto
     W; the kernel of Y -> X is one of g^Y_{T,K} subrepresentations of Y,
     whose quotient maps onto K in |Aut K| ways, and T maps onto it in
-    |Aut T| ways.  The Hall numbers come from `dh`.  Their work, one
-    g^Y_{T,K} for every K and one g^X_{K,W} for every K with g^Y_{T,K} != 0,
-    is summed against the one cap, read from `dh`'s memo or not, so a gamma
-    ends in bounded time and its cap does not depend on what the request
-    counted before.
+    |Aut T| ways.  The Hall numbers come from `dh`.  Their work is summed
+    against the one cap: the g^Y_{T,K} of every K before any is counted,
+    then one g^X_{K,W} for every K with g^Y_{T,K} != 0, read from `dh`'s memo
+    or not, so a gamma ends in bounded time and its cap does not depend on
+    what the request counted before.
 
     The slot assignment (T first, W last) is the one under which the rank-one
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
@@ -408,10 +379,9 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     dK = tuple(y - t for y, t in zip(dY, dT))
     if dK != tuple(x - w for x, w in zip(dX, dW)) or min(dK, default=0) < 0:
         return Fraction(0)
-    per_k, per_image = _hall_work(dT, dY, q), _hall_work(dK, dX, q)
-    _check_work(per_k, "gamma")
+    _check_work(max(1, sum(dY)) ** 3, "gamma")
     ks = dh._isoclasses_of_dim(dK)
-    work = len(ks) * per_k
+    work = sum(_work(T, K, dh.quiver, q) for K in ks)
     _check_work(work, "gamma")
 
     def aut(Z):
@@ -421,7 +391,7 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     for K in ks:
         g = dh.g_number(T, K, Y)
         if g:
-            work += per_image
+            work += _work(K, W, dh.quiver, q)
             _check_work(work, "gamma")
             count += aut(K) * g * dh.g_number(K, W, X)
     return Fraction(count * aut(T) * aut(W), aut(X) * aut(Y)) if count else Fraction(0)
@@ -584,10 +554,9 @@ class DerivedHall:
     over GF(q), twisted by the Euler form.  Basis: normal-ordered words
     ((m1, iso1), (m2, iso2), ...) with strictly decreasing levels.
 
-    One instance serves one request: it memoises the Hall numbers of one
-    `hall_numbers` walk per (W, dim X), one classification of sub and
-    quotient blocks shared by those walks, gamma terms, isoclasses per
-    dimension vector and the normal form of every word it rewrites."""
+    One instance serves one request: it memoises the tally of Hall numbers
+    of each (X, Y), gamma terms, isoclasses per dimension vector and the
+    normal form of every word it rewrites."""
 
     def __init__(self, quiver: QuiverDatum, q: int):
         _check_quiver(quiver)
@@ -597,7 +566,6 @@ class DerivedHall:
         self.cartan = quiver.cartan
         self._one = UScalar.of(q, 1)
         self._g: dict = {}
-        self._classes: dict = {}
         self._gamma_terms: dict = {}
         self._isos: dict = {}
         self._nf: dict = {}
@@ -619,15 +587,18 @@ class DerivedHall:
     def sym(self, x: IsoClass, y: IsoClass) -> int:
         return self.euler(x, y) + self.euler(y, x)
 
+    def hall_numbers(self, x: IsoClass, y: IsoClass) -> dict:
+        """{W: g^W_{x,y}} of `hall_numbers`, memoised by (x, y)."""
+        key = (x, y)
+        if key not in self._g:
+            self._g[key] = hall_numbers(x, y, self.quiver, self.q)
+        return self._g[key]
+
     def g_number(self, x: IsoClass, y: IsoClass, w: IsoClass) -> int:
         n = self.cartan.n
-        dx = x.dims(n)
-        if tuple(a + b for a, b in zip(dx, y.dims(n))) != w.dims(n):
+        if tuple(a + b for a, b in zip(x.dims(n), y.dims(n))) != w.dims(n):
             return 0
-        key = (w, dx)
-        if key not in self._g:
-            self._g[key] = hall_numbers(w, dx, self.quiver, self.q, self._classes)
-        return self._g[key].get((x, y), 0)
+        return self.hall_numbers(x, y).get(w, 0)
 
     def _isoclasses_of_dim(self, dims) -> tuple[IsoClass, ...]:
         dims = tuple(dims)
@@ -725,15 +696,11 @@ class DerivedHall:
             out: dict = {}
             if m1 == m2:
                 # same level: Hall product
-                n = self.cartan.n
-                dims = tuple(a + b for a, b in zip(x.dims(n), y.dims(n)))
                 pref = self.upow(self.euler(y, x))
-                for w in self._isoclasses_of_dim(dims):
-                    g = self.g_number(x, y, w)
-                    if g:
-                        coeff = pref.scale_int(g)
-                        for w3, c3 in self._normalize(head + ((m1, w),) + tail):
-                            _accumulate(out, w3, coeff * c3)
+                for w, g in self.hall_numbers(x, y).items():
+                    coeff = pref.scale_int(g)
+                    for w3, c3 in self._normalize(head + ((m1, w),) + tail):
+                        _accumulate(out, w3, coeff * c3)
             elif m2 == m1 + 1:
                 for t, w, g in self.gamma_terms(x, y):
                     coeff = self.upow(-self.euler(y, x) - self.euler(w, t)) * UScalar.of(self.q, g)

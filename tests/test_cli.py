@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 
 import pytest
 
@@ -143,10 +144,31 @@ def test_exit_codes(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
-    # resource cap: [6 choose 3]_4 subspaces to walk
-    code = main(["hall", "number", "--type", "A2", "--q", "4", "--x", "1*3", "--y", "1*3", "--w", "1*6"])
+    # resource cap: 4^16 extensions of S1^4 by S2^4, times 8^3
+    code = main(["hall", "number", "--type", "A2", "--xi", "1,0", "--q", "4", "--x", "2*4", "--y", "1*4", "--w", "1-2*4"])
     assert code == 3
-    # one subspace tuple, but total dimension 4000
+    assert capsys.readouterr().err == (
+        "resource cap exceeded: Hall number: work 2199023255552 (extensions x dimension^3) above cap 10000000\n"
+    )
+    # split pairs build no extension: [6 choose 3]_4 and [4 choose 2]_2
+    assert run(capsys, "hall", "number", "--type", "A2", "--q", "4", "--x", "1*3", "--y", "1*3", "--w", "1*6") == (
+        0, "g^W_(X,Y) = 376805\n"
+    )
+    assert run(capsys, "hall", "number", "--type", "A3", "--q", "2", "--x", "1-3*2", "--y", "1-3*2", "--w", "1-3*4") == (
+        0, "g^W_(X,Y) = 35\n"
+    )
+    # one extension line in total dimension 122: its middle term is classified
+    # without eliminating the hom equations of the whole pair, and the count
+    # is the [61 choose 31]_2 [31 choose 1]_2 flags of S2 + P12^30 in P12^61
+    start = time.perf_counter()
+    code, out = run(capsys, "hall", "number", "--type", "A2", "--xi", "1,0", "--q", "2", "--x", "2,1-2*30",
+                    "--y", "1,1-2*30", "--w", "1-2*61")
+    assert time.perf_counter() - start < 2
+    flags = 1
+    for i in range(31):
+        flags = flags * (2 ** (61 - i) - 1) // (2 ** (i + 1) - 1)
+    assert (code, out) == (0, f"g^W_(X,Y) = {flags * (2**31 - 1)}\n")
+    # no extension, but total dimension 4000
     code = main(["hall", "number", "--type", "A2", "--q", "2", "--x", "0", "--y", "1-2*2000", "--w", "1-2*2000"])
     assert code == 3
 
@@ -588,12 +610,29 @@ def test_hall_field_size_is_checked_on_every_subcommand(capsys, q, code, message
 
 
 def test_gamma_prices_every_hall_number_it_reads(capsys):
-    # the gamma work sum counts each Hall number it reads, memoised or not,
-    # so this gamma stops at the cap with the sum it had before any memo
-    argv = ["hall", "gamma", "--type", "A3", "--q", "2", "--x", "1-3*4", "--y", "1-3*2", "--t", "0", "--w", "1-3*2"]
+    # the gamma work sum counts each Hall number it reads: g^{S2^4}_{0,S2^4}
+    # at 4^3, then g^{P12^4}_{S2^4,S1^4} of 4^16 extensions at 8^3
+    argv = ["hall", "gamma", "--type", "A2", "--xi", "1,0", "--q", "4", "--x", "1-2*4", "--y", "2*4", "--t", "0",
+            "--w", "1*4"]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "resource cap exceeded: gamma: work 74090160 (subspace tuples x dimension^3) above cap 10000000\n"
+        "resource cap exceeded: gamma: work 2199023255616 (extensions x dimension^3) above cap 10000000\n"
     )
+    # once past the cap, now 6^3 for each of 10 images and 12^3 for a split pair
+    argv = ["hall", "gamma", "--type", "A3", "--q", "2", "--x", "1-3*4", "--y", "1-3*2", "--t", "0", "--w", "1-3*2"]
+    assert run(capsys, *argv) == (0, "gamma = 1/96\n")
+
+
+def test_qcartan_and_phi_tables_are_capped(capsys):
+    # both once ran in time linear in the value given
+    cases = [
+        (["qcartan", "--type", "A2", "--mmax", "1000000000"], "qcartan: table of 4000000000 integers"),
+        (["phi", "--type", "A2", "--window=-1000000000..1000000000"], "phi: table of 10000000010 integers"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"resource cap exceeded: {message} above cap 400000\n")

@@ -364,10 +364,11 @@ def other_argvs(draw):
             argv += _flag("--m-range", draw(levels), True)
     elif cmd == "qcartan":
         if _maybe(draw, True):
-            argv += _flag("--mmax", draw(small), True)
+            argv += _flag("--mmax", draw(small | st.just("1000000000")), True)
     elif cmd == "phi":
         if draw(st.booleans()):
-            window = st.sampled_from(["-6..6", "0..0", "3..-3", "-20..20"] + MALFORMED_RANGES)
+            windows = ["-6..6", "0..0", "3..-3", "-20..20", "-1000000000..1000000000"]
+            window = st.sampled_from(windows + MALFORMED_RANGES)
             argv += _flag("--window", draw(window), True)
     else:
         reads = QCHAR_READS.get(cmd.partition(" ")[2], {"--i", "--k"})

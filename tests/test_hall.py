@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qgroth.cartan import cartan_datum, rref
+from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ
 from qgroth.hall import (
     GF,
@@ -21,11 +21,7 @@ from qgroth.hall import (
     constant_identity_holds,
     hall_number,
     hall_numbers,
-    _cell,
-    _coordinates,
     _iso_tables,
-    _subspace_count,
-    _subspaces,
     hom_dim,
     iota_check,
     iso_class,
@@ -197,38 +193,6 @@ def _gaussian_binomial(d, k, q):
     return num // den
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_subspaces_are_the_schubert_cells(q):
-    # each k-dimensional subspace of F^d comes out once, in reduced echelon
-    # form, and `_coordinates` inverts its adapted basis: the echelon rows,
-    # then the unit vectors off the pivots
-    F = GF(q)
-    for d in range(5):
-        for k in range(d + 1):
-            bases = list(_subspaces(F, d, k))
-            assert len(bases) == _gaussian_binomial(d, k, q) == _subspace_count(d, k, q)
-            spans = set()
-            for basis in bases:
-                red, pivots = rref(basis, F)
-                assert tuple(map(tuple, red)) == basis and len(pivots) == k
-                cell = _cell(basis, d)
-                span = set()
-                for cs in itertools.product(range(q), repeat=k):
-                    v = [
-                        functools.reduce(F.add, (F.mul(c, row[i]) for c, row in zip(cs, basis)), 0)
-                        for i in range(d)
-                    ]
-                    span.add(tuple(v))
-                    assert _coordinates(F, cell, v) == (list(cs), [0] * (d - k))
-                    for t, c in enumerate(cell[2]):
-                        w = list(v)
-                        w[c] = F.add(w[c], 1)
-                        assert _coordinates(F, cell, w) == (list(cs), [int(s == t) for s in range(d - k)])
-                assert len(span) == q**k
-                spans.add(frozenset(span))
-            assert len(spans) == len(bases)
-
-
 def test_gamma_examples():
     q = a2_quiver()
     for p in (2, 3):
@@ -245,15 +209,57 @@ def test_gamma_examples():
     assert toen_gamma(DerivedHall(QuiverDatum.bipartite(cartan_datum("A1")), 4), S, S, S, S) == 1
 
 
+def test_corrupted_hom_table_or_aut_count_ends_hall_number_in_exit_2(monkeypatch, capsys):
+    # g^{P12}_{S2,S1} on 1 -> 2 counts one nonsplit extension
+    import qgroth.hall as hall
+    from qgroth.cli import main
+
+    argv = ["hall", "number", "--type", "A2", "--xi", "1,0", "--q", "2", "--x", "2", "--y", "1", "--w", "1-2"]
+    assert main(argv) == 0 and capsys.readouterr().out == "g^W_(X,Y) = 1\n"
+    # dim Hom(S1, S2) read as 1: dim Ext^1(S1, S2) = 2 by the table, 1 by rank
+    tables = hall._iso_tables
+
+    def corrupted(quiver, q):
+        roots, models, hom, *rest = tables(quiver, q)
+        return roots, models, {**hom, ((1, 0), (0, 1)): 1}, *rest
+
+    monkeypatch.setattr(hall, "_iso_tables", corrupted)
+    assert main(argv) == 2
+    message = "Ext^1 has dimension 1 by rank but 2 by the hom table"
+    assert capsys.readouterr() == ("", f"internal check failed: {message}\n")
+    monkeypatch.setattr(hall, "_iso_tables", tables)
+    # |Aut S1| read as 3: 1 * |Aut(S1 + S2)| / (|Aut S2| * 3) is not integral
+    aut = hall.aut_count
+    monkeypatch.setattr(hall, "aut_count", lambda M, quiver, q: 3 if M == S1 else aut(M, quiver, q))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "internal check failed: Riedtmann's quotient 1/3 is not integral\n")
+
+
 def test_resource_caps():
     q = a2_quiver()
-    # [6 choose 3]_4 = 376 805 subspaces of F_4^6 to walk, times 6^3
+    # Ext^1(S1, S2) is one-dimensional: 4^16 extensions of S1^4 by S2^4, times 8^3
+    S1_4, S2_4 = IsoClass({(1, 0): 4}), IsoClass({(0, 1): 4})
+    with pytest.raises(ResourceCap, match=r"Hall number: work 2199023255552 \(extensions x dimension\^3\) above cap"):
+        hall_number(S2_4, S1_4, IsoClass({(1, 1): 4}), q, 4)
+    # a split pair builds no extension: S1^3 in S1^6 is one of the
+    # [6 choose 3]_4 subspaces of F_4^6
     S1_3, S1_6 = IsoClass({(1, 0): 3}), IsoClass({(1, 0): 6})
-    with pytest.raises(ResourceCap, match=r"Hall number: work 81389880 \(subspace tuples x dimension\^3\) above cap"):
-        hall_number(S1_3, S1_3, S1_6, q, 4)
-    # total dimension 6, but one subspace tuple: S1^3 + 0 inside S1^3 + S2^3
+    assert hall_number(S1_3, S1_3, S1_6, q, 4) == _gaussian_binomial(6, 3, 4) == 376805
+    # total dimension 6, Ext^1(S2^3, S1^3) = 0: S1^3 + 0 inside S1^3 + S2^3
     assert hall_number(S1_3, IsoClass({(0, 1): 3}), IsoClass({(1, 0): 3, (0, 1): 3}), q, 2) == 1
-    # one subspace tuple of total dimension 4000: the dimension alone is past the cap
+    # one extension line in total dimension 2 + 4k, P12 projective-injective:
+    # S2 + P12^k in P12^(2k+1) is a flag U_1 < U_2 of dimensions (k, k+1) in
+    # F_2^(2k+1), and its quotient is S1 + P12^k.  k = 42 is the last under
+    # the cap, at work 2 * 170^3
+    for k, work in ((42, None), (43, 2 * 174**3)):
+        X, Y = IsoClass({(0, 1): 1, (1, 1): k}), IsoClass({(1, 0): 1, (1, 1): k})
+        if work:
+            with pytest.raises(ResourceCap, match=f"Hall number: work {work} "):
+                hall_number(X, Y, IsoClass({(1, 1): 2 * k + 1}), q, 2)
+        else:
+            flags = _gaussian_binomial(2 * k + 1, k + 1, 2) * _gaussian_binomial(k + 1, k, 2)
+            assert hall_number(X, Y, IsoClass({(1, 1): 2 * k + 1}), q, 2) == flags
+    # no extension, but total dimension 4000: the dimension alone is past the cap
     P_2000 = IsoClass({(1, 1): 2000})
     with pytest.raises(ResourceCap, match="work 64000000000 "):
         hall_number(ZERO, P_2000, P_2000, q, 2)
@@ -263,47 +269,57 @@ def test_resource_caps():
 
 @pytest.mark.parametrize("name", ["A2", "A3"])
 def test_hall_numbers_tally_the_monomorphisms(name):
-    # one walk of the dx-dimensional subspace tuples of W finds every
-    # subrepresentation of that dimension once: its tally sums to
-    # sum_X #{monomorphisms X -> W} / |Aut X|, both enumerated, on every W of
-    # total dimension <= 3 in every orientation, with no zero entry and every
-    # key of dimensions (dx, dim W - dx)
+    # every subrepresentation of W isomorphic to X has one quotient: at W the
+    # tallies of (X, Y) over every Y of dimension dim W - dim X sum to
+    # #{monomorphisms X -> W} / |Aut X|, both enumerated, on every W of total
+    # dimension <= 3 and every X of dimension below dim W, in every
+    # orientation; no tally has a zero entry, and each key has dimension
+    # dim X + dim Y
     from qgroth.hall import mat_rank
 
     for quiver, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
         F, n = GF(p), quiver.cartan.n
         model = functools.cache(lambda Z: model_rep(quiver, F, Z))
         aut = functools.cache(lambda Z: aut_by_enumeration(model(Z)))
+        tally = functools.cache(lambda X, Y: hall_numbers(X, Y, quiver, p))
         dh = DerivedHall(quiver, p)
         for W in _classes(quiver, p, 3):
             dw = W.dims(n)
             for dx in itertools.product(*[range(d + 1) for d in dw]):
-                tally = hall_numbers(W, dx, quiver, p, {})
-                monos = 0
+                dy = tuple(w - x for w, x in zip(dw, dx))
                 for X in dh._isoclasses_of_dim(dx):
                     injective = sum(
                         all(mat_rank(F, h[v]) == dx[v] for v in range(n)) for h in homs(model(X), model(W))
                     )
                     assert injective % aut(X) == 0, (quiver.arrows, p, X, W)
-                    monos += injective // aut(X)
-                assert sum(tally.values()) == monos, (quiver.arrows, p, W, dx)
-                assert all(tally.values()), (quiver.arrows, p, W, dx)
-                dy = tuple(w - x for w, x in zip(dw, dx))
-                assert all((X.dims(n), Y.dims(n)) == (dx, dy) for X, Y in tally), (quiver.arrows, p, W, dx)
+                    subs = 0
+                    for Y in dh._isoclasses_of_dim(dy):
+                        assert all(tally(X, Y).values()), (quiver.arrows, p, X, Y)
+                        assert all(Z.dims(n) == dw for Z in tally(X, Y)), (quiver.arrows, p, X, Y)
+                        subs += tally(X, Y).get(W, 0)
+                    assert subs == injective // aut(X), (quiver.arrows, p, X, W)
 
 
 def test_gamma_work_is_capped():
     a3 = QuiverDatum.bipartite(cartan_datum("A3"))
     P, P_2, P_3, P_4 = (IsoClass({(1, 1, 1): m}) for m in (1, 2, 3, 4))
-    # one Hall number of [3 choose 1]_q^3 subspace tuples, total dimension 9;
-    # the values are those of the four-term exact-sequence count (up to 4^9
-    # homomorphism triples, too slow to rerun here)
+    # one split Hall number, total dimension 9; the values are those of the
+    # four-term exact-sequence count (up to 4^9 homomorphism triples, too
+    # slow to rerun here)
     for p, value in ((2, Fraction(1, 4)), (3, Fraction(1, 18)), (4, Fraction(1, 48))):
         assert toen_gamma(DerivedHall(a3, p), P_3, P, ZERO, P_2) == value
     # 10 images of dimension (2, 2, 2) at 6^3 each, then the image P_2 of
-    # P_4: [4 choose 2]_2^3 = 42 875 subspace tuples at 12^3
-    with pytest.raises(ResourceCap, match=f"gamma: work {10 * 6**3 + 42875 * 12**3} "):
-        toen_gamma(DerivedHall(a3, 2), P_4, P_2, ZERO, P_2)
+    # P_4, a split pair at 12^3
+    assert toen_gamma(DerivedHall(a3, 2), P_4, P_2, ZERO, P_2) == Fraction(1, 96)
+    # on A2 at q = 4, S2^4 is the one image of S2^4, at 4^3; then
+    # Ext^1(S1^4, S2^4) has 4^16 elements, at 8^3.  The first Hall number is
+    # priced whether it is memoised or not
+    S1_4, S2_4 = IsoClass({(1, 0): 4}), IsoClass({(0, 1): 4})
+    warm = DerivedHall(a2_quiver(), 4)
+    assert warm.g_number(ZERO, S2_4, S2_4) == 1
+    for dh in (DerivedHall(a2_quiver(), 4), warm):
+        with pytest.raises(ResourceCap, match=f"gamma: work {4**3 + 4**16 * 8**3} "):
+            toen_gamma(dh, IsoClass({(1, 1): 4}), S2_4, ZERO, S1_4)
     # 12 341 images of dimension (40, 40, 40), each a Hall number of total
     # dimension 120: refused before any is counted, and the images are
     # enumerated without dead ends
@@ -465,16 +481,16 @@ def test_uscalar_repr_is_pinned():
 
 @pytest.mark.parametrize("name,xi,max_len,mmax", [("A2", (2, 1), 3, 2), ("A3", (2, 3, 2), 2, 1)])
 def test_iota_check_counts_each_hall_number_once(name, xi, max_len, mmax, categories, monkeypatch):
-    # every Hall number g^W_{X,Y} of a request comes from one walk per
-    # (W, dim X), and no (W, dim X) is walked twice
+    # every Hall number g^W_{X,Y} of a request comes from one tally per
+    # (X, Y), and no (X, Y) is tallied twice
     import qgroth.hall as hall
 
     calls = []
-    walk = hall.hall_numbers
+    tally = hall.hall_numbers
 
-    def counted(w, dx, quiver, q, classes):
-        calls.append((w, tuple(dx)))
-        return walk(w, dx, quiver, q, classes)
+    def counted(x, y, quiver, q):
+        calls.append((x, y))
+        return tally(x, y, quiver, q)
 
     monkeypatch.setattr(hall, "hall_numbers", counted)
     rep = iota_check(categories(name, xi), 2, max_len=max_len, m_offsets=range(mmax + 1))
@@ -529,7 +545,7 @@ def test_gram_inverse_is_integral_on_every_orientation(name, q):
     # building the tables runs the unimodularity check; the inverse must also
     # undo the Gram matrix of hom dimensions
     for quiver in _orientations(cartan_datum(name)):
-        roots, models, hom, inv = _iso_tables(quiver, q)
+        roots, models, hom, inv, *_ = _iso_tables(quiver, q)
         gram = [[hom_dim(models[r1], models[r2]) for r2 in roots] for r1 in roots]
         assert [[hom[r1, r2] for r2 in roots] for r1 in roots] == gram
         n = len(roots)
