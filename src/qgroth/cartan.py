@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class RankMismatch(ValueError):
@@ -283,27 +283,31 @@ def solve(a, b, F) -> list[list]:
 
 def kostant_partitions(roots, d) -> list[tuple[int, ...]]:
     """Every c >= 0 with sum_k c_k roots[k] = d, roots given by simple-root
-    coordinates, in decreasing lexicographic order of c.
+    coordinates, in decreasing lexicographic order of c."""
+    return sorted(iter_kostant_partitions(roots, d), reverse=True)
+
+
+def iter_kostant_partitions(roots, d) -> Iterator[tuple[int, ...]]:
+    """The partitions of `kostant_partitions`, generated lazily by a
+    depth-first walk, in no fixed order.
 
     Only the roots that are not simple are enumerated: the simple roots
     among `roots` take up what is left, which must lie on their coordinates.
     When every simple root is there, no branch is a dead end."""
     simple = {k: list(b).index(1) for k, b in enumerate(roots) if sum(b) == 1}
-    out = []
-
-    def rec(k: int, rem: tuple, acc: tuple):
+    on_simple = set(simple.values())
+    stack = [(0, tuple(d), ())]
+    while stack:
+        k, rem, acc = stack.pop()
+        while k < len(roots) and k in simple:
+            k, acc = k + 1, acc + (0,)
         if k == len(roots):
-            if all(r == 0 or (r > 0 and v in simple.values()) for v, r in enumerate(rem)):
-                out.append(tuple(rem[simple[j]] if j in simple else c for j, c in enumerate(acc)))
-        elif k in simple:
-            rec(k + 1, rem, acc + (0,))
-        else:
-            b = roots[k]
-            for c in range(min(r // x for r, x in zip(rem, b) if x) + 1):
-                rec(k + 1, tuple(r - c * x for r, x in zip(rem, b)), acc + (c,))
-
-    rec(0, tuple(d), ())
-    return sorted(out, reverse=True)
+            if all(r == 0 or (r > 0 and v in on_simple) for v, r in enumerate(rem)):
+                yield tuple(rem[simple[j]] if j in simple else c for j, c in enumerate(acc))
+            continue
+        b = roots[k]
+        for c in range(min(r // x for r, x in zip(rem, b) if x) + 1):
+            stack.append((k + 1, tuple(r - c * x for r, x in zip(rem, b)), acc + (c,)))
 
 
 @lru_cache(maxsize=None)

@@ -338,7 +338,9 @@ def bar_invariant_correction(basis: dict, depth: dict) -> dict:
         x = basis[a]
         acc = dict(defect[a])  # sum_c bar(P_ac) d_cb over the rows c solved so far
         for b in order[n + 1 :]:
-            s = acc.pop(b, HalfLaurent.zero())
+            if b not in acc:
+                continue  # P_ab = 0
+            s = acc.pop(b)
             if not s.is_antisymmetric():
                 raise CharacterError("bar defect coefficient is not antisymmetric")
             p = s.negative_part()

@@ -184,26 +184,27 @@ def cmd_phi(args) -> int:
 
 
 # The valued flags each qchar, verify and hall subcommand reads besides
-# --type and --q.  The parser leaves them None, so that a flag the subcommand
-# never reads is refused, not ignored; the ones it reads get their defaults
-# here, and one with no default and no orientation is required (argparse
-# cannot require a flag per choice).
+# --q.  The parser leaves them None, so that a flag the subcommand never
+# reads is refused, not ignored; the ones it reads get their defaults here,
+# and one with no default and no orientation is required (argparse cannot
+# require a flag per choice).  --type is required by the parser except on
+# verify, where `verify all` does not read it.
 _READS = {
-    ("qchar", "fundamental"): ("i", "p"),
-    ("qchar", "kr"): ("xi", "arrows", "i", "p", "s"),
-    ("qchar", "standard"): ("monomial",),
-    ("qchar", "simple"): ("monomial",),
-    ("qchar", "truncate"): ("xi", "arrows", "monomial"),
-    ("verify", "presentation"): ("xi", "arrows", "m_range"),
-    ("verify", "mainth"): ("xi", "arrows", "degree_bound"),
+    ("qchar", "fundamental"): ("type", "i", "p"),
+    ("qchar", "kr"): ("type", "xi", "arrows", "i", "p", "s"),
+    ("qchar", "standard"): ("type", "monomial"),
+    ("qchar", "simple"): ("type", "monomial"),
+    ("qchar", "truncate"): ("type", "xi", "arrows", "monomial"),
+    ("verify", "presentation"): ("type", "xi", "arrows", "m_range"),
+    ("verify", "mainth"): ("type", "xi", "arrows", "degree_bound"),
     ("verify", "all"): (),
-    ("hall", "gamma"): ("xi", "arrows", "x", "y", "t", "w"),
-    ("hall", "number"): ("xi", "arrows", "x", "y", "w"),
-    ("hall", "relations"): ("xi", "arrows", "mmax"),
-    ("hall", "iota"): ("xi", "arrows", "mmax", "max_len"),
+    ("hall", "gamma"): ("type", "xi", "arrows", "x", "y", "t", "w"),
+    ("hall", "number"): ("type", "xi", "arrows", "x", "y", "w"),
+    ("hall", "relations"): ("type", "xi", "arrows", "mmax"),
+    ("hall", "iota"): ("type", "xi", "arrows", "mmax", "max_len"),
 }
 _DEFAULTS = {"m_range": "0..3", "degree_bound": 3, "mmax": 3, "max_len": 3, "s": 1}
-_ALWAYS_READ = ("cmd", "what", "fn", "type", "format", "q")
+_ALWAYS_READ = ("cmd", "what", "fn", "format", "q")
 
 
 def _read_flags(command: str, args) -> None:
@@ -470,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qgroth")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, quiver=True):
-        p.add_argument("--type", required=True, help="diagram type, e.g. A4, D5, E6")
+    def common(p, quiver=True, type_required=True):
+        p.add_argument("--type", required=type_required, help="diagram type, e.g. A4, D5, E6")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--config", help="JSON file of default flag values (flags win)")
         if quiver:
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification batteries")
     p.add_argument("what", choices=("presentation", "mainth", "all"))
-    common(p)
+    common(p, type_required=False)
     p.add_argument("--m-range", dest="m_range", help="levels lo..hi, default 0..3")
     p.add_argument("--degree-bound", type=int, dest="degree_bound", help="default 3")
     p.set_defaults(fn=cmd_verify)

@@ -33,8 +33,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Iterator
 
-from .cartan import QQ, ResourceCap, kostant_partitions, rref, solve
+from .cartan import QQ, ResourceCap, iter_kostant_partitions, rref, solve
 from .characters import CategoryQ, expand_in_dominant_basis
 from .laurent import HalfLaurent
 from .presentation import relation_failures
@@ -365,10 +366,11 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     W; the kernel of Y -> X is one of g^Y_{T,K} subrepresentations of Y,
     whose quotient maps onto K in |Aut K| ways, and T maps onto it in
     |Aut T| ways.  The Hall numbers come from `dh`.  Their work is summed
-    against the one cap: the g^Y_{T,K} of every K before any is counted,
-    then one g^X_{K,W} for every K with g^Y_{T,K} != 0, read from `dh`'s memo
-    or not, so a gamma ends in bounded time and its cap does not depend on
-    what the request counted before.
+    against the one cap: the g^Y_{T,K} of every K before any is counted, the
+    images K generated lazily so that the sum stops at the first one that
+    crosses the cap, then one g^X_{K,W} for every K with g^Y_{T,K} != 0,
+    read from `dh`'s memo or not, so a gamma ends in bounded time and its
+    cap does not depend on what the request counted before.
 
     The slot assignment (T first, W last) is the one under which the rank-one
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
@@ -380,9 +382,11 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     if dK != tuple(x - w for x, w in zip(dX, dW)) or min(dK, default=0) < 0:
         return Fraction(0)
     _check_work(max(1, sum(dY)) ** 3, "gamma")
+    work = 0
+    for K in dh._iter_isoclasses(dK):
+        work += _work(T, K, dh.quiver, q)
+        _check_work(work, "gamma")
     ks = dh._isoclasses_of_dim(dK)
-    work = sum(_work(T, K, dh.quiver, q) for K in ks)
-    _check_work(work, "gamma")
 
     def aut(Z):
         return aut_count(Z, dh.quiver, q)
@@ -601,14 +605,30 @@ class DerivedHall:
         return self.hall_numbers(x, y).get(w, 0)
 
     def _isoclasses_of_dim(self, dims) -> tuple[IsoClass, ...]:
+        """The isoclasses of dimension vector dims, in decreasing
+        lexicographic order of their multiplicities on the roots, memoised."""
+        dims = tuple(dims)
+        if dims not in self._isos:
+            for _ in self._iter_isoclasses(dims):
+                pass
+        return self._isos[dims]
+
+    def _iter_isoclasses(self, dims) -> Iterator[IsoClass]:
+        """The isoclasses of `_isoclasses_of_dim`, generated lazily (in no
+        fixed order) unless memoised; the memo is written only once the
+        enumeration completes, so a caller may stop early."""
         dims = tuple(dims)
         if dims in self._isos:
-            return self._isos[dims]
+            yield from self._isos[dims]
+            return
         roots = _iso_tables(self.quiver, self.q)[0]
-        self._isos[dims] = tuple(
-            IsoClass({b: c for b, c in zip(roots, a) if c}) for a in kostant_partitions(roots, dims)
-        )
-        return self._isos[dims]
+        found = []
+        for a in iter_kostant_partitions(roots, dims):
+            iso = IsoClass({b: c for b, c in zip(roots, a) if c})
+            found.append((a, iso))
+            yield iso
+        found.sort(key=lambda pair: pair[0], reverse=True)
+        self._isos[dims] = tuple(iso for _, iso in found)
 
     def gamma_terms(self, x: IsoClass, y: IsoClass) -> list[tuple[IsoClass, IsoClass, Fraction]]:
         """Nonzero (T, W, gamma_{X,Y}^{T,W}) for the adjacent-level rewriting."""

@@ -14,14 +14,24 @@ from typing import Iterable, Iterator
 class HalfLaurent:
     """Sparse Laurent polynomial in t^(1/2) over the integers.
 
-    Immutable by convention: all operations return fresh objects.  Zero
-    coefficients are never stored.
+    Invariant: a value is immutable after construction (every operation
+    returns a fresh object and never writes to an operand's `c`), and `c`
+    stores no zero coefficient.  `__init__` filters zeros out of any dict;
+    the operations whose results hold no zero by construction build them
+    with `_of`, which skips that filter.
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         self.c = {e: v for e, v in (coeffs or {}).items() if v != 0}
+
+    @staticmethod
+    def _of(c: dict[int, int]) -> "HalfLaurent":
+        """Wrap c, which holds no zero coefficient and is not shared."""
+        out = object.__new__(HalfLaurent)
+        out.c = c
+        return out
 
     @staticmethod
     def zero() -> "HalfLaurent":
@@ -65,10 +75,10 @@ class HalfLaurent:
                 out[e] = w
             else:
                 out.pop(e, None)
-        return HalfLaurent(out)
+        return HalfLaurent._of(out)
 
     def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent({e: -v for e, v in self.c.items()})
+        return HalfLaurent._of({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
         return self + (-other)
@@ -83,30 +93,32 @@ class HalfLaurent:
                     out[e] = w
                 else:
                     out.pop(e, None)
-        return HalfLaurent(out)
+        return HalfLaurent._of(out)
 
     def scale(self, k: int) -> "HalfLaurent":
         if k == 0:
             return HalfLaurent()
-        return HalfLaurent({e: k * v for e, v in self.c.items()})
+        return HalfLaurent._of({e: k * v for e, v in self.c.items()})
 
     def shift(self, exp2: int) -> "HalfLaurent":
         """Multiply by t^(exp2/2)."""
-        return HalfLaurent({e + exp2: v for e, v in self.c.items()})
+        return HalfLaurent._of({e + exp2: v for e, v in self.c.items()})
 
     def conj(self) -> "HalfLaurent":
         """The substitution t^(1/2) -> t^(-1/2)."""
-        return HalfLaurent({-e: v for e, v in self.c.items()})
+        return HalfLaurent._of({-e: v for e, v in self.c.items()})
 
     def is_symmetric(self) -> bool:
-        return all(self.c.get(-e, 0) == v for e, v in self.c.items())
+        c = self.c
+        return c == {-e: v for e, v in c.items()}
 
     def is_antisymmetric(self) -> bool:
-        return all(self.c.get(-e, 0) == -v for e, v in self.c.items())
+        c = self.c
+        return c == {-e: -v for e, v in c.items()}
 
     def negative_part(self) -> "HalfLaurent":
         """Terms with strictly negative exponent."""
-        return HalfLaurent({e: v for e, v in self.c.items() if e < 0})
+        return HalfLaurent._of({e: v for e, v in self.c.items() if e < 0})
 
     def is_nonnegative(self) -> bool:
         return all(v > 0 for v in self.c.values())

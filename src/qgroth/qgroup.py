@@ -39,6 +39,7 @@ class QGroupSide:
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[int, TorusElement] = {}
         self._etilde: dict[tuple[int, ...], TorusElement] = {}
+        self._degs = [sum(root) for root in cat.roots]  # deg beta_k
         # doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
         self._c2 = []
         for k in range(1, self.r + 1):
@@ -118,12 +119,21 @@ class QGroupSide:
                 k = ks[-1]
                 b = a[:k] + (a[k] - 1,) + a[k + 1 :]
                 shift = self._rescaling(a) - self._rescaling(b)
-                self._etilde[a] = self.e_tilde(b) * self.e_star(k + 1).tshift(shift)
+                self._etilde[a] = self.e_tilde(b).mul_shift(self.e_star(k + 1), shift)
         return self._etilde[a]
 
     def _rescaling(self, a) -> int:
-        """s(a), the doubled exponent of the rescaling of E~(a)."""
-        return n_gamma(self.cartan, self.cat.beta_of(a))[0] - sum(x * (x - 1) for x in a)
+        """s(a), the doubled exponent of the rescaling of E~(a): the integer
+        quadratic form
+
+            s(a) = a^T S a / 2 - sum_k a_k deg beta_k - sum_k a_k (a_k - 1),
+
+        S_kl = (beta_k, beta_l), which is N(beta(a)) - sum_k a_k (a_k - 1)
+        written out on the exponents.  a^T S a is even, as S_kk = 2."""
+        sup = [(k, x) for k, x in enumerate(a) if x]
+        s, degs = self.xt.s, self._degs
+        quad = sum(x * y * s[k][l] for k, x in sup for l, y in sup)
+        return quad // 2 - sum(x * (degs[k] + x - 1) for k, x in sup)
 
     def _dual_canonical(self, depth: dict) -> None:
         """One solve over the weight space with the given {key: depth}, into the memo."""

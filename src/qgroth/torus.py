@@ -223,7 +223,13 @@ class QuantumTorus:
 class TorusElement:
     """Finite linear combination of basis monomials with Laurent coefficients:
     terms maps packed keys to coefficients, forms each key of terms to its
-    form, and l1 bounds the L1 norm of every key."""
+    form, and l1 bounds the L1 norm of every key.
+
+    Invariant: an element is immutable after construction (no operation
+    writes to an operand's `terms` or `forms`, so elements may share their
+    `forms` dict), `terms` stores no zero coefficient, and `forms` has
+    exactly the keys of `terms`.  `__init__` establishes this from any
+    input; `_of` wraps dicts that already satisfy it."""
 
     __slots__ = ("ctx", "terms", "forms", "l1")
 
@@ -233,9 +239,17 @@ class TorusElement:
         self.forms = {k: forms[k] for k in self.terms}
         self.l1 = l1
 
+    @staticmethod
+    def _of(ctx: QuantumTorus, terms: dict, forms: dict, l1: int) -> "TorusElement":
+        """Wrap terms, which holds no zero, and forms, on exactly its keys."""
+        out = object.__new__(TorusElement)
+        out.ctx, out.terms, out.forms, out.l1 = ctx, terms, forms, l1
+        return out
+
     def _with(self, terms: dict) -> "TorusElement":
-        """An element on keys of this one."""
-        return TorusElement(self.ctx, terms, self.forms, self.l1)
+        """An element on the keys of this one, none of them zero: it shares
+        this element's forms."""
+        return TorusElement._of(self.ctx, terms, self.forms, self.l1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -262,6 +276,8 @@ class TorusElement:
         return self + (-other)
 
     def scal(self, c: HalfLaurent) -> "TorusElement":
+        if not c:
+            return self.ctx.zero()
         return self._with({k: v * c for k, v in self.terms.items()})
 
     def tshift(self, exp2: int) -> "TorusElement":
@@ -270,15 +286,19 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         return self._convolve(other, None)
 
+    def mul_shift(self, other: "TorusElement", exp2: int) -> "TorusElement":
+        """t^(exp2/2) self*other, in the pass of the product."""
+        return self._convolve(other, None, exp2)
+
     def qcommutator(self, other: "TorusElement", exp2: int) -> "TorusElement":
         """The q-commutator self*other - t^(exp2/2) other*self."""
         return self._convolve(other, exp2)
 
-    def _convolve(self, other: "TorusElement", exp2: int | None) -> "TorusElement":
-        """self*other, minus t^(exp2/2) other*self unless exp2 is None, in one
-        pass over pairs of terms: both products of a pair land on k1 + k2, with
-        pairings s and -s, so the second entry sits exp2 - 2s above the first
-        and cancels it when exp2 = 2s."""
+    def _convolve(self, other: "TorusElement", exp2: int | None, shift: int = 0) -> "TorusElement":
+        """t^(shift/2) self*other, minus t^(exp2/2) other*self unless exp2 is
+        None, in one pass over pairs of terms: both products of a pair land on
+        k1 + k2, with pairings s and -s, so the second entry sits exp2 - 2s
+        above the first and cancels it when exp2 = 2s."""
         ctx = self.ctx
         if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
             sizes = f"{len(self.terms)} by {len(other.terms)}"
@@ -286,14 +306,14 @@ class TorusElement:
         l1 = self.l1 + other.l1
         if l1 >= ctx.half or ctx.mmax * self.l1 * other.l1 >= ctx.half:
             raise ResourceCap(f"torus product leaves the {ctx.W}-bit key digits")
-        shift, pbias, mask, half = ctx._shift, ctx._pbias, ctx.mask, ctx.half
+        pshift, pbias, mask, half = ctx._shift, ctx._pbias, ctx.mask, ctx.half
         terms2 = [(k2, other.forms[k2], tuple(c2.c.items())) for k2, c2 in other.terms.items()]
         acc: dict = {}
         forms: dict = {}
         for k1, c1 in self.terms.items():
             f1, cs1 = self.forms[k1], tuple(c1.c.items())
             for k2, f2, cs2 in terms2:
-                s = (((f1 * k2 + pbias) >> shift) & mask) - half
+                s = (((f1 * k2 + pbias) >> pshift) & mask) - half
                 twin = None if exp2 is None else exp2 - 2 * s
                 if twin == 0:
                     continue  # the two products cancel
@@ -302,6 +322,7 @@ class TorusElement:
                 if w is None:
                     w = acc[k] = {}
                     forms[k] = f1 + f2
+                s += shift
                 for e1, v1 in cs1:
                     for e2, v2 in cs2:
                         e, v = e1 + e2 + s, v1 * v2
@@ -309,7 +330,14 @@ class TorusElement:
                         if twin is not None:
                             e += twin
                             w[e] = w.get(e, 0) - v
-        return TorusElement(ctx, {k: HalfLaurent(w) for k, w in acc.items()}, forms, l1)
+        terms = {}
+        for k, w in acc.items():
+            c = {e: v for e, v in w.items() if v}
+            if c:
+                terms[k] = HalfLaurent._of(c)
+        if len(terms) < len(forms):
+            forms = {k: forms[k] for k in terms}
+        return TorusElement._of(ctx, terms, forms, l1)
 
     def bar(self) -> "TorusElement":
         """Coefficientwise t^(1/2) -> t^(-1/2); the ring anti-automorphism fixing
@@ -380,7 +408,8 @@ class XTorus(QuantumTorus):
         return tuple(1 if j == k - 1 else 0 for j in range(self.r))
 
     def key_json(self, key: int) -> list[int]:
-        return list(self.exponents(key))
+        u, mask, half = key + self._bias, self.mask, self.half
+        return [((u >> s) & mask) - half for s in self._place]
 
 
 class YTorus(QuantumTorus):
@@ -514,7 +543,7 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
             raise ArithmeticError("torus division is not exact (quotient key outside its box)")
         quot[qk], qforms[qk] = c, fq
         # subtract c X^qk p at its keys; its leading term cancels rem[lk]
-        step = TorusElement(ctx, {qk: c}, {qk: fq}, bq) * p
+        step = TorusElement._of(ctx, {qk: c}, {qk: fq}, bq) * p
         for k, w in step.terms.items():
             if k not in rem:
                 rem[k] = {}
@@ -527,4 +556,4 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
                     del r[e]
             if not r:
                 del rem[k]
-    return TorusElement(ctx, quot, qforms, bq)
+    return TorusElement._of(ctx, quot, qforms, bq)

@@ -113,14 +113,14 @@ def test_hall_commands(capsys):
 def test_verify_commands(capsys):
     code, out = run(capsys, "verify", "presentation", "--type", "A2", "--m-range", "0..2")
     assert code == 0 and "failures: 0" in out
-    code, out = run(capsys, "verify", "all", "--type", "A2")
+    code, out = run(capsys, "verify", "all")
     assert code == 0
     assert "FAIL" not in out
     assert "PASS  series route agrees with the table (D4)" in out
     assert "PASS  truncated fundamentals equal the T-system classes (A3)" in out
     assert "PASS  truncated fundamentals equal the T-system classes (D4)" in out
     # verify all is always the desk battery; --desk is not a flag
-    assert main(["verify", "all", "--type", "A2", "--desk"]) == 1
+    assert main(["verify", "all", "--desk"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --desk" in captured.err
 
@@ -171,6 +171,14 @@ def test_exit_codes(capsys):
     # no extension, but total dimension 4000
     code = main(["hall", "number", "--type", "A2", "--q", "2", "--x", "0", "--y", "1-2*2000", "--w", "1-2*2000"])
     assert code == 3
+    capsys.readouterr()
+    # 62 196 images of dimension (70, 70, 70): the gamma work sum stops at the
+    # first image that crosses the cap, before the rest are enumerated
+    start = time.perf_counter()
+    code = main(["hall", "gamma", "--type", "A3", "--q", "2", "--x", "1-3*70", "--y", "1-3*71", "--t", "1-3", "--w", "0"])
+    assert time.perf_counter() - start < 0.3
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource cap exceeded: gamma: work ")
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):
@@ -499,9 +507,13 @@ def test_qchar_rejects_flags_it_does_not_read(capsys, argv, message):
 @pytest.mark.parametrize("argv,message", [
     (
         "verify all --type E8 --xi 0,1,0,1,0,1,0,1 --degree-bound 9 --m-range 5..9",
-        "verify all does not read --xi or --m-range or --degree-bound",
+        "verify all does not read --type or --xi or --m-range or --degree-bound",
     ),
-    ("verify all --type A2 --arrows 1-2", "verify all does not read --arrows"),
+    ("verify all --type A2 --arrows 1-2", "verify all does not read --type or --arrows"),
+    ("verify all --arrows 1-2", "verify all does not read --arrows"),
+    # --type is optional on verify, for verify all, and required by the others
+    ("verify presentation --m-range 0..1", "verify presentation requires --type"),
+    ("verify mainth --arrows 1-2", "verify mainth requires --type"),
     (
         "verify presentation --type A2 --degree-bound 2",
         "verify presentation does not read --degree-bound",

@@ -282,7 +282,7 @@ HALL_VALUES = {
         for flag in ("--x", "--y", "--t", "--w")
     },
 }
-VERIFY_READS = {"all": set(), "mainth": {"--arrows", "--degree-bound"}}
+VERIFY_READS = {"all": set(), "mainth": {"--type", "--arrows", "--degree-bound"}}
 
 
 def _maybe(draw, read):
@@ -393,16 +393,16 @@ def other_argvs(draw):
 @given(other_argvs())
 @settings(max_examples=400, deadline=timedelta(seconds=20))
 def test_remaining_subcommand_edges_end_in_a_documented_exit(argv):
-    # verify all reads no --arrows, --degree-bound or --m-range, verify mainth
-    # no --m-range; out-of-range vertices and levels, an --mmax below 1 and
-    # reversed or malformed ranges are usage errors; D and E fundamentals are
-    # t-characters (exit 0) below the monomial cap
+    # verify all reads no --type, --arrows, --degree-bound or --m-range,
+    # verify mainth no --m-range; out-of-range vertices and levels, an --mmax
+    # below 1 and reversed or malformed ranges are usage errors; D and E
+    # fundamentals are t-characters (exit 0) below the monomial cap
     code, out, err = _run(argv)
     _assert_documented_exit(code, out, err, argv)
     assert code != 2, (argv, err)
     if argv[0] == "verify":
         flags = {tok.partition("=")[0] for tok in argv if tok.startswith("--")}
-        unread = flags - VERIFY_READS[argv[1]] - {"--type", "--format"}
+        unread = flags - VERIFY_READS[argv[1]] - {"--format"}
         _unread_flags_are_named(argv, code, err, unread)
     if argv[0] == "qchar":
         _qchar_unread_flags_are_named(argv, code, err)

@@ -321,13 +321,15 @@ def test_gamma_work_is_capped():
         with pytest.raises(ResourceCap, match=f"gamma: work {4**3 + 4**16 * 8**3} "):
             toen_gamma(dh, IsoClass({(1, 1): 4}), S2_4, ZERO, S1_4)
     # 12 341 images of dimension (40, 40, 40), each a Hall number of total
-    # dimension 120: refused before any is counted, and the images are
-    # enumerated without dead ends
+    # dimension 120: refused at the sixth image generated, before any is
+    # counted, and the partial enumeration is not memoised
     P_40 = IsoClass({(1, 1, 1): 40})
     dh = DerivedHall(a3, 2)
-    with pytest.raises(ResourceCap, match=f"gamma: work {12341 * 120**3} "):
+    with pytest.raises(ResourceCap, match=f"gamma: work {6 * 120**3} "):
         toen_gamma(dh, P_40, P_40, ZERO, ZERO)
     assert not dh._g
+    assert (40, 40, 40) not in dh._isos
+    assert len(dh._isoclasses_of_dim((40, 40, 40))) == 12341
 
 
 def test_uscalar_field():

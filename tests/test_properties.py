@@ -227,3 +227,52 @@ def test_nested_qcommutator_is_the_serre_element(name, data):
     b = data.draw(torus_elements(name, size=2))
     serre = a * a * b - (a * b * a).scal(T_PLUS_T_INV) + b * a * a
     assert a.qcommutator(a.qcommutator(b, 2), -2) == serre
+
+
+def _element_state(x):
+    return dict(x.terms), dict(x.forms), {k: dict(c.c) for k, c in x.terms.items()}
+
+
+def _assert_sound(x):
+    """The invariant of TorusElement: no zero stored, in terms or in a
+    coefficient, and forms on exactly the keys of terms, each the form of its
+    key."""
+    assert x.forms.keys() == x.terms.keys()
+    assert all(x.forms[k] == x.ctx.form(k) for k in x.terms)
+    assert all(c.c and 0 not in c.c.values() for c in x.terms.values())
+
+
+@seed(20261019)
+@given(coeffs, coeffs, st.integers(min_value=-6, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_laurent_operations_store_no_zero_and_leave_operands(a, b, k):
+    before = dict(a.c), dict(b.c)
+    results = [
+        a + b, a - b, a - a, a + (-a), a * b, (a + b) * (a - b), -a, a.shift(k), a.conj(),
+        a.scale(0), a.scale(k), a.negative_part(), (a - a.conj()).negative_part(),
+    ]
+    for x in results:
+        assert 0 not in x.c.values()
+    assert (a.c, b.c) == before
+    assert a.is_symmetric() == all(a.c.get(-e, 0) == v for e, v in a.c.items())
+    assert a.is_antisymmetric() == all(a.c.get(-e, 0) == -v for e, v in a.c.items())
+
+
+@seed(20261019)
+@given(st.sampled_from(TORI), st.integers(min_value=-6, max_value=6), coeffs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_torus_operations_keep_the_element_invariant_and_leave_operands(name, exp2, c, data):
+    a = data.draw(torus_elements(name))
+    b = data.draw(torus_elements(name))
+    before = _element_state(a), _element_state(b)
+    results = [
+        a * b, b * a, a.mul_shift(b, exp2), a.qcommutator(b, exp2), a.qcommutator(a, 0),
+        a.tshift(exp2), a.scal(HalfLaurent()), a.scal(c), a.bar(), -a, a + b, a - a,
+    ]
+    if not a.is_zero():
+        results.append(divide_right(b * a, a))
+    for x in results:
+        _assert_sound(x)
+    assert a.qcommutator(a, 0).is_zero() and a.scal(HalfLaurent()).is_zero()
+    assert a.mul_shift(b, exp2) == (a * b).tshift(exp2)
+    assert (_element_state(a), _element_state(b)) == before

@@ -120,6 +120,22 @@ def _pbw_by_definition(qg, a):
     return out.tshift(nb - sum(x * (x - 1) for x in a))
 
 
+@pytest.mark.parametrize("quiver", [
+    *all_orientations("A3"),
+    *all_orientations("A4"),
+    QuiverDatum.bipartite(cartan_datum("D4")),
+])
+def test_rescaling_is_the_quadratic_form(quiver):
+    # the integer form on the exponents against N(beta(a)) - sum a_k(a_k - 1)
+    # on the weight beta(a)
+    qg = QGroupSide(CategoryQ(QuiverContext(quiver)))
+    avecs = qg.cat.dominant_avecs_up_to(4)
+    assert len(avecs) > qg.r
+    for a in avecs:
+        nb, _ = n_gamma(qg.cartan, qg.cat.beta_of(a))
+        assert qg._rescaling(a) == nb - sum(x * (x - 1) for x in a), (quiver.arrows, a)
+
+
 def test_dual_pbw(a3):
     _, qg = a3
     assert qg.e_tilde((0,) * 6) == _pbw_by_definition(qg, (0,) * 6) == qg.xt.one()
