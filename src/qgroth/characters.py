@@ -319,11 +319,13 @@ def expand_in_dominant_basis(x: TorusElement, basis: dict, depth: dict) -> dict:
 
 
 def bar_invariant_correction(basis: dict, depth: dict) -> dict:
-    """The bar-invariant L_a = sum_b P_ab M_b, P_aa = 1 and P_ab in
-    t^(-1/2) Z[t^(-1/2)] otherwise, for every key a of one weight space (basis
-    and depth as in `expand_in_dominant_basis`), by Lusztig's lemma: with
-    bar(M_c) - M_c = sum_{b<c} d_cb M_b, expanded once per c, the rows solve
-    P_ab - bar(P_ab) = sum_{b<c<=a} bar(P_ac) d_cb down the depth order."""
+    """The rows of P in the bar-invariant L_a = sum_b P_ab M_b, for every key
+    a of one weight space (basis and depth as in `expand_in_dominant_basis`):
+    {a: {b: P_ab}} with P_aa = 1, P_ab in t^(-1/2) Z[t^(-1/2)] otherwise and
+    no zero entry.  By Lusztig's lemma: with bar(M_c) - M_c = sum_{b<c} d_cb
+    M_b, expanded once per c, the rows solve P_ab - bar(P_ab) =
+    sum_{b<c<=a} bar(P_ac) d_cb down the depth order.  `combine` builds L_a
+    from its row."""
     order = sorted(basis, key=depth.__getitem__)
     defect = {}
     for c in order:
@@ -335,7 +337,7 @@ def bar_invariant_correction(basis: dict, depth: dict) -> dict:
         defect[c] = d
     out = {}
     for n, a in enumerate(order):
-        x = basis[a]
+        row = {a: ONE}
         acc = dict(defect[a])  # sum_c bar(P_ac) d_cb over the rows c solved so far
         for b in order[n + 1 :]:
             if b not in acc:
@@ -345,11 +347,30 @@ def bar_invariant_correction(basis: dict, depth: dict) -> dict:
                 raise CharacterError("bar defect coefficient is not antisymmetric")
             p = s.negative_part()
             if p:
-                x = x + basis[b].scal(p)
+                row[b] = p
                 for b2, d in defect[b].items():
                     acc[b2] = acc.get(b2, HalfLaurent.zero()) + p.conj() * d
-        out[a] = x
+        out[a] = row
     return out
+
+
+def combine(basis: dict, row: dict) -> TorusElement:
+    """sum_b P_ab M_b over a row {b: P_ab} of `bar_invariant_correction`.  A
+    coefficient 1 takes M_b's coefficients as they are, and the row of M_a
+    alone is M_a itself."""
+    if len(row) == 1:
+        ((b, p),) = row.items()
+        if p.is_one():
+            return basis[b]
+    terms, forms, l1 = {}, {}, 0
+    for b, p in row.items():
+        x, one = basis[b], p.is_one()
+        for k, v in x.terms.items():
+            w = v if one else v * p
+            terms[k] = terms[k] + w if k in terms else w
+        forms.update(x.forms)
+        l1 = max(l1, x.l1)
+    return TorusElement(x.ctx, terms, forms, l1)
 
 
 def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
@@ -359,7 +380,7 @@ def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     for m2, x in dominant_below(yt, m).items():
         k = yt.key(m2)
         basis[k], depth[k] = x, sum(yt.a_solve(m * m2.inverse()).values())
-    return bar_invariant_correction(basis, depth)[yt.key(m)]
+    return combine(basis, bar_invariant_correction(basis, depth)[yt.key(m)])
 
 
 def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
@@ -604,5 +625,5 @@ class CategoryQ:
         col = next(r["a_column"] for r in rows if r["avec"] == a)
         below = [r for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
         depth = {self.xt.key(r["avec"]): r["depth"] for r in below}
-        simples = bar_invariant_correction(self.standards(depth), depth)
-        return simples[self.xt.key(a)]
+        std = self.standards(depth)
+        return combine(std, bar_invariant_correction(std, depth)[self.xt.key(a)])

@@ -12,12 +12,21 @@ vectors by a twisted bar-inversion: working with the rescaled family
 v^(N/2) E*, the twist disappears and the involution is plain coefficient
 conjugation, so one solve by Lusztig's lemma, as on the character side,
 fills a whole weight space.
+
+The comparison runs that solve once per weight space, on the truncated
+standard classes, and checks each row against the characterization of the
+dual canonical basis instead of solving again over the dual PBW family.  The
+solve checks that bar is unitriangular on the family, whose leading keys are
+distinct, dominant and carry coefficient 1; so at most one bar-invariant
+element lies in E~(a) + sum_b t^(-1/2) Z[t^(-1/2)] E~(b) over strictly
+deeper b (the uniqueness half of Lusztig's lemma), and a row that has that
+shape over the dual PBW family and is bar-invariant is B~(a).
 """
 
 from __future__ import annotations
 
 from .cartan import Weight
-from .characters import CategoryQ, bar_invariant_correction
+from .characters import CategoryQ, bar_invariant_correction, combine
 from .laurent import HalfLaurent
 from .presentation import relation_failures
 from .torus import TorusElement, divide_right
@@ -137,8 +146,13 @@ class QGroupSide:
 
     def _dual_canonical(self, depth: dict) -> None:
         """One solve over the weight space with the given {key: depth}, into the memo."""
-        basis = {c: self.e_tilde(self.xt.exponents(c)) for c in depth}
-        self._btilde.update(bar_invariant_correction(basis, depth))
+        basis = self._pbw(depth)
+        for a, row in bar_invariant_correction(basis, depth).items():
+            self._btilde[a] = combine(basis, row)
+
+    def _pbw(self, keys) -> dict[int, TorusElement]:
+        """The rescaled dual PBW vector at each key."""
+        return {k: self.e_tilde(self.xt.exponents(k)) for k in keys}
 
     def b_tilde(self, a) -> TorusElement:
         """Rescaled dual canonical vector: sigma-invariant, unitriangular with
@@ -153,12 +167,20 @@ class QGroupSide:
 
     def verify_mainth(self, degree_bound: int) -> list[dict]:
         """For every dominant exponent vector of weight-degree at most the
-        bound: the truncated simple class must equal the rescaled dual
-        canonical vector, and the truncated standard class the rescaled dual
-        PBW vector.  The one enumeration of exponent vectors, grouped by
-        weight, gives each weight space's depths to a solve on either side;
-        each truncated standard class is built once.  The character route
-        and the quantum-group route stay separate computations."""
+        bound: the truncated standard class must equal the rescaled dual PBW
+        vector, and the truncated simple class the rescaled dual canonical
+        vector.  The exponent vectors, enumerated once and grouped by weight,
+        give each weight space's depths to one solve over its truncated
+        standard classes; each class and each dual PBW vector is built once.
+
+        The row of a passes when L_a = sum_b P_ab E~(b) has (i) P_aa = 1,
+        (ii) every other b strictly deeper than a, with only negative
+        exponents in P_ab, (iii) every coefficient symmetric, and (iv) the
+        standard classes equal the E~(b) on the whole weight space.  By (iv)
+        the solve's check of the bar defect holds on E~, so by uniqueness (see
+        the module docstring) L_a is B~(a), and it is the truncated simple
+        class sum_b P_ab of the standard classes.  A row that passes stores
+        L_a as B~(a); for a row that fails, `b_tilde` solves over E~."""
         if degree_bound < 0:
             raise ValueError(f"negative degree bound {degree_bound}")
         avecs = self.cat.dominant_avecs_up_to(degree_bound)
@@ -167,17 +189,31 @@ class QGroupSide:
             spaces.setdefault(self.cat.root_of(a), {})[self.xt.key(a)] = self.cat.depth(a)
         rows = {}
         for depth in spaces.values():
-            std = self.cat.standards(depth)
-            simples = bar_invariant_correction(std, depth)
-            self._dual_canonical(depth)
-            for k, simple in simples.items():
+            std, pbw = self.cat.standards(depth), self._pbw(depth)
+            same = {k: std[k] == pbw[k] for k in depth}
+            space_ok = all(same.values())
+            for k, row in bar_invariant_correction(std, depth).items():
+                lift = self._characterized(k, row, depth, pbw) if space_ok else None
+                if lift is not None:
+                    self._btilde[k] = lift
                 a = self.xt.exponents(k)
                 rows[a] = {
                     "avec": a,
-                    "simple_matches_dual_canonical": simple == self.b_tilde(a),
-                    "standard_matches_dual_pbw": std[k] == self.e_tilde(a),
+                    "simple_matches_dual_canonical": lift is not None,
+                    "standard_matches_dual_pbw": same[k],
                 }
         return [rows[a] for a in avecs]
+
+    @staticmethod
+    def _characterized(a: int, row: dict, depth: dict, pbw: dict) -> TorusElement | None:
+        """L_a = sum_b P_ab E~(b) if the row of a meets conditions (i)-(iii)
+        of `verify_mainth`, else None."""
+        if not row.get(a, HalfLaurent.zero()).is_one():
+            return None
+        if any(b != a and not (depth[b] > depth[a] and all(e < 0 for e in p.c)) for b, p in row.items()):
+            return None
+        lift = combine(pbw, row)
+        return lift if all(c.is_symmetric() for c in lift.terms.values()) else None
 
     def serre_check(self) -> list[tuple]:
         """The level-zero rows R1 (quantum Serre) of the relation table, among

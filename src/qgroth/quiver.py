@@ -313,7 +313,19 @@ class AdaptedWord:
 
     def mu(self, b: int, j: int) -> Weight:
         """s_{i_1} ... s_{i_b} (varpi_j); mu(0, j) = varpi_j."""
-        return self.quiver.cartan.apply_word(self.word[:b], self.quiver.cartan.varpi(j))
+        return self._mus[b][j - 1]
+
+    @cached_property
+    def _mus(self) -> list[list[Weight]]:
+        """mu(b, j) for every b and j, in one pass down the word: s_i varpi_j =
+        varpi_j - [i = j] alpha_i, so mu(b, j) = mu(b-1, j) - [j = i_b] beta_b."""
+        cd = self.quiver.cartan
+        rows = [[cd.varpi(j) for j in cd.vertices]]
+        for i, beta in zip(self.word, self.betas):
+            row = list(rows[-1])
+            row[i - 1] = row[i - 1] - beta
+            rows.append(row)
+        return rows
 
 
 class QuiverContext:

@@ -150,8 +150,11 @@ class Monomial:
 class QuantumTorus:
     """The quantum torus on the variables `names`, in order, with the
     antisymmetric Gram matrix M, on packed keys.  Subclasses say how a
-    monomial enters (`_sparse`: its (variable index, exponent) pairs) and how
-    a key is written to JSON."""
+    monomial enters (`_sparse`: its (variable index, exponent) pairs) and, on
+    a window of variables (i, p), `json_window`, which writes a key to JSON as
+    a Monomial."""
+
+    json_window = None
 
     def __init__(self, names: list[str], gram: list[list[int]]):
         self.names, self.gram = names, gram
@@ -367,7 +370,21 @@ class TorusElement:
         return " + ".join(bits)
 
     def to_json(self) -> list:
-        return [[self.ctx.key_json(k), self.terms[k].to_json()] for k in sorted(self.terms)]
+        """[key, coefficient] per term in key order: a key is its exponent
+        vector, or on a window (`json_window`, in the (p, i) order of
+        `Monomial.to_json`) its nonzero [i, p, e]; a coefficient is written as
+        `HalfLaurent.to_json` writes it."""
+        ctx, terms = self.ctx, self.terms
+        bias, mask, half, place, window = ctx._bias, ctx.mask, ctx.half, ctx._place, ctx.json_window
+        out = []
+        for k in sorted(terms):
+            u = k + bias
+            a = [((u >> s) & mask) - half for s in place]
+            if window is not None:
+                a = [[i, p, e] for (i, p), e in zip(window, a) if e]
+            c = terms[k].c
+            out.append([a, [[e, c[e]] for e in sorted(c)]])
+        return out
 
 
 class XTorus(QuantumTorus):
@@ -407,10 +424,6 @@ class XTorus(QuantumTorus):
     def unit_vector(self, k: int) -> tuple:
         return tuple(1 if j == k - 1 else 0 for j in range(self.r))
 
-    def key_json(self, key: int) -> list[int]:
-        u, mask, half = key + self._bias, self.mask, self.half
-        return [((u >> s) & mask) - half for s in self._place]
-
 
 class YTorus(QuantumTorus):
     """The window torus on the variables Y_{i,p} of `window`, ordered by
@@ -423,6 +436,7 @@ class YTorus(QuantumTorus):
         self.qc = qc
         self.cartan = qc.cartan
         self.window = sorted(set(window), key=lambda v: (v[1], v[0]))
+        self.json_window = self.window
         self.index = {v: k for k, v in enumerate(self.window)}
         rows, h2 = qc._n, 2 * qc.h
         super().__init__([f"Y[{i},{p}]" for i, p in self.window], [
@@ -453,10 +467,6 @@ class YTorus(QuantumTorus):
 
     def monomial_of(self, key: int) -> Monomial:
         return Monomial(dict(zip(self.window, self.exponents(key))))
-
-    def key_json(self, key: int) -> list[list[int]]:
-        # the window is in (p, i) order, the order of Monomial.to_json
-        return [[i, p, e] for (i, p), e in zip(self.window, self.exponents(key)) if e]
 
     def a_solve(self, ratio: Monomial) -> Optional[dict[tuple[int, int], int]]:
         """Write ratio as a product prod A_{i,s}^{v_{i,s}} with integer exponents.

@@ -16,6 +16,7 @@ from qgroth.characters import (
     CategoryQ,
     CharacterError,
     bar_invariant_correction,
+    combine,
     dominant_below,
     expand_in_dominant_basis,
     simple_tchar,
@@ -106,12 +107,14 @@ def test_solved_classes_are_bar_invariant_and_unitriangular(name, n, degree):
     for d in spaces:
         depth = cat.depths(d)
         std = cat.standards(depth)
-        simples = bar_invariant_correction(std, depth)
-        assert simples.keys() == depth.keys()
+        rows = bar_invariant_correction(std, depth)
+        assert rows.keys() == depth.keys()
         reference = order_depth(list(depth), functools.partial(_key_below, cat))
-        for a, simple in simples.items():
+        for a, row in rows.items():
+            simple = combine(std, row)
             assert simple.bar() == simple, a
             coeffs = expand_in_dominant_basis(simple, std, reference)
+            assert coeffs == row, a  # the row is the expansion, with no zero entry
             assert coeffs.pop(a) == HalfLaurent.one()
             for b, c in coeffs.items():
                 corrected += 1
@@ -140,6 +143,30 @@ def test_simple_tchar_is_bar_invariant_and_unitriangular_on_a3(factors):
         assert yt.nakajima_leq(yt.monomial_of(b), m) and in_tinv_ztinv(c), (b, c)
 
 
+def test_a_simple_class_builds_only_its_own_row(monkeypatch):
+    # the solve covers every standard class below m, but only m's row is
+    # summed into an element, on the window and on the rank-r torus
+    from qgroth import characters
+
+    built = []
+
+    def spy(basis, row, _real=characters.combine):
+        built.append(row)
+        return _real(basis, row)
+
+    monkeypatch.setattr(characters, "combine", spy)
+    yt = wide_torus("A3")
+    m = Monomial.var(1, 0) * Monomial.var(1, 2) * Monomial.var(1, 4)
+    simple = simple_tchar(yt, m)
+    assert len(built) == 1 and len(built[0]) == len(dominant_below(yt, m)) == 4
+    assert simple.coeff(yt.key(m)) == HalfLaurent.one()
+    cat, _ = _spaces("A3", 0, 3)
+    a = max(cat.dominant_avecs_up_to(3), key=lambda a: len(cat.depths(cat.root_of(a))))
+    built.clear()
+    cat.truncated_simple(a)
+    assert len(built) == 1
+
+
 def test_a_defect_not_strictly_below_its_key_is_refused():
     # weight alpha_1 + alpha_2 of A2: the standard class of the top key has a
     # bar defect on the other key; a depth that does not put that key strictly
@@ -149,7 +176,7 @@ def test_a_defect_not_strictly_below_its_key_is_refused():
     std = cat.standards(depth)
     top, low = sorted(depth, key=depth.__getitem__)
     assert depth[low] > depth[top]
-    assert bar_invariant_correction(std, depth)[top] != std[top]
+    assert combine(std, bar_invariant_correction(std, depth)[top]) != std[top]
     for wrong in ({top: 0, low: 0}, {top: 1, low: 0}):
         with pytest.raises(CharacterError, match="bar defect is not strictly triangular"):
             bar_invariant_correction(std, wrong)

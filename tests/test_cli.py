@@ -571,6 +571,34 @@ def test_failed_internal_check_exits_2(capsys, monkeypatch):
     assert captured.err == "internal check failed: fingerprint did not resolve to a Krull-Schmidt multiset\n"
 
 
+def _identity_rows(rows):
+    return {a: {a: HalfLaurent.one()} for a in rows}
+
+
+def _rows_times_t(rows):
+    return {a: {b: p.shift(2) for b, p in row.items()} for a, row in rows.items()}
+
+
+def _rows_plus_bar(rows):
+    return {a: {b: p if b == a else p + p.conj() for b, p in row.items()} for a, row in rows.items()}
+
+
+@pytest.mark.parametrize("mutate", [_identity_rows, _rows_times_t, _rows_plus_bar])
+def test_a_corrupted_solve_fails_canonical(capsys, monkeypatch, mutate):
+    # the dual canonical rows are checked by their characterization, not by a
+    # second run of the same solve: no correction at all fails bar-invariance,
+    # a shifted row fails P_aa = 1, and symmetric off-diagonal entries fail
+    # the negative exponents
+    import qgroth.qgroup as qgroup
+
+    real = qgroup.bar_invariant_correction
+    monkeypatch.setattr(qgroup, "bar_invariant_correction", lambda basis, depth: mutate(real(basis, depth)))
+    code, out = run(capsys, "canonical", "--type", "A3", "--degree-bound", "3", "--format", "json")
+    report = json.loads(out)
+    assert code == 2 and report["ok"] is False
+    assert not all(r["simple_ok"] for r in report["rows"]) and all(r["standard_ok"] for r in report["rows"])
+
+
 def test_hall_names_the_missing_flag(capsys):
     # a missing isoclass flag used to end in an AttributeError traceback
     cases = [

@@ -271,9 +271,17 @@ def test_verify_mainth_rows_match_one_vector_at_a_time(quiver, degree):
 
 @pytest.mark.parametrize("name,arrows,degree", [("A3", "1-2,3-2", 4), ("D4", "1-3,2-3,3-4", 3)])
 def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, name, arrows, degree):
+    # and runs one Lusztig-lemma solve per weight space: the dual canonical
+    # rows are checked, not solved a second time
+    from qgroth import characters, qgroup
     from qgroth.cli import main
 
     calls = {"e_tilde": [], "truncated_standard": []}
+    solved = []
+
+    def spy(basis, depth, _fn=characters.bar_invariant_correction):
+        solved.append(frozenset(depth))
+        return _fn(basis, depth)
 
     def built(self, a, _fn=QGroupSide.e_tilde):
         if tuple(a) not in self._etilde:  # a memo miss builds the vector
@@ -286,6 +294,8 @@ def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, na
 
     monkeypatch.setattr(QGroupSide, "e_tilde", built)
     monkeypatch.setattr(CategoryQ, "truncated_standard", counted)
+    monkeypatch.setattr(characters, "bar_invariant_correction", spy)
+    monkeypatch.setattr(qgroup, "bar_invariant_correction", spy)
     argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree)]
     assert main(argv) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -295,6 +305,10 @@ def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, na
     avecs = cat.dominant_avecs_up_to(degree)
     for log in calls.values():
         assert sorted(log) == sorted(avecs)
+    spaces = {}
+    for a in avecs:
+        spaces.setdefault(cat.root_of(a), set()).add(cat.xt.key(a))
+    assert sorted(solved, key=sorted) == sorted(map(frozenset, spaces.values()), key=sorted)
 
 
 @pytest.mark.parametrize("name,arrows,degree", [("A3", "1-2,3-2", 4), ("D4", "1-3,2-3,3-4", 3)])

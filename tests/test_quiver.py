@@ -119,6 +119,24 @@ def test_adapted_word_invariants_all_orientations():
                 assert w.lam(k) == w.lam(km, letter=w.word[k - 1]) - w.betas[k - 1]
 
 
+@pytest.mark.parametrize("quiver", [
+    *all_orientations("A3"),
+    *all_orientations("A4"),
+    *all_orientations("D4"),
+    QuiverDatum.bipartite(cartan_datum("D5")),
+    QuiverDatum.bipartite(cartan_datum("E6")),
+])
+def test_mu_table_is_the_word_prefix_applied(quiver):
+    # the table built down the word against each prefix applied to varpi_j
+    cd = quiver.cartan
+    w = AdaptedWord.build(quiver)
+    for b in range(w.r + 1):
+        for j in cd.vertices:
+            assert w.mu(b, j) == cd.apply_word(w.word[:b], cd.varpi(j)), (b, j)
+    for k in range(1, w.r + 1):
+        assert w.lam(k) == w.mu(k, w.word[k - 1])
+
+
 def test_kminus():
     w = AdaptedWord.build(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
     assert w.kminus(4) == 1

@@ -191,7 +191,7 @@ def test_render():
 
 @pytest.mark.parametrize("name", ["A3", "A4", "D4"])
 def test_key_json_is_the_monomial_json(name, contexts):
-    # key_json reads the window in its (p, i) order, the order of
+    # an element's JSON reads the window in its (p, i) order, the order of
     # Monomial.to_json; checked on the category window and a wide window, on
     # random exponent vectors with negative entries and zeros
     import random
@@ -204,4 +204,4 @@ def test_key_json_is_the_monomial_json(name, contexts):
         for _ in range(200):
             keys.append(yt.key(Monomial({v: rng.choice((-3, -1, 0, 0, 0, 1, 2)) for v in yt.window})))
         for k in keys:
-            assert yt.key_json(k) == yt.monomial_of(k).to_json()
+            assert yt.monomial(yt.monomial_of(k)).to_json() == [[yt.monomial_of(k).to_json(), [[0, 1]]]]
