@@ -118,7 +118,7 @@ def _emit(args, text, obj) -> None:
 
 
 # The most integers `qcartan` or `phi` may print: n^2 series of --mmax
-# coefficients, or rows (i, p, root, m) at each level from 0 through the window.
+# coefficients, or the rows (i, p, root, m) of the window.
 MAX_TABLE = 400_000
 
 
@@ -166,18 +166,21 @@ def cmd_phi(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     lo, hi = _parse_range(args.window, "--window")
-    _check_table((cd.n + 3) * cd.n * (max(hi, 0) - min(lo, 0) + 2) // 2, "phi")
+    _check_table((cd.n + 3) * cd.n * max(hi - lo + 2, 0) // 2, "phi")
     ctx = QuiverContext(quiver)
     table = [
         (i, p, *ctx.phi.phi(i, p)) for i in cd.vertices for p in range(lo, hi + 1) if quiver.in_ihat(i, p)
     ]
+    # each root is named once per request, not once per row
+    names = {beta: _root_name(cd, beta) for beta in cd.positive_roots()}
+    coords = {beta: list(cd.root_coords(beta)) for beta in cd.positive_roots()}
     _emit(
         args,
-        lambda: [f"phi({i},{p}) = ({_root_name(cd, beta)}, {m})" for i, p, beta, m in table],
+        lambda: [f"phi({i},{p}) = ({names[beta]}, {m})" for i, p, beta, m in table],
         lambda: {
             "type": args.type,
             "quiver": quiver.to_json(),
-            "phi": [{"i": i, "p": p, "root": list(cd.root_coords(beta)), "m": m} for i, p, beta, m in table],
+            "phi": [{"i": i, "p": p, "root": coords[beta], "m": m} for i, p, beta, m in table],
         },
     )
     return 0

@@ -29,19 +29,11 @@ class Presentation:
     def __init__(self, qctx: QuiverContext):
         self.qctx = qctx
         self.cartan = qctx.cartan
-        self.h = self.cartan.coxeter_number()
         self.qc = quantum_cartan(self.cartan)
-        self._base = {
-            i: qctx.phi.phi_inverse(self.cartan.alpha(i), 0) for i in self.cartan.vertices
-        }
 
     def generator_position(self, i: int, m: int) -> tuple[int, int]:
-        """(nu^m(k_i), p_i + m h) for the level-m generator at vertex i."""
-        k, p = self._base[i]
-        j = k
-        for _ in range(abs(m) % 2):
-            j = self.cartan.nu(j)
-        return j, p + m * self.h
+        """phi^-1(alpha_i, m), the vertex of the level-m generator at i."""
+        return self.qctx.phi.phi_inverse(self.cartan.alpha(i), m)
 
     def window(self, levels) -> YTorus:
         """The window torus of the generators at the given levels."""

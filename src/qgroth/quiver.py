@@ -5,9 +5,13 @@ A quiver is an orientation of the Dynkin diagram together with a height
 function xi satisfying xi_j = xi_i - 1 for each arrow i -> j.  The repetition
 quiver has vertex set Ihat = {(i,p) : p = xi_i mod 2}; its vertices are
 labelled by pairs (positive root, integer copy index) through the bijection
-phi, which starts from phi(i, xi_i) = (gamma_i, 0) and is propagated by the
-Coxeter transformation tau, flipping sign and shifting the copy index whenever
-tau crosses from positive to negative roots.
+phi.  Level 0 is the heart mod(FQ): the r positions at which the adapted word
+reflects its letters, labelled by the roots beta_k, with phi(i, xi_i) =
+(gamma_i, 0).  Every other level is a shift of it, [1] sending (i, p) to
+(nu(i), p + h) and raising the copy index by one.  The Coxeter transformation
+tau translates down each column, phi(i, p - 2) = (tau beta, m), flipping sign
+and lowering the copy index when tau beta is negative; the tests check phi
+against that rule.
 """
 
 from __future__ import annotations
@@ -93,17 +97,6 @@ class QuiverDatum:
     def n(self) -> int:
         return self.cartan.n
 
-    def sources(self) -> list[int]:
-        targets = {j for _, j in self.arrows}
-        return sorted(v for v in self.cartan.vertices if v not in targets)
-
-    def reflect_source(self, i: int) -> "QuiverDatum":
-        if i not in self.sources():
-            raise ValueError(f"vertex {i} is not a source")
-        arrows = tuple((j, a) if a == i or j == i else (a, j) for a, j in self.arrows)
-        xi = tuple(x - 2 if v == i else x for v, x in zip(self.cartan.vertices, self.xi))
-        return QuiverDatum(self.cartan, arrows, xi)
-
     def gamma(self, i: int) -> Weight:
         """Sum of alpha_j over vertices j admitting a path to i (the dimension
         vector of the injective hull at i)."""
@@ -173,121 +166,99 @@ class QuiverDatum:
 class PhiMap:
     """The labelling bijection phi between Ihat and (positive roots) x Z.
 
-    Computed lazily column by column and memoized; the inverse is kept in a
-    parallel table.  Thread safety relies on idempotent cache fills.
+    Level 0 is read off the adapted word: phi(i_k, xi'_k) = (beta_k, 0) at
+    the position where the k-th letter is reflected.  The shift [1] sends
+    (i, p) with label (beta, m) to (nu(i), p + h) with label (beta, m + 1),
+    so two shifts return to column i 2h higher.  Within one period
+    (xi_i - 2h, xi_i] column i holds its level-0 labels on top and, below
+    them, the level -1 labels, which one shift carries onto level 0 of
+    column nu(i).
     """
 
-    def __init__(self, quiver: QuiverDatum):
-        self.quiver = quiver
-        self.cartan = quiver.cartan
-        # column i -> dict p -> (root, m); bounds of the explored p-interval
-        self._cols: dict[int, dict[int, tuple[Weight, int]]] = {}
-        self._lo: dict[int, int] = {}
-        self._hi: dict[int, int] = {}
-        self._inv: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
-        for i in quiver.cartan.vertices:
-            xi = quiver.xi[i - 1]
-            g = quiver.gamma(i)
-            self._cols[i] = {xi: (g, 0)}
-            self._lo[i] = self._hi[i] = xi
-            self._inv[(g.coords, 0)] = (i, xi)
-
-    def _extend_down(self, i: int) -> None:
-        p = self._lo[i]
-        beta, m = self._cols[i][p]
-        nxt = self.quiver.tau(beta)
-        if self.cartan.is_positive_root(nxt):
-            entry = (nxt, m)
-        else:
-            entry = (-nxt, m - 1)
-        self._cols[i][p - 2] = entry
-        self._inv[(entry[0].coords, entry[1])] = (i, p - 2)
-        self._lo[i] = p - 2
-
-    def _extend_up(self, i: int) -> None:
-        p = self._hi[i]
-        beta, m = self._cols[i][p]
-        nxt = self.quiver.tau_inv(beta)
-        if self.cartan.is_positive_root(nxt):
-            entry = (nxt, m)
-        else:
-            entry = (-nxt, m + 1)
-        self._cols[i][p + 2] = entry
-        self._inv[(entry[0].coords, entry[1])] = (i, p + 2)
-        self._hi[i] = p + 2
+    def __init__(self, word: "AdaptedWord"):
+        self.quiver = word.quiver
+        self.cartan = word.quiver.cartan
+        self.h = self.cartan.coxeter_number()
+        self._level0 = dict(zip(word.positions, word.betas))
+        self._position = dict(zip(word.betas, word.positions))
+        # one period of column i: its n_i level-0 labels, then the
+        # h - n_i of column nu(i), which must start where they end
+        xi = self.quiver.xi
+        for i in self.cartan.vertices:
+            n_i = word.word.count(i)
+            if xi[self.cartan.nu(i) - 1] + 2 * n_i != xi[i - 1] + self.h:
+                raise RuntimeError(f"level 0 of columns {i} and nu({i}) do not tile a period")
 
     def phi(self, i: int, p: int) -> tuple[Weight, int]:
         if not self.quiver.in_ihat(i, p):
             raise ValueError(f"({i},{p}) is not a vertex of the repetition quiver")
-        while self._lo[i] > p:
-            self._extend_down(i)
-        while self._hi[i] < p:
-            self._extend_up(i)
-        return self._cols[i][p]
+        periods = (self.quiver.xi[i - 1] - p) // (2 * self.h)
+        p += 2 * self.h * periods
+        beta = self._level0.get((i, p))
+        if beta is not None:
+            return beta, -2 * periods
+        return self._level0[(self.cartan.nu(i), p + self.h)], -2 * periods - 1
 
     def phi_inverse(self, beta: Weight, m: int) -> tuple[int, int]:
-        if not self.cartan.is_positive_root(beta):
+        if beta not in self._position:
             raise ValueError(f"{beta} is not a positive root")
-        key = (beta.coords, m)
-        # Each h steps in a column move the copy index by one, so a bounded
-        # number of one-step extensions of every column suffices.
-        steps = 2 * self.cartan.coxeter_number() * (abs(m) + 3)
-        while key not in self._inv:
-            if steps == 0:
-                raise RuntimeError(f"phi_inverse failed to locate ({beta}, {m})")
-            steps -= 1
-            for i in self.quiver.cartan.vertices:
-                self._extend_down(i)
-                self._extend_up(i)
-        return self._inv[key]
+        i, p = self._position[beta]
+        periods, shift = divmod(m, 2)
+        if shift:
+            i, p = self.cartan.nu(i), p + self.h
+        return i, p + 2 * self.h * periods
 
 
 @dataclass(frozen=True)
 class AdaptedWord:
     """A reduced word for the longest element adapted to the orientation,
-    built by repeatedly reflecting the smallest-index source, together with
-    the root sequence beta_k and the weight sequence lambda_k."""
+    built by repeatedly reflecting the highest source (ties going to the
+    smaller index) whose root keeps the word reduced, together with the root
+    sequence beta_k, the weight sequence lambda_k, the table mu(b, j) and
+    the position (i_k, xi'_k) of Ihat at which the k-th letter is reflected
+    (xi' the height function of the quiver reflected so far)."""
 
     quiver: QuiverDatum
     word: tuple[int, ...]
     betas: tuple[Weight, ...]
     lambdas: tuple[Weight, ...]
+    mus: tuple[tuple[Weight, ...], ...]
+    positions: tuple[tuple[int, int], ...]
 
     @staticmethod
     def build(quiver: QuiverDatum) -> "AdaptedWord":
+        """One pass down the word carrying the row w_{k-1}(varpi_j): the root
+        of letter i is w_{k-1}(alpha_i) = sum_j c_ij w_{k-1}(varpi_j), and it
+        is positive exactly when w_{k-1} s_i is still reduced.  Reflecting
+        letter i changes only the i-th entry of the row, s_i varpi_j =
+        varpi_j - [i = j] alpha_i."""
         cd = quiver.cartan
-        r = cd.num_positive_roots()
-        # Vertex i must be reflected once per vertex of its column ladder,
-        # i.e. once per consecutive Coxeter power keeping gamma_i positive.
-        budget = {}
-        for i in cd.vertices:
-            m, w = 0, quiver.gamma(i)
-            while cd.is_positive_root(w):
-                m += 1
-                w = quiver.tau(w)
-            budget[i] = m
-        if sum(budget.values()) != r:
-            raise RuntimeError("column ladders do not cover the positive roots")
-        word: list[int] = []
-        q = quiver
-        for _ in range(r):
+        xi = list(quiver.xi)
+        row = tuple(cd.varpi(j) for j in cd.vertices)
+        word, betas, lambdas, mus, positions = [], [], [], [row], []
+        for step in range(1, cd.num_positive_roots() + 1):
             # Highest source first so the sweep of the index set is monotone
             # in the spectral parameter; ties broken by vertex index.
-            i = max(
-                (v for v in q.sources() if budget[v] > 0),
-                key=lambda v: (q.xi[v - 1], -v),
-            )
-            budget[i] -= 1
+            for i in sorted(cd.vertices, key=lambda v: (-xi[v - 1], v)):
+                if any(xi[j - 1] > xi[i - 1] for j in cd.neighbors(i)):
+                    continue
+                beta = row[i - 1].scale(2)
+                for j in cd.neighbors(i):
+                    beta = beta - row[j - 1]
+                if cd.is_positive_root(beta):
+                    break
+            else:
+                raise RuntimeError(f"adapted word: no source keeps the word reduced at step {step}")
+            row = row[: i - 1] + (row[i - 1] - beta,) + row[i:]
             word.append(i)
-            q = q.reflect_source(i)
-        betas = []
-        lambdas = []
-        for k in range(1, r + 1):
-            betas.append(cd.apply_word(word[: k - 1], cd.alpha(word[k - 1])))
-            lambdas.append(cd.apply_word(word[:k], cd.varpi(word[k - 1])))
-        if {b.coords for b in betas} != {b.coords for b in cd.positive_roots()}:
+            betas.append(beta)
+            lambdas.append(row[i - 1])
+            mus.append(row)
+            positions.append((i, xi[i - 1]))
+            xi[i - 1] -= 2
+        if set(betas) != set(cd.positive_roots()):
             raise RuntimeError("source-reflection word did not enumerate the positive roots")
-        return AdaptedWord(quiver, tuple(word), tuple(betas), tuple(lambdas))
+        return AdaptedWord(quiver, tuple(word), tuple(betas), tuple(lambdas), tuple(mus), tuple(positions))
 
     @property
     def r(self) -> int:
@@ -313,36 +284,26 @@ class AdaptedWord:
 
     def mu(self, b: int, j: int) -> Weight:
         """s_{i_1} ... s_{i_b} (varpi_j); mu(0, j) = varpi_j."""
-        return self._mus[b][j - 1]
-
-    @cached_property
-    def _mus(self) -> list[list[Weight]]:
-        """mu(b, j) for every b and j, in one pass down the word: s_i varpi_j =
-        varpi_j - [i = j] alpha_i, so mu(b, j) = mu(b-1, j) - [j = i_b] beta_b."""
-        cd = self.quiver.cartan
-        rows = [[cd.varpi(j) for j in cd.vertices]]
-        for i, beta in zip(self.word, self.betas):
-            row = list(rows[-1])
-            row[i - 1] = row[i - 1] - beta
-            rows.append(row)
-        return rows
+        return self.mus[b][j - 1]
 
 
 class QuiverContext:
-    """Bundles a quiver with its phi map, adapted word and index tables."""
+    """Bundles a quiver with its adapted word, phi map and index tables."""
 
     def __init__(self, quiver: QuiverDatum):
         self.quiver = quiver
         self.cartan = quiver.cartan
-        self.phi = PhiMap(quiver)
         self.word = AdaptedWord.build(quiver)
+        self.phi = PhiMap(self.word)
         # k (1-based) -> the Ihat vertex with phi(i,p) = (beta_k, 0)
-        self.positions: list[tuple[int, int]] = [
-            self.phi.phi_inverse(b, 0) for b in self.word.betas
-        ]
+        self.positions = self.word.positions
         self.index_of_position = {ip: k + 1 for k, ip in enumerate(self.positions)}
-        # build-time sanity: the Euler form satisfies <alpha_i, gamma_j> = delta_ij
+        # build-time sanity: phi is normalized by phi(i, xi_i) = (gamma_i, 0),
+        # and the Euler form satisfies <alpha_i, gamma_j> = delta_ij
         gammas = [quiver.gamma(j) for j in self.cartan.vertices]
+        for i, g in zip(self.cartan.vertices, gammas):
+            if self.phi.phi(i, quiver.xi[i - 1]) != (g, 0):
+                raise RuntimeError(f"phi(i, xi_i) is not (gamma_i, 0) at i = {i}")
         for i in self.cartan.vertices:
             for j, g in zip(self.cartan.vertices, gammas):
                 if ringel_form(quiver, self.cartan.alpha(i), g) != int(i == j):

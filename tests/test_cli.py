@@ -6,7 +6,7 @@ import pytest
 
 from qgroth import torus
 from qgroth.cli import _parse_iso, _parse_monomial, main
-from qgroth.cartan import cartan_datum
+from qgroth.cartan import CartanDatum, cartan_datum
 from qgroth.hall import IsoClass
 from qgroth.laurent import HalfLaurent
 from qgroth.torus import Monomial
@@ -53,6 +53,31 @@ def test_phi_command(capsys):
     assert code == 0
     assert "phi(3,-1) = (a1+a2+2a3+a4, 0)" in out
     assert "phi(4,-4) = (a4, -1)" in out
+
+
+def test_a_far_phi_window_is_a_near_one_shifted_by_whole_periods(capsys):
+    # two shifts [1] move column i up by 2h = 60 on E8 and the copy index
+    # by 2; the far window is read off level 0 like the near one
+    start = time.perf_counter()
+    code, far = run(capsys, "phi", "--type", "E8", "--window=1000000..1000100", "--format", "json")
+    assert code == 0
+    assert time.perf_counter() - start < 1
+    k = 16666
+    window = f"--window={1000000 - 60 * k}..{1000100 - 60 * k}"
+    code, near = run(capsys, "phi", "--type", "E8", window, "--format", "json")
+    assert code == 0
+    near_rows = json.loads(near)["phi"]
+    assert len(near_rows) == 8 * 101 // 2
+    assert json.loads(far)["phi"] == [dict(row, p=row["p"] + 60 * k, m=row["m"] + 2 * k) for row in near_rows]
+
+
+def test_an_adapted_word_that_cannot_stay_reduced_is_an_internal_failure(monkeypatch, capsys):
+    # no root counts as positive, so no source can be reflected at step 1
+    monkeypatch.setattr(CartanDatum, "is_positive_root", lambda self, w: False)
+    assert main(["phi", "--type", "A2", "--window=0..0"]) == 2
+    assert capsys.readouterr().err == (
+        "internal check failed: adapted word: no source keeps the word reduced at step 1\n"
+    )
 
 
 def test_qchar_commands(capsys):

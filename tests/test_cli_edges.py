@@ -367,7 +367,7 @@ def other_argvs(draw):
             argv += _flag("--mmax", draw(small | st.just("1000000000")), True)
     elif cmd == "phi":
         if draw(st.booleans()):
-            windows = ["-6..6", "0..0", "3..-3", "-20..20", "-1000000000..1000000000"]
+            windows = ["-6..6", "0..0", "3..-3", "-20..20", "99990..100010", "-1000000000..1000000000"]
             window = st.sampled_from(windows + MALFORMED_RANGES)
             argv += _flag("--window", draw(window), True)
     else:

@@ -41,7 +41,7 @@ def test_shift_moves_fundamentals():
         for m in (0, 1, 2):
             a = p.x_gen(yt, i, m + 1)
             j, q = p.generator_position(i, m)
-            h = p.h
+            h = p.cartan.coxeter_number()
             nu = p.cartan.nu
             b = fundamental_tchar(yt, nu(j), q + h)
             assert a == b

@@ -227,3 +227,26 @@ def test_phi_table_inverts_and_positions_are_pinned():
         rows.append([q.to_json()["type"], [list(a) for a in q.arrows], [list(ip) for ip in ctx.positions]])
     assert len(rows) == 56
     assert hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest() == PINNED_POSITIONS
+
+
+@pytest.mark.parametrize("quiver", [
+    *(q for name in PHI_QUIVERS for q in all_orientations(name)),
+    QuiverDatum.bipartite(cartan_datum("E6")),
+])
+def test_phi_obeys_the_translation_the_shift_and_the_normalization(quiver):
+    # the construction phi was once grown by, column by column from
+    # phi(i, xi_i) = (gamma_i, 0) through tau, checked at every (i, p) with
+    # |p| <= 3h, together with the shift [1]: (i, p) -> (nu(i), p + h)
+    cd = quiver.cartan
+    phi = QuiverContext(quiver).phi.phi
+    h = cd.coxeter_number()
+    for i in cd.vertices:
+        assert phi(i, quiver.xi[i - 1]) == (quiver.gamma(i), 0)
+        for p in range(-3 * h, 3 * h + 1):
+            if not quiver.in_ihat(i, p):
+                continue
+            beta, m = phi(i, p)
+            below = quiver.tau(beta)
+            want = (below, m) if cd.is_positive_root(below) else (-below, m - 1)
+            assert phi(i, p - 2) == want, (i, p)
+            assert phi(cd.nu(i), p + h) == (beta, m + 1), (i, p)
