@@ -9,14 +9,14 @@ monomials stay in the spectral window [p, p+h]; a character past
 MAX_FM_MONOMIALS monomials is a resource cap.  Its value at t = 1 is the
 classical q-character.
 
-Standard classes are ordered products of fundamental ones, normalized so the
-labelling monomial has coefficient 1.  Simple classes are the unique
-bar-invariant elements unitriangular with strictly negative t-powers over the
-standard basis, solved by Lusztig's lemma once per weight space in an order
-that extends the Nakajima order.  The standard classes a simple class
-involves are those at the dominant monomials of the standard classes
-themselves, collected from its labelling monomial until no new one appears;
-their coefficients are positive, so none cancels out of a product.
+Standard classes are ordered products of fundamental ones, built one factor at
+a time and normalized at the labelling monomial (`ordered_product`).  Simple
+classes are the unique bar-invariant elements unitriangular with strictly
+negative t-powers over the standard basis, solved by Lusztig's lemma once per
+weight space in an order that extends the Nakajima order.  The standard classes
+a simple class involves are those at the dominant monomials of the standard
+classes themselves, collected from its labelling monomial until no new one
+appears; their coefficients are positive, so none cancels out of a product.
 
 Truncated characters live in the rank-r torus attached to an orientation,
 keyed by exponent vectors over the positions of the index set.  That torus is
@@ -30,14 +30,14 @@ reaches the height function, is an independent route to them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight, kostant_partitions
 from .laurent import ONE, HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
-from .torus import MAX_PRODUCT_PAIRS, Monomial, QuantumTorus, TorusElement, XTorus, YTorus, divide_right
+from .torus import MAX_PRODUCT_PAIRS, Monomial, TorusElement, XTorus, YTorus, divide_right
 
 
 class CharacterError(RuntimeError):
@@ -230,36 +230,38 @@ def tsystem_exponents(qc: QuantumCartan, i: int, k: int) -> tuple[Fraction, Frac
 # --------------------------------------------------------------------------
 
 
-def _unit_coeff_exp2(c: HalfLaurent) -> int:
-    if len(c.c) != 1:
-        raise CharacterError("expected a one-term coefficient during normalization")
-    e, v = next(iter(c.c.items()))
-    if v != 1:
-        raise CharacterError("expected leading coefficient 1 during normalization")
-    return e
-
-
-def _ordered_standard(torus: QuantumTorus, fundamental: Callable, factors: dict, label) -> TorusElement:
-    """The ordered product of the fundamental classes at the points of
-    `factors` ((i, p) -> exponent), highest level leftmost and ties by vertex,
-    rescaled so the label carries coefficient exactly 1."""
-    prod = None
-    for i, p in sorted(factors, key=lambda ip: (-ip[1], ip[0])):
-        f = fundamental(i, p)
-        for _ in range(factors[i, p]):
-            prod = f if prod is None else prod * f
-    if prod is None:
-        return torus.one()
-    return prod.tshift(-_unit_coeff_exp2(prod.coeff(torus.key(label))))
+def ordered_product(memo: dict, a: tuple, gen: Callable, labels: list) -> TorusElement:
+    """X(a) = gen(0)^a_0 ... gen(r-1)^a_(r-1) normalized so that its label, the
+    key sum_k a_k labels[k], carries coefficient exactly 1; `memo` maps exponent
+    vectors to X and holds X(0) = 1.  For the last k with a_k > 0 and b = a -
+    e_k, X(a) = t^(-<b, e_k>/2) X(b) gen(k), <b, e_k> the torus pairing of the
+    labels of X(b) and gen(k), which carry 1 and alone reach the label of a."""
+    chain, b = [], a  # the indices stripped from a, last one first, down to a memoised vector
+    while b not in memo:
+        k = max(j for j, x in enumerate(b) if x > 0)
+        chain.append(k)
+        b = b[:k] + (b[k] - 1,) + b[k + 1 :]
+    x, key = memo[b], sum(c * labels[j] for j, c in enumerate(b) if c)
+    for k in reversed(chain):
+        x = x.mul_shift(gen(k), -x.ctx.pair(x.forms[key], labels[k]))
+        key, b = key + labels[k], b[:k] + (b[k] + 1,) + b[k + 1 :]
+        if not x.coeff(key).is_one():
+            raise CharacterError(f"the ordered product at {b} does not carry coefficient 1 at its label")
+        memo[b] = x
+    return x
 
 
 def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
-    """t-character of the standard module at the dominant monomial m: ordered
-    product, top level leftmost, of the fundamental t-characters, rescaled so
-    m carries coefficient exactly 1."""
+    """t-character of the standard module at the dominant monomial m: the
+    ordered product, top level leftmost and ties by vertex, of the fundamental
+    t-characters at the points of m, normalized at m."""
     if not m.is_dominant():
         raise ValueError("standard modules are labelled by dominant monomials")
-    return _ordered_standard(yt, partial(fundamental_tchar, yt), m.exps(), m)
+    points = sorted(m.support(), key=lambda ip: (-ip[1], ip[0]))
+    fundamentals = [fundamental_tchar(yt, i, p) for i, p in points]
+    labels = [yt.key(Monomial.var(i, p)) for i, p in points]
+    a = tuple(m.exp(i, p) for i, p in points)
+    return ordered_product({(0,) * len(a): yt.one()}, a, fundamentals.__getitem__, labels)
 
 
 def dominant_below(yt: YTorus, m: Monomial) -> dict[Monomial, TorusElement]:
@@ -447,6 +449,8 @@ class CategoryQ:
         self.roots = [tuple(self.cartan.root_coords(b)) for b in qctx.word.betas]
         self._columns = [self._position_column(k) for k in range(self.xt.r)]
         self._column_depths = [sum(col.values()) for col in self._columns]
+        self.labels = [self.xt.key(self.xt.unit_vector(k)) for k in range(1, self.xt.r + 1)]  # keys of the X_k
+        self._standards = {(0,) * self.xt.r: self.xt.one()}
 
     def _check_torus_isomorphism(self) -> None:
         """The isomorphism Phi: the Gram matrix of the Y-variables at the
@@ -556,18 +560,22 @@ class CategoryQ:
             raise CharacterError(f"position {k + 1} is not below the top monomial of its root")
         return v
 
-    def dominant_pairs(self, d) -> list[dict]:
-        """All decompositions of the dimension vector d into positive roots,
-        paired with their dominant monomials, exchange-monomial columns and
-        depths, in decreasing lexicographic order of the exponent vectors."""
+    def dimension_vector(self, d) -> tuple[int, ...]:
+        """d as a tuple, checked to be a dimension vector of the rank."""
         cd = self.cartan
         d = tuple(d)
         if len(d) != cd.n:
             raise RankMismatch(f"dimension vector has {len(d)} entries, {cd.kind}{cd.n} has rank {cd.n}")
         if any(x < 0 for x in d):
             raise ValueError(f"dimension vector {','.join(map(str, d))} has a negative entry")
+        return d
+
+    def dominant_pairs(self, d) -> list[dict]:
+        """All decompositions of the dimension vector d into positive roots,
+        paired with their dominant monomials, exchange-monomial columns and
+        depths, in decreasing lexicographic order of the exponent vectors."""
         rows = []
-        for a in kostant_partitions(self.roots, d):
+        for a in kostant_partitions(self.roots, self.dimension_vector(d)):
             col: dict[tuple[int, int], int] = {}
             for c, vk in zip(a, self._columns):
                 if c:
@@ -613,9 +621,12 @@ class CategoryQ:
         return a
 
     def truncated_standard(self, a) -> TorusElement:
+        """The ordered product of the truncated fundamentals at the positions, in
+        their order (top level first, ties by vertex), normalized at a; memoised."""
         a = self._dominant_avec(a)
-        factors = {self.positions[k]: e for k, e in enumerate(a) if e}
-        return _ordered_standard(self.xt, self.truncated_fundamental, factors, a)
+        return ordered_product(
+            self._standards, a, lambda k: self.truncated_fundamental(*self.positions[k]), self.labels
+        )
 
     def truncated_simple(self, a) -> TorusElement:
         """Bar-inversion over the truncated standard classes below a: the rows

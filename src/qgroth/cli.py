@@ -10,8 +10,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import accumulate
 
-from .cartan import CartanDatum, ResourceCap, cartan_datum
+from .cartan import CartanDatum, ResourceCap, cartan_datum, iter_kostant_partitions
 from .characters import (
     CategoryQ,
     fundamental_tchar,
@@ -117,8 +118,8 @@ def _emit(args, text, obj) -> None:
             print(line)
 
 
-# The most integers `qcartan` or `phi` may print: n^2 series of --mmax
-# coefficients, or the rows (i, p, root, m) of the window.
+# The most integers `qcartan`, `phi` or `dominant-pairs` may print: n^2 series of
+# --mmax coefficients, the rows (i, p, root, m) of the window, or the decompositions.
 MAX_TABLE = 400_000
 
 
@@ -272,7 +273,12 @@ def cmd_dominant_pairs(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     cat = CategoryQ(QuiverContext(quiver))
-    d = tuple(int(x) for x in args.d.split(","))
+    d = cat.dimension_vector(int(x) for x in args.d.split(","))
+    # a row holds its r exponents and, in text, each root once per copy: the
+    # table is refused at the first row past the cap, before any row is built
+    sizes = accumulate(cat.xt.r + sum(a) for a in iter_kostant_partitions(cat.roots, d))
+    if any(size > MAX_TABLE for size in sizes):
+        raise ResourceCap(f"dominant-pairs: table of more than {MAX_TABLE} integers")
     rows = cat.dominant_pairs(d)
 
     def line(row) -> str:

@@ -6,9 +6,10 @@ Minors D(b,d) are never abstract: they exist only through their expansions on
 the basis X^a of the rank-r torus.  The flag minors D(0,k) are ordered
 products of the rescaled generators; every other minor is produced from the
 determinantal identity by exact right division, recursing on b + d.  Each
-rescaled dual PBW vector is the one with one factor fewer times a shifted
-minor E*(k).  The dual canonical vectors are carved out of the dual PBW
-vectors by a twisted bar-inversion: working with the rescaled family
+rescaled dual PBW vector is built as a standard class is, by one normalized
+product: the one with its last factor removed times the rescaled minor
+v^(N(beta_k)/2) E*(k).  The dual canonical vectors are carved out of the dual
+PBW vectors by a twisted bar-inversion: working with the rescaled family
 v^(N/2) E*, the twist disappears and the involution is plain coefficient
 conjugation, so one solve by Lusztig's lemma, as on the character side,
 fills a whole weight space.
@@ -26,7 +27,7 @@ shape over the dual PBW family and is bar-invariant is B~(a).
 from __future__ import annotations
 
 from .cartan import Weight
-from .characters import CategoryQ, bar_invariant_correction, combine
+from .characters import CategoryQ, bar_invariant_correction, combine, ordered_product
 from .laurent import HalfLaurent
 from .presentation import relation_failures
 from .torus import TorusElement, divide_right
@@ -47,16 +48,16 @@ class QGroupSide:
         self.xt = cat.xt
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[int, TorusElement] = {}
-        self._etilde: dict[tuple[int, ...], TorusElement] = {}
-        self._degs = [sum(root) for root in cat.roots]  # deg beta_k
-        # doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
-        self._c2 = []
+        self._etilde: dict[tuple[int, ...], TorusElement] = {(0,) * self.r: self.xt.one()}
+        # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
+        self._n, self._c2 = [], []
         for k in range(1, self.r + 1):
             beta = self.word.betas[k - 1]
             i = self.word.word[k - 1]
             km = self.word.kminus(k)
             lam_km = self.word.lam(km, letter=i)
             nb, _ = n_gamma(self.cartan, beta)
+            self._n.append(nb)
             self._c2.append(nb + 2 * self.cartan.sprod(self.cartan.varpi(i) - lam_km, beta))
 
     # -- minors ---------------------------------------------------------------
@@ -116,33 +117,13 @@ class QGroupSide:
         return self.minor(self.word.kminus(k), k)
 
     def e_tilde(self, a) -> TorusElement:
-        """The rescaled dual PBW vector v^(s(a)/2) E*(1)^a1 ... E*(r)^ar with
-        s(a) = N(beta(a)) - sum a_k(a_k - 1), memoised: for the last k with
-        a_k > 0, E~(a) = E~(a - e_k) E*(k) shifted by s(a) - s(a - e_k)."""
-        a = tuple(a)
-        if a not in self._etilde:
-            ks = [k for k, x in enumerate(a) if x > 0]
-            if not ks:
-                self._etilde[a] = self.xt.one()
-            else:
-                k = ks[-1]
-                b = a[:k] + (a[k] - 1,) + a[k + 1 :]
-                shift = self._rescaling(a) - self._rescaling(b)
-                self._etilde[a] = self.e_tilde(b).mul_shift(self.e_star(k + 1), shift)
-        return self._etilde[a]
-
-    def _rescaling(self, a) -> int:
-        """s(a), the doubled exponent of the rescaling of E~(a): the integer
-        quadratic form
-
-            s(a) = a^T S a / 2 - sum_k a_k deg beta_k - sum_k a_k (a_k - 1),
-
-        S_kl = (beta_k, beta_l), which is N(beta(a)) - sum_k a_k (a_k - 1)
-        written out on the exponents.  a^T S a is even, as S_kk = 2."""
-        sup = [(k, x) for k, x in enumerate(a) if x]
-        s, degs = self.xt.s, self._degs
-        quad = sum(x * y * s[k][l] for k, x in sup for l, y in sup)
-        return quad // 2 - sum(x * (degs[k] + x - 1) for k, x in sup)
+        """The rescaled dual PBW vector E~(a) = v^(s(a)/2) E*(1)^a1 ... E*(r)^ar:
+        the ordered product of the v^(N(beta_k)/2) E*(k), normalized at X^a;
+        memoised.  Its shifts add up to s(a) = sum_k a_k N(beta_k) + sum_{k<l}
+        a_k a_l (beta_k, beta_l) = N(beta(a)) - sum_k a_k (a_k - 1)."""
+        return ordered_product(
+            self._etilde, tuple(a), lambda k: self.e_star(k + 1).tshift(self._n[k]), self.cat.labels
+        )
 
     def _dual_canonical(self, depth: dict) -> None:
         """One solve over the weight space with the given {key: depth}, into the memo."""
@@ -171,7 +152,8 @@ class QGroupSide:
         vector, and the truncated simple class the rescaled dual canonical
         vector.  The exponent vectors, enumerated once and grouped by weight,
         give each weight space's depths to one solve over its truncated
-        standard classes; each class and each dual PBW vector is built once.
+        standard classes; each standard class and each dual PBW vector is
+        built once, by one product (`ordered_product`).
 
         The row of a passes when L_a = sum_b P_ab E~(b) has (i) P_aa = 1,
         (ii) every other b strictly deeper than a, with only negative

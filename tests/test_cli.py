@@ -80,6 +80,37 @@ def test_an_adapted_word_that_cannot_stay_reduced_is_an_internal_failure(monkeyp
     )
 
 
+CANONICAL_A3 = ["canonical", "--type", "A3", "--arrows", "1-2,3-2", "--degree-bound", "3"]
+
+
+def test_an_ordered_product_with_the_pairing_shift_reversed_fails_its_label_check(monkeypatch, capsys):
+    # the normalized ordered product is the only caller of mul_shift: with its
+    # shift negated, a standard class with two non-commuting factors carries
+    # a power of t at its label
+    mul_shift = torus.TorusElement.mul_shift
+    monkeypatch.setattr(torus.TorusElement, "mul_shift", lambda x, y, exp2: mul_shift(x, y, -exp2))
+    assert main(CANONICAL_A3) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: the ordered product at ")
+    assert err.endswith(" does not carry coefficient 1 at its label\n")
+
+
+def test_a_dual_pbw_generator_rescaled_by_one_more_half_power_fails(monkeypatch, capsys):
+    # E~(e_k) = v^(N(beta_k)/2) E*(k) with N(beta_k) = 1 - deg beta_k; moved to
+    # 2 - deg beta_k, the generator carries t^(1/2) at its label
+    from qgroth.qgroup import QGroupSide
+
+    init = QGroupSide.__init__
+
+    def shifted(self, cat):
+        init(self, cat)
+        self._n = [n + 1 for n in self._n]
+
+    monkeypatch.setattr(QGroupSide, "__init__", shifted)
+    assert main(CANONICAL_A3) == 2
+    assert capsys.readouterr().err.endswith(" does not carry coefficient 1 at its label\n")
+
+
 def test_qchar_commands(capsys):
     code, out = run(capsys, "qchar", "fundamental", "--type", "A1", "--i", "1", "--p", "0")
     assert code == 0 and "Y[1,0] + Y[1,2]^-1" in out
@@ -204,6 +235,13 @@ def test_exit_codes(capsys):
     assert time.perf_counter() - start < 0.3
     assert code == 3
     assert capsys.readouterr().err.startswith("resource cap exceeded: gamma: work ")
+    # a dominant-pairs table is priced row by row as the decompositions are
+    # enumerated, and refused before any row is built
+    start = time.perf_counter()
+    code = main(["dominant-pairs", "--type", "E8", "--d", "3,3,3,3,3,3,3,3"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert capsys.readouterr().err == "resource cap exceeded: dominant-pairs: table of more than 400000 integers\n"
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):

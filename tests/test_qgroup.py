@@ -126,14 +126,20 @@ def _pbw_by_definition(qg, a):
     QuiverDatum.bipartite(cartan_datum("D4")),
 ])
 def test_rescaling_is_the_quadratic_form(quiver):
-    # the integer form on the exponents against N(beta(a)) - sum a_k(a_k - 1)
-    # on the weight beta(a)
+    # the normalization shifts of E~ add up to the paper's rescaling, the
+    # integer form s(a) = sum_k a_k N(beta_k) + sum_{k<l} a_k a_l (beta_k, beta_l)
+    # with N(beta_k) = 1 - deg beta_k, which is N(beta(a)) - sum a_k(a_k - 1) on
+    # the weight beta(a); and E~ is the product with that rescaling
     qg = QGroupSide(CategoryQ(QuiverContext(quiver)))
+    s, degs = qg.xt.s, [qg.cartan.deg(b) for b in qg.word.betas]
     avecs = qg.cat.dominant_avecs_up_to(4)
     assert len(avecs) > qg.r
     for a in avecs:
         nb, _ = n_gamma(qg.cartan, qg.cat.beta_of(a))
-        assert qg._rescaling(a) == nb - sum(x * (x - 1) for x in a), (quiver.arrows, a)
+        form = sum(x * (1 - d) for x, d in zip(a, degs))
+        form += sum(a[k] * a[l] * s[k][l] for k in range(qg.r) for l in range(k + 1, qg.r))
+        assert form == nb - sum(x * (x - 1) for x in a), (quiver.arrows, a)
+        assert qg.e_tilde(a) == _pbw_by_definition(qg, a), (quiver.arrows, a)
 
 
 def test_dual_pbw(a3):
@@ -275,25 +281,32 @@ def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, na
     # rows are checked, not solved a second time
     from qgroth import characters, qgroup
     from qgroth.cli import main
+    from qgroth.torus import TorusElement
 
-    calls = {"e_tilde": [], "truncated_standard": []}
+    built = {}  # id of a memo -> the vectors built into it
     solved = []
 
     def spy(basis, depth, _fn=characters.bar_invariant_correction):
         solved.append(frozenset(depth))
         return _fn(basis, depth)
 
-    def built(self, a, _fn=QGroupSide.e_tilde):
-        if tuple(a) not in self._etilde:  # a memo miss builds the vector
-            calls["e_tilde"].append(tuple(a))
-        return _fn(self, a)
+    def product(memo, a, gen, labels, _fn=characters.ordered_product, _mul=TorusElement.mul_shift):
+        before, products = set(memo), []
 
-    def counted(self, a, _fn=CategoryQ.truncated_standard):
-        calls["truncated_standard"].append(tuple(a))
-        return _fn(self, a)
+        def mul(x, y, exp2):
+            products.append(a)
+            return _mul(x, y, exp2)
 
-    monkeypatch.setattr(QGroupSide, "e_tilde", built)
-    monkeypatch.setattr(CategoryQ, "truncated_standard", counted)
+        with monkeypatch.context() as m:
+            m.setattr(TorusElement, "mul_shift", mul)
+            out = _fn(memo, a, gen, labels)
+        new = [b for b in memo if b not in before]
+        assert len(products) == len(new)  # each build is one product
+        built.setdefault(id(memo), []).extend(new)
+        return out
+
+    monkeypatch.setattr(characters, "ordered_product", product)
+    monkeypatch.setattr(qgroup, "ordered_product", product)
     monkeypatch.setattr(characters, "bar_invariant_correction", spy)
     monkeypatch.setattr(qgroup, "bar_invariant_correction", spy)
     argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree)]
@@ -303,8 +316,11 @@ def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, na
     arrow_list = [tuple(int(v) for v in tok.split("-")) for tok in arrows.split(",")]
     cat = CategoryQ(QuiverContext(QuiverDatum.from_arrows(cd, arrow_list)))
     avecs = cat.dominant_avecs_up_to(degree)
-    for log in calls.values():
-        assert sorted(log) == sorted(avecs)
+    # the standard classes and the dual PBW vectors, each family in its memo,
+    # which holds X(0) = 1 from the start
+    assert len(built) == 2
+    for log in built.values():
+        assert sorted(log) == sorted(a for a in avecs if any(a))
     spaces = {}
     for a in avecs:
         spaces.setdefault(cat.root_of(a), set()).add(cat.xt.key(a))

@@ -250,3 +250,15 @@ def test_phi_obeys_the_translation_the_shift_and_the_normalization(quiver):
             want = (below, m) if cd.is_positive_root(below) else (-below, m - 1)
             assert phi(i, p - 2) == want, (i, p)
             assert phi(cd.nu(i), p + h) == (beta, m + 1), (i, p)
+
+
+@pytest.mark.parametrize("quiver", [
+    *(q for name in PHI_QUIVERS for q in all_orientations(name)),
+    QuiverDatum.bipartite(cartan_datum("E6")),
+])
+def test_positions_run_top_level_first_ties_by_vertex(quiver):
+    # the word order of the positions is the factor order of a standard class:
+    # a truncated standard class is the ordered product of the truncated
+    # fundamentals at the positions, in position order
+    positions = QuiverContext(quiver).positions
+    assert list(positions) == sorted(positions, key=lambda ip: (-ip[1], ip[0]))
