@@ -123,6 +123,13 @@ def _emit(args, text, obj) -> None:
 MAX_TABLE = 400_000
 
 
+# The widest `verify presentation` range, in levels x rank^2: the relation
+# table pairs the levels x rank generators, whose characters grow with the
+# rank.  At the cap A1 0..419, A2 0..104, A5 0..15 and D4 0..25 answer in under
+# 2 s on a 2-vCPU host.
+MAX_PRESENTATION_WIDTH = 420
+
+
 def _check_table(entries: int, what: str) -> None:
     if entries > MAX_TABLE:
         raise ResourceCap(f"{what}: table of {entries} integers above cap {MAX_TABLE}")
@@ -393,6 +400,12 @@ def cmd_verify(args) -> int:
         cd = cartan_datum(args.type)
         quiver = _parse_quiver(args, cd)
         lo, hi = _parse_range(args.m_range, "--m-range")
+        n = (hi - lo + 1) * cd.n**2
+        if n > MAX_PRESENTATION_WIDTH:
+            raise ResourceCap(
+                f"verify presentation: --m-range {lo}..{hi} of {args.type} has n = {n} "
+                f"(levels x rank^2) above cap {MAX_PRESENTATION_WIDTH}"
+            )
         pres = Presentation(QuiverContext(quiver))
         fails = pres.verify_relations(lo, hi)
         _emit(

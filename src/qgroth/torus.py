@@ -19,12 +19,27 @@ quotients add and subtract them.  Digits are read only where a key enters
 (packing an exponent vector or a Monomial) or leaves (render, JSON, the box
 of a division, `exponents`).
 
+Bands.  A product reads its pairings on the band lo..hi of key places that
+the keys of one factor occupy (`QuantumTorus.band`: one OR and one max over
+the keys, no unpacking): a^T M b is the digit at place hi-lo of
+cut(form(a)) * (key(b) >> W lo), where cut keeps the digits of form(a) at
+places n-1-hi .. n-1-lo, the band's variables, read with the bias B.  Since
+a^T M b = -b^T M a, either factor may supply the band: the one with more
+terms does, so the cut of forms, once per term, falls on the factor with
+fewer.  Keys of fewer than MIN_CUT_PLACES places, and a band that is the
+whole key, are multiplied whole.
+
 Range.  Every element carries l1, a bound on the L1 norm of its keys.  In a
 product of elements with bounds l and l', key digits stay below l + l' and
 the digits of form(a) * key(b) below m l l', m = max |M_kl|: the product
-raises ResourceCap before it builds a key unless both are below H.  W is the
-least width, at least 16, with H > 2^15 m, so factors of l1 up to 181 always
-multiply.  Packing checks each exponent; a division checks its bounds once.
+raises ResourceCap before it builds a key unless both are below H.  The same
+check covers the band's product: key(b) is 0 off the band, so its digit at
+place hi-lo keeps every term of the digit at place n-1 of the full product,
+and each of its other digits is a sum over a subset of the terms of a digit
+of the full product; the digits of form(a), below m l, fit the bias.  W is
+the least width, at least 16, with H > 2^15 m, so factors of l1 up to 181
+always multiply.  Packing checks each exponent; a division checks its bounds
+once.
 
 A product accumulates one map (key, doubled t-exponent) -> integer over pairs
 of terms, and raises ResourceCap before the pass when there are more than
@@ -39,6 +54,8 @@ leading-term elimination in the lex order, with a heap on negated keys.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional
 
 from .cartan import ResourceCap, Weight
@@ -198,6 +215,18 @@ class QuantumTorus:
         """a^T M b from form(a) and key(b)."""
         return (((form * key + self._pbias) >> self._shift) & self.mask) - self.half
 
+    def band(self, keys) -> tuple[int, int] | None:
+        """(lo, hi), the least and the greatest place of a nonzero digit in
+        any of the keys, or None when every key is 0.  Read without unpacking:
+        a key whose lowest nonzero digit sits at place j has between Wj and
+        Wj + W - 2 trailing zeros, and the OR of keys (two's complement) keeps
+        the least count; a key whose highest nonzero digit sits at place j has
+        an absolute value of Wj to Wj + W - 1 bits, since every |digit| < H."""
+        low = reduce(or_, keys, 0)
+        if not low:
+            return None
+        return ((low & -low).bit_length() - 1) // self.W, max(map(abs, keys)).bit_length() // self.W
+
     def is_dominant(self, key: int) -> bool:
         return (key + self._bias) & self._bias == self._bias
 
@@ -301,25 +330,56 @@ class TorusElement:
         """t^(shift/2) self*other, minus t^(exp2/2) other*self unless exp2 is
         None, in one pass over pairs of terms: both products of a pair land on
         k1 + k2, with pairings s and -s, so the second entry sits exp2 - 2s
-        above the first and cancels it when exp2 = 2s."""
+        above the first and cancels it when exp2 = 2s.  The pairings are read
+        on the band of the factor with more terms (module docstring, Bands)."""
         ctx = self.ctx
-        if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
-            sizes = f"{len(self.terms)} by {len(other.terms)}"
-            raise ResourceCap(f"torus product of {sizes} terms passes {MAX_PRODUCT_PAIRS} pairs")
+        n1, n2 = len(self.terms), len(other.terms)
+        if n1 * n2 > MAX_PRODUCT_PAIRS:
+            raise ResourceCap(f"torus product of {n1} by {n2} terms passes {MAX_PRODUCT_PAIRS} pairs")
         l1 = self.l1 + other.l1
         if l1 >= ctx.half or ctx.mmax * self.l1 * other.l1 >= ctx.half:
             raise ResourceCap(f"torus product leaves the {ctx.W}-bit key digits")
-        pshift, pbias, mask, half = ctx._shift, ctx._pbias, ctx.mask, ctx.half
-        terms2 = [(k2, other.forms[k2], tuple(c2.c.items())) for k2, c2 in other.terms.items()]
+        mask, half = ctx.mask, ctx.half
+        band = None
+        if ctx.n >= MIN_CUT_PLACES:
+            band = ctx.band((other if n2 >= n1 else self).terms) or (0, 0)
+        if band is None or band[1] - band[0] + 1 == ctx.n:
+            # s = a^T M b is the digit at place n-1 of form(k1) * key(k2)
+            pshift, pbias, x1 = ctx._shift, ctx._pbias, self.forms
+            terms2 = [(k2, other.forms[k2], k2, tuple(c2.c.items())) for k2, c2 in other.terms.items()]
+        else:
+            lo, hi = band
+            # rounds the digits below place hi-lo away and lifts the digit there by H
+            pshift = ctx.W * (hi - lo)
+            pbias = (half << pshift) + ((1 << pshift) >> 1)
+            fshift, kshift, bias = ctx.W * (ctx.n - 1 - hi), ctx.W * lo, ctx._bias
+            cmask = (1 << (pshift + ctx.W)) - 1
+            cbias = bias & cmask
+
+            def cut(f):  # the digits of a form on the band's variables, at places 0..hi-lo
+                return (((f + bias) >> fshift) & cmask) - cbias
+
+            if n2 >= n1:
+                # s is the digit at place hi-lo of cut(form(k1)) * (k2 >> kshift)
+                x1 = {k: cut(f) for k, f in self.forms.items()}
+                x2 = {k: k >> kshift for k in other.terms}
+            else:
+                # s = -b^T M a, the same digit of -(k1 >> kshift) * cut(form(k2))
+                x1 = {k: -(k >> kshift) for k in self.terms}
+                x2 = {k: cut(f) for k, f in other.forms.items()}
+            terms2 = [(k2, other.forms[k2], x2[k2], tuple(c2.c.items())) for k2, c2 in other.terms.items()]
+        # the pairing plus H at which the second entry cancels the first
+        cancel = None if exp2 is None or exp2 % 2 else exp2 // 2 + half
         acc: dict = {}
         forms: dict = {}
         for k1, c1 in self.terms.items():
-            f1, cs1 = self.forms[k1], tuple(c1.c.items())
-            for k2, f2, cs2 in terms2:
-                s = (((f1 * k2 + pbias) >> pshift) & mask) - half
-                twin = None if exp2 is None else exp2 - 2 * s
-                if twin == 0:
+            f1, u1, cs1 = self.forms[k1], x1[k1], tuple(c1.c.items())
+            for k2, f2, u2, cs2 in terms2:
+                s = ((u1 * u2 + pbias) >> pshift) & mask  # the pairing plus H
+                if s == cancel:
                     continue  # the two products cancel
+                s -= half
+                twin = None if exp2 is None else exp2 - 2 * s
                 k = k1 + k2
                 w = acc.get(k)
                 if w is None:
@@ -507,6 +567,9 @@ class YTorus(QuantumTorus):
 
 MAX_QUOTIENT_TERMS = 10000
 MAX_PRODUCT_PAIRS = 10**6
+# Keys of fewer places are paired whole: on the rank-r tori of `canonical` (6
+# to 12 places) a full multiply costs no more than finding and cutting a band.
+MIN_CUT_PLACES = 16
 
 
 def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:

@@ -235,6 +235,16 @@ def test_exit_codes(capsys):
     assert time.perf_counter() - start < 0.3
     assert code == 3
     assert capsys.readouterr().err.startswith("resource cap exceeded: gamma: work ")
+    # a verify presentation range is priced from its levels and the rank,
+    # before its window is built: 1000001 levels, and one level past the cap
+    for hi, n in ((1000000, 4000004), (105, 424)):
+        start = time.perf_counter()
+        assert main(["verify", "presentation", "--type", "A2", f"--m-range=0..{hi}"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"resource cap exceeded: verify presentation: --m-range 0..{hi} of A2 has n = {n} "
+            "(levels x rank^2) above cap 420\n"
+        )
     # a dominant-pairs table is priced row by row as the decompositions are
     # enumerated, and refused before any row is built
     start = time.perf_counter()

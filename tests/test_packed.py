@@ -1,8 +1,9 @@
 """Packed keys against the unpacked reference (`conftest.reference_product`:
 Monomial or exponent-vector keys, paired one pair of terms at a time by
 `pair2`), on the rank-r tori of every orientation of A1-A5, D4 and D5 and on
-the presentation windows of A3 and A4; and the range guard, which raises
-ResourceCap instead of returning a wrapped key."""
+the presentation windows of A3 and A4; products of factors confined to a band
+of key places, whose pairings are read on that band; the band itself; and the
+range guard, which raises ResourceCap instead of returning a wrapped key."""
 
 import functools
 
@@ -13,9 +14,9 @@ from qgroth.cartan import ResourceCap
 from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
 from qgroth.quiver import QuiverContext
-from qgroth.torus import Monomial, XTorus, divide_right
+from qgroth.torus import MIN_CUT_PLACES, Monomial, XTorus, divide_right
 
-from conftest import all_orientations, reference_product
+from conftest import all_orientations, boundary_terms, reference_product
 
 X_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
 T_PLUS_T_INV = HalfLaurent.t_power(2) + HalfLaurent.t_power(-2)
@@ -59,6 +60,7 @@ def monomials(ctx):
 coeffs = st.dictionaries(
     st.integers(min_value=-4, max_value=4), st.integers(min_value=-3, max_value=3), min_size=1, max_size=3
 ).map(HalfLaurent)
+nonzero_coeffs = coeffs.filter(bool)
 
 
 def elements(draw, ctx, size=3):
@@ -161,3 +163,112 @@ def test_a_pairing_past_the_digit_range_is_refused():
         divide_right(xt.monomial(a), xt.monomial(b))
     with pytest.raises(ResourceCap, match="does not fit"):
         xt.monomial((xt.half, 0, 0))
+
+
+# --------------------------------------------------------------------------
+# factors confined to a band of key places
+# --------------------------------------------------------------------------
+
+# the 40-variable A4 window of `verify presentation --m-range 0..2` and the
+# 20-variable rank-r torus of D5, both at least MIN_CUT_PLACES wide
+BAND_TORI = ["A4 window", "D5 rank"]
+
+
+def band_torus(name):
+    kind, torus = name.split()
+    ctx = window_torus(kind, 0, 0) if torus == "window" else x_torus(kind, 0)
+    assert ctx.n >= MIN_CUT_PLACES
+    return ctx
+
+
+def at_places(ctx, digits):
+    """The monomial whose key holds digit d at place j for every (j, d) in
+    digits: place j is variable n-1-j, so place 0 is the last variable."""
+    n = ctx.n
+    if isinstance(ctx, XTorus):
+        v = [0] * n
+        for j, d in digits.items():
+            v[n - 1 - j] = d
+        return tuple(v)
+    return Monomial({ctx.window[n - 1 - j]: d for j, d in digits.items()})
+
+
+@st.composite
+def banded(draw, ctx):
+    """An element whose keys fill exactly the places lo..hi of a drawn band
+    (the first or the last place alone, three places at either end, the
+    whole key or any band), with edge digits of either sign and possibly a
+    constant term; or a constant, whose only key is 0."""
+    n = ctx.n
+    shape = draw(st.sampled_from(["first", "last", "low", "high", "whole", "any", "constant"]))
+    if shape == "constant":
+        return ctx.element({at_places(ctx, {}): draw(nonzero_coeffs)})
+    ends = {"first": (0, 0), "last": (n - 1, n - 1), "low": (0, 2), "high": (n - 3, n - 1), "whole": (0, n - 1)}
+    lo, hi = ends.get(shape) or sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+    digit = st.sampled_from([1, -1, 2, -2])
+    inner = st.dictionaries(st.integers(lo, hi), digit, max_size=3)
+    keys = [at_places(ctx, {lo: draw(digit), hi: draw(digit)})]
+    keys += [at_places(ctx, d) for d in draw(st.lists(inner, max_size=3))]
+    if draw(st.booleans()):
+        keys.append(at_places(ctx, {}))
+    x = ctx.element({k: draw(nonzero_coeffs) for k in keys})
+    assert ctx.band(x.terms) == (lo, hi)
+    return x
+
+
+@seed(20261019)
+@given(st.sampled_from(BAND_TORI), st.integers(min_value=-6, max_value=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_products_of_band_confined_factors_match_the_reference(name, exp2, data):
+    # the two bands may be disjoint and far apart ("low" against "high"), and
+    # either factor may have more terms, so either supplies the keys
+    ctx = band_torus(name)
+    a, b = data.draw(banded(ctx)), data.draw(banded(ctx))
+    ab, ba = reference_product(a, b), reference_product(b, a)
+    assert a * b == ab and b * a == ba
+    assert a.mul_shift(b, exp2) == ab.tshift(exp2)
+    assert a.qcommutator(b, exp2) == ab - ba.tshift(exp2)
+    assert b.qcommutator(a, exp2) == ba - ab.tshift(exp2)
+    assert divide_right(ab, b) == a and divide_right(ba, a) == b
+
+
+@pytest.mark.parametrize("name", BAND_TORI)
+@pytest.mark.parametrize("spread", [False, True])
+def test_a_pairing_at_the_edge_of_the_range_check_is_exact(name, spread):
+    # a single variable against exponent e, the largest with mmax * 1 * e < H
+    # and 1 + e < H, which the range check admits, and e + 1, which it
+    # refuses; spread, e is split between a variable and the top place; b
+    # carries a constant term too, so either factor may supply the band
+    ctx = band_torus(name)
+    n, m = ctx.n, ctx.mmax
+    k, l = next((k, l) for k in range(n) for l in range(n) if abs(ctx.gram[k][l]) == m)
+    e = min((ctx.half - 1) // m, ctx.half - 2)
+    for sign in (1, -1):
+        a = ctx.monomial(at_places(ctx, {n - 1 - k: sign}))
+        for big in (e, e + 1):
+            digits = {n - 1 - l: -sign * big}
+            if spread and l != n - 1:
+                digits = {n - 1 - l: -sign * (big - 1), n - 1: sign}
+            b = ctx.element({at_places(ctx, digits): T_PLUS_T_INV, at_places(ctx, {}): HalfLaurent.one()})
+            if big > e:
+                with pytest.raises(ResourceCap, match="torus product leaves"):
+                    a * b
+                continue
+            ab, ba = reference_product(a, b), reference_product(b, a)
+            assert max(abs(ctx.pair2(x, y)) for x in boundary_terms(a) for y in boundary_terms(b)) >= m * (e - 2)
+            assert a * b == ab and b * a == ba
+            assert a.qcommutator(b, 0) == ab - ba and b.mul_shift(a, -2) == ba.tshift(-2)
+
+
+@seed(20261019)
+@given(tori(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_band_is_the_least_and_greatest_nonzero_place(ctx, data):
+    n, top = ctx.n, ctx.half - 1
+    place = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+    digit = st.sampled_from([1, -1, top, -top])
+    vecs = data.draw(st.lists(st.dictionaries(place, digit, max_size=4), max_size=4))
+    keys = [sum(d << (ctx.W * j) for j, d in v.items()) for v in vecs]
+    places = {n - 1 - k for key in keys for k, d in enumerate(ctx.exponents(key)) if d}
+    assert places == {j for v in vecs for j in v}
+    assert ctx.band(keys) == ((min(places), max(places)) if places else None)
