@@ -4,7 +4,7 @@ classes of the character side, which live in the same torus.
 
 Minors D(b,d) are never abstract: they exist only through their expansions on
 the basis X^a of the rank-r torus.  The flag minors D(0,k) are ordered
-products of the rescaled generators; every other minor is produced from the
+products of the rescaled variables; every other minor is produced from the
 determinantal identity by exact right division, recursing on b + d.  Each
 rescaled dual PBW vector is built as a standard class is, by one normalized
 product: the one with its last factor removed times the rescaled minor
@@ -14,17 +14,23 @@ v^(N/2) E*, the twist disappears and the involution is plain coefficient
 conjugation, so one solve by Lusztig's lemma, as on the character side,
 fills a whole weight space.
 
-The comparison runs that solve once per weight space, on the truncated
-standard classes, and checks each row against the characterization of the
-dual canonical basis instead of solving again over the dual PBW family.  The
-solve checks that bar is unitriangular on the family, whose leading keys are
-distinct, dominant and carry coefficient 1; so at most one bar-invariant
-element lies in E~(a) + sum_b t^(-1/2) Z[t^(-1/2)] E~(b) over strictly
-deeper b (the uniqueness half of Lusztig's lemma), and a row that has that
-shape over the dual PBW family and is bar-invariant is B~(a).
+The comparison runs that solve once per weight space and checks each row
+against the characterization of the dual canonical basis instead of solving
+again over the dual PBW family.  The solve checks that bar is unitriangular
+on the family, whose leading keys are distinct, dominant and carry
+coefficient 1; so at most one bar-invariant element lies in E~(a) + sum_b
+t^(-1/2) Z[t^(-1/2)] E~(b) over strictly deeper b (the uniqueness half of
+Lusztig's lemma), and a row that has that shape over the dual PBW family and
+is bar-invariant is B~(a).  A standard class and E~(a) are one normalized
+product over the same labels, of the truncated fundamentals and of the
+rescaled generators: equal factors give equal products, so the two families
+agree once the r generators do.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import combinations
 
 from .cartan import Weight
 from .characters import CategoryQ, bar_invariant_correction, combine, ordered_product
@@ -51,11 +57,8 @@ class QGroupSide:
         self._etilde: dict[tuple[int, ...], TorusElement] = {(0,) * self.r: self.xt.one()}
         # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
         self._n, self._c2 = [], []
-        for k in range(1, self.r + 1):
-            beta = self.word.betas[k - 1]
-            i = self.word.word[k - 1]
-            km = self.word.kminus(k)
-            lam_km = self.word.lam(km, letter=i)
+        for k, (beta, i) in enumerate(zip(self.word.betas, self.word.word), 1):
+            lam_km = self.word.lam(self.word.kminus(k), letter=i)
             nb, _ = n_gamma(self.cartan, beta)
             self._n.append(nb)
             self._c2.append(nb + 2 * self.cartan.sprod(self.cartan.varpi(i) - lam_km, beta))
@@ -63,15 +66,10 @@ class QGroupSide:
     # -- minors ---------------------------------------------------------------
 
     def flag(self, b: int) -> TorusElement:
-        """D(0,b) as an element of the torus: the ordered product of the
-        rescaled generators down the tower of b."""
-        if b == 0:
-            return self.xt.one()
-        out = None
-        k = b
+        """D(0,b) in the torus: the ordered product of the rescaled variables down the tower of b."""
+        out, k = self.xt.one(), b
         while k != 0:
-            zk = self.xt.monomial(self.xt.unit_vector(k), HalfLaurent.t_power(-self._c2[k - 1]))
-            out = zk if out is None else out * zk
+            out = out * self.xt.monomial(self.xt.unit_vector(k), HalfLaurent.t_power(-self._c2[k - 1]))
             k = self.word.kminus(k)
         return out
 
@@ -91,16 +89,13 @@ class QGroupSide:
         if self.word.word[b - 1] != i:
             raise ValueError(f"minor indices ({b},{d}) carry different letters")
         bm, dm = self.word.kminus(b), self.word.kminus(d)
-        mu = self.word.mu
-        sp = self.cartan.sprod
+        mu, sp = self.word.mu, self.cartan.sprod
         a2 = 2 * sp(mu(bm, i) - mu(dm, i), mu(d, i))
         b2 = 2 * sp(mu(bm, i) - mu(d, i), mu(dm, i))
         nbhd = self.cartan.neighbors(i)
         c2 = 0
-        for x in range(len(nbhd)):
-            for y in range(x + 1, len(nbhd)):
-                j, k = nbhd[x], nbhd[y]
-                c2 += 2 * sp(mu(b, k) - mu(d, k), mu(d, j))
+        for j, k in combinations(nbhd, 2):
+            c2 += 2 * sp(mu(b, k) - mu(d, k), mu(d, j))
         rhs = (self.minor(b, dm) * self.minor(bm, d)).tshift(-2 + b2 - a2)
         prod = None
         for j in nbhd:
@@ -116,20 +111,17 @@ class QGroupSide:
     def e_star(self, k: int) -> TorusElement:
         return self.minor(self.word.kminus(k), k)
 
+    @cached_property
+    def generators(self) -> list[TorusElement]:
+        """The rescaled generators E~(e_k) = v^(N(beta_k)/2) E*(k), k = 1..r, in order."""
+        return [self.e_star(k + 1).tshift(n) for k, n in enumerate(self._n)]
+
     def e_tilde(self, a) -> TorusElement:
         """The rescaled dual PBW vector E~(a) = v^(s(a)/2) E*(1)^a1 ... E*(r)^ar:
-        the ordered product of the v^(N(beta_k)/2) E*(k), normalized at X^a;
-        memoised.  Its shifts add up to s(a) = sum_k a_k N(beta_k) + sum_{k<l}
-        a_k a_l (beta_k, beta_l) = N(beta(a)) - sum_k a_k (a_k - 1)."""
-        return ordered_product(
-            self._etilde, tuple(a), lambda k: self.e_star(k + 1).tshift(self._n[k]), self.cat.labels
-        )
-
-    def _dual_canonical(self, depth: dict) -> None:
-        """One solve over the weight space with the given {key: depth}, into the memo."""
-        basis = self._pbw(depth)
-        for a, row in bar_invariant_correction(basis, depth).items():
-            self._btilde[a] = combine(basis, row)
+        the ordered product of the `generators`, normalized at X^a; memoised.
+        Its shifts add up to s(a) = sum_k a_k N(beta_k) + sum_{k<l} a_k a_l
+        (beta_k, beta_l) = N(beta(a)) - sum_k a_k (a_k - 1)."""
+        return ordered_product(self._etilde, tuple(a), self.generators.__getitem__, self.cat.labels)
 
     def _pbw(self, keys) -> dict[int, TorusElement]:
         """The rescaled dual PBW vector at each key."""
@@ -141,7 +133,10 @@ class QGroupSide:
         same weight.  One solve fills the whole weight space of a."""
         key = self.xt.key(a)
         if key not in self._btilde:
-            self._dual_canonical(self.cat.depths(self.cat.root_of(a)))
+            depth = self.cat.depths(self.cat.root_of(a))
+            basis = self._pbw(depth)
+            for b, row in bar_invariant_correction(basis, depth).items():
+                self._btilde[b] = combine(basis, row)
         return self._btilde[key]
 
     # -- verification reports ---------------------------------------------------
@@ -151,9 +146,7 @@ class QGroupSide:
         bound: the truncated standard class must equal the rescaled dual PBW
         vector, and the truncated simple class the rescaled dual canonical
         vector.  The exponent vectors, enumerated once and grouped by weight,
-        give each weight space's depths to one solve over its truncated
-        standard classes; each standard class and each dual PBW vector is
-        built once, by one product (`ordered_product`).
+        give each weight space's depths to one solve.
 
         The row of a passes when L_a = sum_b P_ab E~(b) has (i) P_aa = 1,
         (ii) every other b strictly deeper than a, with only negative
@@ -161,18 +154,25 @@ class QGroupSide:
         standard classes equal the E~(b) on the whole weight space.  By (iv)
         the solve's check of the bar defect holds on E~, so by uniqueness (see
         the module docstring) L_a is B~(a), and it is the truncated simple
-        class sum_b P_ab of the standard classes.  A row that passes stores
-        L_a as B~(a); for a row that fails, `b_tilde` solves over E~."""
+        class sum_b P_ab of the standard classes.  By equal factors (ibid.),
+        the r equalities of the truncated fundamentals with the `generators`
+        give (iv) everywhere: when they hold, the E~ alone are built and serve
+        as the standard classes; else both families are built, each vector by
+        one product, and compared row by row.  A row that passes stores L_a as
+        B~(a); for a row that fails, `b_tilde` solves over E~."""
         if degree_bound < 0:
             raise ValueError(f"negative degree bound {degree_bound}")
         avecs = self.cat.dominant_avecs_up_to(degree_bound)
         spaces: dict[tuple[int, ...], dict[int, int]] = {}
         for a in avecs:
             spaces.setdefault(self.cat.root_of(a), {})[self.xt.key(a)] = self.cat.depth(a)
+        fundamental = self.cat.truncated_fundamental
+        one_family = all(fundamental(*p) == g for p, g in zip(self.cat.positions, self.generators))
         rows = {}
         for depth in spaces.values():
-            std, pbw = self.cat.standards(depth), self._pbw(depth)
-            same = {k: std[k] == pbw[k] for k in depth}
+            std = self._pbw(depth) if one_family else self.cat.standards(depth)
+            pbw = std if one_family else self._pbw(depth)
+            same = {k: one_family or std[k] == pbw[k] for k in depth}
             space_ok = all(same.values())
             for k, row in bar_invariant_correction(std, depth).items():
                 lift = self._characterized(k, row, depth, pbw) if space_ok else None

@@ -77,6 +77,12 @@ def boundary_terms(x) -> dict:
     return {unpack(k): c for k, c in x.terms.items()}
 
 
+def doubled_off_label(x, label: int):
+    """x with every term other than the one at the key `label` doubled: the
+    same keys, so an ordered product over it still carries 1 at its label."""
+    return x._with({k: c if k == label else c + c for k, c in x.terms.items()})
+
+
 def on_positions(cat: CategoryQ, y):
     """An element of a window torus whose monomials all sit on the positions
     of the orientation, rewritten in the rank-r torus (raises on any other

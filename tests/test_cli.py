@@ -11,6 +11,8 @@ from qgroth.hall import IsoClass
 from qgroth.laurent import HalfLaurent
 from qgroth.torus import Monomial
 
+from conftest import doubled_off_label
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -109,6 +111,44 @@ def test_a_dual_pbw_generator_rescaled_by_one_more_half_power_fails(monkeypatch,
     monkeypatch.setattr(QGroupSide, "__init__", shifted)
     assert main(CANONICAL_A3) == 2
     assert capsys.readouterr().err.endswith(" does not carry coefficient 1 at its label\n")
+
+
+def _standard_rows_fail_exactly_with_the_last_factor(capsys):
+    code, out = run(capsys, *CANONICAL_A3, "--format", "json")
+    report = json.loads(out)
+    assert code == 2 and report["ok"] is False
+    assert [r["standard_ok"] for r in report["rows"]] == [r["avec"][-1] == 0 for r in report["rows"]]
+
+
+def test_a_truncated_fundamental_moved_off_its_label_fails_its_standard_rows(monkeypatch, capsys):
+    # every ordered product still carries 1 at its label, so only the
+    # comparison of the r generators sees the moved factor: the standard
+    # classes with a_k > 0 are not the dual PBW vectors.  The moved factor is
+    # the last one, the right end of every product it enters; moved so, the
+    # solves over either family still go through and every row is reported
+    from qgroth.characters import CategoryQ
+
+    real = CategoryQ.truncated_fundamental
+
+    def moved(self, i, p):
+        x = real(self, i, p)
+        return doubled_off_label(x, self.labels[-1]) if (i, p) == self.positions[-1] else x
+
+    monkeypatch.setattr(CategoryQ, "truncated_fundamental", moved)
+    _standard_rows_fail_exactly_with_the_last_factor(capsys)
+
+
+def test_a_dual_pbw_generator_moved_off_its_label_fails_its_standard_rows(monkeypatch, capsys):
+    from qgroth.qgroup import QGroupSide
+
+    real = QGroupSide.e_star
+
+    def moved(self, k):
+        x = real(self, k)
+        return doubled_off_label(x, self.cat.labels[-1]) if k == self.r else x
+
+    monkeypatch.setattr(QGroupSide, "e_star", moved)
+    _standard_rows_fail_exactly_with_the_last_factor(capsys)
 
 
 def test_qchar_commands(capsys):

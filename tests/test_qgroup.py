@@ -10,7 +10,14 @@ from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
-from conftest import all_orientations, boundary_terms, expand_by_monomials, in_tinv_ztinv, wide_torus
+from conftest import (
+    all_orientations,
+    boundary_terms,
+    doubled_off_label,
+    expand_by_monomials,
+    in_tinv_ztinv,
+    wide_torus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -275,10 +282,13 @@ def test_verify_mainth_rows_match_one_vector_at_a_time(quiver, degree):
         assert qg.b_tilde(a) == btilde and qg.e_tilde(a) == etilde == _pbw_by_definition(fresh, a)
 
 
+@pytest.mark.parametrize("moved", [False, True])
 @pytest.mark.parametrize("name,arrows,degree", [("A3", "1-2,3-2", 4), ("D4", "1-3,2-3,3-4", 3)])
-def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, name, arrows, degree):
+def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, name, arrows, degree, moved):
     # and runs one Lusztig-lemma solve per weight space: the dual canonical
-    # rows are checked, not solved a second time
+    # rows are checked, not solved a second time.  While the r generators
+    # agree, the dual PBW vectors are the standard classes too, one family in
+    # one memo; with the last E*(k) moved off its label, both families are built
     from qgroth import characters, qgroup
     from qgroth.cli import main
     from qgroth.torus import TorusElement
@@ -309,16 +319,23 @@ def test_canonical_request_builds_each_basis_vector_once(capsys, monkeypatch, na
     monkeypatch.setattr(qgroup, "ordered_product", product)
     monkeypatch.setattr(characters, "bar_invariant_correction", spy)
     monkeypatch.setattr(qgroup, "bar_invariant_correction", spy)
-    argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree)]
-    assert main(argv) == 0
-    assert "FAIL" not in capsys.readouterr().out
     cd = cartan_datum(name)
     arrow_list = [tuple(int(v) for v in tok.split("-")) for tok in arrows.split(",")]
     cat = CategoryQ(QuiverContext(QuiverDatum.from_arrows(cd, arrow_list)))
+    if moved:
+        e_star = QGroupSide.e_star
+
+        def moved_last(qg, k):
+            return doubled_off_label(e_star(qg, k), cat.labels[-1]) if k == qg.r else e_star(qg, k)
+
+        monkeypatch.setattr(QGroupSide, "e_star", moved_last)
+    argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree)]
+    assert main(argv) == (2 if moved else 0)
+    assert ("FAIL" in capsys.readouterr().out) == moved
     avecs = cat.dominant_avecs_up_to(degree)
-    # the standard classes and the dual PBW vectors, each family in its memo,
-    # which holds X(0) = 1 from the start
-    assert len(built) == 2
+    # each family in its memo, which holds X(0) = 1 from the start, gains
+    # every other dominant a once
+    assert len(built) == (2 if moved else 1)
     for log in built.values():
         assert sorted(log) == sorted(a for a in avecs if any(a))
     spaces = {}
