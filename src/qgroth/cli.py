@@ -335,7 +335,9 @@ def cmd_canonical(args) -> int:
             "rows": [
                 {
                     "avec": list(r["avec"]),
-                    "dual_canonical": qg.b_tilde(r["avec"]).to_json(),
+                    "dual_canonical": (
+                        qg.b_tilde(r["avec"]).to_json() if r["simple_matches_dual_canonical"] else None
+                    ),
                     "simple_ok": r["simple_matches_dual_canonical"],
                     "standard_ok": r["standard_matches_dual_pbw"],
                 }

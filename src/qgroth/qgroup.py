@@ -23,8 +23,9 @@ t^(-1/2) Z[t^(-1/2)] E~(b) over strictly deeper b (the uniqueness half of
 Lusztig's lemma), and a row that has that shape over the dual PBW family and
 is bar-invariant is B~(a).  A standard class and E~(a) are one normalized
 product over the same labels, of the truncated fundamentals and of the
-rescaled generators: equal factors give equal products, so the two families
-agree once the r generators do.
+rescaled generators, so only the E~ are built: by equal factors, a row is a
+standard match when every generator in its support agrees, and a weight
+space with a moved generator in some row's support fails without a solve.
 """
 
 from __future__ import annotations
@@ -148,18 +149,15 @@ class QGroupSide:
         vector.  The exponent vectors, enumerated once and grouped by weight,
         give each weight space's depths to one solve.
 
-        The row of a passes when L_a = sum_b P_ab E~(b) has (i) P_aa = 1,
-        (ii) every other b strictly deeper than a, with only negative
-        exponents in P_ab, (iii) every coefficient symmetric, and (iv) the
-        standard classes equal the E~(b) on the whole weight space.  By (iv)
-        the solve's check of the bar defect holds on E~, so by uniqueness (see
-        the module docstring) L_a is B~(a), and it is the truncated simple
-        class sum_b P_ab of the standard classes.  By equal factors (ibid.),
-        the r equalities of the truncated fundamentals with the `generators`
-        give (iv) everywhere: when they hold, the E~ alone are built and serve
-        as the standard classes; else both families are built, each vector by
-        one product, and compared row by row.  A row that passes stores L_a as
-        B~(a); for a row that fails, `b_tilde` solves over E~."""
+        The row of a is a standard match when every generator in its support
+        agrees with its truncated fundamental (equal factors, see the module
+        docstring); the r generators are compared once.  A weight space with a
+        moved generator in some row's support fails without a solve; else its
+        row of a passes when L_a = sum_b P_ab E~(b) has (i) P_aa = 1, (ii)
+        every other b strictly deeper than a, with only negative exponents in
+        P_ab, and (iii) every coefficient symmetric.  The E~ being the standard
+        classes, by uniqueness (ibid.) L_a is B~(a), the truncated simple class
+        sum_b P_ab of the standard classes, and it is stored as B~(a)."""
         if degree_bound < 0:
             raise ValueError(f"negative degree bound {degree_bound}")
         avecs = self.cat.dominant_avecs_up_to(degree_bound)
@@ -167,15 +165,14 @@ class QGroupSide:
         for a in avecs:
             spaces.setdefault(self.cat.root_of(a), {})[self.xt.key(a)] = self.cat.depth(a)
         fundamental = self.cat.truncated_fundamental
-        one_family = all(fundamental(*p) == g for p, g in zip(self.cat.positions, self.generators))
+        moved = [k for k, p in enumerate(self.cat.positions) if fundamental(*p) != self.generators[k]]
         rows = {}
         for depth in spaces.values():
-            std = self._pbw(depth) if one_family else self.cat.standards(depth)
-            pbw = std if one_family else self._pbw(depth)
-            same = {k: one_family or std[k] == pbw[k] for k in depth}
-            space_ok = all(same.values())
-            for k, row in bar_invariant_correction(std, depth).items():
-                lift = self._characterized(k, row, depth, pbw) if space_ok else None
+            pbw = self._pbw(depth)
+            same = {k: not any(self.xt.exponents(k)[m] for m in moved) for k in depth}
+            solved = bar_invariant_correction(pbw, depth) if all(same.values()) else {}
+            for k in depth:
+                lift = self._characterized(k, solved[k], depth, pbw) if solved else None
                 if lift is not None:
                     self._btilde[k] = lift
                 a = self.xt.exponents(k)

@@ -9,6 +9,7 @@ from qgroth.cli import _parse_iso, _parse_monomial, main
 from qgroth.cartan import CartanDatum, cartan_datum
 from qgroth.hall import IsoClass
 from qgroth.laurent import HalfLaurent
+from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
 from conftest import doubled_off_label
@@ -113,42 +114,58 @@ def test_a_dual_pbw_generator_rescaled_by_one_more_half_power_fails(monkeypatch,
     assert capsys.readouterr().err.endswith(" does not carry coefficient 1 at its label\n")
 
 
-def _standard_rows_fail_exactly_with_the_last_factor(capsys):
+def _standard_rows_fail_exactly_with_factor(capsys, k):
+    # every row is reported: standard_ok fails exactly where a_k > 0, a weight
+    # space holding such a row is not solved, so all its rows fail simple_ok,
+    # and dual_canonical is written only for a row that passed
+    from qgroth.characters import CategoryQ
+
     code, out = run(capsys, *CANONICAL_A3, "--format", "json")
     report = json.loads(out)
     assert code == 2 and report["ok"] is False
-    assert [r["standard_ok"] for r in report["rows"]] == [r["avec"][-1] == 0 for r in report["rows"]]
+    rows = report["rows"]
+    cat = CategoryQ(QuiverContext(QuiverDatum.from_arrows(cartan_datum("A3"), [(1, 2), (3, 2)])))
+    assert [r["avec"] for r in rows] == [list(a) for a in cat.dominant_avecs_up_to(3)]
+    assert [r["standard_ok"] for r in rows] == [r["avec"][k - 1] == 0 for r in rows]
+    failing = {cat.root_of(r["avec"]) for r in rows if r["avec"][k - 1]}
+    assert [r["simple_ok"] for r in rows] == [cat.root_of(r["avec"]) not in failing for r in rows]
+    assert [r["dual_canonical"] is None for r in rows] == [not r["simple_ok"] for r in rows]
 
 
-def test_a_truncated_fundamental_moved_off_its_label_fails_its_standard_rows(monkeypatch, capsys):
+# the generators of A3 1-2,3-2 with more than one term: generators 1-3 are
+# single monomials, which `doubled_off_label` leaves as they are
+MOVABLE_A3 = [4, 5, 6]
+
+
+@pytest.mark.parametrize("k", MOVABLE_A3)
+def test_a_truncated_fundamental_moved_off_its_label_fails_its_standard_rows(monkeypatch, capsys, k):
     # every ordered product still carries 1 at its label, so only the
     # comparison of the r generators sees the moved factor: the standard
-    # classes with a_k > 0 are not the dual PBW vectors.  The moved factor is
-    # the last one, the right end of every product it enters; moved so, the
-    # solves over either family still go through and every row is reported
+    # classes with a_k > 0 are not the dual PBW vectors
     from qgroth.characters import CategoryQ
 
     real = CategoryQ.truncated_fundamental
 
     def moved(self, i, p):
         x = real(self, i, p)
-        return doubled_off_label(x, self.labels[-1]) if (i, p) == self.positions[-1] else x
+        return doubled_off_label(x, self.labels[k - 1]) if (i, p) == self.positions[k - 1] else x
 
     monkeypatch.setattr(CategoryQ, "truncated_fundamental", moved)
-    _standard_rows_fail_exactly_with_the_last_factor(capsys)
+    _standard_rows_fail_exactly_with_factor(capsys, k)
 
 
-def test_a_dual_pbw_generator_moved_off_its_label_fails_its_standard_rows(monkeypatch, capsys):
+@pytest.mark.parametrize("k", MOVABLE_A3)
+def test_a_dual_pbw_generator_moved_off_its_label_fails_its_standard_rows(monkeypatch, capsys, k):
     from qgroth.qgroup import QGroupSide
 
     real = QGroupSide.e_star
 
-    def moved(self, k):
-        x = real(self, k)
-        return doubled_off_label(x, self.cat.labels[-1]) if k == self.r else x
+    def moved(self, j):
+        x = real(self, j)
+        return doubled_off_label(x, self.cat.labels[k - 1]) if j == k else x
 
     monkeypatch.setattr(QGroupSide, "e_star", moved)
-    _standard_rows_fail_exactly_with_the_last_factor(capsys)
+    _standard_rows_fail_exactly_with_factor(capsys, k)
 
 
 def test_qchar_commands(capsys):
