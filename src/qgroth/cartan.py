@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -306,8 +307,16 @@ def iter_kostant_partitions(roots, d) -> Iterator[tuple[int, ...]]:
                 yield tuple(rem[simple[j]] if j in simple else c for j, c in enumerate(acc))
             continue
         b = roots[k]
-        for c in range(min(r // x for r, x in zip(rem, b) if x) + 1):
+        stack.append((k + 1, rem, acc + (0,)))
+        for c in range(1, min(r // x for r, x in zip(rem, b) if x) + 1):
             stack.append((k + 1, tuple(r - c * x for r, x in zip(rem, b)), acc + (c,)))
+
+
+def dimension_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Every d in N^n with sum(d) <= bound, once each: the gaps between the
+    entries of an n-subset of range(bound + n), so C(bound + n, n) of them."""
+    for c in combinations(range(bound + n), n):
+        yield tuple(y - x - 1 for x, y in zip((-1,) + c, c))
 
 
 @lru_cache(maxsize=None)

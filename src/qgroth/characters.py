@@ -598,20 +598,6 @@ class CategoryQ:
         """The truncated standard class at each dominant key."""
         return {k: self.truncated_standard(self.xt.exponents(k)) for k in keys}
 
-    def dominant_avecs_up_to(self, degree: int) -> list[tuple[int, ...]]:
-        degs = [self.cartan.deg(b) for b in self.qctx.word.betas]
-        out: list[tuple[int, ...]] = []
-
-        def rec(k: int, budget: int, acc: list):
-            if k == len(degs):
-                out.append(tuple(acc))
-                return
-            for c in range(budget // degs[k] + 1):
-                rec(k + 1, budget - c * degs[k], acc + [c])
-
-        rec(0, degree, [])
-        return out
-
     # -- truncated standard and simple classes -------------------------------
 
     def _dominant_avec(self, a) -> tuple[int, ...]:

@@ -541,11 +541,20 @@ def _reduced(q: int, n0: int, n1: int, n2: int, n3: int, d: int) -> UScalar:
     return out
 
 
+def specialize(q: int, c: HalfLaurent) -> UScalar:
+    """c at t^(1/2) = u^(1/2) = x, in one pass: each t^(e/2) goes to x^e =
+    q^floor(e/4) x^(e mod 4), all over one denominator, q^-s for the least
+    power s <= 0 of q."""
+    low = min((0, *c.c)) // 4
+    n = [0, 0, 0, 0]
+    for e, v in c.items():
+        n[e % 4] += v * q ** (e // 4 - low)
+    return _reduced(q, *n, q**-low)
+
+
 def u_power(q: int, k: int) -> UScalar:
-    """u^k = q^floor(k/2) u^(k mod 2), with u = x^2."""
-    e, r = divmod(k, 2)
-    c, d = (q**e, 1) if e >= 0 else (1, q**-e)
-    return _reduced(q, 0 if r else c, 0, c if r else 0, 0, d)
+    """u^k, the specialization of t^k."""
+    return specialize(q, HalfLaurent.t_power(2 * k))
 
 
 # --------------------------------------------------------------------------
@@ -657,9 +666,6 @@ class DerivedHall:
         return out
 
     # -- elements -------------------------------------------------------------
-
-    def zero(self) -> dict:
-        return {}
 
     def one(self) -> dict:
         return {(): self._one}
@@ -786,7 +792,8 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     On the character side the generators are the fundamental classes at the
     simple-root positions rescaled by 1/(u^(1/2)(u - u^-1)); on the Hall side
     they are the simple generators z_{S_i}^[0] of `dh`, built on the quiver
-    of `cat`.  Returns the scalar table and a consistency flag.
+    of `cat`.  A character-side coefficient is taken to the Hall side's
+    scalars by `specialize`.  Returns the scalar table and a consistency flag.
     """
     if max_len < 1:
         raise ValueError(f"maximum word length {max_len} selects no product to compare")
@@ -796,11 +803,6 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     one = UScalar.of(q, 1)
     u = UScalar.u(q)
     resc = (UScalar.half_u(q) * (u - u_power(q, -1))).inverse()
-    half_u = UScalar.half_u(q)
-
-    def eval_t(c: HalfLaurent) -> UScalar:
-        return c.substitute(half_u, one)
-
     scalars: dict = {}
     spaces: dict = {}  # weight -> (its depths, its truncated standard classes)
     consistent = True
@@ -836,7 +838,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
                 iso = IsoClass({cat.roots[k]: a for k, a in enumerate(avec) if a})
                 ct = coeffs_t.get(key, HalfLaurent.zero())
                 ch = coeffs_h.get(iso, UScalar.of(q, 0))
-                tval = eval_t(ct) * rescale
+                tval = specialize(q, ct) * rescale
                 if ch.is_zero() != tval.is_zero():
                     consistent = False
                     witnesses.append((word, avec, "support mismatch"))

@@ -42,13 +42,8 @@ class HalfLaurent:
         return HalfLaurent({0: 1})
 
     @staticmethod
-    def term(coeff: int, exp2: int = 0) -> "HalfLaurent":
-        """coeff * t^(exp2/2)."""
-        return HalfLaurent({exp2: coeff})
-
-    @staticmethod
     def t_power(exp2: int) -> "HalfLaurent":
-        return HalfLaurent({exp2: 1})
+        return HalfLaurent._of({exp2: 1})
 
     def is_zero(self) -> bool:
         return not self.c
@@ -161,26 +156,6 @@ class HalfLaurent:
                 else:
                     rem.pop(te, None)
         return None if rem else HalfLaurent(quot)
-
-    def substitute(self, half_unit, one):
-        """Evaluate at t^(1/2) = half_unit inside another ring.
-
-        `one` is the multiplicative unit of the target ring; the target only
-        needs +, * and integer scaling via repeated addition of products.
-        """
-        acc = None
-        for e, v in sorted(self.c.items()):
-            term = one
-            if e >= 0:
-                for _ in range(e):
-                    term = term * half_unit
-            else:
-                inv = half_unit.inverse()
-                for _ in range(-e):
-                    term = term * inv
-            term = term.scale_int(v)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else one.scale_int(0)
 
     def __repr__(self) -> str:
         return f"HalfLaurent({self.render()})"

@@ -14,18 +14,20 @@ v^(N/2) E*, the twist disappears and the involution is plain coefficient
 conjugation, so one solve by Lusztig's lemma, as on the character side,
 fills a whole weight space.
 
-The comparison runs that solve once per weight space and checks each row
-against the characterization of the dual canonical basis instead of solving
-again over the dual PBW family.  The solve checks that bar is unitriangular
-on the family, whose leading keys are distinct, dominant and carry
-coefficient 1; so at most one bar-invariant element lies in E~(a) + sum_b
-t^(-1/2) Z[t^(-1/2)] E~(b) over strictly deeper b (the uniqueness half of
-Lusztig's lemma), and a row that has that shape over the dual PBW family and
-is bar-invariant is B~(a).  A standard class and E~(a) are one normalized
-product over the same labels, of the truncated fundamentals and of the
-rescaled generators, so only the E~ are built: by equal factors, a row is a
-standard match when every generator in its support agrees, and a weight
-space with a moved generator in some row's support fails without a solve.
+The comparison walks the weight spaces d with sum(d) at most the degree
+bound and runs that solve once per weight space, over the depths read off
+its decompositions into roots; `b_tilde` reads the same solve.  Each row is
+checked against the characterization of the dual canonical basis instead of
+being solved again over the dual PBW family.  The solve checks that bar is
+unitriangular on the family, whose leading keys are distinct, dominant and
+carry coefficient 1; so at most one bar-invariant element lies in E~(a) +
+sum_b t^(-1/2) Z[t^(-1/2)] E~(b) over strictly deeper b (the uniqueness half
+of Lusztig's lemma), and a row of that shape that is bar-invariant is B~(a).
+A standard class and E~(a) are one normalized product over the same labels,
+of the truncated fundamentals and of the rescaled generators, so only the E~
+are built: by equal factors, a row is a standard match when every generator
+in its support agrees, and a weight space with a moved generator in some
+row's support fails without a solve.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .cartan import Weight
-from .characters import CategoryQ, bar_invariant_correction, combine, ordered_product
+from .cartan import Weight, dimension_vectors
+from .characters import CategoryQ, CharacterError, bar_invariant_correction, combine, ordered_product
 from .laurent import HalfLaurent
 from .presentation import relation_failures
 from .torus import TorusElement, divide_right
@@ -54,7 +56,7 @@ class QGroupSide:
         self.r = self.word.r
         self.xt = cat.xt
         self._minors: dict[tuple[int, int], TorusElement] = {}
-        self._btilde: dict[int, TorusElement] = {}
+        self._btilde: dict[int, TorusElement | None] = {}  # each solved key's checked lift, or None
         self._etilde: dict[tuple[int, ...], TorusElement] = {(0,) * self.r: self.xt.one()}
         # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
         self._n, self._c2 = [], []
@@ -124,30 +126,36 @@ class QGroupSide:
         (beta_k, beta_l) = N(beta(a)) - sum_k a_k (a_k - 1)."""
         return ordered_product(self._etilde, tuple(a), self.generators.__getitem__, self.cat.labels)
 
-    def _pbw(self, keys) -> dict[int, TorusElement]:
-        """The rescaled dual PBW vector at each key."""
-        return {k: self.e_tilde(self.xt.exponents(k)) for k in keys}
+    def _solve(self, depth: dict, solve: bool = True) -> None:
+        """Build the E~ family of one weight space, given by its depths, and
+        when `solve`, unless memoised, run one solve over it and memoise for
+        each key the lift `_characterized` accepts, or None."""
+        pbw = {k: self.e_tilde(self.xt.exponents(k)) for k in sorted(depth)}
+        if solve and not depth.keys() <= self._btilde.keys():
+            rows = bar_invariant_correction(pbw, depth)
+            for k in depth:
+                self._btilde[k] = self._characterized(k, rows[k], depth, pbw)
 
     def b_tilde(self, a) -> TorusElement:
-        """Rescaled dual canonical vector: sigma-invariant, unitriangular with
-        strictly negative v-powers over the rescaled dual PBW family of the
-        same weight.  One solve fills the whole weight space of a."""
+        """Rescaled dual canonical vector B~(a): sigma-invariant, unitriangular
+        with strictly negative v-powers over the rescaled dual PBW family of
+        the same weight.  The row of a in the one solve of its weight space,
+        checked as in `verify_mainth`; CharacterError where it fails."""
         key = self.xt.key(a)
         if key not in self._btilde:
-            depth = self.cat.depths(self.cat.root_of(a))
-            basis = self._pbw(depth)
-            for b, row in bar_invariant_correction(basis, depth).items():
-                self._btilde[b] = combine(basis, row)
+            self._solve(self.cat.depths(self.cat.root_of(a)))
+        if self._btilde[key] is None:
+            raise CharacterError(f"the dual canonical row at {tuple(a)} fails its characterization")
         return self._btilde[key]
 
     # -- verification reports ---------------------------------------------------
 
     def verify_mainth(self, degree_bound: int) -> list[dict]:
         """For every dominant exponent vector of weight-degree at most the
-        bound: the truncated standard class must equal the rescaled dual PBW
-        vector, and the truncated simple class the rescaled dual canonical
-        vector.  The exponent vectors, enumerated once and grouped by weight,
-        give each weight space's depths to one solve.
+        bound, in increasing order: the truncated standard class must equal
+        the rescaled dual PBW vector, and the truncated simple class the
+        rescaled dual canonical vector.  Each weight space d with sum(d) at
+        most the bound is read off `CategoryQ.depths(d)` and solved once.
 
         The row of a is a standard match when every generator in its support
         agrees with its truncated fundamental (equal factors, see the module
@@ -160,28 +168,21 @@ class QGroupSide:
         sum_b P_ab of the standard classes, and it is stored as B~(a)."""
         if degree_bound < 0:
             raise ValueError(f"negative degree bound {degree_bound}")
-        avecs = self.cat.dominant_avecs_up_to(degree_bound)
-        spaces: dict[tuple[int, ...], dict[int, int]] = {}
-        for a in avecs:
-            spaces.setdefault(self.cat.root_of(a), {})[self.xt.key(a)] = self.cat.depth(a)
         fundamental = self.cat.truncated_fundamental
         moved = [k for k, p in enumerate(self.cat.positions) if fundamental(*p) != self.generators[k]]
+        spaces = [self.cat.depths(d) for d in dimension_vectors(self.cartan.n, degree_bound)]
         rows = {}
-        for depth in spaces.values():
-            pbw = self._pbw(depth)
+        for depth in sorted(spaces, key=min):  # least key first: E~ built, and named on failure, by increasing a
             same = {k: not any(self.xt.exponents(k)[m] for m in moved) for k in depth}
-            solved = bar_invariant_correction(pbw, depth) if all(same.values()) else {}
+            solved = all(same.values())
+            self._solve(depth, solved)
             for k in depth:
-                lift = self._characterized(k, solved[k], depth, pbw) if solved else None
-                if lift is not None:
-                    self._btilde[k] = lift
-                a = self.xt.exponents(k)
-                rows[a] = {
-                    "avec": a,
-                    "simple_matches_dual_canonical": lift is not None,
+                rows[k] = {
+                    "avec": self.xt.exponents(k),
+                    "simple_matches_dual_canonical": solved and self._btilde[k] is not None,
                     "standard_matches_dual_pbw": same[k],
                 }
-        return [rows[a] for a in avecs]
+        return [rows[k] for k in sorted(rows)]
 
     @staticmethod
     def _characterized(a: int, row: dict, depth: dict, pbw: dict) -> TorusElement | None:

@@ -83,6 +83,15 @@ def doubled_off_label(x, label: int):
     return x._with({k: c if k == label else c + c for k, c in x.terms.items()})
 
 
+def avecs_up_to(cat: CategoryQ, bound: int) -> list[tuple[int, ...]]:
+    """Every exponent vector a with sum_k a_k deg beta_k <= bound, once each,
+    in increasing lexicographic order: the brute-force product over
+    0 <= a_k <= bound // deg beta_k, filtered by the bound."""
+    degs = [cat.cartan.deg(b) for b in cat.qctx.word.betas]
+    ranges = [range(bound // d + 1) for d in degs]
+    return [a for a in itertools.product(*ranges) if sum(x * d for x, d in zip(a, degs)) <= bound]
+
+
 def on_positions(cat: CategoryQ, y):
     """An element of a window torus whose monomials all sit on the positions
     of the orientation, rewritten in the rank-r torus (raises on any other

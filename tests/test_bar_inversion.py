@@ -26,7 +26,7 @@ from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, YTorus
 
-from conftest import all_orientations, in_tinv_ztinv, order_depth, wide_torus
+from conftest import all_orientations, avecs_up_to, in_tinv_ztinv, order_depth, wide_torus
 
 CASES = [
     (name, n, 3)
@@ -42,7 +42,7 @@ def _spaces(name, n, degree):
     at most `degree`, plus twice each root of height 2 (a row with a_k = 2 on
     a position whose A-column is not empty), each as its dimension vector."""
     cat = CategoryQ(QuiverContext(list(all_orientations(name))[n]))
-    degrees = [cat.root_of(a) for a in cat.dominant_avecs_up_to(degree)]
+    degrees = [cat.root_of(a) for a in avecs_up_to(cat, degree)]
     doubled = [tuple(2 * x for x in root) for root in cat.roots if sum(root) == 2]
     return cat, list(dict.fromkeys(degrees + doubled))
 
@@ -161,7 +161,7 @@ def test_a_simple_class_builds_only_its_own_row(monkeypatch):
     assert len(built) == 1 and len(built[0]) == len(dominant_below(yt, m)) == 4
     assert simple.coeff(yt.key(m)) == HalfLaurent.one()
     cat, _ = _spaces("A3", 0, 3)
-    a = max(cat.dominant_avecs_up_to(3), key=lambda a: len(cat.depths(cat.root_of(a))))
+    a = max(avecs_up_to(cat, 3), key=lambda a: len(cat.depths(cat.root_of(a))))
     built.clear()
     cat.truncated_simple(a)
     assert len(built) == 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from qgroth.cartan import (
     RankMismatch,
     Weight,
     cartan_datum,
+    dimension_vectors,
     kostant_partitions,
     rref,
     solve,
@@ -313,4 +315,15 @@ def test_kostant_partitions_are_every_partition_in_decreasing_order(name):
     assert kostant_partitions([(1, 1), (0, 1)], (1, 2)) == [(1, 1)]
     assert kostant_partitions([(1, 1), (0, 1)], (1, 0)) == []
     assert kostant_partitions(roots, (-1,) + (0,) * (cd.n - 1)) == []
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dimension_vectors_are_every_vector_up_to_the_bound_once(n):
+    for bound in range(5):
+        found = list(dimension_vectors(n, bound))
+        assert len(found) == comb(bound + n, n)
+        assert set(found) == {d for d in itertools.product(range(bound + 1), repeat=n) if sum(d) <= bound}
+    # C(bound + n, n) of them are walked, not filtered out of a (bound + 1)^n
+    # product: 3^40 candidates would not finish
+    assert sum(1 for _ in dimension_vectors(40, 2)) == comb(42, 40)
 

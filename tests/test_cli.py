@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import time
@@ -12,7 +13,7 @@ from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
-from conftest import doubled_off_label
+from conftest import avecs_up_to, doubled_off_label
 
 
 def run(capsys, *argv):
@@ -125,7 +126,7 @@ def _standard_rows_fail_exactly_with_factor(capsys, k):
     assert code == 2 and report["ok"] is False
     rows = report["rows"]
     cat = CategoryQ(QuiverContext(QuiverDatum.from_arrows(cartan_datum("A3"), [(1, 2), (3, 2)])))
-    assert [r["avec"] for r in rows] == [list(a) for a in cat.dominant_avecs_up_to(3)]
+    assert [r["avec"] for r in rows] == [list(a) for a in avecs_up_to(cat, 3)]
     assert [r["standard_ok"] for r in rows] == [r["avec"][k - 1] == 0 for r in rows]
     failing = {cat.root_of(r["avec"]) for r in rows if r["avec"][k - 1]}
     assert [r["simple_ok"] for r in rows] == [cat.root_of(r["avec"]) not in failing for r in rows]
@@ -727,6 +728,61 @@ def test_a_corrupted_solve_fails_canonical(capsys, monkeypatch, mutate):
     report = json.loads(out)
     assert code == 2 and report["ok"] is False
     assert not all(r["simple_ok"] for r in report["rows"]) and all(r["standard_ok"] for r in report["rows"])
+
+
+@pytest.mark.parametrize("mutate", [_identity_rows, _rows_times_t, _rows_plus_bar])
+def test_b_tilde_refuses_a_row_that_fails_its_characterization(capsys, monkeypatch, mutate):
+    # b_tilde reads the one checked solve of its weight space: under a
+    # corrupted solve it raises where a row fails and memoises no vector
+    # there, and asked before verify_mainth it leaves the report unchanged
+    import qgroth.qgroup as qgroup
+    from qgroth.characters import CategoryQ, CharacterError
+
+    real = qgroup.bar_invariant_correction
+    monkeypatch.setattr(qgroup, "bar_invariant_correction", lambda basis, depth: mutate(real(basis, depth)))
+    ctx = QuiverContext(QuiverDatum.bipartite(cartan_datum("A3")))
+    alone = qgroup.QGroupSide(CategoryQ(ctx)).verify_mainth(3)
+    assert not all(r["simple_matches_dual_canonical"] for r in alone)
+    qg = qgroup.QGroupSide(CategoryQ(ctx))
+    for r in alone:
+        if r["simple_matches_dual_canonical"]:
+            assert qg.b_tilde(r["avec"]) is not None
+        else:
+            with pytest.raises(CharacterError, match="fails its characterization"):
+                qg.b_tilde(r["avec"])
+            assert qg._btilde[qg.xt.key(r["avec"])] is None
+    assert qg.verify_mainth(3) == alone
+    # a report that claimed every row passed still ends in exit 2, not in
+    # writing an unchecked vector as dual_canonical
+    report = qgroup.QGroupSide.verify_mainth
+
+    def claimed(self, bound):
+        return [dict(r, simple_matches_dual_canonical=True) for r in report(self, bound)]
+
+    monkeypatch.setattr(qgroup.QGroupSide, "verify_mainth", claimed)
+    assert main(["canonical", "--type", "A3", "--degree-bound", "3", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal check failed: the dual canonical row at ")
+
+
+# stdout digests of three argv that run canonical's walk over the weight
+# spaces, its json dual canonical vectors and iota's specialization at
+# t = sqrt(q).  A refactor of those paths keeps their output byte for byte,
+# so the digests are not regenerated to follow a change.
+PINNED_STDOUT = [
+    ("canonical --type D4 --degree-bound 3 --format json",
+     "6a6803d95f109f3d9a926f6e10b04d534cc2f5970a5f72d7176cae1dc21d7009"),
+    ("canonical --type A3 --arrows 1-2,3-2 --degree-bound 4 --format json",
+     "2325c27c54fe8ef529968e8236dfd4e9ec7ae83269bd10adcd56182962b878eb"),
+    ("hall iota --type A3 --arrows 1-2,3-2 --q 3 --format json",
+     "e84a72c7dfd2ebc85c9c4b6dc18c6f3219a96e649fe5bf47a3e77be3478e4119"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[a for a, _ in PINNED_STDOUT])
+def test_pinned_stdout_is_byte_identical(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_hall_names_the_missing_flag(capsys):

@@ -26,9 +26,11 @@ from qgroth.hall import (
     iota_check,
     iso_class,
     model_rep,
+    specialize,
     toen_gamma,
     u_power,
 )
+from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
 
 from conftest import aut_by_enumeration, exact_sequence_count, hom_basis, hom_elements, homs, mat_mul
@@ -461,6 +463,22 @@ def test_u_power_is_repeated_multiplication(q):
         assert u_power(q, k) == up
         assert u_power(q, -k) == down
         up, down = up * u, down * u_inv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.dictionaries(st.integers(-13, 13), st.integers(-5, 5), max_size=6))
+def test_specialize_is_the_evaluation_at_the_half_power_of_u(q, coeffs):
+    # the reference sends t^(e/2) to the e-th power of u^(1/2), or of its
+    # inverse, by repeated multiplication
+    c = HalfLaurent(coeffs)
+    half = UScalar.half_u(q)
+    expected = UScalar.of(q, 0)
+    for e, v in c.items():
+        power = UScalar.of(q, 1)
+        for _ in range(abs(e)):
+            power = power * (half if e > 0 else half.inverse())
+        expected = expected + power.scale_int(v)
+    assert specialize(q, c) == expected
 
 
 def test_uscalar_repr_is_pinned():

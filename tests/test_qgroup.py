@@ -1,4 +1,7 @@
+import itertools
+import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,6 +15,7 @@ from qgroth.torus import Monomial
 
 from conftest import (
     all_orientations,
+    avecs_up_to,
     boundary_terms,
     doubled_off_label,
     expand_by_monomials,
@@ -139,7 +143,7 @@ def test_rescaling_is_the_quadratic_form(quiver):
     # the weight beta(a); and E~ is the product with that rescaling
     qg = QGroupSide(CategoryQ(QuiverContext(quiver)))
     s, degs = qg.xt.s, [qg.cartan.deg(b) for b in qg.word.betas]
-    avecs = qg.cat.dominant_avecs_up_to(4)
+    avecs = avecs_up_to(qg.cat, 4)
     assert len(avecs) > qg.r
     for a in avecs:
         nb, _ = n_gamma(qg.cartan, qg.cat.beta_of(a))
@@ -257,6 +261,17 @@ def test_verify_mainth_degree3_several_orientations(contexts):
             assert r["standard_matches_dual_pbw"], (name, xi, r["avec"])
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4"])
+def test_verify_mainth_rows_are_every_avec_up_to_the_bound_in_order(name):
+    # the rows read off the weight spaces are the brute-force exponent
+    # vectors, once each, in increasing lexicographic order
+    cat = CategoryQ(QuiverContext(next(all_orientations(name))))
+    for degree in range(4):
+        rows = QGroupSide(cat).verify_mainth(degree)
+        assert [r["avec"] for r in rows] == avecs_up_to(cat, degree)
+        assert all(r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"] for r in rows)
+
+
 @pytest.mark.parametrize("quiver,degree", [
     *((q, 4) for q in all_orientations("A3")),
     (next(all_orientations("D4")), 3),
@@ -267,7 +282,7 @@ def test_verify_mainth_rows_match_one_vector_at_a_time(quiver, degree):
     ctx = QuiverContext(quiver)
     qg = QGroupSide(CategoryQ(ctx))
     rows = qg.verify_mainth(degree)
-    assert [r["avec"] for r in rows] == qg.cat.dominant_avecs_up_to(degree)
+    assert [r["avec"] for r in rows] == avecs_up_to(qg.cat, degree)
     for row in rows:
         a = row["avec"]
         cat = CategoryQ(ctx)
@@ -343,7 +358,7 @@ def _check_canonical_builds(capsys, monkeypatch, name, arrows, degree, moved):
     argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree)]
     assert main(argv) == (2 if moved else 0)
     assert ("FAIL" in capsys.readouterr().out) == moved
-    avecs = cat.dominant_avecs_up_to(degree)
+    avecs = avecs_up_to(cat, degree)
     # one family in one memo, which holds X(0) = 1 from the start and gains
     # every other dominant a once
     (log,) = built.values()
@@ -359,29 +374,26 @@ def _check_canonical_builds(capsys, monkeypatch, name, arrows, degree, moved):
 
 @pytest.mark.parametrize("name,arrows,degree", [("A3", "1-2,3-2", 4), ("D4", "1-3,2-3,3-4", 3)])
 def test_canonical_request_enumerates_each_weight_space_once(capsys, monkeypatch, name, arrows, degree):
-    # the one enumeration up to the degree bound gives every weight space its
-    # depths: no decomposition into roots is enumerated a second time
+    # the walk over the dimension vectors up to the degree bound gives every
+    # weight space its depths: no decomposition into roots is enumerated a
+    # second time, not even for the dual canonical vectors of the json output
     from qgroth import characters
     from qgroth.cli import main
 
+    enumerated = []
+
+    def spy(roots, d, _fn=characters.kostant_partitions):
+        enumerated.append(tuple(d))
+        return _fn(roots, d)
+
+    monkeypatch.setattr(characters, "kostant_partitions", spy)
     argv = ["canonical", "--type", name, "--arrows", arrows, "--degree-bound", str(degree), "--format", "json"]
-    pairs = ["dominant-pairs", "--type", name, "--arrows", arrows, "--d", ",".join(["1"] * int(name[1]))]
     assert main(argv) == 0
-    expected = capsys.readouterr()
-    assert main(pairs) == 0
-    expected_pairs = capsys.readouterr()
-
-    def refused(roots, d):
-        raise RuntimeError("kostant_partitions called")
-
-    monkeypatch.setattr(characters, "kostant_partitions", refused)
-    assert main(argv) == 0
-    assert capsys.readouterr() == expected
-    assert main(pairs) == 2
-    assert "kostant_partitions called" in capsys.readouterr().err
-    monkeypatch.undo()
-    assert main(pairs) == 0
-    assert capsys.readouterr() == expected_pairs
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    n = cartan_datum(name).n
+    assert len(enumerated) == len(set(enumerated)) == comb(degree + n, n)
+    assert set(enumerated) == {d for d in itertools.product(range(degree + 1), repeat=n) if sum(d) <= degree}
+    assert all(r["dual_canonical"] is not None for r in rows)
 
 
 def test_fundamental_to_rescaled_pbw(a3):

@@ -144,7 +144,7 @@ def test_exact_division_past_the_term_budget_is_a_resource_cap(contexts):
     # (1 - X^N) / (1 - X) = 1 + X + ... + X^(N-1) has N quotient terms
     ctx = contexts("A1")
     xt = XTorus(ctx.word.betas, ctx.cartan)
-    minus = HalfLaurent.term(-1)
+    minus = HalfLaurent({0: -1})
     p = xt.one() + xt.monomial((1,), minus)
     for n, fits in ((MAX_QUOTIENT_TERMS, True), (MAX_QUOTIENT_TERMS + 1, False)):
         s = xt.one() + xt.monomial((n,), minus)
@@ -166,7 +166,7 @@ def test_x_torus_division(contexts):
     assert divide_right(xt.zero(), b) == xt.zero()
     # a leading coefficient that does not divide
     with pytest.raises(ArithmeticError, match="coefficient step"):
-        divide_right(xt.monomial(e[0]), xt.monomial(e[0], HalfLaurent.term(2)) + xt.monomial(e[1]))
+        divide_right(xt.monomial(e[0]), xt.monomial(e[0], HalfLaurent({0: 2})) + xt.monomial(e[1]))
     # a non-unit divisor of a monomial: the first quotient key leaves the box
     with pytest.raises(ArithmeticError, match="not exact"):
         divide_right(xt.monomial(e[5]), xt.monomial(e[0]) + xt.monomial(e[1]))
