@@ -295,21 +295,29 @@ def iter_kostant_partitions(roots, d) -> Iterator[tuple[int, ...]]:
     Only the roots that are not simple are enumerated: the simple roots
     among `roots` take up what is left, which must lie on their coordinates.
     When every simple root is there, no branch is a dead end."""
-    simple = {k: list(b).index(1) for k, b in enumerate(roots) if sum(b) == 1}
-    on_simple = set(simple.values())
-    stack = [(0, tuple(d), ())]
+    # entry k of a partition is read off rem + acc: the remainder at the
+    # coordinate of a simple root, or the multiplicity chosen for a walked one
+    d = tuple(d)
+    walk, fill, on_simple = [], [], set()
+    for b in roots:
+        if sum(b) == 1:
+            fill.append(b.index(1))
+            on_simple.add(fill[-1])
+        else:
+            fill.append(len(d) + len(walk))
+            walk.append(b)
+    depth = len(walk)
+    stack = [(0, d, ())]
     while stack:
-        k, rem, acc = stack.pop()
-        while k < len(roots) and k in simple:
-            k, acc = k + 1, acc + (0,)
-        if k == len(roots):
+        j, rem, acc = stack.pop()
+        if j == depth:
             if all(r == 0 or (r > 0 and v in on_simple) for v, r in enumerate(rem)):
-                yield tuple(rem[simple[j]] if j in simple else c for j, c in enumerate(acc))
+                yield tuple(map((rem + acc).__getitem__, fill))
             continue
-        b = roots[k]
-        stack.append((k + 1, rem, acc + (0,)))
+        b = walk[j]
+        stack.append((j + 1, rem, acc + (0,)))
         for c in range(1, min(r // x for r, x in zip(rem, b) if x) + 1):
-            stack.append((k + 1, tuple(r - c * x for r, x in zip(rem, b)), acc + (c,)))
+            stack.append((j + 1, tuple(r - c * x for r, x in zip(rem, b)), acc + (c,)))
 
 
 def dimension_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .cartan import CartanDatum, RankMismatch, ResourceCap, Weight, kostant_partitions
+from .cartan import CartanDatum, RankMismatch, ResourceCap, kostant_partitions
 from .laurent import ONE, HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
@@ -468,11 +468,6 @@ class CategoryQ:
     def in_category(self, m: Monomial) -> bool:
         return all(ip in self.index_of_position for ip in m.support())
 
-    def truncate(self, x: TorusElement) -> TorusElement:
-        """Restriction of an element of a window torus to the positions, as an
-        element of the rank-r torus."""
-        return self._restrict((x.ctx.monomial_of(k), c) for k, c in x.terms.items())
-
     def _restrict(self, terms) -> TorusElement:
         """The terms (Monomial, coefficient) in the category, in the rank-r torus."""
         return self.xt.element({self.avec_of(m): c for m, c in terms if self.in_category(m)})
@@ -488,13 +483,6 @@ class CategoryQ:
 
     def monomial_of_avec(self, a) -> Monomial:
         return Monomial({self.positions[k]: e for k, e in enumerate(a) if e != 0})
-
-    def beta_of(self, a) -> Weight:
-        w = self.cartan.zero_weight()
-        for k, c in enumerate(a):
-            if c:
-                w = w + self.qctx.word.betas[k].scale(c)
-        return w
 
     def root_of(self, a) -> tuple[int, ...]:
         """Root coordinates of sum_k a_k beta_k: the weight space of a."""

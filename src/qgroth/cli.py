@@ -24,7 +24,7 @@ from .characters import (
 )
 from .hall import (
     DerivedHall,
-    IsoClass,
+    _check_quiver,
     check_h_relations,
     constant_identity_holds,
     hall_number,
@@ -34,7 +34,7 @@ from .hall import (
 from .presentation import Presentation
 from .qcartan import quantum_cartan
 from .qgroup import QGroupSide
-from .quiver import QuiverContext, QuiverDatum
+from .quiver import AdaptedWord, QuiverContext, QuiverDatum
 from .torus import Monomial
 
 
@@ -75,13 +75,16 @@ def _parse_monomial(text: str) -> Monomial:
     return Monomial(exps)
 
 
-def _parse_iso(text: str, cartan: CartanDatum) -> IsoClass:
+def _parse_iso(text: str, quiver: QuiverDatum) -> tuple[int, ...]:
     """Interval multiset syntax for type A: '1-2*2,3' for two copies of the
-    interval [1,2] plus the simple at 3; '0' is the zero class."""
+    interval [1,2] plus the simple at 3; '0' is the zero class.  Returns the
+    multiplicities on the roots of the adapted word."""
+    cd = quiver.cartan
+    roots = [tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas]
+    out = [0] * len(roots)
     text = text.strip()
     if text in ("0", ""):
-        return IsoClass({})
-    mults: dict[tuple[int, ...], int] = {}
+        return tuple(out)
     for tok in text.split(","):
         tok = tok.strip()
         mult = 1
@@ -92,13 +95,15 @@ def _parse_iso(text: str, cartan: CartanDatum) -> IsoClass:
             a, b = (int(x) for x in tok.split("-"))
         else:
             a = b = int(tok)
-        if not 1 <= a <= b <= cartan.n:
-            raise ValueError(f"interval {a}-{b} is not inside 1..{cartan.n}")
+        if not 1 <= a <= b <= cd.n:
+            raise ValueError(f"interval {a}-{b} is not inside 1..{cd.n}")
         if mult < 1:
             raise ValueError(f"multiplicity {mult} of interval {a}-{b} is below 1")
-        root = tuple(1 if a <= v <= b else 0 for v in range(1, cartan.n + 1))
-        mults[root] = mults.get(root, 0) + mult
-    return IsoClass(mults)
+        root = tuple(1 if a <= v <= b else 0 for v in range(1, cd.n + 1))
+        if root not in roots:
+            _check_quiver(quiver)  # every interval is a root in type A
+        out[roots.index(root)] += mult
+    return tuple(out)
 
 
 def _root_name(cartan: CartanDatum, w) -> str:
@@ -354,17 +359,17 @@ def cmd_hall(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     if args.what == "gamma":
-        x = _parse_iso(args.x, cd)
-        y = _parse_iso(args.y, cd)
-        t = _parse_iso(args.t, cd)
-        w = _parse_iso(args.w, cd)
+        x = _parse_iso(args.x, quiver)
+        y = _parse_iso(args.y, quiver)
+        t = _parse_iso(args.t, quiver)
+        w = _parse_iso(args.w, quiver)
         g = toen_gamma(DerivedHall(quiver, args.q), x, y, t, w)
         _emit(args, lambda: [f"gamma = {g}"], lambda: {"gamma": [g.numerator, g.denominator]})
         return 0
     if args.what == "number":
-        x = _parse_iso(args.x, cd)
-        y = _parse_iso(args.y, cd)
-        w = _parse_iso(args.w, cd)
+        x = _parse_iso(args.x, quiver)
+        y = _parse_iso(args.y, quiver)
+        w = _parse_iso(args.w, quiver)
         g = hall_number(x, y, w, quiver, args.q)
         _emit(args, lambda: [f"g^W_(X,Y) = {g}"], lambda: {"hall_number": g})
         return 0

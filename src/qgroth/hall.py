@@ -1,10 +1,16 @@
 """Hall algebra computations over small finite fields, and the derived Hall
 algebra of the bounded derived category of a small type-A quiver.
 
+An isoclass is its vector a of multiplicities on the roots beta_k of the
+adapted word, M_a = sum_k M(beta_k)^(a_k): the same label as the standard
+class and the dual PBW vector at a.  In word order the hom table of the
+indecomposables is lower unitriangular, so a representation's class is
+solved from its hom fingerprint by integer forward substitution.
+
 Both kinds of structure constant come from Riedtmann's formula.  The Hall
-numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) is
-read off the hom table of the indecomposables and dim Ext^1(Y, X) off the
-Euler form; a split pair is one quotient of automorphism counts, and
+numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) and
+the Euler form are read off r x r tables on the roots, dim Ext^1(Y, X) is
+their difference; a split pair is one quotient of automorphism counts, and
 otherwise Ext^1(Y, X) is the sum of the Ext^1 between their summands, whose
 bases are computed once per quiver and field, and each nonsplit extension,
 one per line, is built as a middle term and classified by its fingerprint.
@@ -18,12 +24,13 @@ Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that half-integral
 powers of u remain exact.
 
 The derived Hall algebra is spanned by normal-ordered words in generators
-z_X^[m] with strictly decreasing level m; products are rewritten to normal
+z_a^[m] with strictly decreasing level m; products are rewritten to normal
 form by the same-level Hall rule, the adjacent-level gamma rule, and the
 distant-level commutation rule.  Its defining relations on the simple
 generators are not written out here: `check_h_relations` runs the relation
 table of `presentation.relation_failures`, the one that K_t and U_q(n) use,
-through `DerivedHall.qcommutator` at t = u.
+through `DerivedHall.qcommutator` at t = u.  The specialization report
+compares the two sides at each a directly.
 """
 
 from __future__ import annotations
@@ -33,13 +40,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator
 
-from .cartan import QQ, ResourceCap, iter_kostant_partitions, rref, solve
+from .cartan import ResourceCap, iter_kostant_partitions, kostant_partitions, rref
 from .characters import CategoryQ, expand_in_dominant_basis
 from .laurent import HalfLaurent
 from .presentation import relation_failures
-from .quiver import QuiverDatum, ringel_form
+from .quiver import AdaptedWord, QuiverDatum, ringel_form
 
 
 MAX_RANK = 3
@@ -115,57 +121,30 @@ def _check_quiver(quiver: QuiverDatum) -> None:
         raise ResourceCap(f"Hall computations capped at type A rank {MAX_RANK}")
 
 
-class IsoClass:
-    """Multiset of positive roots (Krull-Schmidt data of a representation)."""
-
-    __slots__ = ("mults",)
-
-    def __init__(self, mults):
-        clean = {tuple(r): int(c) for r, c in dict(mults).items() if c}
-        object.__setattr__(self, "mults", tuple(sorted(clean.items())))
-
-    def __setattr__(self, *a):
-        raise AttributeError("IsoClass is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, IsoClass) and self.mults == other.mults
-
-    def __hash__(self):
-        return hash(self.mults)
-
-    def is_zero(self) -> bool:
-        return not self.mults
-
-    def dims(self, n: int) -> tuple[int, ...]:
-        out = [0] * n
-        for r, c in self.mults:
-            for v in range(n):
-                out[v] += c * r[v]
-        return tuple(out)
-
-    def __repr__(self):
-        if not self.mults:
-            return "IsoClass(0)"
-        bits = []
-        for r, c in self.mults:
-            name = "+".join(f"a{i+1}" for i, x in enumerate(r) if x)
-            bits.append(f"({name})^{c}" if c > 1 else f"({name})")
-        return "IsoClass(" + " ".join(bits) + ")"
-
-    def to_json(self):
-        return [[list(r), c] for r, c in self.mults]
-
-
-def model_rep(quiver: QuiverDatum, F: GF, iso: IsoClass) -> Rep:
-    """The direct sum of the interval modules of iso's roots (type-A roots are
-    0/1 intervals), copies in order: at each arrow the 0/1 matrix that maps
+def _interval_rep(quiver: QuiverDatum, F: GF, parts) -> Rep:
+    """The direct sum of the interval modules of the type-A roots `parts`
+    (0/1 vectors), copies in order: at each arrow the 0/1 matrix that maps
     every copy present at the source to itself at the target."""
-    _check_quiver(quiver)
-    n = quiver.cartan.n
-    parts = [r for r, c in iso.mults for _ in range(c)]
-    at = [[p for p, r in enumerate(parts) if r[v]] for v in range(n)]
+    at = [[p for p, r in enumerate(parts) if r[v]] for v in range(quiver.cartan.n)]
     mats = {(i, j): tuple(tuple(int(p == s) for s in at[i - 1]) for p in at[j - 1]) for (i, j) in quiver.arrows}
-    return Rep(quiver, F, iso.dims(n), mats)
+    return Rep(quiver, F, map(len, at), mats)
+
+
+def model_rep(quiver: QuiverDatum, F: GF, a) -> Rep:
+    """M_a, the sum of a_k copies of the interval module of each root beta_k
+    of `_iso_tables`, copies in word order."""
+    roots = _iso_tables(quiver, F.q)[0]
+    return _interval_rep(quiver, F, [roots[k] for k, c in enumerate(a) for _ in range(c)])
+
+
+def _dims(roots, a) -> tuple[int, ...]:
+    """The dimension vector sum_k a_k roots[k]."""
+    out = [0] * len(roots[0])
+    for k, c in enumerate(a):
+        if c:
+            for v, x in enumerate(roots[k]):
+                out[v] += c * x
+    return tuple(out)
 
 
 def _hom_equations(M: Rep, N: Rep):
@@ -205,52 +184,58 @@ def hom_dim(M: Rep, N: Rep) -> int:
 
 @lru_cache(maxsize=None)
 def _iso_tables(quiver: QuiverDatum, q: int):
-    """All positive-root interval models, the hom dimensions between them
-    (keyed by pairs of roots), the inverse of their Gram matrix, the vertex v
-    of each root r with dim Hom(r, M) = dim M_v (r is projective), and a
-    basis of each Ext^1(s, r): the coordinates (a, row, column) of
-    sum_a Hom(s_i, r_j) whose equations of Hom(s, r) are off the pivots of
-    the rref of their columns, which span a complement to the image.
+    """The roots beta_1, ..., beta_r of the adapted word of `quiver` (simple-root
+    coordinates, 0/1 in type A), their interval models M_k, the hom table
+    hom[k][l] = dim Hom(M_k, M_l), the Euler form euler[k][l] =
+    <beta_k, beta_l> of `ringel_form`, the index v of each k with
+    dim Hom(M_k, M) = dim M_v (M_k is the projective P_v), and a basis of
+    each Ext^1(M_k, M_l), keyed (k, l): the coordinates (a, row, column) of
+    sum_a Hom(M_k,i, M_l,j) whose equations of Hom(M_k, M_l) are off the
+    pivots of the rref of their columns, which span a complement to the
+    image.
 
-    mod(FQ) is directed, so that Gram matrix is unitriangular in
-    Auslander-Reiten order and its inverse is an integer matrix; a rational
-    entry means the models are wrong."""
+    mod(FQ) is directed and the word lists its indecomposables so that
+    Hom(M_k, M_l) = 0 for k < l, so the hom table is lower unitriangular and
+    `iso_class` inverts it by forward substitution; any other table means
+    the models or the word are wrong."""
     _check_quiver(quiver)
     F = GF(q)
     cd = quiver.cartan
-    roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
-    models = {r: model_rep(quiver, F, IsoClass({r: 1})) for r in roots}
-    hom, ext = {}, {}
-    for s, r in itertools.product(roots, roots):
-        rows, _, total = _hom_equations(models[s], models[r])
+    roots = tuple(tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas)
+    models = [_interval_rep(quiver, F, [r]) for r in roots]
+    r = len(roots)
+    hom = [[0] * r for _ in range(r)]
+    ext = {}
+    for k, l in itertools.product(range(r), repeat=2):
+        rows, _, total = _hom_equations(models[k], models[l])
         pivots = rref(list(zip(*rows)), F)[1]
-        hom[s, r] = total - len(pivots)
-        coords = [(a, x, y) for a in quiver.arrows for x in range(r[a[1] - 1]) for y in range(s[a[0] - 1])]
-        ext[s, r] = [c for k, c in enumerate(coords) if k not in pivots]
-    eye = [[int(i == j) for j in range(len(roots))] for i in range(len(roots))]
-    inv = solve([[hom[r1, r2] for r2 in roots] for r1 in roots], eye, QQ)
-    if any(Fraction(x).denominator != 1 for row in inv for x in row):
-        raise RuntimeError("Gram matrix of hom dimensions is not unimodular")
-    proj = {r: v for r in roots for v in range(cd.n) if all(hom[r, s] == s[v] for s in roots)}
-    return roots, models, hom, tuple(tuple(int(x) for x in row) for row in inv), proj, ext
+        hom[k][l] = total - len(pivots)
+        s, t = roots[k], roots[l]
+        coords = [(a, x, y) for a in quiver.arrows for x in range(t[a[1] - 1]) for y in range(s[a[0] - 1])]
+        ext[k, l] = [c for i, c in enumerate(coords) if i not in pivots]
+    if any(hom[k][l] != (k == l) for k in range(r) for l in range(k, r)):
+        raise RuntimeError("hom table is not unitriangular in word order")
+    euler = tuple(tuple(ringel_form(quiver, s, t) for t in roots) for s in roots)
+    proj = {k: v for k in range(r) for v in range(cd.n) if all(hom[k][l] == roots[l][v] for l in range(r))}
+    return roots, models, tuple(map(tuple, hom)), euler, proj, ext
 
 
-def iso_class(rep: Rep, q: int) -> IsoClass:
-    """Krull-Schmidt multiplicities: the inverse Gram matrix times the
-    hom-dimension fingerprint, whose entry at the projective P_v is dim rep_v."""
-    roots, models, _, gram_inv, proj, _ = _iso_tables(rep.quiver, q)
-    fing = [rep.dims[proj[r]] if r in proj else hom_dim(models[r], rep) for r in roots]
-    mults = {}
-    for r, row in zip(roots, gram_inv):
-        c = sum(a * f for a, f in zip(row, fing))
+def iso_class(rep: Rep, q: int) -> tuple[int, ...]:
+    """Krull-Schmidt multiplicities a on the word's roots, by forward
+    substitution: the fingerprint dim Hom(M_l, rep) = sum_k hom[l][k] a_k,
+    whose entry at the projective P_v is dim rep_v, is a_l plus the terms of
+    the k < l already solved."""
+    roots, models, hom, _, proj, _ = _iso_tables(rep.quiver, q)
+    a = []
+    for l, row in enumerate(hom):
+        f = rep.dims[proj[l]] if l in proj else hom_dim(models[l], rep)
+        c = f - sum(x * y for x, y in zip(row, a))
         if c < 0:
             raise RuntimeError("fingerprint did not resolve to a Krull-Schmidt multiset")
-        if c:
-            mults[r] = c
-    out = IsoClass(mults)
-    if out.dims(rep.quiver.cartan.n) != rep.dims:
+        a.append(c)
+    if _dims(roots, a) != rep.dims:
         raise RuntimeError("Krull-Schmidt decomposition has wrong dimension vector")
-    return out
+    return tuple(a)
 
 
 # --------------------------------------------------------------------------
@@ -258,22 +243,29 @@ def iso_class(rep: Rep, q: int) -> IsoClass:
 # --------------------------------------------------------------------------
 
 
-def _hom_ext(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> tuple[int, int]:
-    """dim Hom(Y, X) = sum m_r k_s dim Hom(r, s), read off the hom table of
-    `_iso_tables`, and dim Ext^1(Y, X) = dim Hom(Y, X) - <dim Y, dim X>."""
-    hom = _iso_tables(quiver, q)[2]
-    h = sum(m * k * hom[r, s] for r, m in Y.mults for s, k in X.mults)
-    n = quiver.cartan.n
-    return h, h - ringel_form(quiver, Y.dims(n), X.dims(n))
+def _form(table, Y, X) -> int:
+    """Y^T table X, on the summands present."""
+    xs = [(l, x) for l, x in enumerate(X) if x]
+    return sum(y * x * table[k][l] for k, y in enumerate(Y) if y for l, x in xs)
 
 
-def _work(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> int:
+def _hom_ext(X, Y, quiver: QuiverDatum, q: int) -> tuple[int, int]:
+    """dim Hom(Y, X) = Y^T hom X and <dim Y, dim X> = Y^T euler X on the
+    tables of `_iso_tables`, and dim Ext^1(Y, X) = dim Hom(Y, X) -
+    <dim Y, dim X>."""
+    _, _, hom, euler, _, _ = _iso_tables(quiver, q)
+    h = _form(hom, Y, X)
+    return h, h - _form(euler, Y, X)
+
+
+def _work(X, Y, quiver: QuiverDatum, q: int) -> int:
     """The work of the Hall numbers g^W_{X,Y}: the q^(dim Ext^1(Y, X))
     extensions to classify, times D^3 for the equations of each, D the total
     dimension of X + Y.  Nothing else grows faster: Ext^1 is read off the
     bases between indecomposables, with no elimination on the pair's whole
     hom map.  The extensions are not counted when D^3 alone is past the cap."""
-    work = max(1, sum(m * sum(r) for r, m in X.mults + Y.mults)) ** 3
+    roots = _iso_tables(quiver, q)[0]
+    work = max(1, sum((x + y) * sum(r) for x, y, r in zip(X, Y, roots))) ** 3
     if work <= MAX_HALL_WORK:
         work *= q ** _hom_ext(X, Y, quiver, q)[1]
     return work
@@ -284,7 +276,7 @@ def _check_work(work: int, what: str) -> None:
         raise ResourceCap(f"{what}: work {work} (extensions x dimension^3) above cap {MAX_HALL_WORK}")
 
 
-def hall_numbers(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> dict:
+def hall_numbers(X, Y, quiver: QuiverDatum, q: int) -> dict:
     """{W: g^W_{X,Y}}, zeros left out, by Riedtmann's formula
 
         g^W_{X,Y} = |Ext^1(Y, X)_W| |Aut W| / (|Aut X| |Aut Y| q^(dim Hom(Y, X))),
@@ -299,17 +291,17 @@ def hall_numbers(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> dict:
     classified by `iso_class` once per line; eta = 0 is the split X + Y."""
     _check_work(_work(X, Y, quiver, q), "Hall number")
     hom, ext = _hom_ext(X, Y, quiver, q)
-    counts = Counter({IsoClass(Counter(dict(X.mults)) + Counter(dict(Y.mults))): 1})
+    counts = Counter({tuple(x + y for x, y in zip(X, Y)): 1})
     if ext:
         F = GF(q)
         RX, RY = model_rep(quiver, F, X), model_rep(quiver, F, Y)
-        basis = _iso_tables(quiver, q)[5]
-        xs, ys = ([r for r, m in Z.mults for _ in range(m)] for Z in (X, Y))
+        roots, _, _, _, _, basis = _iso_tables(quiver, q)
+        xs, ys = ([k for k, m in enumerate(Z) for _ in range(m)] for Z in (X, Y))
         free = [
-            (a, sum(t[a[1] - 1] for t in xs[:p]) + x, sum(t[a[0] - 1] for t in ys[:u]) + y)
-            for p, rx in enumerate(xs)
-            for u, ry in enumerate(ys)
-            for a, x, y in basis[ry, rx]
+            (a, sum(roots[t][a[1] - 1] for t in xs[:p]) + x, sum(roots[t][a[0] - 1] for t in ys[:u]) + y)
+            for p, kx in enumerate(xs)
+            for u, ky in enumerate(ys)
+            for a, x, y in basis[ky, kx]
         ]
         if len(free) != ext:
             raise RuntimeError(f"Ext^1 has dimension {len(free)} by rank but {ext} by the hom table")
@@ -334,29 +326,28 @@ def hall_numbers(X: IsoClass, Y: IsoClass, quiver: QuiverDatum, q: int) -> dict:
     return out
 
 
-def hall_number(X: IsoClass, Y: IsoClass, W: IsoClass, quiver: QuiverDatum, q: int) -> int:
+def hall_number(X, Y, W, quiver: QuiverDatum, q: int) -> int:
     """Number of subrepresentations of W isomorphic to X with quotient
     isomorphic to Y, read off the tally of `hall_numbers` by a one-request
     `DerivedHall`, which checks the quiver and the field first."""
     return DerivedHall(quiver, q).g_number(X, Y, W)
 
 
-def aut_count(M: IsoClass, quiver: QuiverDatum, q: int) -> int:
+def aut_count(M, quiver: QuiverDatum, q: int) -> int:
     """|Aut M| = q^(dim End M - sum m^2) prod_m |GL_m(F_q)|, m running over
-    the multiplicities of M's indecomposables, with dim End M = dim Hom(M, M)
-    read off the hom table of `_iso_tables` by `_hom_ext`.  The
-    indecomposables are bricks (End = F_q), so End M / rad End M is the
-    product of the M_m(F_q), and an endomorphism is a unit exactly when its
-    image there is."""
-    end = _hom_ext(M, M, quiver, q)[0]
-    out = q ** (end - sum(m * m for _, m in M.mults))
-    for _, m in M.mults:
+    the multiplicities of M's indecomposables, with dim End M = M^T hom M
+    read off the hom table of `_iso_tables`.  The indecomposables are bricks
+    (End = F_q), so End M / rad End M is the product of the M_m(F_q), and an
+    endomorphism is a unit exactly when its image there is."""
+    end = _form(_iso_tables(quiver, q)[2], M, M)
+    out = q ** (end - sum(m * m for m in M))
+    for m in M:
         for i in range(m):
             out *= q**m - q**i
     return out
 
 
-def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoClass) -> Fraction:
+def toen_gamma(dh: "DerivedHall", X, Y, T, W) -> Fraction:
     """gamma_{X,Y}^{T,W}: the number of exact sequences
     0 -> T -> Y -> X -> W -> 0 divided by |Aut X| |Aut Y|.
 
@@ -376,23 +367,22 @@ def toen_gamma(dh: "DerivedHall", X: IsoClass, Y: IsoClass, T: IsoClass, W: IsoC
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
     gamma_{S_i,S_j}^{S_j,S_i} = 1 with (q-1)^2 sequences.
     """
-    n, q = dh.cartan.n, dh.q
-    dT, dY, dX, dW = (Z.dims(n) for Z in (T, Y, X, W))
+    q = dh.q
+    dT, dY, dX, dW = map(dh.dims, (T, Y, X, W))
     dK = tuple(y - t for y, t in zip(dY, dT))
     if dK != tuple(x - w for x, w in zip(dX, dW)) or min(dK, default=0) < 0:
         return Fraction(0)
     _check_work(max(1, sum(dY)) ** 3, "gamma")
     work = 0
-    for K in dh._iter_isoclasses(dK):
+    for K in iter_kostant_partitions(dh.roots, dK):
         work += _work(T, K, dh.quiver, q)
         _check_work(work, "gamma")
-    ks = dh._isoclasses_of_dim(dK)
 
     def aut(Z):
         return aut_count(Z, dh.quiver, q)
 
     count = 0
-    for K in ks:
+    for K in dh.isoclasses(dK):
         g = dh.g_number(T, K, Y)
         if g:
             work += _work(K, W, dh.quiver, q)
@@ -553,8 +543,11 @@ def specialize(q: int, c: HalfLaurent) -> UScalar:
 
 
 def u_power(q: int, k: int) -> UScalar:
-    """u^k, the specialization of t^k."""
-    return specialize(q, HalfLaurent.t_power(2 * k))
+    """u^k, the specialization of t^k: the rule of `specialize` on its one
+    term, x^(2k) = q^floor(2k/4) x^(2k mod 4)."""
+    s, e = divmod(2 * k, 4)
+    c, d = (q**s, 1) if s >= 0 else (1, q**-s)
+    return _reduced(q, c, 0, 0, 0, d) if e == 0 else _reduced(q, 0, 0, c, 0, d)
 
 
 # --------------------------------------------------------------------------
@@ -565,7 +558,8 @@ def u_power(q: int, k: int) -> UScalar:
 class DerivedHall:
     """The derived Hall algebra of the bounded derived category of the quiver
     over GF(q), twisted by the Euler form.  Basis: normal-ordered words
-    ((m1, iso1), (m2, iso2), ...) with strictly decreasing levels.
+    ((m1, a1), (m2, a2), ...) with strictly decreasing levels, each isoclass
+    a its vector of multiplicities on the roots of the adapted word.
 
     One instance serves one request: it memoises the tally of Hall numbers
     of each (X, Y), gamma terms, isoclasses per dimension vector and the
@@ -577,6 +571,8 @@ class DerivedHall:
         self.quiver = quiver
         self.q = q
         self.cartan = quiver.cartan
+        self.roots, _, _, self._euler, _, _ = _iso_tables(quiver, q)
+        self._simple = {i: tuple(int(sum(r) == r[i - 1] == 1) for r in self.roots) for i in self.cartan.vertices}
         self._one = UScalar.of(q, 1)
         self._g: dict = {}
         self._gamma_terms: dict = {}
@@ -593,76 +589,52 @@ class DerivedHall:
 
     # -- structure constants --------------------------------------------------
 
-    def euler(self, x: IsoClass, y: IsoClass) -> int:
-        n = self.cartan.n
-        return ringel_form(self.quiver, x.dims(n), y.dims(n))
+    def euler(self, x, y) -> int:
+        return _form(self._euler, x, y)
 
-    def sym(self, x: IsoClass, y: IsoClass) -> int:
+    def sym(self, x, y) -> int:
         return self.euler(x, y) + self.euler(y, x)
 
-    def hall_numbers(self, x: IsoClass, y: IsoClass) -> dict:
+    def dims(self, a) -> tuple[int, ...]:
+        return _dims(self.roots, a)
+
+    def hall_numbers(self, x, y) -> dict:
         """{W: g^W_{x,y}} of `hall_numbers`, memoised by (x, y)."""
         key = (x, y)
         if key not in self._g:
             self._g[key] = hall_numbers(x, y, self.quiver, self.q)
         return self._g[key]
 
-    def g_number(self, x: IsoClass, y: IsoClass, w: IsoClass) -> int:
-        n = self.cartan.n
-        if tuple(a + b for a, b in zip(x.dims(n), y.dims(n))) != w.dims(n):
+    def g_number(self, x, y, w) -> int:
+        if tuple(a + b for a, b in zip(self.dims(x), self.dims(y))) != self.dims(w):
             return 0
         return self.hall_numbers(x, y).get(w, 0)
 
-    def _isoclasses_of_dim(self, dims) -> tuple[IsoClass, ...]:
-        """The isoclasses of dimension vector dims, in decreasing
-        lexicographic order of their multiplicities on the roots, memoised."""
-        dims = tuple(dims)
-        if dims not in self._isos:
-            for _ in self._iter_isoclasses(dims):
-                pass
-        return self._isos[dims]
+    def isoclasses(self, d) -> list[tuple[int, ...]]:
+        """The isoclasses of dimension vector d: its Kostant partitions on the
+        word's roots, in decreasing lexicographic order, memoised."""
+        d = tuple(d)
+        if d not in self._isos:
+            self._isos[d] = kostant_partitions(self.roots, d)
+        return self._isos[d]
 
-    def _iter_isoclasses(self, dims) -> Iterator[IsoClass]:
-        """The isoclasses of `_isoclasses_of_dim`, generated lazily (in no
-        fixed order) unless memoised; the memo is written only once the
-        enumeration completes, so a caller may stop early."""
-        dims = tuple(dims)
-        if dims in self._isos:
-            yield from self._isos[dims]
-            return
-        roots = _iso_tables(self.quiver, self.q)[0]
-        found = []
-        for a in iter_kostant_partitions(roots, dims):
-            iso = IsoClass({b: c for b, c in zip(roots, a) if c})
-            found.append((a, iso))
-            yield iso
-        found.sort(key=lambda pair: pair[0], reverse=True)
-        self._isos[dims] = tuple(iso for _, iso in found)
-
-    def gamma_terms(self, x: IsoClass, y: IsoClass) -> list[tuple[IsoClass, IsoClass, Fraction]]:
+    def gamma_terms(self, x, y) -> list[tuple[tuple, tuple, Fraction]]:
         """Nonzero (T, W, gamma_{X,Y}^{T,W}) for the adjacent-level rewriting."""
         key = (x, y)
         if key in self._gamma_terms:
             return self._gamma_terms[key]
-        n = self.cartan.n
-        dx, dy = x.dims(n), y.dims(n)
+        dx, dy = self.dims(x), self.dims(y)
         out = []
-        for t in self._isoclasses_of_dim_leq(dy):
-            dt = t.dims(n)
-            dw = tuple(dx[v] - dy[v] + dt[v] for v in range(n))
-            if any(d < 0 for d in dw):
+        for dt in itertools.product(*[range(d + 1) for d in dy]):
+            dw = tuple(a - b + c for a, b, c in zip(dx, dy, dt))
+            if min(dw) < 0:
                 continue
-            for w in self._isoclasses_of_dim(dw):
-                g = toen_gamma(self, x, y, t, w)
-                if g:
-                    out.append((t, w, g))
+            for t in self.isoclasses(dt):
+                for w in self.isoclasses(dw):
+                    g = toen_gamma(self, x, y, t, w)
+                    if g:
+                        out.append((t, w, g))
         self._gamma_terms[key] = out
-        return out
-
-    def _isoclasses_of_dim_leq(self, dims) -> list[IsoClass]:
-        out = []
-        for sub in itertools.product(*[range(d + 1) for d in dims]):
-            out.extend(self._isoclasses_of_dim(sub))
         return out
 
     # -- elements -------------------------------------------------------------
@@ -670,14 +642,8 @@ class DerivedHall:
     def one(self) -> dict:
         return {(): self._one}
 
-    def generator(self, iso: IsoClass, m: int) -> dict:
-        if iso.is_zero():
-            return self.one()
-        return {((m, iso),): self._one}
-
     def z_simple(self, i: int, m: int) -> dict:
-        root = tuple(1 if v == i else 0 for v in range(1, self.cartan.n + 1))
-        return self.generator(IsoClass({root: 1}), m)
+        return {((m, self._simple[i]),): self._one}
 
     def add(self, a: dict, b: dict) -> dict:
         out = dict(a)
@@ -731,9 +697,9 @@ class DerivedHall:
                 for t, w, g in self.gamma_terms(x, y):
                     coeff = self.upow(-self.euler(y, x) - self.euler(w, t)) * UScalar.of(self.q, g)
                     mid = ()
-                    if not t.is_zero():
+                    if any(t):
                         mid += ((m2, t),)
-                    if not w.is_zero():
+                    if any(w):
                         mid += ((m1, w),)
                     for w3, c3 in self._normalize(head + mid + tail):
                         _accumulate(out, w3, coeff * c3)
@@ -800,44 +766,39 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     q = dh.q
     cd = cat.cartan
     gens_t = cat.simple_generators()
-    one = UScalar.of(q, 1)
     u = UScalar.u(q)
     resc = (UScalar.half_u(q) * (u - u_power(q, -1))).inverse()
     scalars: dict = {}
     spaces: dict = {}  # weight -> (its depths, its truncated standard classes)
     consistent = True
     witnesses = []
+    # each word's products on both sides and its rescaling extend those of
+    # the word without its last letter
+    products = {(): (None, dh.one(), UScalar.of(q, 1))}
     for length in range(1, max_len + 1):
+        prefixes, products = products, {}
         for word in itertools.product(list(cd.vertices), repeat=length):
+            prod_t, prod_h, rescale = prefixes[word[:-1]]
+            last = word[-1]
             # character side: expand the product in truncated standards
-            prod_t = None
-            for i in word:
-                prod_t = gens_t[i] if prod_t is None else prod_t * gens_t[i]
+            prod_t = gens_t[last] if prod_t is None else prod_t * gens_t[last]
             deg = tuple(word.count(i) for i in cd.vertices)
             if deg not in spaces:
                 depth = cat.depths(deg)
                 spaces[deg] = depth, cat.standards(depth)
             depth, std = spaces[deg]
             coeffs_t = expand_in_dominant_basis(prod_t, std, depth)
-            # Hall side
-            prod_h = dh.one()
-            for i in word:
-                prod_h = dh.mul(prod_h, dh.z_simple(i, 0))
-            coeffs_h: dict = {}
-            for w, c in prod_h.items():
-                if len(w) > 1 or (w and w[0][0] != 0):
-                    raise RuntimeError("level-zero product left level zero")
-                iso = w[0][1] if w else IsoClass({})
-                coeffs_h[iso] = c
+            # Hall side: its level-zero words are keyed by the same vectors a
+            prod_h = dh.mul(prod_h, dh.z_simple(last, 0))
+            rescale = rescale * resc
+            products[word] = prod_t, prod_h, rescale
+            if any(len(w) > 1 or (w and w[0][0] != 0) for w in prod_h):
+                raise RuntimeError("level-zero product left level zero")
             # compare class by class
-            rescale = one
-            for _ in word:
-                rescale = rescale * resc
             for key in depth:
                 avec = cat.xt.exponents(key)
-                iso = IsoClass({cat.roots[k]: a for k, a in enumerate(avec) if a})
                 ct = coeffs_t.get(key, HalfLaurent.zero())
-                ch = coeffs_h.get(iso, UScalar.of(q, 0))
+                ch = prod_h.get(((0, avec),), UScalar.of(q, 0))
                 tval = specialize(q, ct) * rescale
                 if ch.is_zero() != tval.is_zero():
                     consistent = False

@@ -119,20 +119,6 @@ class QuantumCartan:
         w = quiver.tau_power(quiver.gamma(i), ell)
         return self.cartan.sprod(w, self.cartan.varpi(j))
 
-    def verify_inverse(self, m_max: int) -> tuple[bool, tuple | None]:
-        """Check C(z) * table = identity through z^m_max; returns a witness on failure."""
-        n = self.cartan.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for m in range(0, m_max + 1):
-                    lhs = self.ctilde(i, j, m - 1) + self.ctilde(i, j, m + 1)
-                    for k in self.cartan.neighbors(i):
-                        lhs -= self.ctilde(k, j, m)
-                    want = 1 if (i == j and m == 0) else 0
-                    if lhs != want:
-                        return False, (i, j, m, lhs, want)
-        return True, None
-
     def n_pair(self, i: int, p: int, j: int, s: int) -> int:
         """The antisymmetric commutation exponent between variables at (i,p), (j,s)."""
         d = p - s

@@ -138,9 +138,6 @@ class QuiverDatum:
     def tau(self, w: Weight) -> Weight:
         return self.cartan.apply_word(self.tau_word, w)
 
-    def tau_inv(self, w: Weight) -> Weight:
-        return self.cartan.apply_word(self.tau_word[::-1], w)
-
     def tau_power(self, w: Weight, ell: int) -> Weight:
         h = self.cartan.coxeter_number()
         ell %= h

@@ -110,9 +110,6 @@ class Monomial:
     def inverse(self) -> "Monomial":
         return Monomial({k: -e for k, e in self.items})
 
-    def power(self, n: int) -> "Monomial":
-        return Monomial({k: n * e for k, e in self.items})
-
     def is_unit(self) -> bool:
         return not self.items
 
@@ -401,11 +398,6 @@ class TorusElement:
         if len(terms) < len(forms):
             forms = {k: forms[k] for k in terms}
         return TorusElement._of(ctx, terms, forms, l1)
-
-    def bar(self) -> "TorusElement":
-        """Coefficientwise t^(1/2) -> t^(-1/2); the ring anti-automorphism fixing
-        basis monomials."""
-        return self._with({k: c.conj() for k, c in self.terms.items()})
 
     def leading_key(self) -> int:
         return max(self.terms)

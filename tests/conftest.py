@@ -8,7 +8,7 @@ from qgroth.cartan import cartan_datum, rref
 from qgroth.characters import CategoryQ, expand_in_dominant_basis
 from qgroth.hall import GF, _hom_equations, mat_rank, model_rep
 from qgroth.qcartan import quantum_cartan
-from qgroth.quiver import QuiverContext, QuiverDatum
+from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, YTorus
 
 # The worked orientations used throughout: heights as in the source examples.
@@ -113,6 +113,53 @@ def reference_product(x, y, pairing=None):
             c = (c1 * c2).shift(pairing(k1, k2))
             out[k] = out[k] + c if k in out else c
     return ctx.element(out)
+
+
+def bar(x):
+    """Coefficientwise t^(1/2) -> t^(-1/2) on a torus element: the ring
+    anti-automorphism fixing basis monomials."""
+    return x._with({k: c.conj() for k, c in x.terms.items()})
+
+
+def truncate(cat: CategoryQ, x):
+    """Restriction of an element of a window torus to the positions of cat,
+    as an element of its rank-r torus."""
+    return cat._restrict((x.ctx.monomial_of(k), c) for k, c in x.terms.items())
+
+
+def power(m: Monomial, n: int) -> Monomial:
+    """The monomial m^n."""
+    return Monomial({k: n * e for k, e in m.items})
+
+
+def verify_inverse(qc, m_max: int) -> tuple[bool, tuple | None]:
+    """Check C(z) * table = identity through z^m_max on the inverse quantum
+    Cartan table of qc; returns a witness on failure."""
+    n = qc.cartan.n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for m in range(0, m_max + 1):
+                lhs = qc.ctilde(i, j, m - 1) + qc.ctilde(i, j, m + 1)
+                for k in qc.cartan.neighbors(i):
+                    lhs -= qc.ctilde(k, j, m)
+                want = 1 if (i == j and m == 0) else 0
+                if lhs != want:
+                    return False, (i, j, m, lhs, want)
+    return True, None
+
+
+def beta_of(cat: CategoryQ, a):
+    """The weight sum_k a_k beta_k on the adapted word of cat."""
+    w = cat.cartan.zero_weight()
+    for k, c in enumerate(a):
+        if c:
+            w = w + cat.qctx.word.betas[k].scale(c)
+    return w
+
+
+def tau_inv(quiver, w):
+    """The inverse of the Coxeter transformation tau of the quiver."""
+    return quiver.cartan.apply_word(quiver.tau_word[::-1], w)
 
 
 def a_monomial(cartan, i: int, p: int) -> Monomial:
@@ -233,6 +280,18 @@ def aut_by_enumeration(M) -> int:
     return sum(
         all(mat_rank(M.F, f[v]) == d for v, d in enumerate(M.dims)) for f in homs(M, M)
     )
+
+
+def iso(quiver, mults=()) -> tuple[int, ...]:
+    """The isoclass with the given multiplicities, keyed by simple-root
+    coordinates, as the Hall side keys it: its vector on the roots of the
+    adapted word of `quiver`."""
+    cd = quiver.cartan
+    roots = [tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas]
+    mults = dict(mults)
+    if not set(mults) <= set(roots):
+        raise ValueError(f"{sorted(set(mults) - set(roots))} are not roots of {cd.kind}{cd.n}")
+    return tuple(mults.get(r, 0) for r in roots)
 
 
 def exact_sequence_count(quiver, q: int, X, Y, T, W) -> int:

@@ -14,11 +14,13 @@ from qgroth.cartan import (
     Weight,
     cartan_datum,
     dimension_vectors,
+    iter_kostant_partitions,
     kostant_partitions,
     rref,
     solve,
 )
 from qgroth.hall import GF, mat_rank
+from qgroth.quiver import AdaptedWord, QuiverDatum
 
 from conftest import nullspace_basis
 
@@ -315,6 +317,33 @@ def test_kostant_partitions_are_every_partition_in_decreasing_order(name):
     assert kostant_partitions([(1, 1), (0, 1)], (1, 2)) == [(1, 1)]
     assert kostant_partitions([(1, 1), (0, 1)], (1, 0)) == []
     assert kostant_partitions(roots, (-1,) + (0,) * (cd.n - 1)) == []
+
+
+# the depth-first walk's yield order on two weight spaces, pinned so that a
+# change to the walk keeps it
+KOSTANT_WALKS = [
+    ("A3", (2, 3, 2), (2, 2, 1), [
+        (0, 2, 0, 0, 1, 0), (0, 1, 1, 0, 0, 1), (0, 1, 0, 1, 0, 0), (1, 1, 0, 0, 1, 1), (1, 0, 1, 0, 0, 2),
+        (1, 0, 0, 1, 0, 1), (2, 0, 0, 0, 1, 2),
+    ]),
+    ("D4", (0, 0, 1, 2), (1, 1, 2, 1), [
+        (0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1),
+        (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1),
+        (0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0),
+        (1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0), (1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1),
+        (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0),
+        (1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 1),
+    ]),
+]
+
+
+@pytest.mark.parametrize("name,xi,d,walk", KOSTANT_WALKS, ids=[w[0] for w in KOSTANT_WALKS])
+def test_kostant_walk_yields_in_its_pinned_order(name, xi, d, walk):
+    cd = cartan_datum(name)
+    roots = [tuple(cd.root_coords(b)) for b in AdaptedWord.build(QuiverDatum.from_xi(cd, xi)).betas]
+    assert list(iter_kostant_partitions(roots, d)) == walk
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -8,12 +8,11 @@ import pytest
 from qgroth import torus
 from qgroth.cli import _parse_iso, _parse_monomial, main
 from qgroth.cartan import CartanDatum, cartan_datum
-from qgroth.hall import IsoClass
 from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
-from conftest import avecs_up_to, doubled_off_label
+from conftest import all_orientations, avecs_up_to, doubled_off_label, iso
 
 
 def run(capsys, *argv):
@@ -30,9 +29,9 @@ def test_monomial_parser():
 
 
 def test_iso_parser():
-    cd = cartan_datum("A3")
-    assert _parse_iso("1-2*2,3", cd) == IsoClass({(1, 1, 0): 2, (0, 0, 1): 1})
-    assert _parse_iso("0", cd) == IsoClass({})
+    for quiver in all_orientations("A3"):
+        assert _parse_iso("1-2*2,3", quiver) == iso(quiver, {(1, 1, 0): 2, (0, 0, 1): 1})
+        assert _parse_iso("0", quiver) == iso(quiver)
 
 
 def test_qcartan_text_matches_series(capsys):
@@ -765,10 +764,11 @@ def test_b_tilde_refuses_a_row_that_fails_its_characterization(capsys, monkeypat
     assert captured.out == "" and captured.err.startswith("internal check failed: the dual canonical row at ")
 
 
-# stdout digests of three argv that run canonical's walk over the weight
-# spaces, its json dual canonical vectors and iota's specialization at
-# t = sqrt(q).  A refactor of those paths keeps their output byte for byte,
-# so the digests are not regenerated to follow a change.
+# stdout digests of argv that run canonical's walk over the weight spaces,
+# its json dual canonical vectors, iota's specialization at t = sqrt(q), the
+# Hall side's relations, and the README's gamma and Hall number.  A refactor
+# of those paths keeps their output byte for byte, so the digests are not
+# regenerated to follow a change.
 PINNED_STDOUT = [
     ("canonical --type D4 --degree-bound 3 --format json",
      "6a6803d95f109f3d9a926f6e10b04d534cc2f5970a5f72d7176cae1dc21d7009"),
@@ -776,6 +776,14 @@ PINNED_STDOUT = [
      "2325c27c54fe8ef529968e8236dfd4e9ec7ae83269bd10adcd56182962b878eb"),
     ("hall iota --type A3 --arrows 1-2,3-2 --q 3 --format json",
      "e84a72c7dfd2ebc85c9c4b6dc18c6f3219a96e649fe5bf47a3e77be3478e4119"),
+    ("hall iota --type A3 --q 3 --format json",
+     "33346936094206d4aa798dc8353fedd025418aade963f49d371e33b940949dda"),
+    ("hall relations --type A3 --q 3",
+     "0bd535e448238c7dfedd89d45bec6c0fc15e1d640ab428a218bad29d064fadea"),
+    ("hall gamma --type A2 --q 2 --x 1 --y 2 --t 2 --w 1",
+     "e62245ed5230cf0ff1874aecb9039a8b9a79a427b2b97f2ae9f226730b2dbcc7"),
+    ("hall number --type A2 --xi 1,0 --q 2 --x 2 --y 1 --w 1-2",
+     "d238fcc75b9433a86adf11906aadf686056179205f1421c29ee8a7e63f446fc4"),
 ]
 
 
@@ -801,10 +809,10 @@ def test_hall_names_the_missing_flag(capsys):
 
 
 def test_iso_parser_rejects_intervals_outside_the_quiver_and_empty_multiplicities(capsys):
-    cd = cartan_datum("A2")
+    quiver = QuiverDatum.bipartite(cartan_datum("A2"))
     for text in ("9", "0-1", "2-1", "1-3", "1,0", "1*0", "1-2*-1"):
         with pytest.raises(ValueError):
-            _parse_iso(text, cd)
+            _parse_iso(text, quiver)
     for w in ("9", "1*0,2"):
         argv = ["hall", "number", "--type", "A2", "--q", "2", "--x", "1", "--y", "2", "--w", w]
         assert main(argv) == 1

@@ -12,7 +12,6 @@ from qgroth.characters import CategoryQ
 from qgroth.hall import (
     GF,
     DerivedHall,
-    IsoClass,
     Rep,
     ResourceCap,
     UScalar,
@@ -31,19 +30,20 @@ from qgroth.hall import (
     u_power,
 )
 from qgroth.laurent import HalfLaurent
-from qgroth.quiver import QuiverContext, QuiverDatum
+from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
 
-from conftest import aut_by_enumeration, exact_sequence_count, hom_basis, hom_elements, homs, mat_mul
+from conftest import aut_by_enumeration, exact_sequence_count, hom_basis, hom_elements, homs, iso, mat_mul
 
 
 def a2_quiver():
     return QuiverDatum.from_xi(cartan_datum("A2"), (1, 0))  # arrow 1 -> 2
 
 
-S1 = IsoClass({(1, 0): 1})
-S2 = IsoClass({(0, 1): 1})
-X12 = IsoClass({(1, 1): 1})
-ZERO = IsoClass({})
+A2 = a2_quiver()
+S1 = iso(A2, {(1, 0): 1})
+S2 = iso(A2, {(0, 1): 1})
+X12 = iso(A2, {(1, 1): 1})
+ZERO = iso(A2)
 
 
 def test_iso_class_examples():
@@ -51,12 +51,10 @@ def test_iso_class_examples():
     F = GF(2)
     assert iso_class(Rep(q, F, (0, 0), {(1, 2): ()}), 2) == ZERO
     assert iso_class(Rep(q, F, (1, 1), {(1, 2): ((1,),)}), 2) == X12
-    assert iso_class(Rep(q, F, (1, 1), {(1, 2): ((0,),)}), 2) == IsoClass(
-        {(1, 0): 1, (0, 1): 1}
-    )
+    assert iso_class(Rep(q, F, (1, 1), {(1, 2): ((0,),)}), 2) == iso(q, {(1, 0): 1, (0, 1): 1})
     # model representations decompose back to their own class
-    for iso in (S1, X12, IsoClass({(1, 0): 2, (1, 1): 1})):
-        assert iso_class(model_rep(q, F, iso), 2) == iso
+    for a in (S1, X12, iso(q, {(1, 0): 2, (1, 1): 1})):
+        assert iso_class(model_rep(q, F, a), 2) == a
 
 
 def test_hall_numbers():
@@ -65,10 +63,10 @@ def test_hall_numbers():
         assert hall_number(X12, ZERO, X12, q, p) == 1  # g^X_{X,0} = 1
         assert hall_number(S2, S1, X12, q, p) == 1
         assert hall_number(S1, S2, X12, q, p) == 0
-        assert hall_number(S1, S2, IsoClass({(1, 0): 1, (0, 1): 1}), q, p) == 1
+        assert hall_number(S1, S2, iso(q, {(1, 0): 1, (0, 1): 1}), q, p) == 1
         # the subrepresentations X12 of X12 + X12 are the q + 1 lines of F_q^2,
         # most of them spanned by a vector off the coordinate axes
-        assert hall_number(X12, X12, IsoClass({(1, 1): 2}), q, p) == p + 1
+        assert hall_number(X12, X12, iso(q, {(1, 1): 2}), q, p) == p + 1
 
 
 def _triples(quiver, q, max_total):
@@ -78,10 +76,10 @@ def _triples(quiver, q, max_total):
     for dw in itertools.product(range(max_total + 1), repeat=n):
         if sum(dw) > max_total:
             continue
-        for W in dh._isoclasses_of_dim(dw):
+        for W in dh.isoclasses(dw):
             for dx in itertools.product(*[range(d + 1) for d in dw]):
-                for X in dh._isoclasses_of_dim(dx):
-                    for Y in dh._isoclasses_of_dim(tuple(a - b for a, b in zip(dw, dx))):
+                for X in dh.isoclasses(dx):
+                    for Y in dh.isoclasses(tuple(a - b for a, b in zip(dw, dx))):
                         yield X, Y, W
 
 
@@ -106,7 +104,7 @@ def test_hom_elements_match_the_naive_enumeration(name):
     for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3, 4)):
         F, dh, n = GF(p), DerivedHall(q, p), q.cartan.n
         dims = [d for d in itertools.product(range(3), repeat=n) if sum(d) <= 2]
-        classes = [iso for d in dims for iso in dh._isoclasses_of_dim(d)]
+        classes = [a for d in dims for a in dh.isoclasses(d)]
         for A, B in itertools.product(classes, repeat=2):
             M, N = model_rep(q, F, A), model_rep(q, F, B)
             basis, shapes = hom_basis(M, N), [(b, a) for a, b in zip(M.dims, N.dims)]
@@ -150,7 +148,7 @@ def test_riedtmann_count_consistency():
                 ]
 
             for X, Y, W in _triples(q, p, 3):
-                if Y.is_zero():
+                if not any(Y):
                     # the monomorphisms W -> W are its automorphisms
                     assert len(full_rank(W, W)) == aut(W), (p, q.arrows, W)
                 # dimensions add up, so a mono f and an epi g with g f = 0 are exact
@@ -167,7 +165,7 @@ def _classes(quiver, q, max_total):
     # every isoclass of total dimension <= max_total
     dh = DerivedHall(quiver, q)
     dims = itertools.product(range(max_total + 1), repeat=quiver.cartan.n)
-    return [iso for d in dims if sum(d) <= max_total for iso in dh._isoclasses_of_dim(d)]
+    return [a for d in dims if sum(d) <= max_total for a in dh.isoclasses(d)]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3"])
@@ -177,11 +175,11 @@ def test_gamma_is_the_exact_sequence_count(name):
     # too, on every balanced (X, Y, T, W) of classes of total dimension <= 2,
     # in every orientation
     for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
-        dh, F, n = DerivedHall(q, p), GF(p), q.cartan.n
+        dh, F = DerivedHall(q, p), GF(p)
         aut = functools.cache(lambda Z: aut_by_enumeration(model_rep(q, F, Z)))
         classes = _classes(q, p, 2)
         for X, Y, T, W in itertools.product(classes, repeat=4):
-            if any(t - y + x - w for t, y, x, w in zip(*(Z.dims(n) for Z in (T, Y, X, W)))):
+            if any(t - y + x - w for t, y, x, w in zip(*map(dh.dims, (T, Y, X, W)))):
                 continue
             count = exact_sequence_count(q, p, X, Y, T, W)
             assert toen_gamma(dh, X, Y, T, W) == Fraction(count, aut(X) * aut(Y)), (q.arrows, p, X, Y, T, W)
@@ -207,8 +205,9 @@ def test_gamma_examples():
         assert toen_gamma(dh, S1, S2, S2, S1) * auts == (p - 1) ** 2
     # 4^12 homomorphism triples, too many to enumerate: the only image is 0,
     # so gamma = |Aut T| |Aut W| / (|Aut X| |Aut Y|) = 1
-    S = IsoClass({(1,): 2})
-    assert toen_gamma(DerivedHall(QuiverDatum.bipartite(cartan_datum("A1")), 4), S, S, S, S) == 1
+    a1 = QuiverDatum.bipartite(cartan_datum("A1"))
+    S = iso(a1, {(1,): 2})
+    assert toen_gamma(DerivedHall(a1, 4), S, S, S, S) == 1
 
 
 def test_corrupted_hom_table_or_aut_count_ends_hall_number_in_exit_2(monkeypatch, capsys):
@@ -223,7 +222,9 @@ def test_corrupted_hom_table_or_aut_count_ends_hall_number_in_exit_2(monkeypatch
 
     def corrupted(quiver, q):
         roots, models, hom, *rest = tables(quiver, q)
-        return roots, models, {**hom, ((1, 0), (0, 1)): 1}, *rest
+        k, l = roots.index((1, 0)), roots.index((0, 1))
+        hom = tuple(tuple(1 if (i, j) == (k, l) else x for j, x in enumerate(row)) for i, row in enumerate(hom))
+        return roots, models, hom, *rest
 
     monkeypatch.setattr(hall, "_iso_tables", corrupted)
     assert main(argv) == 2
@@ -240,29 +241,29 @@ def test_corrupted_hom_table_or_aut_count_ends_hall_number_in_exit_2(monkeypatch
 def test_resource_caps():
     q = a2_quiver()
     # Ext^1(S1, S2) is one-dimensional: 4^16 extensions of S1^4 by S2^4, times 8^3
-    S1_4, S2_4 = IsoClass({(1, 0): 4}), IsoClass({(0, 1): 4})
+    S1_4, S2_4 = iso(q, {(1, 0): 4}), iso(q, {(0, 1): 4})
     with pytest.raises(ResourceCap, match=r"Hall number: work 2199023255552 \(extensions x dimension\^3\) above cap"):
-        hall_number(S2_4, S1_4, IsoClass({(1, 1): 4}), q, 4)
+        hall_number(S2_4, S1_4, iso(q, {(1, 1): 4}), q, 4)
     # a split pair builds no extension: S1^3 in S1^6 is one of the
     # [6 choose 3]_4 subspaces of F_4^6
-    S1_3, S1_6 = IsoClass({(1, 0): 3}), IsoClass({(1, 0): 6})
+    S1_3, S1_6 = iso(q, {(1, 0): 3}), iso(q, {(1, 0): 6})
     assert hall_number(S1_3, S1_3, S1_6, q, 4) == _gaussian_binomial(6, 3, 4) == 376805
     # total dimension 6, Ext^1(S2^3, S1^3) = 0: S1^3 + 0 inside S1^3 + S2^3
-    assert hall_number(S1_3, IsoClass({(0, 1): 3}), IsoClass({(1, 0): 3, (0, 1): 3}), q, 2) == 1
+    assert hall_number(S1_3, iso(q, {(0, 1): 3}), iso(q, {(1, 0): 3, (0, 1): 3}), q, 2) == 1
     # one extension line in total dimension 2 + 4k, P12 projective-injective:
     # S2 + P12^k in P12^(2k+1) is a flag U_1 < U_2 of dimensions (k, k+1) in
     # F_2^(2k+1), and its quotient is S1 + P12^k.  k = 42 is the last under
     # the cap, at work 2 * 170^3
     for k, work in ((42, None), (43, 2 * 174**3)):
-        X, Y = IsoClass({(0, 1): 1, (1, 1): k}), IsoClass({(1, 0): 1, (1, 1): k})
+        X, Y = iso(q, {(0, 1): 1, (1, 1): k}), iso(q, {(1, 0): 1, (1, 1): k})
         if work:
             with pytest.raises(ResourceCap, match=f"Hall number: work {work} "):
-                hall_number(X, Y, IsoClass({(1, 1): 2 * k + 1}), q, 2)
+                hall_number(X, Y, iso(q, {(1, 1): 2 * k + 1}), q, 2)
         else:
             flags = _gaussian_binomial(2 * k + 1, k + 1, 2) * _gaussian_binomial(k + 1, k, 2)
-            assert hall_number(X, Y, IsoClass({(1, 1): 2 * k + 1}), q, 2) == flags
+            assert hall_number(X, Y, iso(q, {(1, 1): 2 * k + 1}), q, 2) == flags
     # no extension, but total dimension 4000: the dimension alone is past the cap
-    P_2000 = IsoClass({(1, 1): 2000})
+    P_2000 = iso(q, {(1, 1): 2000})
     with pytest.raises(ResourceCap, match="work 64000000000 "):
         hall_number(ZERO, P_2000, P_2000, q, 2)
     with pytest.raises(ResourceCap):
@@ -286,52 +287,53 @@ def test_hall_numbers_tally_the_monomorphisms(name):
         tally = functools.cache(lambda X, Y: hall_numbers(X, Y, quiver, p))
         dh = DerivedHall(quiver, p)
         for W in _classes(quiver, p, 3):
-            dw = W.dims(n)
+            dw = dh.dims(W)
             for dx in itertools.product(*[range(d + 1) for d in dw]):
                 dy = tuple(w - x for w, x in zip(dw, dx))
-                for X in dh._isoclasses_of_dim(dx):
+                for X in dh.isoclasses(dx):
                     injective = sum(
                         all(mat_rank(F, h[v]) == dx[v] for v in range(n)) for h in homs(model(X), model(W))
                     )
                     assert injective % aut(X) == 0, (quiver.arrows, p, X, W)
                     subs = 0
-                    for Y in dh._isoclasses_of_dim(dy):
+                    for Y in dh.isoclasses(dy):
                         assert all(tally(X, Y).values()), (quiver.arrows, p, X, Y)
-                        assert all(Z.dims(n) == dw for Z in tally(X, Y)), (quiver.arrows, p, X, Y)
+                        assert all(dh.dims(Z) == dw for Z in tally(X, Y)), (quiver.arrows, p, X, Y)
                         subs += tally(X, Y).get(W, 0)
                     assert subs == injective // aut(X), (quiver.arrows, p, X, W)
 
 
 def test_gamma_work_is_capped():
     a3 = QuiverDatum.bipartite(cartan_datum("A3"))
-    P, P_2, P_3, P_4 = (IsoClass({(1, 1, 1): m}) for m in (1, 2, 3, 4))
+    P, P_2, P_3, P_4 = (iso(a3, {(1, 1, 1): m}) for m in (1, 2, 3, 4))
+    Z3 = iso(a3)
     # one split Hall number, total dimension 9; the values are those of the
     # four-term exact-sequence count (up to 4^9 homomorphism triples, too
     # slow to rerun here)
     for p, value in ((2, Fraction(1, 4)), (3, Fraction(1, 18)), (4, Fraction(1, 48))):
-        assert toen_gamma(DerivedHall(a3, p), P_3, P, ZERO, P_2) == value
+        assert toen_gamma(DerivedHall(a3, p), P_3, P, Z3, P_2) == value
     # 10 images of dimension (2, 2, 2) at 6^3 each, then the image P_2 of
     # P_4, a split pair at 12^3
-    assert toen_gamma(DerivedHall(a3, 2), P_4, P_2, ZERO, P_2) == Fraction(1, 96)
+    assert toen_gamma(DerivedHall(a3, 2), P_4, P_2, Z3, P_2) == Fraction(1, 96)
     # on A2 at q = 4, S2^4 is the one image of S2^4, at 4^3; then
     # Ext^1(S1^4, S2^4) has 4^16 elements, at 8^3.  The first Hall number is
     # priced whether it is memoised or not
-    S1_4, S2_4 = IsoClass({(1, 0): 4}), IsoClass({(0, 1): 4})
+    S1_4, S2_4 = iso(A2, {(1, 0): 4}), iso(A2, {(0, 1): 4})
     warm = DerivedHall(a2_quiver(), 4)
     assert warm.g_number(ZERO, S2_4, S2_4) == 1
     for dh in (DerivedHall(a2_quiver(), 4), warm):
         with pytest.raises(ResourceCap, match=f"gamma: work {4**3 + 4**16 * 8**3} "):
-            toen_gamma(dh, IsoClass({(1, 1): 4}), S2_4, ZERO, S1_4)
+            toen_gamma(dh, iso(A2, {(1, 1): 4}), S2_4, ZERO, S1_4)
     # 12 341 images of dimension (40, 40, 40), each a Hall number of total
     # dimension 120: refused at the sixth image generated, before any is
     # counted, and the partial enumeration is not memoised
-    P_40 = IsoClass({(1, 1, 1): 40})
+    P_40 = iso(a3, {(1, 1, 1): 40})
     dh = DerivedHall(a3, 2)
     with pytest.raises(ResourceCap, match=f"gamma: work {6 * 120**3} "):
-        toen_gamma(dh, P_40, P_40, ZERO, ZERO)
+        toen_gamma(dh, P_40, P_40, Z3, Z3)
     assert not dh._g
     assert (40, 40, 40) not in dh._isos
-    assert len(dh._isoclasses_of_dim((40, 40, 40))) == 12341
+    assert len(dh.isoclasses((40, 40, 40))) == 12341
 
 
 def test_uscalar_field():
@@ -465,6 +467,12 @@ def test_u_power_is_repeated_multiplication(q):
         up, down = up * u, down * u_inv
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_u_power_is_the_specialization_of_a_power_of_t(q):
+    for k in range(-12, 13):
+        assert u_power(q, k) == specialize(q, HalfLaurent.t_power(2 * k)), k
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3, 4]), st.dictionaries(st.integers(-13, 13), st.integers(-5, 5), max_size=6))
 def test_specialize_is_the_evaluation_at_the_half_power_of_u(q, coeffs):
@@ -562,17 +570,66 @@ def _orientations(cd):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_gram_inverse_is_integral_on_every_orientation(name, q):
-    # building the tables runs the unimodularity check; the inverse must also
-    # undo the Gram matrix of hom dimensions
+    # the tables are on the adapted word's roots, in its order; the hom table
+    # is the dimension of Hom between the models, lower unitriangular
+    # (Hom(M_k, M_l) = 0 for k < l, End M_k = F_q), so its inverse, solved by
+    # forward substitution as iso_class does, is an integer matrix that
+    # undoes it
     for quiver in _orientations(cartan_datum(name)):
-        roots, models, hom, inv, *_ = _iso_tables(quiver, q)
-        gram = [[hom_dim(models[r1], models[r2]) for r2 in roots] for r1 in roots]
-        assert [[hom[r1, r2] for r2 in roots] for r1 in roots] == gram
+        roots, models, hom, euler, *_ = _iso_tables(quiver, q)
+        cd = quiver.cartan
+        assert list(roots) == [tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas]
+        gram = [[hom_dim(m1, m2) for m2 in models] for m1 in models]
+        assert [list(row) for row in hom] == gram
         n = len(roots)
+        assert all(gram[k][l] == (k == l) for k in range(n) for l in range(k, n))
+        assert euler == tuple(tuple(ringel_form(quiver, s, t) for t in roots) for s in roots)
+        inv = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(n):
+                inv[i][j] = int(i == j) - sum(gram[i][k] * inv[k][j] for k in range(i))
         assert all(isinstance(x, int) for row in inv for x in row)
         assert [[sum(inv[i][k] * gram[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
             [int(i == j) for j in range(n)] for i in range(n)
         ]
+
+
+@pytest.mark.parametrize("arrows", [((1, 2), (2, 3)), ((2, 1), (2, 3)), ((1, 2), (3, 2)), ((2, 1), (3, 2))])
+def test_models_decompose_back_to_their_vector(arrows):
+    # iso_class(model_rep(a)) = a for every a with sum(a) <= 3, at each q
+    quiver = QuiverDatum.from_arrows(cartan_datum("A3"), arrows)
+    for q in (2, 3, 4):
+        F = GF(q)
+        r = len(_iso_tables(quiver, q)[0])
+        vectors = [a for a in itertools.product(range(4), repeat=r) if sum(a) <= 3]
+        assert len(vectors) == 84
+        for a in vectors:
+            assert iso_class(model_rep(quiver, F, a), q) == a
+
+
+def test_reversed_root_order_ends_hall_relations_in_exit_2(monkeypatch, capsys):
+    # in the reverse of the word's order the hom table is upper triangular:
+    # the tables are refused before any Hall number is counted
+    import dataclasses
+
+    import qgroth.hall as hall
+    from qgroth.cli import main
+
+    build = AdaptedWord.build
+
+    def reversed_word(quiver):
+        word = build(quiver)
+        return dataclasses.replace(word, betas=word.betas[::-1])
+
+    monkeypatch.setattr(hall.AdaptedWord, "build", staticmethod(reversed_word))
+    hall._iso_tables.cache_clear()
+    try:
+        assert main(["hall", "relations", "--type", "A3", "--q", "3"]) == 2
+    finally:
+        monkeypatch.undo()
+        hall._iso_tables.cache_clear()
+    assert capsys.readouterr() == ("", "internal check failed: hom table is not unitriangular in word order\n")
+    assert main(["hall", "relations", "--type", "A3", "--q", "3"]) == 0
 
 
 def test_dh_same_level_and_distant():
@@ -581,11 +638,11 @@ def test_dh_same_level_and_distant():
     z1, z2 = dh.z_simple(1, 0), dh.z_simple(2, 0)
     # same level: z_{S_1} z_{S_2} = u^{<S_2,S_1>} (split only)
     prod = dh.mul(z1, z2)
-    assert prod == {((0, IsoClass({(1, 0): 1, (0, 1): 1})),): dh.upow(dh.euler(S2, S1))}
+    assert prod == {((0, iso(quiv, {(1, 0): 1, (0, 1): 1})),): dh.upow(dh.euler(S2, S1))}
     # the opposite order also picks up the extension
     prod2 = dh.mul(z2, z1)
     assert set(prod2) == {
-        ((0, IsoClass({(1, 0): 1, (0, 1): 1})),),
+        ((0, iso(quiv, {(1, 0): 1, (0, 1): 1})),),
         ((0, X12),),
     }
     # distant levels commute with the symmetric exponent

@@ -9,7 +9,7 @@ from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, XTorus, divide_right
 
-from conftest import a_monomial, four_coefficient_n, reference_product, wide_torus
+from conftest import a_monomial, bar, four_coefficient_n, power, reference_product, wide_torus
 
 YT = {name: wide_torus(name) for name in ("A1", "A2", "A3", "A4", "D4")}
 _A3 = QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
@@ -91,8 +91,8 @@ def test_star_associativity(name, data):
 def test_bar_is_ring_antiautomorphism(name, data):
     x = data.draw(elements(name))
     y = data.draw(elements(name))
-    assert (x * y).bar() == y.bar() * x.bar()
-    assert x.bar().bar() == x
+    assert bar(x * y) == bar(y) * bar(x)
+    assert bar(bar(x)) == x
 
 
 @given(st.sampled_from(["A2", "A3"]), st.data())
@@ -119,12 +119,12 @@ def test_a_lattice_solver_roundtrip(name, data):
     )
     prod = Monomial.unit()
     for (i, s), c in picks.items():
-        prod = prod * a_monomial(cd, i, s).power(c)
+        prod = prod * power(a_monomial(cd, i, s), c)
     v = yt.a_solve(prod)
     assert v is not None
     rebuilt = Monomial.unit()
     for (i, s), c in v.items():
-        rebuilt = rebuilt * a_monomial(cd, i, s).power(c)
+        rebuilt = rebuilt * power(a_monomial(cd, i, s), c)
     assert rebuilt == prod
 
 
@@ -267,7 +267,7 @@ def test_torus_operations_keep_the_element_invariant_and_leave_operands(name, ex
     before = _element_state(a), _element_state(b)
     results = [
         a * b, b * a, a.mul_shift(b, exp2), a.qcommutator(b, exp2), a.qcommutator(a, 0),
-        a.tshift(exp2), a.scal(HalfLaurent()), a.scal(c), a.bar(), -a, a + b, a - a,
+        a.tshift(exp2), a.scal(HalfLaurent()), a.scal(c), bar(a), -a, a + b, a - a,
     ]
     if not a.is_zero():
         results.append(divide_right(b * a, a))

@@ -6,7 +6,7 @@ import pytest
 from qgroth.cartan import cartan_datum
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
 
-from conftest import all_orientations
+from conftest import all_orientations, tau_inv
 
 
 def d4_fig_quiver():
@@ -156,7 +156,7 @@ def test_ringel_form_properties():
                 for y in roots[:5]:
                     sym = ringel_form(q, x, y) + ringel_form(q, y, x)
                     assert sym == cd.sprod(x, y)
-                    assert ringel_form(q, q.tau_inv(x), y) == -ringel_form(q, y, x)
+                    assert ringel_form(q, tau_inv(q, x), y) == -ringel_form(q, y, x)
 
 
 def test_mesh_relation():

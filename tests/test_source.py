@@ -14,3 +14,44 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Kept until the README's "JSON round-trips" promise is settled: each type's
+# from_json is its half of a documented round trip that no caller exercises.
+ROUND_TRIP_ONLY = "from_json"
+
+
+def _tracer_bindings() -> set[str]:
+    # the last name of every attribute path in perfbench/tracer.py's SPANS,
+    # read from its source, which stays unimported
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets):
+            return {span.elts[2].value.rsplit(".", 1)[-1] for span in node.value.elts}
+    raise AssertionError("perfbench/tracer.py has no SPANS table")
+
+
+def test_every_library_function_has_a_caller():
+    # a function defined in the library is referenced by name inside it, is
+    # exported, is a CLI command, or is bound by a tracer span; names are
+    # matched as names, so a method counts as called when any attribute of
+    # its name is read
+    defined, referenced, commands = [], set(), set()
+    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg == "fn" and isinstance(node.value, ast.Name):
+                commands.add(node.value.id)
+    assert commands and len([d for d in defined if d[2] == ROUND_TRIP_ONLY]) == 5
+    kept = referenced | set(qgroth.__all__) | commands | _tracer_bindings()
+    orphans = [
+        f"{file}:{line} {name}"
+        for file, line, name in defined
+        if name not in kept and name != ROUND_TRIP_ONLY and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert orphans == []

@@ -15,7 +15,7 @@ from qgroth.torus import (
     divide_right,
 )
 
-from conftest import a_monomial, wide_torus
+from conftest import a_monomial, bar, beta_of, power, wide_torus
 
 
 def Y(i, p, e=1):
@@ -61,13 +61,13 @@ def test_prop_sign_rule_via_phi(contexts):
 def test_bar_involution(ytorus):
     yt = ytorus("A2")
     x = yt.monomial(Y(1, 0), HalfLaurent.t_power(1)) + yt.monomial(Y(2, 1) * Y(1, 2, -1))
-    assert x.bar().bar() == x
-    assert yt.monomial(Y(1, 0)).bar() == yt.monomial(Y(1, 0))
-    assert yt.monomial(Y(1, 0), HalfLaurent.t_power(1)).bar() == yt.monomial(
+    assert bar(bar(x)) == x
+    assert bar(yt.monomial(Y(1, 0))) == yt.monomial(Y(1, 0))
+    assert bar(yt.monomial(Y(1, 0), HalfLaurent.t_power(1))) == yt.monomial(
         Y(1, 0), HalfLaurent.t_power(-1)
     )
     y = yt.monomial(Y(2, 3) * Y(1, 0), HalfLaurent.t_power(-2)) + yt.one()
-    assert (x * y).bar() == y.bar() * x.bar()
+    assert bar(x * y) == bar(y) * bar(x)
 
 
 def test_a_monomials(ytorus, categories):
@@ -80,7 +80,7 @@ def test_a_monomials(ytorus, categories):
     for (i, s) in [(1, 1), (2, 2), (3, 1)]:
         a = a_monomial(yt.cartan, i, s)
         if cat.in_category(a):
-            assert cat.beta_of(cat.avec_of(a)).is_zero()
+            assert beta_of(cat, cat.avec_of(a)).is_zero()
 
 
 def test_nakajima_order(ytorus, categories):
@@ -96,7 +96,7 @@ def test_nakajima_order(ytorus, categories):
 def test_a_solve_roundtrip(ytorus):
     yt = ytorus("A3")
     cd = yt.cartan
-    prod = a_monomial(cd, 1, 1) * a_monomial(cd, 2, 2).power(2) * a_monomial(cd, 1, 3)
+    prod = a_monomial(cd, 1, 1) * power(a_monomial(cd, 2, 2), 2) * a_monomial(cd, 1, 3)
     v = yt.a_solve(prod)
     assert v == {(1, 1): 1, (2, 2): 2, (1, 3): 1}
     assert yt.a_solve(Y(1, 0)) is None
@@ -122,8 +122,8 @@ def test_x_torus_products(contexts):
     assert xt.monomial(e1) * xt.one() == xt.monomial(e1) == xt.one() * xt.monomial(e1)
     # sigma fixes the basis and inverts the half power
     x = xt.monomial((1, 2, 0, -1, 0, 0), HalfLaurent.t_power(1))
-    assert x.bar() == xt.monomial((1, 2, 0, -1, 0, 0), HalfLaurent.t_power(-1))
-    assert x.bar().bar() == x
+    assert bar(x) == xt.monomial((1, 2, 0, -1, 0, 0), HalfLaurent.t_power(-1))
+    assert bar(bar(x)) == x
 
 
 def test_division(ytorus, monkeypatch):
