@@ -16,14 +16,12 @@ integer obtained from the simple-root coordinates.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
-from types import SimpleNamespace
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 
@@ -247,39 +245,14 @@ def _neighbors(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(j + 1 for j, c in enumerate(row) if c == -1) for row in rows)
 
 
-# The rational numbers as a field for `rref`: exact, through Fraction.
-QQ = SimpleNamespace(sub=operator.sub, mul=operator.mul, inv=lambda a: 1 / Fraction(a))
-
-
-def rref(rows, F) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over the field F (an object with sub, mul and
-    inv): the nonzero reduced rows, and the pivot column of each."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(len(m[0]) if m else 0):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        s = F.inv(m[rank][col])
-        m[rank] = [F.mul(s, x) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-    return m[: len(pivots)], pivots
-
-
-def solve(a, b, F) -> list[list]:
-    """The matrix x with a x = b over F, for a square and invertible (a and b
-    given by rows); raises ZeroDivisionError when a is singular."""
-    n = len(a)
-    red, pivots = rref([list(ra) + list(rb) for ra, rb in zip(a, b)], F)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in red]
+def root_sum(roots, a) -> tuple[int, ...]:
+    """sum_k a_k roots[k] over the k with a_k != 0, roots on the simple roots."""
+    out = [0] * len(roots[0])
+    for k, c in enumerate(a):
+        if c:
+            for v, x in enumerate(roots[k]):
+                out[v] += c * x
+    return tuple(out)
 
 
 def kostant_partitions(roots, d) -> list[tuple[int, ...]]:
@@ -329,31 +302,40 @@ def dimension_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _cartan_inverse(kind: str, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, d * C^-1) with d the least common denominator of the entries of C^-1."""
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    inv = solve(_cartan_matrix(kind, n), eye, QQ)
-    d = lcm(*(Fraction(x).denominator for row in inv for x in row))
-    return d, tuple(tuple(int(x * d) for x in row) for row in inv)
+    """(d, d * C^-1), d the least common denominator of C^-1: simply-laced,
+    sum_b (b, x)(b, y) = h (x, y) over the positive roots b, so sum_b b b^T =
+    h C^-1 with h = 2 |Phi+| / n, reduced by the gcd of h and its entries."""
+    roots = _root_vectors(kind, n)
+    h = 2 * len(roots) // n
+    s = [[sum(b[i] * b[j] for b in roots) for j in range(n)] for i in range(n)]
+    g = gcd(h, *(x for row in s for x in row))
+    return h // g, tuple(tuple(x // g for x in row) for row in s)
+
+
+@lru_cache(maxsize=None)
+def _root_vectors(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """The positive roots on the simple roots, by degree and then coordinates:
+    the images of the simple roots under s_i(b) = b - (C b)_i e_i, kept while
+    every coordinate is >= 0 (s_i moves only coordinate i)."""
+    c = _cartan_matrix(kind, n)
+    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = set(roots)
+    while frontier:
+        frontier = {
+            b[:i] + (b[i] - x,) + b[i + 1 :]
+            for b in frontier
+            for i, x in enumerate(sum(a * y for a, y in zip(row, b)) for row in c)
+            if x <= b[i]
+        } - roots
+        roots |= frontier
+    return tuple(sorted(roots, key=lambda b: (sum(b), b)))
 
 
 @lru_cache(maxsize=None)
 def _positive_roots(kind: str, n: int) -> tuple[Weight, ...]:
-    cd = CartanDatum(kind, n)
-    roots = {cd.alpha(i).coords for i in cd.vertices}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for rc in frontier:
-            w = Weight(rc)
-            for i in cd.vertices:
-                img = cd.reflect(i, w)
-                if all(x >= 0 for x in cd.root_coords(img)) and img.coords not in roots:
-                    new.add(img.coords)
-        roots |= new
-        frontier = new
-    out = [Weight(rc) for rc in roots]
-    out.sort(key=lambda w: (sum(cd.root_coords(w)), cd.root_coords(w)))
-    return tuple(out)
+    """The positive roots as Weights C b, in the order of `_root_vectors`."""
+    c = _cartan_matrix(kind, n)
+    return tuple(Weight(tuple(sum(a * y for a, y in zip(row, b)) for row in c)) for b in _root_vectors(kind, n))
 
 
 @lru_cache(maxsize=None)

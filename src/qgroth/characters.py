@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .cartan import CartanDatum, RankMismatch, ResourceCap, kostant_partitions
+from .cartan import CartanDatum, RankMismatch, ResourceCap, kostant_partitions, root_sum
 from .laurent import ONE, HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
@@ -441,12 +441,12 @@ class CategoryQ:
         self.qc = quantum_cartan(self.cartan)
         self.positions = qctx.positions
         self.yt = YTorus(self.qc, self.positions)
-        self.xt = XTorus(qctx.word.betas, self.cartan)
+        self.roots = qctx.word.roots
+        self.xt = XTorus(self.roots, self.cartan)
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
         self._fundamentals: dict[tuple[int, int], TorusElement] = {}
         self._check_torus_isomorphism()
-        self.roots = [tuple(self.cartan.root_coords(b)) for b in qctx.word.betas]
         self._columns = [self._position_column(k) for k in range(self.xt.r)]
         self._column_depths = [sum(col.values()) for col in self._columns]
         self.labels = [self.xt.key(self.xt.unit_vector(k)) for k in range(1, self.xt.r + 1)]  # keys of the X_k
@@ -486,17 +486,17 @@ class CategoryQ:
 
     def root_of(self, a) -> tuple[int, ...]:
         """Root coordinates of sum_k a_k beta_k: the weight space of a."""
-        return tuple(sum(c * x for c, x in zip(a, col)) for col in zip(*self.roots))
+        return root_sum(self.roots, a)
 
     # -- Kirillov-Reshetikhin classes by the T-system ------------------------
 
     def kr(self, i: int, s: int, p: int) -> TorusElement:
         """Truncated t-character of the Kirillov-Reshetikhin class with s
         factors starting at spectral parameter p."""
-        if s == 0:
-            return self.xt.one()
         if (i, p) not in self.index_of_position:
             raise ValueError(f"({i},{p}) is outside the subtorus index set")
+        if s == 0:
+            return self.xt.one()
         xi = self.quiver.xi[i - 1]
         if not 1 <= s <= (xi - p) // 2 + 1:
             raise ValueError(f"level {s} at ({i},{p}) leaves the category")

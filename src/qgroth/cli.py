@@ -75,33 +75,32 @@ def _parse_monomial(text: str) -> Monomial:
     return Monomial(exps)
 
 
-def _parse_iso(text: str, quiver: QuiverDatum) -> tuple[int, ...]:
-    """Interval multiset syntax for type A: '1-2*2,3' for two copies of the
-    interval [1,2] plus the simple at 3; '0' is the zero class.  Returns the
-    multiplicities on the roots of the adapted word."""
-    cd = quiver.cartan
-    roots = [tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas]
+def _parse_iso(text: str, flag: str, word: AdaptedWord) -> tuple[int, ...]:
+    """Interval multiset syntax for type A, given by `flag`: '1-2*2,3' for two
+    copies of the interval [1,2] plus the simple at 3; '0' is the zero class.
+    Returns the multiplicities on the roots of the adapted word."""
+    roots, n = word.roots, word.quiver.cartan.n
     out = [0] * len(roots)
     text = text.strip()
     if text in ("0", ""):
         return tuple(out)
     for tok in text.split(","):
         tok = tok.strip()
-        mult = 1
-        if "*" in tok:
-            tok, ms = tok.split("*")
-            mult = int(ms)
-        if "-" in tok:
-            a, b = (int(x) for x in tok.split("-"))
-        else:
-            a = b = int(tok)
-        if not 1 <= a <= b <= cd.n:
-            raise ValueError(f"interval {a}-{b} is not inside 1..{cd.n}")
+        head, star, ms = tok.partition("*")
+        a, dash, b = head.partition("-")
+        try:
+            mult = int(ms) if star else 1
+            a = int(a)
+            b = int(b) if dash else a
+        except ValueError:
+            raise ValueError(f"{flag} token {tok!r} is not of the form a, a-b, a*m or a-b*m") from None
+        if not 1 <= a <= b <= n:
+            raise ValueError(f"interval {a}-{b} is not inside 1..{n}")
         if mult < 1:
             raise ValueError(f"multiplicity {mult} of interval {a}-{b} is below 1")
-        root = tuple(1 if a <= v <= b else 0 for v in range(1, cd.n + 1))
+        root = tuple(1 if a <= v <= b else 0 for v in range(1, n + 1))
         if root not in roots:
-            _check_quiver(quiver)  # every interval is a root in type A
+            _check_quiver(word.quiver)  # every interval is a root in type A
         out[roots.index(root)] += mult
     return tuple(out)
 
@@ -358,19 +357,16 @@ def cmd_hall(args) -> int:
     _read_flags("hall", args)
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
+    if args.what in ("gamma", "number"):
+        word = AdaptedWord.build(quiver)
+        # --t is None on number, which does not read it
+        iso = {f: _parse_iso(v, f"--{f}", word) for f in "xytw" if (v := getattr(args, f)) is not None}
     if args.what == "gamma":
-        x = _parse_iso(args.x, quiver)
-        y = _parse_iso(args.y, quiver)
-        t = _parse_iso(args.t, quiver)
-        w = _parse_iso(args.w, quiver)
-        g = toen_gamma(DerivedHall(quiver, args.q), x, y, t, w)
+        g = toen_gamma(DerivedHall(quiver, args.q), iso["x"], iso["y"], iso["t"], iso["w"])
         _emit(args, lambda: [f"gamma = {g}"], lambda: {"gamma": [g.numerator, g.denominator]})
         return 0
     if args.what == "number":
-        x = _parse_iso(args.x, quiver)
-        y = _parse_iso(args.y, quiver)
-        w = _parse_iso(args.w, quiver)
-        g = hall_number(x, y, w, quiver, args.q)
+        g = hall_number(iso["x"], iso["y"], iso["w"], quiver, args.q)
         _emit(args, lambda: [f"g^W_(X,Y) = {g}"], lambda: {"hall_number": g})
         return 0
     if args.what == "relations":

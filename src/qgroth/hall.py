@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cartan import ResourceCap, iter_kostant_partitions, kostant_partitions, rref
+from .cartan import ResourceCap, iter_kostant_partitions, kostant_partitions, root_sum
 from .characters import CategoryQ, expand_in_dominant_basis
 from .laurent import HalfLaurent
 from .presentation import relation_failures
@@ -96,6 +96,27 @@ class GF:
         return range(self.q)
 
 
+def rref(rows, F: GF) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over GF(q), the library's one elimination: the
+    nonzero reduced rows, and the pivot column of each."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        s = F.inv(m[rank][col])
+        m[rank] = [F.mul(s, x) for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
 def mat_rank(F: GF, rows) -> int:
     return len(rref(rows, F)[1])
 
@@ -135,16 +156,6 @@ def model_rep(quiver: QuiverDatum, F: GF, a) -> Rep:
     of `_iso_tables`, copies in word order."""
     roots = _iso_tables(quiver, F.q)[0]
     return _interval_rep(quiver, F, [roots[k] for k, c in enumerate(a) for _ in range(c)])
-
-
-def _dims(roots, a) -> tuple[int, ...]:
-    """The dimension vector sum_k a_k roots[k]."""
-    out = [0] * len(roots[0])
-    for k, c in enumerate(a):
-        if c:
-            for v, x in enumerate(roots[k]):
-                out[v] += c * x
-    return tuple(out)
 
 
 def _hom_equations(M: Rep, N: Rep):
@@ -201,7 +212,7 @@ def _iso_tables(quiver: QuiverDatum, q: int):
     _check_quiver(quiver)
     F = GF(q)
     cd = quiver.cartan
-    roots = tuple(tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas)
+    roots = AdaptedWord.build(quiver).roots
     models = [_interval_rep(quiver, F, [r]) for r in roots]
     r = len(roots)
     hom = [[0] * r for _ in range(r)]
@@ -233,7 +244,7 @@ def iso_class(rep: Rep, q: int) -> tuple[int, ...]:
         if c < 0:
             raise RuntimeError("fingerprint did not resolve to a Krull-Schmidt multiset")
         a.append(c)
-    if _dims(roots, a) != rep.dims:
+    if root_sum(roots, a) != rep.dims:
         raise RuntimeError("Krull-Schmidt decomposition has wrong dimension vector")
     return tuple(a)
 
@@ -596,7 +607,7 @@ class DerivedHall:
         return self.euler(x, y) + self.euler(y, x)
 
     def dims(self, a) -> tuple[int, ...]:
-        return _dims(self.roots, a)
+        return root_sum(self.roots, a)
 
     def hall_numbers(self, x, y) -> dict:
         """{W: g^W_{x,y}} of `hall_numbers`, memoised by (x, y)."""
@@ -658,9 +669,6 @@ class DerivedHall:
             if not vc.is_zero():
                 out[w] = vc
         return out
-
-    def neg(self, a: dict) -> dict:
-        return {w: -v for w, v in a.items()}
 
     def mul(self, a: dict, b: dict) -> dict:
         out: dict = {}

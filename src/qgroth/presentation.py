@@ -67,6 +67,8 @@ def relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
     R3, p > m + 1: [x_{i,m}, x_{j,p}]_{t^((-1)^(p-m) a_ij)} = 0 (t-commutation)."""
     if not levels:
         raise ValueError("empty level range: no relation to check")
+    if len(levels) == 1 and cartan.n == 1:
+        raise ValueError("one level of rank 1: no relation to check")
     a = cartan.cartan_matrix()
     failures = []
     for m in levels:

@@ -257,6 +257,11 @@ class AdaptedWord:
             raise RuntimeError("source-reflection word did not enumerate the positive roots")
         return AdaptedWord(quiver, tuple(word), tuple(betas), tuple(lambdas), tuple(mus), tuple(positions))
 
+    @cached_property
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        """The betas on the simple roots: the one table that sums and pairs them."""
+        return tuple(self.quiver.cartan.root_coords(b) for b in self.betas)
+
     @property
     def r(self) -> int:
         return len(self.word)

@@ -58,7 +58,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .cartan import ResourceCap, Weight
+from .cartan import ResourceCap
 from .laurent import HalfLaurent
 from .qcartan import QuantumCartan
 
@@ -203,10 +203,6 @@ class QuantumTorus:
         """The exponent vector of a key."""
         u, mask, half = key + self._bias, self.mask, self.half
         return tuple(((u >> s) & mask) - half for s in self._place)
-
-    def form(self, key: int) -> int:
-        """The form of a key, recomputed from its digits."""
-        return sum(e * row for e, row in zip(self.exponents(key), self._rows) if e)
 
     def pair(self, form: int, key: int) -> int:
         """a^T M b from form(a) and key(b)."""
@@ -443,13 +439,16 @@ class XTorus(QuantumTorus):
     """The rank-r torus on the rescaled generators X_k, entered by exponent
     vectors a in Z^r:
     X^a X^b = t^(pair/2) X^(a+b),  pair = sum_{k<l} (beta_k, beta_l)(a_l b_k - a_k b_l).
-    That is pair = a^T M b with M antisymmetric, M_kl = -(beta_k, beta_l) for
-    k < l; `pair2` is the reference sum on exponent vectors.
+    That is pair = a^T M b with M antisymmetric, M_kl = -(beta_k, beta_l) =
+    -beta_k^T C beta_l for k < l, on the simple-root coordinates of the roots;
+    `pair2` is the reference sum on exponent vectors.
     """
 
-    def __init__(self, betas: tuple[Weight, ...], cartan):
-        self.r = len(betas)
-        self.s = [[cartan.sprod(b, c) for c in betas] for b in betas]
+    def __init__(self, roots: tuple[tuple[int, ...], ...], cartan):
+        self.r = len(roots)
+        c = cartan.cartan_matrix()
+        cols = [[sum(x * y for x, y in zip(row, b)) for row in c] for b in roots]  # C beta_l
+        self.s = [[sum(x * y for x, y in zip(b, col)) for col in cols] for b in roots]
         super().__init__(
             [f"X{k}" for k in range(1, self.r + 1)],
             [[((k > l) - (k < l)) * row[l] for l in range(self.r)] for k, row in enumerate(self.s)],

@@ -4,9 +4,9 @@ from operator import add, xor
 
 import pytest
 
-from qgroth.cartan import cartan_datum, rref
+from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ, expand_in_dominant_basis
-from qgroth.hall import GF, _hom_equations, mat_rank, model_rep
+from qgroth.hall import GF, _hom_equations, mat_rank, model_rep, rref
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, YTorus
@@ -113,6 +113,19 @@ def reference_product(x, y, pairing=None):
             c = (c1 * c2).shift(pairing(k1, k2))
             out[k] = out[k] + c if k in out else c
     return ctx.element(out)
+
+
+def form(ctx, key: int) -> int:
+    """The form of a key, sum_k (a^T M)_k 2^(W k) for a its exponent vector,
+    recomputed digit by digit from the Gram matrix: the oracle for the forms
+    that keys carry through products and quotients."""
+    a = ctx.exponents(key)
+    return sum(sum(e * row[k] for e, row in zip(a, ctx.gram)) << (ctx.W * k) for k in range(ctx.n))
+
+
+def neg(x: dict) -> dict:
+    """-x in the derived Hall algebra: every coefficient negated."""
+    return {w: -c for w, c in x.items()}
 
 
 def bar(x):

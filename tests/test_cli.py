@@ -9,7 +9,7 @@ from qgroth import torus
 from qgroth.cli import _parse_iso, _parse_monomial, main
 from qgroth.cartan import CartanDatum, cartan_datum
 from qgroth.laurent import HalfLaurent
-from qgroth.quiver import QuiverContext, QuiverDatum
+from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
 from conftest import all_orientations, avecs_up_to, doubled_off_label, iso
@@ -30,8 +30,9 @@ def test_monomial_parser():
 
 def test_iso_parser():
     for quiver in all_orientations("A3"):
-        assert _parse_iso("1-2*2,3", quiver) == iso(quiver, {(1, 1, 0): 2, (0, 0, 1): 1})
-        assert _parse_iso("0", quiver) == iso(quiver)
+        word = AdaptedWord.build(quiver)
+        assert _parse_iso("1-2*2,3", "--x", word) == iso(quiver, {(1, 1, 0): 2, (0, 0, 1): 1})
+        assert _parse_iso("0", "--x", word) == iso(quiver)
 
 
 def test_qcartan_text_matches_series(capsys):
@@ -576,6 +577,44 @@ def test_empty_checks_are_usage_errors(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["hall", "relations", "--type", "A1", "--q", "2", "--mmax", "0"],
+    ["verify", "presentation", "--type", "A1", "--m-range=0..0", "--format", "json"],
+    ["hall", "iota", "--type", "A1", "--q", "2", "--mmax", "0"],
+])
+def test_one_level_of_rank_1_selects_no_relation(capsys, argv):
+    # within a level the table relates x_i to x_j for i != j only: rank 1 on
+    # one level checks nothing, so it cannot report success
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "usage error: one level of rank 1: no relation to check\n")
+
+
+@pytest.mark.parametrize("i,p", [("99", "1000"), ("1", "1000")])
+def test_kr_of_level_0_checks_its_point(capsys, i, p):
+    argv = ["qchar", "kr", "--type", "A3", "--xi", "2,3,2", "--i", i, "--p", p, "--s", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: ({i},{p}) is outside the subtorus index set\n")
+
+
+def test_kr_of_level_0_at_a_point_of_the_index_set_is_1(capsys):
+    assert main(["qchar", "kr", "--type", "A3", "--xi", "2,3,2", "--i", "1", "--p", "2", "--s", "0"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
+@pytest.mark.parametrize("flag,token,shown", [
+    ("--x", "1-2-3", "'1-2-3'"),
+    ("--x", "1*", "'1*'"),
+    ("--x", ",", "''"),
+    ("--y", "1**2", "'1**2'"),
+    ("--w", "2,a", "'a'"),
+])
+def test_a_malformed_iso_token_is_named_with_its_flag(capsys, flag, token, shown):
+    flags = {"--x": "1", "--y": "1", "--w": "1", flag: token}
+    argv = ["hall", "number", "--type", "A2", "--q", "2"] + [x for f, v in flags.items() for x in (f, v)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {flag} token {shown} is not of the form a, a-b, a*m or a-b*m\n")
+
+
 def test_dimension_vector_of_wrong_rank_is_a_usage_error(capsys):
     for d in ("1,1", "1,1,1,1"):
         assert main(["dominant-pairs", "--type", "A3", "--d", d]) == 1
@@ -809,10 +848,10 @@ def test_hall_names_the_missing_flag(capsys):
 
 
 def test_iso_parser_rejects_intervals_outside_the_quiver_and_empty_multiplicities(capsys):
-    quiver = QuiverDatum.bipartite(cartan_datum("A2"))
+    word = AdaptedWord.build(QuiverDatum.bipartite(cartan_datum("A2")))
     for text in ("9", "0-1", "2-1", "1-3", "1,0", "1*0", "1-2*-1"):
         with pytest.raises(ValueError):
-            _parse_iso(text, quiver)
+            _parse_iso(text, "--x", word)
     for w in ("9", "1*0,2"):
         argv = ["hall", "number", "--type", "A2", "--q", "2", "--x", "1", "--y", "2", "--w", w]
         assert main(argv) == 1

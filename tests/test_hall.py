@@ -32,7 +32,7 @@ from qgroth.hall import (
 from qgroth.laurent import HalfLaurent
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
 
-from conftest import aut_by_enumeration, exact_sequence_count, hom_basis, hom_elements, homs, iso, mat_mul
+from conftest import aut_by_enumeration, exact_sequence_count, hom_basis, hom_elements, homs, iso, mat_mul, neg
 
 
 def a2_quiver():
@@ -658,7 +658,7 @@ def test_dh_boson_specialization():
     for q in (2, 3):
         dh = DerivedHall(a2_quiver(), q)
         zi0, zi1 = dh.z_simple(1, 0), dh.z_simple(1, 1)
-        lhs = dh.add(dh.mul(zi0, zi1), dh.neg(dh.scal(dh.mul(zi1, zi0), dh.upow(-2))))
+        lhs = dh.add(dh.mul(zi0, zi1), neg(dh.scal(dh.mul(zi1, zi0), dh.upow(-2))))
         const = dh.upow(-1) * (dh.upow(2) - dh.scalar(1)).inverse()
         assert lhs == dh.scal(dh.one(), const)
 
@@ -714,7 +714,7 @@ def test_nested_serre_element_equals_the_three_term_expansion(name, q):
     mul, upu = dh.mul, dh.upow(1) + dh.upow(-1)
 
     def three_terms(x, y):
-        out = dh.add(mul(mul(x, x), y), dh.neg(dh.scal(mul(mul(x, y), x), upu)))
+        out = dh.add(mul(mul(x, x), y), neg(dh.scal(mul(mul(x, y), x), upu)))
         return dh.add(out, mul(y, mul(x, x)))
 
     cd = dh.cartan
@@ -729,7 +729,7 @@ def test_nested_serre_element_equals_the_three_term_expansion(name, q):
     # an odd exponent is a half-integral power of u
     x, y = dh.z_simple(1, 0), dh.z_simple(1, 2)
     half = UScalar.half_u(q)
-    assert dh.qcommutator(x, y, 3) == dh.add(mul(x, y), dh.neg(dh.scal(mul(y, x), dh.upow(1) * half)))
+    assert dh.qcommutator(x, y, 3) == dh.add(mul(x, y), neg(dh.scal(mul(y, x), dh.upow(1) * half)))
 
 
 @pytest.mark.parametrize("name,xi,q", [("A2", (2, 1), 2), ("A2", (2, 1), 3), ("A3", (2, 3, 2), 2), ("A3", (2, 3, 2), 3)])

@@ -9,11 +9,11 @@ from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, XTorus, divide_right
 
-from conftest import a_monomial, bar, four_coefficient_n, power, reference_product, wide_torus
+from conftest import a_monomial, bar, form, four_coefficient_n, power, reference_product, wide_torus
 
 YT = {name: wide_torus(name) for name in ("A1", "A2", "A3", "A4", "D4")}
 _A3 = QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
-XT = XTorus(_A3.word.betas, _A3.cartan)
+XT = XTorus(_A3.word.roots, _A3.cartan)
 
 
 def vertices(name):
@@ -178,7 +178,7 @@ def test_sort_key_is_dense_lex_and_additive(name, data):
 def bipartite_xtorus(name):
     cd = cartan_datum(name)
     ctx = QuiverContext(QuiverDatum.bipartite(cd))
-    return XTorus(ctx.word.betas, cd)
+    return XTorus(ctx.word.roots, cd)
 
 
 @seed(20261018)
@@ -192,9 +192,9 @@ def test_x_linear_form_matches_pair2(name, data):
         st.integers(min_value=-3, max_value=3), min_size=xt.r, max_size=xt.r
     ).map(tuple)
     a, b = data.draw(key), data.draw(key)
-    assert xt.pair(xt.form(xt.key(a)), xt.key(b)) == xt.pair2(a, b)
+    assert xt.pair(form(xt, xt.key(a)), xt.key(b)) == xt.pair2(a, b)
     unit = xt.unit_vector(data.draw(st.integers(min_value=1, max_value=xt.r)))
-    assert xt.pair(xt.form(xt.key(unit)), xt.key(b)) == xt.pair2(unit, b)
+    assert xt.pair(form(xt, xt.key(unit)), xt.key(b)) == xt.pair2(unit, b)
 
 
 def torus_elements(name, size=3):
@@ -238,7 +238,7 @@ def _assert_sound(x):
     coefficient, and forms on exactly the keys of terms, each the form of its
     key."""
     assert x.forms.keys() == x.terms.keys()
-    assert all(x.forms[k] == x.ctx.form(k) for k in x.terms)
+    assert all(x.forms[k] == form(x.ctx, k) for k in x.terms)
     assert all(c.c and 0 not in c.c.values() for c in x.terms.values())
 
 

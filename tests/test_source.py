@@ -32,26 +32,32 @@ def _tracer_bindings() -> set[str]:
 
 
 def test_every_library_function_has_a_caller():
-    # a function defined in the library is referenced by name inside it, is
-    # exported, is a CLI command, or is bound by a tracer span; names are
-    # matched as names, so a method counts as called when any attribute of
-    # its name is read
-    defined, referenced, commands = [], set(), set()
+    # a function defined in the library is referenced inside it, is exported,
+    # is a CLI command, or is bound by a tracer span; a module-level function
+    # counts as referenced when its name is read, a method only when an
+    # attribute of its name is read, so a local variable of the same name
+    # does not keep it
+    defined, names, attributes, commands = [], set(), set(), set()
     for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.append((path.name, node.lineno, node.name))
+                defined.append((path.name, node.lineno, node.name, id(node) in methods))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg == "fn" and isinstance(node.value, ast.Name):
                 commands.add(node.value.id)
     assert commands and len([d for d in defined if d[2] == ROUND_TRIP_ONLY]) == 5
-    kept = referenced | set(qgroth.__all__) | commands | _tracer_bindings()
+    kept = set(qgroth.__all__) | commands | _tracer_bindings() | attributes
     orphans = [
         f"{file}:{line} {name}"
-        for file, line, name in defined
-        if name not in kept and name != ROUND_TRIP_ONLY and not (name.startswith("__") and name.endswith("__"))
+        for file, line, name, method in defined
+        if name not in kept
+        and (method or name not in names)
+        and name != ROUND_TRIP_ONLY
+        and not (name.startswith("__") and name.endswith("__"))
     ]
     assert orphans == []

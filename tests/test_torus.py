@@ -3,10 +3,10 @@ from operator import add
 import pytest
 
 import qgroth.torus as torus
-from qgroth.cartan import ResourceCap, cartan_datum
+from qgroth.cartan import SUPPORTED, CartanDatum, ResourceCap, cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
-from qgroth.quiver import QuiverContext, QuiverDatum
+from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
 from qgroth.torus import (
     MAX_QUOTIENT_TERMS,
     Monomial,
@@ -15,7 +15,7 @@ from qgroth.torus import (
     divide_right,
 )
 
-from conftest import a_monomial, bar, beta_of, power, wide_torus
+from conftest import a_monomial, all_orientations, bar, beta_of, power, wide_torus
 
 
 def Y(i, p, e=1):
@@ -104,7 +104,7 @@ def test_a_solve_roundtrip(ytorus):
 
 def test_x_torus_products(contexts):
     ctx = contexts("A3")
-    xt = XTorus(ctx.word.betas, ctx.cartan)
+    xt = XTorus(ctx.word.roots, ctx.cartan)
     M_expected = [
         [0, -1, -1, 0, 1, 1],
         [1, 0, 0, -1, 1, -1],
@@ -126,6 +126,24 @@ def test_x_torus_products(contexts):
     assert bar(bar(x)) == x
 
 
+def _orientations_and_bipartites():
+    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5"):
+        yield from all_orientations(name)
+    for kind, n in sorted(SUPPORTED):
+        yield QuiverDatum.bipartite(CartanDatum(kind, n))
+
+
+def test_x_torus_pairing_is_the_symmetrized_euler_form():
+    # (beta_k, beta_l) from the integer root table equals <beta_k, beta_l> +
+    # <beta_l, beta_k> of the Euler form of the orientation, an independent route
+    for quiver in _orientations_and_bipartites():
+        word = AdaptedWord.build(quiver)
+        xt = XTorus(word.roots, quiver.cartan)
+        assert xt.s == [
+            [ringel_form(quiver, b, c) + ringel_form(quiver, c, b) for c in word.betas] for b in word.betas
+        ], quiver
+
+
 def test_division(ytorus, monkeypatch):
     yt = ytorus("A2")
     a = yt.monomial(Y(1, 0)) + yt.monomial(Y(2, 1) * Y(1, 2, -1)) + yt.monomial(Y(2, 3, -1))
@@ -143,7 +161,7 @@ def test_division(ytorus, monkeypatch):
 def test_exact_division_past_the_term_budget_is_a_resource_cap(contexts):
     # (1 - X^N) / (1 - X) = 1 + X + ... + X^(N-1) has N quotient terms
     ctx = contexts("A1")
-    xt = XTorus(ctx.word.betas, ctx.cartan)
+    xt = XTorus(ctx.word.roots, ctx.cartan)
     minus = HalfLaurent({0: -1})
     p = xt.one() + xt.monomial((1,), minus)
     for n, fits in ((MAX_QUOTIENT_TERMS, True), (MAX_QUOTIENT_TERMS + 1, False)):
@@ -157,7 +175,7 @@ def test_exact_division_past_the_term_budget_is_a_resource_cap(contexts):
 
 def test_x_torus_division(contexts):
     ctx = contexts("A3")
-    xt = XTorus(ctx.word.betas, ctx.cartan)
+    xt = XTorus(ctx.word.roots, ctx.cartan)
     e = [xt.unit_vector(k) for k in range(1, 7)]
     a = xt.monomial(e[0], HalfLaurent({1: 1, -1: 2})) + xt.monomial(tuple(map(add, e[1], e[4])))
     b = xt.monomial(e[2]) + xt.monomial(tuple(-x for x in e[3]), HalfLaurent.t_power(2)) + xt.one()
