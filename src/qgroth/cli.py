@@ -130,7 +130,7 @@ MAX_TABLE = 400_000
 # The widest `verify presentation` range, in levels x rank^2: the relation
 # table pairs the levels x rank generators, whose characters grow with the
 # rank.  At the cap A1 0..419, A2 0..104, A5 0..15 and D4 0..25 answer in under
-# 2 s on a 2-vCPU host.
+# 2 s on a 2-vCPU host, A7 0..7 in 2 s, D5 0..15 in 3.5 s, D6 0..10 in 40 s.
 MAX_PRESENTATION_WIDTH = 420
 
 

@@ -287,8 +287,8 @@ def _check_work(work: int, what: str) -> None:
         raise ResourceCap(f"{what}: work {work} (extensions x dimension^3) above cap {MAX_HALL_WORK}")
 
 
-def hall_numbers(X, Y, quiver: QuiverDatum, q: int) -> dict:
-    """{W: g^W_{X,Y}}, zeros left out, by Riedtmann's formula
+def hall_numbers(X, Y, quiver: QuiverDatum, q: int, aut) -> dict:
+    """{W: g^W_{X,Y}}, zeros left out, by Riedtmann's formula, aut(M) = |Aut M|
 
         g^W_{X,Y} = |Ext^1(Y, X)_W| |Aut W| / (|Aut X| |Aut Y| q^(dim Hom(Y, X))),
 
@@ -327,10 +327,10 @@ def hall_numbers(X, Y, quiver: QuiverDatum, q: int) -> dict:
                 top = [row + tuple(eta.get((a, r, c), 0) for c in range(yi)) for r, row in enumerate(RX.mats[a])]
                 mats[a] = top + [(0,) * RX.dims[a[0] - 1] + row for row in RY.mats[a]]
             counts[iso_class(Rep(quiver, F, dims, mats), q)] += q - 1
-    den = aut_count(X, quiver, q) * aut_count(Y, quiver, q) * q**hom
+    den = aut(X) * aut(Y) * q**hom
     out = {}
     for W, c in counts.items():
-        g, r = divmod(c * aut_count(W, quiver, q), den)
+        g, r = divmod(c * aut(W), den)
         if r:
             raise RuntimeError(f"Riedtmann's quotient {g * den + r}/{den} is not integral")
         out[W] = g
@@ -389,10 +389,7 @@ def toen_gamma(dh: "DerivedHall", X, Y, T, W) -> Fraction:
         work += _work(T, K, dh.quiver, q)
         _check_work(work, "gamma")
 
-    def aut(Z):
-        return aut_count(Z, dh.quiver, q)
-
-    count = 0
+    aut, count = dh.aut, 0
     for K in dh.isoclasses(dK):
         g = dh.g_number(T, K, Y)
         if g:
@@ -572,9 +569,9 @@ class DerivedHall:
     ((m1, a1), (m2, a2), ...) with strictly decreasing levels, each isoclass
     a its vector of multiplicities on the roots of the adapted word.
 
-    One instance serves one request: it memoises the tally of Hall numbers
-    of each (X, Y), gamma terms, isoclasses per dimension vector and the
-    normal form of every word it rewrites."""
+    One instance serves one request: it memoises |Aut M| of each class, the
+    tally of Hall numbers of each (X, Y), gamma terms, isoclasses per
+    dimension vector and the normal form of every word it rewrites."""
 
     def __init__(self, quiver: QuiverDatum, q: int):
         _check_quiver(quiver)
@@ -586,6 +583,7 @@ class DerivedHall:
         self._simple = {i: tuple(int(sum(r) == r[i - 1] == 1) for r in self.roots) for i in self.cartan.vertices}
         self._one = UScalar.of(q, 1)
         self._g: dict = {}
+        self._aut: dict = {}
         self._gamma_terms: dict = {}
         self._isos: dict = {}
         self._nf: dict = {}
@@ -609,11 +607,17 @@ class DerivedHall:
     def dims(self, a) -> tuple[int, ...]:
         return root_sum(self.roots, a)
 
+    def aut(self, m) -> int:
+        """|Aut M| of `aut_count`, memoised by class."""
+        if m not in self._aut:
+            self._aut[m] = aut_count(m, self.quiver, self.q)
+        return self._aut[m]
+
     def hall_numbers(self, x, y) -> dict:
         """{W: g^W_{x,y}} of `hall_numbers`, memoised by (x, y)."""
         key = (x, y)
         if key not in self._g:
-            self._g[key] = hall_numbers(x, y, self.quiver, self.q)
+            self._g[key] = hall_numbers(x, y, self.quiver, self.q, self.aut)
         return self._g[key]
 
     def g_number(self, x, y, w) -> int:

@@ -5,13 +5,14 @@ sitting at each integer level m; the level-m generators are the fundamental
 classes at the vertices phi^-1(alpha_i, m).  The defining relations are
 written once, in `relation_failures`: quantum Serre within a level, deformed
 boson relations with an inhomogeneous delta term across adjacent levels, and
-t-commutation with alternating sign across distant levels.  The Serre element
-is the nested [x_i, [x_i, x_j]_t]_{t^-1}, whose inner commutator cancels most
-of the support.  One table serves three algebras, each through its own
-q-commutator: K_t here, exactly in the window torus on the variables of the
-full fundamental t-characters of the checked levels
-(`TorusElement.qcommutator`, one pass); U_q(n) at one level, on
-the truncated fundamentals (`QGroupSide.serre_check`); and the derived Hall
+t-commutation with alternating sign across distant levels.  The two nestings
+[x_i, [x_i, x_j]_{t^s}]_{t^-s} of the Serre element are equal, and
+[x_j, x_i]_{t^s} is a unit times [x_i, x_j]_{t^-s}, so one inner commutator,
+the smaller of s = +-1, serves both orders of a pair.  One table serves three
+algebras, each through its own q-commutator: K_t here, exactly in the
+window torus on the variables of the full fundamental t-characters of the
+checked levels (`TorusElement.qcommutator`, one pass); U_q(n) at one level,
+on the truncated fundamentals (`QGroupSide.serre_check`); and the derived Hall
 algebra at t = sqrt(q) (`hall.check_h_relations`).  Each caller checks exactly
 the relations among the generators inside its level window.
 """
@@ -62,7 +63,8 @@ def relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
     in the caller's algebra:
 
     R1, m = p: [x_i, [x_i, x_j]_t]_{t^-1} = 0 for adjacent i, j and
-    [x_i, x_j] = 0 for other i != j (quantum Serre);
+    [x_i, x_j] = 0 for other i != j (quantum Serre), row (j, i) read off the
+    inner commutator of row (i, j), i < j;
     R2, p = m + 1: [x_{i,m}, x_{j,p}]_{t^-a_ij} = delta_ij boson (deformed boson);
     R3, p > m + 1: [x_{i,m}, x_{j,p}]_{t^((-1)^(p-m) a_ij)} = 0 (t-commutation)."""
     if not levels:
@@ -70,7 +72,7 @@ def relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
     if len(levels) == 1 and cartan.n == 1:
         raise ValueError("one level of rank 1: no relation to check")
     a = cartan.cartan_matrix()
-    failures = []
+    failures, mirror = [], {}
     for m in levels:
         for p in (p for p in levels if p >= m):
             for i in cartan.vertices:
@@ -81,10 +83,14 @@ def relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
                         bad = res != boson if p == m + 1 and i == j else bool(res)
                     elif i == j:
                         continue
+                    elif i > j:
+                        bad = mirror.pop((i, j))
                     elif cartan.adjacent(i, j):
-                        bad = bool(qcomm(xi, qcomm(xi, xj, 2), -2))
+                        # y_s = [x_i, x_j]_{t^(s/2)}, the smaller of s = 2, -2
+                        s, y = min(((s, qcomm(xi, xj, s)) for s in (2, -2)), key=lambda sy: len(sy[1]))
+                        bad, mirror[j, i] = bool(qcomm(xi, y, -s)), bool(qcomm(xj, y, s))
                     else:
-                        bad = bool(qcomm(xi, xj, 0))
+                        bad = mirror[j, i] = bool(qcomm(xi, xj, 0))
                     if bad:
                         family = "R1" if p == m else "R2" if p == m + 1 else "R3"
                         failures.append((family, m, p, i, j))

@@ -306,9 +306,11 @@ class QuiverContext:
         for i, g in zip(self.cartan.vertices, gammas):
             if self.phi.phi(i, quiver.xi[i - 1]) != (g, 0):
                 raise RuntimeError(f"phi(i, xi_i) is not (gamma_i, 0) at i = {i}")
+        vecs = [self.cartan.root_coords(g) for g in gammas]
         for i in self.cartan.vertices:
-            for j, g in zip(self.cartan.vertices, gammas):
-                if ringel_form(quiver, self.cartan.alpha(i), g) != int(i == j):
+            e = tuple(int(k == i) for k in self.cartan.vertices)
+            for j, g in zip(self.cartan.vertices, vecs):
+                if ringel_form(quiver, e, g) != int(i == j):
                     raise RuntimeError(f"Euler form <alpha_{i}, gamma_{j}> is not delta")
 
 def ringel_form(quiver: QuiverDatum, d, e) -> int:

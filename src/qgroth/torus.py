@@ -282,6 +282,9 @@ class TorusElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def __len__(self) -> int:
+        return len(self.terms)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusElement) and self.terms == other.terms
 

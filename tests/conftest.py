@@ -123,6 +123,32 @@ def form(ctx, key: int) -> int:
     return sum(sum(e * row[k] for e, row in zip(a, ctx.gram)) << (ctx.W * k) for k in range(ctx.n))
 
 
+def reference_relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
+    """The relation table of `presentation.relation_failures` with one nested
+    commutator per ordered pair: the Serre row (i, j) is
+    [x_i, [x_i, x_j]_t]_{t^-1}, and [x_i, x_j] is computed again for (j, i)."""
+    a = cartan.cartan_matrix()
+    failures = []
+    for m in levels:
+        for p in (p for p in levels if p >= m):
+            for i in cartan.vertices:
+                for j in cartan.vertices:
+                    xi, xj = gen(i, m), gen(j, p)
+                    if p > m:
+                        res = qcomm(xi, xj, 2 * (-1) ** (p - m) * a[i - 1][j - 1])
+                        bad = res != boson if p == m + 1 and i == j else bool(res)
+                    elif i == j:
+                        continue
+                    elif cartan.adjacent(i, j):
+                        bad = bool(qcomm(xi, qcomm(xi, xj, 2), -2))
+                    else:
+                        bad = bool(qcomm(xi, xj, 0))
+                    if bad:
+                        family = "R1" if p == m else "R2" if p == m + 1 else "R3"
+                        failures.append((family, m, p, i, j))
+    return failures
+
+
 def neg(x: dict) -> dict:
     """-x in the derived Hall algebra: every coefficient negated."""
     return {w: -c for w, c in x.items()}

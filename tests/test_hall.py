@@ -19,7 +19,6 @@ from qgroth.hall import (
     check_h_relations,
     constant_identity_holds,
     hall_number,
-    hall_numbers,
     _iso_tables,
     hom_dim,
     iota_check,
@@ -284,8 +283,8 @@ def test_hall_numbers_tally_the_monomorphisms(name):
         F, n = GF(p), quiver.cartan.n
         model = functools.cache(lambda Z: model_rep(quiver, F, Z))
         aut = functools.cache(lambda Z: aut_by_enumeration(model(Z)))
-        tally = functools.cache(lambda X, Y: hall_numbers(X, Y, quiver, p))
         dh = DerivedHall(quiver, p)
+        tally = dh.hall_numbers
         for W in _classes(quiver, p, 3):
             dw = dh.dims(W)
             for dx in itertools.product(*[range(d + 1) for d in dw]):
@@ -510,20 +509,26 @@ def test_uscalar_repr_is_pinned():
 @pytest.mark.parametrize("name,xi,max_len,mmax", [("A2", (2, 1), 3, 2), ("A3", (2, 3, 2), 2, 1)])
 def test_iota_check_counts_each_hall_number_once(name, xi, max_len, mmax, categories, monkeypatch):
     # every Hall number g^W_{X,Y} of a request comes from one tally per
-    # (X, Y), and no (X, Y) is tallied twice
+    # (X, Y), and no (X, Y) is tallied twice; no |Aut M| is counted twice
     import qgroth.hall as hall
 
-    calls = []
-    tally = hall.hall_numbers
+    calls, auts = [], []
+    tally, aut = hall.hall_numbers, hall.aut_count
 
-    def counted(x, y, quiver, q):
+    def counted(x, y, *args):
         calls.append((x, y))
-        return tally(x, y, quiver, q)
+        return tally(x, y, *args)
+
+    def counted_aut(m, *args):
+        auts.append(m)
+        return aut(m, *args)
 
     monkeypatch.setattr(hall, "hall_numbers", counted)
+    monkeypatch.setattr(hall, "aut_count", counted_aut)
     rep = iota_check(categories(name, xi), 2, max_len=max_len, m_offsets=range(mmax + 1))
     assert rep["ok"]
     assert calls and len(calls) == len(set(calls))
+    assert auts and len(auts) == len(set(auts))
 
 
 @pytest.mark.parametrize("name,xi,max_len", [("A2", (2, 1), 3), ("A3", (2, 3, 2), 3)])
@@ -670,6 +675,15 @@ def test_dh_associativity_spot_checks():
         for b in gens:
             for c in gens[1:]:
                 assert dh.mul(dh.mul(a, b), c) == dh.mul(a, dh.mul(b, c))
+    # the triples of the shared Serre rows: x_i (x_j x_i) = (x_i x_j) x_i for
+    # adjacent i, j on every level, in every orientation
+    for name, q in itertools.product(("A2", "A3"), (2, 3)):
+        for quiver in _orientations(cartan_datum(name)):
+            dh = DerivedHall(quiver, q)
+            for (i, j), m in itertools.product(dh.cartan.edges, range(3)):
+                for a, b in ((i, j), (j, i)):
+                    x, y = dh.z_simple(a, m), dh.z_simple(b, m)
+                    assert dh.mul(x, dh.mul(y, x)) == dh.mul(dh.mul(x, y), x), (quiver.arrows, q, a, b, m)
 
 
 @pytest.mark.parametrize("name,q", [("A2", 2), ("A2", 3), ("A3", 2), ("A3", 3)])

@@ -1,10 +1,16 @@
+import pytest
+
+import qgroth.hall as hall
+import qgroth.presentation as presentation
+import qgroth.qgroup as qgroup
 from qgroth.cartan import cartan_datum
-from qgroth.characters import fundamental_tchar
+from qgroth.characters import CategoryQ, fundamental_tchar
 from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
 from qgroth.quiver import QuiverContext, QuiverDatum
+from qgroth.torus import TorusElement
 
-from conftest import order_depth
+from conftest import all_orientations, order_depth, reference_relation_failures
 
 
 def pres_for(name, xi):
@@ -179,3 +185,137 @@ def test_qcommutator_equals_the_two_products_where_pairs_cancel():
                 assert cancel == total and not x.qcommutator(y, e)
         r2_same = [cancelling_pairs(x, y, e) for family, x, y, e in cases if family == "R2" and e == -4]
         assert r2_same and all(cancel < total for cancel, total in r2_same)
+
+
+def compared_table(module, variant: str, unit, half, seen: list):
+    """module.relation_failures, asserting that it returns the list of the
+    reference table with one nested commutator per ordered pair.  Per
+    variant, gen(1, 0) has the unit added (unit(x)), or gen(2, m) at the
+    middle level m is multiplied by t^(1/2) (half(x)).  Each list goes to
+    seen."""
+    real = module.relation_failures
+
+    def table(cartan, levels, gen, qcomm, boson):
+        middle = (2, levels[len(levels) // 2])
+
+        def varied(i, m):
+            x = gen(i, m)
+            if variant == "unit" and (i, m) == (1, 0):
+                return unit(x)
+            return half(x) if variant == "shift" and (i, m) == middle else x
+
+        fails = real(cartan, levels, varied, qcomm, boson)
+        assert fails == reference_relation_failures(cartan, levels, varied, qcomm, boson)
+        seen.append(fails)
+        return fails
+
+    return table
+
+
+def torus_variants(module, variant, seen):
+    return compared_table(module, variant, lambda x: x + x.ctx.one(), lambda x: x.tshift(1), seen)
+
+
+QUIVERS = [q for name in ("A2", "A3", "A4") for q in all_orientations(name)]
+QUIVERS.append(QuiverDatum.bipartite(cartan_datum("D4")))
+
+
+def serre_rows_of_1(cartan) -> set:
+    """Both orders of every level-0 Serre row between vertex 1 and a
+    neighbour: the rows that the unit on x_{1,0} fails."""
+    return {("R1", 0, 0, a, b) for j in cartan.vertices if cartan.adjacent(1, j) for a, b in ((1, j), (j, 1))}
+
+
+@pytest.mark.parametrize("variant", ["true", "unit", "shift"])
+def test_shared_serre_rows_equal_the_nested_table_in_k_t(monkeypatch, variant):
+    # the unit on x_{1,0} fails both orders of every Serre pair at 1; the
+    # shift fails the boson rows of x_{2,1} and nothing else
+    seen = []
+    monkeypatch.setattr(presentation, "relation_failures", torus_variants(presentation, variant, seen))
+    for quiver in QUIVERS:
+        Presentation(QuiverContext(quiver)).verify_relations(0, 2)
+    assert len(seen) == len(QUIVERS)
+    for quiver, fails in zip(QUIVERS, seen):
+        if variant == "true":
+            assert fails == []
+        elif variant == "unit":
+            assert serre_rows_of_1(quiver.cartan) <= set(fails)
+        else:
+            assert fails == [("R2", 0, 1, 2, 2), ("R2", 1, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("variant", ["true", "unit", "shift"])
+def test_shared_serre_rows_equal_the_nested_table_in_u_q_n(monkeypatch, variant):
+    seen = []
+    monkeypatch.setattr(qgroup, "relation_failures", torus_variants(qgroup, variant, seen))
+    for quiver in QUIVERS:
+        qgroup.QGroupSide(CategoryQ(QuiverContext(quiver))).serre_check()
+    assert len(seen) == len(QUIVERS)
+    for quiver, fails in zip(QUIVERS, seen):
+        assert fails == sorted(serre_rows_of_1(quiver.cartan)) if variant == "unit" else fails == []
+
+
+@pytest.mark.parametrize("variant", ["true", "unit", "shift"])
+def test_shared_serre_rows_equal_the_nested_table_in_the_derived_hall_algebra(monkeypatch, variant):
+    seen, quivers = [], [q for name in ("A2", "A3") for q in all_orientations(name)]
+    for quiver in quivers:
+        for q in (2, 3):
+            dh = hall.DerivedHall(quiver, q)
+            unit = lambda x: dh.add(x, dh.one())  # noqa: E731
+            half = lambda x: dh.scal(x, hall.UScalar.half_u(q))  # noqa: E731
+            monkeypatch.setattr(hall, "relation_failures", compared_table(hall, variant, unit, half, seen))
+            hall.check_h_relations(dh, range(3))
+            monkeypatch.undo()
+    assert len(seen) == 2 * len(quivers)
+    for quiver, fails in zip((q for q in quivers for _ in (2, 3)), seen):
+        if variant == "true":
+            assert fails == []
+        elif variant == "unit":
+            assert serre_rows_of_1(quiver.cartan) <= set(fails)
+        else:
+            assert fails == [("R2", 0, 1, 2, 2), ("R2", 1, 2, 2, 2)]
+
+
+def matrix_product(x: dict, y: dict) -> dict:
+    """x y for matrices {(row, column): entry} over Z[t^(+-1/2)]."""
+    out: dict = {}
+    for (r, k), a in x.items():
+        for (l, c), b in y.items():
+            if k == l:
+                out[r, c] = out[r, c] + a * b if (r, c) in out else a * b
+    return out
+
+
+def matrix_qcommutator(x: dict, y: dict, exp2: int) -> dict:
+    """x y - t^(exp2/2) y x, zero entries left out."""
+    out = matrix_product(x, y)
+    for rc, v in matrix_product(y, x).items():
+        out[rc] = out[rc] - v.shift(exp2) if rc in out else -v.shift(exp2)
+    return {rc: v for rc, v in out.items() if not v.is_zero()}
+
+
+def test_shared_rows_tell_the_two_orders_of_a_pair_apart():
+    # 2 x 2 matrices: x_1 = E12, x_2 = E11, x_3 = E21.  x_1^2 = x_1 x_2 x_1 = 0
+    # kills the Serre row (1, 2) but not (2, 1), which is E12; [x_1, x_3] =
+    # E11 - E22 fails both commuting rows of the pair (1, 3)
+    gens = {i: {rc: HalfLaurent.one()} for i, rc in ((1, (1, 2)), (2, (1, 1)), (3, (2, 1)))}
+    args = (cartan_datum("A3"), [0], lambda i, m: gens[i], matrix_qcommutator, None)
+    fails = presentation.relation_failures(*args)
+    assert fails == reference_relation_failures(*args)
+    assert ("R1", 0, 0, 2, 1) in fails and ("R1", 0, 0, 1, 2) not in fails
+    assert {("R1", 0, 0, 1, 3), ("R1", 0, 0, 3, 1)} <= set(fails)
+
+
+def test_a4_table_multiplies_at_most_5100_term_pairs(monkeypatch):
+    # each Serre pair is nested around its smaller inner commutator, once for
+    # both orders: 5025 term pairs on this quiver, 9900 nested per ordered pair
+    real, pairs = TorusElement._convolve, []
+
+    def spy(self, other, *args):
+        pairs.append(len(self.terms) * len(other.terms))
+        return real(self, other, *args)
+
+    monkeypatch.setattr(TorusElement, "_convolve", spy)
+    quiver = QuiverDatum.from_arrows(cartan_datum("A4"), [(2, 1), (2, 3), (4, 3)])
+    assert Presentation(QuiverContext(quiver)).verify_relations(0, 2) == []
+    assert sum(pairs) <= 5100

@@ -229,6 +229,19 @@ def test_nested_qcommutator_is_the_serre_element(name, data):
     assert a.qcommutator(a.qcommutator(b, 2), -2) == serre
 
 
+@seed(20261018)
+@given(st.sampled_from(TORI), st.sampled_from([2, -2]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_both_serre_nestings_and_both_commutator_orders_agree(name, s, data):
+    # [a, [a, b]_{t^s}]_{t^-s} does not depend on s = +-1, and
+    # [b, a]_{t^s} = -t^s [a, b]_{t^-s}: one inner commutator serves both
+    # Serre rows of a pair
+    a = data.draw(torus_elements(name, size=2))
+    b = data.draw(torus_elements(name, size=2))
+    assert a.qcommutator(a.qcommutator(b, s), -s) == a.qcommutator(a.qcommutator(b, -s), s)
+    assert b.qcommutator(a, s) == -a.qcommutator(b, -s).tshift(s)
+
+
 def _element_state(x):
     return dict(x.terms), dict(x.forms), {k: dict(c.c) for k, c in x.terms.items()}
 
