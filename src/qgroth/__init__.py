@@ -3,7 +3,7 @@ algebras (simply-laced), the quantum-group side with dual PBW and dual
 canonical bases in the rank-r torus both sides share, and brute-force derived
 Hall algebras over small finite fields."""
 
-from .cartan import CartanDatum, Weight, cartan_datum
+from .cartan import CartanDatum, cartan_datum
 from .characters import (
     CategoryQ,
     fm_classical,
@@ -35,7 +35,6 @@ __all__ = [
     "QuiverContext",
     "QuiverDatum",
     "TorusElement",
-    "Weight",
     "XTorus",
     "YTorus",
     "cartan_datum",

@@ -1,4 +1,4 @@
-"""Simply-laced Cartan data: Dynkin diagrams, weight lattice, Weyl combinatorics.
+"""Simply-laced Cartan data: Dynkin diagrams, the root lattice, Weyl combinatorics.
 
 Vertex numbering (1-based) is fixed once per type:
 
@@ -8,21 +8,21 @@ Vertex numbering (1-based) is fixed once per type:
         with central node 3 used throughout the test data)
   E_n : the chain 1 - 3 - 4 - 5 - 6 [- 7 [- 8]]  with 2 attached to 4
 
-Weights are stored by their coordinates on the fundamental weights.  In that
-basis the reflection s_i subtracts coords[i] times the i-th row of the Cartan
-matrix, and the scalar product of a root-lattice element with any weight is an
-integer obtained from the simple-root coordinates.
+The root lattice is the one lattice: a root, or a sum of roots, is a tuple
+of ints on the simple roots.  The scalar product is (r, s) = r^T C s, the
+reflection is s_i(b) = b - (C b)_i e_i, and a shifted fundamental weight
+varpi_j - x, x in the root lattice, is never formed: it pairs with r as
+r_j - r^T C x.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 
 class RankMismatch(ValueError):
@@ -47,39 +47,6 @@ def _edges(kind: str, n: int) -> tuple[tuple[int, int], ...]:
         chain = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)][: n - 2]
         return tuple(chain) + ((2, 4),)
     raise ValueError(f"unknown type {kind}")
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Element of the weight lattice, in fundamental-weight coordinates."""
-
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "Weight") -> "Weight":
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch("weights of different rank")
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        if len(self.coords) != len(other.coords):
-            raise RankMismatch("weights of different rank")
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def scale(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def to_json(self) -> list[int]:
-        return list(self.coords)
-
-    @staticmethod
-    def from_json(data: Iterable[int]) -> "Weight":
-        return Weight(tuple(int(a) for a in data))
 
 
 @dataclass(frozen=True)
@@ -117,82 +84,50 @@ class CartanDatum:
         if not 1 <= i <= self.n:
             raise RankMismatch(f"vertex {i} out of range for {self.kind}{self.n}")
 
-    # --- weights -----------------------------------------------------------
+    # --- the root lattice ----------------------------------------------------
 
-    def zero_weight(self) -> Weight:
-        return Weight((0,) * self.n)
+    def root_coords(self, r) -> tuple[int, ...]:
+        """r as a tuple of ints on the simple roots, checked to have the rank."""
+        r = tuple(r)
+        if len(r) != self.n:
+            raise RankMismatch(f"vector of {len(r)} entries, {self.kind}{self.n} has rank {self.n}")
+        return r
 
-    def varpi(self, i: int) -> Weight:
+    alpha_coords = root_coords
+
+    def unit(self, i: int) -> tuple[int, ...]:
+        """e_i, the simple root alpha_i on the simple roots."""
         self._check_vertex(i)
-        return Weight(tuple(1 if j == i - 1 else 0 for j in range(self.n)))
+        return tuple(int(j == i) for j in self.vertices)
 
-    def alpha(self, i: int) -> Weight:
-        self._check_vertex(i)
-        return Weight(self.cartan_matrix()[i - 1])
-
-    def alpha_coords(self, w: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of w on the simple roots (exact rationals)."""
-        d, num = self._alpha_numerators(w)
-        return tuple(Fraction(x, d) for x in num)
-
-    def _alpha_numerators(self, w: Weight) -> tuple[int, tuple[int, ...]]:
-        """(d, d * alpha_coords(w)), both integral."""
-        if len(w.coords) != self.n:
-            raise RankMismatch("weight has wrong rank")
-        d, adj = _cartan_inverse(self.kind, self.n)
-        return d, tuple(sum(a * x for a, x in zip(row, w.coords)) for row in adj)
-
-    def root_coords(self, w: Weight) -> tuple[int, ...]:
-        """Integer simple-root coordinates; raises if w is not in the root lattice."""
-        d, num = self._alpha_numerators(w)
-        out = []
-        for x in num:
-            c, r = divmod(x, d)
-            if r:
-                raise ValueError(f"{w} is not in the root lattice")
-            out.append(c)
-        return tuple(out)
-
-    def sprod(self, lam: Weight, mu: Weight) -> int:
-        """Scalar product; at least one argument must lie in the root lattice."""
-        if len(mu.coords) != self.n:
-            raise RankMismatch("weight has wrong rank")
-        d, num = self._alpha_numerators(lam)
-        val, r = divmod(sum(a * x for a, x in zip(num, mu.coords)), d)
-        if r:
-            raise ValueError("scalar product is not integral (neither argument in root lattice)")
-        return val
-
-    def deg(self, w: Weight) -> int:
-        """Sum of the simple-root coordinates (the principal grading)."""
-        return sum(self.root_coords(w))
+    def sprod(self, r, s) -> int:
+        """The scalar product (r, s) = r^T C s of two root-lattice vectors."""
+        r, s = self.root_coords(r), self.root_coords(s)
+        return sum(a * sum(map(mul, row, s)) for a, row in zip(r, _cartan_matrix(self.kind, self.n)))
 
     # --- Weyl group --------------------------------------------------------
 
-    def reflect(self, i: int, w: Weight) -> Weight:
+    def reflect(self, i: int, b: tuple[int, ...]) -> tuple[int, ...]:
+        """s_i(b) = b - (C b)_i e_i."""
         self._check_vertex(i)
-        if len(w.coords) != self.n:
-            raise RankMismatch("weight has wrong rank")
-        c = w.coords[i - 1]
-        if c == 0:
-            return w
-        row = _cartan_matrix(self.kind, self.n)[i - 1]  # alpha_i
-        return Weight(tuple(x - c * a for x, a in zip(w.coords, row)))
+        b = self.root_coords(b)
+        cb = sum(map(mul, _cartan_matrix(self.kind, self.n)[i - 1], b))
+        return b[: i - 1] + (b[i - 1] - cb,) + b[i:]
 
-    def apply_word(self, word: Sequence[int], w: Weight) -> Weight:
+    def apply_word(self, word: Sequence[int], b: tuple[int, ...]) -> tuple[int, ...]:
         """Apply s_{word[0]} s_{word[1]} ... as a composition (rightmost acts first)."""
         for i in reversed(word):
-            w = self.reflect(i, w)
-        return w
+            b = self.reflect(i, b)
+        return b
 
-    def positive_roots(self) -> tuple[Weight, ...]:
-        return _positive_roots(self.kind, self.n)
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        return _root_vectors(self.kind, self.n)
 
     def num_positive_roots(self) -> int:
         return len(self.positive_roots())
 
-    def is_positive_root(self, w: Weight) -> bool:
-        return w in _positive_root_set(self.kind, self.n)
+    def is_positive_root(self, b: tuple[int, ...]) -> bool:
+        return b in _root_set(self.kind, self.n)
 
     def coxeter_number(self) -> int:
         return _coxeter_number(self.kind, self.n)
@@ -200,8 +135,8 @@ class CartanDatum:
     def longest_word(self) -> tuple[int, ...]:
         return _longest_word(self.kind, self.n)
 
-    def w0(self, w: Weight) -> Weight:
-        return self.apply_word(self.longest_word(), w)
+    def w0(self, b: tuple[int, ...]) -> tuple[int, ...]:
+        return self.apply_word(self.longest_word(), b)
 
     def nu(self, i: int) -> int:
         """The diagram involution with w0(alpha_i) = -alpha_{nu(i)}."""
@@ -301,24 +236,12 @@ def dimension_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(kind: str, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, d * C^-1), d the least common denominator of C^-1: simply-laced,
-    sum_b (b, x)(b, y) = h (x, y) over the positive roots b, so sum_b b b^T =
-    h C^-1 with h = 2 |Phi+| / n, reduced by the gcd of h and its entries."""
-    roots = _root_vectors(kind, n)
-    h = 2 * len(roots) // n
-    s = [[sum(b[i] * b[j] for b in roots) for j in range(n)] for i in range(n)]
-    g = gcd(h, *(x for row in s for x in row))
-    return h // g, tuple(tuple(x // g for x in row) for row in s)
-
-
-@lru_cache(maxsize=None)
 def _root_vectors(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     """The positive roots on the simple roots, by degree and then coordinates:
     the images of the simple roots under s_i(b) = b - (C b)_i e_i, kept while
     every coordinate is >= 0 (s_i moves only coordinate i)."""
-    c = _cartan_matrix(kind, n)
-    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    cd, c = CartanDatum(kind, n), _cartan_matrix(kind, n)
+    roots = {cd.unit(i) for i in cd.vertices}
     frontier = set(roots)
     while frontier:
         frontier = {
@@ -332,49 +255,44 @@ def _root_vectors(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _positive_roots(kind: str, n: int) -> tuple[Weight, ...]:
-    """The positive roots as Weights C b, in the order of `_root_vectors`."""
-    c = _cartan_matrix(kind, n)
-    return tuple(Weight(tuple(sum(a * y for a, y in zip(row, b)) for row in c)) for b in _root_vectors(kind, n))
-
-
-@lru_cache(maxsize=None)
-def _positive_root_set(kind: str, n: int) -> frozenset[Weight]:
-    return frozenset(_positive_roots(kind, n))
+def _root_set(kind: str, n: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(_root_vectors(kind, n))
 
 
 @lru_cache(maxsize=None)
 def _coxeter_number(kind: str, n: int) -> int:
     cd = CartanDatum(kind, n)
     word = tuple(cd.vertices)
-    basis = [cd.varpi(i) for i in cd.vertices]
+    basis = [cd.unit(i) for i in cd.vertices]
     cur = list(basis)
     h = 0
     while True:
-        cur = [cd.apply_word(word, w) for w in cur]
+        cur = [cd.apply_word(word, b) for b in cur]
         h += 1
         if cur == basis:
             break
         if h > 1000:
             raise RuntimeError("Coxeter element order did not close")
-    if h * n != 2 * len(_positive_roots(kind, n)):
+    if h * n != 2 * len(_root_vectors(kind, n)):
         raise RuntimeError("Coxeter number disagrees with the positive-root count")
     return h
 
 
 @lru_cache(maxsize=None)
 def _longest_word(kind: str, n: int) -> tuple[int, ...]:
-    # Walk rho down to -rho by simple reflections; the reflection record is a
-    # reduced word for the longest element.
-    cd = CartanDatum(kind, n)
-    lam = Weight((1,) * n)
-    target = Weight((-1,) * n)
+    # Walk 2 rho = sum of the positive roots down to -2 rho by simple
+    # reflections, each time at the first j with (C b)_j > 0; the reflection
+    # record is a reduced word for the longest element.
+    cd, c = CartanDatum(kind, n), _cartan_matrix(kind, n)
+    roots = _root_vectors(kind, n)
+    b = tuple(map(sum, zip(*roots)))
+    target = tuple(-x for x in b)
     word = []
-    while lam != target:
-        i = next(j for j in cd.vertices if lam.coords[j - 1] > 0)
+    while b != target:
+        i = next(j for j in cd.vertices if sum(map(mul, c[j - 1], b)) > 0)
         word.append(i)
-        lam = cd.reflect(i, lam)
-    if len(word) != len(_positive_roots(kind, n)):
+        b = cd.reflect(i, b)
+    if len(word) != len(roots):
         raise RuntimeError("longest word has the wrong length")
     return tuple(word)
 
@@ -382,9 +300,4 @@ def _longest_word(kind: str, n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _nu_table(kind: str, n: int) -> tuple[int, ...]:
     cd = CartanDatum(kind, n)
-    out = []
-    for i in cd.vertices:
-        img = -cd.w0(cd.alpha(i))
-        j = next(j for j in cd.vertices if img == cd.alpha(j))
-        out.append(j)
-    return tuple(out)
+    return tuple(cd.w0(cd.unit(i)).index(-1) + 1 for i in cd.vertices)

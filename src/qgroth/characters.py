@@ -532,8 +532,8 @@ class CategoryQ:
     def simple_generators(self) -> dict[int, TorusElement]:
         """The truncated fundamental classes at phi^-1(alpha_i, 0): the
         generators of U_q(n) in the torus, one per vertex."""
-        phi, cd = self.qctx.phi, self.cartan
-        return {i: self.truncated_fundamental(*phi.phi_inverse(cd.alpha(i), 0)) for i in cd.vertices}
+        phi = self.qctx.phi
+        return {i: self.truncated_fundamental(*phi.generator_position(i, 0)) for i in self.cartan.vertices}
 
     # -- dominant monomials and decompositions -------------------------------
 
@@ -541,8 +541,8 @@ class CategoryQ:
         """top(beta_k) Y_pos_k^-1 as a product of A_{i,s}, exponents >= 0, where
         top(d) = prod_i Y_{phi^-1(alpha_i, 0)}^d_i.  The top is multiplicative
         in d, so a row's A-column is sum_k a_k col_k."""
-        phi, cd, d = self.qctx.phi, self.cartan, self.roots[k]
-        top = Monomial({phi.phi_inverse(cd.alpha(i), 0): d[i - 1] for i in cd.vertices if d[i - 1]})
+        phi, d = self.qctx.phi, self.roots[k]
+        top = Monomial({phi.generator_position(i, 0): d[i - 1] for i in self.cartan.vertices if d[i - 1]})
         v = self.yt.a_solve(top * Monomial.var(*self.positions[k], -1))
         if v is None or any(c < 0 for c in v.values()):
             raise CharacterError(f"position {k + 1} is not below the top monomial of its root")

@@ -105,11 +105,8 @@ def _parse_iso(text: str, flag: str, word: AdaptedWord) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _root_name(cartan: CartanDatum, w) -> str:
-    rc = cartan.root_coords(w)
-    return "+".join(
-        (f"{c}a{i+1}" if c != 1 else f"a{i+1}") for i, c in enumerate(rc) if c
-    )
+def _root_name(root) -> str:
+    return "+".join((f"{c}a{i+1}" if c != 1 else f"a{i+1}") for i, c in enumerate(root) if c)
 
 
 def _emit(args, text, obj) -> None:
@@ -184,15 +181,14 @@ def cmd_phi(args) -> int:
         (i, p, *ctx.phi.phi(i, p)) for i in cd.vertices for p in range(lo, hi + 1) if quiver.in_ihat(i, p)
     ]
     # each root is named once per request, not once per row
-    names = {beta: _root_name(cd, beta) for beta in cd.positive_roots()}
-    coords = {beta: list(cd.root_coords(beta)) for beta in cd.positive_roots()}
+    names = {beta: _root_name(beta) for beta in cd.positive_roots()}
     _emit(
         args,
         lambda: [f"phi({i},{p}) = ({names[beta]}, {m})" for i, p, beta, m in table],
         lambda: {
             "type": args.type,
             "quiver": quiver.to_json(),
-            "phi": [{"i": i, "p": p, "root": coords[beta], "m": m} for i, p, beta, m in table],
+            "phi": [{"i": i, "p": p, "root": list(beta), "m": m} for i, p, beta, m in table],
         },
     )
     return 0
@@ -296,7 +292,7 @@ def cmd_dominant_pairs(args) -> int:
         parts = []
         for k, c in enumerate(row["avec"]):
             if c:
-                parts.extend(["(" + _root_name(cd, cat.qctx.word.betas[k]) + ")"] * c)
+                parts.extend(["(" + _root_name(cat.roots[k]) + ")"] * c)
         acol = "".join(
             f"A[{i},{s}]" + (f"^{c}" if c > 1 else "")
             for (i, s), c in sorted(row["a_column"].items(), key=lambda t: (t[0][1], t[0][0]))

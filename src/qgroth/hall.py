@@ -207,8 +207,10 @@ def _iso_tables(quiver: QuiverDatum, q: int):
 
     mod(FQ) is directed and the word lists its indecomposables so that
     Hom(M_k, M_l) = 0 for k < l, so the hom table is lower unitriangular and
-    `iso_class` inverts it by forward substitution; any other table means
-    the models or the word are wrong."""
+    `iso_class` inverts it by forward substitution.  Directed, Hom and Ext^1
+    between two indecomposables are never both nonzero, so the table is also
+    hom[k][l] = max(0, euler[k][l]) off the diagonal.  Any other table means
+    the models, the word or the Euler form are wrong."""
     _check_quiver(quiver)
     F = GF(q)
     cd = quiver.cartan
@@ -227,6 +229,8 @@ def _iso_tables(quiver: QuiverDatum, q: int):
     if any(hom[k][l] != (k == l) for k in range(r) for l in range(k, r)):
         raise RuntimeError("hom table is not unitriangular in word order")
     euler = tuple(tuple(ringel_form(quiver, s, t) for t in roots) for s in roots)
+    if any(hom[k][l] != (1 if k == l else max(0, euler[k][l])) for k in range(r) for l in range(r)):
+        raise RuntimeError("hom table is not max(0, <beta_k, beta_l>) off the diagonal")
     proj = {k: v for k in range(r) for v in range(cd.n) if all(hom[k][l] == roots[l][v] for l in range(r))}
     return roots, models, tuple(map(tuple, hom)), euler, proj, ext
 
@@ -771,7 +775,10 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     simple-root positions rescaled by 1/(u^(1/2)(u - u^-1)); on the Hall side
     they are the simple generators z_{S_i}^[0] of `dh`, built on the quiver
     of `cat`.  A character-side coefficient is taken to the Hall side's
-    scalars by `specialize`.  Returns the scalar table and a consistency flag.
+    scalars by `specialize`.  The scalar of the class a of dimension vector d
+    is the closed form rho(a) = u^(dim End M_a - <d, d>/2) / |Aut M_a|, and
+    each ratio is compared with it.  Returns the scalar table and a
+    consistency flag.
     """
     if max_len < 1:
         raise ValueError(f"maximum word length {max_len} selects no product to compare")
@@ -781,6 +788,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     u = UScalar.u(q)
     resc = (UScalar.half_u(q) * (u - u_power(q, -1))).inverse()
     scalars: dict = {}
+    closed: dict = {}  # class -> rho(a)
     spaces: dict = {}  # weight -> (its depths, its truncated standard classes)
     consistent = True
     witnesses = []
@@ -819,12 +827,13 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
                 if ch.is_zero():
                     continue
                 rho = tval * ch.inverse()
-                if avec in scalars:
-                    if scalars[avec] != rho:
-                        consistent = False
-                        witnesses.append((word, avec, "scalar mismatch"))
-                else:
-                    scalars[avec] = rho
+                if avec not in closed:
+                    e2 = 2 * _hom_ext(avec, avec, dh.quiver, q)[0] - dh.euler(avec, avec)
+                    closed[avec] = specialize(q, HalfLaurent.t_power(e2)) * UScalar.of(q, dh.aut(avec)).inverse()
+                if rho != closed[avec]:
+                    consistent = False
+                    witnesses.append((word, avec, "scalar mismatch"))
+                scalars.setdefault(avec, rho)
     return {"consistent": consistent, "scalars": scalars, "witnesses": witnesses}
 
 

@@ -90,11 +90,6 @@ class HalfLaurent:
                     out.pop(e, None)
         return HalfLaurent._of(out)
 
-    def scale(self, k: int) -> "HalfLaurent":
-        if k == 0:
-            return HalfLaurent()
-        return HalfLaurent._of({e: k * v for e, v in self.c.items()})
-
     def shift(self, exp2: int) -> "HalfLaurent":
         """Multiply by t^(exp2/2)."""
         return HalfLaurent._of({e + exp2: v for e, v in self.c.items()})

@@ -32,18 +32,14 @@ class Presentation:
         self.cartan = qctx.cartan
         self.qc = quantum_cartan(self.cartan)
 
-    def generator_position(self, i: int, m: int) -> tuple[int, int]:
-        """phi^-1(alpha_i, m), the vertex of the level-m generator at i."""
-        return self.qctx.phi.phi_inverse(self.cartan.alpha(i), m)
-
     def window(self, levels) -> YTorus:
         """The window torus of the generators at the given levels."""
         return fundamental_window(
-            self.qc, [self.generator_position(i, m) for m in levels for i in self.cartan.vertices]
+            self.qc, [self.qctx.phi.generator_position(i, m) for m in levels for i in self.cartan.vertices]
         )
 
     def x_gen(self, yt: YTorus, i: int, m: int) -> TorusElement:
-        return fundamental_tchar(yt, *self.generator_position(i, m))
+        return fundamental_tchar(yt, *self.qctx.phi.generator_position(i, m))
 
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
         """The relation table among the generators of levels m_lo..m_hi, in

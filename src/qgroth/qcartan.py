@@ -106,7 +106,8 @@ class QuantumCartan:
         return self._table[(m - 1) % (2 * self.h) + 1][i - 1][j - 1]
 
     def ar_value(self, i: int, j: int, m: int, quiver: QuiverDatum) -> int:
-        """Inverse coefficient via the translation formula on an orientation."""
+        """Inverse coefficient via the translation formula on an orientation:
+        the coefficient of alpha_j in tau^ell(gamma_i)."""
         if quiver.cartan != self.cartan:
             raise ValueError("quiver is over a different Cartan datum")
         if m <= 0:
@@ -116,8 +117,7 @@ class QuantumCartan:
         if s % 2 != 0:
             return 0
         ell = s // 2
-        w = quiver.tau_power(quiver.gamma(i), ell)
-        return self.cartan.sprod(w, self.cartan.varpi(j))
+        return quiver.tau_power(quiver.gamma(i), ell)[j - 1]
 
     def n_pair(self, i: int, p: int, j: int, s: int) -> int:
         """The antisymmetric commutation exponent between variables at (i,p), (j,s)."""

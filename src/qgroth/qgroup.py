@@ -35,16 +35,17 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .cartan import Weight, dimension_vectors
+from .cartan import dimension_vectors
 from .characters import CategoryQ, CharacterError, bar_invariant_correction, combine, ordered_product
 from .laurent import HalfLaurent
 from .presentation import relation_failures
 from .torus import TorusElement, divide_right
 
 
-def n_gamma(cartan, gamma: Weight) -> tuple[int, int]:
-    """(N(gamma), deg gamma) with N = (gamma,gamma)/2 - deg gamma."""
-    d = cartan.deg(gamma)
+def n_gamma(cartan, gamma) -> tuple[int, int]:
+    """(N(gamma), deg gamma) with N = (gamma,gamma)/2 - deg gamma, gamma on
+    the simple roots."""
+    d = sum(gamma)
     return cartan.sprod(gamma, gamma) // 2 - d, d
 
 
@@ -58,13 +59,13 @@ class QGroupSide:
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[int, TorusElement | None] = {}  # each solved key's checked lift, or None
         self._etilde: dict[tuple[int, ...], TorusElement] = {(0,) * self.r: self.xt.one()}
-        # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k
+        # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k,
+        # c_k = N(beta_k) + 2 (varpi_i - lambda_{k-}, beta_k), varpi_i - lambda_{k-} = x(k-, i)
         self._n, self._c2 = [], []
-        for k, (beta, i) in enumerate(zip(self.word.betas, self.word.word), 1):
-            lam_km = self.word.lam(self.word.kminus(k), letter=i)
+        for k, (beta, i) in enumerate(zip(self.word.roots, self.word.word), 1):
             nb, _ = n_gamma(self.cartan, beta)
             self._n.append(nb)
-            self._c2.append(nb + 2 * self.cartan.sprod(self.cartan.varpi(i) - lam_km, beta))
+            self._c2.append(nb + 2 * self.cartan.sprod(self.word.sums[self.word.kminus(k)][i - 1], beta))
 
     # -- minors ---------------------------------------------------------------
 
@@ -92,13 +93,19 @@ class QGroupSide:
         if self.word.word[b - 1] != i:
             raise ValueError(f"minor indices ({b},{d}) carry different letters")
         bm, dm = self.word.kminus(b), self.word.kminus(d)
-        mu, sp = self.word.mu, self.cartan.sprod
-        a2 = 2 * sp(mu(bm, i) - mu(dm, i), mu(d, i))
-        b2 = 2 * sp(mu(bm, i) - mu(d, i), mu(dm, i))
+        x, sp = self.word.sums, self.cartan.sprod
+
+        def pair(u, w, e, j):
+            # (mu(u, .) - mu(w, .), mu(e, j)) with mu(u, .) - mu(w, .) = x(w, .) - x(u, .) = r
+            r = tuple(p - q for p, q in zip(w, u))
+            return r[j - 1] - sp(r, x[e][j - 1])
+
+        a2 = 2 * pair(x[bm][i - 1], x[dm][i - 1], d, i)
+        b2 = 2 * pair(x[bm][i - 1], x[d][i - 1], dm, i)
         nbhd = self.cartan.neighbors(i)
         c2 = 0
         for j, k in combinations(nbhd, 2):
-            c2 += 2 * sp(mu(b, k) - mu(d, k), mu(d, j))
+            c2 += 2 * pair(x[b][k - 1], x[d][k - 1], d, j)
         rhs = (self.minor(b, dm) * self.minor(bm, d)).tshift(-2 + b2 - a2)
         prod = None
         for j in nbhd:

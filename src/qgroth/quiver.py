@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cartan import CartanDatum, RankMismatch, Weight, cartan_datum
+from .cartan import CartanDatum, RankMismatch, cartan_datum
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,9 @@ class QuiverDatum:
     def n(self) -> int:
         return self.cartan.n
 
-    def gamma(self, i: int) -> Weight:
+    def gamma(self, i: int) -> tuple[int, ...]:
         """Sum of alpha_j over vertices j admitting a path to i (the dimension
-        vector of the injective hull at i)."""
+        vector of the injective hull at i), on the simple roots."""
         self.cartan._check_vertex(i)
         reach = {i}
         changed = True
@@ -109,10 +109,7 @@ class QuiverDatum:
                 if b in reach and a not in reach:
                     reach.add(a)
                     changed = True
-        w = self.cartan.zero_weight()
-        for j in reach:
-            w = w + self.cartan.alpha(j)
-        return w
+        return tuple(int(j in reach) for j in self.cartan.vertices)
 
     def in_ihat(self, i: int, p: int) -> bool:
         return 1 <= i <= self.n and (p - self.xi[i - 1]) % 2 == 0
@@ -135,15 +132,13 @@ class QuiverDatum:
             done.add(i)
         return tuple(picked)
 
-    def tau(self, w: Weight) -> Weight:
-        return self.cartan.apply_word(self.tau_word, w)
+    def tau(self, b: tuple[int, ...]) -> tuple[int, ...]:
+        return self.cartan.apply_word(self.tau_word, b)
 
-    def tau_power(self, w: Weight, ell: int) -> Weight:
-        h = self.cartan.coxeter_number()
-        ell %= h
-        for _ in range(ell):
-            w = self.tau(w)
-        return w
+    def tau_power(self, b: tuple[int, ...], ell: int) -> tuple[int, ...]:
+        for _ in range(ell % self.cartan.coxeter_number()):
+            b = self.tau(b)
+        return b
 
     # --- serialization -----------------------------------------------------
 
@@ -176,8 +171,8 @@ class PhiMap:
         self.quiver = word.quiver
         self.cartan = word.quiver.cartan
         self.h = self.cartan.coxeter_number()
-        self._level0 = dict(zip(word.positions, word.betas))
-        self._position = dict(zip(word.betas, word.positions))
+        self._level0 = dict(zip(word.positions, word.roots))
+        self._position = dict(zip(word.roots, word.positions))
         # one period of column i: its n_i level-0 labels, then the
         # h - n_i of column nu(i), which must start where they end
         xi = self.quiver.xi
@@ -186,7 +181,7 @@ class PhiMap:
             if xi[self.cartan.nu(i) - 1] + 2 * n_i != xi[i - 1] + self.h:
                 raise RuntimeError(f"level 0 of columns {i} and nu({i}) do not tile a period")
 
-    def phi(self, i: int, p: int) -> tuple[Weight, int]:
+    def phi(self, i: int, p: int) -> tuple[tuple[int, ...], int]:
         if not self.quiver.in_ihat(i, p):
             raise ValueError(f"({i},{p}) is not a vertex of the repetition quiver")
         periods = (self.quiver.xi[i - 1] - p) // (2 * self.h)
@@ -196,7 +191,7 @@ class PhiMap:
             return beta, -2 * periods
         return self._level0[(self.cartan.nu(i), p + self.h)], -2 * periods - 1
 
-    def phi_inverse(self, beta: Weight, m: int) -> tuple[int, int]:
+    def phi_inverse(self, beta: tuple[int, ...], m: int) -> tuple[int, int]:
         if beta not in self._position:
             raise ValueError(f"{beta} is not a positive root")
         i, p = self._position[beta]
@@ -205,62 +200,63 @@ class PhiMap:
             i, p = self.cartan.nu(i), p + self.h
         return i, p + 2 * self.h * periods
 
+    def generator_position(self, i: int, m: int) -> tuple[int, int]:
+        """phi^-1(alpha_i, m), alpha_i = e_i: the vertex of the level-m generator at i."""
+        return self.phi_inverse(self.cartan.unit(i), m)
+
 
 @dataclass(frozen=True)
 class AdaptedWord:
     """A reduced word for the longest element adapted to the orientation,
     built by repeatedly reflecting the highest source (ties going to the
-    smaller index) whose root keeps the word reduced, together with the root
-    sequence beta_k, the weight sequence lambda_k, the table mu(b, j) and
-    the position (i_k, xi'_k) of Ihat at which the k-th letter is reflected
-    (xi' the height function of the quiver reflected so far)."""
+    smaller index) whose root keeps the word reduced, together with the roots
+    beta_k on the simple roots, the partial sums x(b, j) = sum of the beta_k
+    with k <= b and i_k = j, and the position (i_k, xi'_k) of Ihat at which
+    the k-th letter is reflected (xi' the height function of the quiver
+    reflected so far).
+
+    The roots are the one table that sums and pairs them.  The weight
+    mu(b, j) = s_{i_1} ... s_{i_b}(varpi_j) is varpi_j - x(b, j), so every
+    pairing the paper makes is one of two integer forms, (r, s) = r^T C s and
+    (r, varpi_j - x) = r_j - r^T C x."""
 
     quiver: QuiverDatum
     word: tuple[int, ...]
-    betas: tuple[Weight, ...]
-    lambdas: tuple[Weight, ...]
-    mus: tuple[tuple[Weight, ...], ...]
+    roots: tuple[tuple[int, ...], ...]
+    sums: tuple[tuple[tuple[int, ...], ...], ...]  # sums[b][j - 1] = x(b, j)
     positions: tuple[tuple[int, int], ...]
 
     @staticmethod
     def build(quiver: QuiverDatum) -> "AdaptedWord":
-        """One pass down the word carrying the row w_{k-1}(varpi_j): the root
-        of letter i is w_{k-1}(alpha_i) = sum_j c_ij w_{k-1}(varpi_j), and it
-        is positive exactly when w_{k-1} s_i is still reduced.  Reflecting
-        letter i changes only the i-th entry of the row, s_i varpi_j =
-        varpi_j - [i = j] alpha_i."""
+        """One pass down the word carrying the row x(b, .): the root of letter
+        i is w_b(alpha_i) = sum_j c_ij mu(b, j) = e_i - sum_j c_ij x(b, j),
+        and it is positive exactly when w_b s_i is still reduced.  Reflecting
+        letter i adds its root to the i-th entry of the row only."""
         cd = quiver.cartan
         xi = list(quiver.xi)
-        row = tuple(cd.varpi(j) for j in cd.vertices)
-        word, betas, lambdas, mus, positions = [], [], [], [row], []
+        row = ((0,) * cd.n,) * cd.n
+        word, roots, sums, positions = [], [], [row], []
         for step in range(1, cd.num_positive_roots() + 1):
             # Highest source first so the sweep of the index set is monotone
             # in the spectral parameter; ties broken by vertex index.
             for i in sorted(cd.vertices, key=lambda v: (-xi[v - 1], v)):
                 if any(xi[j - 1] > xi[i - 1] for j in cd.neighbors(i)):
                     continue
-                beta = row[i - 1].scale(2)
-                for j in cd.neighbors(i):
-                    beta = beta - row[j - 1]
+                near = [row[j - 1] for j in cd.neighbors(i)]
+                beta = tuple(int(v == i - 1) - 2 * x + sum(y[v] for y in near) for v, x in enumerate(row[i - 1]))
                 if cd.is_positive_root(beta):
                     break
             else:
                 raise RuntimeError(f"adapted word: no source keeps the word reduced at step {step}")
-            row = row[: i - 1] + (row[i - 1] - beta,) + row[i:]
+            row = row[: i - 1] + (tuple(x + y for x, y in zip(row[i - 1], beta)),) + row[i:]
             word.append(i)
-            betas.append(beta)
-            lambdas.append(row[i - 1])
-            mus.append(row)
+            roots.append(beta)
+            sums.append(row)
             positions.append((i, xi[i - 1]))
             xi[i - 1] -= 2
-        if set(betas) != set(cd.positive_roots()):
+        if set(roots) != set(cd.positive_roots()):
             raise RuntimeError("source-reflection word did not enumerate the positive roots")
-        return AdaptedWord(quiver, tuple(word), tuple(betas), tuple(lambdas), tuple(mus), tuple(positions))
-
-    @cached_property
-    def roots(self) -> tuple[tuple[int, ...], ...]:
-        """The betas on the simple roots: the one table that sums and pairs them."""
-        return tuple(self.quiver.cartan.root_coords(b) for b in self.betas)
+        return AdaptedWord(quiver, tuple(word), tuple(roots), tuple(sums), tuple(positions))
 
     @property
     def r(self) -> int:
@@ -275,18 +271,6 @@ class AdaptedWord:
             if self.word[s - 1] == letter:
                 return s
         return 0
-
-    def lam(self, k: int, letter: Optional[int] = None) -> Weight:
-        """lambda_k, with the convention lambda_0 = varpi of the given letter."""
-        if k == 0:
-            if letter is None:
-                raise ValueError("lambda_0 needs the letter whose varpi to use")
-            return self.quiver.cartan.varpi(letter)
-        return self.lambdas[k - 1]
-
-    def mu(self, b: int, j: int) -> Weight:
-        """s_{i_1} ... s_{i_b} (varpi_j); mu(0, j) = varpi_j."""
-        return self.mus[b][j - 1]
 
 
 class QuiverContext:
@@ -306,24 +290,17 @@ class QuiverContext:
         for i, g in zip(self.cartan.vertices, gammas):
             if self.phi.phi(i, quiver.xi[i - 1]) != (g, 0):
                 raise RuntimeError(f"phi(i, xi_i) is not (gamma_i, 0) at i = {i}")
-        vecs = [self.cartan.root_coords(g) for g in gammas]
         for i in self.cartan.vertices:
-            e = tuple(int(k == i) for k in self.cartan.vertices)
-            for j, g in zip(self.cartan.vertices, vecs):
+            e = self.cartan.unit(i)
+            for j, g in zip(self.cartan.vertices, gammas):
                 if ringel_form(quiver, e, g) != int(i == j):
                     raise RuntimeError(f"Euler form <alpha_{i}, gamma_{j}> is not delta")
 
 def ringel_form(quiver: QuiverDatum, d, e) -> int:
-    """Euler form <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j.
-
-    Arguments may be Weights (converted through simple-root coordinates) or
-    plain integer sequences.
-    """
+    """Euler form <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j of two
+    integer sequences on the simple roots."""
     cd = quiver.cartan
-    dv = cd.root_coords(d) if isinstance(d, Weight) else tuple(d)
-    ev = cd.root_coords(e) if isinstance(e, Weight) else tuple(e)
-    if len(dv) != cd.n or len(ev) != cd.n:
-        raise RankMismatch("dimension vector has wrong rank")
+    dv, ev = cd.root_coords(d), cd.root_coords(e)
     val = sum(a * b for a, b in zip(dv, ev))
     for i, j in quiver.arrows:
         val -= dv[i - 1] * ev[j - 1]

@@ -4,7 +4,7 @@ from operator import add, xor
 
 import pytest
 
-from qgroth.cartan import cartan_datum
+from qgroth.cartan import cartan_datum, root_sum
 from qgroth.characters import CategoryQ, expand_in_dominant_basis
 from qgroth.hall import GF, _hom_equations, mat_rank, model_rep, rref
 from qgroth.qcartan import quantum_cartan
@@ -87,7 +87,7 @@ def avecs_up_to(cat: CategoryQ, bound: int) -> list[tuple[int, ...]]:
     """Every exponent vector a with sum_k a_k deg beta_k <= bound, once each,
     in increasing lexicographic order: the brute-force product over
     0 <= a_k <= bound // deg beta_k, filtered by the bound."""
-    degs = [cat.cartan.deg(b) for b in cat.qctx.word.betas]
+    degs = [sum(b) for b in cat.roots]
     ranges = [range(bound // d + 1) for d in degs]
     return [a for a in itertools.product(*ranges) if sum(x * d for x, d in zip(a, degs)) <= bound]
 
@@ -188,17 +188,27 @@ def verify_inverse(qc, m_max: int) -> tuple[bool, tuple | None]:
 
 
 def beta_of(cat: CategoryQ, a):
-    """The weight sum_k a_k beta_k on the adapted word of cat."""
-    w = cat.cartan.zero_weight()
-    for k, c in enumerate(a):
-        if c:
-            w = w + cat.qctx.word.betas[k].scale(c)
-    return w
+    """sum_k a_k beta_k on the adapted word of cat, on the simple roots."""
+    return root_sum(cat.roots, a)
 
 
-def tau_inv(quiver, w):
+def tau_inv(quiver, b):
     """The inverse of the Coxeter transformation tau of the quiver."""
-    return quiver.cartan.apply_word(quiver.tau_word[::-1], w)
+    return quiver.cartan.apply_word(quiver.tau_word[::-1], b)
+
+
+def flag_exponent(cartan, word: AdaptedWord, k: int, l: int) -> int:
+    """(varpi_{i_k} - lambda_k, varpi_{i_l} + lambda_l), lambda_k = mu(k, i_k) =
+    varpi_{i_k} - x(k, i_k): the pairing (r, 2 varpi_j - x) = 2 r_j - r^T C x
+    with r = x(k, i_k), j = i_l and x = x(l, i_l)."""
+    r, j = word.sums[k][word.word[k - 1] - 1], word.word[l - 1]
+    return 2 * r[j - 1] - cartan.sprod(r, word.sums[l][j - 1])
+
+
+def reflect_weight(cartan, i: int, w):
+    """The oracle for the root-lattice routes: s_i on fundamental-weight
+    coordinates subtracts w_i times row i of C, the coordinates of alpha_i."""
+    return tuple(x - w[i - 1] * c for x, c in zip(w, cartan.cartan_matrix()[i - 1]))
 
 
 def a_monomial(cartan, i: int, p: int) -> Monomial:
@@ -326,7 +336,7 @@ def iso(quiver, mults=()) -> tuple[int, ...]:
     coordinates, as the Hall side keys it: its vector on the roots of the
     adapted word of `quiver`."""
     cd = quiver.cartan
-    roots = [tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas]
+    roots = AdaptedWord.build(quiver).roots
     mults = dict(mults)
     if not set(mults) <= set(roots):
         raise ValueError(f"{sorted(set(mults) - set(roots))} are not roots of {cd.kind}{cd.n}")

@@ -36,6 +36,7 @@ from conftest import (
     all_orientations,
     bar,
     expand_by_monomials,
+    flag_exponent,
     in_tinv_ztinv,
     iso,
     on_positions,
@@ -99,13 +100,10 @@ def test_criterion_03_d4_labelling():
     t0 = time.time()
     cd = cartan_datum("D4")
     ctx = QuiverContext(QuiverDatum.from_xi(cd, (0, 0, 1, 2)))
-    a = cd.alpha
+    a = cd.unit
 
     def rt(*cs):
-        w = cd.zero_weight()
-        for i, c in enumerate(cs, start=1):
-            w = w + a(i).scale(c)
-        return w
+        return cs
 
     figure = {
         (3, 3): (rt(1, 1, 1, 0), 1),
@@ -158,10 +156,7 @@ def test_criterion_05_rank3_end_to_end():
         for l in range(1, 7):
             assert qg.xt.pair2(qg.xt.unit_vector(k), qg.xt.unit_vector(l)) == M[k - 1][l - 1]
             if k < l:
-                lam = cd.sprod(
-                    cd.varpi(w.word[k - 1]) - w.lambdas[k - 1],
-                    cd.varpi(w.word[l - 1]) + w.lambdas[l - 1],
-                )
+                lam = flag_exponent(cd, w, k, l)
                 assert lam == L[k - 1][l - 1]
                 assert qg.flag(k) * qg.flag(l) == (qg.flag(l) * qg.flag(k)).tshift(2 * lam)
 

@@ -62,7 +62,7 @@ def test_linear_a_columns_equal_the_per_row_solve(name, n, degree):
     cat, spaces = _spaces(name, n, degree)
     cd, phi = cat.cartan, cat.qctx.phi
     for d in spaces:
-        top = Monomial({phi.phi_inverse(cd.alpha(i), 0): d[i - 1] for i in cd.vertices if d[i - 1]})
+        top = Monomial({phi.generator_position(i, 0): d[i - 1] for i in cd.vertices if d[i - 1]})
         for row in cat.dominant_pairs(d):
             assert cat.root_of(row["avec"]) == d
             assert row["a_column"] == cat.yt.a_solve(top * row["monomial"].inverse()), row["avec"]

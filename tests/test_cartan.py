@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +10,14 @@ from qgroth.cartan import (
     SUPPORTED,
     CartanDatum,
     RankMismatch,
-    Weight,
     cartan_datum,
     dimension_vectors,
     iter_kostant_partitions,
     kostant_partitions,
-    _cartan_inverse,
     _root_vectors,
 )
 from qgroth.hall import GF, mat_rank, rref
-from qgroth.quiver import AdaptedWord, QuiverDatum
+from qgroth.quiver import AdaptedWord, QuiverDatum, ringel_form
 
 from conftest import nullspace_basis
 
@@ -44,31 +42,45 @@ def test_scalar_product_examples():
     cd = cartan_datum("A4")
     for i in cd.vertices:
         for j in cd.vertices:
-            assert cd.sprod(cd.alpha(i), cd.varpi(j)) == (1 if i == j else 0)
-            assert cd.sprod(cd.alpha(i), cd.alpha(j)) == cd.cartan_matrix()[i - 1][j - 1]
-    assert cd.sprod(cd.zero_weight(), cd.varpi(2)) == 0
+            assert cd.sprod(cd.unit(i), cd.unit(j)) == cd.cartan_matrix()[i - 1][j - 1]
+    assert cd.sprod((0,) * 4, cd.unit(2)) == 0
+    # the highest root pairs to 2 with itself and to 1 with alpha_1 and alpha_4
+    assert cd.sprod((1, 1, 1, 1), (1, 1, 1, 1)) == 2
+    assert [cd.sprod((1, 1, 1, 1), cd.unit(i)) for i in cd.vertices] == [1, 0, 0, 1]
 
 
 def test_scalar_product_rank_mismatch():
+    # root_coords is the rank check of every vector the library takes in
     cd = cartan_datum("A3")
+    assert cd.root_coords([1, 0, 2]) == (1, 0, 2) == cd.alpha_coords((1, 0, 2))
+    with pytest.raises(RankMismatch, match="vector of 2 entries, A3 has rank 3"):
+        cd.root_coords((1, 0))
     with pytest.raises(RankMismatch):
-        cd.sprod(Weight((1, 0)), cd.varpi(1))
+        cd.sprod((1, 0), cd.unit(1))
+    with pytest.raises(RankMismatch):
+        cd.reflect(1, (1, 0))
+    with pytest.raises(RankMismatch):
+        cd.unit(4)
+    with pytest.raises(RankMismatch):
+        ringel_form(QuiverDatum.bipartite(cd), (1, 0), cd.unit(1))
 
 
 def test_simple_reflection_examples():
     cd = cartan_datum("A3")
     for i in cd.vertices:
-        assert cd.reflect(i, cd.varpi(i)) == cd.varpi(i) - cd.alpha(i)
+        assert cd.reflect(i, cd.unit(i)) == tuple(-x for x in cd.unit(i))
         for j in cd.vertices:
-            lam = cd.varpi(j) + cd.alpha(i).scale(2)
-            assert cd.reflect(i, cd.reflect(i, lam)) == lam
+            b = tuple(x + 2 * y for x, y in zip(cd.unit(j), cd.unit(i)))
+            assert cd.reflect(i, cd.reflect(i, b)) == b
+    # s_2 (alpha_1) = alpha_1 + alpha_2, s_1 (alpha_3) = alpha_3
+    assert cd.reflect(2, (1, 0, 0)) == (1, 1, 0)
+    assert cd.reflect(1, (0, 0, 1)) == (0, 0, 1)
 
 
 def test_coxeter_word_action_rank4():
     # tau = s_2 s_4 s_1 s_3 sends alpha_1 + alpha_2 to alpha_3 + alpha_4
     cd = cartan_datum("A4")
-    g1 = cd.alpha(1) + cd.alpha(2)
-    assert cd.apply_word((2, 4, 1, 3), g1) == cd.alpha(3) + cd.alpha(4)
+    assert cd.apply_word((2, 4, 1, 3), (1, 1, 0, 0)) == (0, 0, 1, 1)
 
 
 def test_positive_root_counts():
@@ -80,8 +92,8 @@ def test_positive_root_counts():
 
 def test_positive_roots_rank2():
     cd = cartan_datum("A2")
-    roots = {cd.root_coords(w) for w in cd.positive_roots()}
-    assert roots == {(1, 0), (0, 1), (1, 1)}
+    assert set(cd.positive_roots()) == {(1, 0), (0, 1), (1, 1)}
+    assert cd.is_positive_root((1, 1)) and not cd.is_positive_root((1, -1))
 
 
 def test_coxeter_numbers():
@@ -95,11 +107,10 @@ def test_coxeter_numbers():
 def test_reflection_permutes_other_positive_roots():
     for name in ("A3", "D4"):
         cd = cartan_datum(name)
-        pos = {w.coords for w in cd.positive_roots()}
+        pos = set(cd.positive_roots())
         for i in cd.vertices:
-            rest = pos - {cd.alpha(i).coords}
-            image = {cd.reflect(i, Weight(w)).coords for w in rest}
-            assert image == rest
+            rest = pos - {cd.unit(i)}
+            assert {cd.reflect(i, b) for b in rest} == rest
 
 
 def test_nu_involution():
@@ -133,18 +144,14 @@ def test_neighbors_read_the_edges(kind, n):
 
 def test_root_coords_roundtrip():
     cd = cartan_datum("D5")
-    for w in cd.positive_roots():
-        back = cd.zero_weight()
-        for i, c in zip(cd.vertices, cd.root_coords(w)):
-            back = back + cd.alpha(i).scale(c)
-        assert back == w
+    for b in cd.positive_roots():
+        assert cd.root_coords(b) == b
+        assert cd.root_coords(list(b)) == b
 
 
 def test_json_roundtrip():
     cd = cartan_datum("E6")
     assert CartanDatum.from_json(cd.to_json()) == cd
-    w = cd.varpi(3) - cd.alpha(2)
-    assert Weight.from_json(w.to_json()) == w
 
 
 @given(
@@ -154,23 +161,26 @@ def test_json_roundtrip():
 )
 def test_scalar_product_symmetric_bilinear_on_root_lattice(name, xs, ys):
     cd = cartan_datum(name)
-    lam = cd.zero_weight()
-    mu = cd.zero_weight()
-    for i in cd.vertices:
-        lam = lam + cd.alpha(i).scale(xs[i - 1])
-        mu = mu + cd.alpha(i).scale(ys[i - 1])
+    lam, mu = tuple(xs[: cd.n]), tuple(ys[: cd.n])
     assert cd.sprod(lam, mu) == cd.sprod(mu, lam)
-    assert cd.sprod(lam + lam, mu) == 2 * cd.sprod(lam, mu)
+    assert cd.sprod(tuple(2 * x for x in lam), mu) == 2 * cd.sprod(lam, mu)
+    assert cd.sprod(lam, lam) % 2 == 0
 
 
 def test_coefficient_extraction_property():
-    # pairing a root against a fundamental weight reads off the simple-root coefficient
+    # pairing a root against a fundamental weight reads off the simple-root
+    # coefficient: in fundamental-weight coordinates a root b is C b, and
+    # (b, varpi_j - x) = b_j - b^T C x is the dot product of b with the
+    # weight coordinates e_j - C x of varpi_j - x
     for name in ("A4", "D4"):
         cd = cartan_datum(name)
-        for w in cd.positive_roots():
-            rc = cd.root_coords(w)
-            for j in cd.vertices:
-                assert cd.sprod(w, cd.varpi(j)) == rc[j - 1]
+        c = cd.cartan_matrix()
+        for b in cd.positive_roots():
+            for x in cd.positive_roots()[:6]:
+                for j in cd.vertices:
+                    w = tuple(int(v == j) - sum(map(lambda p, q: p * q, c[v - 1], x)) for v in cd.vertices)
+                    assert sum(p * q for p, q in zip(b, w)) == b[j - 1] - cd.sprod(b, x)
+            assert [b[j - 1] - cd.sprod(b, (0,) * cd.n) for j in cd.vertices] == list(b)
 
 
 def test_large_types_instantiate():
@@ -180,56 +190,105 @@ def test_large_types_instantiate():
         assert cd.coxeter_number() * cd.n == 2 * r
 
 
+def _rational_inverse(c):
+    """C^-1 by Gauss-Jordan over the rationals."""
+    n = len(c)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(c)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
 def test_integer_inverse_matches_the_rational_one():
-    # alpha_coords, root_coords and sprod share one integer
-    # inverse; the fundamental weights leave the root lattice except in E8
+    # the two integer forms agree with the rational route through C^-1: a
+    # weight w (fundamental coordinates) has simple-root coordinates C^-1 w,
+    # and (r, w) = sum_j r_j w_j; only in E8 do all fundamental weights lie
+    # in the root lattice
     for name in TYPES + ["D6", "E7", "E8"]:
         cd = cartan_datum(name)
         c = cd.cartan_matrix()
-        for j in cd.vertices:
-            w = cd.varpi(j)
-            a = cd.alpha_coords(w)
-            assert all(isinstance(x, Fraction) for x in a)
-            assert tuple(sum(a[i] * c[i][k] for i in range(cd.n)) for k in range(cd.n)) == w.coords
-            if all(x.denominator == 1 for x in a):
-                assert cd.root_coords(w) == tuple(int(x) for x in a)
-            else:
-                with pytest.raises(ValueError):
-                    cd.root_coords(w)
-            for k in cd.vertices:
-                # (w, varpi_k) is the k-th simple-root coordinate of w
-                if a[k - 1].denominator == 1:
-                    assert cd.sprod(w, cd.varpi(k)) == a[k - 1]
-                else:
-                    with pytest.raises(ValueError):
-                        cd.sprod(w, cd.varpi(k))
-    with pytest.raises(ValueError):
-        cartan_datum("A1").root_coords(cartan_datum("A1").varpi(1))
-    e8 = cartan_datum("E8")
-    assert all(len(e8.root_coords(e8.varpi(j))) == 8 for j in e8.vertices)
+        inv = _rational_inverse(c)
+        roots = cd.positive_roots()
+        for r in roots[:: max(1, len(roots) // 8)]:
+            for s in roots[:: max(1, len(roots) // 8)]:
+                w = [sum(a * y for a, y in zip(row, s)) for row in c]  # s in weight coordinates
+                assert sum(map(lambda a, b: a * b, r, w)) == cd.sprod(r, s)
+                assert [sum(a * y for a, y in zip(row, w)) for row in inv] == list(s)
+                for j in cd.vertices:
+                    mu = [int(v == j) - x for v, x in zip(cd.vertices, w)]  # varpi_j - s
+                    assert sum(map(lambda a, b: a * b, r, mu)) == r[j - 1] - cd.sprod(r, s)
+        integral = [all(inv[i][j].denominator == 1 for i in range(cd.n)) for j in range(cd.n)]
+        assert all(integral) == (name == "E8")
 
 
 @pytest.mark.parametrize("kind,n", sorted(SUPPORTED))
 def test_cartan_inverse_from_the_positive_roots_inverts_c(kind, n):
-    # d C^-1 read off sum_b b b^T is exact: C (d C^-1) = d I, in lowest terms
-    c = CartanDatum(kind, n).cartan_matrix()
-    d, adj = _cartan_inverse(kind, n)
-    assert [[sum(c[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
-        [d * (i == j) for j in range(n)] for i in range(n)
+    # simply-laced, sum_b b b^T = h C^-1 over the positive roots b: C times
+    # it is h I
+    cd = CartanDatum(kind, n)
+    c, h = cd.cartan_matrix(), cd.coxeter_number()
+    s = [[sum(b[i] * b[j] for b in cd.positive_roots()) for j in range(n)] for i in range(n)]
+    assert [[sum(c[i][k] * s[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+        [h * (i == j) for j in range(n)] for i in range(n)
     ]
-    assert gcd(d, *(x for row in adj for x in row)) == 1
 
 
 @pytest.mark.parametrize("kind,n", sorted(SUPPORTED))
 def test_positive_root_vectors_are_the_roots_on_the_simple_roots(kind, n):
-    # n h / 2 vectors of norm 2, each the simple-root coordinates of the
-    # positive root in the same place of positive_roots()
+    # n h / 2 vectors of norm 2, by degree and then coordinates, closed under
+    # every s_i except at alpha_i, which it negates
     cd = CartanDatum(kind, n)
     c = cd.cartan_matrix()
     vectors = _root_vectors(kind, n)
+    assert vectors == cd.positive_roots()
     assert len(vectors) == n * cd.coxeter_number() // 2 == len(set(vectors))
     assert all(sum(b[i] * c[i][j] * b[j] for i in range(n) for j in range(n)) == 2 for b in vectors)
-    assert list(vectors) == [cd.root_coords(w) for w in cd.positive_roots()]
+    assert list(vectors) == sorted(vectors, key=lambda b: (sum(b), b))
+    for i in cd.vertices:
+        e = cd.unit(i)
+        assert all(cd.is_positive_root(cd.reflect(i, b)) for b in vectors if b != e)
+
+
+# The Weyl data of every supported type: h, the involution nu and the
+# reduced word for w0 that walks 2 rho down by the first positive (C b)_j,
+# as the weight-coordinate route computed them.
+WEYL = {
+    "A1": (2, (1,), "1"),
+    "A2": (3, (2, 1), "121"),
+    "A3": (4, (3, 2, 1), "121321"),
+    "A4": (5, (4, 3, 2, 1), "1213214321"),
+    "A5": (6, (5, 4, 3, 2, 1), "121321432154321"),
+    "A6": (7, (6, 5, 4, 3, 2, 1), "121321432154321654321"),
+    "A7": (8, (7, 6, 5, 4, 3, 2, 1), "1213214321543216543217654321"),
+    "A8": (9, (8, 7, 6, 5, 4, 3, 2, 1), "121321432154321654321765432187654321"),
+    "D4": (6, (1, 2, 3, 4), "123123431234"),
+    "D5": (8, (2, 1, 3, 4, 5), "12312343123454312345"),
+    "D6": (10, (1, 2, 3, 4, 5, 6), "123123431234543123456543123456"),
+    "D7": (12, (2, 1, 3, 4, 5, 6, 7), "123123431234543123456543123456765431234567"),
+    "D8": (14, (1, 2, 3, 4, 5, 6, 7, 8), "12312343123454312345654312345676543123456787654312345678"),
+    "E6": (12, (6, 2, 5, 4, 3, 1), "123142314354231435426542314354265431"),
+    "E7": (18, (1, 2, 3, 4, 5, 6, 7), "123142314354231435426542314354265431765423143542654317654234567"),
+    "E8": (30, (1, 2, 3, 4, 5, 6, 7, 8), (
+        "12314231435423143542654231435426543176542314354265431765423456787654231435426543176542345678"
+        "7654231435426543176542345678"
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEYL))
+def test_longest_word_nu_and_coxeter_number_are_pinned(name):
+    cd = cartan_datum(name)
+    h, nu, word = WEYL[name]
+    assert (cd.coxeter_number(), tuple(cd.nu(i) for i in cd.vertices)) == (h, nu)
+    assert cd.longest_word() == tuple(map(int, word))
+    # w0 negates the positive roots, and sends alpha_i to -alpha_nu(i)
+    assert {tuple(-x for x in cd.w0(b)) for b in cd.positive_roots()} == set(cd.positive_roots())
+    assert all(cd.w0(cd.unit(i)) == tuple(-x for x in cd.unit(nu[i - 1])) for i in cd.vertices)
 
 
 # --- the one elimination routine, over every field the library uses ---------
@@ -303,7 +362,7 @@ def _partitions_root_by_root(roots, d):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5"])
 def test_kostant_partitions_are_every_partition_in_decreasing_order(name):
     cd = cartan_datum(name)
-    roots = [tuple(cd.root_coords(b)) for b in cd.positive_roots()]
+    roots = cd.positive_roots()
     for d in itertools.product(range(3), repeat=cd.n):
         found = kostant_partitions(roots, d)
         assert found == _partitions_root_by_root(roots, d)
@@ -338,7 +397,7 @@ KOSTANT_WALKS = [
 @pytest.mark.parametrize("name,xi,d,walk", KOSTANT_WALKS, ids=[w[0] for w in KOSTANT_WALKS])
 def test_kostant_walk_yields_in_its_pinned_order(name, xi, d, walk):
     cd = cartan_datum(name)
-    roots = [tuple(cd.root_coords(b)) for b in AdaptedWord.build(QuiverDatum.from_xi(cd, xi)).betas]
+    roots = AdaptedWord.build(QuiverDatum.from_xi(cd, xi)).roots
     assert list(iter_kostant_partitions(roots, d)) == walk
 
 

@@ -19,9 +19,11 @@ from qgroth.hall import (
     check_h_relations,
     constant_identity_holds,
     hall_number,
+    _hom_ext,
     _iso_tables,
     hom_dim,
     iota_check,
+    iota_scalar_report,
     iso_class,
     model_rep,
     specialize,
@@ -579,16 +581,17 @@ def test_gram_inverse_is_integral_on_every_orientation(name, q):
     # is the dimension of Hom between the models, lower unitriangular
     # (Hom(M_k, M_l) = 0 for k < l, End M_k = F_q), so its inverse, solved by
     # forward substitution as iso_class does, is an integer matrix that
-    # undoes it
+    # undoes it; off the diagonal it is the positive part of the Euler form
     for quiver in _orientations(cartan_datum(name)):
         roots, models, hom, euler, *_ = _iso_tables(quiver, q)
-        cd = quiver.cartan
-        assert list(roots) == [tuple(cd.root_coords(b)) for b in AdaptedWord.build(quiver).betas]
+        assert roots == AdaptedWord.build(quiver).roots
         gram = [[hom_dim(m1, m2) for m2 in models] for m1 in models]
         assert [list(row) for row in hom] == gram
         n = len(roots)
         assert all(gram[k][l] == (k == l) for k in range(n) for l in range(k, n))
         assert euler == tuple(tuple(ringel_form(quiver, s, t) for t in roots) for s in roots)
+        # directed: dim Hom(M_k, M_l) = max(0, <beta_k, beta_l>) off the diagonal
+        assert all(gram[k][l] == max(0, euler[k][l]) for k in range(n) for l in range(n) if k != l)
         inv = [[0] * n for _ in range(n)]
         for j in range(n):
             for i in range(n):
@@ -624,7 +627,7 @@ def test_reversed_root_order_ends_hall_relations_in_exit_2(monkeypatch, capsys):
 
     def reversed_word(quiver):
         word = build(quiver)
-        return dataclasses.replace(word, betas=word.betas[::-1])
+        return dataclasses.replace(word, roots=word.roots[::-1])
 
     monkeypatch.setattr(hall.AdaptedWord, "build", staticmethod(reversed_word))
     hall._iso_tables.cache_clear()
@@ -635,6 +638,70 @@ def test_reversed_root_order_ends_hall_relations_in_exit_2(monkeypatch, capsys):
         hall._iso_tables.cache_clear()
     assert capsys.readouterr() == ("", "internal check failed: hom table is not unitriangular in word order\n")
     assert main(["hall", "relations", "--type", "A3", "--q", "3"]) == 0
+
+
+def test_a_perturbed_euler_entry_ends_hall_iota_in_exit_2(monkeypatch, capsys):
+    # one Euler entry off by 2 breaks hom = max(0, euler) at that entry
+    import qgroth.hall as hall
+    from qgroth.cli import main
+
+    real = hall.ringel_form
+
+    def perturbed(quiver, d, e):
+        return real(quiver, d, e) + 2 * (tuple(d) == (0, 1, 0) and tuple(e) == (1, 1, 0))
+
+    monkeypatch.setattr(hall, "ringel_form", perturbed)
+    hall._iso_tables.cache_clear()
+    try:
+        assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 2
+    finally:
+        monkeypatch.undo()
+        hall._iso_tables.cache_clear()
+    assert capsys.readouterr() == (
+        "", "internal check failed: hom table is not max(0, <beta_k, beta_l>) off the diagonal\n"
+    )
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_a_coboundary_on_the_hall_numbers_ends_hall_iota_in_exit_2(monkeypatch, capsys, c):
+    # g^W_{X,Y} c^(n_X + n_Y - n_W), n the number of indecomposable summands,
+    # is the Hall product in the basis c^(n_X) z_X: every product stays
+    # consistent up to one scalar per class, but the scalars leave the closed
+    # form u^(dim End M_a - <d, d>/2) / |Aut M_a|
+    import qgroth.hall as hall
+    from qgroth.cli import main
+
+    real = hall.hall_numbers
+
+    def mutated(X, Y, quiver, q, aut):
+        out = {}
+        for W, g in real(X, Y, quiver, q, aut).items():
+            e = sum(X) + sum(Y) - sum(W)
+            if e < 0:
+                raise AssertionError(f"negative coboundary exponent at {X}, {Y}, {W}")
+            out[W] = g * c**e
+        return out
+
+    monkeypatch.setattr(hall, "hall_numbers", mutated)
+    assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "relation failures: 0\nscalar table consistent: False\n" in out
+    monkeypatch.undo()
+    assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 0
+    assert "scalar table consistent: True\n" in capsys.readouterr().out
+
+
+def test_iota_scalars_are_the_closed_form():
+    # rho(a) = u^(dim End M_a - <d, d>/2) / |Aut M_a| on every class reached
+    for quiver in _orientations(cartan_datum("A3")):
+        for q in (2, 3):
+            dh = DerivedHall(quiver, q)
+            rep = iota_scalar_report(CategoryQ(QuiverContext(quiver)), dh, 3)
+            assert rep["consistent"] and len(rep["scalars"]) > 20
+            for a, rho in rep["scalars"].items():
+                end, _ = _hom_ext(a, a, quiver, q)
+                u2 = specialize(q, HalfLaurent.t_power(2 * end - dh.euler(a, a)))
+                assert rho * UScalar.of(q, dh.aut(a)) == u2, a
 
 
 def test_dh_same_level_and_distant():

@@ -30,13 +30,13 @@ def test_generator_positions():
     cd = p.cartan
     h = cd.coxeter_number()
     for i in cd.vertices:
-        j0, p0 = p.generator_position(i, 0)
-        assert p.qctx.phi.phi(j0, p0) == (cd.alpha(i), 0)
+        j0, p0 = p.qctx.phi.generator_position(i, 0)
+        assert p.qctx.phi.phi(j0, p0) == (cd.unit(i), 0)
         # the level shift moves through the diagram involution
-        j1, p1 = p.generator_position(i, 1)
+        j1, p1 = p.qctx.phi.generator_position(i, 1)
         assert (j1, p1) == (cd.nu(j0), p0 + h)
-        assert p.qctx.phi.phi(j1, p1) == (cd.alpha(i), 1)
-        j2, p2 = p.generator_position(i, 2)
+        assert p.qctx.phi.phi(j1, p1) == (cd.unit(i), 1)
+        j2, p2 = p.qctx.phi.generator_position(i, 2)
         assert (j2, p2) == (j0, p0 + 2 * h)
 
 
@@ -46,7 +46,7 @@ def test_shift_moves_fundamentals():
     for i in p.cartan.vertices:
         for m in (0, 1, 2):
             a = p.x_gen(yt, i, m + 1)
-            j, q = p.generator_position(i, m)
+            j, q = p.qctx.phi.generator_position(i, m)
             h = p.cartan.coxeter_number()
             nu = p.cartan.nu
             b = fundamental_tchar(yt, nu(j), q + h)
@@ -83,7 +83,7 @@ def test_adjacent_level_constant_instance():
         for j in cd.vertices:
             xi = p.x_gen(yt, i, 0)
             xj = p.x_gen(yt, j, 1)
-            aij = cd.sprod(cd.alpha(i), cd.alpha(j))
+            aij = cd.sprod(cd.unit(i), cd.unit(j))
             res = xi * xj - (xj * xi).tshift(-2 * aij)
             if i == j:
                 assert res == yt.one().scal(HalfLaurent.one() - HalfLaurent.t_power(-4))
@@ -105,7 +105,7 @@ def test_normal_ordering_completeness():
     # level monomials of small degree at levels 0 and 1
     lvl = {}
     for m_level in (0, 1):
-        pos = [p.generator_position(i, m_level) for i in cd.vertices]
+        pos = [p.qctx.phi.generator_position(i, m_level) for i in cd.vertices]
         monos = [Monomial.unit()]
         monos += [Monomial.var(*ip) for ip in pos]
         monos += [Monomial.var(*pos[0]) * Monomial.var(*pos[1])]
@@ -135,7 +135,7 @@ def test_corrupted_inputs_fail_every_relation_family(monkeypatch):
 
     # one generator with a foreign term
     real = presentation.fundamental_tchar
-    bad = pres_for("A2", (0, 1)).generator_position(1, 0)
+    bad = pres_for("A2", (0, 1)).qctx.phi.generator_position(1, 0)
 
     def corrupted(yt, i, p):
         x = real(yt, i, p)

@@ -262,7 +262,7 @@ def test_laurent_operations_store_no_zero_and_leave_operands(a, b, k):
     before = dict(a.c), dict(b.c)
     results = [
         a + b, a - b, a - a, a + (-a), a * b, (a + b) * (a - b), -a, a.shift(k), a.conj(),
-        a.scale(0), a.scale(k), a.negative_part(), (a - a.conj()).negative_part(),
+        a * HalfLaurent({0: 0}), a * HalfLaurent({0: k}), a.negative_part(), (a - a.conj()).negative_part(),
     ]
     for x in results:
         assert 0 not in x.c.values()

@@ -1,12 +1,13 @@
 import hashlib
 import json
+from operator import add, mul
 
 import pytest
 
 from qgroth.cartan import cartan_datum
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
 
-from conftest import all_orientations, tau_inv
+from conftest import all_orientations, reflect_weight, tau_inv
 
 
 def d4_fig_quiver():
@@ -29,38 +30,35 @@ def test_from_arrows_fixes_sink_at_zero():
 
 
 def test_gamma_examples():
-    cd = cartan_datum("D4")
     q = d4_fig_quiver()
-    assert cd.root_coords(q.gamma(1)) == (1, 0, 1, 1)
-    assert cd.root_coords(q.gamma(4)) == (0, 0, 0, 1)
-    cd4 = cartan_datum("A4")
-    q4 = QuiverDatum.from_xi(cd4, (0, 1, 0, 1))
-    assert cd4.root_coords(q4.gamma(2)) == (0, 1, 0, 0)
+    assert q.gamma(1) == (1, 0, 1, 1)
+    assert q.gamma(4) == (0, 0, 0, 1)
+    q4 = QuiverDatum.from_xi(cartan_datum("A4"), (0, 1, 0, 1))
+    assert q4.gamma(2) == (0, 1, 0, 0)
 
 
 def test_adapted_coxeter_rank4():
     cd = cartan_datum("A4")
     q = QuiverDatum.from_xi(cd, (0, 1, 0, 1))
     # the element is the one with reduced word s_2 s_4 s_1 s_3
-    for lam in [cd.varpi(i) for i in cd.vertices]:
-        assert q.tau(lam) == cd.apply_word((2, 4, 1, 3), lam)
+    for b in [cd.unit(i) for i in cd.vertices] + [(1, 2, 0, -1)]:
+        assert q.tau(b) == cd.apply_word((2, 4, 1, 3), b)
     g2 = q.gamma(2)
-    assert q.tau_power(g2, 2) == cd.alpha(3)
+    assert q.tau_power(g2, 2) == cd.unit(3)
     h = cd.coxeter_number()
     for i in cd.vertices:
-        assert q.tau_power(cd.varpi(i), h) == cd.varpi(i)
+        assert q.tau_power(cd.unit(i), h) == cd.unit(i)
 
 
 def test_phi_d4_figure():
     cd = cartan_datum("D4")
     ctx = QuiverContext(d4_fig_quiver())
-    a = cd.alpha
+
+    def a(i):
+        return cd.unit(i)
 
     def rc(*cs):
-        w = cd.zero_weight()
-        for i, c in enumerate(cs, start=1):
-            w = w + a(i).scale(c)
-        return w
+        return cs
 
     expected = {
         (3, 3): (rc(1, 1, 1, 0), 1),
@@ -100,41 +98,62 @@ def test_adapted_word_rank3_worked_example():
     cd = cartan_datum("A3")
     w = AdaptedWord.build(QuiverDatum.from_xi(cd, (2, 3, 2)))
     assert w.word == (2, 1, 3, 2, 1, 3)
-    assert w.betas[0] == cd.alpha(2)
-    assert w.betas[5] == cd.alpha(1)
-    assert w.lambdas[0] == cd.varpi(2) - cd.alpha(2)
-    assert w.lambdas[3] == cd.varpi(2) - cd.alpha(1) - cd.alpha(2).scale(2) - cd.alpha(3)
+    assert w.roots[0] == cd.unit(2)
+    assert w.roots[5] == cd.unit(1)
+    # lambda_k = mu(k, i_k) = varpi_{i_k} - x(k, i_k)
+    assert w.sums[1][1] == (0, 1, 0)
+    assert w.sums[4][1] == (1, 2, 1)
+    # x(r, j) = varpi_j - w0(varpi_j) = varpi_j + varpi_nu(j)
+    assert w.sums[6] == ((1, 1, 1), (1, 2, 1), (1, 1, 1))
 
 
 def test_adapted_word_invariants_all_orientations():
     for name in ("A2", "A3", "A4", "D4"):
         cd = cartan_datum(name)
-        pos = {b.coords for b in cd.positive_roots()}
+        pos = set(cd.positive_roots())
         for q in all_orientations(name):
             w = AdaptedWord.build(q)
             assert len(w.word) == cd.num_positive_roots()
-            assert {b.coords for b in w.betas} == pos
+            assert set(w.roots) == pos
+            assert w.sums[0] == ((0,) * cd.n,) * cd.n
             for k in range(1, w.r + 1):
-                km = w.kminus(k)
-                assert w.lam(k) == w.lam(km, letter=w.word[k - 1]) - w.betas[k - 1]
+                # lambda_k = lambda_{k-} - beta_k: x(k, i_k) = x(k-, i_k) + beta_k
+                i = w.word[k - 1]
+                assert w.sums[k][i - 1] == tuple(map(sum, zip(w.sums[w.kminus(k)][i - 1], w.roots[k - 1])))
+                assert all(w.sums[k][j - 1] == w.sums[k - 1][j - 1] for j in cd.vertices if j != i)
+
+
+def _weight(cartan, b):
+    """A root-lattice vector in fundamental-weight coordinates: C b."""
+    return tuple(sum(c * x for c, x in zip(row, b)) for row in cartan.cartan_matrix())
 
 
 @pytest.mark.parametrize("quiver", [
-    *all_orientations("A3"),
-    *all_orientations("A4"),
-    *all_orientations("D4"),
+    *(q for name in ("A1", "A2", "A3", "A4", "A5", "D4") for q in all_orientations(name)),
     QuiverDatum.bipartite(cartan_datum("D5")),
     QuiverDatum.bipartite(cartan_datum("E6")),
 ])
 def test_mu_table_is_the_word_prefix_applied(quiver):
-    # the table built down the word against each prefix applied to varpi_j
+    # beta_k = s_{i_1} ... s_{i_(k-1)} (alpha_{i_k}) and mu(b, j) = varpi_j -
+    # x(b, j), whose fundamental-weight coordinates are e_j - C x(b, j),
+    # against the prefixes applied by the oracle reflection; and the pairing
+    # (beta, mu(b, j)) of weight coordinates is beta_j - beta^T C x(b, j)
     cd = quiver.cartan
     w = AdaptedWord.build(quiver)
     for b in range(w.r + 1):
+        if b:
+            alpha = cd.cartan_matrix()[w.word[b - 1] - 1]
+            for letter in reversed(w.word[: b - 1]):
+                alpha = reflect_weight(cd, letter, alpha)
+            assert _weight(cd, w.roots[b - 1]) == alpha, b
         for j in cd.vertices:
-            assert w.mu(b, j) == cd.apply_word(w.word[:b], cd.varpi(j)), (b, j)
-    for k in range(1, w.r + 1):
-        assert w.lam(k) == w.mu(k, w.word[k - 1])
+            mu = cd.unit(j)
+            for letter in reversed(w.word[:b]):
+                mu = reflect_weight(cd, letter, mu)
+            x = w.sums[b][j - 1]
+            assert tuple(e - y for e, y in zip(cd.unit(j), _weight(cd, x))) == mu, (b, j)
+            for beta in w.roots:
+                assert sum(map(mul, beta, mu)) == beta[j - 1] - cd.sprod(beta, x)
 
 
 def test_kminus():
@@ -150,7 +169,7 @@ def test_ringel_form_properties():
         for q in [QuiverDatum.bipartite(cd), next(iter(all_orientations(name)))]:
             for i in cd.vertices:
                 for j in cd.vertices:
-                    assert ringel_form(q, cd.alpha(i), q.gamma(j)) == (1 if i == j else 0)
+                    assert ringel_form(q, cd.unit(i), q.gamma(j)) == (1 if i == j else 0)
             roots = cd.positive_roots()
             for x in roots[:5]:
                 for y in roots[:5]:
@@ -170,12 +189,12 @@ def test_mesh_relation():
         h = cd.coxeter_number()
         for i in cd.vertices:
             for ell in range(0, 2 * h):
-                lhs = q.tau_power(q.gamma(i), ell % h) + q.tau_power(q.gamma(i), (ell - 1) % h)
-                rhs = cd.zero_weight()
+                lhs = map(add, q.tau_power(q.gamma(i), ell % h), q.tau_power(q.gamma(i), (ell - 1) % h))
+                rhs = (0,) * cd.n
                 for k in cd.neighbors(i):
                     shift = ell + (q.xi[k - 1] - q.xi[i - 1] - 1) // 2
-                    rhs = rhs + q.tau_power(q.gamma(k), shift % h)
-                assert lhs == rhs
+                    rhs = tuple(map(add, rhs, q.tau_power(q.gamma(k), shift % h)))
+                assert tuple(lhs) == rhs
 
 
 def test_ihat_Q_examples():
@@ -247,7 +266,7 @@ def test_phi_obeys_the_translation_the_shift_and_the_normalization(quiver):
                 continue
             beta, m = phi(i, p)
             below = quiver.tau(beta)
-            want = (below, m) if cd.is_positive_root(below) else (-below, m - 1)
+            want = (below, m) if cd.is_positive_root(below) else (tuple(-x for x in below), m - 1)
             assert phi(i, p - 2) == want, (i, p)
             assert phi(cd.nu(i), p + h) == (beta, m + 1), (i, p)
 

@@ -16,6 +16,26 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_the_root_lattice_is_the_one_lattice():
+    # no module defines or imports a Weight class, and cartan works in
+    # integers: it imports nothing from fractions
+    found = []
+    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name == "Weight":
+                found.append(f"{path.name}:{node.lineno} defines Weight")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.rsplit(".", 1)[-1] for a in node.names}
+                if "Weight" in names:
+                    found.append(f"{path.name}:{node.lineno} imports Weight")
+                if path.name == "cartan.py" and (
+                    "fractions" in names or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                ):
+                    found.append(f"cartan.py:{node.lineno} imports fractions")
+    assert found == []
+    assert "Weight" not in qgroth.__all__ and not hasattr(qgroth, "Weight")
+
+
 # Kept until the README's "JSON round-trips" promise is settled: each type's
 # from_json is its half of a documented round trip that no caller exercises.
 ROUND_TRIP_ONLY = "from_json"
@@ -50,7 +70,7 @@ def test_every_library_function_has_a_caller():
                 attributes.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg == "fn" and isinstance(node.value, ast.Name):
                 commands.add(node.value.id)
-    assert commands and len([d for d in defined if d[2] == ROUND_TRIP_ONLY]) == 5
+    assert commands and len([d for d in defined if d[2] == ROUND_TRIP_ONLY]) == 4
     kept = set(qgroth.__all__) | commands | _tracer_bindings() | attributes
     orphans = [
         f"{file}:{line} {name}"

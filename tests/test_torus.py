@@ -80,7 +80,7 @@ def test_a_monomials(ytorus, categories):
     for (i, s) in [(1, 1), (2, 2), (3, 1)]:
         a = a_monomial(yt.cartan, i, s)
         if cat.in_category(a):
-            assert beta_of(cat, cat.avec_of(a)).is_zero()
+            assert not any(beta_of(cat, cat.avec_of(a)))
 
 
 def test_nakajima_order(ytorus, categories):
@@ -140,7 +140,7 @@ def test_x_torus_pairing_is_the_symmetrized_euler_form():
         word = AdaptedWord.build(quiver)
         xt = XTorus(word.roots, quiver.cartan)
         assert xt.s == [
-            [ringel_form(quiver, b, c) + ringel_form(quiver, c, b) for c in word.betas] for b in word.betas
+            [ringel_form(quiver, b, c) + ringel_form(quiver, c, b) for c in word.roots] for b in word.roots
         ], quiver
 
 
