@@ -111,9 +111,10 @@ def _root_name(root) -> str:
 
 def _emit(args, text, obj) -> None:
     """Print the chosen format, built only then: `text` returns the lines,
-    `obj` the JSON object."""
+    `obj` the JSON object, a fresh acyclic tree, so the encoder skips its
+    cycle check."""
     if args.format == "json":
-        print(json.dumps(obj(), sort_keys=True))
+        print(json.dumps(obj(), sort_keys=True, check_circular=False))
     else:
         for line in text():
             print(line)

@@ -285,15 +285,20 @@ class QuiverContext:
         self.positions = self.word.positions
         self.index_of_position = {ip: k + 1 for k, ip in enumerate(self.positions)}
         # build-time sanity: phi is normalized by phi(i, xi_i) = (gamma_i, 0),
-        # and the Euler form satisfies <alpha_i, gamma_j> = delta_ij
-        gammas = [quiver.gamma(j) for j in self.cartan.vertices]
-        for i, g in zip(self.cartan.vertices, gammas):
+        # and the Euler form satisfies <alpha_i, gamma_j> = delta_ij, read as
+        # one n x n table: <e_i, g> = g_i - sum_{arrows i->k} g_k
+        vertices = self.cartan.vertices
+        gammas = [quiver.gamma(j) for j in vertices]
+        for i, g in zip(vertices, gammas):
             if self.phi.phi(i, quiver.xi[i - 1]) != (g, 0):
                 raise RuntimeError(f"phi(i, xi_i) is not (gamma_i, 0) at i = {i}")
-        for i in self.cartan.vertices:
-            e = self.cartan.unit(i)
-            for j, g in zip(self.cartan.vertices, gammas):
-                if ringel_form(quiver, e, g) != int(i == j):
+        euler = [list(g) for g in gammas]  # row j holds <e_i, gamma_j> at i - 1
+        for i, k in quiver.arrows:
+            for row, g in zip(euler, gammas):
+                row[i - 1] -= g[k - 1]
+        for i in vertices:
+            for j, row in zip(vertices, euler):
+                if row[i - 1] != int(i == j):
                     raise RuntimeError(f"Euler form <alpha_{i}, gamma_{j}> is not delta")
 
 def ringel_form(quiver: QuiverDatum, d, e) -> int:

@@ -16,8 +16,11 @@ holding H in every digit; and a^T M b is the digit at place n-1 of
 form(a) * key(b), where form(a) = sum_k (a^T M)_k 2^(W k).  Forms are
 additive, so every term carries the form of its key and products and
 quotients add and subtract them.  Digits are read only where a key enters
-(packing an exponent vector or a Monomial) or leaves (render, JSON, the box
-of a division, `exponents`).
+(packing an exponent vector or a Monomial) or leaves, and a key leaves only
+through `exponents` (render, JSON, the box of a division).  When W = 16 that
+is one call: key + B puts each digit d at d + H in [0, 2^16), the XOR with B
+flips its bit 15 to leave d in 16-bit two's complement, and `struct` unpacks
+the n big-endian shorts; other widths read the digits one at a time.
 
 Bands.  A product reads its pairings on the band lo..hi of key places that
 the keys of one factor occupy (`QuantumTorus.band`: one OR and one max over
@@ -37,9 +40,11 @@ check covers the band's product: key(b) is 0 off the band, so its digit at
 place hi-lo keeps every term of the digit at place n-1 of the full product,
 and each of its other digits is a sum over a subset of the terms of a digit
 of the full product; the digits of form(a), below m l, fit the bias.  W is
-the least width, at least 16, with H > 2^15 m, so factors of l1 up to 181
-always multiply.  Packing checks each exponent; a division checks its bounds
-once.
+the least width, at least 16, with H > 181^2 m, so factors of l1 up to 181
+always multiply (m 181^2 < H and 2 * 181 < H).  181 is the largest l with
+l^2 < 2^15, so the rank-r tori (m = 1) take W = 16, the width that `struct`
+reads, and the window tori (m = 2) take 17.  Packing checks each exponent; a
+division checks its bounds once.
 
 A product accumulates one map (key, doubled t-exponent) -> integer over pairs
 of terms, and raises ResourceCap before the pass when there are more than
@@ -54,6 +59,7 @@ leading-term elimination in the lex order, with a heap on negated keys.
 from __future__ import annotations
 
 import heapq
+import struct
 from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
@@ -174,10 +180,12 @@ class QuantumTorus:
         self.names, self.gram = names, gram
         n = self.n = len(gram)
         self.mmax = max((abs(x) for row in gram for x in row), default=0)
-        w = self.W = max(16, (self.mmax << 15).bit_length() + 1)
+        w = self.W = max(16, (181 * 181 * self.mmax).bit_length() + 1)
         self.half, self.mask = 1 << (w - 1), (1 << w) - 1
         self._place = [w * (n - 1 - k) for k in range(n)]
         self._bias = sum(self.half << s for s in self._place)
+        # 16-bit digits read back as n big-endian shorts in one call
+        self._shorts = struct.Struct(f">{n}h").unpack if w == 16 else None
         # row j of M, packed in reverse order: the form of the unit vector e_j
         self._rows = [sum(x << (w * k) for k, x in enumerate(row)) for row in gram]
         self._shift = w * max(n - 1, 0)
@@ -201,7 +209,11 @@ class QuantumTorus:
 
     def exponents(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a key."""
-        u, mask, half = key + self._bias, self.mask, self.half
+        u = key + self._bias
+        if self._shorts is not None:
+            # each biased digit d + H, bit 15 flipped, is d in 16-bit two's complement
+            return self._shorts((u ^ self._bias).to_bytes(2 * self.n, "big"))
+        mask, half = self.mask, self.half
         return tuple(((u >> s) & mask) - half for s in self._place)
 
     def pair(self, form: int, key: int) -> int:
@@ -426,11 +438,10 @@ class TorusElement:
         `Monomial.to_json`) its nonzero [i, p, e]; a coefficient is written as
         `HalfLaurent.to_json` writes it."""
         ctx, terms = self.ctx, self.terms
-        bias, mask, half, place, window = ctx._bias, ctx.mask, ctx.half, ctx._place, ctx.json_window
+        exponents, window = ctx.exponents, ctx.json_window
         out = []
         for k in sorted(terms):
-            u = k + bias
-            a = [((u >> s) & mask) - half for s in place]
+            a = list(exponents(k))
             if window is not None:
                 a = [[i, p, e] for (i, p), e in zip(window, a) if e]
             c = terms[k].c
@@ -572,7 +583,17 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
     along each variable add: every key of q lies in the box [min s - min p,
     max s - max p], and the distinct quotient keys end inside it.  A quotient
     key qk = lk - lead(p) enters the box iff qk - lo and hi - qk are dominant;
-    its form is form(lk) - form(lead(p))."""
+    its form is form(lk) - form(lead(p)).
+
+    A step pops the leading remainder key lk and divides out c, so that the
+    leading term of c X^qk p cancels the remainder at lk exactly: the step
+    drops that key and subtracts c b t^(pair/2) at qk + kp for every other
+    term b X^kp of p, pair = qk^T M kp read off fq = form(qk).  It builds no
+    product, so `_convolve`'s checks do not run, and need not: the division's
+    bound check covers their range check (every qk lies in the box, every
+    remainder key within rl1), and a step pairs qk with the len(p) terms of p,
+    for at most MAX_QUOTIENT_TERMS steps.  A monomial divisor costs one pass
+    over the dividend."""
     ctx = s.ctx
     if p.is_zero():
         raise ZeroDivisionError("division by zero torus element")
@@ -589,6 +610,8 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
     lo_key, hi_key = (sum(e << s for e, s in zip(v, ctx._place)) for v in (lo, hi))
     lead_p = p.leading_key()
     f_lead, c_lead = p.forms[lead_p], p.terms[lead_p]
+    # the other terms of p: key, form and coefficient items
+    rest = [(k, p.forms[k], tuple(c.c.items())) for k, c in p.terms.items() if k != lead_p]
     rem = {k: dict(c.c) for k, c in s.terms.items()}
     rforms = dict(s.forms)
     # the largest remaining key is on top; keys that cancelled are skipped
@@ -603,24 +626,28 @@ def divide_right(s: TorusElement, p: TorusElement) -> TorusElement:
         if len(quot) >= MAX_QUOTIENT_TERMS:
             raise ResourceCap(f"torus division passed {MAX_QUOTIENT_TERMS} quotient terms")
         qk, fq = lk - lead_p, rforms[lk] - f_lead
-        c = HalfLaurent(rem[lk]).shift(-ctx.pair(fq, lead_p)).exact_div(c_lead)
+        c = HalfLaurent(rem.pop(lk)).shift(-ctx.pair(fq, lead_p)).exact_div(c_lead)
         if c is None:
             raise ArithmeticError("torus division is not exact (coefficient step)")
         if not (ctx.is_dominant(qk - lo_key) and ctx.is_dominant(hi_key - qk)):
             raise ArithmeticError("torus division is not exact (quotient key outside its box)")
         quot[qk], qforms[qk] = c, fq
-        # subtract c X^qk p at its keys; its leading term cancels rem[lk]
-        step = TorusElement._of(ctx, {qk: c}, {qk: fq}, bq) * p
-        for k, w in step.terms.items():
-            if k not in rem:
-                rem[k] = {}
-                rforms[k] = step.forms[k]
+        cq = tuple(c.c.items())
+        for kp, fp, cb in rest:
+            k, sp = qk + kp, ctx.pair(fq, kp)
+            r = rem.get(k)
+            if r is None:
+                r = rem[k] = {}
+                rforms[k] = fq + fp
                 heapq.heappush(heap, -k)
-            r = rem[k]
-            for e, v in w.c.items():
-                r[e] = r.get(e, 0) - v
-                if not r[e]:
-                    del r[e]
+            for e1, v1 in cq:
+                for e2, v2 in cb:
+                    e = e1 + e2 + sp
+                    v = r.get(e, 0) - v1 * v2
+                    if v:
+                        r[e] = v
+                    else:
+                        del r[e]
             if not r:
                 del rem[k]
     return TorusElement._of(ctx, quot, qforms, bq)

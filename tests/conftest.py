@@ -1,15 +1,18 @@
 import functools
+import heapq
 import itertools
 from operator import add, xor
 
 import pytest
 
-from qgroth.cartan import cartan_datum, root_sum
+import qgroth.torus as torus
+from qgroth.cartan import SUPPORTED, CartanDatum, ResourceCap, cartan_datum, root_sum
 from qgroth.characters import CategoryQ, expand_in_dominant_basis
 from qgroth.hall import GF, _hom_equations, mat_rank, model_rep, rref
+from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
-from qgroth.torus import Monomial, YTorus
+from qgroth.torus import Monomial, TorusElement, YTorus
 
 # The worked orientations used throughout: heights as in the source examples.
 PAPER_XI = {
@@ -121,6 +124,66 @@ def form(ctx, key: int) -> int:
     that keys carry through products and quotients."""
     a = ctx.exponents(key)
     return sum(sum(e * row[k] for e, row in zip(a, ctx.gram)) << (ctx.W * k) for k in range(ctx.n))
+
+
+def digit_loop(ctx, key: int) -> tuple[int, ...]:
+    """The exponent vector of a key, one W-bit digit at a time: the reference
+    read-back, which `QuantumTorus.exponents` keeps for widths other than 16."""
+    u = key + ctx._bias
+    return tuple(((u >> s) & ctx.mask) - ctx.half for s in ctx._place)
+
+
+def reference_divide_right(s, p):
+    """`torus.divide_right` with its original step: each quotient term c X^qk
+    is subtracted as the product of a one-term element and p, through
+    `TorusElement._convolve` and its checks."""
+    ctx = s.ctx
+    if p.is_zero():
+        raise ZeroDivisionError("division by zero torus element")
+    if s.is_zero():
+        return ctx.zero()
+    cs, cp = (list(zip(*map(ctx.exponents, x.terms))) for x in (s, p))
+    lo = [min(a) - min(b) for a, b in zip(cs, cp)]
+    hi = [max(a) - max(b) for a, b in zip(cs, cp)]
+    bq = sum(max(abs(a), abs(b)) for a, b in zip(lo, hi))
+    rl1 = max(s.l1, bq + p.l1) + p.l1
+    if rl1 + bq >= ctx.half or ctx.mmax * rl1 * p.l1 >= ctx.half:
+        raise ResourceCap(f"torus division leaves the {ctx.W}-bit key digits")
+    lo_key, hi_key = (sum(e << w for e, w in zip(v, ctx._place)) for v in (lo, hi))
+    lead_p = p.leading_key()
+    f_lead, c_lead = p.forms[lead_p], p.terms[lead_p]
+    rem = {k: dict(c.c) for k, c in s.terms.items()}
+    rforms = dict(s.forms)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    quot, qforms = {}, {}
+    while heap:
+        lk = -heapq.heappop(heap)
+        if lk not in rem:
+            continue
+        if len(quot) >= torus.MAX_QUOTIENT_TERMS:
+            raise ResourceCap(f"torus division passed {torus.MAX_QUOTIENT_TERMS} quotient terms")
+        qk, fq = lk - lead_p, rforms[lk] - f_lead
+        c = HalfLaurent(rem[lk]).shift(-ctx.pair(fq, lead_p)).exact_div(c_lead)
+        if c is None:
+            raise ArithmeticError("torus division is not exact (coefficient step)")
+        if not (ctx.is_dominant(qk - lo_key) and ctx.is_dominant(hi_key - qk)):
+            raise ArithmeticError("torus division is not exact (quotient key outside its box)")
+        quot[qk], qforms[qk] = c, fq
+        step = TorusElement._of(ctx, {qk: c}, {qk: fq}, bq) * p
+        for k, w in step.terms.items():
+            if k not in rem:
+                rem[k] = {}
+                rforms[k] = step.forms[k]
+                heapq.heappush(heap, -k)
+            r = rem[k]
+            for e, v in w.c.items():
+                r[e] = r.get(e, 0) - v
+                if not r[e]:
+                    del r[e]
+            if not r:
+                del rem[k]
+    return TorusElement._of(ctx, quot, qforms, bq)
 
 
 def reference_relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
@@ -243,6 +306,15 @@ def all_orientations(name: str):
     for flips in itertools.product((False, True), repeat=len(edges)):
         arrows = [(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)]
         yield QuiverDatum.from_arrows(cd, arrows)
+
+
+def orientations_and_bipartites():
+    """Every orientation of A1-A5, D4 and D5, then the bipartite quiver of
+    every supported type."""
+    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5"):
+        yield from all_orientations(name)
+    for kind, n in sorted(SUPPORTED):
+        yield QuiverDatum.bipartite(CartanDatum(kind, n))
 
 
 def expand_by_monomials(yt: YTorus, x, basis: dict) -> dict:

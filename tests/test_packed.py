@@ -2,8 +2,10 @@
 Monomial or exponent-vector keys, paired one pair of terms at a time by
 `pair2`), on the rank-r tori of every orientation of A1-A5, D4 and D5 and on
 the presentation windows of A3 and A4; products of factors confined to a band
-of key places, whose pairings are read on that band; the band itself; and the
-range guard, which raises ResourceCap instead of returning a wrapped key."""
+of key places, whose pairings are read on that band; the band itself; the
+range guard, which raises ResourceCap instead of returning a wrapped key; the
+key widths and both read-back paths; and division against its one-term
+product reference (`conftest.reference_divide_right`)."""
 
 import functools
 
@@ -13,10 +15,18 @@ from hypothesis import given, seed, settings, strategies as st
 from qgroth.cartan import ResourceCap
 from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
-from qgroth.quiver import QuiverContext
+from qgroth.quiver import AdaptedWord, QuiverContext
 from qgroth.torus import MIN_CUT_PLACES, Monomial, XTorus, divide_right
 
-from conftest import all_orientations, boundary_terms, form, reference_product
+from conftest import (
+    all_orientations,
+    boundary_terms,
+    digit_loop,
+    form,
+    orientations_and_bipartites,
+    reference_divide_right,
+    reference_product,
+)
 
 X_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
 T_PLUS_T_INV = HalfLaurent.t_power(2) + HalfLaurent.t_power(-2)
@@ -272,3 +282,143 @@ def test_the_band_is_the_least_and_greatest_nonzero_place(ctx, data):
     places = {n - 1 - k for key in keys for k, d in enumerate(ctx.exponents(key)) if d}
     assert places == {j for v in vecs for j in v}
     assert ctx.band(keys) == ((min(places), max(places)) if places else None)
+
+
+# --------------------------------------------------------------------------
+# key widths and read-back
+# --------------------------------------------------------------------------
+
+
+def test_rank_r_keys_take_16_bits_and_window_keys_17():
+    # W is the least width >= 16 with H > 181^2 max|M|: factors of l1 up to
+    # 181 always multiply, and 16-bit keys read back in one struct call
+    for quiver in orientations_and_bipartites():
+        xt = XTorus(AdaptedWord.build(quiver).roots, quiver.cartan)
+        assert (xt.W, xt._shorts is not None) == (16, True), quiver
+        assert xt.mmax * 181 * 181 < xt.half and 2 * 181 < xt.half
+    for name in ("A3", "A4", "A5", "D4"):
+        for n in range(len(_orientations(name))):
+            yt = window_torus(name, n, 0)
+            assert (yt.W, yt.mmax, yt._shorts) == (17, 2, None), (name, n)
+            assert yt.mmax * 181 * 181 < yt.half <= yt.mmax * 182 * 182
+
+
+# one torus of each width: A1 (M = 0) and D5 rank-r at 16 bits, the A3 and A4
+# presentation windows at 17
+READ_BACK_TORI = ["A1 rank", "D5 rank", "A3 window", "A4 window"]
+
+
+def read_back_torus(name):
+    kind, torus = name.split()
+    return window_torus(kind, 0, -3) if torus == "window" else x_torus(kind, 0)
+
+
+@pytest.mark.parametrize("name", READ_BACK_TORI)
+@seed(20261020)
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_exponents_read_back_every_digit_in_range(name, data):
+    ctx = read_back_torus(name)
+    top = ctx.half - 1
+    digit = st.sampled_from([0, 1, -1, top, -top]) | st.integers(-top, top)
+    v = tuple(data.draw(st.lists(digit, min_size=ctx.n, max_size=ctx.n)))
+    key = sum(d << s for d, s in zip(v, ctx._place))
+    assert ctx.exponents(key) == digit_loop(ctx, key) == v
+
+
+def reference_to_json(x):
+    """`TorusElement.to_json` with its keys read by the digit loop."""
+    ctx, out = x.ctx, []
+    for k in sorted(x.terms):
+        a = list(digit_loop(ctx, k))
+        if ctx.json_window is not None:
+            a = [[i, p, e] for (i, p), e in zip(ctx.json_window, a) if e]
+        c = x.terms[k].c
+        out.append([a, [[e, c[e]] for e in sorted(c)]])
+    return out
+
+
+@seed(20261020)
+@given(tori(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_to_json_matches_the_digit_loop(ctx, data):
+    x = elements(data.draw, ctx, 5)
+    assert x.to_json() == reference_to_json(x)
+
+
+# --------------------------------------------------------------------------
+# division against its one-term product reference
+# --------------------------------------------------------------------------
+
+
+def divisors(draw, ctx):
+    """A nonzero element: one term, a monomial divisor, half the time."""
+    size = draw(st.sampled_from([1, 1, 2, 3]))
+    return ctx.element(dict(draw(st.lists(st.tuples(monomials(ctx), nonzero_coeffs), min_size=size, max_size=size))))
+
+
+def outcome(divide, s, p):
+    """The quotient, or the type and message of the error it raised."""
+    try:
+        return divide(s, p)
+    except (ArithmeticError, ResourceCap) as exc:
+        return type(exc), str(exc)
+
+
+@seed(20261020)
+@given(tori(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_division_matches_the_one_term_product_reference(ctx, data):
+    a, b = elements(data.draw, ctx), divisors(data.draw, ctx)
+    s = a * b
+    quotient = divide_right(s, b)
+    assert quotient == reference_divide_right(s, b) == a
+    assert forms_are_recomputed_from_digits(quotient)
+    # a monomial added to a * b: by a divisor of two or more terms the
+    # quotient is not exact, by a monomial it may be; both routes return the
+    # same quotient or stop at the same step with the same error
+    t = s + ctx.element({data.draw(monomials(ctx)): data.draw(nonzero_coeffs)})
+    got = outcome(divide_right, t, b)
+    assert got == outcome(reference_divide_right, t, b)
+    if isinstance(got, tuple):
+        assert got[0] is ArithmeticError and "not exact" in got[1]
+    else:
+        assert len(b) == 1 and got * b == t
+
+
+@pytest.mark.parametrize("name", READ_BACK_TORI[1:])
+def test_a_key_that_cancels_in_the_dividend_is_divided_through(name):
+    # q = X^a + X^b by p = X^c - t^(e/2) X^d with a + d = b + c and e chosen
+    # so that X^a X^d cancels X^b X^c: the first step brings key a + d back
+    # into the remainder, and the second step divides at that key, reading
+    # its form from the step that made it
+    ctx = read_back_torus(name)
+    n = ctx.n
+    a, b, c = (at_places(ctx, {j: 1}) for j in (n - 1, n - 2, n - 3))
+    d = at_places(ctx, {n - 1: -1, n - 2: 1, n - 3: 1})
+    e = ctx.pair2(b, c) - ctx.pair2(a, d)
+    q = ctx.monomial(a) + ctx.monomial(b)
+    p = ctx.monomial(c) + ctx.monomial(d, HalfLaurent({e: -1}))
+    s = q * p
+    assert len(s) == 2 and ctx.key(a) + ctx.key(d) not in s.terms
+    quotient = divide_right(s, p)
+    assert quotient == reference_divide_right(s, p) == q
+    assert forms_are_recomputed_from_digits(quotient)
+
+
+@pytest.mark.parametrize("name", READ_BACK_TORI)
+def test_both_inexact_division_errors_match_the_reference(name):
+    # 2 X^e over 3 fails at the coefficient step; X^e over 1 + X^f, with f a
+    # later variable than e, puts the first quotient key outside its box
+    ctx = read_back_torus(name)
+    e = at_places(ctx, {ctx.n - 1: 1})
+    f = at_places(ctx, {ctx.n - 2: 1} if ctx.n > 1 else {0: 2})
+    unit = at_places(ctx, {})
+    cases = {
+        "coefficient step": (ctx.monomial(e, HalfLaurent({0: 2})), ctx.monomial(unit, HalfLaurent({0: 3}))),
+        "outside its box": (ctx.monomial(e), ctx.one() + ctx.monomial(f)),
+    }
+    for message, (s, p) in cases.items():
+        for divide in (divide_right, reference_divide_right):
+            with pytest.raises(ArithmeticError, match=message):
+                divide(s, p)

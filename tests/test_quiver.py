@@ -5,7 +5,7 @@ from operator import add, mul
 import pytest
 
 from qgroth.cartan import cartan_datum
-from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
+from qgroth.quiver import AdaptedWord, PhiMap, QuiverContext, QuiverDatum, ringel_form
 
 from conftest import all_orientations, reflect_weight, tau_inv
 
@@ -281,3 +281,19 @@ def test_positions_run_top_level_first_ties_by_vertex(quiver):
     # fundamentals at the positions, in position order
     positions = QuiverContext(quiver).positions
     assert list(positions) == sorted(positions, key=lambda ip: (-ip[1], ip[0]))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_a_wrong_injective_hull_fails_the_euler_check(name, monkeypatch):
+    # gamma_2 moved by e_1, with phi made to agree with it: the table's
+    # <e_1, gamma_2> is then 1, which the context refuses with its message
+    quiver = QuiverDatum.bipartite(cartan_datum(name))
+    true_gamma = QuiverDatum.gamma
+
+    def gamma(self, j):
+        return tuple(x + (j == 2 and k == 0) for k, x in enumerate(true_gamma(self, j)))
+
+    monkeypatch.setattr(QuiverDatum, "gamma", gamma)
+    monkeypatch.setattr(PhiMap, "phi", lambda self, i, p: (quiver.gamma(i), 0))
+    with pytest.raises(RuntimeError, match=r"^Euler form <alpha_1, gamma_2> is not delta$"):
+        QuiverContext(quiver)

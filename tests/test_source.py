@@ -36,6 +36,44 @@ def test_the_root_lattice_is_the_one_lattice():
     assert "Weight" not in qgroth.__all__ and not hasattr(qgroth, "Weight")
 
 
+def _is_digit_read(node) -> bool:
+    # ((u >> s) & mask) - half: one W-bit digit of a key, read with its bias
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.BitAnd)
+        and isinstance(node.left.left, ast.BinOp)
+        and isinstance(node.left.left.op, ast.RShift)
+    )
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def digit_loops(tree, scope=""):
+    """The enclosing function of every loop or comprehension that reads key
+    digits one at a time."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += digit_loops(node, f"{scope}.{node.name}".lstrip("."))
+        elif isinstance(node, LOOPS) and any(map(_is_digit_read, ast.walk(node))):
+            found.append(scope)
+        else:
+            found += digit_loops(node, scope)
+    return found
+
+
+def test_keys_leave_a_torus_only_through_exponents():
+    # one read-back path: a second digit loop would bypass the one-call
+    # struct read of 16-bit keys
+    found = []
+    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
+        found += [(path.name, scope) for scope in digit_loops(ast.parse(path.read_text(), str(path)))]
+    assert found == [("torus.py", "QuantumTorus.exponents")]
+
+
 # Kept until the README's "JSON round-trips" promise is settled: each type's
 # from_json is its half of a documented round trip that no caller exercises.
 ROUND_TRIP_ONLY = "from_json"

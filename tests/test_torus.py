@@ -3,10 +3,10 @@ from operator import add
 import pytest
 
 import qgroth.torus as torus
-from qgroth.cartan import SUPPORTED, CartanDatum, ResourceCap, cartan_datum
+from qgroth.cartan import ResourceCap, cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
-from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
+from qgroth.quiver import AdaptedWord, QuiverContext, ringel_form
 from qgroth.torus import (
     MAX_QUOTIENT_TERMS,
     Monomial,
@@ -15,7 +15,7 @@ from qgroth.torus import (
     divide_right,
 )
 
-from conftest import a_monomial, all_orientations, bar, beta_of, power, wide_torus
+from conftest import a_monomial, all_orientations, bar, beta_of, orientations_and_bipartites, power, wide_torus
 
 
 def Y(i, p, e=1):
@@ -126,17 +126,10 @@ def test_x_torus_products(contexts):
     assert bar(bar(x)) == x
 
 
-def _orientations_and_bipartites():
-    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5"):
-        yield from all_orientations(name)
-    for kind, n in sorted(SUPPORTED):
-        yield QuiverDatum.bipartite(CartanDatum(kind, n))
-
-
 def test_x_torus_pairing_is_the_symmetrized_euler_form():
     # (beta_k, beta_l) from the integer root table equals <beta_k, beta_l> +
     # <beta_l, beta_k> of the Euler form of the orientation, an independent route
-    for quiver in _orientations_and_bipartites():
+    for quiver in orientations_and_bipartites():
         word = AdaptedWord.build(quiver)
         xt = XTorus(word.roots, quiver.cartan)
         assert xt.s == [
