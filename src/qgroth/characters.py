@@ -123,7 +123,9 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
     j-dominant, and must be bar-invariant and positive.  Every string that
     reaches m starts higher up, so its colourings are final when m is read;
     the part of its coefficient not yet coloured j expands into the sl2 simple
-    t-character at j."""
+    t-character at j.  The result is checked once, for every shift of it: its
+    one dominant monomial is the top Y_{i0,0}, and its one antidominant
+    monomial is Y_{nu(i0),h}^-1."""
     cd = CartanDatum(kind, n)
     cd._check_vertex(i0)
     h = cd.coxeter_number()
@@ -180,6 +182,12 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
                     for e1, v1 in c:
                         for e2, v2 in k.c.items():
                             w[e1 + e2] = w.get(e1 + e2, 0) + v1 * v2
+    doms = [m for m in chi if m.is_dominant()]
+    if doms != [top]:
+        raise CharacterError(f"fundamental at ({i0},0) has unexpected dominant set {doms}")
+    anti = [m for m in chi if all(e <= 0 for _, e in m.items)]
+    if anti != [Monomial.var(cd.nu(i0), h, -1)]:
+        raise CharacterError(f"fundamental at ({i0},0) has unexpected antidominant set {anti}")
     return chi
 
 
@@ -191,16 +199,10 @@ def _a_inverse(cd: CartanDatum, j: int, s: int) -> Monomial:
 
 
 def fundamental_tchar(yt: YTorus, i: int, p: int) -> TorusElement:
-    """The t-character of the fundamental module at (i, p)."""
+    """The t-character of the fundamental module at (i, p): the checked base
+    of `_fm_base`, shifted to p."""
     cd = yt.cartan
-    chi = {m.shift_p(p): c for m, c in _fm_base(cd.kind, cd.n, i).items()}
-    doms = [m for m in chi if m.is_dominant()]
-    if doms != [Monomial.var(i, p)]:
-        raise CharacterError(f"fundamental at ({i},{p}) has unexpected dominant set {doms}")
-    anti = [m for m in chi if all(e <= 0 for _, e in m.items)]
-    if anti != [Monomial.var(cd.nu(i), p + cd.coxeter_number(), -1)]:
-        raise CharacterError(f"fundamental at ({i},{p}) has unexpected antidominant set {anti}")
-    return yt.element(chi)
+    return yt.element({m.shift_p(p): c for m, c in _fm_base(cd.kind, cd.n, i).items()})
 
 
 def fundamental_window(qc: QuantumCartan, points) -> YTorus:
@@ -560,8 +562,8 @@ class CategoryQ:
 
     def dominant_pairs(self, d) -> list[dict]:
         """All decompositions of the dimension vector d into positive roots,
-        paired with their dominant monomials, exchange-monomial columns and
-        depths, in decreasing lexicographic order of the exponent vectors."""
+        paired with their dominant monomials and exchange-monomial columns, in
+        decreasing lexicographic order of the exponent vectors."""
         rows = []
         for a in kostant_partitions(self.roots, self.dimension_vector(d)):
             col: dict[tuple[int, int], int] = {}
@@ -569,8 +571,7 @@ class CategoryQ:
                 if c:
                     for key, e in vk.items():
                         col[key] = col.get(key, 0) + c * e
-            rows.append({"avec": a, "monomial": self.monomial_of_avec(a), "a_column": col,
-                         "depth": sum(col.values())})
+            rows.append({"avec": a, "monomial": self.monomial_of_avec(a), "a_column": col})
         return rows
 
     def depth(self, a) -> int:
@@ -604,11 +605,14 @@ class CategoryQ:
 
     def truncated_simple(self, a) -> TorusElement:
         """Bar-inversion over the truncated standard classes below a: the rows
-        of its weight space whose A-column dominates a's entry by entry."""
+        of its weight space whose A-column dominates a's entry by entry.  P_ab
+        = 0 outside that Nakajima lower set, so this is row a of the solve
+        over the whole weight space, which can be far larger (515 keys against
+        1 at Y[4,-2]Y[3,-1]Y[1,0]Y[2,0] of D4)."""
         a = self._dominant_avec(a)
         rows = self.dominant_pairs(self.root_of(a))
         col = next(r["a_column"] for r in rows if r["avec"] == a)
-        below = [r for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
-        depth = {self.xt.key(r["avec"]): r["depth"] for r in below}
+        below = [r["avec"] for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
+        depth = {self.xt.key(b): self.depth(b) for b in below}
         std = self.standards(depth)
         return combine(std, bar_invariant_correction(std, depth)[self.xt.key(a)])

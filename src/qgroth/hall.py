@@ -21,7 +21,8 @@ cap, `MAX_HALL_WORK`, bounds a Hall number and a gamma: the q^(dim Ext^1)
 extensions to classify times the cube of the total dimension, checked
 before any representation is built.  Scalars live in the exact field
 Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that half-integral
-powers of u remain exact.
+powers of u remain exact, and enter it by one map, `specialize`, from a
+Laurent polynomial in t^(1/2) over a positive integer at t = u.
 
 The derived Hall algebra is spanned by normal-ordered words in generators
 z_a^[m] with strictly decreasing level m; products are rewritten to normal
@@ -30,7 +31,9 @@ distant-level commutation rule.  Its defining relations on the simple
 generators are not written out here: `check_h_relations` runs the relation
 table of `presentation.relation_failures`, the one that K_t and U_q(n) use,
 through `DerivedHall.qcommutator` at t = u.  The specialization report
-compares the two sides at each a directly.
+compares the two sides at each a directly, and the constant identity checks
+that iota carries R2's inhomogeneous term in K_t onto DH(Q)'s, on the
+constants the relation tables use.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .cartan import ResourceCap, iter_kostant_partitions, kostant_partitions, root_sum
 from .characters import CategoryQ, expand_in_dominant_basis
-from .laurent import HalfLaurent
+from . import presentation
+from .laurent import ONE, HalfLaurent
 from .presentation import relation_failures
 from .quiver import AdaptedWord, QuiverDatum, ringel_form
 
@@ -411,6 +415,8 @@ def toen_gamma(dh: "DerivedHall", X, Y, T, W) -> Fraction:
 class UScalar:
     """Element of Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2.
 
+    A scalar enters the ring only through `specialize`; every other one is
+    built from those by the ring operations below.
     u and u^(1/2) = x are units, so Laurent expressions in them are exact.
     The ring is a field for q in {2, 3}.  At q = 4, which `DerivedHall` also
     accepts, x^4 - 4 = (x^2 - 2)(x^2 + 2): u^2 = 4 but u != 2, and 2 + u is a
@@ -422,31 +428,6 @@ class UScalar:
     (n, d), and zero is (0, 0, 0, 0)/1."""
 
     __slots__ = ("q", "n", "d")
-
-    def __init__(self, q: int, coeffs=None):
-        fr = [Fraction(v) for v in coeffs or ()]
-        if len(fr) > 4:
-            raise ValueError(f"{len(fr)} coefficients for a degree-3 element")
-        fr += [Fraction(0)] * (4 - len(fr))
-        d = lcm(*(f.denominator for f in fr))
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        self.q = q
-        self.n = tuple(f.numerator * (d // f.denominator) for f in fr)
-        self.d = d
-
-    @staticmethod
-    def of(q: int, value) -> "UScalar":
-        if type(value) is int:
-            return _reduced(q, value, 0, 0, 0, 1)
-        return UScalar(q, [value])
-
-    @staticmethod
-    def u(q: int) -> "UScalar":
-        return _reduced(q, 0, 0, 1, 0, 1)
-
-    @staticmethod
-    def half_u(q: int) -> "UScalar":
-        return _reduced(q, 0, 1, 0, 0, 1)
 
     def __add__(self, other: "UScalar") -> "UScalar":
         a0, a1, a2, a3 = self.n
@@ -543,23 +524,25 @@ def _reduced(q: int, n0: int, n1: int, n2: int, n3: int, d: int) -> UScalar:
     return out
 
 
-def specialize(q: int, c: HalfLaurent) -> UScalar:
-    """c at t^(1/2) = u^(1/2) = x, in one pass: each t^(e/2) goes to x^e =
-    q^floor(e/4) x^(e mod 4), all over one denominator, q^-s for the least
-    power s <= 0 of q."""
+def specialize(q: int, c: HalfLaurent, den: int = 1) -> UScalar:
+    """c / den at t^(1/2) = u^(1/2) = x, den a positive integer, in one pass:
+    each t^(e/2) goes to x^e = q^floor(e/4) x^(e mod 4), all over one
+    denominator, den q^-s for the least power s <= 0 of q."""
+    if den < 1:
+        raise ValueError(f"denominator {den} is not a positive integer")
     low = min((0, *c.c)) // 4
     n = [0, 0, 0, 0]
     for e, v in c.items():
         n[e % 4] += v * q ** (e // 4 - low)
-    return _reduced(q, *n, q**-low)
+    return _reduced(q, *n, den * q**-low)
 
 
-def u_power(q: int, k: int) -> UScalar:
-    """u^k, the specialization of t^k: the rule of `specialize` on its one
-    term, x^(2k) = q^floor(2k/4) x^(2k mod 4)."""
-    s, e = divmod(2 * k, 4)
-    c, d = (q**s, 1) if s >= 0 else (1, q**-s)
-    return _reduced(q, c, 0, 0, 0, d) if e == 0 else _reduced(q, 0, 0, c, 0, d)
+# The Hall side's two constants, each the inverse of a Laurent polynomial in
+# t that `specialize` takes to t = u: R2's inhomogeneous term in DH(Q),
+# t^-1 / (t^2 - 1) = 1 / (t^3 - t), and the rescaling of the generators,
+# 1 / (t^(1/2) (t - t^-1)) = 1 / (t^(3/2) - t^(-1/2)).
+DH_BOSON_INVERSE = HalfLaurent({6: 1, 2: -1})
+RESCALING_INVERSE = HalfLaurent({3: 1, -1: -1})
 
 
 # --------------------------------------------------------------------------
@@ -585,20 +568,12 @@ class DerivedHall:
         self.cartan = quiver.cartan
         self.roots, _, _, self._euler, _, _ = _iso_tables(quiver, q)
         self._simple = {i: tuple(int(sum(r) == r[i - 1] == 1) for r in self.roots) for i in self.cartan.vertices}
-        self._one = UScalar.of(q, 1)
+        self._one = specialize(q, ONE)
         self._g: dict = {}
         self._aut: dict = {}
         self._gamma_terms: dict = {}
         self._isos: dict = {}
         self._nf: dict = {}
-
-    # -- scalars ------------------------------------------------------------
-
-    def scalar(self, value) -> UScalar:
-        return UScalar.of(self.q, value)
-
-    def upow(self, k: int) -> UScalar:
-        return u_power(self.q, k)
 
     # -- structure constants --------------------------------------------------
 
@@ -637,8 +612,9 @@ class DerivedHall:
             self._isos[d] = kostant_partitions(self.roots, d)
         return self._isos[d]
 
-    def gamma_terms(self, x, y) -> list[tuple[tuple, tuple, Fraction]]:
-        """Nonzero (T, W, gamma_{X,Y}^{T,W}) for the adjacent-level rewriting."""
+    def gamma_terms(self, x, y) -> list[tuple[tuple, tuple, UScalar]]:
+        """(T, W, u^(-<Y, X> - <W, T>) gamma_{X,Y}^{T,W}) for each nonzero gamma,
+        the terms of the adjacent-level rewriting, each specialized once."""
         key = (x, y)
         if key in self._gamma_terms:
             return self._gamma_terms[key]
@@ -652,7 +628,8 @@ class DerivedHall:
                 for w in self.isoclasses(dw):
                     g = toen_gamma(self, x, y, t, w)
                     if g:
-                        out.append((t, w, g))
+                        e2 = -2 * (self.euler(y, x) + self.euler(w, t))
+                        out.append((t, w, specialize(self.q, HalfLaurent({e2: g.numerator}), g.denominator)))
         self._gamma_terms[key] = out
         return out
 
@@ -704,14 +681,13 @@ class DerivedHall:
             out: dict = {}
             if m1 == m2:
                 # same level: Hall product
-                pref = self.upow(self.euler(y, x))
+                pref = specialize(self.q, HalfLaurent.t_power(2 * self.euler(y, x)))
                 for w, g in self.hall_numbers(x, y).items():
                     coeff = pref.scale_int(g)
                     for w3, c3 in self._normalize(head + ((m1, w),) + tail):
                         _accumulate(out, w3, coeff * c3)
             elif m2 == m1 + 1:
-                for t, w, g in self.gamma_terms(x, y):
-                    coeff = self.upow(-self.euler(y, x) - self.euler(w, t)) * UScalar.of(self.q, g)
+                for t, w, coeff in self.gamma_terms(x, y):
                     mid = ()
                     if any(t):
                         mid += ((m2, t),)
@@ -720,7 +696,7 @@ class DerivedHall:
                     for w3, c3 in self._normalize(head + mid + tail):
                         _accumulate(out, w3, coeff * c3)
             else:
-                pref = self.upow((-1) ** (m2 - m1) * self.sym(x, y))
+                pref = specialize(self.q, HalfLaurent.t_power(2 * (-1) ** (m2 - m1) * self.sym(x, y)))
                 for w3, c3 in self._normalize(head + ((m2, y), (m1, x)) + tail):
                     _accumulate(out, w3, pref * c3)
             return tuple(out.items())
@@ -728,8 +704,7 @@ class DerivedHall:
 
     def qcommutator(self, a: dict, b: dict, exp2: int) -> dict:
         """a b - u^(exp2/2) b a."""
-        c = self.upow(exp2 // 2) * (UScalar.half_u(self.q) if exp2 % 2 else self._one)
-        return self.add(self.mul(a, b), self.scal(self.mul(b, a), -c))
+        return self.add(self.mul(a, b), self.scal(self.mul(b, a), specialize(self.q, HalfLaurent({exp2: -1}))))
 
 
 def _accumulate(out: dict, key, c: UScalar) -> None:
@@ -750,20 +725,18 @@ def _accumulate(out: dict, key, c: UScalar) -> None:
 def check_h_relations(dh: DerivedHall, m_offsets=range(4)) -> list[tuple]:
     """The relation table of `presentation.relation_failures` on the simple
     generators z_{S_i}^[m], m in m_offsets, at t = u with boson constant
-    u^-1/(u^2-1)."""
-    const = dh.upow(-1) * (dh.upow(2) - dh.scalar(1)).inverse()
-    boson = dh.scal(dh.one(), const)
+    u^-1/(u^2-1), the inverse of `DH_BOSON_INVERSE`."""
+    boson = dh.scal(dh.one(), specialize(dh.q, DH_BOSON_INVERSE).inverse())
     return relation_failures(dh.cartan, m_offsets, dh.z_simple, dh.qcommutator, boson)
 
 
 def constant_identity_holds(q: int) -> bool:
-    """(1 - u^-2) / (u (u - u^-1)^2) = u^-1 / (u^2 - 1), exactly."""
-    one = UScalar.of(q, 1)
-    u = UScalar.u(q)
-    u_inv = u_power(q, -1)
-    lhs = (one - u_power(q, -2)) * (u * (u - u_inv) * (u - u_inv)).inverse()
-    rhs = u_inv * (u * u - one).inverse()
-    return lhs == rhs
+    """iota carries R2's inhomogeneous term in K_t onto DH(Q)'s, exactly: the
+    boson term `presentation.BOSON` = 1 - t^-2 of K_t at t = u, times the
+    square of the generator rescaling, is the boson term u^-1/(u^2 - 1) of
+    DH(Q), on the constants the relation checks and the scalar report use."""
+    resc = specialize(q, RESCALING_INVERSE).inverse()
+    return specialize(q, presentation.BOSON) * resc * resc == specialize(q, DH_BOSON_INVERSE).inverse()
 
 
 def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dict:
@@ -785,8 +758,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     q = dh.q
     cd = cat.cartan
     gens_t = cat.simple_generators()
-    u = UScalar.u(q)
-    resc = (UScalar.half_u(q) * (u - u_power(q, -1))).inverse()
+    resc = specialize(q, RESCALING_INVERSE).inverse()
     scalars: dict = {}
     closed: dict = {}  # class -> rho(a)
     spaces: dict = {}  # weight -> (its depths, its truncated standard classes)
@@ -794,7 +766,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     witnesses = []
     # each word's products on both sides and its rescaling extend those of
     # the word without its last letter
-    products = {(): (None, dh.one(), UScalar.of(q, 1))}
+    products = {(): (None, dh.one(), specialize(q, ONE))}
     for length in range(1, max_len + 1):
         prefixes, products = products, {}
         for word in itertools.product(list(cd.vertices), repeat=length):
@@ -818,18 +790,18 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
             for key in depth:
                 avec = cat.xt.exponents(key)
                 ct = coeffs_t.get(key, HalfLaurent.zero())
-                ch = prod_h.get(((0, avec),), UScalar.of(q, 0))
+                ch = prod_h.get(((0, avec),))  # None where zero: a product stores no zero
                 tval = specialize(q, ct) * rescale
-                if ch.is_zero() != tval.is_zero():
+                if (ch is None) != tval.is_zero():
                     consistent = False
                     witnesses.append((word, avec, "support mismatch"))
                     continue
-                if ch.is_zero():
+                if ch is None:
                     continue
                 rho = tval * ch.inverse()
                 if avec not in closed:
                     e2 = 2 * _hom_ext(avec, avec, dh.quiver, q)[0] - dh.euler(avec, avec)
-                    closed[avec] = specialize(q, HalfLaurent.t_power(e2)) * UScalar.of(q, dh.aut(avec)).inverse()
+                    closed[avec] = specialize(q, HalfLaurent.t_power(e2), dh.aut(avec))
                 if rho != closed[avec]:
                     consistent = False
                     witnesses.append((word, avec, "scalar mismatch"))

@@ -123,26 +123,28 @@ class HalfLaurent:
         return sum(self.c.values())
 
     def exact_div(self, other: "HalfLaurent") -> "HalfLaurent | None":
-        """Exact quotient self/other, or None when the division has a remainder."""
+        """Exact quotient self/other, or None when the division has a remainder.
+
+        Long division from the top: each step cancels the top remainder term,
+        so the quotient exponents strictly fall.  An exact quotient has its
+        exponents in [min(self) - min(other), max(self) - max(other)], so the
+        division stops with None at the first exponent below that box."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
             return HalfLaurent()
         lead_e = other.max_exp2()
         lead_c = other.c[lead_e]
+        low = self.min_exp2() - other.min_exp2()
         rem = dict(self.c)
         quot: dict[int, int] = {}
-        # Ordinary long division from the top; Laurent shifts are units.
-        for _ in range(len(self.c) + len(other.c) + abs(self.max_exp2() - self.min_exp2()) + 2):
-            if not rem:
-                return HalfLaurent(quot)
+        while rem:
             e = max(rem)
             v = rem[e]
-            if v % lead_c != 0:
-                return None
-            q = v // lead_c
             qe = e - lead_e
-            quot[qe] = quot.get(qe, 0) + q
+            if qe < low or v % lead_c != 0:
+                return None
+            q = quot[qe] = v // lead_c
             for oe, ov in other.c.items():
                 te = qe + oe
                 w = rem.get(te, 0) - q * ov
@@ -150,7 +152,7 @@ class HalfLaurent:
                     rem[te] = w
                 else:
                     rem.pop(te, None)
-        return None if rem else HalfLaurent(quot)
+        return HalfLaurent._of(quot)
 
     def __repr__(self) -> str:
         return f"HalfLaurent({self.render()})"

@@ -25,6 +25,9 @@ from .qcartan import quantum_cartan
 from .quiver import QuiverContext
 from .torus import TorusElement, YTorus
 
+# R2's inhomogeneous term in K_t, 1 - t^-2.
+BOSON = HalfLaurent({0: 1, -4: -1})
+
 
 class Presentation:
     def __init__(self, qctx: QuiverContext):
@@ -43,11 +46,11 @@ class Presentation:
 
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
         """The relation table among the generators of levels m_lo..m_hi, in
-        their window torus, with boson constant 1 - t^-2."""
+        their window torus, with boson constant `BOSON`."""
         levels = range(m_lo, m_hi + 1)
         yt = self.window(levels)
         gens = {(i, m): self.x_gen(yt, i, m) for m in levels for i in self.cartan.vertices}
-        boson = yt.one().scal(HalfLaurent.one() - HalfLaurent.t_power(-4))
+        boson = yt.one().scal(BOSON)
         return relation_failures(
             self.cartan, levels, lambda i, m: gens[(i, m)], TorusElement.qcommutator, boson
         )

@@ -1,6 +1,8 @@
 import functools
 import heapq
 import itertools
+from fractions import Fraction
+from math import lcm
 from operator import add, xor
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import qgroth.torus as torus
 from qgroth.cartan import SUPPORTED, CartanDatum, ResourceCap, cartan_datum, root_sum
 from qgroth.characters import CategoryQ, expand_in_dominant_basis
-from qgroth.hall import GF, _hom_equations, mat_rank, model_rep, rref
+from qgroth.hall import GF, _hom_equations, mat_rank, model_rep, rref, specialize
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
@@ -401,6 +403,20 @@ def aut_by_enumeration(M) -> int:
     return sum(
         all(mat_rank(M.F, f[v]) == d for v, d in enumerate(M.dims)) for f in homs(M, M)
     )
+
+
+def uscalar(q: int, coeffs=()):
+    """sum_k coeffs[k] x^k in Q[x]/(x^4 - q), x = u^(1/2), from rational
+    coefficients: the Laurent polynomial sum_k (coeffs[k] L) t^(k/2) over L,
+    L the lcm of their denominators, taken into the ring by `specialize`."""
+    fr = [Fraction(c) for c in coeffs]
+    den = lcm(*(f.denominator for f in fr))
+    return specialize(q, HalfLaurent({k: int(f * den) for k, f in enumerate(fr)}), den)
+
+
+def upow(q: int, k: int):
+    """u^k in Q[x]/(x^4 - q), the specialization of t^k."""
+    return specialize(q, HalfLaurent.t_power(2 * k))
 
 
 def iso(quiver, mults=()) -> tuple[int, ...]:

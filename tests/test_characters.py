@@ -177,6 +177,24 @@ def test_a_coefficient_that_is_not_bar_invariant_is_refused(monkeypatch):
         fm_classical(cartan_datum("A2"), 1, 0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qchar", "fundamental", "--type", "A3", "--i", "1", "--p", "4"],
+        ["canonical", "--type", "A3", "--degree-bound", "1"],
+    ],
+    ids=["fundamental", "canonical"],
+)
+def test_a_wrong_fundamental_base_ends_both_readers_in_exit_2(argv, monkeypatch, capsys):
+    # with no sl2 string expanded the base is its top monomial alone, which
+    # has no antidominant monomial: the check on the shift-invariant base
+    # refuses it for `fundamental_tchar` and for canonical's truncations
+    fresh_fm_memo(monkeypatch)
+    monkeypatch.setattr(characters, "sl2_simple_patterns", lambda positions: {(): HalfLaurent.one()})
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith("has unexpected antidominant set []\n")
+
+
 def sl2_class(yt, m, j):
     """E_{j,t}(m) for a j-dominant monomial m, evaluated in the window torus
     yt itself: the product of the j-free part of m with the thin string

@@ -819,6 +819,14 @@ PINNED_STDOUT = [
      "33346936094206d4aa798dc8353fedd025418aade963f49d371e33b940949dda"),
     ("hall relations --type A3 --q 3",
      "0bd535e448238c7dfedd89d45bec6c0fc15e1d640ab428a218bad29d064fadea"),
+    ("hall iota --type A3 --q 2 --format json",
+     "2d87b78b435fb209f2874549ab57d53e90dd71429c18b3ab2977da1150df6a7f"),
+    ("hall iota --type A3 --q 4 --format json",
+     "301b3c945d5db61606a132f81d930405142106ab5146edf5342946cd40f53fcf"),
+    ("hall relations --type A3 --q 2",
+     "0bd535e448238c7dfedd89d45bec6c0fc15e1d640ab428a218bad29d064fadea"),
+    ("hall relations --type A3 --q 4",
+     "0bd535e448238c7dfedd89d45bec6c0fc15e1d640ab428a218bad29d064fadea"),
     ("hall gamma --type A2 --q 2 --x 1 --y 2 --t 2 --w 1",
      "e62245ed5230cf0ff1874aecb9039a8b9a79a427b2b97f2ae9f226730b2dbcc7"),
     ("hall number --type A2 --xi 1,0 --q 2 --x 2 --y 1 --w 1-2",

@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qgroth.hall as hall
+import qgroth.presentation as presentation
 from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ
 from qgroth.hall import (
@@ -14,7 +16,6 @@ from qgroth.hall import (
     DerivedHall,
     Rep,
     ResourceCap,
-    UScalar,
     aut_count,
     check_h_relations,
     constant_identity_holds,
@@ -28,12 +29,22 @@ from qgroth.hall import (
     model_rep,
     specialize,
     toen_gamma,
-    u_power,
 )
 from qgroth.laurent import HalfLaurent
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum, ringel_form
 
-from conftest import aut_by_enumeration, exact_sequence_count, hom_basis, hom_elements, homs, iso, mat_mul, neg
+from conftest import (
+    aut_by_enumeration,
+    exact_sequence_count,
+    hom_basis,
+    hom_elements,
+    homs,
+    iso,
+    mat_mul,
+    neg,
+    upow,
+    uscalar,
+)
 
 
 def a2_quiver():
@@ -339,20 +350,22 @@ def test_gamma_work_is_capped():
 
 def test_uscalar_field():
     for q in (2, 3):
-        u = UScalar.u(q)
-        assert u * u == UScalar.of(q, q)
-        h = UScalar.half_u(q)
+        u = uscalar(q, [0, 0, 1])
+        assert u * u == uscalar(q, [q])
+        h = uscalar(q, [0, 1])
         assert h * h == u
-        x = UScalar(q, [1, 2, 0, 1])
-        assert x * x.inverse() == UScalar.of(q, 1)
-    assert constant_identity_holds(2) and constant_identity_holds(3)
+        x = uscalar(q, [1, 2, 0, 1])
+        assert x * x.inverse() == uscalar(q, [1])
+    assert constant_identity_holds(2) and constant_identity_holds(3) and constant_identity_holds(4)
     # x^4 - 4 = (x^2 - 2)(x^2 + 2): u - 2 is a zero divisor, u^(1/2) a unit
     with pytest.raises(ZeroDivisionError):
-        (UScalar.u(4) - UScalar.of(4, 2)).inverse()
-    h4 = UScalar.half_u(4)
-    assert h4 * h4.inverse() == UScalar.of(4, 1)
-    with pytest.raises(ValueError):
-        UScalar(2, [1, 0, 0, 0, 1])
+        (uscalar(4, [0, 0, 1]) - uscalar(4, [2])).inverse()
+    h4 = uscalar(4, [0, 1])
+    assert h4 * h4.inverse() == uscalar(4, [1])
+    # the one way into the ring takes a positive denominator only
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            specialize(2, HalfLaurent.one(), den)
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,10 +375,10 @@ def test_uscalar_field():
 )
 def test_uscalar_inverse_of_nonzero_elements(q, coeffs):
     # x^4 - q is irreducible over Q for q in {2, 3}: every nonzero element is a unit
-    x = UScalar(q, coeffs)
+    x = uscalar(q, coeffs)
     assume(not x.is_zero())
     inv = x.inverse()
-    assert x * inv == UScalar.of(q, 1) == inv * x
+    assert x * inv == uscalar(q, [1]) == inv * x
 
 
 @settings(max_examples=100, deadline=None)
@@ -375,7 +388,7 @@ def test_uscalar_inverse_of_nonzero_elements(q, coeffs):
 )
 def test_q4_ring_is_not_a_field_but_maps_onto_u_equal_2(a, b):
     # x^4 - 4 = (x^2 - 2)(x^2 + 2): u^2 = 4 but u != 2, and 2 + u is a zero divisor
-    u, two = UScalar.u(4), UScalar.of(4, 2)
+    u, two = uscalar(4, [0, 0, 1]), uscalar(4, [2])
     assert u * u == two * two and u != two
     assert ((two + u) * (two - u)).is_zero()
     with pytest.raises(ZeroDivisionError):
@@ -387,7 +400,7 @@ def test_q4_ring_is_not_a_field_but_maps_onto_u_equal_2(a, b):
         n0, n1, n2, n3 = (Fraction(c, z.d) for c in z.n)
         return n0 + 2 * n2, n1 + 2 * n3  # p + r sqrt 2 as (p, r)
 
-    x, y = UScalar(4, a), UScalar(4, b)
+    x, y = uscalar(4, a), uscalar(4, b)
     (p1, r1), (p2, r2) = at_u_2(x), at_u_2(y)
     assert at_u_2(x * y) == (p1 * p2 + 2 * r1 * r2, p1 * r2 + r1 * p2)
     assert at_u_2(x + y) == (p1 + p2, r1 + r2)
@@ -395,16 +408,48 @@ def test_q4_ring_is_not_a_field_but_maps_onto_u_equal_2(a, b):
 
 
 def test_inverse_of_a_zero_divisor_ends_hall_iota_in_exit_2(monkeypatch, capsys):
-    # with u^-1 replaced by 2, the generator rescaling 1/(u^(1/2)(u - u^-1))
+    # with t^-1 replaced by 2, the generator rescaling 1/(t^(1/2)(t - t^-1))
     # inverts the zero divisor u^(1/2)(u - 2) at q = 4
     import qgroth.hall as hall
     from qgroth.cli import main
 
-    power = hall.u_power
-    monkeypatch.setattr(hall, "u_power", lambda q, k: UScalar.of(q, 2) if k == -1 else power(q, k))
+    monkeypatch.setattr(hall, "RESCALING_INVERSE", HalfLaurent({3: 1, 1: -2}))
     argv = ["hall", "iota", "--type", "A2", "--xi", "2,1", "--q", "4", "--max-len", "1", "--mmax", "0"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "internal check failed: element is not invertible\n"
+
+
+@pytest.mark.parametrize(
+    "module,name,value",
+    [
+        (presentation, "BOSON", HalfLaurent({0: 1, -2: -1})),  # 1 - t^-1
+        (presentation, "BOSON", HalfLaurent({0: 1, -4: -1, -6: 1})),
+        (hall, "RESCALING_INVERSE", HalfLaurent({3: 1, -1: 1})),  # t^(1/2) (t + t^-1)
+        (hall, "RESCALING_INVERSE", HalfLaurent({3: 1})),
+    ],
+)
+def test_a_perturbed_constant_fails_the_constant_identity(module, name, value, monkeypatch, capsys):
+    # the constant identity reads the constants that `verify presentation`,
+    # `hall relations` and `hall iota` use: a change to K_t's boson term or
+    # to the generator rescaling alone leaves every relation row as it was
+    # and fails the identity
+    from qgroth.cli import main
+
+    monkeypatch.setattr(module, name, value)
+    assert main(["hall", "relations", "--type", "A3", "--q", "3"]) == 2
+    assert capsys.readouterr().out == "constant identity: FAIL\nrelation failures: 0\n"
+    if module is presentation:
+        # the same K_t boson term serves the presentation's R2 rows
+        assert main(["verify", "presentation", "--type", "A2", "--m-range", "0..1"]) == 2
+        assert capsys.readouterr().out == "presentation relation failures: 2\n"
+
+
+def test_a_perturbed_hall_boson_fails_the_identity_and_the_r2_rows(monkeypatch, capsys):
+    from qgroth.cli import main
+
+    monkeypatch.setattr(hall, "DH_BOSON_INVERSE", HalfLaurent({6: 1, 2: -2}))
+    assert main(["hall", "relations", "--type", "A3", "--q", "3", "--mmax", "1"]) == 2
+    assert capsys.readouterr().out == "constant identity: FAIL\nrelation failures: 3\n"
 
 
 def _coeffs(x):
@@ -430,7 +475,7 @@ _COEFFS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3]), _COEFFS, _COEFFS, st.integers(-7, 7))
 def test_uscalar_kernel_matches_the_reference_arithmetic(q, a, b, k):
-    x, y = UScalar(q, a), UScalar(q, b)
+    x, y = uscalar(q, a), uscalar(q, b)
     assert _coeffs(x) == a and _coeffs(y) == b
     assert _coeffs(x + y) == [s + t for s, t in zip(a, b)]
     assert _coeffs(x - y) == [s - t for s, t in zip(a, b)]
@@ -444,65 +489,74 @@ def test_uscalar_kernel_matches_the_reference_arithmetic(q, a, b, k):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([2, 3]), _COEFFS, _COEFFS)
 def test_uscalar_form_is_canonical(q, a, b):
-    x, y = UScalar(q, a), UScalar(q, b)
-    half = UScalar.of(q, Fraction(1, 2))
-    for z in (x + y - y, y + x - y, (x * y - y * x) + x, UScalar(q, [2 * c for c in a]) * half):
+    x, y = uscalar(q, a), uscalar(q, b)
+    half = uscalar(q, [Fraction(1, 2)])
+    for z in (x + y - y, y + x - y, (x * y - y * x) + x, uscalar(q, [2 * c for c in a]) * half):
         assert z == x
         assert (z.n, z.d, hash(z)) == (x.n, x.d, hash(x))
     # lowest terms with a positive denominator; zero is (0, 0, 0, 0)/1
     assert x.d > 0 and gcd(*x.n, x.d) == 1
     zero = x - x
     assert zero.is_zero() and (zero.n, zero.d) == ((0, 0, 0, 0), 1)
-    assert zero == UScalar(q) == UScalar.of(q, 0)
-    assert UScalar(q, [Fraction(2, 4), Fraction(6, 3)]) == UScalar(q, [Fraction(1, 2), 2, 0, 0])
+    assert zero == uscalar(q) == uscalar(q, [0])
+    assert uscalar(q, [Fraction(2, 4), Fraction(6, 3)]) == uscalar(q, [Fraction(1, 2), 2, 0, 0])
+    # specialize reduces a denominator that is not in lowest terms
+    assert specialize(q, HalfLaurent({0: 2, 2: 6}), 4) == uscalar(q, [Fraction(1, 2), 0, Fraction(3, 2)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_u_power_is_repeated_multiplication(q):
-    u = UScalar.u(q)
+    u = uscalar(q, [0, 0, 1])
     u_inv = u.inverse()
-    up = down = UScalar.of(q, 1)
+    up = down = uscalar(q, [1])
     for k in range(9):
-        assert u_power(q, k) == up
-        assert u_power(q, -k) == down
+        assert upow(q, k) == up
+        assert upow(q, -k) == down
         up, down = up * u, down * u_inv
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_u_power_is_the_specialization_of_a_power_of_t(q):
+    # t^k goes to u^k = q^(k/2) for even k and q^((k-1)/2) u for odd k
     for k in range(-12, 13):
-        assert u_power(q, k) == specialize(q, HalfLaurent.t_power(2 * k)), k
+        closed = [Fraction(q) ** (k // 2)] if k % 2 == 0 else [0, 0, Fraction(q) ** (k // 2)]
+        assert specialize(q, HalfLaurent.t_power(2 * k)) == uscalar(q, closed), k
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 4]), st.dictionaries(st.integers(-13, 13), st.integers(-5, 5), max_size=6))
-def test_specialize_is_the_evaluation_at_the_half_power_of_u(q, coeffs):
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.dictionaries(st.integers(-13, 13), st.integers(-5, 5), max_size=6),
+    st.integers(1, 12),
+)
+def test_specialize_is_the_evaluation_at_the_half_power_of_u(q, coeffs, den):
     # the reference sends t^(e/2) to the e-th power of u^(1/2), or of its
-    # inverse, by repeated multiplication
+    # inverse, by repeated multiplication; the denominator divides it out
     c = HalfLaurent(coeffs)
-    half = UScalar.half_u(q)
-    expected = UScalar.of(q, 0)
+    half = uscalar(q, [0, 1])
+    expected = uscalar(q)
     for e, v in c.items():
-        power = UScalar.of(q, 1)
+        power = uscalar(q, [1])
         for _ in range(abs(e)):
             power = power * (half if e > 0 else half.inverse())
         expected = expected + power.scale_int(v)
     assert specialize(q, c) == expected
+    assert specialize(q, c, den) * uscalar(q, [den]) == expected
 
 
 def test_uscalar_repr_is_pinned():
     cases = [
-        (UScalar(2, [1, 0, 0, 0]), "1"),
-        (UScalar(2, [0, 0, 0, 0]), "0"),
-        (UScalar(3, [Fraction(1, 2), 0, Fraction(-3, 4), 0]), "1/2 + -3/4*u^(2/2)"),
-        (UScalar(2, [0, 1, 0, Fraction(1, 3)]), "1*u^(1/2) + 1/3*u^(3/2)"),
+        (uscalar(2, [1, 0, 0, 0]), "1"),
+        (uscalar(2, [0, 0, 0, 0]), "0"),
+        (uscalar(3, [Fraction(1, 2), 0, Fraction(-3, 4), 0]), "1/2 + -3/4*u^(2/2)"),
+        (uscalar(2, [0, 1, 0, Fraction(1, 3)]), "1*u^(1/2) + 1/3*u^(3/2)"),
         (
-            UScalar(3, [-2, Fraction(5, 6), Fraction(-1, 6), 7]),
+            uscalar(3, [-2, Fraction(5, 6), Fraction(-1, 6), 7]),
             "-2 + 5/6*u^(1/2) + -1/6*u^(2/2) + 7*u^(3/2)",
         ),
-        (UScalar(2, [0, 0, -1, 0]), "-1*u^(2/2)"),
-        (u_power(3, -3), "1/9*u^(2/2)"),
-        (UScalar(2, [1, 2, 0, 1]).inverse(), "7/23 + -2/23*u^(1/2) + -6/23*u^(2/2) + 5/23*u^(3/2)"),
+        (uscalar(2, [0, 0, -1, 0]), "-1*u^(2/2)"),
+        (upow(3, -3), "1/9*u^(2/2)"),
+        (uscalar(2, [1, 2, 0, 1]).inverse(), "7/23 + -2/23*u^(1/2) + -6/23*u^(2/2) + 5/23*u^(3/2)"),
     ]
     for x, text in cases:
         assert repr(x) == text
@@ -564,7 +618,7 @@ def test_normal_forms_are_tuples():
     nf = dh._normalize(word)
     assert isinstance(nf, tuple) and all(isinstance(t, tuple) for t in nf)
     assert dh._normalize(word) is nf
-    assert dh._normalize(((0, S1),)) == ((((0, S1),), UScalar.of(2, 1)),)
+    assert dh._normalize(((0, S1),)) == ((((0, S1),), uscalar(2, [1])),)
 
 
 def _orientations(cd):
@@ -701,7 +755,7 @@ def test_iota_scalars_are_the_closed_form():
             for a, rho in rep["scalars"].items():
                 end, _ = _hom_ext(a, a, quiver, q)
                 u2 = specialize(q, HalfLaurent.t_power(2 * end - dh.euler(a, a)))
-                assert rho * UScalar.of(q, dh.aut(a)) == u2, a
+                assert rho * uscalar(q, [dh.aut(a)]) == u2, a
 
 
 def test_dh_same_level_and_distant():
@@ -710,7 +764,7 @@ def test_dh_same_level_and_distant():
     z1, z2 = dh.z_simple(1, 0), dh.z_simple(2, 0)
     # same level: z_{S_1} z_{S_2} = u^{<S_2,S_1>} (split only)
     prod = dh.mul(z1, z2)
-    assert prod == {((0, iso(quiv, {(1, 0): 1, (0, 1): 1})),): dh.upow(dh.euler(S2, S1))}
+    assert prod == {((0, iso(quiv, {(1, 0): 1, (0, 1): 1})),): upow(2, dh.euler(S2, S1))}
     # the opposite order also picks up the extension
     prod2 = dh.mul(z2, z1)
     assert set(prod2) == {
@@ -721,7 +775,7 @@ def test_dh_same_level_and_distant():
     za, zb = dh.z_simple(1, 0), dh.z_simple(2, 3)
     aij = -1
     lhs = dh.mul(za, zb)
-    rhs = dh.scal(dh.mul(zb, za), dh.upow((-1) ** 3 * aij))
+    rhs = dh.scal(dh.mul(zb, za), upow(2, (-1) ** 3 * aij))
     assert lhs == rhs
 
 
@@ -730,9 +784,11 @@ def test_dh_boson_specialization():
     for q in (2, 3):
         dh = DerivedHall(a2_quiver(), q)
         zi0, zi1 = dh.z_simple(1, 0), dh.z_simple(1, 1)
-        lhs = dh.add(dh.mul(zi0, zi1), neg(dh.scal(dh.mul(zi1, zi0), dh.upow(-2))))
-        const = dh.upow(-1) * (dh.upow(2) - dh.scalar(1)).inverse()
+        lhs = dh.add(dh.mul(zi0, zi1), neg(dh.scal(dh.mul(zi1, zi0), upow(q, -2))))
+        const = upow(q, -1) * (upow(q, 2) - uscalar(q, [1])).inverse()
         assert lhs == dh.scal(dh.one(), const)
+        # the constant the relation table uses is this one
+        assert specialize(q, hall.DH_BOSON_INVERSE).inverse() == const
 
 
 def test_dh_associativity_spot_checks():
@@ -777,7 +833,7 @@ def test_corrupted_hall_inputs_fail_every_relation_family(monkeypatch):
         hall,
         "relation_failures",
         lambda cd, levels, gen, qcomm, boson: real_table(
-            cd, levels, gen, qcomm, dh.scal(boson, dh.scalar(2))
+            cd, levels, gen, qcomm, dh.scal(boson, uscalar(dh.q, [2]))
         ),
     )
     for name, q in [("A2", 2), ("A3", 3)]:
@@ -792,7 +848,7 @@ def test_nested_serre_element_equals_the_three_term_expansion(name, q):
     # [x, [x, y]_u]_{u^-1} = x^2 y - (u + u^-1) x y x + y x^2, on the simple
     # generators (where both vanish) and on mixed-level sums (where they do not)
     dh = DerivedHall(QuiverDatum.bipartite(cartan_datum(name)), q)
-    mul, upu = dh.mul, dh.upow(1) + dh.upow(-1)
+    mul, upu = dh.mul, upow(q, 1) + upow(q, -1)
 
     def three_terms(x, y):
         out = dh.add(mul(mul(x, x), y), neg(dh.scal(mul(mul(x, y), x), upu)))
@@ -809,8 +865,8 @@ def test_nested_serre_element_equals_the_three_term_expansion(name, q):
     assert nonzero == 2 * len(cd.edges)
     # an odd exponent is a half-integral power of u
     x, y = dh.z_simple(1, 0), dh.z_simple(1, 2)
-    half = UScalar.half_u(q)
-    assert dh.qcommutator(x, y, 3) == dh.add(mul(x, y), neg(dh.scal(mul(y, x), dh.upow(1) * half)))
+    half = uscalar(q, [0, 1])
+    assert dh.qcommutator(x, y, 3) == dh.add(mul(x, y), neg(dh.scal(mul(y, x), upow(q, 1) * half)))
 
 
 @pytest.mark.parametrize("name,xi,q", [("A2", (2, 1), 2), ("A2", (2, 1), 3), ("A3", (2, 3, 2), 2), ("A3", (2, 3, 2), 3)])

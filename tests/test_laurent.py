@@ -87,3 +87,39 @@ def test_division_roundtrip(a, b):
 @given(laurents)
 def test_conj_involution(a):
     assert a.conj().conj() == a
+
+
+def reference_exact_div(a, b):
+    """Long division from the top, bounded by a step count rather than by the
+    quotient's exponent box."""
+    lead_e = b.max_exp2()
+    rem, quot = dict(a.c), {}
+    for _ in range(len(a.c) + len(b.c) + a.max_exp2() - a.min_exp2() + 2):
+        if not rem:
+            return hl(quot)
+        e = max(rem)
+        if rem[e] % b.c[lead_e]:
+            return None
+        q, qe = rem[e] // b.c[lead_e], e - lead_e
+        quot[qe] = quot.get(qe, 0) + q
+        for oe, ov in b.c.items():
+            rem[qe + oe] = rem.get(qe + oe, 0) - q * ov
+            if not rem[qe + oe]:
+                del rem[qe + oe]
+    return None if rem else hl(quot)
+
+
+nonzero = laurents.filter(bool)
+
+
+@given(nonzero, nonzero, st.integers(-20, 20), st.integers(-9, 9).filter(bool))
+def test_division_stops_at_the_exponent_box(a, b, k, c):
+    # on exact products the quotient is a; a product perturbed by one term
+    # c t^(k/2) gives what the step-bounded division gives, and None when b
+    # has two or more terms, since no such b divides a monomial
+    exact, perturbed = a * b, a * b + hl({k: c})
+    assert exact.exact_div(b) == reference_exact_div(exact, b) == a
+    if perturbed:
+        assert perturbed.exact_div(b) == reference_exact_div(perturbed, b)
+        if len(b.c) > 1:
+            assert perturbed.exact_div(b) is None

@@ -10,7 +10,7 @@ from qgroth.presentation import Presentation
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import TorusElement
 
-from conftest import all_orientations, order_depth, reference_relation_failures
+from conftest import all_orientations, order_depth, reference_relation_failures, uscalar
 
 
 def pres_for(name, xi):
@@ -262,7 +262,7 @@ def test_shared_serre_rows_equal_the_nested_table_in_the_derived_hall_algebra(mo
         for q in (2, 3):
             dh = hall.DerivedHall(quiver, q)
             unit = lambda x: dh.add(x, dh.one())  # noqa: E731
-            half = lambda x: dh.scal(x, hall.UScalar.half_u(q))  # noqa: E731
+            half = lambda x: dh.scal(x, uscalar(q, [0, 1]))  # noqa: E731
             monkeypatch.setattr(hall, "relation_failures", compared_table(hall, variant, unit, half, seen))
             hall.check_h_relations(dh, range(3))
             monkeypatch.undo()

@@ -119,3 +119,37 @@ def test_every_library_function_has_a_caller():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert orphans == []
+
+
+def _calls(tree, scope=""):
+    """(enclosing function, called name) of every call by a bare or dotted name."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _calls(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name:
+                found.append((scope, name))
+        found += _calls(node, scope)
+    return found
+
+
+def test_every_hall_scalar_enters_through_specialize():
+    # no module builds a UScalar by its constructor, and the private builder
+    # _reduced is called only by specialize and UScalar's ring operations
+    calls = []
+    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
+        calls += _calls(ast.parse(path.read_text(), str(path)))
+    assert [c for c in calls if c[1] == "UScalar"] == []
+    builders = {scope for scope, name in calls if name == "_reduced"}
+    assert "specialize" in builders
+    assert {s for s in builders if s != "specialize" and not s.startswith("UScalar.")} == set()
+    from qgroth import hall
+
+    for gone in ("__init__", "of", "u", "half_u"):
+        assert gone not in vars(hall.UScalar), gone
+    assert not hasattr(hall, "u_power")
+    assert not hasattr(hall.DerivedHall, "scalar") and not hasattr(hall.DerivedHall, "upow")
