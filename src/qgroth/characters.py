@@ -14,8 +14,8 @@ a time and normalized at the labelling monomial (`ordered_product`).  Simple
 classes are the unique bar-invariant elements unitriangular with strictly
 negative t-powers over the standard basis, solved by Lusztig's lemma once per
 weight space in an order that extends the Nakajima order.  The standard classes
-a simple class involves are those at the dominant monomials of the standard
-classes themselves, collected from its labelling monomial until no new one
+a simple class involves, full or truncated, are those at the dominant keys of
+the standard classes themselves, collected from its label until no new one
 appears; their coefficients are positive, so none cancels out of a product.
 
 Truncated characters live in the rank-r torus attached to an orientation,
@@ -266,27 +266,21 @@ def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     return ordered_product({(0,) * len(a): yt.one()}, a, fundamentals.__getitem__, labels)
 
 
-def dominant_below(yt: YTorus, m: Monomial) -> dict[Monomial, TorusElement]:
-    """The standard class at every dominant monomial the simple class at m can
-    involve, in `Monomial.sort_key` order: the closure of {m} under taking the
-    dominant monomials of the standard classes found.  Their coefficients lie
-    in N[t^(+-1/2)], so no dominant monomial cancels out of a product; each
-    lies below m in the Nakajima order, on m's points or strictly between its
-    least and greatest level."""
-    lo, hi = (m.min_p(), m.max_p()) if m.items else (0, 0)
-    std = {m: standard_tchar(yt, m)}
-    todo = [m]
+def dominant_below(key: int, standard: Callable[[int], TorusElement]) -> dict[int, TorusElement]:
+    """The standard class at every dominant key the simple class at `key` can
+    involve, in either torus and unsorted: the closure of {key} under the
+    dominant keys (`ctx.is_dominant`) of the classes `standard` builds.  Their
+    coefficients lie in N[t^(+-1/2)], so none cancels out of a product.  A bar
+    defect lies in the span of its class's closure, so by Lusztig's lemma the
+    solve over the closure has the simple class as its row at `key`."""
+    std, todo = {key: standard(key)}, [key]
     while todo:
-        for m2 in map(yt.monomial_of, filter(yt.is_dominant, std[todo.pop()].terms)):
-            if m2 in std:
-                continue
-            # A_{i,s}^-1 lowers the levels s +- 1, so only levels strictly
-            # inside m's range can gain a variable
-            if any(not (lo < p < hi or m.exp(i, p)) for i, p in m2.support()):
-                raise CharacterError(f"dominant {m2.render()} lies outside the range of {m.render()}")
-            std[m2] = standard_tchar(yt, m2)
-            todo.append(m2)
-    return dict(sorted(std.items(), key=lambda mx: mx[0].sort_key()))
+        x = std[todo.pop()]
+        for k in filter(x.ctx.is_dominant, x.terms):
+            if k not in std:
+                std[k] = standard(k)
+                todo.append(k)
+    return std
 
 
 def expand_in_dominant_basis(x: TorusElement, basis: dict, depth: dict) -> dict:
@@ -380,11 +374,20 @@ def combine(basis: dict, row: dict) -> TorusElement:
 def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     """t-character of the simple module at m: bar-invariant, unitriangular over
     the standard classes with off-diagonal coefficients in t^-1 Z[t^-1]."""
-    basis, depth = {}, {}
-    for m2, x in dominant_below(yt, m).items():
-        k = yt.key(m2)
-        basis[k], depth[k] = x, sum(yt.a_solve(m * m2.inverse()).values())
-    return combine(basis, bar_invariant_correction(basis, depth)[yt.key(m)])
+    lo, hi = (m.min_p(), m.max_p()) if m.items else (0, 0)
+
+    def standard(k: int) -> TorusElement:
+        m2 = yt.monomial_of(k)
+        # A_{i,s}^-1 lowers the levels s +- 1, so only levels strictly
+        # inside m's range can gain a variable
+        if any(not (lo < p < hi or m.exp(i, p)) for i, p in m2.support()):
+            raise CharacterError(f"dominant {m2.render()} lies outside the range of {m.render()}")
+        return standard_tchar(yt, m2)
+
+    key = yt.key(m)
+    basis = dominant_below(key, standard)
+    depth = {k: sum(yt.a_solve(m * yt.monomial_of(k).inverse()).values()) for k in basis}
+    return combine(basis, bar_invariant_correction(basis, depth)[key])
 
 
 def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
@@ -604,15 +607,9 @@ class CategoryQ:
         )
 
     def truncated_simple(self, a) -> TorusElement:
-        """Bar-inversion over the truncated standard classes below a: the rows
-        of its weight space whose A-column dominates a's entry by entry.  P_ab
-        = 0 outside that Nakajima lower set, so this is row a of the solve
-        over the whole weight space, which can be far larger (515 keys against
-        1 at Y[4,-2]Y[3,-1]Y[1,0]Y[2,0] of D4)."""
-        a = self._dominant_avec(a)
-        rows = self.dominant_pairs(self.root_of(a))
-        col = next(r["a_column"] for r in rows if r["avec"] == a)
-        below = [r["avec"] for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
-        depth = {self.xt.key(b): self.depth(b) for b in below}
-        std = self.standards(depth)
-        return combine(std, bar_invariant_correction(std, depth)[self.xt.key(a)])
+        """Bar-inversion over the truncated standard classes of the closure of
+        a (`dominant_below`), by the linear `depth`: row a of that solve."""
+        key = self.xt.key(self._dominant_avec(a))
+        std = dominant_below(key, lambda k: self.truncated_standard(self.xt.exponents(k)))
+        depth = {k: self.depth(self.xt.exponents(k)) for k in std}
+        return combine(std, bar_invariant_correction(std, depth)[key])

@@ -36,37 +36,19 @@ class QuantumCartan:
     def __init__(self, cartan: CartanDatum):
         self.cartan = cartan
         self.h = cartan.coxeter_number()
-        self._apow: list[tuple[tuple[int, ...], ...]] = [
-            tuple(tuple(1 if i == j else 0 for j in range(cartan.n)) for i in range(cartan.n))
-        ]
         self._table = self._build_table()
         self._n = self._pairing_rows()
 
-    def _adj_power(self, k: int) -> tuple[tuple[int, ...], ...]:
-        adj = self.cartan.adjacency_matrix()
-        n = self.cartan.n
-        while len(self._apow) <= k:
-            prev = self._apow[-1]
-            self._apow.append(
-                tuple(
-                    tuple(sum(prev[i][l] * adj[l][j] for l in range(n)) for j in range(n))
-                    for i in range(n)
-                )
-            )
-        return self._apow[k]
-
     def series_coeff(self, i: int, j: int, m: int) -> int:
-        """Coefficient of z^m in row i, column j of the inverse, by the series route."""
-        if m <= 0:
-            return 0
-        total = 0
+        """Coefficient of z^m in row i, column j of the inverse, by the series
+        route, walking row i of A^k for k < m."""
+        adj, n = self.cartan.adjacency_matrix(), self.cartan.n
+        row, total = [int(l == i - 1) for l in range(n)], 0
         for k in range(m):
-            if (m - 1 - k) % 2 != 0:
-                continue
-            ell = (m - 1 - k) // 2
-            a = self._adj_power(k)[i - 1][j - 1]
-            if a:
-                total += a * (-1) ** ell * comb(k + ell, ell)
+            if (m - 1 - k) % 2 == 0:
+                ell = (m - 1 - k) // 2
+                total += row[j - 1] * (-1) ** ell * comb(k + ell, ell)
+            row = [sum(row[l] * adj[l][c] for l in range(n)) for c in range(n)]
         return total
 
     def series(self, i: int, j: int, m_max: int) -> list[int]:

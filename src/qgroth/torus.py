@@ -10,7 +10,7 @@ X^a X^b = t^(pair/2) X^(a+b) with pair = a^T M b, and the bar involution
 
 Keys.  An exponent vector a is one int in signed base-2^W digits, the first
 variable on top: key(a) = sum_k a_k 2^(W (n-1-k)), every |a_k| < H = 2^(W-1).
-Int order is lex order (on the window, `Monomial.sort_key` order); a product
+Int order is the lex order of exponent vectors, in variable order; a product
 adds keys and an inverse negates; a is dominant iff (key + B) & B == B, B
 holding H in every digit; and a^T M b is the digit at place n-1 of
 form(a) * key(b), where form(a) = sum_k (a^T M)_k 2^(W k).  Forms are
@@ -133,14 +133,6 @@ class Monomial:
 
     def shift_p(self, delta: int) -> "Monomial":
         return Monomial({(i, p + delta): e for (i, p), e in self.items})
-
-    def sort_key(self) -> tuple:
-        """Lex key over the variable axis ordered by (p, i); addition-compatible.
-        Item ((i,p), e) with sign s is the token (s, -s p, -s i, e) and (0,)
-        ends the tuple, so at the first differing item the larger exponent at
-        the earlier variable wins."""
-        sg = [1 if e > 0 else -1 for _, e in self.items]
-        return tuple((s, -s * p, -s * i, e) for s, ((i, p), e) in zip(sg, self.items)) + ((0,),)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.items == other.items

@@ -9,7 +9,14 @@ import pytest
 
 import qgroth.torus as torus
 from qgroth.cartan import SUPPORTED, CartanDatum, ResourceCap, cartan_datum, root_sum
-from qgroth.characters import CategoryQ, expand_in_dominant_basis
+from qgroth.characters import (
+    CategoryQ,
+    bar_invariant_correction,
+    combine,
+    dominant_below,
+    expand_in_dominant_basis,
+    standard_tchar,
+)
 from qgroth.hall import GF, _hom_equations, mat_rank, model_rep, rref, specialize
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
@@ -95,6 +102,35 @@ def avecs_up_to(cat: CategoryQ, bound: int) -> list[tuple[int, ...]]:
     degs = [sum(b) for b in cat.roots]
     ranges = [range(bound // d + 1) for d in degs]
     return [a for a in itertools.product(*ranges) if sum(x * d for x, d in zip(a, degs)) <= bound]
+
+
+def reference_truncated_simple(cat: CategoryQ, a):
+    """The truncated simple class at a by the A-column route: the solve over
+    the rows of a's weight space whose A-column dominates a's entry by entry,
+    a Nakajima lower set read off every decomposition of the weight."""
+    a = tuple(a)
+    rows = cat.dominant_pairs(cat.root_of(a))
+    col = next(r["a_column"] for r in rows if r["avec"] == a)
+    below = [r["avec"] for r in rows if all(r["a_column"].get(k, 0) >= e for k, e in col.items())]
+    depth = {cat.xt.key(b): cat.depth(b) for b in below}
+    std = cat.standards(depth)
+    return combine(std, bar_invariant_correction(std, depth)[cat.xt.key(a)])
+
+
+def standards_below(yt: YTorus, m: Monomial) -> dict:
+    """`dominant_below` at m in the window torus yt, keyed by Monomials."""
+    below = dominant_below(yt.key(m), lambda k: standard_tchar(yt, yt.monomial_of(k)))
+    return {yt.monomial_of(k): x for k, x in below.items()}
+
+
+def sort_key(m: Monomial) -> tuple:
+    """Lex key of a Monomial over the variable axis ordered by (p, i), the
+    order the window keys must follow; addition-compatible.  Item ((i,p), e)
+    with sign s is the token (s, -s p, -s i, e) and (0,) ends the tuple, so at
+    the first differing item the larger exponent at the earlier variable
+    wins."""
+    sg = [1 if e > 0 else -1 for _, e in m.items]
+    return tuple((s, -s * p, -s * i, e) for s, ((i, p), e) in zip(sg, m.items)) + ((0,),)
 
 
 def on_positions(cat: CategoryQ, y):

@@ -11,11 +11,9 @@ import pytest
 from qgroth.cartan import cartan_datum
 from qgroth.characters import (
     CategoryQ,
-    dominant_below,
     fm_classical,
     fundamental_tchar,
     simple_tchar,
-    standard_tchar,
     tsystem_exponents,
 )
 from qgroth.hall import (
@@ -40,6 +38,7 @@ from conftest import (
     in_tinv_ztinv,
     iso,
     on_positions,
+    standards_below,
     truncate,
     wide_torus,
 )
@@ -319,8 +318,7 @@ def test_criterion_11_property_suite():
     from qgroth.characters import expand_in_dominant_basis
 
     m = mon(Y(1, 0), Y(1, 2))
-    cands = dominant_below(yt, m)
-    basis = {c: standard_tchar(yt, c) for c in cands}
+    basis = standards_below(yt, m)
     coeffs = expand_by_monomials(yt, simple_tchar(yt, m), basis)
     assert coeffs[m] == HalfLaurent.one()
     assert all(in_tinv_ztinv(c) for k, c in coeffs.items() if k != m)

@@ -26,7 +26,7 @@ from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, YTorus
 
-from conftest import all_orientations, avecs_up_to, bar, in_tinv_ztinv, order_depth, wide_torus
+from conftest import all_orientations, avecs_up_to, bar, in_tinv_ztinv, order_depth, standards_below, wide_torus
 
 CASES = [
     (name, n, 3)
@@ -134,10 +134,9 @@ def test_simple_tchar_is_bar_invariant_and_unitriangular_on_a3(factors):
         m = m * Monomial.var(i, p)
     simple = simple_tchar(yt, m)
     assert bar(simple) == simple and simple.coeff(yt.key(m)) == HalfLaurent.one()
-    cands = dominant_below(yt, m)
-    basis = {yt.key(c): standard_tchar(yt, c) for c in cands}
-    depth = order_depth(cands, yt.nakajima_leq)
-    coeffs = expand_in_dominant_basis(simple, basis, {yt.key(c): d for c, d in depth.items()})
+    basis = dominant_below(yt.key(m), lambda k: standard_tchar(yt, yt.monomial_of(k)))
+    depth = order_depth(list(basis), lambda k, l: yt.nakajima_leq(yt.monomial_of(k), yt.monomial_of(l)))
+    coeffs = expand_in_dominant_basis(simple, basis, depth)
     assert coeffs.pop(yt.key(m)) == HalfLaurent.one()
     for b, c in coeffs.items():
         assert yt.nakajima_leq(yt.monomial_of(b), m) and in_tinv_ztinv(c), (b, c)
@@ -158,7 +157,7 @@ def test_a_simple_class_builds_only_its_own_row(monkeypatch):
     yt = wide_torus("A3")
     m = Monomial.var(1, 0) * Monomial.var(1, 2) * Monomial.var(1, 4)
     simple = simple_tchar(yt, m)
-    assert len(built) == 1 and len(built[0]) == len(dominant_below(yt, m)) == 4
+    assert len(built) == 1 and len(built[0]) == len(standards_below(yt, m)) == 4
     assert simple.coeff(yt.key(m)) == HalfLaurent.one()
     cat, _ = _spaces("A3", 0, 3)
     a = max(avecs_up_to(cat, 3), key=lambda a: len(cat.depths(cat.root_of(a))))

@@ -27,7 +27,17 @@ from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial
 
-from conftest import a_monomial, all_orientations, bar, boundary_terms, on_positions, truncate
+from conftest import (
+    a_monomial,
+    all_orientations,
+    avecs_up_to,
+    bar,
+    boundary_terms,
+    on_positions,
+    reference_truncated_simple,
+    truncate,
+    wide_torus,
+)
 
 
 def Y(i, p, e=1):
@@ -336,12 +346,69 @@ def test_simple_minuscule_is_completion(ytorus):
 
 
 def test_dominant_below(ytorus):
+    # the closure of a label's key under the dominant keys of the standard
+    # classes built, each key built once
     yt = ytorus("A1")
-    below = dominant_below(yt, mon(Y(1, 0), Y(1, 2)))
-    assert set(below) == {mon(Y(1, 0), Y(1, 2)), Monomial.unit()}
+    built = []
+
+    def standard(k):
+        built.append(k)
+        return standard_tchar(yt, yt.monomial_of(k))
+
+    m = mon(Y(1, 0), Y(1, 2))
+    below = dominant_below(yt.key(m), standard)
+    assert set(below) == {yt.key(m), yt.key(Monomial.unit())} and sorted(built) == sorted(below)
+    assert below[yt.key(m)] == standard_tchar(yt, m)
     yt2 = ytorus("A2")
-    below2 = dominant_below(yt2, mon(Y(1, 0), Y(1, 2)))
-    assert mon(Y(2, 1)) in below2
+    below2 = dominant_below(yt2.key(m), lambda k: standard_tchar(yt2, yt2.monomial_of(k)))
+    assert yt2.key(Y(2, 1)) in below2
+
+
+def test_both_tori_read_one_closure_and_truncation_enumerates_no_weight_space(monkeypatch):
+    # D4 Y[4,-2]Y[3,-1]Y[1,0]Y[2,0]: its weight space has 515 decompositions
+    # into roots, its closure 1 key, so one truncated standard class is built
+    qctx = QuiverContext(QuiverDatum.from_xi(cartan_datum("D4"), (0, 0, 1, 2)))
+    cat = CategoryQ(qctx)
+    a = cat.avec_of(mon(Y(4, -2), Y(3, -1), Y(1, 0), Y(2, 0)))
+    built, closures = [], []
+    real_standard, real_below = CategoryQ.truncated_standard, characters.dominant_below
+
+    def standard(self, b):
+        built.append(tuple(b))
+        return real_standard(self, b)
+
+    def below(key, build):
+        closures.append(key)
+        return real_below(key, build)
+
+    def refuse(*args):
+        raise AssertionError("the weight space was enumerated")
+
+    monkeypatch.setattr(CategoryQ, "truncated_standard", standard)
+    monkeypatch.setattr(characters, "dominant_below", below)
+    monkeypatch.setattr(CategoryQ, "dominant_pairs", refuse)
+    monkeypatch.setattr(characters, "kostant_partitions", refuse)
+    x = cat.truncated_simple(a)
+    assert built == [a] and closures == [cat.xt.key(a)]
+    yt = wide_torus("A3")
+    m = mon(Y(1, 0), Y(2, 1))
+    simple_tchar(yt, m)
+    assert closures == [cat.xt.key(a), yt.key(m)]
+    monkeypatch.undo()
+    assert x == reference_truncated_simple(CategoryQ(qctx), a)
+
+
+@pytest.mark.parametrize("name,degree,count", [("A3", 4, 248), ("A4", 3, 416), ("D4", 3, 424)])
+def test_truncated_simple_matches_the_a_column_route(name, degree, count):
+    # every dominant a up to the weight-degree on every orientation: the
+    # closure's solve equals the solve over the A-column lower set
+    seen = 0
+    for q in all_orientations(name):
+        cat = CategoryQ(QuiverContext(q))
+        for a in avecs_up_to(cat, degree):
+            assert cat.truncated_simple(a) == reference_truncated_simple(cat, a), (name, q.xi, a)
+            seen += 1
+    assert seen == count
 
 
 def test_simple_positivity_and_bar(ytorus):

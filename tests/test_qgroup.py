@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from qgroth import characters
 from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ, CharacterError, fundamental_tchar, standard_tchar
 from qgroth.laurent import HalfLaurent
@@ -23,6 +24,7 @@ from conftest import (
     expand_by_monomials,
     flag_exponent,
     in_tinv_ztinv,
+    standards_below,
     truncate,
     wide_torus,
 )
@@ -228,10 +230,7 @@ def test_unitriangularity_both_transitions(a3, ytorus):
     m = Y(1, 0) * Y(2, 1)
     simple = simple_tchar(yt, m)
     std = standard_tchar(yt, m)
-    from qgroth.characters import dominant_below
-
-    cands = dominant_below(yt, m)
-    basis = {c: standard_tchar(yt, c) for c in cands}
+    basis = standards_below(yt, m)
     coeffs = expand_by_monomials(yt, simple, basis)
     assert coeffs[m] == HalfLaurent.one()
     assert all(in_tinv_ztinv(c) for k, c in coeffs.items() if k != m)
@@ -449,3 +448,56 @@ def test_phi_check_rejects_a_corrupted_pairing(contexts, monkeypatch):
     monkeypatch.setitem(rows, j, bad)
     with pytest.raises(CharacterError, match="pairings disagree at positions 1,6: N = 2, X = 1"):
         CategoryQ(ctx)
+
+
+def three_route_failures(cat: CategoryQ) -> tuple[int, list]:
+    """(pairs, failing pairs) over every minor D(b, d) with b = 0 or matching
+    letters: with i = word[d], s the letters i in (b, d] and p the level of
+    position d, the minor normalized at its leading key must be kr(i, s, p),
+    bar-invariant, and the truncated simple class at that key."""
+    qg, word = QGroupSide(cat), cat.qctx.word.word
+    pairs, failures = 0, []
+    for d in range(1, len(word) + 1):
+        i, p = cat.positions[d - 1]
+        for b in range(d):
+            if b and word[b - 1] != i:
+                continue
+            pairs += 1
+            try:
+                x = qg.minor(b, d)
+                lead = x.leading_key()
+                ((e, v),) = x.coeff(lead).c.items()
+                x = x.tshift(-e)
+                ok = v == 1 and x == cat.kr(i, word[b:d].count(i), p) and bar(x) == x
+                ok = ok and x == cat.truncated_simple(cat.xt.exponents(lead))
+            except ArithmeticError:
+                ok = False
+            if not ok:
+                failures.append((b, d))
+    return pairs, failures
+
+
+@pytest.mark.parametrize("name,pairs", [("A2", 8), ("A3", 38), ("A4", 148), ("A5", 504), ("D4", 192)])
+def test_minors_kr_classes_and_truncated_simples_are_one_element(name, pairs):
+    # three independent routes: the determinantal identity, the T-system and
+    # Lusztig's lemma over the closure, on every orientation
+    seen = 0
+    for q in all_orientations(name):
+        n, failures = three_route_failures(CategoryQ(QuiverContext(q)))
+        assert failures == [], (name, q.xi)
+        seen += n
+    assert seen == pairs
+
+
+@pytest.mark.parametrize("name,failing", [("A2", 2), ("A3", 14)])
+def test_a_moved_t_system_exponent_fails_the_three_routes(monkeypatch, name, failing):
+    # alpha of the T-system moved by 1, gamma kept: each failing pair ends in
+    # a mismatch or an inexact division
+    real = characters.tsystem_exponents
+
+    def moved(qc, i, k):
+        a, g = real(qc, i, k)
+        return a + 1, g
+
+    monkeypatch.setattr(characters, "tsystem_exponents", moved)
+    assert sum(len(three_route_failures(CategoryQ(QuiverContext(q)))[1]) for q in all_orientations(name)) == failing
