@@ -15,9 +15,26 @@ checked levels (`TorusElement.qcommutator`, one pass); U_q(n) at one level,
 on the truncated fundamentals (`QGroupSide.serre_check`); and the derived Hall
 algebra at t = sqrt(q) (`hall.check_h_relations`).  Each caller checks exactly
 the relations among the generators inside its level window.
+
+Translation.  The shift [1] acts on the repetition quiver as
+T: (i, p) -> (nu(i), p + h) and carries the level-m generators onto level
+m + 1, so in K_t a relation between x_{i,m} and x_{j,p} depends only on
+p - m.  `verify_relations` proves this on its own window before using it:
+(a) the pairing is nu-invariant, N(nu i, nu j) = N(i, j) row by row, so T
+preserves every pairing it can be applied to, since N(i,p;j,s) depends on
+(i, j, p - s) only; and (b) for every level m below the top and every vertex
+i, the generator at (i, m + 1) is the image under T of the one at (i, m), key
+by key, no variable leaving the window.  Then T is an isomorphism of quantum
+tori from the variables it keeps in the window onto their images, fixing the
+scalars and so the boson constant, and the row (m, p, i, j) of the table has
+the verdict of the row (lo, lo + p - m, i, j).  Only the rows with m = lo are
+computed, and each failure among them is read off at every level at which
+its translate fits.  When (a) or (b) fails the whole table is computed.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .characters import fundamental_tchar, fundamental_window
 from .laurent import HalfLaurent
@@ -46,20 +63,43 @@ class Presentation:
 
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
         """The relation table among the generators of levels m_lo..m_hi, in
-        their window torus, with boson constant `BOSON`."""
+        their window torus, with boson constant `BOSON`: the rows with
+        m = m_lo and their translates when the shift is proved on the window
+        (module docstring, Translation), else every row."""
         levels = range(m_lo, m_hi + 1)
         yt = self.window(levels)
         gens = {(i, m): self.x_gen(yt, i, m) for m in levels for i in self.cartan.vertices}
         boson = yt.one().scal(BOSON)
-        return relation_failures(
-            self.cartan, levels, lambda i, m: gens[(i, m)], TorusElement.qcommutator, boson
-        )
+        table = partial(relation_failures, self.cartan, levels, lambda i, m: gens[i, m],
+                        TorusElement.qcommutator, boson)
+        if not self._shift_holds(yt, gens, levels):
+            return table()
+        base = table(lower=levels[:1])
+        return [(family, m, m + p - m_lo, i, j)
+                for m in levels for family, _, p, i, j in base if m + p - m_lo <= m_hi]
+
+    def _shift_holds(self, yt: YTorus, gens: dict, levels) -> bool:
+        """Conditions (a) and (b) of the translation lemma on the window."""
+        cd, rows, nu, h = self.cartan, self.qc._n, self.cartan.nu, self.qc.h
+        if any(rows[nu(i)][nu(j)] != rows[i][j] for i in cd.vertices for j in cd.vertices):
+            return False
+        image = [yt.index.get((nu(j), p + h)) for j, p in yt.window]
+        for m in levels[:-1]:
+            for i in cd.vertices:
+                x, y = gens[i, m].terms, gens[i, m + 1].terms
+                if len(x) != len(y):
+                    return False
+                for key, c in x.items():
+                    if y.get(yt.relabel(key, image)) != c:
+                        return False
+        return True
 
 
-def relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
+def relation_failures(cartan, levels, gen, qcomm, boson, lower=None) -> list[tuple]:
     """(family, m, p, i, j) for every defining relation that fails among the
     generators gen(i, m), m in levels, where qcomm(x, y, e) = x y - t^(e/2) y x
-    in the caller's algebra:
+    in the caller's algebra, on the rows with m in `lower` (default: every
+    level), in (m, p, i, j) order:
 
     R1, m = p: [x_i, [x_i, x_j]_t]_{t^-1} = 0 for adjacent i, j and
     [x_i, x_j] = 0 for other i != j (quantum Serre), row (j, i) read off the
@@ -72,7 +112,7 @@ def relation_failures(cartan, levels, gen, qcomm, boson) -> list[tuple]:
         raise ValueError("one level of rank 1: no relation to check")
     a = cartan.cartan_matrix()
     failures, mirror = [], {}
-    for m in levels:
+    for m in levels if lower is None else lower:
         for p in (p for p in levels if p >= m):
             for i in cartan.vertices:
                 for j in cartan.vertices:

@@ -23,6 +23,11 @@ from typing import Optional, Sequence
 from .cartan import CartanDatum, RankMismatch, cartan_datum
 
 
+def _check_rank(cartan: CartanDatum, xi: tuple) -> None:
+    if len(xi) != cartan.n:
+        raise RankMismatch(f"height function of rank {len(xi)} on a diagram of rank {cartan.n}")
+
+
 @dataclass(frozen=True)
 class QuiverDatum:
     cartan: CartanDatum
@@ -34,8 +39,7 @@ class QuiverDatum:
         seen = {frozenset(a) for a in self.arrows}
         if seen != edges or len(self.arrows) != len(edges):
             raise ValueError("arrows must orient every Dynkin edge exactly once")
-        if len(self.xi) != self.cartan.n:
-            raise RankMismatch("height function has wrong rank")
+        _check_rank(self.cartan, self.xi)
         for i, j in self.arrows:
             if self.xi[j - 1] != self.xi[i - 1] - 1:
                 raise ValueError(f"height function violates xi_j = xi_i - 1 on arrow {i}->{j}")
@@ -45,6 +49,7 @@ class QuiverDatum:
     @staticmethod
     def from_xi(cartan: CartanDatum, xi: Sequence[int]) -> "QuiverDatum":
         xi = tuple(xi)
+        _check_rank(cartan, xi)
         arrows = []
         for a, b in cartan.edges:
             if xi[a - 1] - xi[b - 1] == 1:

@@ -208,6 +208,17 @@ class QuantumTorus:
         mask, half = self.mask, self.half
         return tuple(((u >> s) & mask) - half for s in self._place)
 
+    def relabel(self, key: int, image) -> int | None:
+        """The key whose digit at variable image[k] is the digit of `key` at
+        variable k, or None when image[k] is None at a nonzero digit."""
+        out, place = 0, self._place
+        for e, k in zip(self.exponents(key), image):
+            if e:
+                if k is None:
+                    return None
+                out += e << place[k]
+        return out
+
     def pair(self, form: int, key: int) -> int:
         """a^T M b from form(a) and key(b)."""
         return (((form * key + self._pbias) >> self._shift) & self.mask) - self.half

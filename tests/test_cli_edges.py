@@ -406,3 +406,18 @@ def test_remaining_subcommand_edges_end_in_a_documented_exit(argv):
         _unread_flags_are_named(argv, code, err, unread)
     if argv[0] == "qchar":
         _qchar_unread_flags_are_named(argv, code, err)
+
+
+def test_short_height_functions_and_bad_quiver_tokens_are_usage_errors():
+    # a height function is checked for its rank before it is read, and a
+    # malformed --arrows or --xi token is named with its flag
+    for argv, message in [
+        (["canonical", "--type", "A3", "--xi", "0,1"], "height function of rank 2 on a diagram of rank 3"),
+        (
+            ["hall", "iota", "--type", "A3", "--q", "2", "--xi", "0"],
+            "height function of rank 1 on a diagram of rank 3",
+        ),
+        (["canonical", "--type", "A3", "--arrows", "1-2-3"], "--arrows token '1-2-3' is not of the form i-j"),
+        (["canonical", "--type", "A3", "--xi", "1,a"], "--xi token 'a' is not an integer"),
+    ]:
+        assert _run(argv) == (1, "", f"usage error: {message}\n"), argv

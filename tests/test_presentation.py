@@ -1,3 +1,6 @@
+import copy
+import json
+
 import pytest
 
 import qgroth.hall as hall
@@ -128,9 +131,6 @@ def test_normal_ordering_completeness():
 
 
 def test_corrupted_inputs_fail_every_relation_family(monkeypatch):
-    import copy
-
-    import qgroth.presentation as presentation
     from qgroth.torus import Monomial
 
     # one generator with a foreign term
@@ -226,15 +226,65 @@ def serre_rows_of_1(cartan) -> set:
     return {("R1", 0, 0, a, b) for j in cartan.vertices if cartan.adjacent(1, j) for a, b in ((1, j), (j, 1))}
 
 
+def reference_table(pres: Presentation, lo: int, hi: int) -> list[tuple]:
+    """The nested full table over the generators and the boson constant that
+    `verify_relations(lo, hi)` uses."""
+    levels = range(lo, hi + 1)
+    yt = pres.window(levels)
+    gens = {(i, m): pres.x_gen(yt, i, m) for m in levels for i in pres.cartan.vertices}
+    boson = yt.one().scal(presentation.BOSON)
+    gen = lambda i, m: gens[i, m]  # noqa: E731
+    return reference_relation_failures(pres.cartan, levels, gen, TorusElement.qcommutator, boson)
+
+
+def spy_first_levels(monkeypatch) -> list:
+    """Per call of `relation_failures`, its row selection and the levels m of
+    the generators x_{i,m} that it puts first in a q-commutator."""
+    real, calls = presentation.relation_failures, []
+
+    def spy(cartan, levels, gen, qcomm, boson, lower=None):
+        level, firsts = {}, set()
+
+        def gen_(i, m):
+            x = gen(i, m)
+            level[id(x)] = m
+            return x
+
+        def qcomm_(x, y, e):
+            if id(x) in level:
+                firsts.add(level[id(x)])
+            return qcomm(x, y, e)
+
+        calls.append((lower, firsts))
+        return real(cartan, levels, gen_, qcomm_, boson, lower)
+
+    monkeypatch.setattr(presentation, "relation_failures", spy)
+    return calls
+
+
 @pytest.mark.parametrize("variant", ["true", "unit", "shift"])
 def test_shared_serre_rows_equal_the_nested_table_in_k_t(monkeypatch, variant):
     # the unit on x_{1,0} fails both orders of every Serre pair at 1; the
-    # shift fails the boson rows of x_{2,1} and nothing else
+    # shift fails the boson rows of x_{2,1} and nothing else.  Both enter at
+    # the generators, where the shift proof sees them: the whole table runs
+    real = Presentation.x_gen
+
+    def varied(self, yt, i, m):
+        x = real(self, yt, i, m)
+        if variant == "unit" and (i, m) == (1, 0):
+            return x + x.ctx.one()
+        return x.tshift(1) if variant == "shift" and (i, m) == (2, 1) else x
+
+    monkeypatch.setattr(Presentation, "x_gen", varied)
+    calls = spy_first_levels(monkeypatch)
     seen = []
-    monkeypatch.setattr(presentation, "relation_failures", torus_variants(presentation, variant, seen))
     for quiver in QUIVERS:
-        Presentation(QuiverContext(quiver)).verify_relations(0, 2)
-    assert len(seen) == len(QUIVERS)
+        pres = Presentation(QuiverContext(quiver))
+        fails = pres.verify_relations(0, 2)
+        assert fails == reference_table(pres, 0, 2)
+        seen.append(fails)
+    assert len(seen) == len(QUIVERS) == len(calls)
+    assert all(firsts == ({0} if variant == "true" else {0, 1, 2}) for _, firsts in calls)
     for quiver, fails in zip(QUIVERS, seen):
         if variant == "true":
             assert fails == []
@@ -242,6 +292,26 @@ def test_shared_serre_rows_equal_the_nested_table_in_k_t(monkeypatch, variant):
             assert serre_rows_of_1(quiver.cartan) <= set(fails)
         else:
             assert fails == [("R2", 0, 1, 2, 2), ("R2", 1, 2, 2, 2)]
+
+
+CROSS_QUIVERS = QUIVERS + [QuiverDatum.bipartite(cartan_datum(name)) for name in ("A5", "D5")]
+
+
+@pytest.mark.parametrize("quiver", CROSS_QUIVERS, ids=lambda q: f"{q.cartan.kind}{q.cartan.n}{q.xi}")
+@pytest.mark.parametrize("boson", [None, HalfLaurent({0: 1, -4: -1, -6: 1})], ids=["true", "boson"])
+def test_rows_read_off_the_shift_equal_the_nested_full_table(monkeypatch, quiver, boson):
+    # the rows with m = lo and their translates give the full table's list,
+    # in its order; a perturbed boson constant fails every R2 row i = j at
+    # every level, and T fixes it, so the shift proof still holds
+    if boson is not None:
+        monkeypatch.setattr(presentation, "BOSON", boson)
+    calls = spy_first_levels(monkeypatch)
+    pres = Presentation(QuiverContext(quiver))
+    for lo, hi in ((0, 2), (-3, 1), (2, 5)):
+        fails = pres.verify_relations(lo, hi)
+        assert fails == reference_table(pres, lo, hi)
+        assert len(fails) == (0 if boson is None else (hi - lo) * quiver.cartan.n)
+        assert calls.pop() == (range(lo, lo + 1), {lo})
 
 
 @pytest.mark.parametrize("variant", ["true", "unit", "shift"])
@@ -306,9 +376,10 @@ def test_shared_rows_tell_the_two_orders_of_a_pair_apart():
     assert {("R1", 0, 0, 1, 3), ("R1", 0, 0, 3, 1)} <= set(fails)
 
 
-def test_a4_table_multiplies_at_most_5100_term_pairs(monkeypatch):
+def test_a4_table_multiplies_at_most_2600_term_pairs(monkeypatch):
     # each Serre pair is nested around its smaller inner commutator, once for
-    # both orders: 5025 term pairs on this quiver, 9900 nested per ordered pair
+    # both orders, and only the rows of level 0 run: 2575 term pairs on this
+    # quiver, 5025 for the whole table, about 4200 nested per ordered pair
     real, pairs = TorusElement._convolve, []
 
     def spy(self, other, *args):
@@ -318,4 +389,33 @@ def test_a4_table_multiplies_at_most_5100_term_pairs(monkeypatch):
     monkeypatch.setattr(TorusElement, "_convolve", spy)
     quiver = QuiverDatum.from_arrows(cartan_datum("A4"), [(2, 1), (2, 3), (4, 3)])
     assert Presentation(QuiverContext(quiver)).verify_relations(0, 2) == []
-    assert sum(pairs) <= 5100
+    assert sum(pairs) <= 2600
+
+
+def perturb_x22(monkeypatch, pres):
+    """x_{2,2} times t^(1/2), injected where the generators are built."""
+    real, bad = presentation.fundamental_tchar, pres.qctx.phi.generator_position(2, 2)
+    monkeypatch.setattr(
+        presentation, "fundamental_tchar", lambda yt, i, p: real(yt, i, p).tshift(int((i, p) == bad))
+    )
+
+
+def perturb_pairing_row(monkeypatch, pres):
+    """One entry of the row N(1, 1) raised, which nu = (1 3) does not fix."""
+    rows = copy.deepcopy(pres.qc._n)
+    rows[1][1][1] += 1
+    monkeypatch.setattr(pres.qc, "_n", rows)
+
+
+@pytest.mark.parametrize("perturb", [perturb_x22, perturb_pairing_row])
+def test_a_perturbation_the_shift_does_not_carry_fails_through_the_whole_table(monkeypatch, capsys, perturb):
+    # the shift proof fails, so the whole table runs and gives its own list
+    from qgroth.cli import main
+
+    pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
+    perturb(monkeypatch, pres)
+    expected = reference_table(pres, 0, 3)
+    calls = spy_first_levels(monkeypatch)
+    assert main(["verify", "presentation", "--type", "A3", "--m-range", "0..3", "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "failures": [str(f) for f in expected]}
+    assert expected and calls == [(None, {0, 1, 2, 3})]
