@@ -232,12 +232,14 @@ def tsystem_exponents(qc: QuantumCartan, i: int, k: int) -> tuple[Fraction, Frac
 # --------------------------------------------------------------------------
 
 
-def ordered_product(memo: dict, a: tuple, gen: Callable, labels: list) -> TorusElement:
+def ordered_product(memo: dict, a: tuple, gen: Callable, labels: list, keep: bool = True) -> TorusElement:
     """X(a) = gen(0)^a_0 ... gen(r-1)^a_(r-1) normalized so that its label, the
     key sum_k a_k labels[k], carries coefficient exactly 1; `memo` maps exponent
-    vectors to X and holds X(0) = 1.  For the last k with a_k > 0 and b = a -
-    e_k, X(a) = t^(-<b, e_k>/2) X(b) gen(k), <b, e_k> the torus pairing of the
-    labels of X(b) and gen(k), which carry 1 and alone reach the label of a."""
+    vectors to X and holds X(0) = 1, and with `keep` every product built on the
+    way is stored in it (without, only the running product is held).  For the
+    last k with a_k > 0 and b = a - e_k, X(a) = t^(-<b, e_k>/2) X(b) gen(k),
+    <b, e_k> the torus pairing of the labels of X(b) and gen(k), which carry 1
+    and alone reach the label of a."""
     chain, b = [], a  # the indices stripped from a, last one first, down to a memoised vector
     while b not in memo:
         k = max(j for j, x in enumerate(b) if x > 0)
@@ -249,21 +251,22 @@ def ordered_product(memo: dict, a: tuple, gen: Callable, labels: list) -> TorusE
         key, b = key + labels[k], b[:k] + (b[k] + 1,) + b[k + 1 :]
         if not x.coeff(key).is_one():
             raise CharacterError(f"the ordered product at {b} does not carry coefficient 1 at its label")
-        memo[b] = x
+        if keep:
+            memo[b] = x
     return x
 
 
 def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
     """t-character of the standard module at the dominant monomial m: the
     ordered product, top level leftmost and ties by vertex, of the fundamental
-    t-characters at the points of m, normalized at m."""
+    t-characters at the points of m, normalized at m; no prefix of it is kept."""
     if not m.is_dominant():
         raise ValueError("standard modules are labelled by dominant monomials")
     points = sorted(m.support(), key=lambda ip: (-ip[1], ip[0]))
     fundamentals = [fundamental_tchar(yt, i, p) for i, p in points]
     labels = [yt.key(Monomial.var(i, p)) for i, p in points]
     a = tuple(m.exp(i, p) for i, p in points)
-    return ordered_product({(0,) * len(a): yt.one()}, a, fundamentals.__getitem__, labels)
+    return ordered_product({(0,) * len(a): yt.one()}, a, fundamentals.__getitem__, labels, keep=False)
 
 
 def dominant_below(key: int, standard: Callable[[int], TorusElement]) -> dict[int, TorusElement]:

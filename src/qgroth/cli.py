@@ -39,10 +39,10 @@ from .torus import Monomial
 
 
 def _parse_quiver(args, cartan: CartanDatum) -> QuiverDatum:
-    if getattr(args, "xi", None):
+    if getattr(args, "xi", None) is not None:
         xi = [_parse_int(tok, "--xi", "an integer") for tok in args.xi.split(",")]
         return QuiverDatum.from_xi(cartan, xi)
-    if getattr(args, "arrows", None):
+    if getattr(args, "arrows", None) is not None:
         arrows = [_parse_int(tok, "--arrows", "of the form i-j", "-") for tok in args.arrows.split(",")]
         return QuiverDatum.from_arrows(cartan, arrows)
     return QuiverDatum.bipartite(cartan)
@@ -60,12 +60,15 @@ def _parse_int(tok: str, flag: str, form: str, sep: str | None = None):
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
-    """An integer range written lo..hi."""
+    """A nonempty integer range written lo..hi."""
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ValueError(f"{flag} must be lo..hi with integer ends, got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"{flag} {text} is an empty range")
+    return lo, hi
 
 
 def _parse_monomial(text: str) -> Monomial:
@@ -184,7 +187,7 @@ def cmd_phi(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     lo, hi = _parse_range(args.window, "--window")
-    _check_table((cd.n + 3) * cd.n * max(hi - lo + 2, 0) // 2, "phi")
+    _check_table((cd.n + 3) * cd.n * (hi - lo + 2) // 2, "phi")
     ctx = QuiverContext(quiver)
     table = [
         (i, p, *ctx.phi.phi(i, p)) for i in cd.vertices for p in range(lo, hi + 1) if quiver.in_ihat(i, p)

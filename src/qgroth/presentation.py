@@ -16,25 +16,29 @@ on the truncated fundamentals (`QGroupSide.serre_check`); and the derived Hall
 algebra at t = sqrt(q) (`hall.check_h_relations`).  Each caller checks exactly
 the relations among the generators inside its level window.
 
-Translation.  The shift [1] acts on the repetition quiver as
-T: (i, p) -> (nu(i), p + h) and carries the level-m generators onto level
-m + 1, so in K_t a relation between x_{i,m} and x_{j,p} depends only on
-p - m.  `verify_relations` proves this on its own window before using it:
-(a) the pairing is nu-invariant, N(nu i, nu j) = N(i, j) row by row, so T
-preserves every pairing it can be applied to, since N(i,p;j,s) depends on
+Translation.  The shift [1] is an autoequivalence of the derived category
+and carries the level-m generators onto level m + 1, so a relation between
+levels m and p depends only on p - m, in K_t as in DH(Q).  `relation_failures`
+owns the one read-off: when its caller has proved the shift on its
+generators, it computes only the rows with m = lo and reads each failure
+among them off at every level at which its translate fits, in the full
+table's order; otherwise it computes the whole table.  Each caller brings
+its own proof.  In K_t, [1] acts on the repetition quiver as
+T: (i, p) -> (nu(i), p + h), and `verify_relations` proves on its window
+that (a) the pairing is nu-invariant, N(nu i, nu j) = N(i, j) row by row, so
+T preserves every pairing it can be applied to, since N(i,p;j,s) depends on
 (i, j, p - s) only; and (b) for every level m below the top and every vertex
-i, the generator at (i, m + 1) is the image under T of the one at (i, m), key
-by key, no variable leaving the window.  Then T is an isomorphism of quantum
-tori from the variables it keeps in the window onto their images, fixing the
-scalars and so the boson constant, and the row (m, p, i, j) of the table has
-the verdict of the row (lo, lo + p - m, i, j).  Only the rows with m = lo are
-computed, and each failure among them is read off at every level at which
-its translate fits.  When (a) or (b) fails the whole table is computed.
+i, the generator at (i, m + 1) is the image under T of the one at (i, m),
+key by key, no variable leaving the window.  Then T is an isomorphism of
+quantum tori from the variables it keeps in the window onto their images,
+fixing the scalars and so the boson constant.  In DH(Q),
+`hall.check_h_relations` rests on (a) the rewriting rules reading levels
+only through their differences, so that raising every level by one is an
+automorphism fixing the boson term, and (b) a check on every request that
+z_{S_i}^[m+1] is z_{S_i}^[m] raised by one level.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .characters import fundamental_tchar, fundamental_window
 from .laurent import HalfLaurent
@@ -63,20 +67,17 @@ class Presentation:
 
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
         """The relation table among the generators of levels m_lo..m_hi, in
-        their window torus, with boson constant `BOSON`: the rows with
-        m = m_lo and their translates when the shift is proved on the window
-        (module docstring, Translation), else every row."""
+        their window torus, with boson constant `BOSON`, read off the rows
+        with m = m_lo when the shift is proved on the window (module
+        docstring, Translation)."""
         levels = range(m_lo, m_hi + 1)
         yt = self.window(levels)
         gens = {(i, m): self.x_gen(yt, i, m) for m in levels for i in self.cartan.vertices}
         boson = yt.one().scal(BOSON)
-        table = partial(relation_failures, self.cartan, levels, lambda i, m: gens[i, m],
-                        TorusElement.qcommutator, boson)
-        if not self._shift_holds(yt, gens, levels):
-            return table()
-        base = table(lower=levels[:1])
-        return [(family, m, m + p - m_lo, i, j)
-                for m in levels for family, _, p, i, j in base if m + p - m_lo <= m_hi]
+        translated = self._shift_holds(yt, gens, levels)
+        return relation_failures(
+            self.cartan, levels, lambda i, m: gens[i, m], TorusElement.qcommutator, boson, translated
+        )
 
     def _shift_holds(self, yt: YTorus, gens: dict, levels) -> bool:
         """Conditions (a) and (b) of the translation lemma on the window."""
@@ -95,24 +96,34 @@ class Presentation:
         return True
 
 
-def relation_failures(cartan, levels, gen, qcomm, boson, lower=None) -> list[tuple]:
+def relation_failures(cartan, levels, gen, qcomm, boson, translated=False) -> list[tuple]:
     """(family, m, p, i, j) for every defining relation that fails among the
     generators gen(i, m), m in levels, where qcomm(x, y, e) = x y - t^(e/2) y x
-    in the caller's algebra, on the rows with m in `lower` (default: every
-    level), in (m, p, i, j) order:
+    in the caller's algebra, in (m, p, i, j) order:
 
     R1, m = p: [x_i, [x_i, x_j]_t]_{t^-1} = 0 for adjacent i, j and
     [x_i, x_j] = 0 for other i != j (quantum Serre), row (j, i) read off the
     inner commutator of row (i, j), i < j;
     R2, p = m + 1: [x_{i,m}, x_{j,p}]_{t^-a_ij} = delta_ij boson (deformed boson);
-    R3, p > m + 1: [x_{i,m}, x_{j,p}]_{t^((-1)^(p-m) a_ij)} = 0 (t-commutation)."""
+    R3, p > m + 1: [x_{i,m}, x_{j,p}]_{t^((-1)^(p-m) a_ij)} = 0 (t-commutation).
+
+    `translated` is set only by a caller that has proved that raising the
+    level by one is an isomorphism carrying gen(i, m) onto gen(i, m + 1) and
+    fixing the boson constant (module docstring, Translation).  Then the row
+    (m, p, i, j) has the verdict of the row (lo, lo + p - m, i, j): only the
+    rows with m = lo are computed, and each failure (lo, lo + d) among them
+    is read off at every level m with m + d <= hi, when `levels` are
+    consecutive; on any other levels every row is computed."""
     if not levels:
         raise ValueError("empty level range: no relation to check")
     if len(levels) == 1 and cartan.n == 1:
         raise ValueError("one level of rank 1: no relation to check")
+    lo, hi = levels[0], levels[-1]
+    # the read-off steps one level at a time: other level sets get every row
+    translated = translated and list(levels) == list(range(lo, hi + 1))
     a = cartan.cartan_matrix()
     failures, mirror = [], {}
-    for m in levels if lower is None else lower:
+    for m in levels[:1] if translated else levels:
         for p in (p for p in levels if p >= m):
             for i in cartan.vertices:
                 for j in cartan.vertices:
@@ -133,4 +144,6 @@ def relation_failures(cartan, levels, gen, qcomm, boson, lower=None) -> list[tup
                     if bad:
                         family = "R1" if p == m else "R2" if p == m + 1 else "R3"
                         failures.append((family, m, p, i, j))
-    return failures
+    if not translated:
+        return failures
+    return [(family, m, m + p - lo, i, j) for m in levels for family, _, p, i, j in failures if m + p - lo <= hi]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -326,6 +327,24 @@ def test_standard_rank1_contains_tinv(ytorus):
     std = standard_tchar(yt, m)
     assert std.coeff(yt.key(m)) == HalfLaurent.one()
     assert std.coeff(yt.key(Monomial.unit())) == HalfLaurent.t_power(-2)
+
+
+def test_standard_class_holds_only_its_running_product():
+    # Y[1,0]^30 on A1: a memo of every prefix peaks at about 3.0 MB of traced
+    # memory, the running product alone at about 0.9 MB; both give one class
+    qc = quantum_cartan(cartan_datum("A1"))
+    m = Monomial({(1, 0): 30})
+    yt = characters.fundamental_window(qc, m.support())
+    tracemalloc.start()
+    try:
+        std = standard_tchar(yt, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+    memo = {(0,): yt.one()}
+    assert std == characters.ordered_product(memo, (30,), lambda k: fundamental_tchar(yt, 1, 0), [yt.key(Y(1, 0))])
+    assert len(memo) == 31
 
 
 def test_simple_rank1(ytorus):

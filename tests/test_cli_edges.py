@@ -419,5 +419,20 @@ def test_short_height_functions_and_bad_quiver_tokens_are_usage_errors():
         ),
         (["canonical", "--type", "A3", "--arrows", "1-2-3"], "--arrows token '1-2-3' is not of the form i-j"),
         (["canonical", "--type", "A3", "--xi", "1,a"], "--xi token 'a' is not an integer"),
+        # an empty value is a token too, not a missing orientation
+        (["canonical", "--type", "A2", "--xi", ""], "--xi token '' is not an integer"),
+        (["canonical", "--type", "A2", "--arrows="], "--arrows token '' is not of the form i-j"),
+        (["hall", "relations", "--type", "A2", "--q", "2", "--xi="], "--xi token '' is not an integer"),
+    ]:
+        assert _run(argv) == (1, "", f"usage error: {message}\n"), argv
+
+
+def test_empty_ranges_are_usage_errors_that_name_their_flag():
+    # phi and verify presentation follow one rule: a range lo..hi with
+    # hi < lo selects nothing
+    for argv, message in [
+        (["phi", "--type", "A2", "--window=5..-5"], "--window 5..-5 is an empty range"),
+        (["phi", "--type", "D4", "--window", "1..0", "--format", "json"], "--window 1..0 is an empty range"),
+        (["verify", "presentation", "--type", "A2", "--m-range=5..-5"], "--m-range 5..-5 is an empty range"),
     ]:
         assert _run(argv) == (1, "", f"usage error: {message}\n"), argv

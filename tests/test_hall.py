@@ -621,6 +621,28 @@ def test_normal_forms_are_tuples():
     assert dh._normalize(((0, S1),)) == ((((0, S1),), uscalar(2, [1])),)
 
 
+_ISOS = st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1), (2, 0, 0)])
+
+
+@functools.cache
+def _a2_hall(q):
+    return DerivedHall(a2_quiver(), q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(st.tuples(st.integers(-2, 2), _ISOS), max_size=3).map(tuple),
+    st.integers(-3, 3),
+)
+def test_raising_every_level_commutes_with_the_normal_form(q, word, k):
+    # the rewriting reads levels only through their differences and parity,
+    # so the shift [k] carries a word's normal form onto the normal form of
+    # the shifted word, term by term and in order
+    dh, raised = _a2_hall(q), hall._raised
+    assert dh._normalize(raised(word, k)) == tuple((raised(w, k), c) for w, c in dh._normalize(word))
+
+
 def _orientations(cd):
     for flips in itertools.product((False, True), repeat=len(cd.edges)):
         yield QuiverDatum.from_arrows(
@@ -826,16 +848,10 @@ def test_corrupted_hall_inputs_fail_every_relation_family(monkeypatch):
         dh, "z_simple", lambda i, m: dh.add(real(i, m), dh.one()) if (i, m) == (1, 0) else real(i, m)
     )
     assert {f[0] for f in check_h_relations(dh, range(3))} == {"R1", "R2", "R3"}
-    # the boson constant doubled: exactly the rows R2 with i = j fail, and a
-    # one-level window (hall relations --mmax 0) checks no R2 row at all
-    real_table = hall.relation_failures
-    monkeypatch.setattr(
-        hall,
-        "relation_failures",
-        lambda cd, levels, gen, qcomm, boson: real_table(
-            cd, levels, gen, qcomm, dh.scal(boson, uscalar(dh.q, [2]))
-        ),
-    )
+    # the boson constant halved, by doubling its inverse: exactly the rows R2
+    # with i = j fail, and a one-level window (hall relations --mmax 0)
+    # checks no R2 row at all
+    monkeypatch.setattr(hall, "DH_BOSON_INVERSE", HalfLaurent({6: 2, 2: -2}))
     for name, q in [("A2", 2), ("A3", 3)]:
         dh = DerivedHall(QuiverDatum.bipartite(cartan_datum(name)), q)
         fails = check_h_relations(dh, range(3))

@@ -187,23 +187,28 @@ def test_qcommutator_equals_the_two_products_where_pairs_cancel():
         assert r2_same and all(cancel < total for cancel, total in r2_same)
 
 
+def varied_gen(variant: str, levels, gen, unit, half):
+    """gen, with gen(1, 0) plus the unit (unit(x)) for variant "unit", or
+    gen(2, m) at the middle level m times t^(1/2) (half(x)) for "shift"."""
+    middle = (2, levels[len(levels) // 2])
+
+    def varied(i, m):
+        x = gen(i, m)
+        if variant == "unit" and (i, m) == (1, 0):
+            return unit(x)
+        return half(x) if variant == "shift" and (i, m) == middle else x
+
+    return varied
+
+
 def compared_table(module, variant: str, unit, half, seen: list):
-    """module.relation_failures, asserting that it returns the list of the
-    reference table with one nested commutator per ordered pair.  Per
-    variant, gen(1, 0) has the unit added (unit(x)), or gen(2, m) at the
-    middle level m is multiplied by t^(1/2) (half(x)).  Each list goes to
-    seen."""
+    """module.relation_failures on the generators of `varied_gen`, asserting
+    that it returns the list of the reference table with one nested
+    commutator per ordered pair.  Each list goes to seen."""
     real = module.relation_failures
 
     def table(cartan, levels, gen, qcomm, boson):
-        middle = (2, levels[len(levels) // 2])
-
-        def varied(i, m):
-            x = gen(i, m)
-            if variant == "unit" and (i, m) == (1, 0):
-                return unit(x)
-            return half(x) if variant == "shift" and (i, m) == middle else x
-
+        varied = varied_gen(variant, levels, gen, unit, half)
         fails = real(cartan, levels, varied, qcomm, boson)
         assert fails == reference_relation_failures(cartan, levels, varied, qcomm, boson)
         seen.append(fails)
@@ -237,12 +242,13 @@ def reference_table(pres: Presentation, lo: int, hi: int) -> list[tuple]:
     return reference_relation_failures(pres.cartan, levels, gen, TorusElement.qcommutator, boson)
 
 
-def spy_first_levels(monkeypatch) -> list:
-    """Per call of `relation_failures`, its row selection and the levels m of
-    the generators x_{i,m} that it puts first in a q-commutator."""
-    real, calls = presentation.relation_failures, []
+def spy_first_levels(monkeypatch, module=presentation) -> list:
+    """Per call of `module.relation_failures`, whether it read its rows off
+    the shift and the levels m of the generators x_{i,m} that it puts first
+    in a q-commutator."""
+    real, calls = module.relation_failures, []
 
-    def spy(cartan, levels, gen, qcomm, boson, lower=None):
+    def spy(cartan, levels, gen, qcomm, boson, translated=False):
         level, firsts = {}, set()
 
         def gen_(i, m):
@@ -255,10 +261,10 @@ def spy_first_levels(monkeypatch) -> list:
                 firsts.add(level[id(x)])
             return qcomm(x, y, e)
 
-        calls.append((lower, firsts))
-        return real(cartan, levels, gen_, qcomm_, boson, lower)
+        calls.append((translated, firsts))
+        return real(cartan, levels, gen_, qcomm_, boson, translated)
 
-    monkeypatch.setattr(presentation, "relation_failures", spy)
+    monkeypatch.setattr(module, "relation_failures", spy)
     return calls
 
 
@@ -284,7 +290,7 @@ def test_shared_serre_rows_equal_the_nested_table_in_k_t(monkeypatch, variant):
         assert fails == reference_table(pres, 0, 2)
         seen.append(fails)
     assert len(seen) == len(QUIVERS) == len(calls)
-    assert all(firsts == ({0} if variant == "true" else {0, 1, 2}) for _, firsts in calls)
+    assert all(call == (variant == "true", {0} if variant == "true" else {0, 1, 2}) for call in calls)
     for quiver, fails in zip(QUIVERS, seen):
         if variant == "true":
             assert fails == []
@@ -311,7 +317,7 @@ def test_rows_read_off_the_shift_equal_the_nested_full_table(monkeypatch, quiver
         fails = pres.verify_relations(lo, hi)
         assert fails == reference_table(pres, lo, hi)
         assert len(fails) == (0 if boson is None else (hi - lo) * quiver.cartan.n)
-        assert calls.pop() == (range(lo, lo + 1), {lo})
+        assert calls.pop() == (True, {lo})
 
 
 @pytest.mark.parametrize("variant", ["true", "unit", "shift"])
@@ -325,25 +331,74 @@ def test_shared_serre_rows_equal_the_nested_table_in_u_q_n(monkeypatch, variant)
         assert fails == sorted(serre_rows_of_1(quiver.cartan)) if variant == "unit" else fails == []
 
 
+DH_QUIVERS = [q for name in ("A2", "A3") for q in all_orientations(name)]
+
+
+def dh_boson(dh) -> dict:
+    """The boson constant of `hall.check_h_relations` on dh."""
+    return dh.scal(dh.one(), hall.specialize(dh.q, hall.DH_BOSON_INVERSE).inverse())
+
+
 @pytest.mark.parametrize("variant", ["true", "unit", "shift"])
 def test_shared_serre_rows_equal_the_nested_table_in_the_derived_hall_algebra(monkeypatch, variant):
-    seen, quivers = [], [q for name in ("A2", "A3") for q in all_orientations(name)]
-    for quiver in quivers:
+    # the unit on z_{1,0} fails both orders of every Serre pair at 1; the
+    # u^(1/2) on z_{2,1} fails the boson rows of z_{2,1} and nothing else.
+    # Both enter at dh.z_simple, where the shift proof sees them: the whole
+    # table runs
+    seen, levels = [], range(3)
+    calls = spy_first_levels(monkeypatch, hall)
+    for quiver in DH_QUIVERS:
         for q in (2, 3):
             dh = hall.DerivedHall(quiver, q)
             unit = lambda x: dh.add(x, dh.one())  # noqa: E731
             half = lambda x: dh.scal(x, uscalar(q, [0, 1]))  # noqa: E731
-            monkeypatch.setattr(hall, "relation_failures", compared_table(hall, variant, unit, half, seen))
-            hall.check_h_relations(dh, range(3))
-            monkeypatch.undo()
-    assert len(seen) == 2 * len(quivers)
-    for quiver, fails in zip((q for q in quivers for _ in (2, 3)), seen):
+            dh.z_simple = varied_gen(variant, levels, dh.z_simple, unit, half)
+            fails = hall.check_h_relations(dh, levels)
+            assert fails == reference_relation_failures(dh.cartan, levels, dh.z_simple, dh.qcommutator, dh_boson(dh))
+            seen.append(fails)
+    assert len(seen) == 2 * len(DH_QUIVERS) == len(calls)
+    assert all(call == (variant == "true", {0} if variant == "true" else {0, 1, 2}) for call in calls)
+    for quiver, fails in zip((q for q in DH_QUIVERS for _ in (2, 3)), seen):
         if variant == "true":
             assert fails == []
         elif variant == "unit":
             assert serre_rows_of_1(quiver.cartan) <= set(fails)
         else:
             assert fails == [("R2", 0, 1, 2, 2), ("R2", 1, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("quiver", DH_QUIVERS, ids=lambda q: f"{q.cartan.kind}{q.cartan.n}{q.arrows}")
+@pytest.mark.parametrize("boson_inverse", [None, HalfLaurent({6: 2, 2: -2})], ids=["true", "boson"])
+def test_dh_rows_read_off_the_shift_equal_the_nested_full_table(monkeypatch, quiver, boson_inverse):
+    # on levels range(L), L = 1..4, the rows with m = 0 and their translates
+    # give the full table's list, in its order; a perturbed boson term fails
+    # every R2 row i = j at every level, and the shift fixes it, so the
+    # shift proof still holds and only the rows with m = 0 run
+    if boson_inverse is not None:
+        monkeypatch.setattr(hall, "DH_BOSON_INVERSE", boson_inverse)
+    calls = spy_first_levels(monkeypatch, hall)
+    for q in (2, 3):
+        dh = hall.DerivedHall(quiver, q)
+        for size in range(1, 5):
+            levels = range(size)
+            fails = hall.check_h_relations(dh, levels)
+            assert fails == reference_relation_failures(dh.cartan, levels, dh.z_simple, dh.qcommutator, dh_boson(dh))
+            boson_rows = [("R2", m, m + 1, i, i) for m in levels[:-1] for i in dh.cartan.vertices]
+            assert fails == ([] if boson_inverse is None else boson_rows)
+            assert calls.pop() == (True, {0})
+
+
+def test_levels_that_skip_a_level_get_every_row(monkeypatch):
+    # the read-off steps one level at a time, so on levels 0, 2, 3 the proved
+    # shift is not used: every row runs and the list is the full table's
+    monkeypatch.setattr(hall, "DH_BOSON_INVERSE", HalfLaurent({6: 2, 2: -2}))
+    calls = spy_first_levels(monkeypatch, hall)
+    dh = hall.DerivedHall(QuiverDatum.bipartite(cartan_datum("A2")), 2)
+    levels = [0, 2, 3]
+    fails = hall.check_h_relations(dh, levels)
+    assert fails == reference_relation_failures(dh.cartan, levels, dh.z_simple, dh.qcommutator, dh_boson(dh))
+    assert fails == [("R2", 2, 3, i, i) for i in dh.cartan.vertices]
+    assert calls == [(True, {0, 2, 3})]
 
 
 def matrix_product(x: dict, y: dict) -> dict:
@@ -418,4 +473,27 @@ def test_a_perturbation_the_shift_does_not_carry_fails_through_the_whole_table(m
     calls = spy_first_levels(monkeypatch)
     assert main(["verify", "presentation", "--type", "A3", "--m-range", "0..3", "--format", "json"]) == 2
     assert json.loads(capsys.readouterr().out) == {"ok": False, "failures": [str(f) for f in expected]}
-    assert expected and calls == [(None, {0, 1, 2, 3})]
+    assert expected and calls == [(False, {0, 1, 2, 3})]
+
+
+@pytest.mark.parametrize("variant", ["unit", "shift"])
+def test_a_one_level_z_simple_perturbation_fails_through_the_whole_table(monkeypatch, capsys, variant):
+    # the shift proof of check_h_relations fails, so hall relations computes
+    # the whole table, gives its list and exits 2
+    from qgroth.cli import main
+
+    real, levels = hall.DerivedHall.z_simple, range(4)
+
+    def varied(dh, i, m):
+        unit = lambda x: dh.add(x, dh.one())  # noqa: E731
+        half = lambda x: dh.scal(x, uscalar(dh.q, [0, 1]))  # noqa: E731
+        return varied_gen(variant, levels, lambda i, m: real(dh, i, m), unit, half)(i, m)
+
+    monkeypatch.setattr(hall.DerivedHall, "z_simple", varied)
+    dh = hall.DerivedHall(QuiverDatum.bipartite(cartan_datum("A3")), 3)
+    expected = reference_relation_failures(dh.cartan, levels, dh.z_simple, dh.qcommutator, dh_boson(dh))
+    calls = spy_first_levels(monkeypatch, hall)
+    assert main(["hall", "relations", "--type", "A3", "--q", "3", "--format", "json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"constant_identity": True, "failures": [list(map(str, f)) for f in expected]}
+    assert expected and calls == [(False, {0, 1, 2, 3})]

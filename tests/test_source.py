@@ -51,27 +51,44 @@ def _is_digit_read(node) -> bool:
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def digit_loops(tree, scope=""):
-    """The enclosing function of every loop or comprehension that reads key
-    digits one at a time."""
+def loops_holding(tree, holds, scope=""):
+    """The enclosing function of every loop or comprehension that holds a
+    node for which holds(node) is true."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += digit_loops(node, f"{scope}.{node.name}".lstrip("."))
-        elif isinstance(node, LOOPS) and any(map(_is_digit_read, ast.walk(node))):
+            found += loops_holding(node, holds, f"{scope}.{node.name}".lstrip("."))
+        elif isinstance(node, LOOPS) and any(map(holds, ast.walk(node))):
             found.append(scope)
         else:
-            found += digit_loops(node, scope)
+            found += loops_holding(node, holds, scope)
+    return found
+
+
+def library_loops_holding(holds) -> list:
+    """(file, enclosing function) of every library loop holding a node for
+    which holds(node) is true."""
+    found = []
+    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
+        found += [(path.name, scope) for scope in loops_holding(ast.parse(path.read_text(), str(path)), holds)]
     return found
 
 
 def test_keys_leave_a_torus_only_through_exponents():
     # one read-back path: a second digit loop would bypass the one-call
     # struct read of 16-bit keys
-    found = []
-    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
-        found += [(path.name, scope) for scope in digit_loops(ast.parse(path.read_text(), str(path)))]
-    assert found == [("torus.py", "QuantumTorus.exponents")]
+    assert library_loops_holding(_is_digit_read) == [("torus.py", "QuantumTorus.exponents")]
+
+
+def _is_translated_row(node) -> bool:
+    # (family, m, m + d, i, j): a relation row whose level is computed
+    return isinstance(node, ast.Tuple) and len(node.elts) == 5 and any(isinstance(e, ast.BinOp) for e in node.elts)
+
+
+def test_only_relation_failures_reads_rows_off_the_shift():
+    # one read-off of the translated rows: neither verify_relations nor
+    # check_h_relations keeps its own copy
+    assert library_loops_holding(_is_translated_row) == [("presentation.py", "relation_failures")]
 
 
 # Kept until the README's "JSON round-trips" promise is settled: each type's
