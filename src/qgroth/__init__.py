@@ -6,11 +6,9 @@ Hall algebras over small finite fields."""
 from .cartan import CartanDatum, cartan_datum
 from .characters import (
     CategoryQ,
-    fm_classical,
     fundamental_tchar,
     simple_tchar,
     standard_tchar,
-    tensor_simple_check,
     tsystem_exponents,
 )
 from .laurent import HalfLaurent
@@ -39,13 +37,11 @@ __all__ = [
     "YTorus",
     "cartan_datum",
     "divide_right",
-    "fm_classical",
     "fundamental_tchar",
     "n_gamma",
     "quantum_cartan",
     "ringel_form",
     "simple_tchar",
     "standard_tchar",
-    "tensor_simple_check",
     "tsystem_exponents",
 ]

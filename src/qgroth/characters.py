@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from .cartan import CartanDatum, RankMismatch, ResourceCap, kostant_partitions, root_sum
 from .laurent import ONE, HalfLaurent
@@ -106,11 +106,6 @@ def sl2_simple_patterns(dominant: tuple[tuple[int, int], ...]) -> dict[tuple[int
 
 
 MAX_FM_MONOMIALS = 50000
-
-
-def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[Monomial, int]:
-    """Classical q-character of the fundamental module at (i0, p0): its t-character at t = 1."""
-    return {m.shift_p(p0): c.value_at_one() for m, c in _fm_base(cd.kind, cd.n, i0).items()}
 
 
 @lru_cache(maxsize=None)
@@ -412,21 +407,6 @@ def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
         raise ResourceCap(f"the window of {m.render()} on {n} points passes {MAX_PRODUCT_PAIRS} pairs")
     inner = [(j, q) for j, par in lines for q in range(lo + 1, hi) if q % 2 == par]
     return fundamental_window(qc, [*m.support(), *inner])
-
-
-def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Optional[Fraction]:
-    """If the product of simple classes is t^k times a simple class, return k."""
-    prod = simple_tchar(yt, m1) * simple_tchar(yt, m2)
-    target = simple_tchar(yt, m1 * m2)
-    c = prod.coeff(yt.key(m1 * m2))
-    if len(c.c) != 1:
-        return None
-    e, v = next(iter(c.c.items()))
-    if v != 1:
-        return None
-    if prod == target.tshift(e):
-        return Fraction(e, 2)
-    return None
 
 
 # --------------------------------------------------------------------------

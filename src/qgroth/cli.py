@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure or a failed
-internal check, 3 resource cap.
+Exit codes: 0 success, 1 usage error (a ValueError or an OSError), 2
+verification failure or a failed internal check (a RuntimeError, an
+ArithmeticError or any other exception the library raises), 3 resource cap (a
+ResourceCap or a MemoryError).
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .characters import (
     tsystem_exponents,
 )
 from .hall import (
-    DerivedHall,
     _check_quiver,
     check_h_relations,
     constant_identity_holds,
+    derived_hall,
     hall_number,
     iota_check,
     toen_gamma,
@@ -136,11 +138,24 @@ def _emit(args, text, obj) -> None:
 MAX_TABLE = 400_000
 
 
-# The widest `verify presentation` range, in levels x rank^2: the relation
-# table pairs the levels x rank generators, whose characters grow with the
-# rank.  At the cap A1 0..419, A2 0..104, A5 0..15 and D4 0..25 answer in under
-# 0.5 s on a 2-vCPU host, A7 0..7 in 0.7 s, D5 0..15 in 1 s, D6 0..10 in 8 s.
+# The widest level window of `verify presentation` and `hall relations|iota`,
+# in levels x rank^2: the relation table pairs the levels x rank generators,
+# whose characters grow with the rank.  At the cap A1 0..419, A2 0..104, A5
+# 0..15 and D4 0..25 answer in under 0.5 s on a 2-vCPU host, A7 0..7 in 0.7 s,
+# D5 0..15 in 1 s, D6 0..10 in 8 s; `hall relations` on A3 at --mmax 45, A2 at
+# 104 and A1 at 419 in under 0.05 s.
 MAX_PRESENTATION_WIDTH = 420
+
+
+def _check_width(args, window: str, levels: int, cd: CartanDatum) -> None:
+    """Refuse a level window whose levels x rank^2 pass the cap, before any
+    generator is built; `window` names the flag and its value."""
+    n = levels * cd.n**2
+    if n > MAX_PRESENTATION_WIDTH:
+        raise ResourceCap(
+            f"{args.cmd} {args.what}: {window} of {args.type} has n = {n} "
+            f"(levels x rank^2) above cap {MAX_PRESENTATION_WIDTH}"
+        )
 
 
 def _check_table(entries: int, what: str) -> None:
@@ -369,8 +384,10 @@ def cmd_hall(args) -> int:
         word = AdaptedWord.build(quiver)
         # --t is None on number, which does not read it
         iso = {f: _parse_iso(v, f"--{f}", word) for f in "xytw" if (v := getattr(args, f)) is not None}
+    else:
+        _check_width(args, f"--mmax {args.mmax}", args.mmax + 1, cd)
     if args.what == "gamma":
-        g = toen_gamma(DerivedHall(quiver, args.q), iso["x"], iso["y"], iso["t"], iso["w"])
+        g = toen_gamma(derived_hall(quiver, args.q), iso["x"], iso["y"], iso["t"], iso["w"])
         _emit(args, lambda: [f"gamma = {g}"], lambda: {"gamma": [g.numerator, g.denominator]})
         return 0
     if args.what == "number":
@@ -378,8 +395,7 @@ def cmd_hall(args) -> int:
         _emit(args, lambda: [f"g^W_(X,Y) = {g}"], lambda: {"hall_number": g})
         return 0
     if args.what == "relations":
-        dh = DerivedHall(quiver, args.q)
-        fails = check_h_relations(dh, range(args.mmax + 1))
+        fails = check_h_relations(derived_hall(quiver, args.q), range(args.mmax + 1))
         const = constant_identity_holds(args.q)
         ok = const and not fails
         _emit(
@@ -411,12 +427,7 @@ def cmd_verify(args) -> int:
         cd = cartan_datum(args.type)
         quiver = _parse_quiver(args, cd)
         lo, hi = _parse_range(args.m_range, "--m-range")
-        n = (hi - lo + 1) * cd.n**2
-        if n > MAX_PRESENTATION_WIDTH:
-            raise ResourceCap(
-                f"verify presentation: --m-range {lo}..{hi} of {args.type} has n = {n} "
-                f"(levels x rank^2) above cap {MAX_PRESENTATION_WIDTH}"
-            )
+        _check_width(args, f"--m-range {lo}..{hi}", hi - lo + 1, cd)
         pres = Presentation(QuiverContext(quiver))
         fails = pres.verify_relations(lo, hi)
         _emit(
@@ -612,23 +623,25 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _apply_config(list(argv), PARSER)
-        args = PARSER.parse_args(argv)
+        args = PARSER.parse_args(_apply_config(list(argv), PARSER))
+        return args.fn(args)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    except (OSError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.fn(args)
     except ResourceCap as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError) as exc:
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
+        return 3
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a library bug, not a user's mistake: named by its type, no traceback
+        print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

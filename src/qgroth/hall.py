@@ -7,6 +7,11 @@ class and the dual PBW vector at a.  In word order the hom table of the
 indecomposables is lower unitriangular, so a representation's class is
 solved from its hom fingerprint by integer forward substitution.
 
+There is one `DerivedHall` per (quiver, q) per process, `derived_hall`: it
+owns the tables of the quiver and the field and every memo.  The memos depend
+only on (quiver, q), and each gamma's work cap does not depend on what the
+instance has already memoised.
+
 Both kinds of structure constant come from Riedtmann's formula.  The Hall
 numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) and
 the Euler form are read off r x r tables on the roots, dim Ext^1(Y, X) is
@@ -46,7 +51,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .cartan import ResourceCap, iter_kostant_partitions, kostant_partitions, root_sum
@@ -151,22 +155,6 @@ def _check_quiver(quiver: QuiverDatum) -> None:
         raise ResourceCap(f"Hall computations capped at type A rank {MAX_RANK}")
 
 
-def _interval_rep(quiver: QuiverDatum, F: GF, parts) -> Rep:
-    """The direct sum of the interval modules of the type-A roots `parts`
-    (0/1 vectors), copies in order: at each arrow the 0/1 matrix that maps
-    every copy present at the source to itself at the target."""
-    at = [[p for p, r in enumerate(parts) if r[v]] for v in range(quiver.cartan.n)]
-    mats = {(i, j): tuple(tuple(int(p == s) for s in at[i - 1]) for p in at[j - 1]) for (i, j) in quiver.arrows}
-    return Rep(quiver, F, map(len, at), mats)
-
-
-def model_rep(quiver: QuiverDatum, F: GF, a) -> Rep:
-    """M_a, the sum of a_k copies of the interval module of each root beta_k
-    of `_iso_tables`, copies in word order."""
-    roots = _iso_tables(quiver, F.q)[0]
-    return _interval_rep(quiver, F, [roots[k] for k, c in enumerate(a) for _ in range(c)])
-
-
 def _hom_equations(M: Rep, N: Rep):
     """The linear equations phi_j M_a = N_a phi_i, one per arrow a = (i, j) and
     entry, on the entries of a homomorphism (phi_v): N.dims[v] x M.dims[v]
@@ -202,62 +190,19 @@ def hom_dim(M: Rep, N: Rep) -> int:
     return total - mat_rank(M.F, rows)
 
 
-@lru_cache(maxsize=None)
-def _iso_tables(quiver: QuiverDatum, q: int):
-    """The roots beta_1, ..., beta_r of the adapted word of `quiver` (simple-root
-    coordinates, 0/1 in type A), their interval models M_k, the hom table
-    hom[k][l] = dim Hom(M_k, M_l), the Euler form euler[k][l] =
-    <beta_k, beta_l> of `ringel_form`, the index v of each k with
-    dim Hom(M_k, M) = dim M_v (M_k is the projective P_v), and a basis of
-    each Ext^1(M_k, M_l), keyed (k, l): the coordinates (a, row, column) of
-    sum_a Hom(M_k,i, M_l,j) whose equations of Hom(M_k, M_l) are off the
-    pivots of the rref of their columns, which span a complement to the
-    image.
-
-    mod(FQ) is directed and the word lists its indecomposables so that
-    Hom(M_k, M_l) = 0 for k < l, so the hom table is lower unitriangular and
-    `iso_class` inverts it by forward substitution.  Directed, Hom and Ext^1
-    between two indecomposables are never both nonzero, so the table is also
-    hom[k][l] = max(0, euler[k][l]) off the diagonal.  Any other table means
-    the models, the word or the Euler form are wrong."""
-    _check_quiver(quiver)
-    F = GF(q)
-    cd = quiver.cartan
-    roots = AdaptedWord.build(quiver).roots
-    models = [_interval_rep(quiver, F, [r]) for r in roots]
-    r = len(roots)
-    hom = [[0] * r for _ in range(r)]
-    ext = {}
-    for k, l in itertools.product(range(r), repeat=2):
-        rows, _, total = _hom_equations(models[k], models[l])
-        pivots = rref(list(zip(*rows)), F)[1]
-        hom[k][l] = total - len(pivots)
-        s, t = roots[k], roots[l]
-        coords = [(a, x, y) for a in quiver.arrows for x in range(t[a[1] - 1]) for y in range(s[a[0] - 1])]
-        ext[k, l] = [c for i, c in enumerate(coords) if i not in pivots]
-    if any(hom[k][l] != (k == l) for k in range(r) for l in range(k, r)):
-        raise RuntimeError("hom table is not unitriangular in word order")
-    euler = tuple(tuple(ringel_form(quiver, s, t) for t in roots) for s in roots)
-    if any(hom[k][l] != (1 if k == l else max(0, euler[k][l])) for k in range(r) for l in range(r)):
-        raise RuntimeError("hom table is not max(0, <beta_k, beta_l>) off the diagonal")
-    proj = {k: v for k in range(r) for v in range(cd.n) if all(hom[k][l] == roots[l][v] for l in range(r))}
-    return roots, models, tuple(map(tuple, hom)), euler, proj, ext
-
-
-def iso_class(rep: Rep, q: int) -> tuple[int, ...]:
+def iso_class(dh: "DerivedHall", rep: Rep) -> tuple[int, ...]:
     """Krull-Schmidt multiplicities a on the word's roots, by forward
-    substitution: the fingerprint dim Hom(M_l, rep) = sum_k hom[l][k] a_k,
-    whose entry at the projective P_v is dim rep_v, is a_l plus the terms of
-    the k < l already solved."""
-    roots, models, hom, _, proj, _ = _iso_tables(rep.quiver, q)
+    substitution on the hom table of `dh`: the fingerprint dim Hom(M_l, rep)
+    = sum_k hom[l][k] a_k, whose entry at the projective P_v is dim rep_v, is
+    a_l plus the terms of the k < l already solved."""
     a = []
-    for l, row in enumerate(hom):
-        f = rep.dims[proj[l]] if l in proj else hom_dim(models[l], rep)
+    for l, row in enumerate(dh.hom):
+        f = rep.dims[dh.proj[l]] if l in dh.proj else hom_dim(dh.models[l], rep)
         c = f - sum(x * y for x, y in zip(row, a))
         if c < 0:
             raise RuntimeError("fingerprint did not resolve to a Krull-Schmidt multiset")
         a.append(c)
-    if root_sum(roots, a) != rep.dims:
+    if root_sum(dh.roots, a) != rep.dims:
         raise RuntimeError("Krull-Schmidt decomposition has wrong dimension vector")
     return tuple(a)
 
@@ -273,102 +218,17 @@ def _form(table, Y, X) -> int:
     return sum(y * x * table[k][l] for k, y in enumerate(Y) if y for l, x in xs)
 
 
-def _hom_ext(X, Y, quiver: QuiverDatum, q: int) -> tuple[int, int]:
-    """dim Hom(Y, X) = Y^T hom X and <dim Y, dim X> = Y^T euler X on the
-    tables of `_iso_tables`, and dim Ext^1(Y, X) = dim Hom(Y, X) -
-    <dim Y, dim X>."""
-    _, _, hom, euler, _, _ = _iso_tables(quiver, q)
-    h = _form(hom, Y, X)
-    return h, h - _form(euler, Y, X)
-
-
-def _work(X, Y, quiver: QuiverDatum, q: int) -> int:
-    """The work of the Hall numbers g^W_{X,Y}: the q^(dim Ext^1(Y, X))
-    extensions to classify, times D^3 for the equations of each, D the total
-    dimension of X + Y.  Nothing else grows faster: Ext^1 is read off the
-    bases between indecomposables, with no elimination on the pair's whole
-    hom map.  The extensions are not counted when D^3 alone is past the cap."""
-    roots = _iso_tables(quiver, q)[0]
-    work = max(1, sum((x + y) * sum(r) for x, y, r in zip(X, Y, roots))) ** 3
-    if work <= MAX_HALL_WORK:
-        work *= q ** _hom_ext(X, Y, quiver, q)[1]
-    return work
-
-
 def _check_work(work: int, what: str) -> None:
     if work > MAX_HALL_WORK:
         raise ResourceCap(f"{what}: work {work} (extensions x dimension^3) above cap {MAX_HALL_WORK}")
 
 
-def hall_numbers(X, Y, quiver: QuiverDatum, q: int, aut) -> dict:
-    """{W: g^W_{X,Y}}, zeros left out, by Riedtmann's formula, aut(M) = |Aut M|
-
-        g^W_{X,Y} = |Ext^1(Y, X)_W| |Aut W| / (|Aut X| |Aut Y| q^(dim Hom(Y, X))),
-
-    Ext^1(Y, X)_W the extensions 0 -> X -> W -> Y -> 0 with middle term W.
-    Ext^1(Y, X) is the cokernel of delta(phi)_a = phi_j Y_a - X_a phi_i from
-    the vertex maps to the arrow maps sum_a Hom(Y_i, X_j).  On the models,
-    direct sums of copies of indecomposables, delta is block diagonal in the
-    pairs of copies, so a complement to its image is the sum of the Ext^1
-    bases of `_iso_tables`, each shifted to its pair's block of eta_a.  A
-    nonzero eta there is the middle term [[X_a, eta_a], [0, Y_a]],
-    classified by `iso_class` once per line; eta = 0 is the split X + Y."""
-    _check_work(_work(X, Y, quiver, q), "Hall number")
-    hom, ext = _hom_ext(X, Y, quiver, q)
-    counts = Counter({tuple(x + y for x, y in zip(X, Y)): 1})
-    if ext:
-        F = GF(q)
-        RX, RY = model_rep(quiver, F, X), model_rep(quiver, F, Y)
-        roots, _, _, _, _, basis = _iso_tables(quiver, q)
-        xs, ys = ([k for k, m in enumerate(Z) for _ in range(m)] for Z in (X, Y))
-        free = [
-            (a, sum(roots[t][a[1] - 1] for t in xs[:p]) + x, sum(roots[t][a[0] - 1] for t in ys[:u]) + y)
-            for p, kx in enumerate(xs)
-            for u, ky in enumerate(ys)
-            for a, x, y in basis[ky, kx]
-        ]
-        if len(free) != ext:
-            raise RuntimeError(f"Ext^1 has dimension {len(free)} by rank but {ext} by the hom table")
-        dims = tuple(x + y for x, y in zip(RX.dims, RY.dims))
-        for values in itertools.product(F.elements(), repeat=ext):
-            # eta and c eta have isomorphic middle terms: one per line, q - 1 times
-            if next((v for v in values if v), 0) != 1:
-                continue
-            eta, mats = dict(zip(free, values)), {}
-            for a in quiver.arrows:
-                yi = RY.dims[a[0] - 1]
-                top = [row + tuple(eta.get((a, r, c), 0) for c in range(yi)) for r, row in enumerate(RX.mats[a])]
-                mats[a] = top + [(0,) * RX.dims[a[0] - 1] + row for row in RY.mats[a]]
-            counts[iso_class(Rep(quiver, F, dims, mats), q)] += q - 1
-    den = aut(X) * aut(Y) * q**hom
-    out = {}
-    for W, c in counts.items():
-        g, r = divmod(c * aut(W), den)
-        if r:
-            raise RuntimeError(f"Riedtmann's quotient {g * den + r}/{den} is not integral")
-        out[W] = g
-    return out
-
-
 def hall_number(X, Y, W, quiver: QuiverDatum, q: int) -> int:
     """Number of subrepresentations of W isomorphic to X with quotient
-    isomorphic to Y, read off the tally of `hall_numbers` by a one-request
-    `DerivedHall`, which checks the quiver and the field first."""
-    return DerivedHall(quiver, q).g_number(X, Y, W)
-
-
-def aut_count(M, quiver: QuiverDatum, q: int) -> int:
-    """|Aut M| = q^(dim End M - sum m^2) prod_m |GL_m(F_q)|, m running over
-    the multiplicities of M's indecomposables, with dim End M = M^T hom M
-    read off the hom table of `_iso_tables`.  The indecomposables are bricks
-    (End = F_q), so End M / rad End M is the product of the M_m(F_q), and an
-    endomorphism is a unit exactly when its image there is."""
-    end = _form(_iso_tables(quiver, q)[2], M, M)
-    out = q ** (end - sum(m * m for m in M))
-    for m in M:
-        for i in range(m):
-            out *= q**m - q**i
-    return out
+    isomorphic to Y, read off the tally of `DerivedHall.hall_numbers` by the
+    instance `derived_hall(quiver, q)`, which checks the quiver and the field
+    when it is built."""
+    return derived_hall(quiver, q).g_number(X, Y, W)
 
 
 def toen_gamma(dh: "DerivedHall", X, Y, T, W) -> Fraction:
@@ -385,13 +245,12 @@ def toen_gamma(dh: "DerivedHall", X, Y, T, W) -> Fraction:
     images K generated lazily so that the sum stops at the first one that
     crosses the cap, then one g^X_{K,W} for every K with g^Y_{T,K} != 0,
     read from `dh`'s memo or not, so a gamma ends in bounded time and its
-    cap does not depend on what the request counted before.
+    cap does not depend on what `dh` has already memoised.
 
     The slot assignment (T first, W last) is the one under which the rank-one
     values come out right: gamma_{S_i,S_i}^{0,0} = 1/(q-1) and, for i != j,
     gamma_{S_i,S_j}^{S_j,S_i} = 1 with (q-1)^2 sequences.
     """
-    q = dh.q
     dT, dY, dX, dW = map(dh.dims, (T, Y, X, W))
     dK = tuple(y - t for y, t in zip(dY, dT))
     if dK != tuple(x - w for x, w in zip(dX, dW)) or min(dK, default=0) < 0:
@@ -399,14 +258,14 @@ def toen_gamma(dh: "DerivedHall", X, Y, T, W) -> Fraction:
     _check_work(max(1, sum(dY)) ** 3, "gamma")
     work = 0
     for K in iter_kostant_partitions(dh.roots, dK):
-        work += _work(T, K, dh.quiver, q)
+        work += dh.work(T, K)
         _check_work(work, "gamma")
 
     aut, count = dh.aut, 0
     for K in dh.isoclasses(dK):
         g = dh.g_number(T, K, Y)
         if g:
-            work += _work(K, W, dh.quiver, q)
+            work += dh.work(K, W)
             _check_work(work, "gamma")
             count += aut(K) * g * dh.g_number(K, W, X)
     return Fraction(count * aut(T) * aut(W), aut(X) * aut(Y)) if count else Fraction(0)
@@ -561,18 +420,56 @@ class DerivedHall:
     ((m1, a1), (m2, a2), ...) with strictly decreasing levels, each isoclass
     a its vector of multiplicities on the roots of the adapted word.
 
-    One instance serves one request: it memoises |Aut M| of each class, the
-    tally of Hall numbers of each (X, Y), gamma terms, isoclasses per
-    dimension vector and the normal form of every word it rewrites."""
+    The instance owns everything that depends on the quiver and the field,
+    built once: the roots beta_1, ..., beta_r of the adapted word
+    (simple-root coordinates, 0/1 in type A), their interval models M_k, the
+    hom table hom[k][l] = dim Hom(M_k, M_l), the Euler table <beta_k,
+    beta_l> of `ringel_form`, the index v of each k with dim Hom(M_k, M) =
+    dim M_v (M_k is the projective P_v), and a basis of each Ext^1(M_k, M_l),
+    keyed (k, l): the coordinates (a, row, column) of sum_a Hom(M_k,i, M_l,j)
+    whose equations of Hom(M_k, M_l) are off the pivots of the rref of their
+    columns, which span a complement to the image.
+
+    mod(FQ) is directed and the word lists its indecomposables so that
+    Hom(M_k, M_l) = 0 for k < l, so the hom table is lower unitriangular and
+    `iso_class` inverts it by forward substitution.  Directed, Hom and Ext^1
+    between two indecomposables are never both nonzero, so the table is also
+    hom[k][l] = max(0, euler[k][l]) off the diagonal.  Any other table means
+    the models, the word or the Euler form are wrong.
+
+    There is one instance per (quiver, q) per process, `derived_hall`.  Its
+    memos depend only on (quiver, q): |Aut M|, Hall numbers of each (X, Y),
+    gamma terms, isoclasses and normal forms.  Each gamma's work cap does not
+    depend on what the instance has already memoised."""
 
     def __init__(self, quiver: QuiverDatum, q: int):
         _check_quiver(quiver)
-        GF(q)  # the field must exist: q prime or 4, within the cap
+        self.F = F = GF(q)
         self.quiver = quiver
         self.q = q
         self.cartan = quiver.cartan
-        self.roots, _, _, self._euler, _, _ = _iso_tables(quiver, q)
-        self._simple = {i: tuple(int(sum(r) == r[i - 1] == 1) for r in self.roots) for i in self.cartan.vertices}
+        self.roots = roots = AdaptedWord.build(quiver).roots
+        r = len(roots)
+        self.models = [self.model([int(k == l) for l in range(r)]) for k in range(r)]
+        hom = [[0] * r for _ in range(r)]
+        self.ext_bases = {}
+        for k, l in itertools.product(range(r), repeat=2):
+            rows, _, total = _hom_equations(self.models[k], self.models[l])
+            pivots = rref(list(zip(*rows)), F)[1]
+            hom[k][l] = total - len(pivots)
+            s, t = roots[k], roots[l]
+            coords = [(a, x, y) for a in quiver.arrows for x in range(t[a[1] - 1]) for y in range(s[a[0] - 1])]
+            self.ext_bases[k, l] = [c for i, c in enumerate(coords) if i not in pivots]
+        if any(hom[k][l] != (k == l) for k in range(r) for l in range(k, r)):
+            raise RuntimeError("hom table is not unitriangular in word order")
+        self._euler = tuple(tuple(ringel_form(quiver, s, t) for t in roots) for s in roots)
+        if any(hom[k][l] != (1 if k == l else max(0, self._euler[k][l])) for k in range(r) for l in range(r)):
+            raise RuntimeError("hom table is not max(0, <beta_k, beta_l>) off the diagonal")
+        self.hom = tuple(map(tuple, hom))
+        self.proj = {
+            k: v for k in range(r) for v in range(self.cartan.n) if all(hom[k][l] == roots[l][v] for l in range(r))
+        }
+        self._simple = {i: tuple(int(sum(b) == b[i - 1] == 1) for b in roots) for i in self.cartan.vertices}
         self._one = specialize(q, ONE)
         self._g: dict = {}
         self._aut: dict = {}
@@ -580,7 +477,18 @@ class DerivedHall:
         self._isos: dict = {}
         self._nf: dict = {}
 
-    # -- structure constants --------------------------------------------------
+    # -- the representations and their structure constants -------------------
+
+    def model(self, a) -> Rep:
+        """M_a, the sum of a_k copies of the interval module of each root
+        beta_k (a 0/1 vector in type A), copies in word order: at each arrow
+        the 0/1 matrix that maps every copy present at the source to itself
+        at the target."""
+        parts = [self.roots[k] for k, c in enumerate(a) for _ in range(c)]
+        at = [[p for p, b in enumerate(parts) if b[v]] for v in range(self.cartan.n)]
+        arrows = self.quiver.arrows
+        mats = {(i, j): tuple(tuple(int(p == s) for s in at[i - 1]) for p in at[j - 1]) for (i, j) in arrows}
+        return Rep(self.quiver, self.F, map(len, at), mats)
 
     def euler(self, x, y) -> int:
         return _form(self._euler, x, y)
@@ -591,18 +499,94 @@ class DerivedHall:
     def dims(self, a) -> tuple[int, ...]:
         return root_sum(self.roots, a)
 
-    def aut(self, m) -> int:
-        """|Aut M| of `aut_count`, memoised by class."""
-        if m not in self._aut:
-            self._aut[m] = aut_count(m, self.quiver, self.q)
-        return self._aut[m]
+    def hom_ext(self, X, Y) -> tuple[int, int]:
+        """dim Hom(Y, X) = Y^T hom X and <dim Y, dim X> = Y^T euler X on the
+        tables, and dim Ext^1(Y, X) = dim Hom(Y, X) - <dim Y, dim X>."""
+        h = _form(self.hom, Y, X)
+        return h, h - self.euler(Y, X)
 
-    def hall_numbers(self, x, y) -> dict:
-        """{W: g^W_{x,y}} of `hall_numbers`, memoised by (x, y)."""
-        key = (x, y)
-        if key not in self._g:
-            self._g[key] = hall_numbers(x, y, self.quiver, self.q, self.aut)
-        return self._g[key]
+    def work(self, X, Y) -> int:
+        """The work of the Hall numbers g^W_{X,Y}: the q^(dim Ext^1(Y, X))
+        extensions to classify, times D^3 for the equations of each, D the
+        total dimension of X + Y.  Nothing else grows faster: Ext^1 is read
+        off the bases between indecomposables, with no elimination on the
+        pair's whole hom map.  The extensions are not counted when D^3 alone
+        is past the cap."""
+        work = max(1, sum((x + y) * sum(r) for x, y, r in zip(X, Y, self.roots))) ** 3
+        if work <= MAX_HALL_WORK:
+            work *= self.q ** self.hom_ext(X, Y)[1]
+        return work
+
+    def aut(self, M) -> int:
+        """|Aut M| = q^(dim End M - sum m^2) prod_m |GL_m(F_q)|, m running over
+        the multiplicities of M's indecomposables, with dim End M = M^T hom M
+        read off the hom table; memoised by class.  The indecomposables are
+        bricks (End = F_q), so End M / rad End M is the product of the
+        M_m(F_q), and an endomorphism is a unit exactly when its image there
+        is."""
+        out = self._aut.get(M)
+        if out is None:
+            q = self.q
+            out = q ** (_form(self.hom, M, M) - sum(m * m for m in M))
+            for m in M:
+                for i in range(m):
+                    out *= q**m - q**i
+            self._aut[M] = out
+        return out
+
+    def hall_numbers(self, X, Y) -> dict:
+        """{W: g^W_{X,Y}}, zeros left out, by Riedtmann's formula, memoised by
+        (X, Y),
+
+            g^W_{X,Y} = |Ext^1(Y, X)_W| |Aut W| / (|Aut X| |Aut Y| q^(dim Hom(Y, X))),
+
+        Ext^1(Y, X)_W the extensions 0 -> X -> W -> Y -> 0 with middle term W.
+        Ext^1(Y, X) is the cokernel of delta(phi)_a = phi_j Y_a - X_a phi_i
+        from the vertex maps to the arrow maps sum_a Hom(Y_i, X_j).  On the
+        models, direct sums of copies of indecomposables, delta is block
+        diagonal in the pairs of copies, so a complement to its image is the
+        sum of the Ext^1 bases, each shifted to its pair's block of eta_a.  A
+        nonzero eta there is the middle term [[X_a, eta_a], [0, Y_a]],
+        classified by `iso_class` once per line; eta = 0 is the split X + Y."""
+        key = (X, Y)
+        if key in self._g:
+            return self._g[key]
+        _check_work(self.work(X, Y), "Hall number")
+        q, roots = self.q, self.roots
+        hom, ext = self.hom_ext(X, Y)
+        counts = Counter({tuple(x + y for x, y in zip(X, Y)): 1})
+        if ext:
+            RX, RY = self.model(X), self.model(Y)
+            xs, ys = ([k for k, m in enumerate(Z) for _ in range(m)] for Z in (X, Y))
+            free = [
+                (a, sum(roots[t][a[1] - 1] for t in xs[:p]) + x, sum(roots[t][a[0] - 1] for t in ys[:u]) + y)
+                for p, kx in enumerate(xs)
+                for u, ky in enumerate(ys)
+                for a, x, y in self.ext_bases[ky, kx]
+            ]
+            if len(free) != ext:
+                raise RuntimeError(f"Ext^1 has dimension {len(free)} by rank but {ext} by the hom table")
+            dims = tuple(x + y for x, y in zip(RX.dims, RY.dims))
+            for values in itertools.product(self.F.elements(), repeat=ext):
+                # eta and c eta have isomorphic middle terms: one per line, q - 1 times
+                if next((v for v in values if v), 0) != 1:
+                    continue
+                eta, mats = dict(zip(free, values)), {}
+                for a in self.quiver.arrows:
+                    yi = RY.dims[a[0] - 1]
+                    top = [row + tuple(eta.get((a, r, c), 0) for c in range(yi)) for r, row in enumerate(RX.mats[a])]
+                    mats[a] = top + [(0,) * RX.dims[a[0] - 1] + row for row in RY.mats[a]]
+                counts[iso_class(self, Rep(self.quiver, self.F, dims, mats))] += q - 1
+        aut = self.aut
+        den = aut(X) * aut(Y) * q**hom
+        out = {}
+        for W, c in counts.items():
+            g, r = divmod(c * aut(W), den)
+            if r:
+                raise RuntimeError(f"Riedtmann's quotient {g * den + r}/{den} is not integral")
+            out[W] = g
+        self._g[key] = out
+        return out
 
     def g_number(self, x, y, w) -> int:
         if tuple(a + b for a, b in zip(self.dims(x), self.dims(y))) != self.dims(w):
@@ -722,6 +706,18 @@ def _accumulate(out: dict, key, c: UScalar) -> None:
         out[key] = s
 
 
+_registry: dict[tuple[QuiverDatum, int], DerivedHall] = {}
+
+
+def derived_hall(quiver: QuiverDatum, q: int) -> DerivedHall:
+    """The one `DerivedHall` of (quiver, q) in this process, built on first
+    use."""
+    key = (quiver, q)
+    if key not in _registry:
+        _registry[key] = DerivedHall(quiver, q)
+    return _registry[key]
+
+
 # --------------------------------------------------------------------------
 # relation checks and the specialization report
 # --------------------------------------------------------------------------
@@ -824,7 +820,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
                     continue
                 rho = tval * ch.inverse()
                 if avec not in closed:
-                    e2 = 2 * _hom_ext(avec, avec, dh.quiver, q)[0] - dh.euler(avec, avec)
+                    e2 = 2 * dh.hom_ext(avec, avec)[0] - dh.euler(avec, avec)
                     closed[avec] = specialize(q, HalfLaurent.t_power(e2), dh.aut(avec))
                 if rho != closed[avec]:
                     consistent = False
@@ -836,7 +832,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
 def iota_check(cat: CategoryQ, q: int, max_len: int = 3, m_offsets=range(4)) -> dict:
     """Full specialization report: the constant identity, the brute-forced
     defining relations, and the standard-basis scalar consistency."""
-    dh = DerivedHall(cat.quiver, q)
+    dh = derived_hall(cat.quiver, q)
     rel_failures = check_h_relations(dh, m_offsets)
     report = iota_scalar_report(cat, dh, max_len)
     report["constant_identity"] = constant_identity_holds(q)

@@ -119,9 +119,6 @@ class HalfLaurent:
     def min_exp2(self) -> int:
         return min(self.c)
 
-    def value_at_one(self) -> int:
-        return sum(self.c.values())
-
     def exact_div(self, other: "HalfLaurent") -> "HalfLaurent | None":
         """Exact quotient self/other, or None when the division has a remainder.
 

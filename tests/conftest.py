@@ -7,6 +7,8 @@ from operator import add, xor
 
 import pytest
 
+import qgroth.characters as characters
+import qgroth.hall as hall
 import qgroth.torus as torus
 from qgroth.cartan import SUPPORTED, CartanDatum, ResourceCap, cartan_datum, root_sum
 from qgroth.characters import (
@@ -15,9 +17,10 @@ from qgroth.characters import (
     combine,
     dominant_below,
     expand_in_dominant_basis,
+    simple_tchar,
     standard_tchar,
 )
-from qgroth.hall import GF, _hom_equations, mat_rank, model_rep, rref, specialize
+from qgroth.hall import GF, _hom_equations, mat_rank, rref, specialize
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
@@ -31,6 +34,15 @@ PAPER_XI = {
     "A4": (0, 1, 0, 1),
     "D4": (0, 0, 1, 2),
 }
+
+
+@pytest.fixture(autouse=True)
+def fresh_derived_hall_registry():
+    """Every test starts and ends with no `DerivedHall` in the registry, so
+    that neither a monkeypatch nor a memo leaks from one test to another."""
+    hall._registry.clear()
+    yield
+    hall._registry.clear()
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +92,31 @@ def wide_torus(name: str) -> YTorus:
     every monomial the tests build."""
     cd = cartan_datum(name)
     return YTorus(quantum_cartan(cd), [(i, p) for i in cd.vertices for p in range(-12, 25)])
+
+
+def value_at_one(c: HalfLaurent) -> int:
+    """The Laurent polynomial c at t = 1."""
+    return sum(c.c.values())
+
+
+def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[Monomial, int]:
+    """Classical q-character of the fundamental module at (i0, p0): its t-character at t = 1."""
+    return {m.shift_p(p0): value_at_one(c) for m, c in characters._fm_base(cd.kind, cd.n, i0).items()}
+
+
+def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Fraction | None:
+    """If the product of simple classes is t^k times a simple class, return k."""
+    prod = simple_tchar(yt, m1) * simple_tchar(yt, m2)
+    target = simple_tchar(yt, m1 * m2)
+    c = prod.coeff(yt.key(m1 * m2))
+    if len(c.c) != 1:
+        return None
+    e, v = next(iter(c.c.items()))
+    if v != 1:
+        return None
+    if prod == target.tshift(e):
+        return Fraction(e, 2)
+    return None
 
 
 def boundary_terms(x) -> dict:
@@ -473,7 +510,7 @@ def exact_sequence_count(quiver, q: int, X, Y, T, W) -> int:
     triples are counted per middle map g, as (f with g f = 0) times
     (h with h g = 0)."""
     F = GF(q)
-    RT, RY, RX, RW = (model_rep(quiver, F, Z) for Z in (T, Y, X, W))
+    RT, RY, RX, RW = map(hall.DerivedHall(quiver, q).model, (T, Y, X, W))
     dT, dY, dW = RT.dims, RY.dims, RW.dims
     vertices = range(quiver.cartan.n)
 

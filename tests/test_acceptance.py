@@ -11,7 +11,6 @@ import pytest
 from qgroth.cartan import cartan_datum
 from qgroth.characters import (
     CategoryQ,
-    fm_classical,
     fundamental_tchar,
     simple_tchar,
     tsystem_exponents,

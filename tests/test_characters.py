@@ -13,13 +13,11 @@ from qgroth.characters import (
     CategoryQ,
     CharacterError,
     dominant_below,
-    fm_classical,
     fundamental_tchar,
     simple_tchar,
     sl2_simple_patterns,
     standard_tchar,
     string_decomposition,
-    tensor_simple_check,
     tsystem_exponents,
 )
 from qgroth.cli import main
@@ -34,9 +32,12 @@ from conftest import (
     avecs_up_to,
     bar,
     boundary_terms,
+    fm_classical,
     on_positions,
     reference_truncated_simple,
+    tensor_simple_check,
     truncate,
+    value_at_one,
     wide_torus,
 )
 
@@ -67,7 +68,7 @@ def test_string_decomposition():
 
 def test_sl2_pattern_dimensions():
     def dim(positions):
-        return sum(c.value_at_one() for c in sl2_simple_patterns(positions).values())
+        return sum(value_at_one(c) for c in sl2_simple_patterns(positions).values())
 
     assert dim(((0, 1), (2, 1))) == 3
     assert dim(((0, 2),)) == 4

@@ -729,7 +729,7 @@ def test_hall_relations_window_is_the_level_range(capsys, monkeypatch):
 def test_failed_internal_check_exits_2(capsys, monkeypatch):
     import qgroth.hall as hall
 
-    def broken(rep, q):
+    def broken(dh, rep):
         raise RuntimeError("fingerprint did not resolve to a Krull-Schmidt multiset")
 
     monkeypatch.setattr(hall, "iso_class", broken)
@@ -917,3 +917,58 @@ def test_qcartan_and_phi_tables_are_capped(capsys):
         assert main(argv) == 3
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", f"resource cap exceeded: {message} above cap 400000\n")
+
+
+def test_hall_level_windows_are_priced_as_presentation_ranges(capsys):
+    # hall relations|iota --mmax M checks the M + 1 levels 0..M, priced in
+    # levels x rank^2 by the rule of verify presentation before any generator
+    # is built; both once ran in time linear in M
+    for argv, n in [
+        (["hall", "relations", "--type", "A3", "--q", "3", "--mmax", "1000000000"], 9000000009),
+        (["hall", "relations", "--type", "A3", "--q", "3", "--mmax", "46"], 423),
+        (["hall", "iota", "--type", "A2", "--q", "2", "--mmax", "105"], 424),
+    ]:
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"resource cap exceeded: hall {argv[1]}: --mmax {argv[-1]} of {argv[3]} has n = {n} "
+            "(levels x rank^2) above cap 420\n"
+        ))
+    # the widest windows admitted answer
+    for name, mmax in (("A3", 45), ("A2", 104), ("A1", 419)):
+        assert main(["hall", "relations", "--type", name, "--q", "3", "--mmax", str(mmax)]) == 0
+        assert capsys.readouterr() == ("constant identity: ok\nrelation failures: 0\n", "")
+
+
+@pytest.mark.parametrize("exc,code,line", [
+    (KeyError(0), 2, "internal check failed: KeyError: 0"),
+    (TypeError("unhashable type: 'list'"), 2, "internal check failed: TypeError: unhashable type: 'list'"),
+    (IndexError("tuple index out of range"), 2, "internal check failed: IndexError: tuple index out of range"),
+    (MemoryError(), 3, "resource cap exceeded: out of memory"),
+    (ZeroDivisionError("element is not invertible"), 2, "internal check failed: element is not invertible"),
+    (ValueError("vertex 9 outside 1..2"), 1, "usage error: vertex 9 outside 1..2"),
+])
+def test_an_exception_inside_the_library_exits_by_its_kind(capsys, monkeypatch, exc, code, line):
+    # a library bug is not a usage error: only a ValueError or an OSError is
+    # one, and any exception the library does not name exits 2 with its type
+    from qgroth import qgroup
+
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(qgroup, "bar_invariant_correction", broken)
+    assert main(["canonical", "--type", "A2", "--degree-bound", "2"]) == code
+    assert capsys.readouterr() == ("", f"{line}\n")
+
+
+def test_a_key_error_inside_the_hall_side_exits_2(capsys, monkeypatch):
+    import qgroth.hall as hall
+
+    def broken(dh, rep):
+        raise KeyError((1, 0))
+
+    monkeypatch.setattr(hall, "iso_class", broken)
+    argv = ["hall", "number", "--type", "A2", "--xi", "1,0", "--q", "2", "--x", "2", "--y", "1", "--w", "1-2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "internal check failed: KeyError: (1, 0)\n")

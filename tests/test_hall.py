@@ -16,17 +16,13 @@ from qgroth.hall import (
     DerivedHall,
     Rep,
     ResourceCap,
-    aut_count,
     check_h_relations,
     constant_identity_holds,
     hall_number,
-    _hom_ext,
-    _iso_tables,
     hom_dim,
     iota_check,
     iota_scalar_report,
     iso_class,
-    model_rep,
     specialize,
     toen_gamma,
 )
@@ -60,13 +56,13 @@ ZERO = iso(A2)
 
 def test_iso_class_examples():
     q = a2_quiver()
-    F = GF(2)
-    assert iso_class(Rep(q, F, (0, 0), {(1, 2): ()}), 2) == ZERO
-    assert iso_class(Rep(q, F, (1, 1), {(1, 2): ((1,),)}), 2) == X12
-    assert iso_class(Rep(q, F, (1, 1), {(1, 2): ((0,),)}), 2) == iso(q, {(1, 0): 1, (0, 1): 1})
+    F, dh = GF(2), DerivedHall(q, 2)
+    assert iso_class(dh, Rep(q, F, (0, 0), {(1, 2): ()})) == ZERO
+    assert iso_class(dh, Rep(q, F, (1, 1), {(1, 2): ((1,),)})) == X12
+    assert iso_class(dh, Rep(q, F, (1, 1), {(1, 2): ((0,),)})) == iso(q, {(1, 0): 1, (0, 1): 1})
     # model representations decompose back to their own class
     for a in (S1, X12, iso(q, {(1, 0): 2, (1, 1): 1})):
-        assert iso_class(model_rep(q, F, a), 2) == a
+        assert iso_class(dh, dh.model(a)) == a
 
 
 def test_hall_numbers():
@@ -118,7 +114,7 @@ def test_hom_elements_match_the_naive_enumeration(name):
         dims = [d for d in itertools.product(range(3), repeat=n) if sum(d) <= 2]
         classes = [a for d in dims for a in dh.isoclasses(d)]
         for A, B in itertools.product(classes, repeat=2):
-            M, N = model_rep(q, F, A), model_rep(q, F, B)
+            M, N = dh.model(A), dh.model(B)
             basis, shapes = hom_basis(M, N), [(b, a) for a, b in zip(M.dims, N.dims)]
             got = list(hom_elements(F, basis, shapes))
             assert got == list(_naive_hom_elements(F, basis, shapes)), (A, B)
@@ -145,9 +141,8 @@ def test_riedtmann_count_consistency():
     for name, p in itertools.product(("A1", "A2", "A3"), (2, 3)):
         F = GF(p)
         for q in _orientations(cartan_datum(name)):
-            n = q.cartan.n
-            model = functools.cache(lambda Z: model_rep(q, F, Z))
-            aut = functools.cache(lambda Z: aut_count(Z, q, p))
+            n, dh = q.cartan.n, DerivedHall(q, p)
+            model, aut = functools.cache(dh.model), dh.aut
 
             @functools.cache
             def full_rank(A, B):
@@ -187,8 +182,8 @@ def test_gamma_is_the_exact_sequence_count(name):
     # too, on every balanced (X, Y, T, W) of classes of total dimension <= 2,
     # in every orientation
     for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
-        dh, F = DerivedHall(q, p), GF(p)
-        aut = functools.cache(lambda Z: aut_by_enumeration(model_rep(q, F, Z)))
+        dh = DerivedHall(q, p)
+        aut = functools.cache(lambda Z: aut_by_enumeration(dh.model(Z)))
         classes = _classes(q, p, 2)
         for X, Y, T, W in itertools.product(classes, repeat=4):
             if any(t - y + x - w for t, y, x, w in zip(*map(dh.dims, (T, Y, X, W)))):
@@ -213,7 +208,7 @@ def test_gamma_examples():
         assert toen_gamma(dh, S1, S1, S1, S1) == 1
         assert toen_gamma(dh, S1, S1, ZERO, ZERO) == Fraction(1, p - 1)
         # the sequence count behind the i != j case is (q-1)^2
-        auts = aut_count(S1, q, p) * aut_count(S2, q, p)
+        auts = dh.aut(S1) * dh.aut(S2)
         assert toen_gamma(dh, S1, S2, S2, S1) * auts == (p - 1) ** 2
     # 4^12 homomorphism triples, too many to enumerate: the only image is 0,
     # so gamma = |Aut T| |Aut W| / (|Aut X| |Aut Y|) = 1
@@ -230,22 +225,24 @@ def test_corrupted_hom_table_or_aut_count_ends_hall_number_in_exit_2(monkeypatch
     argv = ["hall", "number", "--type", "A2", "--xi", "1,0", "--q", "2", "--x", "2", "--y", "1", "--w", "1-2"]
     assert main(argv) == 0 and capsys.readouterr().out == "g^W_(X,Y) = 1\n"
     # dim Hom(S1, S2) read as 1: dim Ext^1(S1, S2) = 2 by the table, 1 by rank
-    tables = hall._iso_tables
+    build = DerivedHall.__init__
 
-    def corrupted(quiver, q):
-        roots, models, hom, *rest = tables(quiver, q)
-        k, l = roots.index((1, 0)), roots.index((0, 1))
-        hom = tuple(tuple(1 if (i, j) == (k, l) else x for j, x in enumerate(row)) for i, row in enumerate(hom))
-        return roots, models, hom, *rest
+    def corrupted(self, quiver, q):
+        build(self, quiver, q)
+        k, l = self.roots.index((1, 0)), self.roots.index((0, 1))
+        hom = self.hom
+        self.hom = tuple(tuple(1 if (i, j) == (k, l) else x for j, x in enumerate(row)) for i, row in enumerate(hom))
 
-    monkeypatch.setattr(hall, "_iso_tables", corrupted)
+    monkeypatch.setattr(DerivedHall, "__init__", corrupted)
+    hall._registry.clear()
     assert main(argv) == 2
     message = "Ext^1 has dimension 1 by rank but 2 by the hom table"
     assert capsys.readouterr() == ("", f"internal check failed: {message}\n")
-    monkeypatch.setattr(hall, "_iso_tables", tables)
+    monkeypatch.setattr(DerivedHall, "__init__", build)
+    hall._registry.clear()
     # |Aut S1| read as 3: 1 * |Aut(S1 + S2)| / (|Aut S2| * 3) is not integral
-    aut = hall.aut_count
-    monkeypatch.setattr(hall, "aut_count", lambda M, quiver, q: 3 if M == S1 else aut(M, quiver, q))
+    aut = DerivedHall.aut
+    monkeypatch.setattr(DerivedHall, "aut", lambda self, M: 3 if M == S1 else aut(self, M))
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "internal check failed: Riedtmann's quotient 1/3 is not integral\n")
 
@@ -293,10 +290,9 @@ def test_hall_numbers_tally_the_monomorphisms(name):
     from qgroth.hall import mat_rank
 
     for quiver, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
-        F, n = GF(p), quiver.cartan.n
-        model = functools.cache(lambda Z: model_rep(quiver, F, Z))
+        F, n, dh = GF(p), quiver.cartan.n, DerivedHall(quiver, p)
+        model = functools.cache(dh.model)
         aut = functools.cache(lambda Z: aut_by_enumeration(model(Z)))
-        dh = DerivedHall(quiver, p)
         tally = dh.hall_numbers
         for W in _classes(quiver, p, 3):
             dw = dh.dims(W)
@@ -566,21 +562,21 @@ def test_uscalar_repr_is_pinned():
 def test_iota_check_counts_each_hall_number_once(name, xi, max_len, mmax, categories, monkeypatch):
     # every Hall number g^W_{X,Y} of a request comes from one tally per
     # (X, Y), and no (X, Y) is tallied twice; no |Aut M| is counted twice
-    import qgroth.hall as hall
-
     calls, auts = [], []
-    tally, aut = hall.hall_numbers, hall.aut_count
+    tally, aut = DerivedHall.hall_numbers, DerivedHall.aut
 
-    def counted(x, y, *args):
-        calls.append((x, y))
-        return tally(x, y, *args)
+    def counted(self, x, y):
+        if (x, y) not in self._g:
+            calls.append((x, y))
+        return tally(self, x, y)
 
-    def counted_aut(m, *args):
-        auts.append(m)
-        return aut(m, *args)
+    def counted_aut(self, m):
+        if m not in self._aut:
+            auts.append(m)
+        return aut(self, m)
 
-    monkeypatch.setattr(hall, "hall_numbers", counted)
-    monkeypatch.setattr(hall, "aut_count", counted_aut)
+    monkeypatch.setattr(DerivedHall, "hall_numbers", counted)
+    monkeypatch.setattr(DerivedHall, "aut", counted_aut)
     rep = iota_check(categories(name, xi), 2, max_len=max_len, m_offsets=range(mmax + 1))
     assert rep["ok"]
     assert calls and len(calls) == len(set(calls))
@@ -659,7 +655,8 @@ def test_gram_inverse_is_integral_on_every_orientation(name, q):
     # forward substitution as iso_class does, is an integer matrix that
     # undoes it; off the diagonal it is the positive part of the Euler form
     for quiver in _orientations(cartan_datum(name)):
-        roots, models, hom, euler, *_ = _iso_tables(quiver, q)
+        dh = DerivedHall(quiver, q)
+        roots, models, hom, euler = dh.roots, dh.models, dh.hom, dh._euler
         assert roots == AdaptedWord.build(quiver).roots
         gram = [[hom_dim(m1, m2) for m2 in models] for m1 in models]
         assert [list(row) for row in hom] == gram
@@ -683,12 +680,11 @@ def test_models_decompose_back_to_their_vector(arrows):
     # iso_class(model_rep(a)) = a for every a with sum(a) <= 3, at each q
     quiver = QuiverDatum.from_arrows(cartan_datum("A3"), arrows)
     for q in (2, 3, 4):
-        F = GF(q)
-        r = len(_iso_tables(quiver, q)[0])
-        vectors = [a for a in itertools.product(range(4), repeat=r) if sum(a) <= 3]
+        dh = DerivedHall(quiver, q)
+        vectors = [a for a in itertools.product(range(4), repeat=len(dh.roots)) if sum(a) <= 3]
         assert len(vectors) == 84
         for a in vectors:
-            assert iso_class(model_rep(quiver, F, a), q) == a
+            assert iso_class(dh, dh.model(a)) == a
 
 
 def test_reversed_root_order_ends_hall_relations_in_exit_2(monkeypatch, capsys):
@@ -706,12 +702,8 @@ def test_reversed_root_order_ends_hall_relations_in_exit_2(monkeypatch, capsys):
         return dataclasses.replace(word, roots=word.roots[::-1])
 
     monkeypatch.setattr(hall.AdaptedWord, "build", staticmethod(reversed_word))
-    hall._iso_tables.cache_clear()
-    try:
-        assert main(["hall", "relations", "--type", "A3", "--q", "3"]) == 2
-    finally:
-        monkeypatch.undo()
-        hall._iso_tables.cache_clear()
+    assert main(["hall", "relations", "--type", "A3", "--q", "3"]) == 2
+    monkeypatch.undo()
     assert capsys.readouterr() == ("", "internal check failed: hom table is not unitriangular in word order\n")
     assert main(["hall", "relations", "--type", "A3", "--q", "3"]) == 0
 
@@ -727,12 +719,8 @@ def test_a_perturbed_euler_entry_ends_hall_iota_in_exit_2(monkeypatch, capsys):
         return real(quiver, d, e) + 2 * (tuple(d) == (0, 1, 0) and tuple(e) == (1, 1, 0))
 
     monkeypatch.setattr(hall, "ringel_form", perturbed)
-    hall._iso_tables.cache_clear()
-    try:
-        assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 2
-    finally:
-        monkeypatch.undo()
-        hall._iso_tables.cache_clear()
+    assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 2
+    monkeypatch.undo()
     assert capsys.readouterr() == (
         "", "internal check failed: hom table is not max(0, <beta_k, beta_l>) off the diagonal\n"
     )
@@ -747,22 +735,24 @@ def test_a_coboundary_on_the_hall_numbers_ends_hall_iota_in_exit_2(monkeypatch, 
     import qgroth.hall as hall
     from qgroth.cli import main
 
-    real = hall.hall_numbers
+    real = DerivedHall.hall_numbers
 
-    def mutated(X, Y, quiver, q, aut):
+    def mutated(self, X, Y):
         out = {}
-        for W, g in real(X, Y, quiver, q, aut).items():
+        for W, g in real(self, X, Y).items():
             e = sum(X) + sum(Y) - sum(W)
             if e < 0:
                 raise AssertionError(f"negative coboundary exponent at {X}, {Y}, {W}")
             out[W] = g * c**e
         return out
 
-    monkeypatch.setattr(hall, "hall_numbers", mutated)
+    monkeypatch.setattr(DerivedHall, "hall_numbers", mutated)
     assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 2
     out = capsys.readouterr().out
     assert "relation failures: 0\nscalar table consistent: False\n" in out
+    # the gamma terms and normal forms of the mutated numbers are memoised
     monkeypatch.undo()
+    hall._registry.clear()
     assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 0
     assert "scalar table consistent: True\n" in capsys.readouterr().out
 
@@ -775,7 +765,7 @@ def test_iota_scalars_are_the_closed_form():
             rep = iota_scalar_report(CategoryQ(QuiverContext(quiver)), dh, 3)
             assert rep["consistent"] and len(rep["scalars"]) > 20
             for a, rho in rep["scalars"].items():
-                end, _ = _hom_ext(a, a, quiver, q)
+                end, _ = dh.hom_ext(a, a)
                 u2 = specialize(q, HalfLaurent.t_power(2 * end - dh.euler(a, a)))
                 assert rho * uscalar(q, [dh.aut(a)]) == u2, a
 

@@ -170,3 +170,31 @@ def test_every_hall_scalar_enters_through_specialize():
         assert gone not in vars(hall.UScalar), gone
     assert not hasattr(hall, "u_power")
     assert not hasattr(hall.DerivedHall, "scalar") and not hasattr(hall.DerivedHall, "upow")
+
+
+def _functions(tree, scope=""):
+    """(qualified name, parameter names) of every function and method."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{scope}.{node.name}".lstrip(".")
+            if not isinstance(node, ast.ClassDef):
+                args = node.args
+                found.append((name, {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}))
+            found += _functions(node, name)
+        else:
+            found += _functions(node, scope)
+    return found
+
+
+def test_the_derived_hall_algebra_owns_what_depends_on_the_quiver_and_the_field():
+    # everything built from (quiver, q) is an attribute of the one DerivedHall
+    # of the pair: only the registry, its constructor and the hall_number
+    # entry point take both
+    from qgroth import hall
+
+    tree = ast.parse(pathlib.Path(hall.__file__).read_text())
+    both = sorted(name for name, params in _functions(tree) if {"quiver", "q"} <= params)
+    assert both == ["DerivedHall.__init__", "derived_hall", "hall_number"]
+    for gone in ("_iso_tables", "aut_count", "model_rep", "hall_numbers", "_hom_ext", "_work"):
+        assert not hasattr(hall, gone), gone
