@@ -14,7 +14,7 @@ from .characters import (
 from .laurent import HalfLaurent
 from .presentation import Presentation
 from .qcartan import QuantumCartan, quantum_cartan
-from .qgroup import QGroupSide, n_gamma
+from .qgroup import QGroupSide
 from .quiver import AdaptedWord, PhiMap, QuiverContext, QuiverDatum, ringel_form
 from .torus import Monomial, TorusElement, XTorus, YTorus, divide_right
 
@@ -38,7 +38,6 @@ __all__ = [
     "cartan_datum",
     "divide_right",
     "fundamental_tchar",
-    "n_gamma",
     "quantum_cartan",
     "ringel_form",
     "simple_tchar",

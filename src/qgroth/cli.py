@@ -41,10 +41,10 @@ from .torus import Monomial
 
 
 def _parse_quiver(args, cartan: CartanDatum) -> QuiverDatum:
-    if getattr(args, "xi", None) is not None:
+    if args.xi is not None:
         xi = [_parse_int(tok, "--xi", "an integer") for tok in args.xi.split(",")]
         return QuiverDatum.from_xi(cartan, xi)
-    if getattr(args, "arrows", None) is not None:
+    if args.arrows is not None:
         arrows = [_parse_int(tok, "--arrows", "of the form i-j", "-") for tok in args.arrows.split(",")]
         return QuiverDatum.from_arrows(cartan, arrows)
     return QuiverDatum.bipartite(cartan)
@@ -221,53 +221,7 @@ def cmd_phi(args) -> int:
     return 0
 
 
-# The valued flags each qchar, verify and hall subcommand reads besides
-# --q.  The parser leaves them None, so that a flag the subcommand never
-# reads is refused, not ignored; the ones it reads get their defaults here,
-# and one with no default and no orientation is required (argparse cannot
-# require a flag per choice).  --type is required by the parser except on
-# verify, where `verify all` does not read it.
-_READS = {
-    ("qchar", "fundamental"): ("type", "i", "p"),
-    ("qchar", "kr"): ("type", "xi", "arrows", "i", "p", "s"),
-    ("qchar", "standard"): ("type", "monomial"),
-    ("qchar", "simple"): ("type", "monomial"),
-    ("qchar", "truncate"): ("type", "xi", "arrows", "monomial"),
-    ("verify", "presentation"): ("type", "xi", "arrows", "m_range"),
-    ("verify", "mainth"): ("type", "xi", "arrows", "degree_bound"),
-    ("verify", "all"): (),
-    ("hall", "gamma"): ("type", "xi", "arrows", "x", "y", "t", "w"),
-    ("hall", "number"): ("type", "xi", "arrows", "x", "y", "w"),
-    ("hall", "relations"): ("type", "xi", "arrows", "mmax"),
-    ("hall", "iota"): ("type", "xi", "arrows", "mmax", "max_len"),
-}
-_DEFAULTS = {"m_range": "0..3", "degree_bound": 3, "mmax": 3, "max_len": 3, "s": 1}
-_ALWAYS_READ = ("cmd", "what", "fn", "format", "q")
-
-
-def _read_flags(command: str, args) -> None:
-    reads = _READS[(command, args.what)]
-    unread = [
-        "--" + dest.replace("_", "-")
-        for dest, value in vars(args).items()
-        if value is not None and dest not in reads + _ALWAYS_READ
-    ]
-    if unread:
-        raise ValueError(f"{command} {args.what} does not read {' or '.join(unread)}")
-    missing = [
-        "-m/--monomial" if dest == "monomial" else "--" + dest
-        for dest in reads
-        if getattr(args, dest) is None and dest not in ("xi", "arrows", *_DEFAULTS)
-    ]
-    if missing:
-        raise ValueError(f"{command} {args.what} requires {' and '.join(missing)}")
-    for dest in reads:
-        if getattr(args, dest) is None:
-            setattr(args, dest, _DEFAULTS.get(dest))
-
-
 def cmd_qchar(args) -> int:
-    _read_flags("qchar", args)
     cd = cartan_datum(args.type)
     qc = quantum_cartan(cd)
     kind = args.what
@@ -377,13 +331,12 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_hall(args) -> int:
-    _read_flags("hall", args)
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     if args.what in ("gamma", "number"):
         word = AdaptedWord.build(quiver)
-        # --t is None on number, which does not read it
-        iso = {f: _parse_iso(v, f"--{f}", word) for f in "xytw" if (v := getattr(args, f)) is not None}
+        # number takes no --t
+        iso = {f: _parse_iso(getattr(args, f), f"--{f}", word) for f in "xytw" if hasattr(args, f)}
     else:
         _check_width(args, f"--mmax {args.mmax}", args.mmax + 1, cd)
     if args.what == "gamma":
@@ -421,24 +374,19 @@ def cmd_hall(args) -> int:
     return 0 if rep["ok"] else 2
 
 
-def cmd_verify(args) -> int:
-    _read_flags("verify", args)
-    if args.what == "presentation":
-        cd = cartan_datum(args.type)
-        quiver = _parse_quiver(args, cd)
-        lo, hi = _parse_range(args.m_range, "--m-range")
-        _check_width(args, f"--m-range {lo}..{hi}", hi - lo + 1, cd)
-        pres = Presentation(QuiverContext(quiver))
-        fails = pres.verify_relations(lo, hi)
-        _emit(
-            args,
-            lambda: [f"presentation relation failures: {len(fails)}"],
-            lambda: {"ok": not fails, "failures": [str(f) for f in fails]},
-        )
-        return 0 if not fails else 2
-    if args.what == "mainth":
-        return cmd_canonical(args)
-    return _verify_all(args)
+def cmd_presentation(args) -> int:
+    cd = cartan_datum(args.type)
+    quiver = _parse_quiver(args, cd)
+    lo, hi = _parse_range(args.m_range, "--m-range")
+    _check_width(args, f"--m-range {lo}..{hi}", hi - lo + 1, cd)
+    pres = Presentation(QuiverContext(quiver))
+    fails = pres.verify_relations(lo, hi)
+    _emit(
+        args,
+        lambda: [f"presentation relation failures: {len(fails)}"],
+        lambda: {"ok": not fails, "failures": [str(f) for f in fails]},
+    )
+    return 0 if not fails else 2
 
 
 def _verify_all(args) -> int:
@@ -512,70 +460,75 @@ def _verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qgroth")
+    """One parser per subcommand, and per kind of `qchar`, `hall` and
+    `verify`: each takes exactly the flags it reads, each required or with
+    its default, so argparse refuses any other.  No parser reads a flag by a
+    prefix of its name."""
+    ap = argparse.ArgumentParser(prog="qgroth", allow_abbrev=False)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, quiver=True, type_required=True):
-        p.add_argument("--type", required=type_required, help="diagram type, e.g. A4, D5, E6")
+    def leaf(parent, name, fn, help=None, diagram=True, quiver=True):
+        """The parser of name under parent, run by fn: --format, --config,
+        --type if diagram, and --xi/--arrows if quiver."""
+        p = parent.add_parser(name, help=help, allow_abbrev=False)
+        if diagram:
+            p.add_argument("--type", required=True, help="diagram type, e.g. A4, D5, E6")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--config", help="JSON file of default flag values (flags win)")
         if quiver:
             p.add_argument("--xi", help="height function, comma-separated")
             p.add_argument("--arrows", help="orientation, e.g. 2-1,2-3 for arrows 2->1, 2->3")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("qcartan", help="inverse quantum Cartan matrix series")
-    common(p, quiver=False)
+    def kinds(name, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        return p.add_subparsers(dest="what", required=True)
+
+    p = leaf(sub, "qcartan", cmd_qcartan, "inverse quantum Cartan matrix series", quiver=False)
     p.add_argument("--mmax", type=int, default=20)
-    p.set_defaults(fn=cmd_qcartan)
 
-    p = sub.add_parser("phi", help="repetition-quiver labelling table")
-    common(p)
+    p = leaf(sub, "phi", cmd_phi, "repetition-quiver labelling table")
     p.add_argument("--window", default="-6..6", help="p-range lo..hi")
-    p.set_defaults(fn=cmd_phi)
 
-    p = sub.add_parser("qchar", help="characters")
-    p.add_argument("what", choices=("fundamental", "kr", "standard", "simple", "truncate"))
-    common(p)
-    p.add_argument("--i", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--s", type=int, help="default 1")
-    p.add_argument("-m", "--monomial", help='dominant monomial, e.g. "Y[1,0]Y[2,1]^2"')
-    p.set_defaults(fn=cmd_qchar)
+    qchar = kinds("qchar", "characters")
+    for what in ("fundamental", "kr"):
+        p = leaf(qchar, what, cmd_qchar, quiver=what == "kr")
+        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
+        if what == "kr":
+            p.add_argument("--s", type=int, default=1)
+    for what in ("standard", "simple", "truncate"):
+        p = leaf(qchar, what, cmd_qchar, quiver=what == "truncate")
+        p.add_argument("-m", "--monomial", required=True, help='dominant monomial, e.g. "Y[1,0]Y[2,1]^2"')
 
-    p = sub.add_parser("tsystem", help="deformed T-system exponents")
-    common(p, quiver=False)
+    p = leaf(sub, "tsystem", cmd_tsystem, "deformed T-system exponents", quiver=False)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_tsystem)
 
-    p = sub.add_parser("dominant-pairs", help="root decompositions vs dominant monomials")
-    common(p)
+    p = leaf(sub, "dominant-pairs", cmd_dominant_pairs, "root decompositions vs dominant monomials")
     p.add_argument("--d", required=True, help="dimension vector, comma-separated")
-    p.set_defaults(fn=cmd_dominant_pairs)
 
-    p = sub.add_parser("canonical", help="dual canonical basis and the main comparison")
-    common(p)
-    p.add_argument("--degree-bound", type=int, default=3, dest="degree_bound")
-    p.set_defaults(fn=cmd_canonical)
+    p = leaf(sub, "canonical", cmd_canonical, "dual canonical basis and the main comparison")
+    p.add_argument("--degree-bound", type=int, default=3)
 
-    p = sub.add_parser("hall", help="Hall numbers and derived Hall relations")
-    p.add_argument("what", choices=("gamma", "number", "relations", "iota"))
-    common(p)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--t")
-    p.add_argument("--w")
-    p.add_argument("--mmax", type=int, help="levels 0..mmax, default 3")
-    p.add_argument("--max-len", type=int, dest="max_len", help="longest word, default 3")
-    p.set_defaults(fn=cmd_hall)
+    hall = kinds("hall", "Hall numbers and derived Hall relations")
+    for what, isoclasses in (("gamma", "xytw"), ("number", "xyw"), ("relations", ""), ("iota", "")):
+        p = leaf(hall, what, cmd_hall)
+        p.add_argument("--q", type=int, required=True)
+        for f in isoclasses:
+            p.add_argument(f"--{f}", required=True)
+        if not isoclasses:
+            p.add_argument("--mmax", type=int, default=3, help="levels 0..mmax")
+        if what == "iota":
+            p.add_argument("--max-len", type=int, default=3, help="longest word")
 
-    p = sub.add_parser("verify", help="verification batteries")
-    p.add_argument("what", choices=("presentation", "mainth", "all"))
-    common(p, type_required=False)
-    p.add_argument("--m-range", dest="m_range", help="levels lo..hi, default 0..3")
-    p.add_argument("--degree-bound", type=int, dest="degree_bound", help="default 3")
-    p.set_defaults(fn=cmd_verify)
+    verify = kinds("verify", "verification batteries")
+    p = leaf(verify, "presentation", cmd_presentation)
+    p.add_argument("--m-range", default="0..3", help="levels lo..hi")
+    p = leaf(verify, "mainth", cmd_canonical)
+    p.add_argument("--degree-bound", type=int, default=3)
+    leaf(verify, "all", _verify_all, diagram=False, quiver=False)
 
     return ap
 
@@ -586,9 +539,9 @@ PARSER = build_parser()
 
 def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
     """Merge an optional JSON config file (--config FILE or --config=FILE) into
-    the argument list.  Each key must name a valued option of the subcommand;
-    its entry goes in front of the explicit flags, so any spelling of a flag
-    given on the command line (-m, --monomial=..., an abbreviation) wins."""
+    the argument list.  Each key must name a valued option of the subcommand
+    and kind; its entry goes in front of the explicit flags, so any spelling of
+    a flag given on the command line (-m, --monomial=...) wins."""
     idx = next((k for k, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
     if idx is None:
         return argv
@@ -602,19 +555,22 @@ def _apply_config(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("--config FILE must hold a JSON object")
-    # the top-level parser has no valued options: the first word is the subcommand
-    at = next((k for k, tok in enumerate(argv) if not tok.startswith("-")), None)
-    subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
-    if at is None or argv[at] not in subs:
-        return argv  # argparse names the missing or unknown subcommand
-    cmd = argv[at]
+    # down to the leaf: a parser with subcommands has no valued options, so
+    # its next word is the subcommand
+    at, words = -1, []
+    while subs := next((a.choices for a in ap._actions if isinstance(a, argparse._SubParsersAction)), None):
+        at = next((k for k in range(at + 1, len(argv)) if not argv[k].startswith("-")), None)
+        if at is None or argv[at] not in subs:
+            return argv  # argparse names the missing or unknown subcommand
+        ap = subs[argv[at]]
+        words.append(argv[at])
     # a config file cannot name another one
-    valued = {s for a in subs[cmd]._actions if a.nargs != 0 for s in a.option_strings} - {"--config"}
+    valued = {s for a in ap._actions if a.nargs != 0 for s in a.option_strings} - {"--config"}
     entries = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
         if flag not in valued:
-            raise ValueError(f"config key {key!r} is not an option of {cmd}")
+            raise ValueError(f"config key {key!r} is not an option of {' '.join(words)}")
         entries.append(f"{flag}={value}")
     return argv[: at + 1] + entries + argv[at + 1 :]
 

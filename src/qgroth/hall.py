@@ -7,10 +7,12 @@ class and the dual PBW vector at a.  In word order the hom table of the
 indecomposables is lower unitriangular, so a representation's class is
 solved from its hom fingerprint by integer forward substitution.
 
-There is one `DerivedHall` per (quiver, q) per process, `derived_hall`: it
-owns the tables of the quiver and the field and every memo.  The memos depend
-only on (quiver, q), and each gamma's work cap does not depend on what the
-instance has already memoised.
+There is one `DerivedHall` per orientation and q per process,
+`derived_hall`: it owns the tables of the quiver and the field and every memo.
+The memos depend only on (quiver, q), and each gamma's work cap does not depend
+on what the instance has already memoised.  Nothing here reads the height
+function but the adapted word, which compares heights only, so every shift
+of a height function shares the instance of its orientation.
 
 Both kinds of structure constant come from Riedtmann's formula.  The Hall
 numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) and
@@ -437,10 +439,10 @@ class DerivedHall:
     hom[k][l] = max(0, euler[k][l]) off the diagonal.  Any other table means
     the models, the word or the Euler form are wrong.
 
-    There is one instance per (quiver, q) per process, `derived_hall`.  Its
-    memos depend only on (quiver, q): |Aut M|, Hall numbers of each (X, Y),
-    gamma terms, isoclasses and normal forms.  Each gamma's work cap does not
-    depend on what the instance has already memoised."""
+    There is one instance per orientation and q per process, `derived_hall`.
+    Its memos depend only on (quiver, q): |Aut M|, Hall numbers of each
+    (X, Y), gamma terms, isoclasses and normal forms.  Each gamma's work cap
+    does not depend on what the instance has already memoised."""
 
     def __init__(self, quiver: QuiverDatum, q: int):
         _check_quiver(quiver)
@@ -706,13 +708,13 @@ def _accumulate(out: dict, key, c: UScalar) -> None:
         out[key] = s
 
 
-_registry: dict[tuple[QuiverDatum, int], DerivedHall] = {}
+_registry: dict[tuple, DerivedHall] = {}
 
 
 def derived_hall(quiver: QuiverDatum, q: int) -> DerivedHall:
-    """The one `DerivedHall` of (quiver, q) in this process, built on first
-    use."""
-    key = (quiver, q)
+    """The one `DerivedHall` of the orientation of quiver and q in this
+    process, built on first use: keyed on the arrows, not the heights."""
+    key = (quiver.cartan, frozenset(quiver.arrows), q)
     if key not in _registry:
         _registry[key] = DerivedHall(quiver, q)
     return _registry[key]

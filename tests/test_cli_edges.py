@@ -7,6 +7,7 @@ on exit 0 stdout is one JSON document.  E-type `canonical` is left out: its
 running time is not bounded yet.
 """
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -15,10 +16,11 @@ import pathlib
 import tempfile
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from qgroth.cartan import cartan_datum
-from qgroth.cli import main
+from qgroth.cli import PARSER, main
 from qgroth.quiver import QuiverContext, QuiverDatum
 
 TYPES = ["A1", "A2", "A3", "A4", "D4"]
@@ -282,7 +284,11 @@ HALL_VALUES = {
         for flag in ("--x", "--y", "--t", "--w")
     },
 }
-VERIFY_READS = {"all": set(), "mainth": {"--type", "--arrows", "--degree-bound"}}
+VERIFY_READS = {
+    "all": set(),
+    "mainth": {"--type", "--arrows", "--degree-bound"},
+    "presentation": {"--type", "--arrows", "--m-range"},
+}
 
 
 def _maybe(draw, read):
@@ -317,8 +323,15 @@ def hall_argvs(draw):
 
 
 def _unread_flags_are_named(argv, code, err, unread):
+    # argparse names a missing required flag before any unread one
     if unread:
-        assert code == 1 and all(flag in err for flag in unread), (argv, err)
+        assert code == 1, (argv, err)
+        last = err.splitlines()[-1]
+        refused = {tok.partition("=")[0] for tok in last.partition("error: unrecognized arguments: ")[2].split()}
+        missing = last.partition("error: the following arguments are required: ")[2]
+        given = {tok.partition("=")[0] for tok in argv}
+        named = missing and all(flag.split("/")[-1] not in given for flag in missing.split(", "))
+        assert unread <= refused or named, (argv, err)
 
 
 @seed(20261018)
@@ -436,3 +449,47 @@ def test_empty_ranges_are_usage_errors_that_name_their_flag():
         (["verify", "presentation", "--type", "A2", "--m-range=5..-5"], "--m-range 5..-5 is an empty range"),
     ]:
         assert _run(argv) == (1, "", f"usage error: {message}\n"), argv
+
+
+def _kinds(parser):
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("cmd,reads", [("qchar", QCHAR_READS), ("hall", HALL_READS), ("verify", VERIFY_READS)])
+def test_each_kind_takes_exactly_the_flags_the_fuzz_draws_as_read(cmd, reads):
+    # the parser of each kind is the one list of the flags it reads: besides
+    # those of the table above, --format, --config and help, the --type and
+    # --q every qchar and hall kind needs, the --xi of an orientation and the
+    # -m of --monomial
+    kinds = _kinds(_kinds(PARSER)[cmd])
+    assert set(kinds) == set(reads)
+    for what, leaf in kinds.items():
+        expected = reads[what] | {"-h", "--help", "--format", "--config"}
+        expected |= {"qchar": {"--type"}, "hall": {"--type", "--q"}, "verify": set()}[cmd]
+        expected |= {"--xi"} if "--arrows" in reads[what] else set()
+        expected |= {"-m"} if "--monomial" in reads[what] else set()
+        assert {s for a in leaf._actions for s in a.option_strings} == expected, what
+        code, out, err = _run([cmd, what, "--help"])
+        assert (code, err) == (0, "") and out.startswith(f"usage: qgroth {cmd} {what} "), what
+
+
+@pytest.mark.parametrize("argv,flag", [
+    # --x is a hall flag: canonical once read it as --xi and answered on
+    # the orientation xi = (1, 0)
+    (["canonical", "--type", "A2", "--x", "1,0", "--degree-bound", "1"], "--x"),
+    # verify all once read --t as --type, and refused it as such
+    (["verify", "all", "--t", "A2"], "--t"),
+    (["phi", "--type", "A2", "--win", "0..1"], "--win"),
+    (["hall", "iota", "--type", "A2", "--q", "2", "--max", "1"], "--max"),
+])
+def test_a_prefix_of_a_flag_is_not_read_as_the_flag(argv, flag):
+    code, out, err = _run(argv)
+    assert (code, out) == (1, "")
+    assert flag in err.splitlines()[-1].partition("qgroth: error: unrecognized arguments: ")[2].split()
+
+
+def test_flags_follow_the_kind():
+    # the parser of qchar, hall and verify takes only the kind
+    for argv in (["qchar", "--type", "A1", "simple", "-m", "Y[1,0]"], ["hall", "--q", "2", "iota", "--type", "A2"]):
+        code, out, err = _run(argv)
+        assert (code, out) == (1, "") and err.startswith(f"usage: qgroth {argv[0]} "), argv

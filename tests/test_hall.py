@@ -908,3 +908,19 @@ def test_hall_number_gf4():
     q = a2_quiver()
     assert hall_number(S2, S1, X12, q, 4) == 1
     assert toen_gamma(DerivedHall(q, 4), S1, S1, ZERO, ZERO) == Fraction(1, 3)
+
+
+def test_every_height_function_of_one_orientation_shares_its_derived_hall(capsys):
+    # the Hall side reads heights only by comparison and arrows as a set:
+    # five shifts of one A3 height function and both listings of its arrows
+    # are one instance, and print the same
+    from qgroth.cli import main
+
+    quivers = [["--xi", f"{k + 1},{k},{k + 1}"] for k in range(5)]
+    quivers += [["--arrows", "1-2,3-2"], ["--arrows", "3-2,1-2"]]
+    outs = []
+    for quiver in quivers:
+        assert main(["hall", "iota", "--type", "A3", "--q", "3", *quiver]) == 0
+        outs.append(capsys.readouterr())
+    assert len(hall._registry) == 1
+    assert outs == [outs[0]] * len(quivers) and outs[0].err == ""
