@@ -142,19 +142,6 @@ class CartanDatum:
         """The diagram involution with w0(alpha_i) = -alpha_{nu(i)}."""
         return _nu_table(self.kind, self.n)[i - 1]
 
-    # --- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "type": f"{self.kind}{self.n}",
-            "rank": self.n,
-            "cartan": [list(r) for r in self.cartan_matrix()],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CartanDatum":
-        return cartan_datum(data["type"])
-
 
 def cartan_datum(name: str) -> CartanDatum:
     """Parse a type name like 'A4', 'D5', 'E6'."""

@@ -80,7 +80,7 @@ def _parse_monomial(text: str) -> Monomial:
     while pos < len(text):
         m = pat.match(text, pos)
         if not m:
-            raise ValueError(f"cannot parse monomial near: {text[pos:]!r}")
+            raise ValueError(f"cannot parse -m/--monomial near: {text[pos:]!r}")
         i, p = int(m.group(1)), int(m.group(2))
         e = int(m.group(3)) if m.group(3) else 1
         exps[(i, p)] = exps.get((i, p), 0) + e
@@ -141,9 +141,9 @@ MAX_TABLE = 400_000
 # The widest level window of `verify presentation` and `hall relations|iota`,
 # in levels x rank^2: the relation table pairs the levels x rank generators,
 # whose characters grow with the rank.  At the cap A1 0..419, A2 0..104, A5
-# 0..15 and D4 0..25 answer in under 0.5 s on a 2-vCPU host, A7 0..7 in 0.7 s,
-# D5 0..15 in 1 s, D6 0..10 in 8 s; `hall relations` on A3 at --mmax 45, A2 at
-# 104 and A1 at 419 in under 0.05 s.
+# 0..15 and D4 0..25 answer in under 0.5 s on a 2-vCPU host, A7 0..7 and D5
+# 0..15 in 0.5 s, D6 0..10 in 5.5 s; `hall relations` on A3 at --mmax 45, A2
+# at 104 and A1 at 419 in under 0.05 s.
 MAX_PRESENTATION_WIDTH = 420
 
 
@@ -261,7 +261,7 @@ def cmd_dominant_pairs(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
     cat = CategoryQ(QuiverContext(quiver))
-    d = cat.dimension_vector(int(x) for x in args.d.split(","))
+    d = cat.dimension_vector(_parse_int(tok, "--d", "an integer") for tok in args.d.split(","))
     # a row holds its r exponents and, in text, each root once per copy: the
     # table is refused at the first row past the cap, before any row is built
     sizes = accumulate(cat.xt.r + sum(a) for a in iter_kostant_partitions(cat.roots, d))
@@ -469,15 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def leaf(parent, name, fn, help=None, diagram=True, quiver=True):
         """The parser of name under parent, run by fn: --format, --config,
-        --type if diagram, and --xi/--arrows if quiver."""
+        --type if diagram, and --xi or --arrows, not both, if quiver."""
         p = parent.add_parser(name, help=help, allow_abbrev=False)
         if diagram:
             p.add_argument("--type", required=True, help="diagram type, e.g. A4, D5, E6")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--config", help="JSON file of default flag values (flags win)")
         if quiver:
-            p.add_argument("--xi", help="height function, comma-separated")
-            p.add_argument("--arrows", help="orientation, e.g. 2-1,2-3 for arrows 2->1, 2->3")
+            orientation = p.add_mutually_exclusive_group()
+            orientation.add_argument("--xi", help="height function, comma-separated")
+            orientation.add_argument("--arrows", help="orientation, e.g. 2-1,2-3 for arrows 2->1, 2->3")
         p.set_defaults(fn=fn)
         return p
 

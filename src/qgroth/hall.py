@@ -441,7 +441,7 @@ class DerivedHall:
 
     There is one instance per orientation and q per process, `derived_hall`.
     Its memos depend only on (quiver, q): |Aut M|, Hall numbers of each
-    (X, Y), gamma terms, isoclasses and normal forms.  Each gamma's work cap
+    (X, Y), isoclasses and normal forms.  Each gamma's work cap
     does not depend on what the instance has already memoised."""
 
     def __init__(self, quiver: QuiverDatum, q: int):
@@ -475,7 +475,6 @@ class DerivedHall:
         self._one = specialize(q, ONE)
         self._g: dict = {}
         self._aut: dict = {}
-        self._gamma_terms: dict = {}
         self._isos: dict = {}
         self._nf: dict = {}
 
@@ -606,9 +605,6 @@ class DerivedHall:
     def gamma_terms(self, x, y) -> list[tuple[tuple, tuple, UScalar]]:
         """(T, W, u^(-<Y, X> - <W, T>) gamma_{X,Y}^{T,W}) for each nonzero gamma,
         the terms of the adjacent-level rewriting, each specialized once."""
-        key = (x, y)
-        if key in self._gamma_terms:
-            return self._gamma_terms[key]
         dx, dy = self.dims(x), self.dims(y)
         out = []
         for dt in itertools.product(*[range(d + 1) for d in dy]):
@@ -621,7 +617,6 @@ class DerivedHall:
                     if g:
                         e2 = -2 * (self.euler(y, x) + self.euler(w, t))
                         out.append((t, w, specialize(self.q, HalfLaurent({e2: g.numerator}), g.denominator)))
-        self._gamma_terms[key] = out
         return out
 
     # -- elements -------------------------------------------------------------

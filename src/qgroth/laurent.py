@@ -8,7 +8,7 @@ same ring serves both t^(1/2) (deformed Grothendieck rings) and v^(1/2)
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class HalfLaurent:
@@ -170,13 +170,6 @@ class HalfLaurent:
             sign = "-" if v < 0 else ""
             out += f" {sign or '+'} {body}" if out else sign + body
         return out
-
-    def to_json(self) -> list[list[int]]:
-        return [[e, self.c[e]] for e in sorted(self.c)]
-
-    @staticmethod
-    def from_json(data: Iterable[Iterable[int]]) -> "HalfLaurent":
-        return HalfLaurent({int(e): int(v) for e, v in data})
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self.c.items())

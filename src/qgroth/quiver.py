@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cartan import CartanDatum, RankMismatch, cartan_datum
+from .cartan import CartanDatum, RankMismatch
 
 
 def _check_rank(cartan: CartanDatum, xi: tuple) -> None:
@@ -153,11 +153,6 @@ class QuiverDatum:
             "arrows": [list(a) for a in self.arrows],
             "xi": list(self.xi),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "QuiverDatum":
-        cd = cartan_datum(data["type"])
-        return QuiverDatum(cd, tuple((int(a), int(b)) for a, b in data["arrows"]), tuple(data["xi"]))
 
 
 class PhiMap:

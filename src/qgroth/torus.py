@@ -8,19 +8,19 @@ M_kl = -(beta_k, beta_l) for k < l.  In the basis of *symmetrized* monomials,
 X^a X^b = t^(pair/2) X^(a+b) with pair = a^T M b, and the bar involution
 (t^(1/2) -> t^(-1/2) fixing basis monomials) is coefficientwise conjugation.
 
-Keys.  An exponent vector a is one int in signed base-2^W digits, the first
-variable on top: key(a) = sum_k a_k 2^(W (n-1-k)), every |a_k| < H = 2^(W-1).
-Int order is the lex order of exponent vectors, in variable order; a product
-adds keys and an inverse negates; a is dominant iff (key + B) & B == B, B
-holding H in every digit; and a^T M b is the digit at place n-1 of
-form(a) * key(b), where form(a) = sum_k (a^T M)_k 2^(W k).  Forms are
-additive, so every term carries the form of its key and products and
-quotients add and subtract them.  Digits are read only where a key enters
+Keys.  An exponent vector a is one int in signed base-2^W digits, W = 16,
+the first variable on top: key(a) = sum_k a_k 2^(W (n-1-k)), every
+|a_k| < H = 2^15.  Int order is the lex order of exponent vectors, in
+variable order; a product adds keys and an inverse negates; a is dominant iff
+(key + B) & B == B, B holding H in every digit; and a^T M b is the digit at
+place n-1 of form(a) * key(b), where form(a) = sum_k (a^T M)_k 2^(W k).
+Forms are additive, so every term carries the form of its key and products
+and quotients add and subtract them.  Digits are read only where a key enters
 (packing an exponent vector or a Monomial) or leaves, and a key leaves only
-through `exponents` (render, JSON, the box of a division).  When W = 16 that
-is one call: key + B puts each digit d at d + H in [0, 2^16), the XOR with B
-flips its bit 15 to leave d in 16-bit two's complement, and `struct` unpacks
-the n big-endian shorts; other widths read the digits one at a time.
+through `exponents` (render, JSON, the box of a division), in one call: key +
+B puts each digit d at d + H in [0, 2^16), the XOR with B flips its bit 15 to
+leave d in 16-bit two's complement, and `struct` unpacks the n big-endian
+shorts.
 
 Bands.  A product reads its pairings on the band lo..hi of key places that
 the keys of one factor occupy (`QuantumTorus.band`: one OR and one max over
@@ -39,12 +39,11 @@ raises ResourceCap before it builds a key unless both are below H.  The same
 check covers the band's product: key(b) is 0 off the band, so its digit at
 place hi-lo keeps every term of the digit at place n-1 of the full product,
 and each of its other digits is a sum over a subset of the terms of a digit
-of the full product; the digits of form(a), below m l, fit the bias.  W is
-the least width, at least 16, with H > 181^2 m, so factors of l1 up to 181
-always multiply (m 181^2 < H and 2 * 181 < H).  181 is the largest l with
-l^2 < 2^15, so the rank-r tori (m = 1) take W = 16, the width that `struct`
-reads, and the window tori (m = 2) take 17.  Packing checks each exponent; a
-division checks its bounds once.
+of the full product; the digits of form(a), below m l, fit the bias.  So
+factors of l1 up to 181 always multiply on the rank-r tori (m = 1, 181^2 <
+2^15) and up to 127 on the windows (m <= 2 on types A1-E8, 2 * 127^2 <
+2^15 <= 2 * 128^2).  Packing checks each exponent; a division checks its
+bounds once.
 
 A product accumulates one map (key, doubled t-exponent) -> integer over pairs
 of terms, and raises ResourceCap before the pass when there are more than
@@ -154,10 +153,6 @@ class Monomial:
     def to_json(self) -> list[list[int]]:
         return [[i, p, e] for (i, p), e in self.items]
 
-    @staticmethod
-    def from_json(data: Iterable[Iterable[int]]) -> "Monomial":
-        return Monomial({(int(i), int(p)): int(e) for i, p, e in data})
-
 
 class QuantumTorus:
     """The quantum torus on the variables `names`, in order, with the
@@ -167,17 +162,18 @@ class QuantumTorus:
     a Monomial."""
 
     json_window = None
+    # one key width for every torus: W-bit digits, each below H = half
+    W, half, mask = 16, 1 << 15, (1 << 16) - 1
 
     def __init__(self, names: list[str], gram: list[list[int]]):
         self.names, self.gram = names, gram
         n = self.n = len(gram)
         self.mmax = max((abs(x) for row in gram for x in row), default=0)
-        w = self.W = max(16, (181 * 181 * self.mmax).bit_length() + 1)
-        self.half, self.mask = 1 << (w - 1), (1 << w) - 1
+        w = self.W
         self._place = [w * (n - 1 - k) for k in range(n)]
         self._bias = sum(self.half << s for s in self._place)
-        # 16-bit digits read back as n big-endian shorts in one call
-        self._shorts = struct.Struct(f">{n}h").unpack if w == 16 else None
+        # the digits read back as n big-endian shorts in one call
+        self._shorts = struct.Struct(f">{n}h").unpack
         # row j of M, packed in reverse order: the form of the unit vector e_j
         self._rows = [sum(x << (w * k) for k, x in enumerate(row)) for row in gram]
         self._shift = w * max(n - 1, 0)
@@ -201,12 +197,8 @@ class QuantumTorus:
 
     def exponents(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a key."""
-        u = key + self._bias
-        if self._shorts is not None:
-            # each biased digit d + H, bit 15 flipped, is d in 16-bit two's complement
-            return self._shorts((u ^ self._bias).to_bytes(2 * self.n, "big"))
-        mask, half = self.mask, self.half
-        return tuple(((u >> s) & mask) - half for s in self._place)
+        # each biased digit d + H, bit 15 flipped, is d in 16-bit two's complement
+        return self._shorts(((key + self._bias) ^ self._bias).to_bytes(2 * self.n, "big"))
 
     def relabel(self, key: int, image) -> int | None:
         """The key whose digit at variable image[k] is the digit of `key` at

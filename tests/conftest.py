@@ -203,7 +203,8 @@ def form(ctx, key: int) -> int:
 
 def digit_loop(ctx, key: int) -> tuple[int, ...]:
     """The exponent vector of a key, one W-bit digit at a time: the reference
-    read-back, which `QuantumTorus.exponents` keeps for widths other than 16."""
+    read-back, kept by tests alone, against which the one `struct` call of
+    `QuantumTorus.exponents` is checked."""
     u = key + ctx._bias
     return tuple(((u >> s) & ctx.mask) - ctx.half for s in ctx._place)
 

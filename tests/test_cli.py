@@ -552,7 +552,7 @@ def test_a4_simple_class_of_four_factors(capsys):
     text = "Y[4,0]Y[1,1]Y[3,1]Y[4,6]"
     assert main(["qchar", "simple", "--type", "A4", "-m", text, "--format", "json"]) == 0
     terms = json.loads(capsys.readouterr().out)["terms"]
-    coeffs = {Monomial.from_json(m): HalfLaurent.from_json(c) for m, c in terms}
+    coeffs = {Monomial({(i, p): e for i, p, e in m}): HalfLaurent(dict(c)) for m, c in terms}
     assert len(coeffs) == len(terms) == 835
     # bar-invariant and positive, with the labelling monomial at coefficient 1
     assert all(c.is_symmetric() and c.is_nonnegative() for c in coeffs.values())

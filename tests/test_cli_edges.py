@@ -423,7 +423,8 @@ def test_remaining_subcommand_edges_end_in_a_documented_exit(argv):
 
 def test_short_height_functions_and_bad_quiver_tokens_are_usage_errors():
     # a height function is checked for its rank before it is read, and a
-    # malformed --arrows or --xi token is named with its flag
+    # malformed --arrows, --xi or --d token or -m monomial is named with its
+    # flag
     for argv, message in [
         (["canonical", "--type", "A3", "--xi", "0,1"], "height function of rank 2 on a diagram of rank 3"),
         (
@@ -436,8 +437,31 @@ def test_short_height_functions_and_bad_quiver_tokens_are_usage_errors():
         (["canonical", "--type", "A2", "--xi", ""], "--xi token '' is not an integer"),
         (["canonical", "--type", "A2", "--arrows="], "--arrows token '' is not of the form i-j"),
         (["hall", "relations", "--type", "A2", "--q", "2", "--xi="], "--xi token '' is not an integer"),
+        (["dominant-pairs", "--type", "A2", "--d", "a,1"], "--d token 'a' is not an integer"),
+        (["qchar", "simple", "--type", "A2", "-m", "Y[1,a]"], "cannot parse -m/--monomial near: 'Y[1,a]'"),
     ]:
         assert _run(argv) == (1, "", f"usage error: {message}\n"), argv
+
+
+def test_xi_and_arrows_are_not_both_given(tmp_path):
+    # the pair is refused, from the command line or from a config file, even
+    # where the two agree; each alone answers
+    argv = ["phi", "--type", "A2", "--window", "0..1"]
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"xi": "0,1"}')
+    for pair in (
+        ["--xi", "0,1", "--arrows", "1-2"],
+        ["--arrows", "2-1", "--xi", "0,1"],
+        ["--config", str(conf), "--arrows", "1-2"],
+    ):
+        code, out, err = _run(argv + pair)
+        assert (code, out) == (1, ""), pair
+        last = err.splitlines()[-1]
+        assert last.startswith("qgroth phi: error: argument --"), pair
+        assert "not allowed with argument --" in last and "--xi" in last and "--arrows" in last, pair
+    for one in (["--xi", "0,1"], ["--arrows", "1-2"], ["--config", str(conf)]):
+        code, out, err = _run(argv + one)
+        assert (code, err) == (0, "") and out, one
 
 
 def test_empty_ranges_are_usage_errors_that_name_their_flag():

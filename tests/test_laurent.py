@@ -63,11 +63,6 @@ def test_render():
     assert hl({-2: 1}).render() == "t^-1"
 
 
-def test_json_roundtrip():
-    a = hl({-3: 4, 0: -1, 5: 2})
-    assert HalfLaurent.from_json(a.to_json()) == a
-
-
 @given(laurents, laurents, laurents)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a

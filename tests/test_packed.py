@@ -4,10 +4,11 @@ Monomial or exponent-vector keys, paired one pair of terms at a time by
 the presentation windows of A3 and A4; products of factors confined to a band
 of key places, whose pairings are read on that band; the band itself; the
 range guard, which raises ResourceCap instead of returning a wrapped key; the
-key widths and both read-back paths; and division against its one-term
-product reference (`conftest.reference_divide_right`)."""
+one key width and the read-back against the digit loop; and division against
+its one-term product reference (`conftest.reference_divide_right`)."""
 
 import functools
+import struct
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -290,22 +291,28 @@ def test_the_band_is_the_least_and_greatest_nonzero_place(ctx, data):
 # --------------------------------------------------------------------------
 
 
-def test_rank_r_keys_take_16_bits_and_window_keys_17():
-    # W is the least width >= 16 with H > 181^2 max|M|: factors of l1 up to
-    # 181 always multiply, and 16-bit keys read back in one struct call
+def is_struct_read(ctx) -> bool:
+    # `exponents` unpacks the n digits as big-endian shorts in one call
+    s = ctx._shorts.__self__
+    return isinstance(s, struct.Struct) and s.format == f">{ctx.n}h" and ctx._shorts == s.unpack
+
+
+def test_every_torus_takes_16_bit_keys():
+    # W = 16 on every torus, read back in one struct call: factors of l1 up
+    # to 181 always multiply on the rank-r tori (max|M| = 1) and up to 127,
+    # and not always 128, on the windows (max|M| = 2)
     for quiver in orientations_and_bipartites():
         xt = XTorus(AdaptedWord.build(quiver).roots, quiver.cartan)
-        assert (xt.W, xt._shorts is not None) == (16, True), quiver
+        assert (xt.W, xt.half, is_struct_read(xt)) == (16, 1 << 15, True), quiver
         assert xt.mmax * 181 * 181 < xt.half and 2 * 181 < xt.half
     for name in ("A3", "A4", "A5", "D4"):
         for n in range(len(_orientations(name))):
             yt = window_torus(name, n, 0)
-            assert (yt.W, yt.mmax, yt._shorts) == (17, 2, None), (name, n)
-            assert yt.mmax * 181 * 181 < yt.half <= yt.mmax * 182 * 182
+            assert (yt.W, yt.half, yt.mmax, is_struct_read(yt)) == (16, 1 << 15, 2, True), (name, n)
+            assert yt.mmax * 127 * 127 < yt.half <= yt.mmax * 128 * 128
 
 
-# one torus of each width: A1 (M = 0) and D5 rank-r at 16 bits, the A3 and A4
-# presentation windows at 17
+# A1 (M = 0) and D5 rank-r tori, the A3 and A4 presentation windows
 READ_BACK_TORI = ["A1 rank", "D5 rank", "A3 window", "A4 window"]
 
 

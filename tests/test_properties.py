@@ -129,13 +129,6 @@ def test_a_lattice_solver_roundtrip(name, data):
 
 
 @given(st.sampled_from(["A2", "A3", "D4"]), st.data())
-@settings(max_examples=30, deadline=None)
-def test_monomial_json_roundtrip(name, data):
-    m = data.draw(monomials(name))
-    assert Monomial.from_json(m.to_json()) == m
-
-
-@given(st.sampled_from(["A2", "A3", "D4"]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_y_product_matches_the_termwise_product(name, data):
     yt = YT[name]

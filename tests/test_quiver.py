@@ -223,11 +223,6 @@ def test_position_order_reverses_word_order():
                         assert k > l
 
 
-def test_quiver_json_roundtrip():
-    q = d4_fig_quiver()
-    assert QuiverDatum.from_json(q.to_json()) == q
-
-
 # The positions of every orientation of A1-A5, D4, D5 and of bipartite E6,
 # as computed when every column of phi was extended 2h steps per round.
 PHI_QUIVERS = ("A1", "A2", "A3", "A4", "A5", "D4", "D5")

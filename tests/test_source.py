@@ -75,9 +75,10 @@ def library_loops_holding(holds) -> list:
 
 
 def test_keys_leave_a_torus_only_through_exponents():
-    # one read-back path: a second digit loop would bypass the one-call
-    # struct read of 16-bit keys
-    assert library_loops_holding(_is_digit_read) == [("torus.py", "QuantumTorus.exponents")]
+    # one read-back path, the one-call struct read of `exponents`: no library
+    # loop reads a key one digit at a time (`conftest.digit_loop` is the
+    # reference read that tests alone keep)
+    assert library_loops_holding(_is_digit_read) == []
 
 
 def _is_translated_row(node) -> bool:
@@ -89,11 +90,6 @@ def test_only_relation_failures_reads_rows_off_the_shift():
     # one read-off of the translated rows: neither verify_relations nor
     # check_h_relations keeps its own copy
     assert library_loops_holding(_is_translated_row) == [("presentation.py", "relation_failures")]
-
-
-# Kept until the README's "JSON round-trips" promise is settled: each type's
-# from_json is its half of a documented round trip that no caller exercises.
-ROUND_TRIP_ONLY = "from_json"
 
 
 def _tracer_bindings() -> set[str]:
@@ -125,14 +121,13 @@ def test_every_library_function_has_a_caller():
                 attributes.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg == "fn" and isinstance(node.value, ast.Name):
                 commands.add(node.value.id)
-    assert commands and len([d for d in defined if d[2] == ROUND_TRIP_ONLY]) == 4
+    assert commands
     kept = set(qgroth.__all__) | commands | _tracer_bindings() | attributes
     orphans = [
         f"{file}:{line} {name}"
         for file, line, name, method in defined
         if name not in kept
         and (method or name not in names)
-        and name != ROUND_TRIP_ONLY
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert orphans == []
