@@ -35,7 +35,7 @@ from .hall import (
 )
 from .presentation import Presentation
 from .qcartan import quantum_cartan
-from .qgroup import QGroupSide
+from .qgroup import QGroupSide, quantum_group_side
 from .quiver import AdaptedWord, QuiverContext, QuiverDatum
 from .torus import Monomial
 
@@ -300,18 +300,24 @@ def cmd_dominant_pairs(args) -> int:
 def cmd_canonical(args) -> int:
     cd = cartan_datum(args.type)
     quiver = _parse_quiver(args, cd)
-    cat = CategoryQ(QuiverContext(quiver))
-    qg = QGroupSide(cat)
-    report = qg.verify_mainth(args.degree_bound)
+    with quantum_group_side(quiver) as qg:
+        report = qg.verify_mainth(args.degree_bound)
     ok = all(r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"] for r in report)
-    _emit(
-        args,
-        lambda: [
-            f"a={','.join(map(str, r['avec']))} m={cat.monomial_of_avec(r['avec']).render()} "
+    # the side's positions, moved in p to the heights of the request
+    shift = quiver.xi[0] - qg.cat.quiver.xi[0]
+    positions = [(i, p + shift) for i, p in qg.cat.positions]
+
+    def line(r) -> str:
+        m = Monomial({positions[k]: e for k, e in enumerate(r["avec"]) if e})
+        return (
+            f"a={','.join(map(str, r['avec']))} m={m.render()} "
             f"simple->dual-canonical: {'ok' if r['simple_matches_dual_canonical'] else 'FAIL'} "
             f"standard->dual-PBW: {'ok' if r['standard_matches_dual_pbw'] else 'FAIL'}"
-            for r in report
-        ],
+        )
+
+    _emit(
+        args,
+        lambda: [line(r) for r in report],
         lambda: {
             "rows": [
                 {
@@ -357,8 +363,8 @@ def cmd_hall(args) -> int:
             lambda: {"constant_identity": const, "failures": [list(map(str, f)) for f in fails]},
         )
         return 0 if ok else 2
-    cat = CategoryQ(QuiverContext(quiver))
-    rep = iota_check(cat, args.q, max_len=args.max_len, m_offsets=range(args.mmax + 1))
+    with quantum_group_side(quiver) as qg:
+        rep = iota_check(qg.cat, args.q, max_len=args.max_len, m_offsets=range(args.mmax + 1))
     _emit(
         args,
         lambda: [

@@ -28,17 +28,31 @@ of the truncated fundamentals and of the rescaled generators, so only the E~
 are built: by equal factors, a row is a standard match when every generator
 in its support agrees, and a weight space with a moved generator in some
 row's support fails without a solve.
+
+Everything solved here depends only on the orientation, so there is one warm
+side per orientation per process, `quantum_group_side`, keyed on the arrows as
+`hall.derived_hall` is.  It keeps what a later request reads: the B~ rows,
+their coefficients interned in one pool per side, the r generators and the
+truncated fundamentals (and the truncated standard classes that `hall iota`
+reads on the side's `CategoryQ`).  The E~ and minor memos are per request: the E~ are
+dropped after each `verify_mainth`, the minors once the generators are built,
+and a weight space already solved builds no E~.  A failed request keeps
+nothing: the side is out of the registry while a request runs and goes back
+only when the request returns.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property
 from itertools import combinations
+from typing import Iterator
 
 from .cartan import dimension_vectors
 from .characters import CategoryQ, CharacterError, bar_invariant_correction, combine, ordered_product
 from .laurent import HalfLaurent
 from .presentation import relation_failures
+from .quiver import QuiverContext, QuiverDatum
 from .torus import TorusElement, divide_right
 
 
@@ -58,6 +72,7 @@ class QGroupSide:
         self.xt = cat.xt
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[int, TorusElement | None] = {}  # each solved key's checked lift, or None
+        self._coefficients: dict[HalfLaurent, HalfLaurent] = {}  # the one copy of each B~ coefficient
         self._etilde: dict[tuple[int, ...], TorusElement] = {(0,) * self.r: self.xt.one()}
         # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k,
         # c_k = N(beta_k) + 2 (varpi_i - lambda_{k-}, beta_k), varpi_i - lambda_{k-} = x(k-, i)
@@ -123,8 +138,11 @@ class QGroupSide:
 
     @cached_property
     def generators(self) -> list[TorusElement]:
-        """The rescaled generators E~(e_k) = v^(N(beta_k)/2) E*(k), k = 1..r, in order."""
-        return [self.e_star(k + 1).tshift(n) for k, n in enumerate(self._n)]
+        """The rescaled generators E~(e_k) = v^(N(beta_k)/2) E*(k), k = 1..r, in
+        order.  Every E~ is built from them, so the minor memo is dropped."""
+        gens = [self.e_star(k + 1).tshift(n) for k, n in enumerate(self._n)]
+        self._minors.clear()
+        return gens
 
     def e_tilde(self, a) -> TorusElement:
         """The rescaled dual PBW vector E~(a) = v^(s(a)/2) E*(1)^a1 ... E*(r)^ar:
@@ -134,14 +152,21 @@ class QGroupSide:
         return ordered_product(self._etilde, tuple(a), self.generators.__getitem__, self.cat.labels)
 
     def _solve(self, depth: dict, solve: bool = True) -> None:
-        """Build the E~ family of one weight space, given by its depths, and
-        when `solve`, unless memoised, run one solve over it and memoise for
-        each key the lift `_characterized` accepts, or None."""
+        """Unless the weight space, given by its depths, is solved already:
+        build its E~ family and, when `solve`, run one solve over it and
+        memoise for each key the lift `_characterized` accepts, or None.  A
+        lift's coefficients are interned in one pool per side."""
+        if solve and depth.keys() <= self._btilde.keys():
+            return
         pbw = {k: self.e_tilde(self.xt.exponents(k)) for k in sorted(depth)}
-        if solve and not depth.keys() <= self._btilde.keys():
+        if solve:
             rows = bar_invariant_correction(pbw, depth)
+            pool = self._coefficients
             for k in depth:
-                self._btilde[k] = self._characterized(k, rows[k], depth, pbw)
+                lift = self._characterized(k, rows[k], depth, pbw)
+                if lift is not None:
+                    lift = lift._with({m: pool.setdefault(c, c) for m, c in lift.terms.items()})
+                self._btilde[k] = lift
 
     def b_tilde(self, a) -> TorusElement:
         """Rescaled dual canonical vector B~(a): sigma-invariant, unitriangular
@@ -189,6 +214,7 @@ class QGroupSide:
                     "simple_matches_dual_canonical": solved and self._btilde[k] is not None,
                     "standard_matches_dual_pbw": same[k],
                 }
+        self._etilde = {(0,) * self.r: self.xt.one()}  # a later request reads the B~ rows, not the E~
         return [rows[k] for k in sorted(rows)]
 
     @staticmethod
@@ -209,3 +235,22 @@ class QGroupSide:
         return relation_failures(
             self.cartan, [0], lambda i, m: gens[i], TorusElement.qcommutator, None
         )
+
+
+_registry: dict[tuple, QGroupSide] = {}
+
+
+@contextmanager
+def quantum_group_side(quiver: QuiverDatum) -> Iterator[QGroupSide]:
+    """The one warm `QGroupSide` of the orientation of quiver in this process,
+    keyed on the arrows, not the heights: it is built on the height function
+    `QuiverDatum.from_arrows` gives the sorted arrows, so the positions of
+    quiver are the side's moved in p by the difference of their heights.
+    The side leaves the registry for the request and returns only when the
+    request does, so a request that raises keeps nothing."""
+    key = (quiver.cartan, frozenset(quiver.arrows))
+    side = _registry.pop(key, None)
+    if side is None:
+        side = QGroupSide(CategoryQ(QuiverContext(QuiverDatum.from_arrows(quiver.cartan, sorted(quiver.arrows)))))
+    yield side
+    _registry[key] = side

@@ -9,6 +9,7 @@ import pytest
 
 import qgroth.characters as characters
 import qgroth.hall as hall
+import qgroth.qgroup as qgroup
 import qgroth.torus as torus
 from qgroth.cartan import SUPPORTED, CartanDatum, ResourceCap, cartan_datum, root_sum
 from qgroth.characters import (
@@ -37,12 +38,15 @@ PAPER_XI = {
 
 
 @pytest.fixture(autouse=True)
-def fresh_derived_hall_registry():
-    """Every test starts and ends with no `DerivedHall` in the registry, so
-    that neither a monkeypatch nor a memo leaks from one test to another."""
+def fresh_side_registries():
+    """Every test starts and ends with no `DerivedHall` and no warm
+    `QGroupSide` in the registries, so that neither a monkeypatch nor a memo
+    leaks from one test to another."""
     hall._registry.clear()
+    qgroup._registry.clear()
     yield
     hall._registry.clear()
+    qgroup._registry.clear()
 
 
 @pytest.fixture(scope="session")

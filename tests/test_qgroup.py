@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -501,3 +502,111 @@ def test_a_moved_t_system_exponent_fails_the_three_routes(monkeypatch, name, fai
 
     monkeypatch.setattr(characters, "tsystem_exponents", moved)
     assert sum(len(three_route_failures(CategoryQ(QuiverContext(q)))[1]) for q in all_orientations(name)) == failing
+
+
+# -- one warm side per orientation ------------------------------------------
+
+
+def _request(capsys, argv):
+    from qgroth.cli import main
+
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _arrows(quiver: QuiverDatum) -> str:
+    return ",".join(f"{i}-{j}" for i, j in quiver.arrows)
+
+
+@pytest.mark.parametrize("name,degree", [("A3", 4), ("A4", 3), ("D4", 3)])
+def test_a_warm_side_prints_what_a_fresh_side_prints(capsys, monkeypatch, name, degree):
+    # every orientation, in text and json, twice over in one process: each
+    # request prints what it prints on a side built for it alone
+    from qgroth import qgroup
+
+    argvs = [
+        ["canonical", "--type", name, "--arrows", _arrows(q), "--degree-bound", str(degree), "--format", fmt]
+        for q in all_orientations(name)
+        for fmt in ("text", "json")
+    ]
+    fresh = []
+    for argv in argvs:
+        qgroup._registry.clear()
+        fresh.append(_request(capsys, argv))
+    qgroup._registry.clear()
+    warm = [_request(capsys, argv) for argv in argvs]
+    # a second pass reads every row off the warm sides: no E~, no solve
+    built = []
+    with monkeypatch.context() as m:
+        m.setattr(qgroup, "ordered_product", lambda *args: built.append(args[1]))
+        m.setattr(qgroup, "bar_invariant_correction", lambda *args: built.append(args[1]))
+        warm += [_request(capsys, argv) for argv in argvs]
+    assert warm == fresh * 2 and all(code == 0 and err == "" for code, _, err in fresh) and not built
+    # and the sides keep neither E~ nor minors
+    assert len(qgroup._registry) == 2 ** len(cartan_datum(name).edges)
+    for side in qgroup._registry.values():
+        assert list(side._etilde) == [(0,) * side.r] and not side._minors
+
+
+def test_every_height_function_of_one_orientation_shares_its_side(capsys):
+    # five shifts of one A3 height function and both listings of its arrows
+    # are one side; every column but m= is the same, and m= names the
+    # positions of the request's own heights
+    from qgroth import qgroup
+
+    cd = cartan_datum("A3")
+    quivers = [(["--xi", f"{k + 1},{k},{k + 1}"], QuiverDatum.from_xi(cd, (k + 1, k, k + 1))) for k in range(5)]
+    for arrows in ("1-2,3-2", "3-2,1-2"):
+        arrow_list = [tuple(map(int, tok.split("-"))) for tok in arrows.split(",")]
+        quivers.append((["--arrows", arrows], QuiverDatum.from_arrows(cd, arrow_list)))
+    rests = []
+    for flags, quiver in quivers:
+        code, out, err = _request(capsys, ["canonical", "--type", "A3", *flags, "--degree-bound", "3"])
+        assert code == 0 and err == ""
+        cat = CategoryQ(QuiverContext(quiver))
+        rest = []
+        for line in out.splitlines():
+            a, m, tail = re.fullmatch(r"a=(\S+) m=(.*) (simple->.*)", line).groups()
+            assert m == cat.monomial_of_avec(tuple(map(int, a.split(",")))).render()
+            rest.append((a, tail))
+        rests.append(rest)
+    assert len(qgroup._registry) == 1
+    assert rests == [rests[0]] * len(quivers) and len(rests[0]) == len(avecs_up_to(cat, 3))
+
+
+def test_hall_iota_and_canonical_share_a_side_in_either_order(capsys):
+    # on one orientation each prints after the other what it prints alone
+    from qgroth import qgroup
+
+    iota = ["hall", "iota", "--type", "A3", "--arrows", "2-1,2-3", "--q", "2", "--format", "json"]
+    canonical = ["canonical", "--type", "A3", "--xi", "4,5,4", "--degree-bound", "3", "--format", "json"]
+    alone = {}
+    for argv in (iota, canonical):
+        qgroup._registry.clear()
+        alone[argv[0]] = _request(capsys, argv)
+    for order in ((iota, canonical), (canonical, iota)):
+        qgroup._registry.clear()
+        for argv in order:
+            assert _request(capsys, argv) == alone[argv[0]]
+        assert len(qgroup._registry) == 1
+    assert alone["hall"][0] == alone["canonical"][0] == 0
+
+
+def test_a_request_that_raises_registers_nothing(capsys, monkeypatch):
+    # a request that ends at the product cap exits 3 the same way twice and
+    # leaves no side, neither its own nor the warm one it started on; with
+    # the cap restored the next request prints what a fresh side prints
+    from qgroth import qgroup, torus
+
+    argv = ["canonical", "--type", "A3", "--degree-bound", "3"]
+    fresh = _request(capsys, argv)
+    qgroup._registry.clear()
+    assert _request(capsys, ["canonical", "--type", "A3", "--degree-bound", "1"])[0] == 0
+    assert len(qgroup._registry) == 1
+    with monkeypatch.context() as m:
+        m.setattr(torus, "MAX_PRODUCT_PAIRS", 20)
+        capped = [_request(capsys, argv) for _ in range(2)]
+        assert capped == [(3, "", "resource cap exceeded: torus product of 8 by 3 terms passes 20 pairs\n")] * 2
+        assert not qgroup._registry
+    assert _request(capsys, argv) == fresh

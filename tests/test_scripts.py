@@ -15,9 +15,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "script, args",
     [
         ("dual_canonical_experiment.py", ["A2", "0,1", "2"]),
-        ("hall_specialization.py", ["A2", "2", "2"]),
-        ("inverse_series_table.py", ["A3", "12"]),
-        ("inverse_series_table.py", ["E8", "60"]),
     ],
 )
 def test_script_runs(script, args):
