@@ -439,6 +439,7 @@ class CategoryQ:
         self._column_depths = [sum(col.values()) for col in self._columns]
         self.labels = [self.xt.key(self.xt.unit_vector(k)) for k in range(1, self.xt.r + 1)]  # keys of the X_k
         self._standards = {(0,) * self.xt.r: self.xt.one()}
+        self._depths: dict[tuple[int, ...], dict[int, int]] = {}
 
     def _check_torus_isomorphism(self) -> None:
         """The isomorphism Phi: the Gram matrix of the Y-variables at the
@@ -566,8 +567,14 @@ class CategoryQ:
         return sum(c * n for c, n in zip(a, self._column_depths))
 
     def depths(self, d) -> dict[int, int]:
-        """The dominant keys of the weight space d, each with its depth."""
-        return {self.xt.key(a): self.depth(a) for a in kostant_partitions(self.roots, d)}
+        """The dominant keys of the weight space d, each with its depth, in the
+        order of its Kostant partitions.  They depend only on the orientation,
+        so each weight space is enumerated once and its dict kept on the
+        category, keyed by tuple(d); callers read it and never change it."""
+        d = tuple(d)
+        if d not in self._depths:
+            self._depths[d] = {self.xt.key(a): self.depth(a) for a in kostant_partitions(self.roots, d)}
+        return self._depths[d]
 
     def standards(self, keys) -> dict[int, TorusElement]:
         """The truncated standard class at each dominant key."""

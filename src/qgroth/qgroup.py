@@ -34,7 +34,10 @@ side per orientation per process, `quantum_group_side`, keyed on the arrows as
 `hall.derived_hall` is.  It keeps what a later request reads: the B~ rows,
 their coefficients interned in one pool per side, the r generators and the
 truncated fundamentals (and the truncated standard classes that `hall iota`
-reads on the side's `CategoryQ`).  The E~ and minor memos are per request: the E~ are
+reads on the side's `CategoryQ`).  The side's `CategoryQ` keeps the depths of
+each weight space it has enumerated, which `hall iota` reads too, and the side
+keeps the JSON text of each row it has reported (`row_json`), encoded once and
+dropped with the side.  The E~ and minor memos are per request: the E~ are
 dropped after each `verify_mainth`, the minors once the generators are built,
 and a weight space already solved builds no E~.  A failed request keeps
 nothing: the side is out of the registry while a request runs and goes back
@@ -43,6 +46,7 @@ only when the request returns.
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import combinations
@@ -73,6 +77,7 @@ class QGroupSide:
         self._minors: dict[tuple[int, int], TorusElement] = {}
         self._btilde: dict[int, TorusElement | None] = {}  # each solved key's checked lift, or None
         self._coefficients: dict[HalfLaurent, HalfLaurent] = {}  # the one copy of each B~ coefficient
+        self._texts: dict[tuple, str] = {}  # the JSON text of each reported row, by (avec, simple, standard)
         self._etilde: dict[tuple[int, ...], TorusElement] = {(0,) * self.r: self.xt.one()}
         # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k,
         # c_k = N(beta_k) + 2 (varpi_i - lambda_{k-}, beta_k), varpi_i - lambda_{k-} = x(k-, i)
@@ -216,6 +221,27 @@ class QGroupSide:
                 }
         self._etilde = {(0,) * self.r: self.xt.one()}  # a later request reads the B~ rows, not the E~
         return [rows[k] for k in sorted(rows)]
+
+    def row_json(self, row: dict) -> str:
+        """The JSON text of a row of `verify_mainth`: its exponent vector, its
+        B~ where the simple class matched, else null, and both flags, encoded
+        with sorted keys as `cli._emit` encodes; once per side and row, since
+        every row depends only on the orientation.  B~ is read through
+        `b_tilde`, so a row that claims a match its solve refused raises."""
+        avec, simple, standard = row["avec"], row["simple_matches_dual_canonical"], row["standard_matches_dual_pbw"]
+        key = (avec, simple, standard)
+        if key not in self._texts:
+            self._texts[key] = json.dumps(
+                {
+                    "avec": list(avec),
+                    "dual_canonical": self.b_tilde(avec).to_json() if simple else None,
+                    "simple_ok": simple,
+                    "standard_ok": standard,
+                },
+                sort_keys=True,
+                check_circular=False,
+            )
+        return self._texts[key]
 
     @staticmethod
     def _characterized(a: int, row: dict, depth: dict, pbw: dict) -> TorusElement | None:

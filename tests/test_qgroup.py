@@ -13,7 +13,7 @@ from qgroth.laurent import HalfLaurent
 from qgroth.qgroup import QGroupSide, n_gamma
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
-from qgroth.torus import Monomial
+from qgroth.torus import Monomial, TorusElement
 
 from conftest import (
     all_orientations,
@@ -519,6 +519,32 @@ def _arrows(quiver: QuiverDatum) -> str:
     return ",".join(f"{i}-{j}" for i, j in quiver.arrows)
 
 
+def _canonical_json(quiver: QuiverDatum, degree: int) -> tuple[dict, str]:
+    """The object `canonical --format json` reports, built whole on a side of
+    its own, and its `json.dumps` as the CLI encodes objects: the reference
+    for the rows a warm side encodes once and joins."""
+    qg = QGroupSide(CategoryQ(QuiverContext(quiver)))
+    report = qg.verify_mainth(degree)
+    obj = {
+        "ok": all(r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"] for r in report),
+        "rows": [
+            {
+                "avec": list(r["avec"]),
+                "dual_canonical": qg.b_tilde(r["avec"]).to_json() if r["simple_matches_dual_canonical"] else None,
+                "simple_ok": r["simple_matches_dual_canonical"],
+                "standard_ok": r["standard_matches_dual_pbw"],
+            }
+            for r in report
+        ],
+    }
+    return obj, json.dumps(obj, sort_keys=True, check_circular=False) + "\n"
+
+
+def _assert_json_is(out: str, reference: tuple[dict, str]) -> None:
+    obj, text = reference
+    assert json.loads(out) == obj and out == text
+
+
 @pytest.mark.parametrize("name,degree", [("A3", 4), ("A4", 3), ("D4", 3)])
 def test_a_warm_side_prints_what_a_fresh_side_prints(capsys, monkeypatch, name, degree):
     # every orientation, in text and json, twice over in one process: each
@@ -534,13 +560,18 @@ def test_a_warm_side_prints_what_a_fresh_side_prints(capsys, monkeypatch, name, 
     for argv in argvs:
         qgroup._registry.clear()
         fresh.append(_request(capsys, argv))
+    for q, (_, out, _) in zip(all_orientations(name), fresh[1::2]):
+        _assert_json_is(out, _canonical_json(q, degree))
     qgroup._registry.clear()
     warm = [_request(capsys, argv) for argv in argvs]
-    # a second pass reads every row off the warm sides: no E~, no solve
+    # a second pass reads every row off the warm sides: no E~, no solve, no
+    # enumeration of a weight space and no encoding of a dual canonical row
     built = []
     with monkeypatch.context() as m:
         m.setattr(qgroup, "ordered_product", lambda *args: built.append(args[1]))
         m.setattr(qgroup, "bar_invariant_correction", lambda *args: built.append(args[1]))
+        m.setattr(characters, "kostant_partitions", lambda roots, d: built.append(d))
+        m.setattr(TorusElement, "to_json", lambda self: built.append(self))
         warm += [_request(capsys, argv) for argv in argvs]
     assert warm == fresh * 2 and all(code == 0 and err == "" for code, _, err in fresh) and not built
     # and the sides keep neither E~ nor minors
@@ -591,6 +622,54 @@ def test_hall_iota_and_canonical_share_a_side_in_either_order(capsys):
             assert _request(capsys, argv) == alone[argv[0]]
         assert len(qgroup._registry) == 1
     assert alone["hall"][0] == alone["canonical"][0] == 0
+    # canonical after hall iota reads the weight spaces iota enumerated, and
+    # still prints the whole object's encoding
+    quiver = QuiverDatum.from_xi(cartan_datum("A3"), (4, 5, 4))
+    _assert_json_is(alone["canonical"][1], _canonical_json(quiver, 3))
+
+
+def test_mixed_degree_bounds_on_one_side_print_the_whole_object(capsys):
+    # A3 at degree bounds 4, 2, 4 and 0 on one warm side: each prints what a
+    # fresh side prints, the json.dumps of the object built whole
+    from qgroth import qgroup
+
+    quiver = QuiverDatum.bipartite(cartan_datum("A3"))
+    for degree in (4, 2, 4, 0):
+        argv = ["canonical", "--type", "A3", "--degree-bound", str(degree), "--format", "json"]
+        code, out, err = _request(capsys, argv)
+        assert code == 0 and err == ""
+        _assert_json_is(out, _canonical_json(quiver, degree))
+        warm = dict(qgroup._registry)
+        qgroup._registry.clear()
+        assert _request(capsys, argv) == (code, out, err)
+        qgroup._registry.clear()
+        qgroup._registry.update(warm)
+    assert len(qgroup._registry) == 1
+
+
+def test_a_refused_row_prints_null_on_a_fresh_and_a_warm_side(capsys, monkeypatch):
+    # one key refused by its characterization: its row carries null and
+    # simple_ok false, the report ok false and exit 2, and the same argv on
+    # the warm side prints the same bytes, the whole object's encoding
+    from qgroth import qgroup
+
+    quiver = QuiverDatum.bipartite(cartan_datum("A3"))
+    xt = CategoryQ(QuiverContext(quiver)).xt
+    refused = xt.key((1, 0, 0, 0, 0, 1))
+    real = QGroupSide._characterized
+    monkeypatch.setattr(
+        QGroupSide,
+        "_characterized",
+        staticmethod(lambda a, row, depth, pbw: None if a == refused else real(a, row, depth, pbw)),
+    )
+    reference = _canonical_json(quiver, 3)
+    nulls = [r["avec"] for r in reference[0]["rows"] if r["dual_canonical"] is None]
+    assert nulls == [[1, 0, 0, 0, 0, 1]] and reference[0]["ok"] is False
+    argv = ["canonical", "--type", "A3", "--degree-bound", "3", "--format", "json"]
+    runs = [_request(capsys, argv) for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][0] == 2 and runs[0][2] == ""
+    _assert_json_is(runs[0][1], reference)
+    assert len(qgroup._registry) == 1
 
 
 def test_a_request_that_raises_registers_nothing(capsys, monkeypatch):
