@@ -234,15 +234,21 @@ def ordered_product(memo: dict, a: tuple, gen: Callable, labels: list, keep: boo
     way is stored in it (without, only the running product is held).  For the
     last k with a_k > 0 and b = a - e_k, X(a) = t^(-<b, e_k>/2) X(b) gen(k),
     <b, e_k> the torus pairing of the labels of X(b) and gen(k), which carry 1
-    and alone reach the label of a."""
+    and alone reach the label of a.  Every step's range test runs on the L1
+    bounds before the first product, so one past the key digits builds nothing."""
     chain, b = [], a  # the indices stripped from a, last one first, down to a memoised vector
     while b not in memo:
         k = max(j for j, x in enumerate(b) if x > 0)
         chain.append(k)
         b = b[:k] + (b[k] - 1,) + b[k + 1 :]
     x, key = memo[b], sum(c * labels[j] for j, c in enumerate(b) if c)
+    gens = {k: gen(k) for k in chain}
+    l1 = x.l1
     for k in reversed(chain):
-        x = x.mul_shift(gen(k), -x.ctx.pair(x.forms[key], labels[k]))
+        x.ctx.check_range(l1, gens[k].l1)
+        l1 += gens[k].l1
+    for k in reversed(chain):
+        x = x.mul_shift(gens[k], -x.ctx.pair(x.forms[key], labels[k]))
         key, b = key + labels[k], b[:k] + (b[k] + 1,) + b[k + 1 :]
         if not x.coeff(key).is_one():
             raise CharacterError(f"the ordered product at {b} does not carry coefficient 1 at its label")

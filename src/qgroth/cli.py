@@ -35,7 +35,7 @@ from .hall import (
 )
 from .presentation import Presentation
 from .qcartan import quantum_cartan
-from .qgroup import QGroupSide, quantum_group_side
+from .qgroup import quantum_group_side
 from .quiver import AdaptedWord, QuiverContext, QuiverDatum
 from .torus import Monomial
 
@@ -422,23 +422,21 @@ def _verify_all(args) -> int:
         )
         checks.append((f"two-route inverse agreement ({name})", ok))
 
-    cd = cartan_datum("A3")
-    cat = CategoryQ(QuiverContext(QuiverDatum.from_xi(cd, (2, 3, 2))))
-    qg = QGroupSide(cat)
-    rep = qg.verify_mainth(2)
-    ok = all(r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"] for r in rep)
-    checks.append(("rank-3 simples match the dual canonical basis (degree 2)", ok))
-    checks.append(("rank-3 quantum Serre relations", not qg.serre_check()))
-
-    for name, c in (("A3", cat), ("D4", CategoryQ(QuiverContext(QuiverDatum.bipartite(cartan_datum("D4")))))):
-        ok = all(c.truncated_fundamental(i, p) == c.kr(i, 1, p) for i, p in c.positions)
-        checks.append((f"truncated fundamentals equal the T-system classes ({name})", ok))
+    with quantum_group_side(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2))) as qg:
+        rep = qg.verify_mainth(2)
+        ok = all(r["simple_matches_dual_canonical"] and r["standard_matches_dual_pbw"] for r in rep)
+        checks.append(("rank-3 simples match the dual canonical basis (degree 2)", ok))
+        checks.append(("rank-3 quantum Serre relations", not qg.serre_check()))
+        cats = (("A3", qg.cat), ("D4", CategoryQ(QuiverContext(QuiverDatum.bipartite(cartan_datum("D4"))))))
+        for name, c in cats:
+            ok = all(c.truncated_fundamental(i, p) == c.kr(i, 1, p) for i, p in c.positions)
+            checks.append((f"truncated fundamentals equal the T-system classes ({name})", ok))
 
     pres = Presentation(QuiverContext(QuiverDatum.from_xi(cartan_datum("A2"), (0, 1))))
     checks.append(("rank-2 presentation relations", not pres.verify_relations(0, 2)))
 
-    cat2 = CategoryQ(QuiverContext(QuiverDatum.from_xi(cartan_datum("A2"), (2, 1))))
-    rep = iota_check(cat2, 2, max_len=2, m_offsets=range(2))
+    with quantum_group_side(QuiverDatum.from_xi(cartan_datum("A2"), (2, 1))) as qg:
+        rep = iota_check(qg.cat, 2, max_len=2, m_offsets=range(2))
     checks.append(("rank-2 Hall specialization (q=2)", rep["ok"]))
 
     _emit(

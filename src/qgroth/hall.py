@@ -26,10 +26,12 @@ two short exact sequences, each counted by those Hall numbers; |Aut M| is
 read off dim End M, since the indecomposables of mod(FQ) are bricks.  One
 cap, `MAX_HALL_WORK`, bounds a Hall number and a gamma: the q^(dim Ext^1)
 extensions to classify times the cube of the total dimension, checked
-before any representation is built.  Scalars live in the exact field
+before any representation is built.  Scalars live in the exact ring
 Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2 so that half-integral
 powers of u remain exact, and enter it by one map, `specialize`, from a
-Laurent polynomial in t^(1/2) over a positive integer at t = u.
+Laurent polynomial in t^(1/2) over a positive integer at t = u.  Nothing
+divides in the ring: the two constants of this side are Laurent numerators
+over t^2 - 1, which is the positive integer q - 1 at t = u.
 
 The derived Hall algebra is spanned by normal-ordered words in generators
 z_a^[m] with strictly decreasing level m; products are rewritten to normal
@@ -43,7 +45,8 @@ category is an autoequivalence (Toen, Derived Hall algebras, Duke Math. J.
 rows off the lowest level's once (a) the rewriting reads levels only through
 their differences and fixes the boson term, and (b) each simple generator
 is the one a level below raised by one (`check_h_relations`).  The
-specialization report compares the two sides at each a directly, and the
+specialization report checks iota at each a as a product: the K_t
+coefficient times the rescaling is rho(a) times the Hall coefficient.  The
 constant identity checks that iota carries R2's inhomogeneous term in K_t
 onto DH(Q)'s, on the constants the relation tables use.
 """
@@ -162,8 +165,7 @@ def _hom_equations(M: Rep, N: Rep):
     entry, on the entries of a homomorphism (phi_v): N.dims[v] x M.dims[v]
     blocks vertex by vertex.  Returns the equation rows, one per coordinate
     of sum_a Hom(M_i, N_j) (row r of N_j, column c of M_i, arrow by arrow),
-    zero rows included; the offset of each vertex block; and the number of
-    unknowns."""
+    zero rows included, and the number of unknowns."""
     F = M.F
     offsets = []
     total = 0
@@ -183,12 +185,12 @@ def _hom_equations(M: Rep, N: Rep):
                     idx = offsets[i - 1] + k * M.dims[i - 1] + c
                     row[idx] = F.sub(row[idx], N.mats[(i, j)][r][k])
                 rows.append(tuple(row))
-    return rows, offsets, total
+    return rows, total
 
 
 def hom_dim(M: Rep, N: Rep) -> int:
     """dim Hom(M, N): the unknowns less the rank of their equations."""
-    rows, _, total = _hom_equations(M, N)
+    rows, total = _hom_equations(M, N)
     return total - mat_rank(M.F, rows)
 
 
@@ -282,13 +284,13 @@ class UScalar:
     """Element of Q[x]/(x^4 - q), with u = sqrt(q) represented by x^2.
 
     A scalar enters the ring only through `specialize`; every other one is
-    built from those by the ring operations below.
-    u and u^(1/2) = x are units, so Laurent expressions in them are exact.
+    built from those by the ring operations below, which have no division.
+    u and u^(1/2) = x are units, so Laurent expressions in them are exact,
+    and every other denominator is a positive integer given to `specialize`.
     The ring is a field for q in {2, 3}.  At q = 4, which `DerivedHall` also
     accepts, x^4 - 4 = (x^2 - 2)(x^2 + 2): u^2 = 4 but u != 2, and 2 + u is a
     zero divisor.  Every equality in the ring still holds at u = 2, so a
-    check at q = 4 is at least as strict as one at u = 2; the inverse of a
-    zero divisor raises ZeroDivisionError, which ends a request in exit 2.
+    check at q = 4 is at least as strict as one at u = 2.
     Stored as four integer numerators `n` over one positive denominator `d`
     in lowest terms, so the form is canonical: equal values have equal
     (n, d), and zero is (0, 0, 0, 0)/1."""
@@ -344,27 +346,6 @@ class UScalar:
     def __hash__(self):
         return hash((self.q, self.n, self.d))
 
-    def inverse(self) -> "UScalar":
-        # With abar(x) = a(-x), a * abar = b0 + b2 x^2 is even and
-        # (b0 + b2 x^2)(b0 - b2 x^2) = b0^2 - q b2^2 = N, the norm of a; so
-        # a^-1 = abar (b0 - b2 x^2) / N, and a is a unit exactly when N != 0.
-        # On numerators a = A/d: b = B/d^2, N = M/d^4, a^-1 = d Abar (B0 - B2 x^2) / M.
-        q, d = self.q, self.d
-        a0, a1, a2, a3 = self.n
-        b0 = a0 * a0 + q * (a2 * a2 - 2 * a1 * a3)
-        b2 = 2 * a0 * a2 - a1 * a1 - q * a3 * a3
-        norm = b0 * b0 - q * b2 * b2
-        if norm == 0:
-            raise ZeroDivisionError("element is not invertible")
-        return _reduced(
-            q,
-            d * (a0 * b0 - q * a2 * b2),
-            d * (q * a3 * b2 - a1 * b0),
-            d * (a2 * b0 - a0 * b2),
-            d * (a1 * b2 - a3 * b0),
-            norm,
-        )
-
     def __repr__(self):
         bits = []
         for k, a in enumerate(self.n):
@@ -403,12 +384,12 @@ def specialize(q: int, c: HalfLaurent, den: int = 1) -> UScalar:
     return _reduced(q, *n, den * q**-low)
 
 
-# The Hall side's two constants, each the inverse of a Laurent polynomial in
-# t that `specialize` takes to t = u: R2's inhomogeneous term in DH(Q),
-# t^-1 / (t^2 - 1) = 1 / (t^3 - t), and the rescaling of the generators,
-# 1 / (t^(1/2) (t - t^-1)) = 1 / (t^(3/2) - t^(-1/2)).
-DH_BOSON_INVERSE = HalfLaurent({6: 1, 2: -1})
-RESCALING_INVERSE = HalfLaurent({3: 1, -1: -1})
+# The Hall side's two constants, each a Laurent numerator over t^2 - 1, so
+# that `specialize(q, numerator, q - 1)` takes it to t = u: R2's inhomogeneous
+# term in DH(Q), t^-1 / (t^2 - 1), and the rescaling of the generators,
+# 1 / (t^(1/2) (t - t^-1)) = t^(1/2) / (t^2 - 1).
+DH_BOSON_NUMERATOR = HalfLaurent({-2: 1})
+RESCALING_NUMERATOR = HalfLaurent({1: 1})
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +437,7 @@ class DerivedHall:
         hom = [[0] * r for _ in range(r)]
         self.ext_bases = {}
         for k, l in itertools.product(range(r), repeat=2):
-            rows, _, total = _hom_equations(self.models[k], self.models[l])
+            rows, total = _hom_equations(self.models[k], self.models[l])
             pivots = rref(list(zip(*rows)), F)[1]
             hom[k][l] = total - len(pivots)
             s, t = roots[k], roots[l]
@@ -728,7 +709,7 @@ def _raised(word: tuple, k: int = 1) -> tuple:
 def check_h_relations(dh: DerivedHall, m_offsets=range(4)) -> list[tuple]:
     """The relation table of `presentation.relation_failures` on the simple
     generators z_{S_i}^[m], m in m_offsets, at t = u with boson constant
-    u^-1/(u^2-1), the inverse of `DH_BOSON_INVERSE`.
+    u^-1/(u^2-1), `DH_BOSON_NUMERATOR` over q - 1.
 
     The rows are read off those of the lowest level when the shift holds:
     (a) `DerivedHall._rewrite` reads levels only through m1 > m2, m1 = m2,
@@ -738,7 +719,7 @@ def check_h_relations(dh: DerivedHall, m_offsets=range(4)) -> list[tuple]:
     every level m below the top and every vertex i, z_simple(i, m + 1) is
     z_simple(i, m) with every letter's level raised by one.  When (b) fails
     the whole table is computed."""
-    boson = dh.scal(dh.one(), specialize(dh.q, DH_BOSON_INVERSE).inverse())
+    boson = dh.scal(dh.one(), specialize(dh.q, DH_BOSON_NUMERATOR, dh.q - 1))
     translated = all(
         dh.z_simple(i, m + 1) == {_raised(w): c for w, c in dh.z_simple(i, m).items()}
         for m in m_offsets[:-1]
@@ -752,8 +733,8 @@ def constant_identity_holds(q: int) -> bool:
     boson term `presentation.BOSON` = 1 - t^-2 of K_t at t = u, times the
     square of the generator rescaling, is the boson term u^-1/(u^2 - 1) of
     DH(Q), on the constants the relation checks and the scalar report use."""
-    resc = specialize(q, RESCALING_INVERSE).inverse()
-    return specialize(q, presentation.BOSON) * resc * resc == specialize(q, DH_BOSON_INVERSE).inverse()
+    resc = specialize(q, RESCALING_NUMERATOR, q - 1)
+    return specialize(q, presentation.BOSON) * resc * resc == specialize(q, DH_BOSON_NUMERATOR, q - 1)
 
 
 def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dict:
@@ -762,24 +743,23 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     scalar per class that is independent of the product used to reach it.
 
     On the character side the generators are the fundamental classes at the
-    simple-root positions rescaled by 1/(u^(1/2)(u - u^-1)); on the Hall side
-    they are the simple generators z_{S_i}^[0] of `dh`, built on the quiver
-    of `cat`.  A character-side coefficient is taken to the Hall side's
-    scalars by `specialize`.  The scalar of the class a of dimension vector d
-    is the closed form rho(a) = u^(dim End M_a - <d, d>/2) / |Aut M_a|, and
-    each ratio is compared with it.  Returns the scalar table and a
-    consistency flag.
+    simple-root positions rescaled by 1/(u^(1/2)(u - u^-1)) = u^(1/2)/(q - 1);
+    on the Hall side they are the simple generators z_{S_i}^[0] of `dh`,
+    built on the quiver of `cat`.  A character-side coefficient is taken to
+    the Hall side's scalars by `specialize`.  The scalar of the class a of
+    dimension vector d is the closed form rho(a) = u^(dim End M_a - <d, d>/2)
+    / |Aut M_a|, checked as a product: the rescaled character-side
+    coefficient equals rho(a) times the Hall coefficient.  Returns rho(a) of
+    every class the products reach and a consistency flag.
     """
     if max_len < 1:
         raise ValueError(f"maximum word length {max_len} selects no product to compare")
     q = dh.q
     cd = cat.cartan
     gens_t = cat.simple_generators()
-    resc = specialize(q, RESCALING_INVERSE).inverse()
-    scalars: dict = {}
-    closed: dict = {}  # class -> rho(a)
+    resc = specialize(q, RESCALING_NUMERATOR, q - 1)
+    scalars: dict = {}  # class -> rho(a)
     spaces: dict = {}  # weight -> (its depths, its truncated standard classes)
-    consistent = True
     witnesses = []
     # each word's products on both sides and its rescaling extend those of
     # the word without its last letter
@@ -810,20 +790,16 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
                 ch = prod_h.get(((0, avec),))  # None where zero: a product stores no zero
                 tval = specialize(q, ct) * rescale
                 if (ch is None) != tval.is_zero():
-                    consistent = False
                     witnesses.append((word, avec, "support mismatch"))
                     continue
                 if ch is None:
                     continue
-                rho = tval * ch.inverse()
-                if avec not in closed:
+                if avec not in scalars:
                     e2 = 2 * dh.hom_ext(avec, avec)[0] - dh.euler(avec, avec)
-                    closed[avec] = specialize(q, HalfLaurent.t_power(e2), dh.aut(avec))
-                if rho != closed[avec]:
-                    consistent = False
+                    scalars[avec] = specialize(q, HalfLaurent.t_power(e2), dh.aut(avec))
+                if tval != scalars[avec] * ch:
                     witnesses.append((word, avec, "scalar mismatch"))
-                scalars.setdefault(avec, rho)
-    return {"consistent": consistent, "scalars": scalars, "witnesses": witnesses}
+    return {"consistent": not witnesses, "scalars": scalars, "witnesses": witnesses}
 
 
 def iota_check(cat: CategoryQ, q: int, max_len: int = 3, m_offsets=range(4)) -> dict:

@@ -211,6 +211,12 @@ class QuantumTorus:
                 out += e << place[k]
         return out
 
+    def check_range(self, l1: int, l1_other: int) -> None:
+        """Refuse a product of factors with L1 bounds l1 and l1_other whose
+        key digits or pairing digits would reach H (module docstring, Range)."""
+        if l1 + l1_other >= self.half or self.mmax * l1 * l1_other >= self.half:
+            raise ResourceCap(f"torus product leaves the {self.W}-bit key digits")
+
     def pair(self, form: int, key: int) -> int:
         """a^T M b from form(a) and key(b)."""
         return (((form * key + self._pbias) >> self._shift) & self.mask) - self.half
@@ -339,9 +345,8 @@ class TorusElement:
         n1, n2 = len(self.terms), len(other.terms)
         if n1 * n2 > MAX_PRODUCT_PAIRS:
             raise ResourceCap(f"torus product of {n1} by {n2} terms passes {MAX_PRODUCT_PAIRS} pairs")
+        ctx.check_range(self.l1, other.l1)
         l1 = self.l1 + other.l1
-        if l1 >= ctx.half or ctx.mmax * self.l1 * other.l1 >= ctx.half:
-            raise ResourceCap(f"torus product leaves the {ctx.W}-bit key digits")
         mask, half = ctx.mask, ctx.half
         band = None
         if ctx.n >= MIN_CUT_PLACES:

@@ -432,7 +432,8 @@ def nullspace_basis(F, rows, nvars: int):
 def hom_basis(M, N):
     """Basis of Hom(M, N): tuples of per-vertex matrices, solving the hom
     equations of the library."""
-    rows, offsets, total = _hom_equations(M, N)
+    rows, total = _hom_equations(M, N)
+    offsets = list(itertools.accumulate((a * b for a, b in zip(M.dims, N.dims)), initial=0))[:-1]
     out = []
     for vec in nullspace_basis(M.F, rows, total):
         out.append(tuple(
@@ -490,6 +491,27 @@ def uscalar(q: int, coeffs=()):
     fr = [Fraction(c) for c in coeffs]
     den = lcm(*(f.denominator for f in fr))
     return specialize(q, HalfLaurent({k: int(f * den) for k, f in enumerate(fr)}), den)
+
+
+def inverse(x):
+    """The inverse of the scalar x in Q[x]/(x^4 - q), a reference the library
+    does not need: the solution y of x y = 1 by elimination over Q on the
+    multiplication matrix of x, whose entry (k, j) is the coefficient of X^k in
+    x X^j (X^4 = q).  Raises ZeroDivisionError when that matrix is singular,
+    that is, when x is a zero divisor."""
+    q, a = x.q, [Fraction(c, x.d) for c in x.n]
+    rows = [[a[k - j] if k >= j else q * a[k - j + 4] for j in range(4)] + [Fraction(k == 0)] for k in range(4)]
+    for c in range(4):
+        p = next((r for r in range(c, 4) if rows[r][c]), None)
+        if p is None:
+            raise ZeroDivisionError("not a unit")
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(4):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return uscalar(q, [row[4] for row in rows])
 
 
 def upow(q: int, k: int):

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 
 from qgroth import characters
-from qgroth.cartan import cartan_datum
+from qgroth.cartan import ResourceCap, cartan_datum
 from qgroth.characters import (
     CategoryQ,
     CharacterError,
@@ -346,6 +346,46 @@ def test_standard_class_holds_only_its_running_product():
     memo = {(0,): yt.one()}
     assert std == characters.ordered_product(memo, (30,), lambda k: fundamental_tchar(yt, 1, 0), [yt.key(Y(1, 0))])
     assert len(memo) == 31
+
+
+def test_an_ordered_product_out_of_range_is_refused_before_its_first_step(monkeypatch):
+    # on the A1 window (m = 2, H = 2^15) a factor of L1 bound 100 multiplies
+    # twice (2 * 100 * 100 < H) but not three times (2 * 200 * 100 >= H): a
+    # product of three is refused before any step is built, and a memo hit
+    # runs no range test
+    from qgroth.torus import QuantumTorus, TorusElement
+
+    qc = quantum_cartan(cartan_datum("A1"))
+    yt = characters.fundamental_window(qc, [(1, 0)])
+    gen, labels = yt.monomial(Y(1, 0, 100)), [yt.key(Y(1, 0, 100))]
+    steps, tests = [], []
+    mul_shift, check_range = TorusElement.mul_shift, QuantumTorus.check_range
+    monkeypatch.setattr(TorusElement, "mul_shift", lambda x, y, e: steps.append(e) or mul_shift(x, y, e))
+    monkeypatch.setattr(QuantumTorus, "check_range", lambda ctx, a, b: tests.append((a, b)) or check_range(ctx, a, b))
+    memo = {(0,): yt.one()}
+    assert characters.ordered_product(memo, (2,), lambda k: gen, labels) == yt.monomial(Y(1, 0, 200))
+    assert len(steps) == 2 and sorted(memo) == [(0,), (1,), (2,)]
+    steps.clear()
+    tests.clear()
+    with pytest.raises(ResourceCap, match="torus product leaves the 16-bit key digits"):
+        characters.ordered_product(memo, (3,), lambda k: gen, labels)
+    assert steps == [] and tests == [(200, 100)] and sorted(memo) == [(0,), (1,), (2,)]
+    tests.clear()
+    characters.ordered_product(memo, (2,), lambda k: gen, labels)
+    assert steps == [] and tests == []
+
+
+def test_a_standard_class_past_the_key_digits_exits_3_at_once(monkeypatch, capsys):
+    # Y[1,0]^99999 on A2: the steps leave the key digits from the 4097th on,
+    # so the request is refused before its first product
+    from qgroth.torus import TorusElement
+
+    steps = []
+    mul_shift = TorusElement.mul_shift
+    monkeypatch.setattr(TorusElement, "mul_shift", lambda x, y, e: steps.append(e) or mul_shift(x, y, e))
+    assert main(["qchar", "standard", "--type", "A2", "-m", "Y[1,0]^99999"]) == 3
+    assert capsys.readouterr().err == "resource cap exceeded: torus product leaves the 16-bit key digits\n"
+    assert steps == []
 
 
 def test_simple_rank1(ytorus):

@@ -151,17 +151,28 @@ def _calls(tree, scope=""):
 
 def test_every_hall_scalar_enters_through_specialize():
     # no module builds a UScalar by its constructor, and the private builder
-    # _reduced is called only by specialize and UScalar's ring operations
-    calls = []
+    # _reduced is called only by specialize and UScalar's ring operations;
+    # the ring has no division, so no module that holds Hall scalars (hall
+    # and the modules importing it) calls an inverse: every denominator is a
+    # positive integer given to specialize
+    calls, inverting = [], []
     for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
-        calls += _calls(ast.parse(path.read_text(), str(path)))
+        tree = ast.parse(path.read_text(), str(path))
+        found = _calls(tree)
+        calls += found
+        holds_scalars = path.name == "hall.py" or any(
+            isinstance(node, ast.ImportFrom) and node.module == "hall" for node in ast.walk(tree)
+        )
+        if holds_scalars:
+            inverting += [(path.name, scope) for scope, name in found if name == "inverse"]
     assert [c for c in calls if c[1] == "UScalar"] == []
+    assert inverting == []
     builders = {scope for scope, name in calls if name == "_reduced"}
     assert "specialize" in builders
     assert {s for s in builders if s != "specialize" and not s.startswith("UScalar.")} == set()
     from qgroth import hall
 
-    for gone in ("__init__", "of", "u", "half_u"):
+    for gone in ("__init__", "of", "u", "half_u", "inverse"):
         assert gone not in vars(hall.UScalar), gone
     assert not hasattr(hall, "u_power")
     assert not hasattr(hall.DerivedHall, "scalar") and not hasattr(hall.DerivedHall, "upow")
