@@ -436,7 +436,7 @@ class CategoryQ:
         self.positions = qctx.positions
         self.yt = YTorus(self.qc, self.positions)
         self.roots = qctx.word.roots
-        self.xt = XTorus(self.roots, self.cartan)
+        self.xt = XTorus(qctx.word.euler)
         self.index_of_position = qctx.index_of_position
         self._kr: dict[tuple[int, int, int], TorusElement] = {}
         self._fundamentals: dict[tuple[int, int], TorusElement] = {}
@@ -449,7 +449,8 @@ class CategoryQ:
 
     def _check_torus_isomorphism(self) -> None:
         """The isomorphism Phi: the Gram matrix of the Y-variables at the
-        positions, in k-order, equals the Gram matrix of the rank-r torus."""
+        positions, in k-order, is the signed symmetrized Euler form of the word,
+        the Gram matrix of the rank-r torus."""
         idx = [self.yt.index[v] for v in self.positions]
         n, x = [[self.yt.gram[a][b] for b in idx] for a in idx], self.xt.gram
         if n != x:

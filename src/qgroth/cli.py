@@ -349,17 +349,21 @@ def cmd_hall(args) -> int:
         return 0 if ok else 2
     with quantum_group_side(quiver) as qg:
         rep = iota_check(qg.cat, args.q, max_len=args.max_len, m_offsets=range(args.mmax + 1))
+    witnesses = [(",".join(map(str, w)), ",".join(map(str, a)), why) for w, a, why in rep["witnesses"]]
     _emit(
         args,
         lambda: [
             f"constant identity: {'ok' if rep['constant_identity'] else 'FAIL'}",
             f"relation failures: {len(rep['relation_failures'])}",
             f"scalar table consistent: {rep['consistent']}",
-        ] + [f"  a={','.join(map(str, a))}: {s}" for a, s in sorted(rep["scalars"].items())],
+        ]
+        + [f"  a={','.join(map(str, a))}: {s}" for a, s in sorted(rep["scalars"].items())]
+        + [f"witness: word {w} at a={a}: {why}" for w, a, why in witnesses],
         lambda: {
             "ok": rep["ok"],
             "scalars": {",".join(map(str, a)): repr(s) for a, s in rep["scalars"].items()},
-        },
+        }
+        | ({"witnesses": [{"word": w, "a": a, "reason": why} for w, a, why in witnesses]} if witnesses else {}),
     )
     return 0 if rep["ok"] else 2
 

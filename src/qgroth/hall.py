@@ -16,8 +16,9 @@ of a height function shares the instance of its orientation.
 
 Both kinds of structure constant come from Riedtmann's formula.  The Hall
 numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) and
-the Euler form are read off r x r tables on the roots, dim Ext^1(Y, X) is
-their difference; a split pair is one quotient of automorphism counts, and
+the Euler form are read off the r x r tables the adapted word carries,
+checked against the models when the instance is built, and dim Ext^1(Y, X)
+is their difference; a split pair is one quotient of automorphism counts, and
 otherwise Ext^1(Y, X) is the sum of the Ext^1 between their summands, whose
 bases are computed once per quiver and field, and each nonsplit extension,
 one per line, is built as a middle term and classified by its fingerprint.
@@ -63,7 +64,7 @@ from .characters import CategoryQ, expand_in_dominant_basis
 from . import presentation
 from .laurent import ONE, HalfLaurent
 from .presentation import relation_failures
-from .quiver import AdaptedWord, QuiverDatum, ringel_form
+from .quiver import AdaptedWord, QuiverDatum
 
 
 MAX_RANK = 3
@@ -89,24 +90,11 @@ class GF:
             self.mul = lambda a, b: (a * b) % q
             self.inv = lambda a: pow(a, q - 2, q)
         elif q == 4:
-            # F_2[x]/(x^2+x+1): 0, 1, x=2, x+1=3
-            add = [[(a ^ b) for b in range(4)] for a in range(4)]
-            mul = [[0] * 4 for _ in range(4)]
-            poly = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-            enc = {v: k for k, v in poly.items()}
-            for a in range(4):
-                for b in range(4):
-                    a0, a1 = poly[a]
-                    b0, b1 = poly[b]
-                    c0 = a0 * b0
-                    c1 = a0 * b1 + a1 * b0
-                    c2 = a1 * b1
-                    mul[a][b] = enc[((c0 + c2) % 2, (c1 + c2) % 2)]
-            inv = [0, 1, 3, 2]
-            self.add = lambda a, b: add[a][b]
-            self.sub = lambda a, b: add[a][b]
+            # F_2[x]/(x^2+x+1) as 0, 1, x=2, x+1=3: adding is XOR on the bits
+            mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+            self.add = self.sub = lambda a, b: a ^ b
             self.mul = lambda a, b: mul[a][b]
-            self.inv = lambda a: inv[a]
+            self.inv = (0, 1, 3, 2).__getitem__
         else:
             raise ValueError(f"unsupported field size {q}")
 
@@ -404,21 +392,21 @@ class DerivedHall:
     a its vector of multiplicities on the roots of the adapted word.
 
     The instance owns everything that depends on the quiver and the field,
-    built once: the roots beta_1, ..., beta_r of the adapted word
-    (simple-root coordinates, 0/1 in type A), their interval models M_k, the
-    hom table hom[k][l] = dim Hom(M_k, M_l), the Euler table <beta_k,
-    beta_l> of `ringel_form`, the index v of each k with dim Hom(M_k, M) =
-    dim M_v (M_k is the projective P_v), and a basis of each Ext^1(M_k, M_l),
-    keyed (k, l): the coordinates (a, row, column) of sum_a Hom(M_k,i, M_l,j)
-    whose equations of Hom(M_k, M_l) are off the pivots of the rref of their
-    columns, which span a complement to the image.
+    built once: the adapted word with its roots beta_1, ..., beta_r
+    (simple-root coordinates, 0/1 in type A) and its Euler and hom tables
+    (`AdaptedWord.euler`, `AdaptedWord.hom`), the interval models M_k of the
+    roots, the index v of each k with dim Hom(M_k, M) = dim M_v (M_k is the
+    projective P_v), and a basis of each Ext^1(M_k, M_l), keyed (k, l): the
+    coordinates (a, row, column) of sum_a Hom(M_k,i, M_l,j) whose equations
+    of Hom(M_k, M_l) are off the pivots of the rref of their columns, which
+    span a complement to the image.
 
-    mod(FQ) is directed and the word lists its indecomposables so that
-    Hom(M_k, M_l) = 0 for k < l, so the hom table is lower unitriangular and
-    `iso_class` inverts it by forward substitution.  Directed, Hom and Ext^1
-    between two indecomposables are never both nonzero, so the table is also
-    hom[k][l] = max(0, euler[k][l]) off the diagonal.  Any other table means
-    the models, the word or the Euler form are wrong.
+    The word's hom table is lower unitriangular, so `iso_class` inverts it by
+    forward substitution.  The same elimination that builds the Ext^1 bases
+    checks the models against it, pair by pair: dim Hom(M_k, M_l) must be 0
+    for k < l and 1 for k = l (else the word's order is wrong), and equal
+    hom[k][l] = max(0, euler[k][l]) off the diagonal (else the models, the
+    word or the Euler form are wrong).
 
     There is one instance per orientation and q per process, `derived_hall`.
     Its memos depend only on (quiver, q): |Aut M|, Hall numbers of each
@@ -431,24 +419,21 @@ class DerivedHall:
         self.quiver = quiver
         self.q = q
         self.cartan = quiver.cartan
-        self.roots = roots = AdaptedWord.build(quiver).roots
+        self.word = word = AdaptedWord.build(quiver)
+        self.roots, self.hom = roots, hom = word.roots, word.hom
         r = len(roots)
         self.models = [self.model([int(k == l) for l in range(r)]) for k in range(r)]
-        hom = [[0] * r for _ in range(r)]
         self.ext_bases = {}
         for k, l in itertools.product(range(r), repeat=2):
             rows, total = _hom_equations(self.models[k], self.models[l])
             pivots = rref(list(zip(*rows)), F)[1]
-            hom[k][l] = total - len(pivots)
+            if l >= k and total - len(pivots) != (k == l):
+                raise RuntimeError("hom table is not unitriangular in word order")
+            if total - len(pivots) != hom[k][l]:
+                raise RuntimeError("hom table is not max(0, <beta_k, beta_l>) off the diagonal")
             s, t = roots[k], roots[l]
             coords = [(a, x, y) for a in quiver.arrows for x in range(t[a[1] - 1]) for y in range(s[a[0] - 1])]
             self.ext_bases[k, l] = [c for i, c in enumerate(coords) if i not in pivots]
-        if any(hom[k][l] != (k == l) for k in range(r) for l in range(k, r)):
-            raise RuntimeError("hom table is not unitriangular in word order")
-        self._euler = tuple(tuple(ringel_form(quiver, s, t) for t in roots) for s in roots)
-        if any(hom[k][l] != (1 if k == l else max(0, self._euler[k][l])) for k in range(r) for l in range(r)):
-            raise RuntimeError("hom table is not max(0, <beta_k, beta_l>) off the diagonal")
-        self.hom = tuple(map(tuple, hom))
         self.proj = {
             k: v for k in range(r) for v in range(self.cartan.n) if all(hom[k][l] == roots[l][v] for l in range(r))
         }
@@ -473,10 +458,7 @@ class DerivedHall:
         return Rep(self.quiver, self.F, map(len, at), mats)
 
     def euler(self, x, y) -> int:
-        return _form(self._euler, x, y)
-
-    def sym(self, x, y) -> int:
-        return self.euler(x, y) + self.euler(y, x)
+        return _form(self.word.euler, x, y)
 
     def dims(self, a) -> tuple[int, ...]:
         return root_sum(self.roots, a)
@@ -663,7 +645,7 @@ class DerivedHall:
                     for w3, c3 in self._normalize(head + mid + tail):
                         _accumulate(out, w3, coeff * c3)
             else:
-                pref = specialize(self.q, HalfLaurent.t_power(2 * (-1) ** (m2 - m1) * self.sym(x, y)))
+                pref = specialize(self.q, HalfLaurent.t_power(2 * (-1) ** (m2 - m1) * (self.euler(x, y) + self.euler(y, x))))
                 for w3, c3 in self._normalize(head + ((m2, y), (m1, x)) + tail):
                     _accumulate(out, w3, pref * c3)
             return tuple(out.items())

@@ -11,8 +11,9 @@ product: the one with its last factor removed times the rescaled minor
 v^(N(beta_k)/2) E*(k).  The dual canonical vectors are carved out of the dual
 PBW vectors by a twisted bar-inversion: working with the rescaled family
 v^(N/2) E*, the twist disappears and the involution is plain coefficient
-conjugation, so one solve by Lusztig's lemma, as on the character side,
-fills a whole weight space.
+conjugation (checked once per side, as conj(E*(k)) = v^N(beta_k) E*(k), with
+N(beta_k) read off the word's Euler table), so one solve by Lusztig's lemma,
+as on the character side, fills a whole weight space.
 
 The comparison walks the weight spaces d with sum(d) at most the degree
 bound and runs that solve once per weight space, over the depths read off
@@ -60,13 +61,6 @@ from .quiver import QuiverContext, QuiverDatum
 from .torus import TorusElement, divide_right
 
 
-def n_gamma(cartan, gamma) -> tuple[int, int]:
-    """(N(gamma), deg gamma) with N = (gamma,gamma)/2 - deg gamma, gamma on
-    the simple roots."""
-    d = sum(gamma)
-    return cartan.sprod(gamma, gamma) // 2 - d, d
-
-
 class QGroupSide:
     def __init__(self, cat: CategoryQ):
         self.cat = cat
@@ -79,13 +73,12 @@ class QGroupSide:
         self._coefficients: dict[HalfLaurent, HalfLaurent] = {}  # the one copy of each B~ coefficient
         self._texts: dict[tuple, str] = {}  # the JSON text of each reported row, by (avec, simple, standard)
         self._etilde: dict[tuple[int, ...], TorusElement] = {(0,) * self.r: self.xt.one()}
-        # N(beta_k), and the doubled exponent of the rescaling X_k = v^(c_k/2) Z_k,
-        # c_k = N(beta_k) + 2 (varpi_i - lambda_{k-}, beta_k), varpi_i - lambda_{k-} = x(k-, i)
+        # N(beta_k) = <beta_k, beta_k> - deg beta_k, and the doubled exponent of the rescaling
+        # X_k = v^(c_k/2) Z_k, c_k = N(beta_k) + 2 (varpi_i - lambda_{k-}, beta_k), varpi_i - lambda_{k-} = x(k-, i)
         self._n, self._c2 = [], []
-        for k, (beta, i) in enumerate(zip(self.word.roots, self.word.word), 1):
-            nb, _ = n_gamma(self.cartan, beta)
-            self._n.append(nb)
-            self._c2.append(nb + 2 * self.cartan.sprod(self.word.sums[self.word.kminus(k)][i - 1], beta))
+        for k, (row, beta, i) in enumerate(zip(self.word.euler, self.word.roots, self.word.word), 1):
+            self._n.append(row[k - 1] - sum(beta))
+            self._c2.append(self._n[-1] + 2 * self.cartan.sprod(self.word.sums[self.word.kminus(k)][i - 1], beta))
 
     # -- minors ---------------------------------------------------------------
 
@@ -144,10 +137,14 @@ class QGroupSide:
     @cached_property
     def generators(self) -> list[TorusElement]:
         """The rescaled generators E~(e_k) = v^(N(beta_k)/2) E*(k), k = 1..r, in
-        order.  Every E~ is built from them, so the minor memo is dropped."""
-        gens = [self.e_star(k + 1).tshift(n) for k, n in enumerate(self._n)]
+        order.  Every E~ is built from them, so the minor memo is dropped.  The
+        twist of sigma, conj(E*(k)) = v^N(beta_k) E*(k), is checked on each k."""
+        stars = [self.e_star(k) for k in range(1, self.r + 1)]
         self._minors.clear()
-        return gens
+        for k, (star, n) in enumerate(zip(stars, self._n), 1):
+            if {m: c.conj() for m, c in star.terms.items()} != star.tshift(2 * n).terms:
+                raise CharacterError(f"conj(E*({k})) is not v^N(beta_{k}) E*({k}), N(beta_{k}) = {n}")
+        return [star.tshift(n) for star, n in zip(stars, self._n)]
 
     def e_tilde(self, a) -> TorusElement:
         """The rescaled dual PBW vector E~(a) = v^(s(a)/2) E*(1)^a1 ... E*(r)^ar:

@@ -218,7 +218,8 @@ class AdaptedWord:
     The roots are the one table that sums and pairs them.  The weight
     mu(b, j) = s_{i_1} ... s_{i_b}(varpi_j) is varpi_j - x(b, j), so every
     pairing the paper makes is one of two integer forms, (r, s) = r^T C s and
-    (r, varpi_j - x) = r_j - r^T C x."""
+    (r, varpi_j - x) = r_j - r^T C x.  The Hall side, the rank-r torus and
+    the quantum-group side read the Euler and hom tables of mod(FQ) off it."""
 
     quiver: QuiverDatum
     word: tuple[int, ...]
@@ -261,6 +262,19 @@ class AdaptedWord:
     @property
     def r(self) -> int:
         return len(self.word)
+
+    @cached_property
+    def euler(self) -> tuple[tuple[int, ...], ...]:
+        """euler[k][l] = <beta_k, beta_l> of `ringel_form`: the Euler form of
+        the heart mod(FQ) on the roots, in word order."""
+        return tuple(tuple(ringel_form(self.quiver, s, t) for t in self.roots) for s in self.roots)
+
+    @cached_property
+    def hom(self) -> tuple[tuple[int, ...], ...]:
+        """hom[k][l] = dim Hom(M(beta_k), M(beta_l)): mod(FQ) is directed, its
+        bricks in word order, Hom and Ext^1 between two never both nonzero,
+        so 1 on the diagonal and max(0, euler[k][l]) off it, 0 above it."""
+        return tuple(tuple(1 if k == l else max(0, e) for l, e in enumerate(row)) for k, row in enumerate(self.euler))
 
     def kminus(self, k: int, j: Optional[int] = None) -> int:
         """Largest index s < k with word[s] = j (j defaults to word[k]); 0 if none."""

@@ -4,9 +4,10 @@ One class, `QuantumTorus`, serves both tori; only the Gram matrix M differs:
 `YTorus`, the window on the variables Y_{i,p} a request touches, ordered by
 (p, i), with M = N from the inverse quantum Cartan matrix; and `XTorus`, the
 rank-r torus on the rescaled flag-minor generators X_1 .. X_r, with
-M_kl = -(beta_k, beta_l) for k < l.  In the basis of *symmetrized* monomials,
-X^a X^b = t^(pair/2) X^(a+b) with pair = a^T M b, and the bar involution
-(t^(1/2) -> t^(-1/2) fixing basis monomials) is coefficientwise conjugation.
+M_kl = -(beta_k, beta_l) for k < l, read off the word's Euler table.  In the
+basis of *symmetrized* monomials, X^a X^b = t^(pair/2) X^(a+b) with pair =
+a^T M b, and the bar involution (t^(1/2) -> t^(-1/2) fixing basis
+monomials) is coefficientwise conjugation.
 
 Keys.  An exponent vector a is one int in signed base-2^W digits, W = 16,
 the first variable on top: key(a) = sum_k a_k 2^(W (n-1-k)), every
@@ -453,16 +454,14 @@ class XTorus(QuantumTorus):
     """The rank-r torus on the rescaled generators X_k, entered by exponent
     vectors a in Z^r:
     X^a X^b = t^(pair/2) X^(a+b),  pair = sum_{k<l} (beta_k, beta_l)(a_l b_k - a_k b_l).
-    That is pair = a^T M b with M antisymmetric, M_kl = -(beta_k, beta_l) =
-    -beta_k^T C beta_l for k < l, on the simple-root coordinates of the roots;
-    `pair2` is the reference sum on exponent vectors.
+    That is pair = a^T M b with M antisymmetric, M_kl = -s_kl for k < l, and
+    s = E + E^T for the word's Euler table E = `AdaptedWord.euler`; `pair2` is
+    the reference sum on exponent vectors.
     """
 
-    def __init__(self, roots: tuple[tuple[int, ...], ...], cartan):
-        self.r = len(roots)
-        c = cartan.cartan_matrix()
-        cols = [[sum(x * y for x, y in zip(row, b)) for row in c] for b in roots]  # C beta_l
-        self.s = [[sum(x * y for x, y in zip(b, col)) for col in cols] for b in roots]
+    def __init__(self, euler: tuple[tuple[int, ...], ...]):
+        self.r = len(euler)
+        self.s = [[e + f for e, f in zip(row, col)] for row, col in zip(euler, zip(*euler))]
         super().__init__(
             [f"X{k}" for k in range(1, self.r + 1)],
             [[((k > l) - (k < l)) * row[l] for l in range(self.r)] for k, row in enumerate(self.s)],

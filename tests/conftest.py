@@ -388,6 +388,21 @@ def all_orientations(name: str):
         yield QuiverDatum.from_arrows(cd, arrows)
 
 
+def perturb_euler(monkeypatch, d, e, by=2):
+    """Patch `AdaptedWord.euler` so that its entry <d, e>, on the roots d and
+    e, is off by `by` on every word built after the patch; `AdaptedWord.hom`
+    reads the patched table."""
+    real = AdaptedWord.euler.func
+
+    def euler(word):
+        return tuple(
+            tuple(x + by * (s == d and t == e) for t, x in zip(word.roots, row))
+            for s, row in zip(word.roots, real(word))
+        )
+
+    monkeypatch.setattr(AdaptedWord, "euler", property(euler))
+
+
 def orientations_and_bipartites():
     """Every orientation of A1-A5, D4 and D5, then the bipartite quiver of
     every supported type."""

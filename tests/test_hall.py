@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import functools
 import itertools
+import json
+import re
 from math import gcd
 
 import pytest
@@ -39,6 +41,7 @@ from conftest import (
     iso,
     mat_mul,
     neg,
+    perturb_euler,
     upow,
     uscalar,
 )
@@ -645,7 +648,7 @@ def test_gram_inverse_is_integral_on_every_orientation(name, q):
     # undoes it; off the diagonal it is the positive part of the Euler form
     for quiver in _orientations(cartan_datum(name)):
         dh = DerivedHall(quiver, q)
-        roots, models, hom, euler = dh.roots, dh.models, dh.hom, dh._euler
+        roots, models, hom, euler = dh.roots, dh.models, dh.hom, dh.word.euler
         assert roots == AdaptedWord.build(quiver).roots
         gram = [[hom_dim(m1, m2) for m2 in models] for m1 in models]
         assert [list(row) for row in hom] == gram
@@ -698,21 +701,20 @@ def test_reversed_root_order_ends_hall_relations_in_exit_2(monkeypatch, capsys):
 
 
 def test_a_perturbed_euler_entry_ends_hall_iota_in_exit_2(monkeypatch, capsys):
-    # one Euler entry off by 2 breaks hom = max(0, euler) at that entry
-    import qgroth.hall as hall
+    # one off-diagonal entry of the word's Euler table off by 2 breaks
+    # hom = max(0, euler) at that entry, and the models check refuses it; the
+    # side is warmed first, so that its torus check, which the same entry
+    # breaks on a cold side, does not run
     from qgroth.cli import main
 
-    real = hall.ringel_form
-
-    def perturbed(quiver, d, e):
-        return real(quiver, d, e) + 2 * (tuple(d) == (0, 1, 0) and tuple(e) == (1, 1, 0))
-
-    monkeypatch.setattr(hall, "ringel_form", perturbed)
+    assert main(["canonical", "--type", "A3", "--degree-bound", "0"]) == 0
+    capsys.readouterr()
+    perturb_euler(monkeypatch, (0, 1, 0), (1, 1, 0))
     assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 2
+    assert main(["hall", "relations", "--type", "A3", "--q", "2"]) == 2
     monkeypatch.undo()
-    assert capsys.readouterr() == (
-        "", "internal check failed: hom table is not max(0, <beta_k, beta_l>) off the diagonal\n"
-    )
+    message = "internal check failed: hom table is not max(0, <beta_k, beta_l>) off the diagonal\n"
+    assert capsys.readouterr() == ("", 2 * message)
 
 
 @pytest.mark.parametrize("c", [2, 3])
@@ -740,11 +742,26 @@ def test_a_coboundary_on_the_hall_numbers_ends_hall_iota_in_exit_2(monkeypatch, 
         assert main(["hall", "iota", "--type", "A3", "--q", q]) == 2
         out = capsys.readouterr().out
         assert "relation failures: 0\nscalar table consistent: False\n" in out
+        # one line per witness after the table, naming the word, the class and
+        # the reason; at least one scalar mismatch falls on a class the table lists
+        lines = out.splitlines()
+        table = {line.split(":")[0].strip() for line in lines if line.startswith("  a=")}
+        named = [re.fullmatch(r"witness: word ([\d,]+) at (a=[\d,]+): (\w+ mismatch)", line) for line in lines]
+        named = [m for m in named if m]
+        assert named and all(line.startswith("witness: ") for line in lines[len(lines) - len(named):])
+        assert any(m[2] in table and m[3] == "scalar mismatch" for m in named), out
+        assert main(["hall", "iota", "--type", "A3", "--q", q, "--format", "json"]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert [(w["word"], "a=" + w["a"], w["reason"]) for w in rep["witnesses"]] == [m.groups() for m in named]
+        assert any(w["a"] in rep["scalars"] for w in rep["witnesses"])
     # the gamma terms and normal forms of the mutated numbers are memoised
     monkeypatch.undo()
     hall._registry.clear()
     assert main(["hall", "iota", "--type", "A3", "--q", "2"]) == 0
-    assert "scalar table consistent: True\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "scalar table consistent: True\n" in out and "witness" not in out
+    assert main(["hall", "iota", "--type", "A3", "--q", "2", "--format", "json"]) == 0
+    assert "witnesses" not in json.loads(capsys.readouterr().out)
 
 
 def test_iota_scalars_are_the_closed_form():

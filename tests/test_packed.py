@@ -42,7 +42,7 @@ def _orientations(name):
 @functools.lru_cache(maxsize=None)
 def x_torus(name, n):
     ctx = QuiverContext(_orientations(name)[n])
-    return XTorus(ctx.word.roots, ctx.cartan)
+    return XTorus(ctx.word.euler)
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,7 +302,7 @@ def test_every_torus_takes_16_bit_keys():
     # to 181 always multiply on the rank-r tori (max|M| = 1) and up to 127,
     # and not always 128, on the windows (max|M| = 2)
     for quiver in orientations_and_bipartites():
-        xt = XTorus(AdaptedWord.build(quiver).roots, quiver.cartan)
+        xt = XTorus(AdaptedWord.build(quiver).euler)
         assert (xt.W, xt.half, is_struct_read(xt)) == (16, 1 << 15, True), quiver
         assert xt.mmax * 181 * 181 < xt.half and 2 * 181 < xt.half
     for name in ("A3", "A4", "A5", "D4"):

@@ -13,7 +13,7 @@ from conftest import a_monomial, bar, form, four_coefficient_n, power, reference
 
 YT = {name: wide_torus(name) for name in ("A1", "A2", "A3", "A4", "D4")}
 _A3 = QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
-XT = XTorus(_A3.word.roots, _A3.cartan)
+XT = XTorus(_A3.word.euler)
 
 
 def vertices(name):
@@ -171,7 +171,7 @@ def test_sort_key_is_dense_lex_and_additive(name, data):
 def bipartite_xtorus(name):
     cd = cartan_datum(name)
     ctx = QuiverContext(QuiverDatum.bipartite(cd))
-    return XTorus(ctx.word.roots, cd)
+    return XTorus(ctx.word.euler)
 
 
 @seed(20261018)

@@ -10,7 +10,7 @@ from qgroth import characters
 from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ, CharacterError, fundamental_tchar, standard_tchar
 from qgroth.laurent import HalfLaurent
-from qgroth.qgroup import QGroupSide, n_gamma
+from qgroth.qgroup import QGroupSide
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import Monomial, TorusElement
@@ -25,6 +25,7 @@ from conftest import (
     expand_by_monomials,
     flag_exponent,
     in_tinv_ztinv,
+    perturb_euler,
     standards_below,
     truncate,
     wide_torus,
@@ -41,14 +42,24 @@ def Y(i, p, e=1):
     return Monomial.var(i, p, e)
 
 
+def n_of(cartan, gamma) -> int:
+    """N(gamma) = (gamma, gamma)/2 - deg gamma on the Cartan matrix, the
+    reference for the side's N(beta_k) = <beta_k, beta_k> - deg beta_k."""
+    return cartan.sprod(gamma, gamma) // 2 - sum(gamma)
+
+
 def test_n_gamma():
     cd = cartan_datum("A2")
-    assert n_gamma(cd, (1, 0)) == (0, 1)
-    assert n_gamma(cd, (1, 1)) == (-1, 2)
+    assert n_of(cd, (1, 0)) == 0
+    assert n_of(cd, (1, 1)) == -1
     cd4 = cartan_datum("D4")
     for b in cd4.positive_roots():
-        n, d = n_gamma(cd4, b)
-        assert n == 1 - d
+        assert n_of(cd4, b) == 1 - sum(b)
+    # the side reads N(beta_k) off the diagonal of the word's Euler table
+    for name in ("A2", "A3", "D4"):
+        for quiver in all_orientations(name):
+            qg = QGroupSide(CategoryQ(QuiverContext(quiver)))
+            assert qg._n == [n_of(quiver.cartan, b) for b in qg.word.roots], quiver.arrows
 
 
 def test_minor_base_cases(a3):
@@ -113,6 +124,40 @@ def test_sigma_fixes_rescaled_generators(contexts):
             assert z.tshift(qg._c2[k - 1]) == xk
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_wrong_n_ends_canonical_in_exit_2(monkeypatch, capsys, k):
+    # N(beta_k) + 1 on one k, read off the diagonal of the word's Euler table
+    # (which the torus check does not read): the sigma check of the generators
+    # refuses some E*(j), j >= k, before any solve; the rescaling c_j moves
+    # with N(beta_j), so E*(1) alone cannot see its own N
+    from qgroth.cli import main
+    from qgroth.quiver import AdaptedWord
+
+    real = AdaptedWord.euler.func
+
+    def euler(word):
+        return tuple(tuple(e + (l == m == k - 1) for m, e in enumerate(row)) for l, row in enumerate(real(word)))
+
+    monkeypatch.setattr(AdaptedWord, "euler", property(euler))
+    assert main(["canonical", "--type", "A3", "--degree-bound", "1"]) == 2
+    out, err = capsys.readouterr()
+    j = re.fullmatch(r"internal check failed: conj\(E\*\((\d)\)\) is not v\^N\(beta_\1\) E\*\(\1\), .*\n", err)
+    assert out == "" and j and int(j[1]) >= k, err
+
+
+def test_a_perturbed_euler_entry_ends_canonical_in_exit_2(monkeypatch, capsys):
+    # one off-diagonal entry of the word's Euler table off by 2 moves the
+    # rank-r torus off the Y-pairing at the positions: the Phi check refuses it
+    from qgroth.cli import main
+
+    perturb_euler(monkeypatch, (0, 1, 0), (1, 1, 0))
+    assert main(["canonical", "--type", "A3", "--degree-bound", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"internal check failed: pairings disagree at positions \d,\d: N = -?\d, X = -?\d\n", err)
+    monkeypatch.undo()
+    assert main(["canonical", "--type", "A3", "--degree-bound", "1"]) == 0
+
+
 def _inv(qg, b):
     """Inverse of a flag minor (a unit times a single basis monomial)."""
     if b == 0:
@@ -131,7 +176,7 @@ def _pbw_by_definition(qg, a):
     for k, x in enumerate(a, start=1):
         for _ in range(x):
             out = out * qg.e_star(k)
-    nb, _ = n_gamma(qg.cartan, beta_of(qg.cat, a))
+    nb = n_of(qg.cartan, beta_of(qg.cat, a))
     return out.tshift(nb - sum(x * (x - 1) for x in a))
 
 
@@ -150,7 +195,7 @@ def test_rescaling_is_the_quadratic_form(quiver):
     avecs = avecs_up_to(qg.cat, 4)
     assert len(avecs) > qg.r
     for a in avecs:
-        nb, _ = n_gamma(qg.cartan, beta_of(qg.cat, a))
+        nb = n_of(qg.cartan, beta_of(qg.cat, a))
         form = sum(x * (1 - d) for x, d in zip(a, degs))
         form += sum(a[k] * a[l] * s[k][l] for k in range(qg.r) for l in range(k + 1, qg.r))
         assert form == nb - sum(x * (x - 1) for x in a), (quiver.arrows, a)
@@ -162,7 +207,7 @@ def test_dual_pbw(a3):
     assert qg.e_tilde((0,) * 6) == _pbw_by_definition(qg, (0,) * 6) == qg.xt.one()
     for k in range(1, 7):
         ek = tuple(1 if j == k - 1 else 0 for j in range(6))
-        nb, _ = n_gamma(qg.cartan, beta_of(qg.cat, ek))
+        nb = n_of(qg.cartan, beta_of(qg.cat, ek))
         assert qg.e_tilde(ek) == _pbw_by_definition(qg, ek) == qg.e_star(k).tshift(nb)
 
 
@@ -171,13 +216,13 @@ def test_dual_pbw_rank2_product(contexts):
     qg = QGroupSide(cat)
     # word (1,2,1): a = (1,0,1): product of the two extreme generators
     prod = qg.e_star(1) * qg.e_star(3)
-    nb, _ = n_gamma(cat.cartan, beta_of(cat, (1, 0, 1)))
+    nb = n_of(cat.cartan, beta_of(cat, (1, 0, 1)))
     assert qg.e_tilde((1, 0, 1)) == _pbw_by_definition(qg, (1, 0, 1)) == prod.tshift(nb)
 
 
 def b_star(qg, a):
     """The dual canonical vector B*(a) = v^(-N) B~(a)."""
-    n, _ = n_gamma(qg.cartan, beta_of(qg.cat, a))
+    n = n_of(qg.cartan, beta_of(qg.cat, a))
     return qg.b_tilde(a).tshift(-n)
 
 
@@ -198,7 +243,7 @@ def test_dual_canonical_rank2_weight_space(contexts):
     corrections = 0
     for a in space:
         b = b_star(qg, a)
-        n, _ = n_gamma(cd, beta_of(cat, a))
+        n = n_of(cd, beta_of(cat, a))
         # sigma(B*) = v^N B*
         assert bar(b) == b.tshift(2 * n)
         coeffs = _expand_in_pbw(qg, qg.b_tilde(a), space)
@@ -402,7 +447,7 @@ def test_fundamental_to_rescaled_pbw(a3):
     cat, qg = a3
     for k in range(1, 7):
         i, p = cat.positions[k - 1]
-        n, _ = n_gamma(cat.cartan, qg.word.roots[k - 1])
+        n = n_of(cat.cartan, qg.word.roots[k - 1])
         assert cat.kr(i, 1, p) == qg.e_star(k).tshift(n)
 
 

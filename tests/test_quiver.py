@@ -178,6 +178,23 @@ def test_ringel_form_properties():
                     assert ringel_form(q, tau_inv(q, x), y) == -ringel_form(q, y, x)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_the_word_carries_the_euler_and_hom_tables_of_the_heart(name):
+    # entry by entry: euler is <beta_k, beta_l> of ringel_form, its
+    # symmetrization is the Cartan pairing (beta_k, beta_l), and hom is 1 on
+    # the diagonal, 0 above it and max(0, euler) below it
+    cd = cartan_datum(name)
+    for quiver in all_orientations(name):
+        w = AdaptedWord.build(quiver)
+        e, r = w.euler, w.r
+        assert e == tuple(tuple(ringel_form(quiver, b, c) for c in w.roots) for b in w.roots), quiver.arrows
+        assert [[e[k][l] + e[l][k] for l in range(r)] for k in range(r)] == [
+            [cd.sprod(b, c) for c in w.roots] for b in w.roots
+        ], quiver.arrows
+        assert all(w.hom[k][l] == (k == l) for k in range(r) for l in range(k, r)), quiver.arrows
+        assert all(w.hom[k][l] == max(0, e[k][l]) for k in range(r) for l in range(k)), quiver.arrows
+
+
 def test_mesh_relation():
     # the translates of the gamma_k around (i, p) sum to the two translates of
     # gamma_i; the neighbour shift is (xi_k - xi_i - 1)/2 relative to the

@@ -204,3 +204,22 @@ def test_the_derived_hall_algebra_owns_what_depends_on_the_quiver_and_the_field(
     assert both == ["DerivedHall.__init__", "derived_hall", "hall_number"]
     for gone in ("_iso_tables", "aut_count", "model_rep", "hall_numbers", "_hom_ext", "_work"):
         assert not hasattr(hall, gone), gone
+
+
+def test_the_adapted_word_owns_the_euler_form():
+    # the Euler and hom tables of mod(FQ) are built once, on the word: only
+    # AdaptedWord.euler calls ringel_form, only cartan and presentation read
+    # the Cartan matrix whole, and N(beta) is read off the Euler table's
+    # diagonal, with no n_gamma of its own
+    euler, cartan, defines = set(), set(), []
+    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, name in _calls(tree):
+            if name == "ringel_form":
+                euler.add((path.name, scope))
+            elif name == "cartan_matrix":
+                cartan.add(path.name)
+        defines += [path.name for scope, _ in _functions(tree) if scope.rsplit(".", 1)[-1] == "n_gamma"]
+    assert euler == {("quiver.py", "AdaptedWord.euler")}
+    assert cartan <= {"cartan.py", "presentation.py"} and "presentation.py" in cartan
+    assert defines == []

@@ -6,7 +6,7 @@ import qgroth.torus as torus
 from qgroth.cartan import ResourceCap, cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
-from qgroth.quiver import AdaptedWord, QuiverContext, ringel_form
+from qgroth.quiver import AdaptedWord, QuiverContext
 from qgroth.torus import (
     MAX_QUOTIENT_TERMS,
     Monomial,
@@ -103,7 +103,7 @@ def test_a_solve_roundtrip(ytorus):
 
 def test_x_torus_products(contexts):
     ctx = contexts("A3")
-    xt = XTorus(ctx.word.roots, ctx.cartan)
+    xt = XTorus(ctx.word.euler)
     M_expected = [
         [0, -1, -1, 0, 1, 1],
         [1, 0, 0, -1, 1, -1],
@@ -126,14 +126,14 @@ def test_x_torus_products(contexts):
 
 
 def test_x_torus_pairing_is_the_symmetrized_euler_form():
-    # (beta_k, beta_l) from the integer root table equals <beta_k, beta_l> +
-    # <beta_l, beta_k> of the Euler form of the orientation, an independent route
+    # the torus reads s = E + E^T off the word's Euler table E, and its Gram
+    # matrix is s signed -1 above the diagonal; an independent route is
+    # (beta_k, beta_l) = beta_k^T C beta_l on the Cartan matrix
     for quiver in orientations_and_bipartites():
         word = AdaptedWord.build(quiver)
-        xt = XTorus(word.roots, quiver.cartan)
-        assert xt.s == [
-            [ringel_form(quiver, b, c) + ringel_form(quiver, c, b) for c in word.roots] for b in word.roots
-        ], quiver
+        xt = XTorus(word.euler)
+        assert xt.s == [[quiver.cartan.sprod(b, c) for c in word.roots] for b in word.roots], quiver
+        assert xt.gram == [[((k > l) - (k < l)) * e for l, e in enumerate(row)] for k, row in enumerate(xt.s)]
 
 
 def test_division(ytorus, monkeypatch):
@@ -153,7 +153,7 @@ def test_division(ytorus, monkeypatch):
 def test_exact_division_past_the_term_budget_is_a_resource_cap(contexts):
     # (1 - X^N) / (1 - X) = 1 + X + ... + X^(N-1) has N quotient terms
     ctx = contexts("A1")
-    xt = XTorus(ctx.word.roots, ctx.cartan)
+    xt = XTorus(ctx.word.euler)
     minus = HalfLaurent({0: -1})
     p = xt.one() + xt.monomial((1,), minus)
     for n, fits in ((MAX_QUOTIENT_TERMS, True), (MAX_QUOTIENT_TERMS + 1, False)):
@@ -167,7 +167,7 @@ def test_exact_division_past_the_term_budget_is_a_resource_cap(contexts):
 
 def test_x_torus_division(contexts):
     ctx = contexts("A3")
-    xt = XTorus(ctx.word.roots, ctx.cartan)
+    xt = XTorus(ctx.word.euler)
     e = [xt.unit_vector(k) for k in range(1, 7)]
     a = xt.monomial(e[0], HalfLaurent({1: 1, -1: 2})) + xt.monomial(tuple(map(add, e[1], e[4])))
     b = xt.monomial(e[2]) + xt.monomial(tuple(-x for x in e[3]), HalfLaurent.t_power(2)) + xt.one()
