@@ -195,9 +195,25 @@ def _a_inverse(cd: CartanDatum, j: int, s: int) -> Monomial:
 
 def fundamental_tchar(yt: YTorus, i: int, p: int) -> TorusElement:
     """The t-character of the fundamental module at (i, p): the checked base
-    of `_fm_base`, shifted to p."""
+    of `_fm_base`, shifted to p, its keys and forms packed straight from the
+    base's (j, q), e items."""
     cd = yt.cartan
-    return yt.element({m.shift_p(p): c for m, c in _fm_base(cd.kind, cd.n, i).items()})
+    index, place, rows = yt.index, yt._place, yt._rows
+    terms, forms, l1 = {}, {}, 0
+    try:
+        for m, c in _fm_base(cd.kind, cd.n, i).items():
+            key = form = norm = 0
+            for (j, q), e in m.items:
+                k = index[j, q + p]
+                key += e << place[k]
+                form += e * rows[k]
+                norm += abs(e)
+            terms[key], forms[key], l1 = c, form, max(l1, norm)
+    except KeyError as exc:
+        raise ValueError(f"variable Y{list(exc.args[0])} is outside the torus window") from None
+    if l1 >= yt.half:
+        raise ResourceCap(f"a monomial of L1 norm {l1} does not fit the {yt.W}-bit key digits")
+    return TorusElement._of(yt, terms, forms, l1)
 
 
 def fundamental_window(qc: QuantumCartan, points) -> YTorus:

@@ -141,9 +141,9 @@ MAX_TABLE = 400_000
 # The widest level window of `verify presentation` and `hall relations|iota`,
 # in levels x rank^2: the relation table pairs the levels x rank generators,
 # whose characters grow with the rank.  At the cap A1 0..419, A2 0..104, A5
-# 0..15 and D4 0..25 answer in under 0.5 s on a 2-vCPU host, A7 0..7 and D5
-# 0..15 in 0.5 s, D6 0..10 in 5.5 s; `hall relations` on A3 at --mmax 45, A2
-# at 104 and A1 at 419 in under 0.05 s.
+# 0..15 and D4 0..25 answer in under 0.1 s on a 2-vCPU host, A7 0..7 and D5
+# 0..15 in about 0.2 s, A8 0..5 in 0.6 s, D6 0..10 in 1.9 s; `hall relations`
+# on A3 at --mmax 45, A2 at 104 and A1 at 419 in under 0.05 s.
 MAX_PRESENTATION_WIDTH = 420
 
 

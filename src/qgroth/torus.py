@@ -61,7 +61,8 @@ from __future__ import annotations
 import heapq
 import struct
 from functools import reduce
-from operator import or_
+from itertools import chain
+from operator import itemgetter, or_
 from typing import Iterable, Optional
 
 from .cartan import ResourceCap
@@ -169,14 +170,16 @@ class QuantumTorus:
     def __init__(self, names: list[str], gram: list[list[int]]):
         self.names, self.gram = names, gram
         n = self.n = len(gram)
-        self.mmax = max((abs(x) for row in gram for x in row), default=0)
+        self.mmax = max(map(abs, chain.from_iterable(gram)), default=0)
         w = self.W
         self._place = [w * (n - 1 - k) for k in range(n)]
-        self._bias = sum(self.half << s for s in self._place)
+        bias = self._bias = int.from_bytes(b"\x80\x00" * n, "big")
         # the digits read back as n big-endian shorts in one call
         self._shorts = struct.Struct(f">{n}h").unpack
-        # row j of M, packed in reverse order: the form of the unit vector e_j
-        self._rows = [sum(x << (w * k) for k, x in enumerate(row)) for row in gram]
+        # row j of M, packed in reverse order: the form of the unit vector e_j,
+        # its entries written as little-endian shorts and read back signed
+        pack = struct.Struct(f"<{n}h").pack
+        self._rows = [(int.from_bytes(pack(*row), "little") ^ bias) - bias for row in gram]
         self._shift = w * max(n - 1, 0)
         # rounds the digits below place n-1 away and lifts the digit at n-1 by H
         self._pbias = (self.half << self._shift) + ((1 << self._shift) >> 1)
@@ -502,14 +505,21 @@ class YTorus(QuantumTorus):
         self.window = sorted(set(window), key=lambda v: (v[1], v[0]))
         self.json_window = self.window
         self.index = {v: k for k, v in enumerate(self.window)}
-        rows, h2 = qc._n, 2 * qc.h
-        super().__init__([f"Y[{i},{p}]" for i, p in self.window], [
-            [
-                rows[i][j][(p - s - 1) % h2] if p > s else -rows[i][j][(s - p - 1) % h2] if p < s else 0
-                for j, s in self.window
-            ]
-            for i, p in self.window
-        ])
+        super().__init__([f"Y[{i},{p}]" for i, p in self.window], self._gram())
+
+    def _gram(self) -> list:
+        """N(i,p;j,s) on the window, one row per variable in one loop: row
+        (i, p) picks its entries off line[i], which lists N(i,j,d) for every
+        vertex j and d = -span..span, span the window's width."""
+        window, rows, h2 = self.window, self.qc._n, 2 * self.qc.h
+        if len(window) < 2:
+            return [[0]] * len(window)
+        lo, span, vs = window[0][1], window[-1][1] - window[0][1], list(rows)
+        pos = {(i, j): (rows[i][j] * -(-span // h2))[:span] for i in vs for j in vs}  # d = 1..span
+        line = {i: [x for j in vs for x in [-y for y in reversed(pos[i, j])] + [0] + pos[i, j]] for i in vs}
+        # N(i,p;j,s) = line[i][(p - lo) + k], k = (index of j) (2 span + 1) + span + lo - s
+        pick = itemgetter(*[vs.index(j) * (2 * span + 1) + span + lo - s for j, s in window])
+        return [list(pick(line[i][p - lo :])) for i, p in window]
 
     def pair2(self, m1: Monomial, m2: Monomial) -> int:
         rows, h2 = self.qc._n, 2 * self.qc.h

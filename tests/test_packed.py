@@ -4,8 +4,11 @@ Monomial or exponent-vector keys, paired one pair of terms at a time by
 the presentation windows of A3 and A4; products of factors confined to a band
 of key places, whose pairings are read on that band; the band itself; the
 range guard, which raises ResourceCap instead of returning a wrapped key; the
-one key width and the read-back against the digit loop; and division against
-its one-term product reference (`conftest.reference_divide_right`)."""
+one key width and the read-back against the digit loop; division against
+its one-term product reference (`conftest.reference_divide_right`); and the
+window's one-pass build: the Gram rows packed by `struct`, and the
+fundamental t-characters packed from their base items, against the Monomial
+route."""
 
 import functools
 import struct
@@ -13,11 +16,13 @@ import struct
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from qgroth.cartan import ResourceCap
+from qgroth.cartan import ResourceCap, cartan_datum
+from qgroth.characters import _fm_base, fundamental_tchar, fundamental_window
 from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
 from qgroth.quiver import AdaptedWord, QuiverContext
-from qgroth.torus import MIN_CUT_PLACES, Monomial, XTorus, divide_right
+from qgroth.qcartan import quantum_cartan
+from qgroth.torus import MIN_CUT_PLACES, Monomial, QuantumTorus, XTorus, YTorus, divide_right
 
 from conftest import (
     all_orientations,
@@ -430,3 +435,45 @@ def test_both_inexact_division_errors_match_the_reference(name):
         for divide in (divide_right, reference_divide_right):
             with pytest.raises(ArithmeticError, match=message):
                 divide(s, p)
+
+
+@seed(20261021)
+@given(st.integers(min_value=1, max_value=20).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-(1 << 15) + 1, (1 << 15) - 1), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+))
+@settings(max_examples=100, deadline=None)
+def test_packed_gram_rows_equal_the_digit_sums(gram):
+    # every row, negative entries included, packs to sum(x << W k)
+    ctx = QuantumTorus([f"v{k}" for k in range(len(gram))], gram)
+    assert ctx._rows == [sum(x << (ctx.W * k) for k, x in enumerate(row)) for row in gram]
+    assert ctx.mmax == max(abs(x) for row in gram for x in row)
+
+
+def monomial_route(yt, i, p):
+    """The fundamental t-character at (i, p) through one shifted Monomial
+    per term, entered by `YTorus.element`."""
+    cd = yt.cartan
+    return yt.element({m.shift_p(p): c for m, c in _fm_base(cd.kind, cd.n, i).items()})
+
+
+@pytest.mark.parametrize("name", X_TYPES + ["E6"])
+def test_fundamentals_packed_from_their_base_equal_the_monomial_route(name):
+    cd = cartan_datum(name)
+    for p in (-7, 0, 3):
+        yt = fundamental_window(quantum_cartan(cd), [(i, p) for i in cd.vertices])
+        for i in cd.vertices:
+            got, want = fundamental_tchar(yt, i, p), monomial_route(yt, i, p)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert (got.forms, got.l1) == (want.forms, want.l1)
+
+
+def test_a_fundamental_off_its_window_raises_the_monomial_routes_error():
+    cd = cartan_datum("A3")
+    yt = YTorus(quantum_cartan(cd), [(1, 0), (2, 1), (3, 2)])
+    messages = []
+    for route in (fundamental_tchar, monomial_route):
+        with pytest.raises(ValueError) as err:
+            route(yt, 1, 0)
+        messages.append(str(err.value))
+    assert messages == ["variable Y[1, 2] is outside the torus window"] * 2

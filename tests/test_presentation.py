@@ -10,6 +10,7 @@ from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ, fundamental_tchar
 from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
+from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
 from qgroth.torus import TorusElement
 
@@ -433,8 +434,10 @@ def test_shared_rows_tell_the_two_orders_of_a_pair_apart():
 
 def test_a4_table_multiplies_at_most_2600_term_pairs(monkeypatch):
     # each Serre pair is nested around its smaller inner commutator, once for
-    # both orders, and only the rows of level 0 run: 2575 term pairs on this
-    # quiver, 5025 for the whole table, about 4200 nested per ordered pair
+    # both orders, only the rows of level 0 run, and the locality lemma
+    # decides every R3 row and some R1 and R2 rows without a product: 22
+    # products over 1225 term pairs on this quiver, where the products of
+    # every row of level 0 take 47 over 2575
     real, pairs = TorusElement._convolve, []
 
     def spy(self, other, *args):
@@ -444,7 +447,7 @@ def test_a4_table_multiplies_at_most_2600_term_pairs(monkeypatch):
     monkeypatch.setattr(TorusElement, "_convolve", spy)
     quiver = QuiverDatum.from_arrows(cartan_datum("A4"), [(2, 1), (2, 3), (4, 3)])
     assert Presentation(QuiverContext(quiver)).verify_relations(0, 2) == []
-    assert sum(pairs) <= 2600
+    assert len(pairs) <= 22 and sum(pairs) <= 1300
 
 
 def perturb_x22(monkeypatch, pres):
@@ -497,3 +500,103 @@ def test_a_one_level_z_simple_perturbation_fails_through_the_whole_table(monkeyp
     out = json.loads(capsys.readouterr().out)
     assert out == {"constant_identity": True, "failures": [list(map(str, f)) for f in expected]}
     assert expected and calls == [(False, {0, 1, 2, 3})]
+
+
+def decided_rows(pres, lo, hi) -> tuple[list, list]:
+    """verify_relations(lo, hi) on pres, and each q-commutator that it asks
+    for as (family, x, y, e, decided): decided when the locality lemma
+    answered it without `TorusElement.qcommutator`."""
+    real_q, real_table, products, asked = TorusElement.qcommutator, presentation.relation_failures, [], []
+
+    def counted(x, y, e):
+        products.append(1)
+        return real_q(x, y, e)
+
+    def table(cartan, levels, gen, qcomm, boson, translated=False):
+        level = {}
+
+        def gen_(i, m):
+            x = gen(i, m)
+            level[id(x)] = m
+            return x
+
+        def qcomm_(x, y, e):
+            before = len(products)
+            out = qcomm(x, y, e)
+            if id(x) in level and id(y) in level:
+                d = level[id(y)] - level[id(x)]
+                asked.append(("R1" if d == 0 else "R2" if d == 1 else "R3", x, y, e, len(products) == before))
+            return out
+
+        return real_table(cartan, levels, gen_, qcomm_, boson, translated)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TorusElement, "qcommutator", counted)
+        mp.setattr(presentation, "relation_failures", table)
+        return pres.verify_relations(lo, hi), asked
+
+
+LEMMA_COUNTS = {
+    "A1": {"R2": (0, 1), "R3": (2, 2)},
+    "A2": {"R1": (0, 4), "R2": (2, 8), "R3": (16, 16)},
+    "A3": {"R1": (2, 20), "R2": (14, 36), "R3": (72, 72)},
+    "A4": {"R1": (12, 72), "R2": (60, 128), "R3": (256, 256)},
+    "A5": {"R1": (48, 224), "R2": (208, 400), "R3": (800, 800)},
+    "D4": {"R1": (12, 72), "R2": (60, 128), "R3": (256, 256)},
+    "D5": {"R1": (46, 224), "R2": (206, 400), "R3": (800, 800)},
+}
+
+
+@pytest.mark.parametrize("name", list(LEMMA_COUNTS))
+def test_the_locality_lemma_decides_only_zero_rows_and_every_r3_row(name):
+    # on every orientation at levels 0..3: every row the lemma decides is 0
+    # by the one-pass product (equal to x y - t^(e/2) y x, as tested above),
+    # every R3 row of level 0 is decided, and the counts (decided, asked) per
+    # family of generator pairs sum over the orientations
+    counts: dict = {}
+    for quiver in all_orientations(name):
+        fails, asked = decided_rows(Presentation(QuiverContext(quiver)), 0, 3)
+        assert fails == []
+        for family, x, y, e, decided in asked:
+            if decided:
+                assert not x.qcommutator(y, e), (quiver.arrows, family)
+            assert decided or family != "R3", quiver.arrows
+            done, total = counts.get(family, (0, 0))
+            counts[family] = (done + decided, total + 1)
+    assert counts == LEMMA_COUNTS[name]
+
+
+def test_a_foreign_term_makes_the_lemma_decline_on_its_generator(monkeypatch):
+    # one term Y_{i,p+2} added to x_{1,2}: the lemma no longer applies to it,
+    # its R3 rows with x_{j,0} are products again, and they fail
+    from qgroth.torus import Monomial
+
+    pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
+    real, bad = presentation.fundamental_tchar, pres.qctx.phi.generator_position(1, 2)
+
+    def corrupted(yt, i, p):
+        x = real(yt, i, p)
+        return x + yt.monomial(Monomial.var(i, p + 2)) if (i, p) == bad else x
+
+    monkeypatch.setattr(presentation, "fundamental_tchar", corrupted)
+    fails, asked = decided_rows(pres, 0, 3)
+    assert fails == reference_table(pres, 0, 3)
+    r3 = [(x, y, decided) for family, x, y, e, decided in asked if family == "R3"]
+    foreign = {id(y) for x, y, decided in r3 if not decided}
+    assert len(foreign) == 1 and all(decided == (id(y) not in foreign) for x, y, decided in r3)
+    assert {("R3", 0, 2, j, 1) for j in pres.cartan.vertices} <= set(fails)
+
+
+def test_a_replaced_pairing_row_makes_the_lemma_decline_on_every_row(monkeypatch):
+    pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
+    assert presentation.locality_holds(pres.qc)
+    perturb_pairing_row(monkeypatch, pres)
+    assert not presentation.locality_holds(pres.qc)
+    fails, asked = decided_rows(pres, 0, 3)
+    assert fails == reference_table(pres, 0, 3) and fails
+    assert asked and not any(decided for *_, decided in asked)
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"])
+def test_the_pairing_rows_are_local(name):
+    assert presentation.locality_holds(quantum_cartan(cartan_datum(name)))
