@@ -16,7 +16,7 @@ from .presentation import Presentation
 from .qcartan import QuantumCartan, quantum_cartan
 from .qgroup import QGroupSide
 from .quiver import AdaptedWord, PhiMap, QuiverContext, QuiverDatum, ringel_form
-from .torus import Monomial, TorusElement, XTorus, YTorus, divide_right
+from .torus import TorusElement, XTorus, YTorus, divide_right
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "CartanDatum",
     "CategoryQ",
     "HalfLaurent",
-    "Monomial",
     "PhiMap",
     "Presentation",
     "QGroupSide",

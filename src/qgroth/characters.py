@@ -37,7 +37,7 @@ from .cartan import CartanDatum, RankMismatch, ResourceCap, kostant_partitions, 
 from .laurent import ONE, HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
-from .torus import MAX_PRODUCT_PAIRS, Monomial, TorusElement, XTorus, YTorus, divide_right
+from .torus import MAX_PRODUCT_PAIRS, TorusElement, XTorus, YTorus, divide_right, monomial_items, render_monomial
 
 
 class CharacterError(RuntimeError):
@@ -78,23 +78,23 @@ def sl2_simple_patterns(dominant: tuple[tuple[int, int], ...]) -> dict[tuple[int
     characters (every coefficient 1), normalized at its top: a tuple of ladder
     steps with string monomials m_a carries t^(1/2 sum_{a<b} pair(m_a, m_b)).
     The A_{j,s} pair with the j-part of a monomial only, alike in every type,
-    so the pairing is read in the A1 window torus."""
+    so the pairing is read in the A1 window torus, on exponent maps."""
     pair = YTorus(quantum_cartan(CartanDatum("A", 1))).pair2
     # pattern -> (the product of its string monomials, coefficient)
-    patterns = {(): (Monomial.unit(), ONE)}
+    patterns = {(): ({}, ONE)}
     for a, k in string_decomposition(dict(dominant)):
         # after j steps down the string: Y_a ... Y_{a+2(k-j-1)} Y_{a+2(k-j+1)}^-1 ... Y_{a+2k}^-1
         ladder = [
             (tuple(a + 2 * (k - c) - 1 for c in range(j)),
-             Monomial({(1, a + 2 * c + 2 * (c >= k - j)): 1 - 2 * (c >= k - j) for c in range(k)}))
+             {(1, a + 2 * c + 2 * (c >= k - j)): 1 - 2 * (c >= k - j) for c in range(k)})
             for j in range(k + 1)
         ]
-        new: dict[tuple[int, ...], tuple[Monomial, HalfLaurent]] = {}
+        new: dict[tuple[int, ...], tuple[dict, HalfLaurent]] = {}
         for pat, (m, c) in patterns.items():
             for step, ms in ladder:
                 key = tuple(sorted(pat + step))
                 w = c.shift(pair(m, ms))
-                new[key] = (m * ms, new[key][1] + w if key in new else w)
+                new[key] = ({v: m.get(v, 0) + ms.get(v, 0) for v in m | ms}, new[key][1] + w if key in new else w)
         patterns = new
     norm = -patterns[()][1].max_exp2()
     return {pat: c.shift(norm) for pat, (_, c) in patterns.items()}
@@ -109,9 +109,9 @@ MAX_FM_MONOMIALS = 50000
 
 
 @lru_cache(maxsize=None)
-def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
+def _fm_base(kind: str, n: int, i0: int) -> dict[tuple, HalfLaurent]:
     """The t-deformed Frenkel-Mukhin algorithm at (i0, 0), reading monomials
-    by depth.
+    by depth, each keyed by `monomial_items` of its exponent map.
 
     A monomial m's colouring s_j(m) sums the coefficients of the j-strings it
     lies on; its coefficient, 1 at the top, is s_j(m) at every j where m is not
@@ -124,25 +124,27 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
     cd = CartanDatum(kind, n)
     cd._check_vertex(i0)
     h = cd.coxeter_number()
-    ainv = {(j, s): _a_inverse(cd, j, s).items for j in cd.vertices for s in range(1, h)}
-    top = Monomial.var(i0, 0)
-    chi: dict[Monomial, HalfLaurent] = {}
+    # the items of A_{j,s}^-1 = Y_{j,s-1}^-1 Y_{j,s+1}^-1 prod_{k~j} Y_{k,s}
+    ainv = {(j, s): [((j, s - 1), -1), ((j, s + 1), -1), *(((k, s), 1) for k in cd.neighbors(j))]
+            for j in cd.vertices for s in range(1, h)}
+    top = (((i0, 0), 1),)
+    chi: dict[tuple, HalfLaurent] = {}
     # colours[m][j]: the colouring s_j(m) so far, a map doubled exponent -> integer
-    colours: dict[Monomial, dict[int, dict[int, int]]] = {top: {}}
+    colours: dict[tuple, dict[int, dict[int, int]]] = {top: {}}
     levels = [[top]]  # levels[d]: the monomials found at depth d
     for depth, level in enumerate(levels):
         for m in level:
             col = colours.pop(m)
             jparts: dict[int, list[tuple[int, int]]] = {j: [] for j in cd.vertices}
-            for (j, u), e in m.items:
+            for (j, u), e in m:
                 jparts[j].append((u, e))
             reads = {HalfLaurent(col.get(j)) for j, part in jparts.items() if any(e < 0 for _, e in part)}
             if depth and len(reads) != 1:
-                raise CharacterError(f"{m.render()} has {len(reads)} colourings where it is not dominant")
+                raise CharacterError(f"{render_monomial(dict(m))} has {len(reads)} colourings where it is not dominant")
             coeff = chi[m] = reads.pop() if depth else ONE
             if not (coeff.is_symmetric() and coeff.is_nonnegative()):
                 raise CharacterError(
-                    f"coefficient {coeff.render()} of {m.render()} is not bar-invariant and positive"
+                    f"coefficient {coeff.render()} of {render_monomial(dict(m))} is not bar-invariant and positive"
                 )
             for j, part in jparts.items():
                 if not part:
@@ -157,12 +159,14 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
                     if not pat:
                         continue  # m itself, the top of its strings
                     if any(not (0 < s < h) for s in pat):
-                        raise CharacterError(f"exchange position escaped the spectral window at {m}")
-                    exps = m.exps()
+                        raise CharacterError(
+                            f"exchange position escaped the spectral window at {render_monomial(dict(m))}"
+                        )
+                    exps = dict(m)
                     for s in pat:
                         for v, e in ainv[j, s]:
                             exps[v] = exps.get(v, 0) + e
-                    m2 = Monomial(exps)
+                    m2 = monomial_items(exps)
                     if m2 not in colours:
                         if len(chi) + len(colours) >= MAX_FM_MONOMIALS:
                             raise ResourceCap(
@@ -177,20 +181,15 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[Monomial, HalfLaurent]:
                     for e1, v1 in c:
                         for e2, v2 in k.c.items():
                             w[e1 + e2] = w.get(e1 + e2, 0) + v1 * v2
-    doms = [m for m in chi if m.is_dominant()]
+    doms = [m for m in chi if all(e >= 0 for _, e in m)]
     if doms != [top]:
+        doms = [render_monomial(dict(m)) for m in doms]
         raise CharacterError(f"fundamental at ({i0},0) has unexpected dominant set {doms}")
-    anti = [m for m in chi if all(e <= 0 for _, e in m.items)]
-    if anti != [Monomial.var(cd.nu(i0), h, -1)]:
+    anti = [m for m in chi if all(e <= 0 for _, e in m)]
+    if anti != [(((cd.nu(i0), h), -1),)]:
+        anti = [render_monomial(dict(m)) for m in anti]
         raise CharacterError(f"fundamental at ({i0},0) has unexpected antidominant set {anti}")
     return chi
-
-
-def _a_inverse(cd: CartanDatum, j: int, s: int) -> Monomial:
-    exps = {(j, s + 1): -1, (j, s - 1): -1}
-    for k in cd.neighbors(j):
-        exps[(k, s)] = exps.get((k, s), 0) + 1
-    return Monomial(exps)
 
 
 def fundamental_tchar(yt: YTorus, i: int, p: int) -> TorusElement:
@@ -203,7 +202,7 @@ def fundamental_tchar(yt: YTorus, i: int, p: int) -> TorusElement:
     try:
         for m, c in _fm_base(cd.kind, cd.n, i).items():
             key = form = norm = 0
-            for (j, q), e in m.items:
+            for (j, q), e in m:
                 k = index[j, q + p]
                 key += e << place[k]
                 form += e * rows[k]
@@ -221,7 +220,7 @@ def fundamental_window(qc: QuantumCartan, points) -> YTorus:
     the given points (i, p)."""
     cd = qc.cartan
     return YTorus(
-        qc, {(j, q + p) for i, p in points for m in _fm_base(cd.kind, cd.n, i) for (j, q), _ in m.items}
+        qc, {(j, q + p) for i, p in points for m in _fm_base(cd.kind, cd.n, i) for (j, q), _ in m}
     )
 
 
@@ -273,16 +272,16 @@ def ordered_product(memo: dict, a: tuple, gen: Callable, labels: list, keep: boo
     return x
 
 
-def standard_tchar(yt: YTorus, m: Monomial) -> TorusElement:
+def standard_tchar(yt: YTorus, m: dict) -> TorusElement:
     """t-character of the standard module at the dominant monomial m: the
     ordered product, top level leftmost and ties by vertex, of the fundamental
     t-characters at the points of m, normalized at m; no prefix of it is kept."""
-    if not m.is_dominant():
+    if any(e < 0 for e in m.values()):
         raise ValueError("standard modules are labelled by dominant monomials")
-    points = sorted(m.support(), key=lambda ip: (-ip[1], ip[0]))
+    points = sorted(m, key=lambda ip: (-ip[1], ip[0]))
     fundamentals = [fundamental_tchar(yt, i, p) for i, p in points]
-    labels = [yt.key(Monomial.var(i, p)) for i, p in points]
-    a = tuple(m.exp(i, p) for i, p in points)
+    labels = [yt.key({v: 1}) for v in points]
+    a = tuple(m[v] for v in points)
     return ordered_product({(0,) * len(a): yt.one()}, a, fundamentals.__getitem__, labels, keep=False)
 
 
@@ -391,26 +390,26 @@ def combine(basis: dict, row: dict) -> TorusElement:
     return TorusElement(x.ctx, terms, forms, l1)
 
 
-def simple_tchar(yt: YTorus, m: Monomial) -> TorusElement:
+def simple_tchar(yt: YTorus, m: dict) -> TorusElement:
     """t-character of the simple module at m: bar-invariant, unitriangular over
     the standard classes with off-diagonal coefficients in t^-1 Z[t^-1]."""
-    lo, hi = (m.min_p(), m.max_p()) if m.items else (0, 0)
+    lo, hi = (min(p for _, p in m), max(p for _, p in m)) if m else (0, 0)
 
     def standard(k: int) -> TorusElement:
         m2 = yt.monomial_of(k)
         # A_{i,s}^-1 lowers the levels s +- 1, so only levels strictly
         # inside m's range can gain a variable
-        if any(not (lo < p < hi or m.exp(i, p)) for i, p in m2.support()):
-            raise CharacterError(f"dominant {m2.render()} lies outside the range of {m.render()}")
+        if any(not (lo < p < hi or (i, p) in m) for i, p in m2):
+            raise CharacterError(f"dominant {render_monomial(m2)} lies outside the range of {render_monomial(m)}")
         return standard_tchar(yt, m2)
 
     key = yt.key(m)
     basis = dominant_below(key, standard)
-    depth = {k: sum(yt.a_solve(m * yt.monomial_of(k).inverse()).values()) for k in basis}
+    depth = {k: sum(yt.a_solve(yt.monomial_of(key - k)).values()) for k in basis}
     return combine(basis, bar_invariant_correction(basis, depth)[key])
 
 
-def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
+def simple_window(qc: QuantumCartan, m: dict) -> YTorus:
     """The window torus of `simple_tchar` at m: the fundamental characters at
     the points of m and at every point of m's parity lines strictly between
     min_p m and max_p m, the points a dominant monomial below m can carry.
@@ -419,16 +418,16 @@ def simple_window(qc: QuantumCartan, m: Monomial) -> YTorus:
     cd = qc.cartan
     lines = {
         (j, (q + par) % 2)
-        for i, par in {(i, p % 2) for i, p in m.support()}
+        for i, par in {(i, p % 2) for i, p in m}
         for m2 in _fm_base(cd.kind, cd.n, i)
-        for (j, q), _ in m2.items
+        for (j, q), _ in m2
     }
-    lo, hi = (m.min_p(), m.max_p()) if m.items else (0, 0)
+    lo, hi = (min(p for _, p in m), max(p for _, p in m)) if m else (0, 0)
     n = len(lines) * ((hi - lo) // 2 + 1)
     if n * n > MAX_PRODUCT_PAIRS:
-        raise ResourceCap(f"the window of {m.render()} on {n} points passes {MAX_PRODUCT_PAIRS} pairs")
+        raise ResourceCap(f"the window of {render_monomial(m)} on {n} points passes {MAX_PRODUCT_PAIRS} pairs")
     inner = [(j, q) for j, par in lines for q in range(lo + 1, hi) if q % 2 == par]
-    return fundamental_window(qc, [*m.support(), *inner])
+    return fundamental_window(qc, [*m, *inner])
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +441,8 @@ class CategoryQ:
     and Kirillov-Reshetikhin classes by the deformed T-system.
 
     Elements of the rank-r torus are keyed by exponent vectors a, where a_k is
-    the exponent of the variable at positions[k]."""
+    the exponent of Y at positions[k]; `avec_of` and `monomial_of_avec`
+    exchange a with the exponent map {(i, p): e} of its Y-monomial."""
 
     def __init__(self, qctx: QuiverContext):
         self.qctx = qctx
@@ -477,24 +477,17 @@ class CategoryQ:
 
     # -- the boundary between Y-monomials and exponent vectors ----------------
 
-    def in_category(self, m: Monomial) -> bool:
-        return all(ip in self.index_of_position for ip in m.support())
-
-    def _restrict(self, terms) -> TorusElement:
-        """The terms (Monomial, coefficient) in the category, in the rank-r torus."""
-        return self.xt.element({self.avec_of(m): c for m, c in terms if self.in_category(m)})
-
-    def avec_of(self, m: Monomial) -> tuple[int, ...]:
+    def avec_of(self, m: dict) -> tuple[int, ...]:
         a = [0] * self.xt.r
-        for (i, p), e in m.items:
+        for (i, p), e in m.items():
             k = self.index_of_position.get((i, p))
             if k is None:
                 raise ValueError(f"variable ({i},{p}) is outside the subtorus")
             a[k - 1] = e
         return tuple(a)
 
-    def monomial_of_avec(self, a) -> Monomial:
-        return Monomial({self.positions[k]: e for k, e in enumerate(a) if e != 0})
+    def monomial_of_avec(self, a) -> dict[tuple[int, int], int]:
+        return {self.positions[k]: e for k, e in enumerate(a) if e}
 
     def root_of(self, a) -> tuple[int, ...]:
         """Root coordinates of sum_k a_k beta_k: the weight space of a."""
@@ -517,7 +510,7 @@ class CategoryQ:
             return self._kr[key]
         top = p + 2 * s - 2
         if top == xi:
-            val = self.xt.monomial(self.avec_of(Monomial({(i, q): 1 for q in range(p, xi + 1, 2)})))
+            val = self.xt.monomial(self.avec_of({(i, q): 1 for q in range(p, xi + 1, 2)}))
         else:
             a, g = tsystem_exponents(self.qc, i, s)
             x2, y2 = int(2 * a), int(2 * g)
@@ -538,7 +531,11 @@ class CategoryQ:
             if (i, p) not in self.index_of_position:
                 raise ValueError(f"({i},{p}) is outside the subtorus index set")
             chi = _fm_base(self.cartan.kind, self.cartan.n, i)
-            self._fundamentals[i, p] = self._restrict((m.shift_p(p), c) for m, c in chi.items())
+            shifted = [({(j, q + p): e for (j, q), e in m}, c) for m, c in chi.items()]
+            positions = self.index_of_position.keys()
+            self._fundamentals[i, p] = self.xt.element(
+                (self.avec_of(m), c) for m, c in shifted if m.keys() <= positions
+            )
         return self._fundamentals[i, p]
 
     def simple_generators(self) -> dict[int, TorusElement]:
@@ -553,9 +550,9 @@ class CategoryQ:
         """top(beta_k) Y_pos_k^-1 as a product of A_{i,s}, exponents >= 0, where
         top(d) = prod_i Y_{phi^-1(alpha_i, 0)}^d_i.  The top is multiplicative
         in d, so a row's A-column is sum_k a_k col_k."""
-        phi, d = self.qctx.phi, self.roots[k]
-        top = Monomial({phi.generator_position(i, 0): d[i - 1] for i in self.cartan.vertices if d[i - 1]})
-        v = self.yt.a_solve(top * Monomial.var(*self.positions[k], -1))
+        yt, phi, d = self.yt, self.qctx.phi, self.roots[k]
+        top = yt.key({phi.generator_position(i, 0): d[i - 1] for i in self.cartan.vertices if d[i - 1]})
+        v = yt.a_solve(yt.monomial_of(top - yt.key({self.positions[k]: 1})))
         if v is None or any(c < 0 for c in v.values()):
             raise CharacterError(f"position {k + 1} is not below the top monomial of its root")
         return v

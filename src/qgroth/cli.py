@@ -37,7 +37,7 @@ from .presentation import Presentation
 from .qcartan import quantum_cartan
 from .qgroup import quantum_group_side
 from .quiver import AdaptedWord, QuiverContext, QuiverDatum
-from .torus import Monomial
+from .torus import monomial_items, render_monomial
 
 
 def _parse_quiver(args, cartan: CartanDatum) -> QuiverDatum:
@@ -73,7 +73,8 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_monomial(text: str) -> Monomial:
+def _parse_monomial(text: str) -> dict[tuple[int, int], int]:
+    """The exponent map {(i, p): e} of a product of Y[i,p]^e: no zero entry, in (p, i) order."""
     exps: dict[tuple[int, int], int] = {}
     pos = 0
     pat = re.compile(r"\s*Y\[(-?\d+),(-?\d+)\](?:\^(-?\d+))?\s*")
@@ -85,7 +86,7 @@ def _parse_monomial(text: str) -> Monomial:
         e = int(m.group(3)) if m.group(3) else 1
         exps[(i, p)] = exps.get((i, p), 0) + e
         pos = m.end()
-    return Monomial(exps)
+    return dict(monomial_items(exps))
 
 
 def _parse_iso(text: str, flag: str, word: AdaptedWord) -> tuple[int, ...]:
@@ -235,10 +236,10 @@ def cmd_qchar(args) -> int:
             kind = "truncated-simple"
             x = cat.truncated_simple(cat.avec_of(_parse_monomial(args.monomial)))
         # written on the Y-monomials at the positions, for output
-        x = cat.yt.element({cat.monomial_of_avec(cat.xt.exponents(k)): c for k, c in x.terms.items()})
+        x = cat.yt.element((cat.monomial_of_avec(cat.xt.exponents(k)), c) for k, c in x.terms.items())
     elif args.what == "standard":
         m = _parse_monomial(args.monomial)
-        x = standard_tchar(fundamental_window(qc, m.support()), m)
+        x = standard_tchar(fundamental_window(qc, m), m)
     else:
         m = _parse_monomial(args.monomial)
         x = simple_tchar(simple_window(qc, m), m)
@@ -278,7 +279,7 @@ def cmd_dominant_pairs(args) -> int:
             f"A[{i},{s}]" + (f"^{c}" if c > 1 else "")
             for (i, s), c in sorted(row["a_column"].items(), key=lambda t: (t[0][1], t[0][0]))
         )
-        return f"{'+'.join(parts) or '()'}  <->  {row['monomial'].render() or '1'}  <->  {acol or '1'}"
+        return f"{'+'.join(parts) or '()'}  <->  {render_monomial(row['monomial'])}  <->  {acol or '1'}"
 
     _emit(
         args,
@@ -287,7 +288,7 @@ def cmd_dominant_pairs(args) -> int:
             "rows": [
                 {
                     "avec": list(row["avec"]),
-                    "monomial": row["monomial"].to_json(),
+                    "monomial": [[i, p, e] for (i, p), e in monomial_items(row["monomial"])],
                     "a_column": [[i, s, c] for (i, s), c in sorted(row["a_column"].items())],
                 }
                 for row in rows
@@ -311,9 +312,8 @@ def cmd_canonical(args) -> int:
     shift = quiver.xi[0] - qg.cat.quiver.xi[0]
     positions = [(i, p + shift) for i, p in qg.cat.positions]
     for r in report:
-        m = Monomial({positions[k]: e for k, e in enumerate(r["avec"]) if e})
         print(
-            f"a={','.join(map(str, r['avec']))} m={m.render()} "
+            f"a={','.join(map(str, r['avec']))} m={render_monomial(dict(zip(positions, r['avec'])))} "
             f"simple->dual-canonical: {'ok' if r['simple_matches_dual_canonical'] else 'FAIL'} "
             f"standard->dual-PBW: {'ok' if r['standard_matches_dual_pbw'] else 'FAIL'}"
         )
@@ -330,15 +330,15 @@ def cmd_hall(args) -> int:
     else:
         _check_width(args, f"--mmax {args.mmax}", args.mmax + 1, cd)
     if args.what == "gamma":
-        g = toen_gamma(derived_hall(quiver, args.q), iso["x"], iso["y"], iso["t"], iso["w"])
+        g = toen_gamma(derived_hall(word, args.q), iso["x"], iso["y"], iso["t"], iso["w"])
         _emit(args, lambda: [f"gamma = {g}"], lambda: {"gamma": [g.numerator, g.denominator]})
         return 0
     if args.what == "number":
-        g = hall_number(iso["x"], iso["y"], iso["w"], quiver, args.q)
+        g = hall_number(iso["x"], iso["y"], iso["w"], word, args.q)
         _emit(args, lambda: [f"g^W_(X,Y) = {g}"], lambda: {"hall_number": g})
         return 0
     if args.what == "relations":
-        fails = check_h_relations(derived_hall(quiver, args.q), range(args.mmax + 1))
+        fails = check_h_relations(derived_hall(AdaptedWord.build(quiver), args.q), range(args.mmax + 1))
         const = constant_identity_holds(args.q)
         ok = const and not fails
         _emit(

@@ -7,12 +7,12 @@ class and the dual PBW vector at a.  In word order the hom table of the
 indecomposables is lower unitriangular, so a representation's class is
 solved from its hom fingerprint by integer forward substitution.
 
-There is one `DerivedHall` per orientation and q per process,
-`derived_hall`: it owns the tables of the quiver and the field and every memo.
-The memos depend only on (quiver, q), and each gamma's work cap does not depend
-on what the instance has already memoised.  Nothing here reads the height
-function but the adapted word, which compares heights only, so every shift
-of a height function shares the instance of its orientation.
+There is one `DerivedHall` per orientation and q per process, `derived_hall`,
+built on its adapted word: it owns the tables of the quiver and the field and
+every memo.  The memos depend only on (quiver, q), and each gamma's work cap
+does not depend on what the instance has already memoised.  Nothing here reads
+the height function but the adapted word, which compares heights only, so
+every shift of a height function shares the instance of its orientation.
 
 Both kinds of structure constant come from Riedtmann's formula.  The Hall
 numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) and
@@ -215,12 +215,12 @@ def _check_work(work: int, what: str) -> None:
         raise ResourceCap(f"{what}: work {work} (extensions x dimension^3) above cap {MAX_HALL_WORK}")
 
 
-def hall_number(X, Y, W, quiver: QuiverDatum, q: int) -> int:
+def hall_number(X, Y, W, word: AdaptedWord, q: int) -> int:
     """Number of subrepresentations of W isomorphic to X with quotient
     isomorphic to Y, read off the tally of `DerivedHall.hall_numbers` by the
-    instance `derived_hall(quiver, q)`, which checks the quiver and the field
+    instance `derived_hall(word, q)`, which checks the quiver and the field
     when it is built."""
-    return derived_hall(quiver, q).g_number(X, Y, W)
+    return derived_hall(word, q).g_number(X, Y, W)
 
 
 def toen_gamma(dh: "DerivedHall", X, Y, T, W) -> Fraction:
@@ -413,13 +413,13 @@ class DerivedHall:
     (X, Y), isoclasses and normal forms.  Each gamma's work cap
     does not depend on what the instance has already memoised."""
 
-    def __init__(self, quiver: QuiverDatum, q: int):
+    def __init__(self, word: AdaptedWord, q: int):
+        self.quiver = quiver = word.quiver
         _check_quiver(quiver)
         self.F = F = GF(q)
-        self.quiver = quiver
         self.q = q
         self.cartan = quiver.cartan
-        self.word = word = AdaptedWord.build(quiver)
+        self.word = word
         self.roots, self.hom = roots, hom = word.roots, word.hom
         r = len(roots)
         self.models = [self.model([int(k == l) for l in range(r)]) for k in range(r)]
@@ -669,12 +669,12 @@ def _accumulate(out: dict, key, c: UScalar) -> None:
 _registry: dict[tuple, DerivedHall] = {}
 
 
-def derived_hall(quiver: QuiverDatum, q: int) -> DerivedHall:
-    """The one `DerivedHall` of the orientation of quiver and q in this
-    process, built on first use: keyed on the arrows, not the heights."""
-    key = (quiver.cartan, frozenset(quiver.arrows), q)
+def derived_hall(word: AdaptedWord, q: int) -> DerivedHall:
+    """The one `DerivedHall` of the word's orientation and q in this process,
+    built on first use: keyed on the arrows, not the heights."""
+    key = (word.quiver.cartan, frozenset(word.quiver.arrows), q)
     if key not in _registry:
-        _registry[key] = DerivedHall(quiver, q)
+        _registry[key] = DerivedHall(word, q)
     return _registry[key]
 
 
@@ -787,7 +787,7 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
 def iota_check(cat: CategoryQ, q: int, max_len: int = 3, m_offsets=range(4)) -> dict:
     """Full specialization report: the constant identity, the brute-forced
     defining relations, and the standard-basis scalar consistency."""
-    dh = derived_hall(cat.quiver, q)
+    dh = derived_hall(cat.qctx.word, q)
     rel_failures = check_h_relations(dh, m_offsets)
     report = iota_scalar_report(cat, dh, max_len)
     report["constant_identity"] = constant_identity_holds(q)

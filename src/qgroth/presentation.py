@@ -65,7 +65,7 @@ from .characters import _fm_base, fundamental_tchar, fundamental_window
 from .laurent import HalfLaurent
 from .qcartan import QuantumCartan, quantum_cartan
 from .quiver import QuiverContext
-from .torus import Monomial, TorusElement, YTorus
+from .torus import TorusElement, YTorus, mul_monomials
 
 # R2's inhomogeneous term in K_t, 1 - t^-2.
 BOSON = HalfLaurent({0: 1, -4: -1})
@@ -114,12 +114,7 @@ class Presentation:
         local = {}
         for (i, m), x in gens.items():
             j, p = self.qctx.phi.generator_position(i, m)
-            keys = set()
-            for y in _fm_base(cd.kind, cd.n, j):
-                key = 0
-                for (v, q), e in y.items:
-                    key += e << place[index[v, q + p]]
-                keys.add(key)
+            keys = {sum(e << place[index[v, q + p]] for (v, q), e in y) for y in _fm_base(cd.kind, cd.n, j)}
             if x.terms.keys() == keys:
                 parts = _a_reach(cd.kind, cd.n, j)
                 local[id(x)] = (index[j, p], (j, p), *({(v, s + p) for v, s in part} for part in parts))
@@ -230,8 +225,8 @@ def _a_reach(kind: str, n: int, i: int) -> tuple[frozenset, frozenset, frozenset
     else): S, its A-support; T, the Y_{j,s+-1} and R, the A_{j,s+-2} and
     A_{k,s+-1}, k ~ j, that an A_{j,s} in S pairs with."""
     cd = CartanDatum(kind, n)
-    solve, top = YTorus(quantum_cartan(cd)).a_solve, Monomial.var(i, 0)
-    s = frozenset().union(*(solve(top * m.inverse()) for m in _fm_base(kind, n, i)))
+    solve = YTorus(quantum_cartan(cd)).a_solve
+    s = frozenset().union(*(solve(mul_monomials({(i, 0): 1}, dict(m), -1)) for m in _fm_base(kind, n, i)))
     steps = {j: [(j, -2), (j, 2)] + [(k, d) for k in cd.neighbors(j) for d in (-1, 1)] for j in cd.vertices}
     return s, frozenset((j, u + d) for j, u in s for d in (-1, 1)), frozenset(
         (k, u + d) for j, u in s for k, d in steps[j]

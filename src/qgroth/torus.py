@@ -17,11 +17,11 @@ variable order; a product adds keys and an inverse negates; a is dominant iff
 place n-1 of form(a) * key(b), where form(a) = sum_k (a^T M)_k 2^(W k).
 Forms are additive, so every term carries the form of its key and products
 and quotients add and subtract them.  Digits are read only where a key enters
-(packing an exponent vector or a Monomial) or leaves, and a key leaves only
-through `exponents` (render, JSON, the box of a division), in one call: key +
-B puts each digit d at d + H in [0, 2^16), the XOR with B flips its bit 15 to
-leave d in 16-bit two's complement, and `struct` unpacks the n big-endian
-shorts.
+(packing an exponent vector, or a Y-monomial given as its exponent map
+{(i, p): e}) or leaves, and a key leaves only through `exponents` (render,
+JSON, the box of a division), in one call: key + B puts each digit d at d + H
+in [0, 2^16), the XOR with B flips its bit 15 to leave d in 16-bit two's
+complement, and `struct` unpacks the n big-endian shorts.
 
 Bands.  A product reads its pairings on the band lo..hi of key places that
 the keys of one factor occupy (`QuantumTorus.band`: one OR and one max over
@@ -70,98 +70,12 @@ from .laurent import HalfLaurent
 from .qcartan import QuantumCartan
 
 
-class Monomial:
-    """Laurent monomial in the variables Y_{i,p}: a finite map (i,p) -> Z\\{0}.
-
-    Canonical storage: entries ((i,p), e) sorted by (p, i).  Hashable.
-    """
-
-    __slots__ = ("items", "_hash")
-
-    def __init__(self, exps: dict[tuple[int, int], int] | None = None):
-        items = tuple(
-            ((i, p), e)
-            for (p, i), e in sorted(
-                ((p, i), e) for (i, p), e in (exps or {}).items() if e != 0
-            )
-        )
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_hash", hash(items))
-
-    def __setattr__(self, *a):  # pragma: no cover - guard against mutation
-        raise AttributeError("Monomial is immutable")
-
-    @staticmethod
-    def unit() -> "Monomial":
-        return Monomial()
-
-    @staticmethod
-    def var(i: int, p: int, e: int = 1) -> "Monomial":
-        return Monomial({(i, p): e})
-
-    def exps(self) -> dict[tuple[int, int], int]:
-        return {k: e for k, e in self.items}
-
-    def exp(self, i: int, p: int) -> int:
-        for k, e in self.items:
-            if k == (i, p):
-                return e
-        return 0
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        exps = self.exps()
-        for k, e in other.items:
-            exps[k] = exps.get(k, 0) + e
-        return Monomial(exps)
-
-    def inverse(self) -> "Monomial":
-        return Monomial({k: -e for k, e in self.items})
-
-    def is_unit(self) -> bool:
-        return not self.items
-
-    def is_dominant(self) -> bool:
-        return all(e >= 0 for _, e in self.items)
-
-    def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(k for k, _ in self.items)
-
-    def min_p(self) -> int:
-        return min(p for (_, p), _ in self.items)
-
-    def max_p(self) -> int:
-        return max(p for (_, p), _ in self.items)
-
-    def shift_p(self, delta: int) -> "Monomial":
-        return Monomial({(i, p + delta): e for (i, p), e in self.items})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.render()})"
-
-    def render(self) -> str:
-        if not self.items:
-            return "1"
-        bits = []
-        for (i, p), e in self.items:
-            bits.append(f"Y[{i},{p}]" + (f"^{e}" if e != 1 else ""))
-        return " ".join(bits)
-
-    def to_json(self) -> list[list[int]]:
-        return [[i, p, e] for (i, p), e in self.items]
-
-
 class QuantumTorus:
     """The quantum torus on the variables `names`, in order, with the
     antisymmetric Gram matrix M, on packed keys.  Subclasses say how a
     monomial enters (`_sparse`: its (variable index, exponent) pairs) and, on
     a window of variables (i, p), `json_window`, which writes a key to JSON as
-    a Monomial."""
+    its nonzero [i, p, e]."""
 
     json_window = None
     # one key width for every torus: W-bit digits, each below H = half
@@ -244,16 +158,16 @@ class QuantumTorus:
         bits = zip(self.names, self.exponents(key))
         return " ".join(v + (f"^{e}" if e != 1 else "") for v, e in bits if e) or "1"
 
-    def element(self, terms: dict) -> "TorusElement":
-        """sum_x c X^x over a map x -> c of monomials x."""
+    def element(self, terms) -> "TorusElement":
+        """sum_x c X^x over pairs (x, c) of distinct monomials x and their coefficients."""
         keys, forms, l1 = {}, {}, 0
-        for x, c in terms.items():
+        for x, c in terms:
             k, forms_k, l1_k = self.entry(x)
             keys[k], forms[k], l1 = c, forms_k, max(l1, l1_k)
         return TorusElement(self, keys, forms, l1)
 
     def monomial(self, x, coeff: HalfLaurent | None = None) -> "TorusElement":
-        return self.element({x: coeff if coeff is not None else HalfLaurent.one()})
+        return self.element([(x, coeff if coeff is not None else HalfLaurent.one())])
 
     def one(self) -> "TorusElement":
         return TorusElement(self, {0: HalfLaurent.one()}, {0: 0}, 0)
@@ -438,9 +352,9 @@ class TorusElement:
 
     def to_json(self) -> list:
         """[key, coefficient] per term in key order: a key is its exponent
-        vector, or on a window (`json_window`, in the (p, i) order of
-        `Monomial.to_json`) its nonzero [i, p, e]; a coefficient is written as
-        `HalfLaurent.to_json` writes it."""
+        vector, or on a window (`json_window`, in its (p, i) order) its nonzero
+        [i, p, e]; a coefficient is written as `HalfLaurent.to_json` writes
+        it."""
         ctx, terms = self.ctx, self.terms
         exponents, window = ctx.exponents, ctx.json_window
         out = []
@@ -494,10 +408,10 @@ class XTorus(QuantumTorus):
 
 class YTorus(QuantumTorus):
     """The window torus on the variables Y_{i,p} of `window`, ordered by
-    (p, i), entered by Monomials; M is N(i,p;j,s), read from the rows of the
-    inverse quantum Cartan matrix.  `pair2` is the reference pairing of two
-    Monomials; `a_solve` and `nakajima_leq` work on Monomials and do not
-    depend on the window."""
+    (p, i), entered by exponent maps {(i, p): e} with no zero entry; M is
+    N(i,p;j,s), read from the rows of the inverse quantum Cartan matrix.
+    `pair2` is the reference pairing of two exponent maps; `a_solve` and
+    `nakajima_leq` work on exponent maps and do not depend on the window."""
 
     def __init__(self, qc: QuantumCartan, window: Iterable[tuple[int, int]] = ()):
         self.qc = qc
@@ -521,63 +435,75 @@ class YTorus(QuantumTorus):
         pick = itemgetter(*[vs.index(j) * (2 * span + 1) + span + lo - s for j, s in window])
         return [list(pick(line[i][p - lo :])) for i, p in window]
 
-    def pair2(self, m1: Monomial, m2: Monomial) -> int:
+    def pair2(self, m1: dict, m2: dict) -> int:
         rows, h2 = self.qc._n, 2 * self.qc.h
         total = 0
-        for (i, p), u in m1.items:
+        for (i, p), u in m1.items():
             row = rows[i]
-            for (j, s), v in m2.items:
+            for (j, s), v in m2.items():
                 if p > s:
                     total += u * v * row[j][(p - s - 1) % h2]
                 elif p < s:
                     total -= u * v * row[j][(s - p - 1) % h2]
         return total
 
-    def _sparse(self, m: Monomial):
+    def _sparse(self, m: dict):
         try:
-            return [(self.index[v], e) for v, e in m.items]
+            return [(self.index[v], e) for v, e in m.items()]
         except KeyError as exc:
             raise ValueError(f"variable Y{list(exc.args[0])} is outside the torus window") from None
 
-    def monomial_of(self, key: int) -> Monomial:
-        return Monomial(dict(zip(self.window, self.exponents(key))))
+    def monomial_of(self, key: int) -> dict[tuple[int, int], int]:
+        """The exponent map of a key, in (p, i) order."""
+        return {v: e for v, e in zip(self.window, self.exponents(key)) if e}
 
-    def a_solve(self, ratio: Monomial) -> Optional[dict[tuple[int, int], int]]:
+    def a_solve(self, ratio: dict) -> Optional[dict[tuple[int, int], int]]:
         """Write ratio as a product prod A_{i,s}^{v_{i,s}} with integer exponents.
 
         Returns the (unique) exponent map, or None when no integer solution
         exists.  Solved top-down: the Y-exponent at (j, u) equals
-        v_{j,u-1} + v_{j,u+1} - sum_{k~j} v_{k,u}.
+        v_{j,u-1} + v_{j,u+1} - sum_{k~j} v_{k,u}, which fixes v_{j,u-1} so
+        that the rows u >= bot hold; those below hold iff v vanishes at bot
+        and bot - 1 (row bot - 2 reads v_{j,bot-1}, row bot - 1 v_{j,bot}).
         """
-        if ratio.is_unit():
+        if not ratio:
             return {}
-        e = ratio.exps()
-        top = ratio.max_p()
-        bot = ratio.min_p()
+        top = max(p for _, p in ratio)
+        bot = min(p for _, p in ratio)
+        vertices = self.cartan.vertices
         v: dict[tuple[int, int], int] = {}
         for u in range(top, bot - 1, -1):
-            for j in self.cartan.vertices:
+            for j in vertices:
                 # exponent of Y_{j,u} determines v_{j,u-1} from layers above
-                want = e.get((j, u), 0)
+                want = ratio.get((j, u), 0)
                 acc = v.get((j, u + 1), 0)
                 for k in self.cartan.neighbors(j):
                     acc -= v.get((k, u), 0)
                 v[(j, u - 1)] = want - acc
-        v = {k: c for k, c in v.items() if c != 0}
-        # verify (the bottom rows of the system were never imposed)
-        check: dict[tuple[int, int], int] = {}
-        for (j, s), c in v.items():
-            check[(j, s + 1)] = check.get((j, s + 1), 0) + c
-            check[(j, s - 1)] = check.get((j, s - 1), 0) + c
-            for k in self.cartan.neighbors(j):
-                check[(k, s)] = check.get((k, s), 0) - c
-        check = {k: c for k, c in check.items() if c != 0}
-        return v if check == e else None
+        if any(v.get((j, s)) for j in vertices for s in (bot, bot - 1)) or any(j not in vertices for j, _ in ratio):
+            return None
+        return {k: c for k, c in v.items() if c}
 
-    def nakajima_leq(self, m1: Monomial, m2: Monomial) -> bool:
+    def nakajima_leq(self, m1: dict, m2: dict) -> bool:
         """m1 <= m2 iff m2 * m1^-1 is a product of A_{i,p} with multiplicities in N."""
-        v = self.a_solve(m2 * m1.inverse())
+        v = self.a_solve(mul_monomials(m2, m1, -1))
         return v is not None and all(c >= 0 for c in v.values())
+
+
+def mul_monomials(m1: dict, m2: dict, power: int = 1) -> dict:
+    """The exponent map of m1 * m2^power, no zero entry."""
+    return {v: e for v in m1.keys() | m2.keys() if (e := m1.get(v, 0) + power * m2.get(v, 0))}
+
+
+def monomial_items(m: dict) -> tuple:
+    """The hashable form of the exponent map m: its items ((i, p), e != 0) by (p, i)."""
+    return tuple(((i, p), e) for (p, i), e in sorted(((p, i), e) for (i, p), e in m.items() if e))
+
+
+def render_monomial(m: dict) -> str:
+    """Y[i,p]^e per entry of the exponent map m, in (p, i) order; 1 for the unit."""
+    return " ".join(f"Y[{i},{p}]" + (f"^{e}" if e != 1 else "") for (i, p), e in monomial_items(m)) or "1"
+
 
 MAX_QUOTIENT_TERMS = 10000
 MAX_PRODUCT_PAIRS = 10**6

@@ -25,7 +25,7 @@ from qgroth.hall import GF, _hom_equations, mat_rank, rref, specialize
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
-from qgroth.torus import Monomial, TorusElement, YTorus
+from qgroth.torus import TorusElement, YTorus, monomial_items
 
 # The worked orientations used throughout: heights as in the source examples.
 PAPER_XI = {
@@ -98,21 +98,49 @@ def wide_torus(name: str) -> YTorus:
     return YTorus(quantum_cartan(cd), [(i, p) for i in cd.vertices for p in range(-12, 25)])
 
 
+def y(i: int, p: int, e: int = 1) -> dict:
+    """The exponent map of Y_{i,p}^e."""
+    return {(i, p): e}
+
+
+def mon(*ms: dict) -> dict:
+    """The product of the exponent maps ms, with no zero entry."""
+    out: dict = {}
+    for m in ms:
+        for v, e in m.items():
+            out[v] = out.get(v, 0) + e
+    return {v: e for v, e in out.items() if e}
+
+
+def distinct(pairs) -> list:
+    """The pairs (monomial, coefficient), one per monomial: the last one
+    given, at the place of the first, as a dict built from the pairs keeps
+    them.  A monomial is an exponent vector or an exponent map."""
+    out = {}
+    for x, c in pairs:
+        out[x if isinstance(x, tuple) else monomial_items(x)] = (x, c)
+    return list(out.values())
+
+
 def value_at_one(c: HalfLaurent) -> int:
     """The Laurent polynomial c at t = 1."""
     return sum(c.c.values())
 
 
-def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[Monomial, int]:
-    """Classical q-character of the fundamental module at (i0, p0): its t-character at t = 1."""
-    return {m.shift_p(p0): value_at_one(c) for m, c in characters._fm_base(cd.kind, cd.n, i0).items()}
+def fm_classical(cd: CartanDatum, i0: int, p0: int) -> dict[tuple, int]:
+    """Classical q-character of the fundamental module at (i0, p0): its
+    t-character at t = 1, keyed by the (p, i)-sorted items of each monomial."""
+    return {
+        tuple(((j, q + p0), e) for (j, q), e in m): value_at_one(c)
+        for m, c in characters._fm_base(cd.kind, cd.n, i0).items()
+    }
 
 
-def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Fraction | None:
+def tensor_simple_check(yt: YTorus, m1: dict, m2: dict) -> Fraction | None:
     """If the product of simple classes is t^k times a simple class, return k."""
     prod = simple_tchar(yt, m1) * simple_tchar(yt, m2)
-    target = simple_tchar(yt, m1 * m2)
-    c = prod.coeff(yt.key(m1 * m2))
+    target = simple_tchar(yt, mon(m1, m2))
+    c = prod.coeff(yt.key(mon(m1, m2)))
     if len(c.c) != 1:
         return None
     e, v = next(iter(c.c.items()))
@@ -123,11 +151,11 @@ def tensor_simple_check(yt: YTorus, m1: Monomial, m2: Monomial) -> Fraction | No
     return None
 
 
-def boundary_terms(x) -> dict:
-    """The terms of x keyed by Monomials on a window torus, by exponent
-    vectors on the rank-r torus."""
+def boundary_terms(x) -> list:
+    """The terms (monomial, coefficient) of x: a monomial is its exponent map
+    on a window torus, its exponent vector on the rank-r torus."""
     unpack = x.ctx.monomial_of if isinstance(x.ctx, YTorus) else x.ctx.exponents
-    return {unpack(k): c for k, c in x.terms.items()}
+    return [(unpack(k), c) for k, c in x.terms.items()]
 
 
 def doubled_off_label(x, label: int):
@@ -158,43 +186,45 @@ def reference_truncated_simple(cat: CategoryQ, a):
     return combine(std, bar_invariant_correction(std, depth)[cat.xt.key(a)])
 
 
-def standards_below(yt: YTorus, m: Monomial) -> dict:
-    """`dominant_below` at m in the window torus yt, keyed by Monomials."""
+def standards_below(yt: YTorus, m: dict) -> dict:
+    """`dominant_below` at m in the window torus yt, keyed by the (p, i)-sorted
+    items of each dominant monomial."""
     below = dominant_below(yt.key(m), lambda k: standard_tchar(yt, yt.monomial_of(k)))
-    return {yt.monomial_of(k): x for k, x in below.items()}
+    return {monomial_items(yt.monomial_of(k)): x for k, x in below.items()}
 
 
-def sort_key(m: Monomial) -> tuple:
-    """Lex key of a Monomial over the variable axis ordered by (p, i), the
-    order the window keys must follow; addition-compatible.  Item ((i,p), e)
-    with sign s is the token (s, -s p, -s i, e) and (0,) ends the tuple, so at
-    the first differing item the larger exponent at the earlier variable
-    wins."""
-    sg = [1 if e > 0 else -1 for _, e in m.items]
-    return tuple((s, -s * p, -s * i, e) for s, ((i, p), e) in zip(sg, m.items)) + ((0,),)
+def sort_key(m: dict) -> tuple:
+    """Lex key of an exponent map over the variable axis ordered by (p, i),
+    the order the window keys must follow; addition-compatible.  Item
+    ((i,p), e) with sign s is the token (s, -s p, -s i, e) and (0,) ends the
+    tuple, so at the first differing item the larger exponent at the earlier
+    variable wins."""
+    items = monomial_items(m)
+    sg = [1 if e > 0 else -1 for _, e in items]
+    return tuple((s, -s * p, -s * i, e) for s, ((i, p), e) in zip(sg, items)) + ((0,),)
 
 
 def on_positions(cat: CategoryQ, y):
     """An element of a window torus whose monomials all sit on the positions
     of the orientation, rewritten in the rank-r torus (raises on any other
     monomial)."""
-    return cat.xt.element({cat.avec_of(m): c for m, c in boundary_terms(y).items()})
+    return cat.xt.element((cat.avec_of(m), c) for m, c in boundary_terms(y))
 
 
 def reference_product(x, y, pairing=None):
-    """x * y by the unpacked route: Monomial or exponent-vector keys,
-    multiplied one pair of terms at a time and paired by `pairing` (default
-    the torus's reference `pair2`)."""
+    """x * y by the unpacked route: exponent maps (collected by their sorted
+    items) or exponent vectors, multiplied one pair of terms at a time and
+    paired by `pairing` (default the torus's reference `pair2`)."""
     ctx = x.ctx
     pairing = pairing or ctx.pair2
-    mul = (lambda a, b: a * b) if isinstance(ctx, YTorus) else (lambda a, b: tuple(map(add, a, b)))
+    window = isinstance(ctx, YTorus)
     out = {}
-    for k1, c1 in boundary_terms(x).items():
-        for k2, c2 in boundary_terms(y).items():
-            k = mul(k1, k2)
+    for k1, c1 in boundary_terms(x):
+        for k2, c2 in boundary_terms(y):
+            k = monomial_items(mon(k1, k2)) if window else tuple(map(add, k1, k2))
             c = (c1 * c2).shift(pairing(k1, k2))
             out[k] = out[k] + c if k in out else c
-    return ctx.element(out)
+    return ctx.element((dict(k) if window else k, c) for k, c in out.items())
 
 
 def form(ctx, key: int) -> int:
@@ -306,12 +336,13 @@ def bar(x):
 def truncate(cat: CategoryQ, x):
     """Restriction of an element of a window torus to the positions of cat,
     as an element of its rank-r torus."""
-    return cat._restrict((x.ctx.monomial_of(k), c) for k, c in x.terms.items())
+    index = cat.index_of_position
+    return cat.xt.element((cat.avec_of(m), c) for m, c in boundary_terms(x) if all(v in index for v in m))
 
 
-def power(m: Monomial, n: int) -> Monomial:
+def power(m: dict, n: int) -> dict:
     """The monomial m^n."""
-    return Monomial({k: n * e for k, e in m.items})
+    return {k: n * e for k, e in m.items() if n}
 
 
 def verify_inverse(qc, m_max: int) -> tuple[bool, tuple | None]:
@@ -354,12 +385,29 @@ def reflect_weight(cartan, i: int, w):
     return tuple(x - w[i - 1] * c for x, c in zip(w, cartan.cartan_matrix()[i - 1]))
 
 
-def a_monomial(cartan, i: int, p: int) -> Monomial:
+def a_monomial(cartan, i: int, p: int) -> dict:
     """The exchange monomial A_{i,p} = Y_{i,p+1} Y_{i,p-1} prod_{j~i} Y_{j,p}^-1."""
     exps = {(i, p + 1): 1, (i, p - 1): 1}
     for j in cartan.neighbors(i):
         exps[(j, p)] = exps.get((j, p), 0) - 1
-    return Monomial(exps)
+    return exps
+
+
+def reference_a_solve(yt: YTorus, ratio: dict):
+    """`YTorus.a_solve` by its original route: the same top-down solve, then
+    the product of the A's rebuilt and compared with ratio, which decides
+    every row the solve never imposed."""
+    if not ratio:
+        return {}
+    cd, top, bot = yt.cartan, max(p for _, p in ratio), min(p for _, p in ratio)
+    v = {}
+    for u in range(top, bot - 1, -1):
+        for j in cd.vertices:
+            near = sum(v.get((k, u), 0) for k in cd.neighbors(j))
+            v[j, u - 1] = ratio.get((j, u), 0) - v.get((j, u + 1), 0) + near
+    v = {k: c for k, c in v.items() if c}
+    rebuilt = mon(*(power(a_monomial(cd, j, s), c) for (j, s), c in v.items()))
+    return v if rebuilt == ratio else None
 
 
 def in_tinv_ztinv(c) -> bool:
@@ -414,15 +462,15 @@ def orientations_and_bipartites():
 
 def expand_by_monomials(yt: YTorus, x, basis: dict) -> dict:
     """`expand_in_dominant_basis` of an element of the window torus yt over a
-    basis keyed by dominant Monomials, in the Nakajima order; the
-    coefficients come back keyed by Monomials."""
-    depth = order_depth(list(basis), yt.nakajima_leq)
+    basis keyed by the sorted items of dominant monomials, in the Nakajima
+    order; the coefficients come back keyed the same way."""
+    depth = order_depth(list(basis), lambda a, b: yt.nakajima_leq(dict(a), dict(b)))
     coeffs = expand_in_dominant_basis(
         x,
-        {yt.key(m): b for m, b in basis.items()},
-        {yt.key(m): d for m, d in depth.items()},
+        {yt.key(dict(m)): b for m, b in basis.items()},
+        {yt.key(dict(m)): d for m, d in depth.items()},
     )
-    return {yt.monomial_of(k): c for k, c in coeffs.items()}
+    return {monomial_items(yt.monomial_of(k)): c for k, c in coeffs.items()}
 
 
 # --------------------------------------------------------------------------
@@ -552,7 +600,7 @@ def exact_sequence_count(quiver, q: int, X, Y, T, W) -> int:
     triples are counted per middle map g, as (f with g f = 0) times
     (h with h g = 0)."""
     F = GF(q)
-    RT, RY, RX, RW = map(hall.DerivedHall(quiver, q).model, (T, Y, X, W))
+    RT, RY, RX, RW = map(hall.DerivedHall(AdaptedWord.build(quiver), q).model, (T, Y, X, W))
     dT, dY, dW = RT.dims, RY.dims, RW.dims
     vertices = range(quiver.cartan.n)
 

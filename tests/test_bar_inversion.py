@@ -24,9 +24,20 @@ from qgroth.characters import (
 )
 from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
-from qgroth.torus import Monomial, YTorus
+from qgroth.torus import YTorus
 
-from conftest import all_orientations, avecs_up_to, bar, in_tinv_ztinv, order_depth, standards_below, wide_torus
+from conftest import (
+    all_orientations,
+    avecs_up_to,
+    bar,
+    in_tinv_ztinv,
+    mon,
+    order_depth,
+    power,
+    standards_below,
+    wide_torus,
+    y,
+)
 
 CASES = [
     (name, n, 3)
@@ -62,10 +73,10 @@ def test_linear_a_columns_equal_the_per_row_solve(name, n, degree):
     cat, spaces = _spaces(name, n, degree)
     cd, phi = cat.cartan, cat.qctx.phi
     for d in spaces:
-        top = Monomial({phi.generator_position(i, 0): d[i - 1] for i in cd.vertices if d[i - 1]})
+        top = {phi.generator_position(i, 0): d[i - 1] for i in cd.vertices if d[i - 1]}
         for row in cat.dominant_pairs(d):
             assert cat.root_of(row["avec"]) == d
-            assert row["a_column"] == cat.yt.a_solve(top * row["monomial"].inverse()), row["avec"]
+            assert row["a_column"] == cat.yt.a_solve(mon(top, power(row["monomial"], -1))), row["avec"]
             assert cat.depth(row["avec"]) == sum(row["a_column"].values())
 
 
@@ -129,9 +140,7 @@ def test_solved_classes_are_bar_invariant_and_unitriangular(name, n, degree):
 )
 def test_simple_tchar_is_bar_invariant_and_unitriangular_on_a3(factors):
     yt = wide_torus("A3")
-    m = Monomial.unit()
-    for i, p in factors:
-        m = m * Monomial.var(i, p)
+    m = mon(*(y(i, p) for i, p in factors))
     simple = simple_tchar(yt, m)
     assert bar(simple) == simple and simple.coeff(yt.key(m)) == HalfLaurent.one()
     basis = dominant_below(yt.key(m), lambda k: standard_tchar(yt, yt.monomial_of(k)))
@@ -155,7 +164,7 @@ def test_a_simple_class_builds_only_its_own_row(monkeypatch):
 
     monkeypatch.setattr(characters, "combine", spy)
     yt = wide_torus("A3")
-    m = Monomial.var(1, 0) * Monomial.var(1, 2) * Monomial.var(1, 4)
+    m = mon(y(1, 0), y(1, 2), y(1, 4))
     simple = simple_tchar(yt, m)
     assert len(built) == 1 and len(built[0]) == len(standards_below(yt, m)) == 4
     assert simple.coeff(yt.key(m)) == HalfLaurent.one()

@@ -24,7 +24,7 @@ from qgroth.cli import main
 from qgroth.laurent import HalfLaurent
 from qgroth.qcartan import quantum_cartan
 from qgroth.quiver import QuiverContext, QuiverDatum
-from qgroth.torus import Monomial
+from qgroth.torus import monomial_items
 
 from conftest import (
     a_monomial,
@@ -33,24 +33,16 @@ from conftest import (
     bar,
     boundary_terms,
     fm_classical,
+    mon,
     on_positions,
+    power,
     reference_truncated_simple,
     tensor_simple_check,
     truncate,
     value_at_one,
     wide_torus,
+    y,
 )
-
-
-def Y(i, p, e=1):
-    return Monomial.var(i, p, e)
-
-
-def mon(*vars_):
-    m = Monomial.unit()
-    for v in vars_:
-        m = m * v
-    return m
 
 
 # -- sl2 machinery -----------------------------------------------------------
@@ -89,7 +81,7 @@ def test_sl2_patterns_are_bar_invariant_with_a_central_t_plus_t_inverse():
 
 def test_rank1_fundamental(ytorus):
     f = fundamental_tchar(ytorus("A1"), 1, 0)
-    assert f == ytorus("A1").monomial(Y(1, 0)) + ytorus("A1").monomial(Y(1, 2, -1))
+    assert f == ytorus("A1").monomial(y(1, 0)) + ytorus("A1").monomial(y(1, 2, -1))
 
 
 def test_fundamental_dimensions_and_extremes():
@@ -102,11 +94,11 @@ def test_fundamental_dimensions_and_extremes():
             chi = fm_classical(cd, i, 0)
             assert sum(chi.values()) == dims[i - 1]
             assert math.comb(cd.n + 1, i) == dims[i - 1]
-            doms = [m for m in chi if m.is_dominant()]
-            assert doms == [Y(i, 0)]
-            antis = [m for m in chi if all(e <= 0 for _, e in m.items)]
-            assert antis == [Y(cd.nu(i), h, -1)]
-            assert all(0 <= p <= h for m in chi for (_, p) in m.support())
+            doms = [m for m in chi if all(e >= 0 for _, e in m)]
+            assert doms == [monomial_items(y(i, 0))]
+            antis = [m for m in chi if all(e <= 0 for _, e in m)]
+            assert antis == [monomial_items(y(cd.nu(i), h, -1))]
+            assert all(0 <= p <= h for m in chi for (_, p), _ in m)
 
 
 def test_d4_dimensions_and_multiplicity():
@@ -115,7 +107,7 @@ def test_d4_dimensions_and_multiplicity():
         chi = fm_classical(cd, i, 0)
         assert sum(chi.values()) == dim
     chi = fm_classical(cd, 3, 0)
-    assert chi[mon(Y(3, 2), Y(3, 4, -1))] == 2
+    assert chi[monomial_items(mon(y(3, 2), y(3, 4, -1)))] == 2
 
 
 def closed_form_dimension(name, i):
@@ -152,7 +144,7 @@ def test_e7_fundamentals_are_pinned():
     cd = cartan_datum("E7")
     for i, pinned in E7_FUNDAMENTALS.items():
         chi = fm_classical(cd, i, 0)
-        rows = sorted((m.to_json(), c) for m, c in chi.items())
+        rows = sorted(([[i, p, e] for (i, p), e in m], c) for m, c in chi.items())
         assert (sum(chi.values()), hashlib.sha256(json.dumps(rows).encode()).hexdigest()) == pinned, i
 
 
@@ -166,8 +158,8 @@ def test_fundamental_monomial_cap_names_the_node(monkeypatch, capsys):
 def test_d4_trivalent_fundamental_carries_t_plus_t_inverse(ytorus):
     yt = ytorus("D4")
     f = fundamental_tchar(yt, 3, 0)
-    assert f.coeff(yt.key(mon(Y(3, 2), Y(3, 4, -1)))) == HalfLaurent({2: 1, -2: 1})
-    assert all(c.is_one() for k, c in f.terms.items() if yt.monomial_of(k) != mon(Y(3, 2), Y(3, 4, -1)))
+    assert f.coeff(yt.key(mon(y(3, 2), y(3, 4, -1)))) == HalfLaurent({2: 1, -2: 1})
+    assert all(c.is_one() for k, c in f.terms.items() if yt.monomial_of(k) != mon(y(3, 2), y(3, 4, -1)))
 
 
 def fresh_fm_memo(monkeypatch):
@@ -211,12 +203,12 @@ def sl2_class(yt, m, j):
     """E_{j,t}(m) for a j-dominant monomial m, evaluated in the window torus
     yt itself: the product of the j-free part of m with the thin string
     characters of its j-part, normalized so that m has coefficient 1."""
-    prod = yt.monomial(Monomial({v: e for v, e in m.items if v[0] != j}))
-    for a, k in string_decomposition({p: e for (i, p), e in m.items if i == j}):
-        steps = [Monomial({(j, a + 2 * c): 1 for c in range(k)})]
+    prod = yt.monomial({v: e for v, e in m.items() if v[0] != j})
+    for a, k in string_decomposition({p: e for (i, p), e in m.items() if i == j}):
+        steps = [{(j, a + 2 * c): 1 for c in range(k)}]
         for c in range(k):
-            steps.append(steps[-1] * a_monomial(yt.cartan, j, a + 2 * (k - c) - 1).inverse())
-        prod = prod * yt.element({x: HalfLaurent.one() for x in steps})
+            steps.append(mon(steps[-1], power(a_monomial(yt.cartan, j, a + 2 * (k - c) - 1), -1)))
+        prod = prod * yt.element((x, HalfLaurent.one()) for x in steps)
     return prod.tshift(-prod.coeff(yt.key(m)).max_exp2())
 
 
@@ -231,14 +223,14 @@ def test_fundamentals_lie_in_every_sl2_subring(name, nodes):
         chi = fundamental_tchar(yt, i, 0)
 
         def depth(k):
-            return sum(yt.a_solve(Y(i, 0) * yt.monomial_of(k).inverse()).values())
+            return sum(yt.a_solve(mon(y(i, 0), power(yt.monomial_of(k), -1))).values())
 
         for j in cd.vertices:
             rem = chi
             while rem:
                 k = min(rem.terms, key=depth)
                 m, c = yt.monomial_of(k), rem.terms[k]
-                assert all(e > 0 for (v, _), e in m.items if v == j), (name, i, j, m)
+                assert all(e > 0 for (v, _), e in m.items() if v == j), (name, i, j, m)
                 assert c.is_symmetric() and c.is_nonnegative(), (name, i, j, m)
                 rem = rem - sl2_class(yt, m, j).scal(c)
 
@@ -266,16 +258,16 @@ def test_tsystem_exponents_examples():
 def test_kr_seeds_and_worked_values(categories):
     cat = categories("A3")
     yt = cat.yt
-    assert cat.kr(2, 2, 1) == on_positions(cat, yt.monomial(mon(Y(2, 1), Y(2, 3))))
-    assert cat.kr(1, 1, 2) == on_positions(cat, yt.monomial(Y(1, 2)))
+    assert cat.kr(2, 2, 1) == on_positions(cat, yt.monomial(mon(y(2, 1), y(2, 3))))
+    assert cat.kr(1, 1, 2) == on_positions(cat, yt.monomial(y(1, 2)))
     assert cat.kr(2, 1, 1) == on_positions(
-        cat, yt.monomial(Y(2, 1)) + yt.monomial(mon(Y(1, 2), Y(2, 3, -1), Y(3, 2)))
+        cat, yt.monomial(y(2, 1)) + yt.monomial(mon(y(1, 2), y(2, 3, -1), y(3, 2)))
     )
     assert cat.kr(3, 1, 0) == on_positions(
         cat,
-        yt.monomial(Y(3, 0))
-        + yt.monomial(mon(Y(3, 2, -1), Y(2, 1)))
-        + yt.monomial(mon(Y(2, 3, -1), Y(1, 2))),
+        yt.monomial(y(3, 0))
+        + yt.monomial(mon(y(3, 2, -1), y(2, 1)))
+        + yt.monomial(mon(y(2, 3, -1), y(1, 2))),
     )
     with pytest.raises(ValueError):
         cat.kr(1, 3, 2)
@@ -317,25 +309,25 @@ def test_dual_route_fundamentals(ytorus):
 
 def test_standard_single_fundamental(ytorus):
     yt = ytorus("A2")
-    assert standard_tchar(yt, Y(1, 0)) == fundamental_tchar(yt, 1, 0)
+    assert standard_tchar(yt, y(1, 0)) == fundamental_tchar(yt, 1, 0)
     # no normalizing shift: the fundamental already carries Y[1,0] with coefficient 1
-    assert fundamental_tchar(yt, 1, 0).coeff(yt.key(Y(1, 0))) == HalfLaurent.one()
+    assert fundamental_tchar(yt, 1, 0).coeff(yt.key(y(1, 0))) == HalfLaurent.one()
 
 
 def test_standard_rank1_contains_tinv(ytorus):
     yt = ytorus("A1")
-    m = mon(Y(1, 0), Y(1, 2))
+    m = mon(y(1, 0), y(1, 2))
     std = standard_tchar(yt, m)
     assert std.coeff(yt.key(m)) == HalfLaurent.one()
-    assert std.coeff(yt.key(Monomial.unit())) == HalfLaurent.t_power(-2)
+    assert std.coeff(yt.key({})) == HalfLaurent.t_power(-2)
 
 
 def test_standard_class_holds_only_its_running_product():
     # Y[1,0]^30 on A1: a memo of every prefix peaks at about 3.0 MB of traced
     # memory, the running product alone at about 0.9 MB; both give one class
     qc = quantum_cartan(cartan_datum("A1"))
-    m = Monomial({(1, 0): 30})
-    yt = characters.fundamental_window(qc, m.support())
+    m = {(1, 0): 30}
+    yt = characters.fundamental_window(qc, m)
     tracemalloc.start()
     try:
         std = standard_tchar(yt, m)
@@ -344,7 +336,7 @@ def test_standard_class_holds_only_its_running_product():
         tracemalloc.stop()
     assert peak < 1_500_000
     memo = {(0,): yt.one()}
-    assert std == characters.ordered_product(memo, (30,), lambda k: fundamental_tchar(yt, 1, 0), [yt.key(Y(1, 0))])
+    assert std == characters.ordered_product(memo, (30,), lambda k: fundamental_tchar(yt, 1, 0), [yt.key(y(1, 0))])
     assert len(memo) == 31
 
 
@@ -357,13 +349,13 @@ def test_an_ordered_product_out_of_range_is_refused_before_its_first_step(monkey
 
     qc = quantum_cartan(cartan_datum("A1"))
     yt = characters.fundamental_window(qc, [(1, 0)])
-    gen, labels = yt.monomial(Y(1, 0, 100)), [yt.key(Y(1, 0, 100))]
+    gen, labels = yt.monomial(y(1, 0, 100)), [yt.key(y(1, 0, 100))]
     steps, tests = [], []
     mul_shift, check_range = TorusElement.mul_shift, QuantumTorus.check_range
     monkeypatch.setattr(TorusElement, "mul_shift", lambda x, y, e: steps.append(e) or mul_shift(x, y, e))
     monkeypatch.setattr(QuantumTorus, "check_range", lambda ctx, a, b: tests.append((a, b)) or check_range(ctx, a, b))
     memo = {(0,): yt.one()}
-    assert characters.ordered_product(memo, (2,), lambda k: gen, labels) == yt.monomial(Y(1, 0, 200))
+    assert characters.ordered_product(memo, (2,), lambda k: gen, labels) == yt.monomial(y(1, 0, 200))
     assert len(steps) == 2 and sorted(memo) == [(0,), (1,), (2,)]
     steps.clear()
     tests.clear()
@@ -390,7 +382,7 @@ def test_a_standard_class_past_the_key_digits_exits_3_at_once(monkeypatch, capsy
 
 def test_simple_rank1(ytorus):
     yt = ytorus("A1")
-    m = mon(Y(1, 0), Y(1, 2))
+    m = mon(y(1, 0), y(1, 2))
     simple = simple_tchar(yt, m)
     std = standard_tchar(yt, m)
     # the defect is exactly t^-1 times the trivial class
@@ -402,7 +394,7 @@ def test_simple_rank1(ytorus):
 def test_simple_minuscule_is_completion(ytorus):
     yt = ytorus("A3")
     for i in (1, 2, 3):
-        assert simple_tchar(yt, Y(i, 0)) == fundamental_tchar(yt, i, 0)
+        assert simple_tchar(yt, y(i, 0)) == fundamental_tchar(yt, i, 0)
 
 
 def test_dominant_below(ytorus):
@@ -415,13 +407,13 @@ def test_dominant_below(ytorus):
         built.append(k)
         return standard_tchar(yt, yt.monomial_of(k))
 
-    m = mon(Y(1, 0), Y(1, 2))
+    m = mon(y(1, 0), y(1, 2))
     below = dominant_below(yt.key(m), standard)
-    assert set(below) == {yt.key(m), yt.key(Monomial.unit())} and sorted(built) == sorted(below)
+    assert set(below) == {yt.key(m), yt.key({})} and sorted(built) == sorted(below)
     assert below[yt.key(m)] == standard_tchar(yt, m)
     yt2 = ytorus("A2")
     below2 = dominant_below(yt2.key(m), lambda k: standard_tchar(yt2, yt2.monomial_of(k)))
-    assert yt2.key(Y(2, 1)) in below2
+    assert yt2.key(y(2, 1)) in below2
 
 
 def test_both_tori_read_one_closure_and_truncation_enumerates_no_weight_space(monkeypatch):
@@ -429,7 +421,7 @@ def test_both_tori_read_one_closure_and_truncation_enumerates_no_weight_space(mo
     # into roots, its closure 1 key, so one truncated standard class is built
     qctx = QuiverContext(QuiverDatum.from_xi(cartan_datum("D4"), (0, 0, 1, 2)))
     cat = CategoryQ(qctx)
-    a = cat.avec_of(mon(Y(4, -2), Y(3, -1), Y(1, 0), Y(2, 0)))
+    a = cat.avec_of(mon(y(4, -2), y(3, -1), y(1, 0), y(2, 0)))
     built, closures = [], []
     real_standard, real_below = CategoryQ.truncated_standard, characters.dominant_below
 
@@ -451,7 +443,7 @@ def test_both_tori_read_one_closure_and_truncation_enumerates_no_weight_space(mo
     x = cat.truncated_simple(a)
     assert built == [a] and closures == [cat.xt.key(a)]
     yt = wide_torus("A3")
-    m = mon(Y(1, 0), Y(2, 1))
+    m = mon(y(1, 0), y(2, 1))
     simple_tchar(yt, m)
     assert closures == [cat.xt.key(a), yt.key(m)]
     monkeypatch.undo()
@@ -473,7 +465,7 @@ def test_truncated_simple_matches_the_a_column_route(name, degree, count):
 
 def test_simple_positivity_and_bar(ytorus):
     yt = ytorus("A2")
-    for m in [mon(Y(1, 0), Y(1, 2)), mon(Y(1, 0), Y(2, 1)), mon(Y(1, 0), Y(2, 3))]:
+    for m in [mon(y(1, 0), y(1, 2)), mon(y(1, 0), y(2, 1)), mon(y(1, 0), y(2, 3))]:
         s = simple_tchar(yt, m)
         assert bar(s) == s
         assert all(c.is_nonnegative() for c in s.terms.values()), m
@@ -481,12 +473,12 @@ def test_simple_positivity_and_bar(ytorus):
 
 def test_tensor_simple_check(ytorus):
     yt1 = ytorus("A1")
-    assert tensor_simple_check(yt1, Y(1, 0), Y(1, 2)) is None
-    assert tensor_simple_check(yt1, Y(1, 0), Y(1, 4)) is not None
+    assert tensor_simple_check(yt1, y(1, 0), y(1, 2)) is None
+    assert tensor_simple_check(yt1, y(1, 0), y(1, 4)) is not None
     yt3 = ytorus("A3")
-    k = tensor_simple_check(yt3, Y(1, 0), Y(2, 1))
+    k = tensor_simple_check(yt3, y(1, 0), y(2, 1))
     assert k is not None
-    assert tensor_simple_check(yt3, Y(1, 0), Y(1, 0)) == Fraction(0)
+    assert tensor_simple_check(yt3, y(1, 0), y(1, 0)) == Fraction(0)
 
 
 # -- truncation ---------------------------------------------------------------
@@ -497,27 +489,27 @@ def test_truncate_examples(categories, ytorus):
     full = fundamental_tchar(ytorus("A3"), 1, 0)
     tr = truncate(cat, full)
     assert len(tr.terms) == 3 and len(full.terms) == 4
-    kept = {cat.monomial_of_avec(a) for a in boundary_terms(tr)}
-    dropped = [m for m in boundary_terms(full) if m not in kept]
-    assert dropped == [Y(3, 4, -1)]
-    outside = ytorus("A3").monomial(Y(3, 4, -1), full.coeff(ytorus("A3").key(Y(3, 4, -1))))
+    kept = [cat.monomial_of_avec(a) for a, _ in boundary_terms(tr)]
+    dropped = [m for m, _ in boundary_terms(full) if m not in kept]
+    assert dropped == [y(3, 4, -1)]
+    outside = ytorus("A3").monomial(y(3, 4, -1), full.coeff(ytorus("A3").key(y(3, 4, -1))))
     assert tr == on_positions(cat, full - outside)
 
 
 TRUNCATION_CASES = {
-    "A3": [mon(Y(2, 1)), mon(Y(1, 0), Y(3, 0)), mon(Y(1, 0), Y(1, 2)), mon(Y(2, 1), Y(2, 3))],
+    "A3": [mon(y(2, 1)), mon(y(1, 0), y(3, 0)), mon(y(1, 0), y(1, 2)), mon(y(2, 1), y(2, 3))],
     "A4": [
-        mon(Y(2, -3), Y(2, 1)),
-        mon(Y(1, -2), Y(1, 0)),
-        mon(Y(4, -3), Y(3, -2), Y(2, 1)),
-        mon(Y(2, -3), Y(4, -3), Y(1, 0), Y(3, 0)),
-        mon(Y(1, -2), Y(3, -2), Y(2, -1), Y(4, 1)),
+        mon(y(2, -3), y(2, 1)),
+        mon(y(1, -2), y(1, 0)),
+        mon(y(4, -3), y(3, -2), y(2, 1)),
+        mon(y(2, -3), y(4, -3), y(1, 0), y(3, 0)),
+        mon(y(1, -2), y(3, -2), y(2, -1), y(4, 1)),
     ],
     "D4": [
-        mon(Y(3, -3), Y(3, 1)),
-        mon(Y(1, -4), Y(2, -2), Y(4, 0)),
-        mon(Y(1, -4), Y(1, 0)),
-        mon(Y(4, -2), Y(3, -1), Y(1, 0), Y(2, 0)),
+        mon(y(3, -3), y(3, 1)),
+        mon(y(1, -4), y(2, -2), y(4, 0)),
+        mon(y(1, -4), y(1, 0)),
+        mon(y(4, -2), y(3, -1), y(1, 0), y(2, 0)),
     ],
 }
 
@@ -536,10 +528,10 @@ def test_dominant_survival(categories, ytorus):
     # every dominant monomial of a simple class in the category survives truncation
     cat = categories("A3")
     yt = ytorus("A3")
-    for m in [mon(Y(1, 0), Y(2, 1)), mon(Y(1, 0), Y(1, 2))]:
+    for m in [mon(y(1, 0), y(2, 1)), mon(y(1, 0), y(1, 2))]:
         s = simple_tchar(yt, m)
-        for k in boundary_terms(s):
-            assert not k.is_dominant() or cat.in_category(k), (m, k)
+        for k, _ in boundary_terms(s):
+            assert any(e < 0 for e in k.values()) or all(v in cat.index_of_position for v in k), (m, k)
 
 
 # -- dominant pairs -----------------------------------------------------------
@@ -568,26 +560,26 @@ def test_dominant_pairs_d4_table(categories):
     cat = categories("D4", xi=(4, 4, 5, 4))
     rows = cat.dominant_pairs((1, 1, 1, 1))
     assert len(rows) == 8
-    by_mon = {r["monomial"]: r for r in rows}
-    top = mon(Y(1, 0), Y(2, 0), Y(3, 5), Y(4, 0))
-    assert top in by_mon and by_mon[top]["a_column"] == {}
-    r2 = by_mon[mon(Y(1, 4), Y(2, 0), Y(4, 0))]
+    by_mon = {monomial_items(r["monomial"]): r for r in rows}
+    top = mon(y(1, 0), y(2, 0), y(3, 5), y(4, 0))
+    assert by_mon[monomial_items(top)]["a_column"] == {}
+    r2 = by_mon[monomial_items(mon(y(1, 4), y(2, 0), y(4, 0)))]
     assert r2["a_column"] == {(1, 1): 1, (3, 2): 1, (2, 3): 1, (4, 3): 1, (3, 4): 1}
-    r8 = by_mon[mon(Y(3, 1))]
+    r8 = by_mon[monomial_items(y(3, 1))]
     assert r8["a_column"] == {
         (1, 1): 1, (2, 1): 1, (4, 1): 1, (3, 2): 2, (1, 3): 1, (2, 3): 1, (4, 3): 1, (3, 4): 1,
     }
-    expected_monomials = {
+    expected_monomials = [
         top,
-        mon(Y(1, 4), Y(2, 0), Y(4, 0)),
-        mon(Y(2, 4), Y(1, 0), Y(4, 0)),
-        mon(Y(4, 4), Y(1, 0), Y(2, 0)),
-        mon(Y(4, 2), Y(4, 0)),
-        mon(Y(2, 2), Y(2, 0)),
-        mon(Y(1, 2), Y(1, 0)),
-        mon(Y(3, 1)),
-    }
-    assert set(by_mon) == expected_monomials
+        mon(y(1, 4), y(2, 0), y(4, 0)),
+        mon(y(2, 4), y(1, 0), y(4, 0)),
+        mon(y(4, 4), y(1, 0), y(2, 0)),
+        mon(y(4, 2), y(4, 0)),
+        mon(y(2, 2), y(2, 0)),
+        mon(y(1, 2), y(1, 0)),
+        mon(y(3, 1)),
+    ]
+    assert set(by_mon) == set(map(monomial_items, expected_monomials))
 
 
 def test_dominant_pairs_counts_and_simples(categories):
@@ -596,7 +588,7 @@ def test_dominant_pairs_counts_and_simples(categories):
         cd = cat.cartan
         rows = cat.dominant_pairs(d)
         assert len(rows) == brute_force_decomposition_count(cd, d)
-        assert len({r["monomial"] for r in rows}) == len(rows)
+        assert len({monomial_items(r["monomial"]) for r in rows}) == len(rows)
     cat = categories("A3")
     rows = cat.dominant_pairs((0, 1, 0))
-    assert len(rows) == 1 and rows[0]["monomial"] == Y(*cat.qctx.phi.phi_inverse((0, 1, 0), 0))
+    assert len(rows) == 1 and rows[0]["monomial"] == y(*cat.qctx.phi.phi_inverse((0, 1, 0), 0))

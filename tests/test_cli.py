@@ -10,7 +10,7 @@ from qgroth.cli import _parse_iso, _parse_monomial, main
 from qgroth.cartan import CartanDatum, cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
-from qgroth.torus import Monomial
+from qgroth.torus import monomial_items
 
 from conftest import all_orientations, avecs_up_to, doubled_off_label, iso
 
@@ -22,8 +22,10 @@ def run(capsys, *argv):
 
 
 def test_monomial_parser():
-    assert _parse_monomial("Y[1,0]Y[2,1]^2") == Monomial({(1, 0): 1, (2, 1): 2})
-    assert _parse_monomial("Y[1,-2]^-1 Y[1,-2]") == Monomial({})
+    # an exponent map in (p, i) order, with no zero entry
+    assert list(_parse_monomial("Y[2,1]^2Y[1,0]").items()) == [((1, 0), 1), ((2, 1), 2)]
+    assert _parse_monomial("Y[1,-2]^-1 Y[1,-2]") == {}
+    assert _parse_monomial("Y[1,0]Y[1,-2]^-1Y[1,-2]") == {(1, 0): 1}
     with pytest.raises(ValueError):
         _parse_monomial("Z[1,0]")
 
@@ -553,11 +555,24 @@ def test_a4_simple_class_of_four_factors(capsys):
     text = "Y[4,0]Y[1,1]Y[3,1]Y[4,6]"
     assert main(["qchar", "simple", "--type", "A4", "-m", text, "--format", "json"]) == 0
     terms = json.loads(capsys.readouterr().out)["terms"]
-    coeffs = {Monomial({(i, p): e for i, p, e in m}): HalfLaurent(dict(c)) for m, c in terms}
+    coeffs = {monomial_items({(i, p): e for i, p, e in m}): HalfLaurent(dict(c)) for m, c in terms}
     assert len(coeffs) == len(terms) == 835
     # bar-invariant and positive, with the labelling monomial at coefficient 1
     assert all(c.is_symmetric() and c.is_nonnegative() for c in coeffs.values())
-    assert coeffs[_parse_monomial(text)] == HalfLaurent.one()
+    assert coeffs[monomial_items(_parse_monomial(text))] == HalfLaurent.one()
+
+
+def test_a_simple_window_past_the_pair_cap_is_refused_before_it_is_built(capsys):
+    # the parity lines of the factors carry 1206 points of E6 between p = 0
+    # and p = 400, so the window of `qchar simple` would pass the pair cap;
+    # the text names the monomial as it renders, factors in (p, i) order
+    argv = ["qchar", "simple", "--type", "E6", "-m", "Y[1,400]Y[1,0]Y[2,3]^2"]
+    for text in (argv[-1], "Y[1,0]Y[2,3]^2Y[1,400]"):
+        assert main([*argv[:-1], text]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "resource cap exceeded: the window of Y[1,0] Y[2,3]^2 Y[1,400] on 1206 points passes 1000000 pairs\n",
+        )
 
 
 def test_only_the_chosen_format_is_built(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qgroth.hall as hall
 import qgroth.presentation as presentation
+import qgroth.qgroup as qgroup
 from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ
 from qgroth.hall import (
@@ -60,7 +61,7 @@ ZERO = iso(A2)
 
 def test_iso_class_examples():
     q = a2_quiver()
-    F, dh = GF(2), DerivedHall(q, 2)
+    F, dh = GF(2), DerivedHall(AdaptedWord.build(q), 2)
     assert iso_class(dh, Rep(q, F, (0, 0), {(1, 2): ()})) == ZERO
     assert iso_class(dh, Rep(q, F, (1, 1), {(1, 2): ((1,),)})) == X12
     assert iso_class(dh, Rep(q, F, (1, 1), {(1, 2): ((0,),)})) == iso(q, {(1, 0): 1, (0, 1): 1})
@@ -72,18 +73,18 @@ def test_iso_class_examples():
 def test_hall_numbers():
     q = a2_quiver()
     for p in (2, 3):
-        assert hall_number(X12, ZERO, X12, q, p) == 1  # g^X_{X,0} = 1
-        assert hall_number(S2, S1, X12, q, p) == 1
-        assert hall_number(S1, S2, X12, q, p) == 0
-        assert hall_number(S1, S2, iso(q, {(1, 0): 1, (0, 1): 1}), q, p) == 1
+        assert hall_number(X12, ZERO, X12, AdaptedWord.build(q), p) == 1  # g^X_{X,0} = 1
+        assert hall_number(S2, S1, X12, AdaptedWord.build(q), p) == 1
+        assert hall_number(S1, S2, X12, AdaptedWord.build(q), p) == 0
+        assert hall_number(S1, S2, iso(q, {(1, 0): 1, (0, 1): 1}), AdaptedWord.build(q), p) == 1
         # the subrepresentations X12 of X12 + X12 are the q + 1 lines of F_q^2,
         # most of them spanned by a vector off the coordinate axes
-        assert hall_number(X12, X12, iso(q, {(1, 1): 2}), q, p) == p + 1
+        assert hall_number(X12, X12, iso(q, {(1, 1): 2}), AdaptedWord.build(q), p) == p + 1
 
 
 def _triples(quiver, q, max_total):
     # every (X, Y, W) with dim X + dim Y = dim W and total dimension <= max_total
-    dh = DerivedHall(quiver, q)
+    dh = DerivedHall(AdaptedWord.build(quiver), q)
     n = quiver.cartan.n
     for dw in itertools.product(range(max_total + 1), repeat=n):
         if sum(dw) > max_total:
@@ -114,7 +115,7 @@ def test_hom_elements_match_the_naive_enumeration(name):
     # every hom space between classes of total dimension <= 2, in every
     # orientation, over GF(2), GF(3) and GF(4) (whose sums are XORs)
     for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3, 4)):
-        F, dh, n = GF(p), DerivedHall(q, p), q.cartan.n
+        F, dh, n = GF(p), DerivedHall(AdaptedWord.build(q), p), q.cartan.n
         dims = [d for d in itertools.product(range(3), repeat=n) if sum(d) <= 2]
         classes = [a for d in dims for a in dh.isoclasses(d)]
         for A, B in itertools.product(classes, repeat=2):
@@ -145,7 +146,7 @@ def test_riedtmann_count_consistency():
     for name, p in itertools.product(("A1", "A2", "A3"), (2, 3)):
         F = GF(p)
         for q in _orientations(cartan_datum(name)):
-            n, dh = q.cartan.n, DerivedHall(q, p)
+            n, dh = q.cartan.n, DerivedHall(AdaptedWord.build(q), p)
             model, aut = functools.cache(dh.model), dh.aut
 
             @functools.cache
@@ -168,13 +169,13 @@ def test_riedtmann_count_consistency():
                     for f in full_rank(X, W)
                     for g in full_rank(W, Y)
                 )
-                expected = hall_number(X, Y, W, q, p) * aut(X) * aut(Y)
+                expected = hall_number(X, Y, W, AdaptedWord.build(q), p) * aut(X) * aut(Y)
                 assert count == expected, (p, q.arrows, X, Y, W)
 
 
 def _classes(quiver, q, max_total):
     # every isoclass of total dimension <= max_total
-    dh = DerivedHall(quiver, q)
+    dh = DerivedHall(AdaptedWord.build(quiver), q)
     dims = itertools.product(range(max_total + 1), repeat=quiver.cartan.n)
     return [a for d in dims if sum(d) <= max_total for a in dh.isoclasses(d)]
 
@@ -186,7 +187,7 @@ def test_gamma_is_the_exact_sequence_count(name):
     # too, on every balanced (X, Y, T, W) of classes of total dimension <= 2,
     # in every orientation
     for q, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
-        dh = DerivedHall(q, p)
+        dh = DerivedHall(AdaptedWord.build(q), p)
         aut = functools.cache(lambda Z: aut_by_enumeration(dh.model(Z)))
         classes = _classes(q, p, 2)
         for X, Y, T, W in itertools.product(classes, repeat=4):
@@ -207,7 +208,7 @@ def _gaussian_binomial(d, k, q):
 def test_gamma_examples():
     q = a2_quiver()
     for p in (2, 3):
-        dh = DerivedHall(q, p)
+        dh = DerivedHall(AdaptedWord.build(q), p)
         assert toen_gamma(dh, S1, S2, S2, S1) == 1
         assert toen_gamma(dh, S1, S1, S1, S1) == 1
         assert toen_gamma(dh, S1, S1, ZERO, ZERO) == Fraction(1, p - 1)
@@ -218,7 +219,7 @@ def test_gamma_examples():
     # so gamma = |Aut T| |Aut W| / (|Aut X| |Aut Y|) = 1
     a1 = QuiverDatum.bipartite(cartan_datum("A1"))
     S = iso(a1, {(1,): 2})
-    assert toen_gamma(DerivedHall(a1, 4), S, S, S, S) == 1
+    assert toen_gamma(DerivedHall(AdaptedWord.build(a1), 4), S, S, S, S) == 1
 
 
 def test_corrupted_hom_table_or_aut_count_ends_hall_number_in_exit_2(monkeypatch, capsys):
@@ -256,13 +257,13 @@ def test_resource_caps():
     # Ext^1(S1, S2) is one-dimensional: 4^16 extensions of S1^4 by S2^4, times 8^3
     S1_4, S2_4 = iso(q, {(1, 0): 4}), iso(q, {(0, 1): 4})
     with pytest.raises(ResourceCap, match=r"Hall number: work 2199023255552 \(extensions x dimension\^3\) above cap"):
-        hall_number(S2_4, S1_4, iso(q, {(1, 1): 4}), q, 4)
+        hall_number(S2_4, S1_4, iso(q, {(1, 1): 4}), AdaptedWord.build(q), 4)
     # a split pair builds no extension: S1^3 in S1^6 is one of the
     # [6 choose 3]_4 subspaces of F_4^6
     S1_3, S1_6 = iso(q, {(1, 0): 3}), iso(q, {(1, 0): 6})
-    assert hall_number(S1_3, S1_3, S1_6, q, 4) == _gaussian_binomial(6, 3, 4) == 376805
+    assert hall_number(S1_3, S1_3, S1_6, AdaptedWord.build(q), 4) == _gaussian_binomial(6, 3, 4) == 376805
     # total dimension 6, Ext^1(S2^3, S1^3) = 0: S1^3 + 0 inside S1^3 + S2^3
-    assert hall_number(S1_3, iso(q, {(0, 1): 3}), iso(q, {(1, 0): 3, (0, 1): 3}), q, 2) == 1
+    assert hall_number(S1_3, iso(q, {(0, 1): 3}), iso(q, {(1, 0): 3, (0, 1): 3}), AdaptedWord.build(q), 2) == 1
     # one extension line in total dimension 2 + 4k, P12 projective-injective:
     # S2 + P12^k in P12^(2k+1) is a flag U_1 < U_2 of dimensions (k, k+1) in
     # F_2^(2k+1), and its quotient is S1 + P12^k.  k = 42 is the last under
@@ -271,14 +272,14 @@ def test_resource_caps():
         X, Y = iso(q, {(0, 1): 1, (1, 1): k}), iso(q, {(1, 0): 1, (1, 1): k})
         if work:
             with pytest.raises(ResourceCap, match=f"Hall number: work {work} "):
-                hall_number(X, Y, iso(q, {(1, 1): 2 * k + 1}), q, 2)
+                hall_number(X, Y, iso(q, {(1, 1): 2 * k + 1}), AdaptedWord.build(q), 2)
         else:
             flags = _gaussian_binomial(2 * k + 1, k + 1, 2) * _gaussian_binomial(k + 1, k, 2)
-            assert hall_number(X, Y, iso(q, {(1, 1): 2 * k + 1}), q, 2) == flags
+            assert hall_number(X, Y, iso(q, {(1, 1): 2 * k + 1}), AdaptedWord.build(q), 2) == flags
     # no extension, but total dimension 4000: the dimension alone is past the cap
     P_2000 = iso(q, {(1, 1): 2000})
     with pytest.raises(ResourceCap, match="work 64000000000 "):
-        hall_number(ZERO, P_2000, P_2000, q, 2)
+        hall_number(ZERO, P_2000, P_2000, AdaptedWord.build(q), 2)
     with pytest.raises(ResourceCap):
         GF(5)
 
@@ -294,7 +295,7 @@ def test_hall_numbers_tally_the_monomorphisms(name):
     from qgroth.hall import mat_rank
 
     for quiver, p in itertools.product(_orientations(cartan_datum(name)), (2, 3)):
-        F, n, dh = GF(p), quiver.cartan.n, DerivedHall(quiver, p)
+        F, n, dh = GF(p), quiver.cartan.n, DerivedHall(AdaptedWord.build(quiver), p)
         model = functools.cache(dh.model)
         aut = functools.cache(lambda Z: aut_by_enumeration(model(Z)))
         tally = dh.hall_numbers
@@ -323,24 +324,24 @@ def test_gamma_work_is_capped():
     # four-term exact-sequence count (up to 4^9 homomorphism triples, too
     # slow to rerun here)
     for p, value in ((2, Fraction(1, 4)), (3, Fraction(1, 18)), (4, Fraction(1, 48))):
-        assert toen_gamma(DerivedHall(a3, p), P_3, P, Z3, P_2) == value
+        assert toen_gamma(DerivedHall(AdaptedWord.build(a3), p), P_3, P, Z3, P_2) == value
     # 10 images of dimension (2, 2, 2) at 6^3 each, then the image P_2 of
     # P_4, a split pair at 12^3
-    assert toen_gamma(DerivedHall(a3, 2), P_4, P_2, Z3, P_2) == Fraction(1, 96)
+    assert toen_gamma(DerivedHall(AdaptedWord.build(a3), 2), P_4, P_2, Z3, P_2) == Fraction(1, 96)
     # on A2 at q = 4, S2^4 is the one image of S2^4, at 4^3; then
     # Ext^1(S1^4, S2^4) has 4^16 elements, at 8^3.  The first Hall number is
     # priced whether it is memoised or not
     S1_4, S2_4 = iso(A2, {(1, 0): 4}), iso(A2, {(0, 1): 4})
-    warm = DerivedHall(a2_quiver(), 4)
+    warm = DerivedHall(AdaptedWord.build(a2_quiver()), 4)
     assert warm.g_number(ZERO, S2_4, S2_4) == 1
-    for dh in (DerivedHall(a2_quiver(), 4), warm):
+    for dh in (DerivedHall(AdaptedWord.build(a2_quiver()), 4), warm):
         with pytest.raises(ResourceCap, match=f"gamma: work {4**3 + 4**16 * 8**3} "):
             toen_gamma(dh, iso(A2, {(1, 1): 4}), S2_4, ZERO, S1_4)
     # 12 341 images of dimension (40, 40, 40), each a Hall number of total
     # dimension 120: refused at the sixth image generated, before any is
     # counted, and the partial enumeration is not memoised
     P_40 = iso(a3, {(1, 1, 1): 40})
-    dh = DerivedHall(a3, 2)
+    dh = DerivedHall(AdaptedWord.build(a3), 2)
     with pytest.raises(ResourceCap, match=f"gamma: work {6 * 120**3} "):
         toen_gamma(dh, P_40, P_40, Z3, Z3)
     assert not dh._g
@@ -601,7 +602,7 @@ def test_iota_request_builds_each_truncated_standard_once(name, xi, max_len, mon
 
 
 def test_normal_forms_are_tuples():
-    dh = DerivedHall(a2_quiver(), 2)
+    dh = DerivedHall(AdaptedWord.build(a2_quiver()), 2)
     word = ((0, S1), (0, S2), (1, S1))
     nf = dh._normalize(word)
     assert isinstance(nf, tuple) and all(isinstance(t, tuple) for t in nf)
@@ -614,7 +615,7 @@ _ISOS = st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), 
 
 @functools.cache
 def _a2_hall(q):
-    return DerivedHall(a2_quiver(), q)
+    return DerivedHall(AdaptedWord.build(a2_quiver()), q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -647,7 +648,7 @@ def test_gram_inverse_is_integral_on_every_orientation(name, q):
     # forward substitution as iso_class does, is an integer matrix that
     # undoes it; off the diagonal it is the positive part of the Euler form
     for quiver in _orientations(cartan_datum(name)):
-        dh = DerivedHall(quiver, q)
+        dh = DerivedHall(AdaptedWord.build(quiver), q)
         roots, models, hom, euler = dh.roots, dh.models, dh.hom, dh.word.euler
         assert roots == AdaptedWord.build(quiver).roots
         gram = [[hom_dim(m1, m2) for m2 in models] for m1 in models]
@@ -672,7 +673,7 @@ def test_models_decompose_back_to_their_vector(arrows):
     # iso_class(model_rep(a)) = a for every a with sum(a) <= 3, at each q
     quiver = QuiverDatum.from_arrows(cartan_datum("A3"), arrows)
     for q in (2, 3, 4):
-        dh = DerivedHall(quiver, q)
+        dh = DerivedHall(AdaptedWord.build(quiver), q)
         vectors = [a for a in itertools.product(range(4), repeat=len(dh.roots)) if sum(a) <= 3]
         assert len(vectors) == 84
         for a in vectors:
@@ -715,6 +716,25 @@ def test_a_perturbed_euler_entry_ends_hall_iota_in_exit_2(monkeypatch, capsys):
     monkeypatch.undo()
     message = "internal check failed: hom table is not max(0, <beta_k, beta_l>) off the diagonal\n"
     assert capsys.readouterr() == ("", 2 * message)
+
+
+def test_hall_iota_builds_the_euler_table_once_per_orientation(monkeypatch, capsys):
+    # the DerivedHall of each field is built on the word of the request's
+    # quantum-group side, so two fields share the one r x r Euler table of
+    # the orientation: 36 calls of ringel_form on A3, where a word per field
+    # would make 108
+    import qgroth.quiver as quiver
+    from qgroth.cli import main
+
+    calls = []
+    real = quiver.ringel_form
+    monkeypatch.setattr(quiver, "ringel_form", lambda *args: calls.append(args) or real(*args))
+    for q in (2, 3):
+        assert main(["hall", "iota", "--type", "A3", "--q", str(q)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 36
+    (side,) = qgroup._registry.values()
+    assert [dh.word for dh in hall._registry.values()] == [side.cat.qctx.word] * 2
 
 
 @pytest.mark.parametrize("c", [2, 3])
@@ -768,7 +788,7 @@ def test_iota_scalars_are_the_closed_form():
     # rho(a) = u^(dim End M_a - <d, d>/2) / |Aut M_a| on every class reached
     for quiver in _orientations(cartan_datum("A3")):
         for q in (2, 3):
-            dh = DerivedHall(quiver, q)
+            dh = DerivedHall(AdaptedWord.build(quiver), q)
             rep = iota_scalar_report(CategoryQ(QuiverContext(quiver)), dh, 3)
             assert rep["consistent"] and len(rep["scalars"]) > 20
             for a, rho in rep["scalars"].items():
@@ -779,7 +799,7 @@ def test_iota_scalars_are_the_closed_form():
 
 def test_dh_same_level_and_distant():
     quiv = a2_quiver()
-    dh = DerivedHall(quiv, 2)
+    dh = DerivedHall(AdaptedWord.build(quiv), 2)
     z1, z2 = dh.z_simple(1, 0), dh.z_simple(2, 0)
     # same level: z_{S_1} z_{S_2} = u^{<S_2,S_1>} (split only)
     prod = dh.mul(z1, z2)
@@ -801,7 +821,7 @@ def test_dh_same_level_and_distant():
 def test_dh_boson_specialization():
     # z_{i,m} z_{i,m+1} - u^-2 z_{i,m+1} z_{i,m} = u^-1/(u^2-1)
     for q in (2, 3):
-        dh = DerivedHall(a2_quiver(), q)
+        dh = DerivedHall(AdaptedWord.build(a2_quiver()), q)
         zi0, zi1 = dh.z_simple(1, 0), dh.z_simple(1, 1)
         lhs = dh.add(dh.mul(zi0, zi1), neg(dh.scal(dh.mul(zi1, zi0), upow(q, -2))))
         const = upow(q, -1) * inverse(upow(q, 2) - uscalar(q, [1]))
@@ -811,7 +831,7 @@ def test_dh_boson_specialization():
 
 
 def test_dh_associativity_spot_checks():
-    dh = DerivedHall(a2_quiver(), 2)
+    dh = DerivedHall(AdaptedWord.build(a2_quiver()), 2)
     gens = [dh.z_simple(1, 0), dh.z_simple(2, 1), dh.z_simple(1, 2), dh.z_simple(2, 0)]
     for a in gens[:3]:
         for b in gens:
@@ -821,7 +841,7 @@ def test_dh_associativity_spot_checks():
     # adjacent i, j on every level, in every orientation
     for name, q in itertools.product(("A2", "A3"), (2, 3)):
         for quiver in _orientations(cartan_datum(name)):
-            dh = DerivedHall(quiver, q)
+            dh = DerivedHall(AdaptedWord.build(quiver), q)
             for (i, j), m in itertools.product(dh.cartan.edges, range(3)):
                 for a, b in ((i, j), (j, i)):
                     x, y = dh.z_simple(a, m), dh.z_simple(b, m)
@@ -831,7 +851,7 @@ def test_dh_associativity_spot_checks():
 @pytest.mark.parametrize("name,q", [("A2", 2), ("A2", 3), ("A3", 2), ("A3", 3)])
 def test_h_relations(name, q):
     quiv = QuiverDatum.bipartite(cartan_datum(name))
-    dh = DerivedHall(quiv, q)
+    dh = DerivedHall(AdaptedWord.build(quiv), q)
     assert check_h_relations(dh, range(4)) == []
 
 
@@ -839,7 +859,7 @@ def test_corrupted_hall_inputs_fail_every_relation_family(monkeypatch):
     import qgroth.hall as hall
 
     # a generator with the unit added: every family that meets it fails
-    dh = DerivedHall(a2_quiver(), 2)
+    dh = DerivedHall(AdaptedWord.build(a2_quiver()), 2)
     real = dh.z_simple
     monkeypatch.setattr(
         dh, "z_simple", lambda i, m: dh.add(real(i, m), dh.one()) if (i, m) == (1, 0) else real(i, m)
@@ -850,7 +870,7 @@ def test_corrupted_hall_inputs_fail_every_relation_family(monkeypatch):
     # checks no R2 row at all
     monkeypatch.setattr(hall, "DH_BOSON_NUMERATOR", HalfLaurent({-2: 2}))
     for name, q in [("A2", 2), ("A3", 3)]:
-        dh = DerivedHall(QuiverDatum.bipartite(cartan_datum(name)), q)
+        dh = DerivedHall(AdaptedWord.build(QuiverDatum.bipartite(cartan_datum(name))), q)
         fails = check_h_relations(dh, range(3))
         assert fails == [("R2", m, m + 1, i, i) for m in (0, 1) for i in dh.cartan.vertices]
         assert check_h_relations(dh, range(1)) == []
@@ -860,7 +880,7 @@ def test_corrupted_hall_inputs_fail_every_relation_family(monkeypatch):
 def test_nested_serre_element_equals_the_three_term_expansion(name, q):
     # [x, [x, y]_u]_{u^-1} = x^2 y - (u + u^-1) x y x + y x^2, on the simple
     # generators (where both vanish) and on mixed-level sums (where they do not)
-    dh = DerivedHall(QuiverDatum.bipartite(cartan_datum(name)), q)
+    dh = DerivedHall(AdaptedWord.build(QuiverDatum.bipartite(cartan_datum(name))), q)
     mul, upu = dh.mul, upow(q, 1) + upow(q, -1)
 
     def three_terms(x, y):
@@ -913,8 +933,8 @@ def test_gf4_arithmetic():
 
 def test_hall_number_gf4():
     q = a2_quiver()
-    assert hall_number(S2, S1, X12, q, 4) == 1
-    assert toen_gamma(DerivedHall(q, 4), S1, S1, ZERO, ZERO) == Fraction(1, 3)
+    assert hall_number(S2, S1, X12, AdaptedWord.build(q), 4) == 1
+    assert toen_gamma(DerivedHall(AdaptedWord.build(q), 4), S1, S1, ZERO, ZERO) == Fraction(1, 3)
 
 
 def test_every_height_function_of_one_orientation_shares_its_derived_hall(capsys):

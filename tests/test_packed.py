@@ -1,5 +1,5 @@
 """Packed keys against the unpacked reference (`conftest.reference_product`:
-Monomial or exponent-vector keys, paired one pair of terms at a time by
+exponent maps or exponent vectors, paired one pair of terms at a time by
 `pair2`), on the rank-r tori of every orientation of A1-A5, D4 and D5 and on
 the presentation windows of A3 and A4; products of factors confined to a band
 of key places, whose pairings are read on that band; the band itself; the
@@ -7,8 +7,8 @@ range guard, which raises ResourceCap instead of returning a wrapped key; the
 one key width and the read-back against the digit loop; division against
 its one-term product reference (`conftest.reference_divide_right`); and the
 window's one-pass build: the Gram rows packed by `struct`, and the
-fundamental t-characters packed from their base items, against the Monomial
-route."""
+fundamental t-characters packed from their base items, against the
+exponent-map route."""
 
 import functools
 import struct
@@ -22,13 +22,15 @@ from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
 from qgroth.quiver import AdaptedWord, QuiverContext
 from qgroth.qcartan import quantum_cartan
-from qgroth.torus import MIN_CUT_PLACES, Monomial, QuantumTorus, XTorus, YTorus, divide_right
+from qgroth.torus import MIN_CUT_PLACES, QuantumTorus, XTorus, YTorus, divide_right
 
 from conftest import (
     all_orientations,
     boundary_terms,
     digit_loop,
+    distinct,
     form,
+    mon,
     orientations_and_bipartites,
     reference_divide_right,
     reference_product,
@@ -67,11 +69,13 @@ def tori(draw):
 
 
 def monomials(ctx):
-    """Exponent vectors on the rank-r torus, Monomials on a window torus."""
+    """Exponent vectors on the rank-r torus, exponent maps with no zero entry
+    on a window torus."""
     if isinstance(ctx, XTorus):
         entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2])
         return st.lists(entries, min_size=ctx.r, max_size=ctx.r).map(tuple)
-    return st.dictionaries(st.sampled_from(ctx.window), st.integers(-2, 2), max_size=4).map(Monomial)
+    entries = st.dictionaries(st.sampled_from(ctx.window), st.integers(-2, 2), max_size=4)
+    return entries.map(lambda m: {v: e for v, e in m.items() if e})
 
 
 coeffs = st.dictionaries(
@@ -81,12 +85,12 @@ nonzero_coeffs = coeffs.filter(bool)
 
 
 def elements(draw, ctx, size=3):
-    return ctx.element(dict(draw(st.lists(st.tuples(monomials(ctx), coeffs), max_size=size))))
+    return ctx.element(distinct(draw(st.lists(st.tuples(monomials(ctx), coeffs), max_size=size))))
 
 
 def dense(ctx, x):
     """The exponent vector of a monomial over the torus's variables."""
-    return tuple(x) if isinstance(ctx, XTorus) else tuple(x.exp(i, p) for i, p in ctx.window)
+    return tuple(x) if isinstance(ctx, XTorus) else tuple(x.get(v, 0) for v in ctx.window)
 
 
 def forms_are_recomputed_from_digits(x):
@@ -145,8 +149,8 @@ def test_keys_order_dominance_and_leading_key_follow_the_exponent_vectors(ctx, d
             assert (k1 < k2) == (v1 < v2) and (k1 == k2) == (v1 == v2)
             if not isinstance(ctx, XTorus):
                 assert (k1 < k2) == (sort_key(x1) < sort_key(x2))
-                assert ctx.key(x1 * x2) == k1 + k2
-    element = ctx.element({x: HalfLaurent.one() for x in xs})
+                assert ctx.key(mon(x1, x2)) == k1 + k2
+    element = ctx.element(distinct((x, HalfLaurent.one()) for x in xs))
     assert ctx.exponents(element.leading_key()) == max(vecs)
 
 
@@ -207,7 +211,7 @@ def at_places(ctx, digits):
         for j, d in digits.items():
             v[n - 1 - j] = d
         return tuple(v)
-    return Monomial({ctx.window[n - 1 - j]: d for j, d in digits.items()})
+    return {ctx.window[n - 1 - j]: d for j, d in digits.items() if d}
 
 
 @st.composite
@@ -219,7 +223,7 @@ def banded(draw, ctx):
     n = ctx.n
     shape = draw(st.sampled_from(["first", "last", "low", "high", "whole", "any", "constant"]))
     if shape == "constant":
-        return ctx.element({at_places(ctx, {}): draw(nonzero_coeffs)})
+        return ctx.element([(at_places(ctx, {}), draw(nonzero_coeffs))])
     ends = {"first": (0, 0), "last": (n - 1, n - 1), "low": (0, 2), "high": (n - 3, n - 1), "whole": (0, n - 1)}
     lo, hi = ends.get(shape) or sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
     digit = st.sampled_from([1, -1, 2, -2])
@@ -228,7 +232,7 @@ def banded(draw, ctx):
     keys += [at_places(ctx, d) for d in draw(st.lists(inner, max_size=3))]
     if draw(st.booleans()):
         keys.append(at_places(ctx, {}))
-    x = ctx.element({k: draw(nonzero_coeffs) for k in keys})
+    x = ctx.element(distinct([(k, draw(nonzero_coeffs)) for k in keys]))
     assert ctx.band(x.terms) == (lo, hi)
     return x
 
@@ -266,13 +270,13 @@ def test_a_pairing_at_the_edge_of_the_range_check_is_exact(name, spread):
             digits = {n - 1 - l: -sign * big}
             if spread and l != n - 1:
                 digits = {n - 1 - l: -sign * (big - 1), n - 1: sign}
-            b = ctx.element({at_places(ctx, digits): T_PLUS_T_INV, at_places(ctx, {}): HalfLaurent.one()})
+            b = ctx.element([(at_places(ctx, digits), T_PLUS_T_INV), (at_places(ctx, {}), HalfLaurent.one())])
             if big > e:
                 with pytest.raises(ResourceCap, match="torus product leaves"):
                     a * b
                 continue
             ab, ba = reference_product(a, b), reference_product(b, a)
-            assert max(abs(ctx.pair2(x, y)) for x in boundary_terms(a) for y in boundary_terms(b)) >= m * (e - 2)
+            assert max(abs(ctx.pair2(x, y)) for x, _ in boundary_terms(a) for y, _ in boundary_terms(b)) >= m * (e - 2)
             assert a * b == ab and b * a == ba
             assert a.qcommutator(b, 0) == ab - ba and b.mul_shift(a, -2) == ba.tshift(-2)
 
@@ -367,7 +371,7 @@ def test_to_json_matches_the_digit_loop(ctx, data):
 def divisors(draw, ctx):
     """A nonzero element: one term, a monomial divisor, half the time."""
     size = draw(st.sampled_from([1, 1, 2, 3]))
-    return ctx.element(dict(draw(st.lists(st.tuples(monomials(ctx), nonzero_coeffs), min_size=size, max_size=size))))
+    return ctx.element(distinct(draw(st.lists(st.tuples(monomials(ctx), nonzero_coeffs), min_size=size, max_size=size))))
 
 
 def outcome(divide, s, p):
@@ -390,7 +394,7 @@ def test_division_matches_the_one_term_product_reference(ctx, data):
     # a monomial added to a * b: by a divisor of two or more terms the
     # quotient is not exact, by a monomial it may be; both routes return the
     # same quotient or stop at the same step with the same error
-    t = s + ctx.element({data.draw(monomials(ctx)): data.draw(nonzero_coeffs)})
+    t = s + ctx.element([(data.draw(monomials(ctx)), data.draw(nonzero_coeffs))])
     got = outcome(divide_right, t, b)
     assert got == outcome(reference_divide_right, t, b)
     if isinstance(got, tuple):
@@ -451,10 +455,10 @@ def test_packed_gram_rows_equal_the_digit_sums(gram):
 
 
 def monomial_route(yt, i, p):
-    """The fundamental t-character at (i, p) through one shifted Monomial
-    per term, entered by `YTorus.element`."""
+    """The fundamental t-character at (i, p) through one shifted exponent
+    map per term, entered by `YTorus.element`."""
     cd = yt.cartan
-    return yt.element({m.shift_p(p): c for m, c in _fm_base(cd.kind, cd.n, i).items()})
+    return yt.element(({(j, q + p): e for (j, q), e in m}, c) for m, c in _fm_base(cd.kind, cd.n, i).items())
 
 
 @pytest.mark.parametrize("name", X_TYPES + ["E6"])

@@ -11,10 +11,10 @@ from qgroth.characters import CategoryQ, fundamental_tchar
 from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
 from qgroth.qcartan import quantum_cartan
-from qgroth.quiver import QuiverContext, QuiverDatum
+from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
 from qgroth.torus import TorusElement
 
-from conftest import all_orientations, order_depth, reference_relation_failures, uscalar
+from conftest import all_orientations, mon, order_depth, reference_relation_failures, uscalar
 
 
 def pres_for(name, xi):
@@ -101,7 +101,6 @@ def test_normal_ordering_completeness():
     from itertools import product as iproduct
 
     from qgroth.characters import dominant_below, expand_in_dominant_basis, standard_tchar
-    from qgroth.torus import Monomial
 
     p = pres_for("A2", (0, 1))
     yt = p.window(range(2))
@@ -110,16 +109,16 @@ def test_normal_ordering_completeness():
     lvl = {}
     for m_level in (0, 1):
         pos = [p.qctx.phi.generator_position(i, m_level) for i in cd.vertices]
-        monos = [Monomial.unit()]
-        monos += [Monomial.var(*ip) for ip in pos]
-        monos += [Monomial.var(*pos[0]) * Monomial.var(*pos[1])]
-        monos += [Monomial.var(*pos[0], 2), Monomial.var(*pos[1], 2)]
+        monos = [{}]
+        monos += [{ip: 1} for ip in pos]
+        monos += [mon({pos[0]: 1}, {pos[1]: 1})]
+        monos += [{pos[0]: 2}, {pos[1]: 2}]
         lvl[m_level] = monos
     basis = {}
     for m1 in lvl[1]:
         for m0 in lvl[0]:
             el = standard_tchar(yt, m1) * standard_tchar(yt, m0)
-            key = yt.key(m1 * m0)
+            key = yt.key(mon(m1, m0))
             c = el.coeff(key)
             e, v = next(iter(c.c.items()))
             assert v == 1
@@ -132,15 +131,13 @@ def test_normal_ordering_completeness():
 
 
 def test_corrupted_inputs_fail_every_relation_family(monkeypatch):
-    from qgroth.torus import Monomial
-
     # one generator with a foreign term
     real = presentation.fundamental_tchar
     bad = pres_for("A2", (0, 1)).qctx.phi.generator_position(1, 0)
 
     def corrupted(yt, i, p):
         x = real(yt, i, p)
-        return x + yt.monomial(Monomial.var(i, p + 2)) if (i, p) == bad else x
+        return x + yt.monomial({(i, p + 2): 1}) if (i, p) == bad else x
 
     monkeypatch.setattr(presentation, "fundamental_tchar", corrupted)
     fails = pres_for("A2", (0, 1)).verify_relations(0, 2)
@@ -350,7 +347,7 @@ def test_shared_serre_rows_equal_the_nested_table_in_the_derived_hall_algebra(mo
     calls = spy_first_levels(monkeypatch, hall)
     for quiver in DH_QUIVERS:
         for q in (2, 3):
-            dh = hall.DerivedHall(quiver, q)
+            dh = hall.DerivedHall(AdaptedWord.build(quiver), q)
             unit = lambda x: dh.add(x, dh.one())  # noqa: E731
             half = lambda x: dh.scal(x, uscalar(q, [0, 1]))  # noqa: E731
             dh.z_simple = varied_gen(variant, levels, dh.z_simple, unit, half)
@@ -379,7 +376,7 @@ def test_dh_rows_read_off_the_shift_equal_the_nested_full_table(monkeypatch, qui
         monkeypatch.setattr(hall, "DH_BOSON_NUMERATOR", boson)
     calls = spy_first_levels(monkeypatch, hall)
     for q in (2, 3):
-        dh = hall.DerivedHall(quiver, q)
+        dh = hall.DerivedHall(AdaptedWord.build(quiver), q)
         for size in range(1, 5):
             levels = range(size)
             fails = hall.check_h_relations(dh, levels)
@@ -394,7 +391,7 @@ def test_levels_that_skip_a_level_get_every_row(monkeypatch):
     # shift is not used: every row runs and the list is the full table's
     monkeypatch.setattr(hall, "DH_BOSON_NUMERATOR", HalfLaurent({-2: 2}))
     calls = spy_first_levels(monkeypatch, hall)
-    dh = hall.DerivedHall(QuiverDatum.bipartite(cartan_datum("A2")), 2)
+    dh = hall.DerivedHall(AdaptedWord.build(QuiverDatum.bipartite(cartan_datum("A2"))), 2)
     levels = [0, 2, 3]
     fails = hall.check_h_relations(dh, levels)
     assert fails == reference_relation_failures(dh.cartan, levels, dh.z_simple, dh.qcommutator, dh_boson(dh))
@@ -493,7 +490,7 @@ def test_a_one_level_z_simple_perturbation_fails_through_the_whole_table(monkeyp
         return varied_gen(variant, levels, lambda i, m: real(dh, i, m), unit, half)(i, m)
 
     monkeypatch.setattr(hall.DerivedHall, "z_simple", varied)
-    dh = hall.DerivedHall(QuiverDatum.bipartite(cartan_datum("A3")), 3)
+    dh = hall.DerivedHall(AdaptedWord.build(QuiverDatum.bipartite(cartan_datum("A3"))), 3)
     expected = reference_relation_failures(dh.cartan, levels, dh.z_simple, dh.qcommutator, dh_boson(dh))
     calls = spy_first_levels(monkeypatch, hall)
     assert main(["hall", "relations", "--type", "A3", "--q", "3", "--format", "json"]) == 2
@@ -569,14 +566,12 @@ def test_the_locality_lemma_decides_only_zero_rows_and_every_r3_row(name):
 def test_a_foreign_term_makes_the_lemma_decline_on_its_generator(monkeypatch):
     # one term Y_{i,p+2} added to x_{1,2}: the lemma no longer applies to it,
     # its R3 rows with x_{j,0} are products again, and they fail
-    from qgroth.torus import Monomial
-
     pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
     real, bad = presentation.fundamental_tchar, pres.qctx.phi.generator_position(1, 2)
 
     def corrupted(yt, i, p):
         x = real(yt, i, p)
-        return x + yt.monomial(Monomial.var(i, p + 2)) if (i, p) == bad else x
+        return x + yt.monomial({(i, p + 2): 1}) if (i, p) == bad else x
 
     monkeypatch.setattr(presentation, "fundamental_tchar", corrupted)
     fails, asked = decided_rows(pres, 0, 3)

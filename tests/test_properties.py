@@ -7,9 +7,21 @@ from hypothesis import given, seed, settings, strategies as st
 from qgroth.cartan import SUPPORTED, cartan_datum
 from qgroth.laurent import HalfLaurent
 from qgroth.quiver import QuiverContext, QuiverDatum
-from qgroth.torus import Monomial, XTorus, divide_right
+from qgroth.torus import XTorus, divide_right
 
-from conftest import a_monomial, bar, form, four_coefficient_n, power, reference_product, sort_key, wide_torus
+from conftest import (
+    a_monomial,
+    bar,
+    distinct,
+    form,
+    four_coefficient_n,
+    mon,
+    power,
+    reference_a_solve,
+    reference_product,
+    sort_key,
+    wide_torus,
+)
 
 YT = {name: wide_torus(name) for name in ("A1", "A2", "A3", "A4", "D4")}
 _A3 = QuiverContext(QuiverDatum.from_xi(cartan_datum("A3"), (2, 3, 2)))
@@ -27,7 +39,7 @@ def ihat_points(name):
 def monomials(name, size=3):
     return st.dictionaries(
         ihat_points(name), st.integers(min_value=-2, max_value=2), max_size=size
-    ).map(Monomial)
+    ).map(lambda m: {v: e for v, e in m.items() if e})
 
 
 coeffs = st.dictionaries(
@@ -37,30 +49,27 @@ coeffs = st.dictionaries(
 
 def elements(name, size=2):
     return st.lists(st.tuples(monomials(name), coeffs), max_size=size).map(
-        lambda pairs: YT[name].element(
-            {m: c for m, c in pairs if not c.is_zero()}
-        )
+        lambda pairs: YT[name].element(distinct((m, c) for m, c in pairs if not c.is_zero()))
     )
 
 
 def x_elements(size=3, xt=XT):
     keys = st.lists(st.integers(min_value=-2, max_value=2), min_size=xt.r, max_size=xt.r).map(tuple)
     return st.lists(st.tuples(keys, coeffs), max_size=size).map(
-        lambda pairs: xt.element({a: c for a, c in pairs if not c.is_zero()})
+        lambda pairs: xt.element(distinct((a, c) for a, c in pairs if not c.is_zero()))
     )
 
 
 def y_pairing(qc, m1, m2):
     return sum(
-        u * v * four_coefficient_n(qc, i, p, j, s) for (i, p), u in m1.items for (j, s), v in m2.items
+        u * v * four_coefficient_n(qc, i, p, j, s) for (i, p), u in m1.items() for (j, s), v in m2.items()
     )
 
 
 def dense_cmp(m1, m2):
     """Lex comparison of the dense exponent vectors over variables ordered by (p, i)."""
-    e1, e2 = m1.exps(), m2.exps()
-    for k in sorted(set(e1) | set(e2), key=lambda ip: (ip[1], ip[0])):
-        d = e1.get(k, 0) - e2.get(k, 0)
+    for k in sorted(set(m1) | set(m2), key=lambda ip: (ip[1], ip[0])):
+        d = m1.get(k, 0) - m2.get(k, 0)
         if d:
             return 1 if d > 0 else -1
     return 0
@@ -117,15 +126,33 @@ def test_a_lattice_solver_roundtrip(name, data):
             max_size=3,
         )
     )
-    prod = Monomial.unit()
-    for (i, s), c in picks.items():
-        prod = prod * power(a_monomial(cd, i, s), c)
+    prod = mon(*(power(a_monomial(cd, i, s), c) for (i, s), c in picks.items()))
     v = yt.a_solve(prod)
     assert v is not None
-    rebuilt = Monomial.unit()
-    for (i, s), c in v.items():
-        rebuilt = rebuilt * power(a_monomial(cd, i, s), c)
+    rebuilt = mon(*(power(a_monomial(cd, i, s), c) for (i, s), c in v.items()))
     assert rebuilt == prod
+
+
+@seed(20261022)
+@given(st.sampled_from(["A1", "A2", "A3", "D4"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_solve_decides_the_rows_below_its_range_as_the_product_does(name, data):
+    # a product of A's, times a few stray variables half the time, one of
+    # them possibly off the diagram: the solve answers exactly where the
+    # rebuilt product of its A's equals the ratio
+    yt = YT[name]
+    cd = yt.cartan
+    picks = data.draw(
+        st.dictionaries(st.tuples(vertices(name), st.integers(-3, 3)), st.integers(-2, 2), max_size=4)
+    )
+    stray = data.draw(
+        st.dictionaries(st.tuples(st.integers(1, cd.n + 1), st.integers(-5, 5)), st.sampled_from([-1, 1]), max_size=2)
+    )
+    ratio = mon(*(power(a_monomial(cd, i, s), c) for (i, s), c in picks.items()), stray)
+    v = yt.a_solve(ratio)
+    assert v == reference_a_solve(yt, ratio)
+    if not stray:
+        assert v == {k: c for k, c in picks.items() if c}
 
 
 @given(st.sampled_from(["A2", "A3", "D4"]), st.data())
@@ -163,7 +190,7 @@ def test_sort_key_is_dense_lex_and_additive(name, data):
     k1, k2 = sort_key(m1), sort_key(m2)
     assert (k1 > k2) - (k1 < k2) == dense_cmp(m1, m2)
     assert (k1 == k2) == (m1 == m2)
-    k13, k23 = sort_key(m1 * m3), sort_key(m2 * m3)
+    k13, k23 = sort_key(mon(m1, m3)), sort_key(mon(m2, m3))
     assert (k13 > k23) - (k13 < k23) == dense_cmp(m1, m2)
 
 

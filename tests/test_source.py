@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import qgroth
+import qgroth.torus
 
 
 def test_library_has_no_assert_statements():
@@ -34,6 +35,27 @@ def test_the_root_lattice_is_the_one_lattice():
                     found.append(f"cartan.py:{node.lineno} imports fractions")
     assert found == []
     assert "Weight" not in qgroth.__all__ and not hasattr(qgroth, "Weight")
+
+
+def test_a_y_monomial_has_one_representation():
+    # a Y-monomial is an exponent map {(i, p): e} outside a torus and a key
+    # inside one: no module defines, imports or names a Monomial class, and
+    # the package exports none
+    found = []
+    for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name == "Monomial":
+                found.append(f"{path.name}:{node.lineno} defines Monomial")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if any("Monomial" in (a.name.rsplit(".", 1)[-1], a.asname) for a in node.names):
+                    found.append(f"{path.name}:{node.lineno} imports Monomial")
+            elif isinstance(node, ast.Name) and node.id == "Monomial":
+                found.append(f"{path.name}:{node.lineno} names Monomial")
+            elif isinstance(node, ast.Attribute) and node.attr == "Monomial":
+                found.append(f"{path.name}:{node.lineno} names Monomial")
+    assert found == []
+    assert "Monomial" not in qgroth.__all__ and not hasattr(qgroth, "Monomial")
+    assert not hasattr(qgroth.torus, "Monomial")
 
 
 def _is_digit_read(node) -> bool:
@@ -195,13 +217,15 @@ def _functions(tree, scope=""):
 
 def test_the_derived_hall_algebra_owns_what_depends_on_the_quiver_and_the_field():
     # everything built from (quiver, q) is an attribute of the one DerivedHall
-    # of the pair: only the registry, its constructor and the hall_number
-    # entry point take both
+    # of the pair, built on the orientation's adapted word: only the registry,
+    # its constructor and the hall_number entry point take the word and q,
+    # and nothing takes a quiver and q
     from qgroth import hall
 
     tree = ast.parse(pathlib.Path(hall.__file__).read_text())
-    both = sorted(name for name, params in _functions(tree) if {"quiver", "q"} <= params)
+    both = sorted(name for name, params in _functions(tree) if {"word", "q"} <= params)
     assert both == ["DerivedHall.__init__", "derived_hall", "hall_number"]
+    assert [name for name, params in _functions(tree) if {"quiver", "q"} <= params] == []
     for gone in ("_iso_tables", "aut_count", "model_rep", "hall_numbers", "_hom_ext", "_work"):
         assert not hasattr(hall, gone), gone
 
