@@ -139,13 +139,19 @@ def _emit(args, text, obj) -> None:
 MAX_TABLE = 400_000
 
 
-# The widest level window of `verify presentation` and `hall relations|iota`,
-# in levels x rank^2: the relation table pairs the levels x rank generators,
-# whose characters grow with the rank.  At the cap A1 0..419, A2 0..104, A5
-# 0..15 and D4 0..25 answer in under 0.1 s on a 2-vCPU host, A7 0..7 and D5
-# 0..15 in about 0.2 s, A8 0..5 in 0.6 s, D6 0..10 in 1.9 s; `hall relations`
-# on A3 at --mmax 45, A2 at 104 and A1 at 419 in under 0.05 s.
+# The widest level window of `verify presentation` and `hall relations|iota`, in
+# levels x rank^2: the relation table pairs the levels x rank generators, whose
+# characters grow with the rank.  At the cap on a 2-vCPU host A1 0..419, A2 0..104, A5
+# 0..15 and D4 0..25 answer in under 0.1 s, A7 0..7 and D5 0..15 in 0.2 s, A8 0..5 in
+# 0.6 s, D6 0..10 in 1.2 s at 82 MB (E6 0..1 and D7 0..2 reach the product cap in 2 s),
+# and `hall relations` on A3 at --mmax 45, A2 at 104 and A1 at 419 in under 0.05 s.
 MAX_PRESENTATION_WIDTH = 420
+
+
+# The longest word of `hall iota`, which multiplies rank^L words of each length L up
+# to it: A3 at 6 answers in under 1 s on a 2-vCPU host at every field, at 7 in 3.5 s,
+# and A1 at 140 prints an |Aut M| of more than 4300 digits.
+MAX_WORD_LENGTH = 6
 
 
 def _check_width(args, window: str, levels: int, cd: CartanDatum) -> None:
@@ -329,6 +335,8 @@ def cmd_hall(args) -> int:
         iso = {f: _parse_iso(getattr(args, f), f"--{f}", word) for f in "xytw" if hasattr(args, f)}
     else:
         _check_width(args, f"--mmax {args.mmax}", args.mmax + 1, cd)
+    if args.what == "iota" and args.max_len > MAX_WORD_LENGTH:
+        raise ResourceCap(f"hall iota: --max-len {args.max_len} above cap {MAX_WORD_LENGTH}")
     if args.what == "gamma":
         g = toen_gamma(derived_hall(word, args.q), iso["x"], iso["y"], iso["t"], iso["w"])
         _emit(args, lambda: [f"gamma = {g}"], lambda: {"gamma": [g.numerator, g.denominator]})

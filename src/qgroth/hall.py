@@ -707,7 +707,7 @@ def check_h_relations(dh: DerivedHall, m_offsets=range(4)) -> list[tuple]:
         for m in m_offsets[:-1]
         for i in dh.cartan.vertices
     )
-    return relation_failures(dh.cartan, m_offsets, dh.z_simple, dh.qcommutator, boson, translated)
+    return relation_failures(dh.quiver, m_offsets, dh.z_simple, dh.qcommutator, boson, translated)
 
 
 def constant_identity_holds(q: int) -> bool:

@@ -5,17 +5,20 @@ sitting at each integer level m; the level-m generators are the fundamental
 classes at the vertices phi^-1(alpha_i, m).  The defining relations are
 written once, in `relation_failures`: quantum Serre within a level, deformed
 boson relations with an inhomogeneous delta term across adjacent levels, and
-t-commutation with alternating sign across distant levels.  The two nestings
-[x_i, [x_i, x_j]_{t^s}]_{t^-s} of the Serre element are equal, and
-[x_j, x_i]_{t^s} is a unit times [x_i, x_j]_{t^-s}, so one inner commutator,
-the smaller of s = +-1, serves both orders of a pair.  One table serves three
-algebras, each through its own q-commutator: K_t here, exactly in the
-window torus on the variables of the full fundamental t-characters of the
-checked levels (`TorusElement.qcommutator`, one pass, where the locality
-lemma below does not decide the row); U_q(n) at one level,
-on the truncated fundamentals (`QGroupSide.serre_check`); and the derived Hall
-algebra at t = sqrt(q) (`hall.check_h_relations`).  Each caller checks exactly
-the relations among the generators inside its level window.
+t-commutation with alternating sign across distant levels.  Either nesting
+[x_i, [x_i, x_j]_{t^s}]_{t^-s}, s = +-1, is the Serre element, and
+[x_j, x_i]_{t^s} is a unit times [x_i, x_j]_{t^-s}, so the inner commutator of
+either sign serves both orders of a pair.  The arrow i -> j fixes the cheap
+one, s = 1, else -1: through Phi the labels of x_i and x_j pair to
+-(alpha_i, alpha_j) = s, alpha_i coming first in the adapted word iff i -> j,
+so [x_i, x_j]_{t^s} cancels the product of the two leading terms.  One table
+serves three algebras, each through its own q-commutator: K_t here, exactly in
+the window torus on the variables of the full fundamental t-characters of the
+checked levels (`TorusElement.qcommutator`, one pass, where the locality lemma
+below does not decide the row); U_q(n) at one level, on the truncated
+fundamentals (`QGroupSide.serre_check`); and the derived Hall algebra at
+t = sqrt(q) (`hall.check_h_relations`).  Each caller checks exactly the
+relations among the generators inside its level window.
 
 Translation.  The shift [1] is an autoequivalence of the derived category
 and carries the level-m generators onto level m + 1, so a relation between
@@ -97,7 +100,7 @@ class Presentation:
         boson = yt.one().scal(BOSON)
         translated = self._shift_holds(yt, gens, levels)
         return relation_failures(
-            self.cartan, levels, lambda i, m: gens[i, m], self._qcommutator(yt, gens), boson, translated
+            self.qctx.quiver, levels, lambda i, m: gens[i, m], self._qcommutator(yt, gens), boson, translated
         )
 
     def _qcommutator(self, yt: YTorus, gens: dict):
@@ -147,14 +150,14 @@ class Presentation:
         return True
 
 
-def relation_failures(cartan, levels, gen, qcomm, boson, translated=False) -> list[tuple]:
+def relation_failures(quiver, levels, gen, qcomm, boson, translated=False) -> list[tuple]:
     """(family, m, p, i, j) for every defining relation that fails among the
     generators gen(i, m), m in levels, where qcomm(x, y, e) = x y - t^(e/2) y x
     in the caller's algebra, in (m, p, i, j) order:
 
-    R1, m = p: [x_i, [x_i, x_j]_t]_{t^-1} = 0 for adjacent i, j and
-    [x_i, x_j] = 0 for other i != j (quantum Serre), row (j, i) read off the
-    inner commutator of row (i, j), i < j;
+    R1, m = p: [x_i, [x_i, x_j]_t]_{t^-1} = 0 for adjacent i, j and [x_i, x_j] = 0
+    for other i != j (quantum Serre), row (j, i) read off the inner commutator
+    [x_i, x_j]_{t^(s/2)} of row (i, j), i < j, s = 2 along an arrow i -> j, else -2;
     R2, p = m + 1: [x_{i,m}, x_{j,p}]_{t^-a_ij} = delta_ij boson (deformed boson);
     R3, p > m + 1: [x_{i,m}, x_{j,p}]_{t^((-1)^(p-m) a_ij)} = 0 (t-commutation).
 
@@ -167,9 +170,9 @@ def relation_failures(cartan, levels, gen, qcomm, boson, translated=False) -> li
     consecutive; on any other levels every row is computed."""
     if not levels:
         raise ValueError("empty level range: no relation to check")
-    if len(levels) == 1 and cartan.n == 1:
+    if len(levels) == 1 and quiver.n == 1:
         raise ValueError("one level of rank 1: no relation to check")
-    lo, hi = levels[0], levels[-1]
+    cartan, lo, hi = quiver.cartan, levels[0], levels[-1]
     # the read-off steps one level at a time: other level sets get every row
     translated = translated and list(levels) == list(range(lo, hi + 1))
     a = cartan.cartan_matrix()
@@ -187,8 +190,8 @@ def relation_failures(cartan, levels, gen, qcomm, boson, translated=False) -> li
                     elif i > j:
                         bad = mirror.pop((i, j))
                     elif cartan.adjacent(i, j):
-                        # y_s = [x_i, x_j]_{t^(s/2)}, the smaller of s = 2, -2
-                        s, y = min(((s, qcomm(xi, xj, s)) for s in (2, -2)), key=lambda sy: len(sy[1]))
+                        s = 2 if (i, j) in quiver.arrows else -2
+                        y = qcomm(xi, xj, s)  # [x_i, x_j]_{t^(s/2)}, s = 2 along the arrow i -> j
                         bad, mirror[j, i] = bool(qcomm(xi, y, -s)), bool(qcomm(xj, y, s))
                     else:
                         bad = mirror[j, i] = bool(qcomm(xi, xj, 0))

@@ -255,9 +255,7 @@ class QGroupSide:
         """The level-zero rows R1 (quantum Serre) of the relation table, among
         the truncated fundamental classes at the simple-root positions."""
         gens = self.cat.simple_generators()
-        return relation_failures(
-            self.cartan, [0], lambda i, m: gens[i], TorusElement.qcommutator, None
-        )
+        return relation_failures(self.cat.quiver, [0], lambda i, m: gens[i], TorusElement.qcommutator, None)
 
 
 _registry: dict[tuple, QGroupSide] = {}

@@ -313,6 +313,13 @@ def test_exit_codes(capsys):
     assert time.perf_counter() - start < 1
     assert code == 3
     assert capsys.readouterr().err == "resource cap exceeded: dominant-pairs: table of more than 400000 integers\n"
+    # a hall iota word length is refused before any product: A3 at 8 would
+    # take seconds, and A1 at 140 an |Aut M| past Python's int-to-text limit
+    for name, n in (("A3", 8), ("A1", 140)):
+        start = time.perf_counter()
+        assert main(["hall", "iota", "--type", name, "--q", "2", "--max-len", str(n), "--mmax", "1"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"resource cap exceeded: hall iota: --max-len {n} above cap 6\n"
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):
@@ -744,9 +751,9 @@ def test_hall_relations_window_is_the_level_range(capsys, monkeypatch):
     seen = []
     real = hall.relation_failures
 
-    def spy(cd, levels, *rest):
+    def spy(quiver, levels, *rest):
         seen.append(list(levels))
-        return real(cd, levels, *rest)
+        return real(quiver, levels, *rest)
 
     monkeypatch.setattr(hall, "relation_failures", spy)
     for mmax in ("0", "2"):

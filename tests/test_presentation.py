@@ -205,10 +205,10 @@ def compared_table(module, variant: str, unit, half, seen: list):
     commutator per ordered pair.  Each list goes to seen."""
     real = module.relation_failures
 
-    def table(cartan, levels, gen, qcomm, boson):
+    def table(quiver, levels, gen, qcomm, boson):
         varied = varied_gen(variant, levels, gen, unit, half)
-        fails = real(cartan, levels, varied, qcomm, boson)
-        assert fails == reference_relation_failures(cartan, levels, varied, qcomm, boson)
+        fails = real(quiver, levels, varied, qcomm, boson)
+        assert fails == reference_relation_failures(quiver.cartan, levels, varied, qcomm, boson)
         seen.append(fails)
         return fails
 
@@ -246,7 +246,7 @@ def spy_first_levels(monkeypatch, module=presentation) -> list:
     in a q-commutator."""
     real, calls = module.relation_failures, []
 
-    def spy(cartan, levels, gen, qcomm, boson, translated=False):
+    def spy(quiver, levels, gen, qcomm, boson, translated=False):
         level, firsts = {}, set()
 
         def gen_(i, m):
@@ -260,7 +260,7 @@ def spy_first_levels(monkeypatch, module=presentation) -> list:
             return qcomm(x, y, e)
 
         calls.append((translated, firsts))
-        return real(cartan, levels, gen_, qcomm_, boson, translated)
+        return real(quiver, levels, gen_, qcomm_, boson, translated)
 
     monkeypatch.setattr(module, "relation_failures", spy)
     return calls
@@ -417,24 +417,26 @@ def matrix_qcommutator(x: dict, y: dict, exp2: int) -> dict:
     return {rc: v for rc, v in out.items() if not v.is_zero()}
 
 
-def test_shared_rows_tell_the_two_orders_of_a_pair_apart():
+@pytest.mark.parametrize("quiver", all_orientations("A3"), ids=lambda q: ",".join(f"{i}-{j}" for i, j in q.arrows))
+def test_shared_rows_tell_the_two_orders_of_a_pair_apart(quiver):
     # 2 x 2 matrices: x_1 = E12, x_2 = E11, x_3 = E21.  x_1^2 = x_1 x_2 x_1 = 0
-    # kills the Serre row (1, 2) but not (2, 1), which is E12; [x_1, x_3] =
+    # kills the Serre row (1, 2) but not (2, 1), which is E12, whichever sign
+    # the arrow between 1 and 2 gives the inner commutator; [x_1, x_3] =
     # E11 - E22 fails both commuting rows of the pair (1, 3)
     gens = {i: {rc: HalfLaurent.one()} for i, rc in ((1, (1, 2)), (2, (1, 1)), (3, (2, 1)))}
-    args = (cartan_datum("A3"), [0], lambda i, m: gens[i], matrix_qcommutator, None)
-    fails = presentation.relation_failures(*args)
-    assert fails == reference_relation_failures(*args)
+    args = ([0], lambda i, m: gens[i], matrix_qcommutator, None)
+    fails = presentation.relation_failures(quiver, *args)
+    assert fails == reference_relation_failures(quiver.cartan, *args)
     assert ("R1", 0, 0, 2, 1) in fails and ("R1", 0, 0, 1, 2) not in fails
     assert {("R1", 0, 0, 1, 3), ("R1", 0, 0, 3, 1)} <= set(fails)
 
 
-def test_a4_table_multiplies_at_most_2600_term_pairs(monkeypatch):
-    # each Serre pair is nested around its smaller inner commutator, once for
-    # both orders, only the rows of level 0 run, and the locality lemma
-    # decides every R3 row and some R1 and R2 rows without a product: 22
-    # products over 1225 term pairs on this quiver, where the products of
-    # every row of level 0 take 47 over 2575
+def test_a4_table_takes_at_most_19_products_over_1025_term_pairs(monkeypatch):
+    # each Serre pair is nested around the inner commutator of its arrow's
+    # sign, once for both orders, only the rows of level 0 run, and the
+    # locality lemma decides every R3 row and some R1 and R2 rows without a
+    # product: 19 products over 1025 term pairs on this quiver, where the
+    # products of every row of level 0 take 47 over 2575
     real, pairs = TorusElement._convolve, []
 
     def spy(self, other, *args):
@@ -444,7 +446,112 @@ def test_a4_table_multiplies_at_most_2600_term_pairs(monkeypatch):
     monkeypatch.setattr(TorusElement, "_convolve", spy)
     quiver = QuiverDatum.from_arrows(cartan_datum("A4"), [(2, 1), (2, 3), (4, 3)])
     assert Presentation(QuiverContext(quiver)).verify_relations(0, 2) == []
-    assert len(pairs) <= 22 and sum(pairs) <= 1300
+    assert len(pairs) <= 19 and sum(pairs) <= 1025
+
+
+def arrow_sign(quiver, i: int, j: int) -> int:
+    """s of the inner commutator [x_i, x_j]_{t^(s/2)} of the Serre pair i < j."""
+    return 2 if (i, j) in quiver.arrows else -2
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5"])
+def test_the_arrows_inner_commutator_is_the_smaller_in_k_t(name):
+    # on every orientation, at levels 0 and 1 of the window 0..1: the inner
+    # commutator of the arrow's sign has no more terms than the other sign's
+    for quiver in all_orientations(name):
+        pres = Presentation(QuiverContext(quiver))
+        yt = pres.window(range(2))
+        for m in range(2):
+            for i, j in quiver.cartan.edges:
+                x, y, s = pres.x_gen(yt, i, m), pres.x_gen(yt, j, m), arrow_sign(quiver, i, j)
+                assert len(x.qcommutator(y, s).terms) <= len(x.qcommutator(y, -s).terms), (quiver.arrows, i, j, m)
+
+
+@pytest.mark.parametrize("quiver", DH_QUIVERS, ids=lambda q: f"{q.cartan.kind}{q.cartan.n}{q.arrows}")
+def test_the_arrows_inner_commutator_is_the_smaller_in_the_derived_hall_algebra(quiver):
+    for q in (2, 3):
+        dh = hall.DerivedHall(AdaptedWord.build(quiver), q)
+        for m in range(2):
+            for i, j in quiver.cartan.edges:
+                x, y, s = dh.z_simple(i, m), dh.z_simple(j, m), arrow_sign(quiver, i, j)
+                assert len(dh.qcommutator(x, y, s)) <= len(dh.qcommutator(x, y, -s)), (q, i, j, m)
+
+
+def spy_asks(monkeypatch, module=presentation) -> list:
+    """Per call of `module.relation_failures`, its quiver and the number of
+    q-commutators asked per pair of generators {(i, m), (j, p)}: a call on two
+    generators opens the pair, and every call after it on a generator and an
+    element that is none belongs to the pair last opened."""
+    real, calls = module.relation_failures, []
+
+    def spy(quiver, levels, gen, qcomm, boson, translated=False):
+        label, asks, kept, last = {}, {}, [], []
+
+        def gen_(i, m):
+            x = gen(i, m)
+            kept.append(x)  # no id is reused while the table runs
+            label[id(x)] = (i, m)
+            return x
+
+        def qcomm_(x, y, e):
+            if id(y) in label:
+                last[:] = [frozenset((label[id(x)], label[id(y)]))]
+            asks[last[0]] = asks.get(last[0], 0) + 1
+            return qcomm(x, y, e)
+
+        calls.append((quiver, asks))
+        return real(quiver, levels, gen_, qcomm_, boson, translated)
+
+    monkeypatch.setattr(module, "relation_failures", spy)
+    return calls
+
+
+def assert_three_asks_per_serre_pair(quiver, asks: dict) -> None:
+    """Within a level, an adjacent pair asks three q-commutators and any other
+    pair one, for every pair i < j of each level whose R1 rows ran."""
+    cd, same = quiver.cartan, {}
+    for pair, n in asks.items():
+        (i, m), (j, p) = sorted(pair)
+        if m == p:
+            same[i, j, m] = n
+    levels = {m for _, _, m in same}
+    assert levels and same == {
+        (i, j, m): 3 if cd.adjacent(i, j) else 1 for m in levels for i in cd.vertices for j in cd.vertices if i < j
+    }
+
+
+def test_each_serre_pair_asks_three_q_commutators(monkeypatch):
+    # the inner commutator of the arrow's sign and the two outer ones, in
+    # K_t, U_q(n) and DH(Q); a commuting pair asks one
+    k_t, u_q, dh = (spy_asks(monkeypatch, module) for module in (presentation, qgroup, hall))
+    for quiver in QUIVERS:
+        assert Presentation(QuiverContext(quiver)).verify_relations(0, 2) == []
+        assert qgroup.QGroupSide(CategoryQ(QuiverContext(quiver))).serre_check() == []
+    for quiver in DH_QUIVERS:
+        assert hall.check_h_relations(hall.DerivedHall(AdaptedWord.build(quiver), 2), range(3)) == []
+    assert len(k_t) == len(u_q) == len(QUIVERS) and len(dh) == len(DH_QUIVERS)
+    for quiver, asks in k_t + u_q + dh:
+        assert_three_asks_per_serre_pair(quiver, asks)
+
+
+def test_the_d5_table_forms_no_element_above_100_terms(monkeypatch):
+    # bipartite D5 at levels 0..2: with the other sign the largest inner
+    # commutator has 5390 terms, and every element formed with the arrow's
+    # has at most 16
+    real, sizes = presentation.relation_failures, []
+
+    def table(quiver, levels, gen, qcomm, boson, translated=False):
+        def qcomm_(x, y, e):
+            out = qcomm(x, y, e)
+            sizes.append(len(out.terms))
+            return out
+
+        return real(quiver, levels, gen, qcomm_, boson, translated)
+
+    monkeypatch.setattr(presentation, "relation_failures", table)
+    pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("D5"))))
+    assert pres.verify_relations(0, 2) == []
+    assert sizes and max(sizes) <= 100
 
 
 def perturb_x22(monkeypatch, pres):
@@ -509,7 +616,7 @@ def decided_rows(pres, lo, hi) -> tuple[list, list]:
         products.append(1)
         return real_q(x, y, e)
 
-    def table(cartan, levels, gen, qcomm, boson, translated=False):
+    def table(quiver, levels, gen, qcomm, boson, translated=False):
         level = {}
 
         def gen_(i, m):
@@ -525,7 +632,7 @@ def decided_rows(pres, lo, hi) -> tuple[list, list]:
                 asked.append(("R1" if d == 0 else "R2" if d == 1 else "R3", x, y, e, len(products) == before))
             return out
 
-        return real_table(cartan, levels, gen_, qcomm_, boson, translated)
+        return real_table(quiver, levels, gen_, qcomm_, boson, translated)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TorusElement, "qcommutator", counted)
@@ -535,12 +642,12 @@ def decided_rows(pres, lo, hi) -> tuple[list, list]:
 
 LEMMA_COUNTS = {
     "A1": {"R2": (0, 1), "R3": (2, 2)},
-    "A2": {"R1": (0, 4), "R2": (2, 8), "R3": (16, 16)},
-    "A3": {"R1": (2, 20), "R2": (14, 36), "R3": (72, 72)},
-    "A4": {"R1": (12, 72), "R2": (60, 128), "R3": (256, 256)},
-    "A5": {"R1": (48, 224), "R2": (208, 400), "R3": (800, 800)},
-    "D4": {"R1": (12, 72), "R2": (60, 128), "R3": (256, 256)},
-    "D5": {"R1": (46, 224), "R2": (206, 400), "R3": (800, 800)},
+    "A2": {"R1": (0, 2), "R2": (2, 8), "R3": (16, 16)},
+    "A3": {"R1": (2, 12), "R2": (14, 36), "R3": (72, 72)},
+    "A4": {"R1": (12, 48), "R2": (60, 128), "R3": (256, 256)},
+    "A5": {"R1": (48, 160), "R2": (208, 400), "R3": (800, 800)},
+    "D4": {"R1": (12, 48), "R2": (60, 128), "R3": (256, 256)},
+    "D5": {"R1": (46, 160), "R2": (206, 400), "R3": (800, 800)},
 }
 
 
