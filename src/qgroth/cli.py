@@ -337,6 +337,8 @@ def cmd_hall(args) -> int:
         _check_width(args, f"--mmax {args.mmax}", args.mmax + 1, cd)
     if args.what == "iota" and args.max_len > MAX_WORD_LENGTH:
         raise ResourceCap(f"hall iota: --max-len {args.max_len} above cap {MAX_WORD_LENGTH}")
+    if args.what == "iota" and args.max_len < 1:
+        raise ValueError(f"maximum word length {args.max_len} selects no product to compare")
     if args.what == "gamma":
         g = toen_gamma(derived_hall(word, args.q), iso["x"], iso["y"], iso["t"], iso["w"])
         _emit(args, lambda: [f"gamma = {g}"], lambda: {"gamma": [g.numerator, g.denominator]})

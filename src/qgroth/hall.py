@@ -9,10 +9,12 @@ solved from its hom fingerprint by integer forward substitution.
 
 There is one `DerivedHall` per orientation and q per process, `derived_hall`,
 built on its adapted word: it owns the tables of the quiver and the field and
-every memo.  The memos depend only on (quiver, q), and each gamma's work cap
-does not depend on what the instance has already memoised.  Nothing here reads
-the height function but the adapted word, which compares heights only, so
-every shift of a height function shares the instance of its orientation.
+every memo, among them the level-zero word products and the scalars rho(a)
+that the specialization report compares.  The memos depend only on (quiver,
+q), and each gamma's work cap does not depend on what the instance has already
+memoised.  Nothing here reads the height function but the adapted word, which
+compares heights only, so every shift of a height function shares the
+instance of its orientation.
 
 Both kinds of structure constant come from Riedtmann's formula.  The Hall
 numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) and
@@ -60,7 +62,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cartan import ResourceCap, iter_kostant_partitions, kostant_partitions, root_sum
-from .characters import CategoryQ, expand_in_dominant_basis
+from .characters import CategoryQ
 from . import presentation
 from .laurent import ONE, HalfLaurent
 from .presentation import relation_failures
@@ -443,6 +445,8 @@ class DerivedHall:
         self._aut: dict = {}
         self._isos: dict = {}
         self._nf: dict = {}
+        self._rho: dict = {}
+        self._words: dict = {}
 
     # -- the representations and their structure constants -------------------
 
@@ -480,6 +484,16 @@ class DerivedHall:
         if work <= MAX_HALL_WORK:
             work *= self.q ** self.hom_ext(X, Y)[1]
         return work
+
+    def rho(self, a) -> UScalar:
+        """rho(a) = u^(dim End M_a - <d, d>/2) / |Aut M_a|, d the dimension
+        vector of a: the scalar iota takes the standard class at a to, over
+        the Hall class z_a; memoised by class."""
+        out = self._rho.get(a)
+        if out is None:
+            e2 = 2 * self.hom_ext(a, a)[0] - self.euler(a, a)
+            out = self._rho[a] = specialize(self.q, HalfLaurent.t_power(e2), self.aut(a))
+        return out
 
     def aut(self, M) -> int:
         """|Aut M| = q^(dim End M - sum m^2) prod_m |GL_m(F_q)|, m running over
@@ -613,6 +627,19 @@ class DerivedHall:
                     _accumulate(out, w3, c12 * c3)
         return out
 
+    def simple_words(self, length: int) -> dict[tuple[int, ...], dict]:
+        """Each word of the length in the vertices, in lexicographic order,
+        with the product of the level-zero generators z_{S_i}^[0] along it.
+        Each product extends its prefix's; the words of a length are memoised
+        together and stored only once every one is complete."""
+        if length not in self._words:
+            prefixes = self.simple_words(length - 1) if length > 1 else {(): self.one()}
+            self._words[length] = {
+                word: self.mul(prefixes[word[:-1]], self.z_simple(word[-1], 0))
+                for word in itertools.product(self.cartan.vertices, repeat=length)
+            }
+        return self._words[length]
+
     def _normalize(self, word: tuple) -> tuple[tuple[tuple, UScalar], ...]:
         """Rewrite a word of (level, iso) letters into normal order; memoised
         per word."""
@@ -733,40 +760,32 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
     / |Aut M_a|, checked as a product: the rescaled character-side
     coefficient equals rho(a) times the Hall coefficient.  Returns rho(a) of
     every class the products reach and a consistency flag.
+
+    What depends only on the orientation or on (orientation, q) stays warm:
+    the character-side coefficients of each word on `cat`
+    (`CategoryQ.simple_words`), shared by every q, and the Hall-side product
+    of each word and rho(a) on `dh` (`DerivedHall.simple_words`,
+    `DerivedHall.rho`).  The comparison itself, the specialization, the
+    rescaling and the support and scalar witnesses, runs on every call, so
+    a changed constant fails a warm request as it fails a fresh one.
     """
     if max_len < 1:
         raise ValueError(f"maximum word length {max_len} selects no product to compare")
     q = dh.q
-    cd = cat.cartan
-    gens_t = cat.simple_generators()
     resc = specialize(q, RESCALING_NUMERATOR, q - 1)
+    rescale = specialize(q, ONE)
     scalars: dict = {}  # class -> rho(a)
-    spaces: dict = {}  # weight -> (its depths, its truncated standard classes)
     witnesses = []
-    # each word's products on both sides and its rescaling extend those of
-    # the word without its last letter
-    products = {(): (None, dh.one(), specialize(q, ONE))}
     for length in range(1, max_len + 1):
-        prefixes, products = products, {}
-        for word in itertools.product(list(cd.vertices), repeat=length):
-            prod_t, prod_h, rescale = prefixes[word[:-1]]
-            last = word[-1]
-            # character side: expand the product in truncated standards
-            prod_t = gens_t[last] if prod_t is None else prod_t * gens_t[last]
-            deg = tuple(word.count(i) for i in cd.vertices)
-            if deg not in spaces:
-                depth = cat.depths(deg)
-                spaces[deg] = depth, cat.standards(depth)
-            depth, std = spaces[deg]
-            coeffs_t = expand_in_dominant_basis(prod_t, std, depth)
-            # Hall side: its level-zero words are keyed by the same vectors a
-            prod_h = dh.mul(prod_h, dh.z_simple(last, 0))
-            rescale = rescale * resc
-            products[word] = prod_t, prod_h, rescale
+        rescale = rescale * resc
+        words_t, words_h = cat.simple_words(length), dh.simple_words(length)
+        for word, coeffs_t in words_t.items():
+            # the Hall side's level-zero words are keyed by the same vectors a
+            prod_h = words_h[word]
             if any(len(w) > 1 or (w and w[0][0] != 0) for w in prod_h):
                 raise RuntimeError("level-zero product left level zero")
             # compare class by class
-            for key in depth:
+            for key in cat.depths(tuple(map(word.count, cat.cartan.vertices))):
                 avec = cat.xt.exponents(key)
                 ct = coeffs_t.get(key, HalfLaurent.zero())
                 ch = prod_h.get(((0, avec),))  # None where zero: a product stores no zero
@@ -776,10 +795,8 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
                     continue
                 if ch is None:
                     continue
-                if avec not in scalars:
-                    e2 = 2 * dh.hom_ext(avec, avec)[0] - dh.euler(avec, avec)
-                    scalars[avec] = specialize(q, HalfLaurent.t_power(e2), dh.aut(avec))
-                if tval != scalars[avec] * ch:
+                rho = scalars[avec] = dh.rho(avec)
+                if tval != rho * ch:
                     witnesses.append((word, avec, "scalar mismatch"))
     return {"consistent": not witnesses, "scalars": scalars, "witnesses": witnesses}
 

@@ -36,9 +36,12 @@ side per orientation per process, `quantum_group_side`, keyed on the arrows as
 their coefficients interned in one pool per side, the r generators and the
 truncated fundamentals (and the truncated standard classes that `hall iota`
 reads on the side's `CategoryQ`).  The side's `CategoryQ` keeps the depths of
-each weight space it has enumerated, which `hall iota` reads too, and the side
-keeps the JSON text of each row it has reported (`row_json`), encoded once and
-dropped with the side.  The E~ and minor memos are per request: the E~ are
+each weight space it has enumerated, which `hall iota` reads too, and the
+coefficients of each `hall iota` word of simple generators over the truncated
+standard classes (`CategoryQ.simple_words`), shared by every field; only the
+comparison with the Hall side runs on each request.  The side keeps the JSON
+text of each row it has reported (`row_json`), encoded once and dropped with
+the side.  The E~ and minor memos are per request: the E~ are
 dropped after each `verify_mainth`, the minors once the generators are built,
 and a weight space already solved builds no E~.  A failed request keeps
 nothing: the side is out of the registry while a request runs and goes back

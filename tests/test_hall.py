@@ -737,15 +737,10 @@ def test_hall_iota_builds_the_euler_table_once_per_orientation(monkeypatch, caps
     assert [dh.word for dh in hall._registry.values()] == [side.cat.qctx.word] * 2
 
 
-@pytest.mark.parametrize("c", [2, 3])
-def test_a_coboundary_on_the_hall_numbers_ends_hall_iota_in_exit_2(monkeypatch, capsys, c):
-    # g^W_{X,Y} c^(n_X + n_Y - n_W), n the number of indecomposable summands,
-    # is the Hall product in the basis c^(n_X) z_X: every product stays
-    # consistent up to one scalar per class, but the scalars leave the closed
-    # form u^(dim End M_a - <d, d>/2) / |Aut M_a|
-    import qgroth.hall as hall
-    from qgroth.cli import main
-
+def _coboundary(c):
+    """`DerivedHall.hall_numbers` times the coboundary c^(n_X + n_Y - n_W), n
+    the number of indecomposable summands: the Hall product in the basis
+    c^(n_X) z_X."""
     real = DerivedHall.hall_numbers
 
     def mutated(self, X, Y):
@@ -757,7 +752,18 @@ def test_a_coboundary_on_the_hall_numbers_ends_hall_iota_in_exit_2(monkeypatch, 
             out[W] = g * c**e
         return out
 
-    monkeypatch.setattr(DerivedHall, "hall_numbers", mutated)
+    return mutated
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_a_coboundary_on_the_hall_numbers_ends_hall_iota_in_exit_2(monkeypatch, capsys, c):
+    # under the coboundary every product stays consistent up to one scalar
+    # per class, but the scalars leave the closed form
+    # u^(dim End M_a - <d, d>/2) / |Aut M_a|
+    import qgroth.hall as hall
+    from qgroth.cli import main
+
+    monkeypatch.setattr(DerivedHall, "hall_numbers", _coboundary(c))
     for q in ("2", "3", "4"):
         assert main(["hall", "iota", "--type", "A3", "--q", q]) == 2
         out = capsys.readouterr().out
@@ -782,6 +788,128 @@ def test_a_coboundary_on_the_hall_numbers_ends_hall_iota_in_exit_2(monkeypatch, 
     assert "scalar table consistent: True\n" in out and "witness" not in out
     assert main(["hall", "iota", "--type", "A3", "--q", "2", "--format", "json"]) == 0
     assert "witnesses" not in json.loads(capsys.readouterr().out)
+
+
+def _answer(argv, capsys, fresh=False):
+    """(exit code, stdout, stderr) of argv, on cleared registries if fresh."""
+    from qgroth.cli import main
+
+    if fresh:
+        hall._registry.clear()
+        qgroup._registry.clear()
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _iota(name, arrows, q, max_len, mmax, *fmt):
+    return ["hall", "iota", "--type", name, "--arrows", arrows, "--q", str(q),
+            "--max-len", str(max_len), "--mmax", str(mmax), *fmt]
+
+
+def test_hall_iota_refuses_a_max_len_below_1_before_the_relation_table(monkeypatch, capsys):
+    # the relation table of 46 levels is not formed for a report of no word
+    calls = []
+    real = DerivedHall.qcommutator
+    monkeypatch.setattr(DerivedHall, "qcommutator", lambda *args: calls.append(args) or real(*args))
+    for max_len in ("0", "-1"):
+        argv = ["hall", "iota", "--type", "A3", "--q", "2", "--max-len", max_len, "--mmax", "45"]
+        message = f"usage error: maximum word length {max_len} selects no product to compare\n"
+        assert _answer(argv, capsys) == (1, "", message)
+    assert calls == []
+
+
+def test_a_warm_hall_iota_prints_what_a_fresh_one_prints(monkeypatch, capsys):
+    # each argv prints in a warm process what it prints on cleared
+    # registries: fields, word lengths and level windows in mixed order, on
+    # orientations of A2 and A3; one request raises mid-report, at the second
+    # weight space of length 3 on a side warm up to length 2, and keeps
+    # nothing of length 3 on either side
+    a2, a3 = ("A2", "1-2"), ("A3", "1-2,3-2")
+    raising = _iota(*a3, 3, 3, 1)
+    sequence = [
+        _iota(*a3, 3, 2, 2),
+        _iota(*a2, 3, 3, 1, "--format", "json"),
+        _iota(*a2, 2, 2, 0),
+        _iota(*a3, 2, 1, 3, "--format", "json"),
+        _iota("A2", "2-1", 2, 6, 2, "--format", "json"),
+        _iota(*a2, 3, 6, 3),
+        raising,
+        _iota(*a3, 2, 3, 1),
+        _iota("A3", "2-1,2-3", 3, 2, 0, "--format", "json"),
+        _iota(*a3, 3, 3, 2),
+        _iota(*a3, 2, 6, 0, "--format", "json"),
+        _iota(*a3, 3, 2, 2, "--format", "json"),
+    ]
+    real = CategoryQ.standards
+    capped = []
+
+    def standards(self, keys):
+        if sum(self.root_of(self.xt.exponents(next(iter(keys))))) == 3:
+            capped.append(keys)
+            if len(capped) == 2:
+                raise ResourceCap("test cap at the second weight space of length 3")
+        return real(self, keys)
+
+    def answer(argv, fresh):
+        if argv is not raising:
+            return _answer(argv, capsys, fresh)
+        capped.clear()
+        with monkeypatch.context() as m:
+            m.setattr(CategoryQ, "standards", standards)
+            return _answer(argv, capsys, fresh)
+
+    fresh = [answer(argv, True) for argv in sequence]
+    message = "resource cap exceeded: test cap at the second weight space of length 3\n"
+    assert [code for code, _, _ in fresh] == [0] * 6 + [3] + [0] * 5 and fresh[6] == (3, "", message)
+    hall._registry.clear()
+    qgroup._registry.clear()
+    for argv, expected in zip(sequence, fresh):
+        if argv is raising:
+            (side,) = [s for s in qgroup._registry.values() if s.cartan.n == 3]
+            dh = hall._registry[side.cartan, frozenset(side.cat.quiver.arrows), 3]
+            assert sorted(side.cat._words) == sorted(dh._words) == [1, 2]
+        assert answer(argv, False) == expected, argv
+        if argv is raising:
+            assert side not in qgroup._registry.values()
+            assert sorted(side.cat._words) == sorted(dh._words) == [1, 2]
+
+
+def test_a_warm_hall_iota_still_compares_every_class(monkeypatch, capsys):
+    # a repeated request expands no product and multiplies only in the
+    # relation table; the comparison runs on every request, so a perturbed
+    # rescaling fails a warm request with the witnesses of a fresh one, and
+    # so does a coboundary on the Hall numbers, which the DerivedHall
+    # memoises: it is tallied by a new one, next to the warm character side
+    import qgroth.characters as characters
+
+    argv = ["hall", "iota", "--type", "A3", "--q", "3", "--mmax", "2"]
+    assert _answer(argv, capsys)[0] == 0
+    expands, muls = [], []
+    expand, mul = characters.expand_in_dominant_basis, DerivedHall.mul
+    monkeypatch.setattr(characters, "expand_in_dominant_basis", lambda *args: expands.append(args) or expand(*args))
+    monkeypatch.setattr(DerivedHall, "mul", lambda *args: muls.append(args) or mul(*args))
+    assert _answer(argv, capsys)[0] == 0
+    in_iota = len(muls)
+    assert _answer(["hall", "relations", "--type", "A3", "--q", "3", "--mmax", "2"], capsys)[0] == 0
+    assert expands == [] and in_iota == len(muls) - in_iota > 0
+    monkeypatch.undo()
+    for patch, hall_too in [
+        ((hall, "RESCALING_NUMERATOR", HalfLaurent({3: 1})), False),
+        ((DerivedHall, "hall_numbers", _coboundary(2)), True),
+        ((DerivedHall, "hall_numbers", _coboundary(3)), True),
+    ]:
+        for fmt in ([], ["--format", "json"]):
+            with monkeypatch.context() as m:
+                m.setattr(*patch)
+                expected = _answer(argv + fmt, capsys, fresh=True)
+            assert _answer(argv + fmt, capsys, fresh=True)[0] == 0
+            if hall_too:
+                hall._registry.clear()
+            with monkeypatch.context() as m:
+                m.setattr(*patch)
+                assert _answer(argv + fmt, capsys) == expected
+            assert expected[0] == 2 and "witness" in expected[1], expected
 
 
 def test_iota_scalars_are_the_closed_form():
