@@ -9,12 +9,12 @@ solved from its hom fingerprint by integer forward substitution.
 
 There is one `DerivedHall` per orientation and q per process, `derived_hall`,
 built on its adapted word: it owns the tables of the quiver and the field and
-every memo, among them the level-zero word products and the scalars rho(a)
-that the specialization report compares.  The memos depend only on (quiver,
-q), and each gamma's work cap does not depend on what the instance has already
-memoised.  Nothing here reads the height function but the adapted word, which
-compares heights only, so every shift of a height function shares the
-instance of its orientation.
+every memo, among them the level-zero word products, the scalars rho(a) and
+the relation table's q-commutators that each request compares.  The memos
+depend only on (quiver, q), and each gamma's work cap does not depend on what
+the instance has already memoised.  Nothing here reads the height function
+but the adapted word, which compares heights only, so every shift of a height
+function shares the instance of its orientation.
 
 Both kinds of structure constant come from Riedtmann's formula.  The Hall
 numbers g^W_{X,Y} of one pair (X, Y) are tallied at once: dim Hom(Y, X) and
@@ -412,7 +412,8 @@ class DerivedHall:
 
     There is one instance per orientation and q per process, `derived_hall`.
     Its memos depend only on (quiver, q): |Aut M|, Hall numbers of each
-    (X, Y), isoclasses and normal forms.  Each gamma's work cap
+    (X, Y), isoclasses, normal forms, rho(a), the level-zero word products
+    and the q-commutators.  Each gamma's work cap
     does not depend on what the instance has already memoised."""
 
     def __init__(self, word: AdaptedWord, q: int):
@@ -447,6 +448,7 @@ class DerivedHall:
         self._nf: dict = {}
         self._rho: dict = {}
         self._words: dict = {}
+        self._qcomm: dict = {}
 
     # -- the representations and their structure constants -------------------
 
@@ -679,8 +681,14 @@ class DerivedHall:
         return ((word, self._one),)
 
     def qcommutator(self, a: dict, b: dict, exp2: int) -> dict:
-        """a b - u^(exp2/2) b a."""
-        return self.add(self.mul(a, b), self.scal(self.mul(b, a), specialize(self.q, HalfLaurent({exp2: -1}))))
+        """a b - u^(exp2/2) b a; memoised by the operands' contents and exp2,
+        stored once complete.  Callers never change the result."""
+        key = (frozenset(a.items()), frozenset(b.items()), exp2)
+        out = self._qcomm.get(key)
+        if out is None:
+            c = specialize(self.q, HalfLaurent({exp2: -1}))
+            out = self._qcomm[key] = self.add(self.mul(a, b), self.scal(self.mul(b, a), c))
+        return out
 
 
 def _accumulate(out: dict, key, c: UScalar) -> None:
@@ -727,7 +735,10 @@ def check_h_relations(dh: DerivedHall, m_offsets=range(4)) -> list[tuple]:
     scalar times the empty word; (b), checked here on every request: for
     every level m below the top and every vertex i, z_simple(i, m + 1) is
     z_simple(i, m) with every letter's level raised by one.  When (b) fails
-    the whole table is computed."""
+    the whole table is computed.
+
+    Each q-commutator is memoised on `dh`; the generators, (b), the boson
+    term and each row's comparison run on every call."""
     boson = dh.scal(dh.one(), specialize(dh.q, DH_BOSON_NUMERATOR, dh.q - 1))
     translated = all(
         dh.z_simple(i, m + 1) == {_raised(w): c for w, c in dh.z_simple(i, m).items()}
@@ -763,9 +774,10 @@ def iota_scalar_report(cat: CategoryQ, dh: DerivedHall, max_len: int = 3) -> dic
 
     What depends only on the orientation or on (orientation, q) stays warm:
     the character-side coefficients of each word on `cat`
-    (`CategoryQ.simple_words`), shared by every q, and the Hall-side product
-    of each word and rho(a) on `dh` (`DerivedHall.simple_words`,
-    `DerivedHall.rho`).  The comparison itself, the specialization, the
+    (`CategoryQ.simple_words`), shared by every q; on `dh`, the Hall-side
+    product of each word and rho(a) (`DerivedHall.simple_words`,
+    `DerivedHall.rho`) and the q-commutators of `iota_check`'s relation
+    table.  The comparison itself, the specialization, the
     rescaling and the support and scalar witnesses, runs on every call, so
     a changed constant fails a warm request as it fails a fresh one.
     """

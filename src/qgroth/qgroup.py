@@ -95,16 +95,17 @@ class QGroupSide:
 
     def minor(self, b: int, d: int) -> TorusElement:
         """D(b,d) for 0 <= b <= d with matching letters, through the
-        determinantal identity."""
+        determinantal identity; memoised, the flags D(0,d) too."""
         if b == d:
             return self.xt.one()
         if not 0 <= b < d <= self.r:
             raise ValueError(f"bad minor indices ({b},{d})")
-        if b == 0:
-            return self.flag(d)
         key = (b, d)
         if key in self._minors:
             return self._minors[key]
+        if b == 0:
+            val = self._minors[key] = self.flag(d)
+            return val
         i = self.word.word[d - 1]
         if self.word.word[b - 1] != i:
             raise ValueError(f"minor indices ({b},{d}) carry different letters")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import functools
 import itertools
 import json
+import random
 import re
 from math import gcd
 
@@ -876,28 +877,31 @@ def test_a_warm_hall_iota_prints_what_a_fresh_one_prints(monkeypatch, capsys):
 
 
 def test_a_warm_hall_iota_still_compares_every_class(monkeypatch, capsys):
-    # a repeated request expands no product and multiplies only in the
-    # relation table; the comparison runs on every request, so a perturbed
-    # rescaling fails a warm request with the witnesses of a fresh one, and
-    # so does a coboundary on the Hall numbers, which the DerivedHall
-    # memoises: it is tallied by a new one, next to the warm character side
+    # a repeated request expands no product and multiplies nothing: the word
+    # products and the relation table's q-commutators are warm on the
+    # DerivedHall.  The comparisons run on every request, so a perturbed
+    # boson constant or rescaling fails a warm request as it fails a fresh
+    # one, and so does a coboundary on the Hall numbers, which the
+    # DerivedHall memoises: it is tallied by a new one, next to the warm
+    # character side
     import qgroth.characters as characters
 
     argv = ["hall", "iota", "--type", "A3", "--q", "3", "--mmax", "2"]
-    assert _answer(argv, capsys)[0] == 0
+    relations = ["hall", "relations", "--type", "A3", "--q", "3", "--mmax", "2"]
+    assert _answer(argv, capsys)[0] == _answer(relations, capsys)[0] == 0
     expands, muls = [], []
     expand, mul = characters.expand_in_dominant_basis, DerivedHall.mul
     monkeypatch.setattr(characters, "expand_in_dominant_basis", lambda *args: expands.append(args) or expand(*args))
     monkeypatch.setattr(DerivedHall, "mul", lambda *args: muls.append(args) or mul(*args))
-    assert _answer(argv, capsys)[0] == 0
-    in_iota = len(muls)
-    assert _answer(["hall", "relations", "--type", "A3", "--q", "3", "--mmax", "2"], capsys)[0] == 0
-    assert expands == [] and in_iota == len(muls) - in_iota > 0
+    assert _answer(argv, capsys)[0] == _answer(relations, capsys)[0] == 0
+    assert expands == muls == []
     monkeypatch.undo()
-    for patch, hall_too in [
-        ((hall, "RESCALING_NUMERATOR", HalfLaurent({3: 1})), False),
-        ((DerivedHall, "hall_numbers", _coboundary(2)), True),
-        ((DerivedHall, "hall_numbers", _coboundary(3)), True),
+    witness = ("witness", "witness")  # in the text and in the json
+    for patch, hall_too, failing in [
+        ((hall, "DH_BOSON_NUMERATOR", HalfLaurent({-2: 1, 2: 1})), False, ("relation failures: 6", '"ok": false')),
+        ((hall, "RESCALING_NUMERATOR", HalfLaurent({3: 1})), False, witness),
+        ((DerivedHall, "hall_numbers", _coboundary(2)), True, witness),
+        ((DerivedHall, "hall_numbers", _coboundary(3)), True, witness),
     ]:
         for fmt in ([], ["--format", "json"]):
             with monkeypatch.context() as m:
@@ -909,7 +913,77 @@ def test_a_warm_hall_iota_still_compares_every_class(monkeypatch, capsys):
             with monkeypatch.context() as m:
                 m.setattr(*patch)
                 assert _answer(argv + fmt, capsys) == expected
-            assert expected[0] == 2 and "witness" in expected[1], expected
+            assert expected[0] == 2 and failing[bool(fmt)] in expected[1], expected
+    # the boson row of hall relations fails on the warm instance as well
+    with monkeypatch.context() as m:
+        m.setattr(hall, "DH_BOSON_NUMERATOR", HalfLaurent({-2: 1, 2: 1}))
+        expected = _answer(relations + ["--format", "json"], capsys, fresh=True)
+    assert _answer(relations, capsys)[0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(hall, "DH_BOSON_NUMERATOR", HalfLaurent({-2: 1, 2: 1}))
+        assert _answer(relations + ["--format", "json"], capsys) == expected
+    assert expected[0] == 2 and {tuple(f[:3]) for f in json.loads(expected[1])["failures"]} == {
+        ("R2", str(level), str(level + 1)) for level in range(2)
+    }, expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 31, 68])
+def test_a_raising_hall_relations_keeps_only_complete_q_commutators(monkeypatch, capsys, k):
+    # a cap raised inside a product of the relation table stores nothing of
+    # the q-commutator it was forming, and the next request prints what a
+    # fresh process prints
+    argv = ["hall", "relations", "--type", "A3", "--arrows", "1-2,3-2", "--q", "3", "--mmax", "3"]
+    expected = _answer(argv, capsys, fresh=True)
+    count = len(next(iter(hall._registry.values()))._qcomm)
+    assert expected[0] == 0 and 2 * count >= k
+    real, calls = DerivedHall.mul, []
+
+    def mul(self, a, b):
+        calls.append(None)
+        if len(calls) == k:
+            raise ResourceCap(f"test cap at product {k}")
+        return real(self, a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(DerivedHall, "mul", mul)
+        assert _answer(argv, capsys, fresh=True) == (3, "", f"resource cap exceeded: test cap at product {k}\n")
+    (dh,) = hall._registry.values()
+    # each q-commutator is two products: the first (k - 1) // 2 completed
+    assert len(dh._qcomm) == (k - 1) // 2
+    for (a, b, exp2), value in dh._qcomm.items():
+        a, b = dict(a), dict(b)
+        u = specialize(dh.q, HalfLaurent({exp2: -1}))
+        assert value == dh.add(dh.mul(a, b), dh.scal(dh.mul(b, a), u))
+    assert _answer(argv, capsys) == expected
+    assert len(dh._qcomm) == count
+
+
+def test_a_warm_hall_relations_prints_what_a_fresh_one_prints(capsys):
+    # every orientation of A2 and A3 at q = 2, 3 and 4, windows of 1 to 46
+    # levels in mixed order, text and json: in one process each argv prints
+    # what it prints on cleared registries.  The memo holds at most one
+    # q-commutator per row of the lowest level: n^2 per level of the window,
+    # and three per adjacent pair
+    argvs = [
+        ["hall", "relations", "--type", name, "--arrows", ",".join(f"{i}-{j}" for i, j in quiver.arrows),
+         "--q", str(q), "--mmax", str(mmax), *fmt]
+        for name in ("A2", "A3")
+        for quiver in _orientations(cartan_datum(name))
+        for q in (2, 3, 4)
+        for mmax in (0, 1, 2, 3, 45)
+        for fmt in ([], ["--format", "json"])
+    ]
+    random.Random(0).shuffle(argvs)
+    fresh = [_answer(argv, capsys, fresh=True) for argv in argvs]
+    assert {code for code, _, _ in fresh} == {0} and all(err == "" for _, _, err in fresh)
+    hall._registry.clear()
+    assert [_answer(argv, capsys) for argv in argvs] == fresh
+    assert len(hall._registry) == 18
+    for dh in hall._registry.values():
+        n, adjacent = dh.cartan.n, len(dh.cartan.edges)
+        assert len(dh._qcomm) <= 46 * n * n + 3 * adjacent
+        if n == 3:
+            assert len(dh._qcomm) == 412
 
 
 def test_iota_scalars_are_the_closed_form():

@@ -67,6 +67,20 @@ def test_minor_base_cases(a3):
     assert qg.minor(0, 1) == qg.flag(1)
 
 
+def test_each_flag_minor_is_built_once_per_side(monkeypatch):
+    # the determinantal recursion reads each D(0,d) many times; the flag
+    # product is formed once per side, on every orientation
+    built = []
+    real = QGroupSide.flag
+    monkeypatch.setattr(QGroupSide, "flag", lambda self, b: built.append((self, b)) or real(self, b))
+    for name in ("A3", "A4", "D4"):
+        for quiver in all_orientations(name):
+            built.clear()
+            qg = QGroupSide(CategoryQ(QuiverContext(quiver)))
+            assert len(qg.generators) == qg.r
+            assert sorted(b for _, b in built) == list(range(1, qg.r + 1)), quiver.arrows
+
+
 def test_flag_minor_images(a3):
     cat, qg = a3
 
