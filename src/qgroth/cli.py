@@ -142,8 +142,8 @@ MAX_TABLE = 400_000
 # The widest level window of `verify presentation` and `hall relations|iota`, in
 # levels x rank^2: the relation table pairs the levels x rank generators, whose
 # characters grow with the rank.  At the cap on a 2-vCPU host A1 0..419, A2 0..104, A5
-# 0..15 and D4 0..25 answer in under 0.1 s, A7 0..7 and D5 0..15 in 0.2 s, A8 0..5 in
-# 0.6 s, D6 0..10 in 1.2 s at 82 MB (E6 0..1 and D7 0..2 reach the product cap in 2 s),
+# 0..15 and D4 0..25 answer in under 0.1 s, A7 0..7 and D5 0..15 in 0.1 s, A8 0..5 in
+# 0.3 s, D6 0..10 in 0.8 s at 82 MB (E6 0..1 and D7 0..2 reach the product cap in 2 s),
 # and `hall relations` on A3 at --mmax 45, A2 at 104 and A1 at 419 in under 0.05 s.
 MAX_PRESENTATION_WIDTH = 420
 
@@ -371,6 +371,8 @@ def cmd_hall(args) -> int:
         + [f"witness: word {w} at a={a}: {why}" for w, a, why in witnesses],
         lambda: {
             "ok": rep["ok"],
+            "constant_identity": rep["constant_identity"],
+            "failures": [list(map(str, f)) for f in rep["relation_failures"]],
             "scalars": {",".join(map(str, a)): repr(s) for a, s in rep["scalars"].items()},
         }
         | ({"witnesses": [{"word": w, "a": a, "reason": why} for w, a, why in witnesses]} if witnesses else {}),

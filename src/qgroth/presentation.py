@@ -28,18 +28,22 @@ generators, it computes only the rows with m = lo and reads each failure
 among them off at every level at which its translate fits, in the full
 table's order; otherwise it computes the whole table.  Each caller brings
 its own proof.  In K_t, [1] acts on the repetition quiver as
-T: (i, p) -> (nu(i), p + h), and `verify_relations` proves on its window
-that (a) the pairing is nu-invariant, N(nu i, nu j) = N(i, j) row by row, so
-T preserves every pairing it can be applied to, since N(i,p;j,s) depends on
-(i, j, p - s) only; and (b) for every level m below the top and every vertex
-i, the generator at (i, m + 1) is the image under T of the one at (i, m),
-key by key, no variable leaving the window.  Then T is an isomorphism of
-quantum tori from the variables it keeps in the window onto their images,
-fixing the scalars and so the boson constant.  In DH(Q),
-`hall.check_h_relations` rests on (a) the rewriting rules reading levels
-only through their differences, so that raising every level by one is an
-automorphism fixing the boson term, and (b) a check on every request that
-z_{S_i}^[m+1] is z_{S_i}^[m] raised by one level.
+T: (i, p) -> (nu(i), p + h), and each hypothesis is checked where its data
+lives: per type, `QuantumCartan` refuses pairing rows that are not
+nu-invariant, N(nu i, nu j) = N(i, j); per node, `_nu_symmetric` checks that
+the base character at nu(j) is nu's image of the one at j, monomial by
+monomial with equal coefficients; per generator, `verify_relations` checks
+on each request that it is its node's base character packed at its
+position (j, p), keys and coefficients, and that (i, m + 1) sits at
+(nu(j), p + h).  Then T carries gen(i, m) onto gen(i, m + 1), each variable
+onto one of the window, and preserves every pairing, N(i,p;j,s) depending on
+(i, j, p - s) only: it is an isomorphism of quantum tori from the variables
+of the levels below the top onto their images, fixing the scalars and so
+the boson constant.  In DH(Q), `hall.check_h_relations` rests on (a) the
+rewriting rules reading levels only through their differences, so that
+raising every level by one is an automorphism fixing the boson term, and
+(b) a check on every request that z_{S_i}^[m+1] is z_{S_i}^[m] raised by
+one level.
 
 Locality.  Most rows of K_t's table are zero for a reason that needs no
 product.  A_{j,s} = Y_{j,s-1} Y_{j,s+1} prod_{k~j} Y_{k,s}^-1 pairs with
@@ -52,11 +56,12 @@ labels of x and y pair to e/2, no A of either support pairs with the other
 label, and no A of one support pairs with an A of the other, every pair of
 terms pairs to e/2 and x y - t^(e/2) y x = 0 exactly, whatever the
 coefficients.  `verify_relations` hands `relation_failures` a q-commutator
-that answers such a pair 0 and multiplies every other one.  Two guards keep
-it exact: a generator counts only while its keys are those of its node's base
-character at its position, and the lemma runs only while the pairing rows of
-the window satisfy the rule, N antisymmetric included (`locality_holds`,
-once per rows object).  It decides every R3 row and some R1 and R2 rows.
+that answers such a pair 0 and multiplies every other one.  Its hypotheses
+split the same way: `QuantumCartan` refuses rows that break the rule, N
+antisymmetric included; the condition on the supports of generators at
+(j1, p) and (j2, p + d) is `_apart`, cached per (type, j1, j2, d); and the
+lemma applies only to pairs of generators that pass the check above.  It
+decides every R3 row and some R1 and R2 rows.
 """
 
 from __future__ import annotations
@@ -66,9 +71,9 @@ from functools import lru_cache
 from .cartan import CartanDatum
 from .characters import _fm_base, fundamental_tchar, fundamental_window
 from .laurent import HalfLaurent
-from .qcartan import QuantumCartan, quantum_cartan
+from .qcartan import quantum_cartan
 from .quiver import QuiverContext
-from .torus import TorusElement, YTorus, mul_monomials
+from .torus import TorusElement, YTorus, monomial_items, mul_monomials
 
 # R2's inhomogeneous term in K_t, 1 - t^-2.
 BOSON = HalfLaurent({0: 1, -4: -1})
@@ -91,63 +96,36 @@ class Presentation:
 
     def verify_relations(self, m_lo: int = 0, m_hi: int = 3) -> list[tuple]:
         """The relation table among the generators of levels m_lo..m_hi, in
-        their window torus, with boson constant `BOSON`, read off the rows
-        with m = m_lo when the shift is proved on the window (module
-        docstring, Translation)."""
-        levels = range(m_lo, m_hi + 1)
+        their window torus, with boson constant `BOSON`: read off the rows
+        with m = m_lo when the shift is proved on the generators (module
+        docstring, Translation), and 0 without a product on each pair of
+        them that the locality lemma decides (Locality)."""
+        cd, levels = self.cartan, range(m_lo, m_hi + 1)
         yt = self.window(levels)
-        gens = {(i, m): self.x_gen(yt, i, m) for m in levels for i in self.cartan.vertices}
-        boson = yt.one().scal(BOSON)
-        translated = self._shift_holds(yt, gens, levels)
-        return relation_failures(
-            self.qctx.quiver, levels, lambda i, m: gens[i, m], self._qcommutator(yt, gens), boson, translated
+        at = {(i, m): self.qctx.phi.generator_position(i, m) for m in levels for i in cd.vertices}
+        gens = {im: self.x_gen(yt, *im) for im in at}
+        index, place, gram, zero = yt.index, yt._place, yt.gram, yt.zero()
+
+        def base(j, p):
+            chi = _fm_base(cd.kind, cd.n, j)
+            return {sum(e << place[index[v, q + p]] for (v, q), e in y): c for y, c in chi.items()}
+
+        # the position of each generator that is its node's base character packed there
+        based = {id(x): at[im] for im, x in gens.items() if x.terms == base(*at[im])}
+        translated = len(based) == len(gens) and all(
+            _nu_symmetric(cd.kind, cd.n, j) and (m == m_hi or at[i, m + 1] == (cd.nu(j), p + self.qc.h))
+            for (i, m), (j, p) in at.items()
         )
 
-    def _qcommutator(self, yt: YTorus, gens: dict):
-        """`TorusElement.qcommutator`, but 0 without a product on a pair of
-        generators that the locality lemma decides (module docstring,
-        Locality)."""
-        rows, cd = self.qc._n, self.cartan
-        if id(rows) not in _verdicts:
-            _verdicts[id(rows)] = (rows, locality_holds(self.qc))
-        if not _verdicts[id(rows)][1]:
-            return TorusElement.qcommutator
-        index, place = yt.index, yt._place
-        # per generator on its base's keys: its label's index and (S, T, R) at its position
-        local = {}
-        for (i, m), x in gens.items():
-            j, p = self.qctx.phi.generator_position(i, m)
-            keys = {sum(e << place[index[v, q + p]] for (v, q), e in y) for y in _fm_base(cd.kind, cd.n, j)}
-            if x.terms.keys() == keys:
-                parts = _a_reach(cd.kind, cd.n, j)
-                local[id(x)] = (index[j, p], (j, p), *({(v, s + p) for v, s in part} for part in parts))
-        gram, zero = yt.gram, yt.zero()
-
         def qcomm(x, y, e):
-            a, b = local.get(id(x)), local.get(id(y))
-            if a and b:
-                (k, ya, _, ta, ra), (l, yb, sb, tb, _) = a, b
-                if 2 * gram[k][l] == e and yb not in ta and ya not in tb and ra.isdisjoint(sb):
-                    return zero
+            a, b = based.get(id(x)), based.get(id(y))
+            if a and b and 2 * gram[index[a]][index[b]] == e and _apart(cd.kind, cd.n, a[0], b[0], b[1] - a[1]):
+                return zero
             return x.qcommutator(y, e)
 
-        return qcomm
-
-    def _shift_holds(self, yt: YTorus, gens: dict, levels) -> bool:
-        """Conditions (a) and (b) of the translation lemma on the window."""
-        cd, rows, nu, h = self.cartan, self.qc._n, self.cartan.nu, self.qc.h
-        if any(rows[nu(i)][nu(j)] != rows[i][j] for i in cd.vertices for j in cd.vertices):
-            return False
-        image = [yt.index.get((nu(j), p + h)) for j, p in yt.window]
-        for m in levels[:-1]:
-            for i in cd.vertices:
-                x, y = gens[i, m].terms, gens[i, m + 1].terms
-                if len(x) != len(y):
-                    return False
-                for key, c in x.items():
-                    if y.get(yt.relabel(key, image)) != c:
-                        return False
-        return True
+        return relation_failures(
+            self.qctx.quiver, levels, lambda i, m: gens[i, m], qcomm, yt.one().scal(BOSON), translated
+        )
 
 
 def relation_failures(quiver, levels, gen, qcomm, boson, translated=False) -> list[tuple]:
@@ -203,22 +181,23 @@ def relation_failures(quiver, levels, gen, qcomm, boson, translated=False) -> li
     return [(family, m, m + p - lo, i, j) for m in levels for family, _, p, i, j in failures if m + p - lo <= hi]
 
 
-def locality_holds(qc: QuantumCartan) -> bool:
-    """Whether the pairing rows of qc are symmetric in (i, j), so that N is
-    antisymmetric, and pair A_{j,s} with Y_{j,s+-1} only: N(A_{j,s}, Y_{i,p})
-    = 2 delta_ij (delta_{p,s-1} - delta_{p,s+1}).  The left side reads N at
-    p - s and p - s +- 1, 2h-periodic in p - s on either side of -1..1, so
-    p - s = -2h-1..2h+1 covers it."""
-    cd, rows, n, h2 = qc.cartan, qc._n, qc.n_pair, 2 * qc.h
-    return all(rows[i][j] == rows[j][i] for i in cd.vertices for j in cd.vertices) and all(
-        n(j, -1, i, d) + n(j, 1, i, d) - sum(n(k, 0, i, d) for k in cd.neighbors(j))
-        == 2 * (i == j) * ((d == -1) - (d == 1))
-        for j in cd.vertices for i in cd.vertices for d in range(-h2 - 1, h2 + 2)
-    )
+@lru_cache(maxsize=None)
+def _nu_symmetric(kind: str, n: int, j: int) -> bool:
+    """Whether the base character at nu(j) is nu's image of the one at j,
+    monomial by monomial with equal coefficients."""
+    nu = CartanDatum(kind, n).nu
+    image = {monomial_items({(nu(v), q): e for (v, q), e in y}): c for y, c in _fm_base(kind, n, j).items()}
+    return _fm_base(kind, n, nu(j)) == image
 
 
-# the verdict of `locality_holds` per rows object, which it keeps alive
-_verdicts: dict[int, tuple] = {}
+@lru_cache(maxsize=None)
+def _apart(kind: str, n: int, j1: int, j2: int, d: int) -> bool:
+    """The locality lemma's condition on the supports of generators at
+    (j1, p) and (j2, p + d): neither label is a Y that an A of the other's
+    support pairs with, and no A of the first support pairs with an A of the
+    second (`_a_reach`)."""
+    (_, t1, r1), (s2, t2, _) = _a_reach(kind, n, j1), _a_reach(kind, n, j2)
+    return (j2, d) not in t1 and (j1, -d) not in t2 and r1.isdisjoint((v, u + d) for v, u in s2)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,11 @@ repeats the first.
 
 The commutation exponent N(i,p;j,s) depends only on (i, j, d = p - s): it is
 antisymmetric in d, 0 at d = 0 and 2h-periodic for d >= 1 (as c_ij(2h) = 0,
-checked), so it is one row of 2h integers per (i, j).
+checked), so it is one row of 2h integers per (i, j).  The build checks the
+two facts of the rows that `presentation` rests on, once per type: they are
+nu-invariant, N(nu i, nu j) = N(i, j), and A-local, N(A_{j,s}, Y_{i,p}) =
+2 delta_ij (delta_{p,s-1} - delta_{p,s+1}) with N antisymmetric (Hernandez,
+Adv. Math. 187, 2004).
 """
 
 from __future__ import annotations
@@ -38,6 +42,17 @@ class QuantumCartan:
         self.h = cartan.coxeter_number()
         self._table = self._build_table()
         self._n = self._pairing_rows()
+        # the two facts of the rows that `presentation` rests on (module docstring)
+        rows, n, vs, nu, h2 = self._n, self.n_pair, cartan.vertices, cartan.nu, 2 * self.h
+        if any(rows[nu(i)][nu(j)] != rows[i][j] for i in vs for j in vs):
+            raise RuntimeError(f"the pairing rows of {cartan.kind}{cartan.n} are not nu-invariant")
+        # N(A_{j,s}, Y_{i,p}) reads N at p - s and p - s +- 1, 2h-periodic on either side of -1..1
+        if any(rows[i][j] != rows[j][i] for i in vs for j in vs) or any(
+            n(j, -1, i, d) + n(j, 1, i, d) - sum(n(k, 0, i, d) for k in cartan.neighbors(j))
+            != 2 * (i == j) * ((d == -1) - (d == 1))
+            for j in vs for i in vs for d in range(-h2 - 1, h2 + 2)
+        ):
+            raise RuntimeError(f"the pairing rows of {cartan.kind}{cartan.n} are not A-local")
 
     def series_coeff(self, i: int, j: int, m: int) -> int:
         """Coefficient of z^m in row i, column j of the inverse, by the series

@@ -118,17 +118,6 @@ class QuantumTorus:
         # each biased digit d + H, bit 15 flipped, is d in 16-bit two's complement
         return self._shorts(((key + self._bias) ^ self._bias).to_bytes(2 * self.n, "big"))
 
-    def relabel(self, key: int, image) -> int | None:
-        """The key whose digit at variable image[k] is the digit of `key` at
-        variable k, or None when image[k] is None at a nonzero digit."""
-        out, place = 0, self._place
-        for e, k in zip(self.exponents(key), image):
-            if e:
-                if k is None:
-                    return None
-                out += e << place[k]
-        return out
-
     def check_range(self, l1: int, l1_other: int) -> None:
         """Refuse a product of factors with L1 bounds l1 and l1_other whose
         key digits or pairing digits would reach H (module docstring, Range)."""

@@ -874,6 +874,12 @@ PINNED_STDOUT = [
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[a for a, _ in PINNED_STDOUT])
 def test_pinned_stdout_is_byte_identical(capsys, argv, digest):
     code, out = run(capsys, *argv.split())
+    if argv.startswith("hall iota"):
+        # the digests predate the relation verdicts in hall iota's JSON: the
+        # verdicts are pinned here, and the rest of the object by its digest
+        report = json.loads(out)
+        assert (report.pop("constant_identity"), report.pop("failures")) == (True, [])
+        out = json.dumps(report, sort_keys=True) + "\n"
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 

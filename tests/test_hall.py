@@ -927,6 +927,24 @@ def test_a_warm_hall_iota_still_compares_every_class(monkeypatch, capsys):
     }, expected
 
 
+def test_hall_iota_names_the_failed_constant_and_relations_in_text_and_json(monkeypatch, capsys):
+    # hall iota prints the constant identity and the relation failures of
+    # its table, in JSON in the form hall relations prints them: with a
+    # perturbed boson numerator both fail, and the scalars are still listed
+    argv = ["hall", "iota", "--type", "A3", "--q", "3", "--mmax", "2"]
+    relations = ["hall", "relations", "--type", "A3", "--q", "3", "--mmax", "2", "--format", "json"]
+    code, out, _ = _answer(argv + ["--format", "json"], capsys, fresh=True)
+    assert code == 0 and json.loads(out)["constant_identity"] is True and json.loads(out)["failures"] == []
+    monkeypatch.setattr(hall, "DH_BOSON_NUMERATOR", HalfLaurent({-2: 1, 2: 1}))
+    code, out, _ = _answer(argv, capsys, fresh=True)
+    assert code == 2 and out.startswith("constant identity: FAIL\nrelation failures: 6\n")
+    code, out, _ = _answer(argv + ["--format", "json"], capsys, fresh=True)
+    report, table = json.loads(out), json.loads(_answer(relations, capsys, fresh=True)[1])
+    assert code == 2 and report["ok"] is False and report["scalars"]
+    assert report["constant_identity"] is False and len(report["failures"]) == 6
+    assert {k: report[k] for k in ("constant_identity", "failures")} == table
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 31, 68])
 def test_a_raising_hall_relations_keeps_only_complete_q_commutators(monkeypatch, capsys, k):
     # a cap raised inside a product of the relation table stores nothing of

@@ -1,16 +1,18 @@
-import copy
+import functools
 import json
 
 import pytest
 
+import qgroth.characters as characters
 import qgroth.hall as hall
 import qgroth.presentation as presentation
+import qgroth.qcartan as qcartan
 import qgroth.qgroup as qgroup
 from qgroth.cartan import cartan_datum
 from qgroth.characters import CategoryQ, fundamental_tchar
 from qgroth.laurent import HalfLaurent
 from qgroth.presentation import Presentation
-from qgroth.qcartan import quantum_cartan
+from qgroth.qcartan import QuantumCartan
 from qgroth.quiver import AdaptedWord, QuiverContext, QuiverDatum
 from qgroth.torus import TorusElement
 
@@ -130,7 +132,23 @@ def test_normal_ordering_completeness():
         assert coeffs  # expansion exists and terminated exactly
 
 
-def test_corrupted_inputs_fail_every_relation_family(monkeypatch):
+def build_rows_with(monkeypatch, *raised) -> None:
+    """Every QuantumCartan built from here on, none taken from the registry,
+    has each entry (i, j, k) of `raised`, N(i, j) at d = k + 1, of its
+    pairing rows raised by one before the build checks them."""
+    real = qcartan.QuantumCartan._pairing_rows
+
+    def raised_rows(self):
+        rows = real(self)
+        for i, j, k in raised:
+            rows[i][j][k] += 1
+        return rows
+
+    monkeypatch.setattr(qcartan.QuantumCartan, "_pairing_rows", raised_rows)
+    monkeypatch.setattr(qcartan, "_registry", {})
+
+
+def test_corrupted_inputs_fail_every_relation_family(monkeypatch, capsys):
     # one generator with a foreign term
     real = presentation.fundamental_tchar
     bad = pres_for("A2", (0, 1)).qctx.phi.generator_position(1, 0)
@@ -143,13 +161,15 @@ def test_corrupted_inputs_fail_every_relation_family(monkeypatch):
     fails = pres_for("A2", (0, 1)).verify_relations(0, 2)
     assert {f[0] for f in fails} == {"R1", "R2", "R3"}
     monkeypatch.undo()
-    # one entry of the pairing table
-    p = pres_for("A3", (0, 1, 0))
-    rows = copy.deepcopy(p.qc._n)
-    rows[1][1][1] += 1
-    monkeypatch.setattr(p.qc, "_n", rows)
-    fails = p.verify_relations(0, 2)
-    assert {f[0] for f in fails} == {"R1", "R2", "R3"}
+    # one entry of the pairing table, raised where the rows are built: refused
+    # before any generator, with the hypothesis it breaks
+    from qgroth.cli import main
+
+    build_rows_with(monkeypatch, (1, 1, 1))
+    with pytest.raises(RuntimeError, match="^the pairing rows of A3 are not nu-invariant$"):
+        pres_for("A3", (0, 1, 0))
+    assert main(["verify", "presentation", "--type", "A3", "--xi", "0,1,0", "--m-range", "0..2"]) == 2
+    assert capsys.readouterr() == ("", "internal check failed: the pairing rows of A3 are not nu-invariant\n")
 
 
 def cancelling_pairs(x, y, exp2) -> tuple[int, int]:
@@ -563,23 +583,30 @@ def perturb_x22(monkeypatch, pres):
 
 
 def perturb_pairing_row(monkeypatch, pres):
-    """One entry of the row N(1, 1) raised, which nu = (1 3) does not fix."""
-    rows = copy.deepcopy(pres.qc._n)
-    rows[1][1][1] += 1
-    monkeypatch.setattr(pres.qc, "_n", rows)
+    """One entry of the row N(1, 1) raised where the rows are built, which
+    nu = (1 3) does not fix."""
+    build_rows_with(monkeypatch, (1, 1, 1))
 
 
 @pytest.mark.parametrize("perturb", [perturb_x22, perturb_pairing_row])
 def test_a_perturbation_the_shift_does_not_carry_fails_through_the_whole_table(monkeypatch, capsys, perturb):
-    # the shift proof fails, so the whole table runs and gives its own list
+    # x_{2,2} is no longer its node's base character, so the shift is not
+    # proved and the whole table runs and gives its own list; a row that nu
+    # does not fix is refused where the rows are built, before any table
     from qgroth.cli import main
 
     pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
     perturb(monkeypatch, pres)
-    expected = reference_table(pres, 0, 3)
     calls = spy_first_levels(monkeypatch)
-    assert main(["verify", "presentation", "--type", "A3", "--m-range", "0..3", "--format", "json"]) == 2
-    assert json.loads(capsys.readouterr().out) == {"ok": False, "failures": [str(f) for f in expected]}
+    code = main(["verify", "presentation", "--type", "A3", "--m-range", "0..3", "--format", "json"])
+    out, err = capsys.readouterr()
+    if perturb is perturb_pairing_row:
+        assert (code, out, err) == (2, "", "internal check failed: the pairing rows of A3 are not nu-invariant\n")
+        assert calls == []
+        return
+    expected = reference_table(pres, 0, 3)
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"ok": False, "failures": [str(f) for f in expected]}
     assert expected and calls == [(False, {0, 1, 2, 3})]
 
 
@@ -689,16 +716,79 @@ def test_a_foreign_term_makes_the_lemma_decline_on_its_generator(monkeypatch):
     assert {("R3", 0, 2, j, 1) for j in pres.cartan.vertices} <= set(fails)
 
 
-def test_a_replaced_pairing_row_makes_the_lemma_decline_on_every_row(monkeypatch):
+def test_a_node_that_is_not_nu_symmetric_turns_the_read_off_off(monkeypatch, capsys):
+    # the per-node check answering False at node 1 turns the read-off off:
+    # the whole table runs and prints what the read-off prints
+    from qgroth.cli import main
+
+    argv = ["verify", "presentation", "--type", "A3", "--m-range", "0..3", "--format", "json"]
     pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
-    assert presentation.locality_holds(pres.qc)
-    perturb_pairing_row(monkeypatch, pres)
-    assert not presentation.locality_holds(pres.qc)
-    fails, asked = decided_rows(pres, 0, 3)
-    assert fails == reference_table(pres, 0, 3) and fails
-    assert asked and not any(decided for *_, decided in asked)
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    real = presentation._nu_symmetric
+    monkeypatch.setattr(presentation, "_nu_symmetric", lambda kind, n, j: j != 1 and real(kind, n, j))
+    calls = spy_first_levels(monkeypatch)
+    assert main(argv) == 0 and capsys.readouterr() == expected
+    assert calls == [(False, {0, 1, 2, 3})]
+    # the base character at node 1 with the coefficient of its last monomial
+    # doubled: every generator is still its node's base, but node 1 is no
+    # longer nu-symmetric, so the whole table runs and fails
+    monkeypatch.setattr(presentation, "_nu_symmetric", functools.lru_cache(maxsize=None)(real.__wrapped__))
+    base = characters._fm_base
+
+    def changed(kind, n, i):
+        chi = base(kind, n, i)
+        last = list(chi)[-1]
+        return chi | {last: chi[last] + chi[last]} if i == 1 else chi
+
+    for module in (characters, presentation):
+        monkeypatch.setattr(module, "_fm_base", changed)
+    assert not presentation._nu_symmetric("A", 3, 1) and presentation._nu_symmetric("A", 3, 2)
+    failures = reference_table(pres, 0, 3)
+    calls.clear()
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "failures": [str(f) for f in failures]}
+    assert failures and calls == [(False, {0, 1, 2, 3})]
+
+
+def test_positions_that_do_not_step_by_t_turn_the_read_off_off(monkeypatch, capsys):
+    # the generators of levels 2 and 3 moved two levels up: each is still its
+    # node's base character, but (i, 2) no longer sits at T of (i, 1), so the
+    # whole table runs and gives its own list
+    from qgroth.cli import main
+
+    pres = Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
+    phi = type(pres.qctx.phi)
+    real = phi.generator_position
+    monkeypatch.setattr(phi, "generator_position", lambda self, i, m: real(self, i, m + 2 * (m >= 2)))
+    expected = reference_table(pres, 0, 3)
+    calls = spy_first_levels(monkeypatch)
+    assert main(["verify", "presentation", "--type", "A3", "--m-range", "0..3", "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "failures": [str(f) for f in expected]}
+    assert expected and calls == [(False, {0, 1, 2, 3})]
+
+
+def test_a_replaced_pairing_row_makes_the_lemma_decline_on_every_row(monkeypatch, capsys):
+    # N(2, 2) at d = 1 raised where the rows are built: nu = (1 3) fixes it,
+    # but it breaks the rule the lemma rests on, so no row is decided by the
+    # lemma or by a product: the build refuses the rows and names the rule
+    from qgroth.cli import main
+
+    build_rows_with(monkeypatch, (2, 2, 0))
+    calls = spy_first_levels(monkeypatch)
+    with pytest.raises(RuntimeError, match="^the pairing rows of A3 are not A-local$"):
+        Presentation(QuiverContext(QuiverDatum.bipartite(cartan_datum("A3"))))
+    assert main(["verify", "presentation", "--type", "A3", "--m-range", "0..3"]) == 2
+    assert capsys.readouterr() == ("", "internal check failed: the pairing rows of A3 are not A-local\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"])
-def test_the_pairing_rows_are_local(name):
-    assert presentation.locality_holds(quantum_cartan(cartan_datum(name)))
+def test_the_pairing_rows_are_local(monkeypatch, name):
+    # the build checks the rows of every type, and refuses them once one
+    # diagonal entry is raised on a nu-orbit of nodes, which nu fixes
+    cd = cartan_datum(name)
+    QuantumCartan(cd)
+    build_rows_with(monkeypatch, *{(i, i, 0) for i in (1, cd.nu(1))})
+    with pytest.raises(RuntimeError, match=f"^the pairing rows of {name} are not A-local$"):
+        QuantumCartan(cd)

@@ -247,3 +247,16 @@ def test_the_adapted_word_owns_the_euler_form():
     assert euler == {("quiver.py", "AdaptedWord.euler")}
     assert cartan <= {"cartan.py", "presentation.py"} and "presentation.py" in cartan
     assert defines == []
+
+
+def test_presentation_keeps_no_module_state_and_reads_no_pairing_rows():
+    # the facts of the pairing rows are checked where qcartan builds them and
+    # those of a node are cached by function: presentation binds no
+    # module-level dict, list or set (so no id()-keyed cache) and reads no
+    # `._n` attribute
+    import qgroth.presentation as presentation
+
+    bound = [name for name, v in vars(presentation).items() if not name.startswith("__") and isinstance(v, (dict, list, set))]
+    tree = ast.parse(pathlib.Path(presentation.__file__).read_text())
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_n"]
+    assert bound == [] and reads == []
