@@ -195,25 +195,9 @@ def _fm_base(kind: str, n: int, i0: int) -> dict[tuple, HalfLaurent]:
 
 def fundamental_tchar(yt: YTorus, i: int, p: int) -> TorusElement:
     """The t-character of the fundamental module at (i, p): the checked base
-    of `_fm_base`, shifted to p, its keys and forms packed straight from the
-    base's (j, q), e items."""
+    of `_fm_base`, shifted to p by the window's packer (`YTorus.shifted`)."""
     cd = yt.cartan
-    index, place, rows = yt.index, yt._place, yt._rows
-    terms, forms, l1 = {}, {}, 0
-    try:
-        for m, c in _fm_base(cd.kind, cd.n, i).items():
-            key = form = norm = 0
-            for (j, q), e in m:
-                k = index[j, q + p]
-                key += e << place[k]
-                form += e * rows[k]
-                norm += abs(e)
-            terms[key], forms[key], l1 = c, form, max(l1, norm)
-    except KeyError as exc:
-        raise ValueError(f"variable Y{list(exc.args[0])} is outside the torus window") from None
-    if l1 >= yt.half:
-        raise ResourceCap(f"a monomial of L1 norm {l1} does not fit the {yt.W}-bit key digits")
-    return TorusElement._of(yt, terms, forms, l1)
+    return yt.shifted(_fm_base(cd.kind, cd.n, i), p)
 
 
 def fundamental_window(qc: QuantumCartan, points) -> YTorus:
@@ -469,8 +453,8 @@ class CategoryQ:
         """The isomorphism Phi: the Gram matrix of the Y-variables at the
         positions, in k-order, is the signed symmetrized Euler form of the word,
         the Gram matrix of the rank-r torus."""
-        idx = [self.yt.index[v] for v in self.positions]
-        n, x = [[self.yt.gram[a][b] for b in idx] for a in idx], self.xt.gram
+        n_pair, pos = self.qc.n_pair, self.positions
+        n, x = [[n_pair(*a, *b) for b in pos] for a in pos], self.xt.gram
         if n != x:
             k, l = next((k, l) for k, row in enumerate(n) for l, e in enumerate(row) if e != x[k][l])
             raise CharacterError(

@@ -346,12 +346,11 @@ class UScalar:
 
 
 def _reduced(q: int, n0: int, n1: int, n2: int, n3: int, d: int) -> UScalar:
-    """The UScalar (n0 + n1 x + n2 x^2 + n3 x^3) / d, brought to lowest terms
-    with d > 0."""
+    """The UScalar (n0 + n1 x + n2 x^2 + n3 x^3) / d, d > 0, brought to lowest
+    terms: `specialize` takes only positive denominators, and the ring
+    operations multiply them."""
     if d != 1:
         g = gcd(n0, n1, n2, n3, d)
-        if d < 0:
-            g = -g
         if g != 1:
             n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
     out = object.__new__(UScalar)

@@ -33,8 +33,8 @@ lives: per type, `QuantumCartan` refuses pairing rows that are not
 nu-invariant, N(nu i, nu j) = N(i, j); per node, `_nu_symmetric` checks that
 the base character at nu(j) is nu's image of the one at j, monomial by
 monomial with equal coefficients; per generator, `verify_relations` checks
-on each request that it is its node's base character packed at its
-position (j, p), keys and coefficients, and that (i, m + 1) sits at
+on each request that it equals its node's base character packed at its
+position (j, p) by `YTorus.shifted`, and that (i, m + 1) sits at
 (nu(j), p + h).  Then T carries gen(i, m) onto gen(i, m + 1), each variable
 onto one of the window, and preserves every pairing, N(i,p;j,s) depending on
 (i, j, p - s) only: it is an isomorphism of quantum tori from the variables
@@ -56,7 +56,8 @@ labels of x and y pair to e/2, no A of either support pairs with the other
 label, and no A of one support pairs with an A of the other, every pair of
 terms pairs to e/2 and x y - t^(e/2) y x = 0 exactly, whatever the
 coefficients.  `verify_relations` hands `relation_failures` a q-commutator
-that answers such a pair 0 and multiplies every other one.  Its hypotheses
+that answers such a pair 0, the labels paired through
+`QuantumCartan.n_pair`, and multiplies every other one.  Its hypotheses
 split the same way: `QuantumCartan` refuses rows that break the rule, N
 antisymmetric included; the condition on the supports of generators at
 (j1, p) and (j2, p + d) is `_apart`, cached per (type, j1, j2, d); and the
@@ -104,14 +105,11 @@ class Presentation:
         yt = self.window(levels)
         at = {(i, m): self.qctx.phi.generator_position(i, m) for m in levels for i in cd.vertices}
         gens = {im: self.x_gen(yt, *im) for im in at}
-        index, place, gram, zero = yt.index, yt._place, yt.gram, yt.zero()
-
-        def base(j, p):
-            chi = _fm_base(cd.kind, cd.n, j)
-            return {sum(e << place[index[v, q + p]] for (v, q), e in y): c for y, c in chi.items()}
-
+        n_pair, zero = self.qc.n_pair, yt.zero()
         # the position of each generator that is its node's base character packed there
-        based = {id(x): at[im] for im, x in gens.items() if x.terms == base(*at[im])}
+        based = {
+            id(gens[im]): (j, p) for im, (j, p) in at.items() if gens[im] == yt.shifted(_fm_base(cd.kind, cd.n, j), p)
+        }
         translated = len(based) == len(gens) and all(
             _nu_symmetric(cd.kind, cd.n, j) and (m == m_hi or at[i, m + 1] == (cd.nu(j), p + self.qc.h))
             for (i, m), (j, p) in at.items()
@@ -119,7 +117,7 @@ class Presentation:
 
         def qcomm(x, y, e):
             a, b = based.get(id(x)), based.get(id(y))
-            if a and b and 2 * gram[index[a]][index[b]] == e and _apart(cd.kind, cd.n, a[0], b[0], b[1] - a[1]):
+            if a and b and 2 * n_pair(*a, *b) == e and _apart(cd.kind, cd.n, a[0], b[0], b[1] - a[1]):
                 return zero
             return x.qcommutator(y, e)
 

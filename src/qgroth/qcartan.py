@@ -21,8 +21,9 @@ repeats the first.
 
 The commutation exponent N(i,p;j,s) depends only on (i, j, d = p - s): it is
 antisymmetric in d, 0 at d = 0 and 2h-periodic for d >= 1 (as c_ij(2h) = 0,
-checked), so it is one row of 2h integers per (i, j).  The build checks the
-two facts of the rows that `presentation` rests on, once per type: they are
+checked), so it is one row of 2h integers per (i, j), read only by `n_pair`,
+one exponent, and `gram`, a window's matrix.  The build checks the two facts
+of the rows that `presentation` rests on, once per type: they are
 nu-invariant, N(nu i, nu j) = N(i, j), and A-local, N(A_{j,s}, Y_{i,p}) =
 2 delta_ij (delta_{p,s-1} - delta_{p,s+1}) with N antisymmetric (Hernandez,
 Adv. Math. 187, 2004).
@@ -31,6 +32,7 @@ Adv. Math. 187, 2004).
 from __future__ import annotations
 
 from math import comb
+from operator import itemgetter
 
 from .cartan import CartanDatum
 from .quiver import QuiverDatum
@@ -115,6 +117,20 @@ class QuantumCartan:
             return 0
         ell = s // 2
         return quiver.tau_power(quiver.gamma(i), ell)[j - 1]
+
+    def gram(self, window: list[tuple[int, int]]) -> list[list[int]]:
+        """N(i,p;j,s) on a window of variables (i, p) sorted by (p, i), a row
+        per variable in one loop: row (i, p) picks its entries off line[i], which
+        lists N(i,j,d) for every vertex j and d = -span..span, span the width."""
+        rows, h2 = self._n, 2 * self.h
+        if len(window) < 2:
+            return [[0]] * len(window)
+        lo, span, vs = window[0][1], window[-1][1] - window[0][1], list(rows)
+        pos = {(i, j): (rows[i][j] * -(-span // h2))[:span] for i in vs for j in vs}  # d = 1..span
+        line = {i: [x for j in vs for x in [-y for y in reversed(pos[i, j])] + [0] + pos[i, j]] for i in vs}
+        # N(i,p;j,s) = line[i][(p - lo) + k], k = (index of j) (2 span + 1) + span + lo - s
+        pick = itemgetter(*[vs.index(j) * (2 * span + 1) + span + lo - s for j, s in window])
+        return [list(pick(line[i][p - lo :])) for i, p in window]
 
     def n_pair(self, i: int, p: int, j: int, s: int) -> int:
         """The antisymmetric commutation exponent between variables at (i,p), (j,s)."""

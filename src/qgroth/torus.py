@@ -16,11 +16,12 @@ variable order; a product adds keys and an inverse negates; a is dominant iff
 (key + B) & B == B, B holding H in every digit; and a^T M b is the digit at
 place n-1 of form(a) * key(b), where form(a) = sum_k (a^T M)_k 2^(W k).
 Forms are additive, so every term carries the form of its key and products
-and quotients add and subtract them.  Digits are read only where a key enters
-(packing an exponent vector, or a Y-monomial given as its exponent map
-{(i, p): e}) or leaves, and a key leaves only through `exponents` (render,
-JSON, the box of a division), in one call: key + B puts each digit d at d + H
-in [0, 2^16), the XOR with B flips its bit 15 to leave d in 16-bit two's
+and quotients add and subtract them.  Only this module packs a key: `entry`
+packs an exponent vector or a Y-monomial given as its exponent map
+{(i, p): e}, and `YTorus.shifted` a base character.  Digits are read only
+there and where a key leaves, only through `exponents` (render, JSON, the
+box of a division), in one call: key + B puts each digit d at d + H in
+[0, 2^16), the XOR with B flips its bit 15 to leave d in 16-bit two's
 complement, and `struct` unpacks the n big-endian shorts.
 
 Bands.  A product reads its pairings on the band lo..hi of key places that
@@ -62,7 +63,7 @@ import heapq
 import struct
 from functools import reduce
 from itertools import chain
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, Optional
 
 from .cartan import ResourceCap
@@ -397,10 +398,11 @@ class XTorus(QuantumTorus):
 
 class YTorus(QuantumTorus):
     """The window torus on the variables Y_{i,p} of `window`, ordered by
-    (p, i), entered by exponent maps {(i, p): e} with no zero entry; M is
-    N(i,p;j,s), read from the rows of the inverse quantum Cartan matrix.
-    `pair2` is the reference pairing of two exponent maps; `a_solve` and
-    `nakajima_leq` work on exponent maps and do not depend on the window."""
+    (p, i), entered by exponent maps {(i, p): e} with no zero entry, or as a
+    shifted base character (`shifted`); M is N(i,p;j,s), the window's
+    `QuantumCartan.gram`.  `pair2` is the reference pairing of two exponent
+    maps, by `QuantumCartan.n_pair`; `a_solve` and `nakajima_leq` work on
+    exponent maps and do not depend on the window."""
 
     def __init__(self, qc: QuantumCartan, window: Iterable[tuple[int, int]] = ()):
         self.qc = qc
@@ -408,33 +410,32 @@ class YTorus(QuantumTorus):
         self.window = sorted(set(window), key=lambda v: (v[1], v[0]))
         self.json_window = self.window
         self.index = {v: k for k, v in enumerate(self.window)}
-        super().__init__([f"Y[{i},{p}]" for i, p in self.window], self._gram())
-
-    def _gram(self) -> list:
-        """N(i,p;j,s) on the window, one row per variable in one loop: row
-        (i, p) picks its entries off line[i], which lists N(i,j,d) for every
-        vertex j and d = -span..span, span the window's width."""
-        window, rows, h2 = self.window, self.qc._n, 2 * self.qc.h
-        if len(window) < 2:
-            return [[0]] * len(window)
-        lo, span, vs = window[0][1], window[-1][1] - window[0][1], list(rows)
-        pos = {(i, j): (rows[i][j] * -(-span // h2))[:span] for i in vs for j in vs}  # d = 1..span
-        line = {i: [x for j in vs for x in [-y for y in reversed(pos[i, j])] + [0] + pos[i, j]] for i in vs}
-        # N(i,p;j,s) = line[i][(p - lo) + k], k = (index of j) (2 span + 1) + span + lo - s
-        pick = itemgetter(*[vs.index(j) * (2 * span + 1) + span + lo - s for j, s in window])
-        return [list(pick(line[i][p - lo :])) for i, p in window]
+        super().__init__([f"Y[{i},{p}]" for i, p in self.window], qc.gram(self.window))
 
     def pair2(self, m1: dict, m2: dict) -> int:
-        rows, h2 = self.qc._n, 2 * self.qc.h
-        total = 0
-        for (i, p), u in m1.items():
-            row = rows[i]
-            for (j, s), v in m2.items():
-                if p > s:
-                    total += u * v * row[j][(p - s - 1) % h2]
-                elif p < s:
-                    total -= u * v * row[j][(s - p - 1) % h2]
-        return total
+        n = self.qc.n_pair
+        return sum(u * v * n(i, p, j, s) for (i, p), u in m1.items() for (j, s), v in m2.items())
+
+    def shifted(self, base: dict, p: int) -> TorusElement:
+        """sum c Y^m over the items (m, c) of base, each m the `monomial_items`
+        of an exponent map and each c nonzero, shifted to p: every key and form
+        packed straight from the (j, q), e items of m, at the variables (j, q + p)."""
+        index, place, rows = self.index, self._place, self._rows
+        terms, forms, l1 = {}, {}, 0
+        try:
+            for m, c in base.items():
+                key = form = norm = 0
+                for (j, q), e in m:
+                    k = index[j, q + p]
+                    key += e << place[k]
+                    form += e * rows[k]
+                    norm += abs(e)
+                terms[key], forms[key], l1 = c, form, max(l1, norm)
+        except KeyError as exc:
+            raise ValueError(f"variable Y{list(exc.args[0])} is outside the torus window") from None
+        if l1 >= self.half:
+            raise ResourceCap(f"a monomial of L1 norm {l1} does not fit the {self.W}-bit key digits")
+        return TorusElement._of(self, terms, forms, l1)
 
     def _sparse(self, m: dict):
         try:

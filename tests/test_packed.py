@@ -481,3 +481,16 @@ def test_a_fundamental_off_its_window_raises_the_monomial_routes_error():
             route(yt, 1, 0)
         messages.append(str(err.value))
     assert messages == ["variable Y[1, 2] is outside the torus window"] * 2
+
+
+@pytest.mark.parametrize("e", [1 << 15, 40000, -(1 << 15)])
+def test_the_packer_refuses_a_monomial_past_the_key_digits(e):
+    # one monomial of L1 norm 2^15 or more does not fit the 16-bit digits;
+    # one of L1 norm 2^15 - 1 packs, and reads back
+    yt = YTorus(quantum_cartan(cartan_datum("A1")), [(1, 0), (1, 2)])
+    with pytest.raises(ResourceCap) as err:
+        yt.shifted({(((1, 0), e),): HalfLaurent.one()}, 0)
+    assert str(err.value) == f"a monomial of L1 norm {abs(e)} does not fit the 16-bit key digits"
+    most = (1 << 15) - 1
+    x = yt.shifted({(((1, -2), most),): HalfLaurent.one()}, 2)
+    assert x.l1 == most and [yt.monomial_of(k) for k in x.terms] == [{(1, 0): most}]

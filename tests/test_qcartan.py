@@ -105,6 +105,28 @@ def test_n_pair_examples():
         assert qc.n_pair(i, p, j, s) == -qc.n_pair(j, s, i, p)
 
 
+def gram_windows(cd, h):
+    """Windows sorted by (p, i): empty, one variable, every vertex at one
+    point, and runs of points narrower than 2h, 2h wide and wider, with and
+    without gaps in p."""
+    vs = cd.vertices
+    spans = [[0], [3], list(range(h)), list(range(2 * h + 1)), list(range(-h, 3 * h + 2)),
+             [0, 1, 5, 6, 2 * h + 9], [-2 * h - 1, -3, 0, 4 * h]]
+    yield []
+    yield [(vs[-1], 5)]
+    for ps in spans:
+        yield [(i, p) for p in ps for i in vs]
+        yield [(i, p) for p in ps for i in vs if (i + p) % 2]
+
+
+@pytest.mark.parametrize("name", ADE_TYPES)
+def test_the_window_gram_matrix_is_n_pair_entry_by_entry(name):
+    cd = cartan_datum(name)
+    qc = quantum_cartan(cd)
+    for window in gram_windows(cd, qc.h):
+        assert qc.gram(window) == [[qc.n_pair(i, p, j, s) for j, s in window] for i, p in window], window
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7"])
 def test_pairing_table_matches_the_four_coefficient_formula(name):
     cd = cartan_datum(name)

@@ -103,6 +103,51 @@ def test_keys_leave_a_torus_only_through_exponents():
     assert library_loops_holding(_is_digit_read) == []
 
 
+def _is_digit_write(node) -> bool:
+    # e << place[k]: one exponent packed at its key digit
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and isinstance(node.right, ast.Subscript)
+        and isinstance(node.right.value, (ast.Name, ast.Attribute))
+        and getattr(node.right.value, "id", getattr(node.right.value, "attr", None)) in ("place", "_place")
+    )
+
+
+def test_only_the_torus_packs_a_key():
+    # keys enter a torus through `QuantumTorus.entry`, the window's
+    # base-character packer `YTorus.shifted` and the division's box: no other
+    # module packs a key digit or reads a torus's places, rows or bias
+    assert library_loops_holding(_is_digit_write) == [
+        ("torus.py", "QuantumTorus.entry"),
+        ("torus.py", "YTorus.shifted"),
+    ]
+    reads = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py"))
+        if path.name != "torus.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("_place", "_rows", "_bias")
+    ]
+    assert reads == []
+
+
+def test_only_qcartan_reads_the_pairing_rows():
+    # `QuantumCartan.n_pair` and `QuantumCartan.gram` are the two readers of
+    # the rows `._n`: no other module reads an `._n` attribute of another
+    # object (`QGroupSide` keeps its own N(beta_k) list as `self._n`)
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(qgroth.__file__).parent.glob("*.py"))
+        if path.name != "qcartan.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "_n"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert reads == []
+
+
 def _is_translated_row(node) -> bool:
     # (family, m, m + d, i, j): a relation row whose level is computed
     return isinstance(node, ast.Tuple) and len(node.elts) == 5 and any(isinstance(e, ast.BinOp) for e in node.elts)
